@@ -1,41 +1,34 @@
-//! Ablation: compiled formula programs vs the tree-walking interpreter
-//! on the recalc hot path (DESIGN.md §10).
+//! Ablation: the shipped recalc (compiled formula programs, range
+//! kernels, window-delta cache) vs the reference recalc (the tree-walking
+//! interpreter) on the recalc hot path (DESIGN.md §10, §12).
 //!
 //! Workload: a 100k-row fill-down aggregate column — every cell of
 //! column B computes a trailing 500-row `SUM` window over column A plus
 //! a scalar term. Under R1C1 normalization the whole column is one
 //! template (plus the clipped window-start variants near row 1), so the
-//! program cache compiles ~500 programs for 100k formulas. Four rungs:
+//! program cache compiles ~500 programs for 100k formulas. Two rungs:
 //!
-//! * `interp`            — the tree-walking interpreter;
-//! * `compiled`          — bytecode VM, cache on, kernels off (what the
-//!                         template cache alone buys);
-//! * `compiled+kernels`  — bytecode VM with the vectorized range
-//!                         kernels (what slice scans buy on top);
-//! * `compiled+delta`    — kernels plus window-delta aggregation: the
-//!                         overlapping fill-down windows are slid
-//!                         incrementally (evict the rows that left,
-//!                         enter the rows that arrived) instead of
-//!                         rescanned, via an [`EvalSession`].
+//! * `reference` — every formula walked by the tree-walking interpreter,
+//!   every window rescanned cell by cell;
+//! * `shipped` — one compiled program per template, slice kernels, and
+//!   overlapping fill-down windows slid incrementally (evict the rows that
+//!   left, enter the rows that arrived) instead of rescanned.
+//!
+//! Each rung is timed twice: the evaluation hot path alone (no planning,
+//! no stores — `eval::evaluate` vs an [`EvalSession`]) and a full
+//! sequential pass (`recalc::recalc_reference` vs `recalc::recalc_all`),
+//! where the planning and store costs both rungs share dilute the ratio.
 //!
 //! Besides the criterion groups, this binary measures a median
-//! ns-per-formula-cell baseline per backend, writes it as JSON to
-//! `$BENCH_EVAL_JSON` (default `BENCH_eval.json` in the working
-//! directory), and exits non-zero if `compiled+delta` fails the >= 5x
-//! speedup acceptance bar over the interpreter (which replaced the
-//! pre-delta >= 3x bar on `compiled+kernels`).
+//! ns-per-formula-cell baseline per rung on the evaluation pass, writes
+//! it as JSON to `$BENCH_EVAL_JSON` (default `BENCH_eval.json` in the
+//! working directory), and exits non-zero if `shipped` fails the >= 5x
+//! speedup acceptance bar over the reference.
 //!
 //! A structural-op workload (sort + mid-column row insert over a warm
 //! fill-down sheet) times the post-edit full recalc with the memo
 //! bindings the structural ops retained vs with them dropped, and
 //! records the pair as the `memo_retention` row of the JSON baseline.
-//!
-//! A fourth measurement isolates the static verifier (DESIGN.md §11):
-//! the VM run directly on verified programs (stack pre-reserved to the
-//! proven bound) vs the same programs with the bound stripped
-//! (`Program::without_stack_bound`, the grow-on-demand behavior). The
-//! verified path must be at most 1% slower — verification is a
-//! compile-time cost only.
 
 use std::time::Instant;
 
@@ -45,35 +38,46 @@ use ssbench_engine::prelude::*;
 const ROWS: u32 = 100_000;
 const WINDOW: u32 = 500;
 
-fn variants() -> [(&'static str, RecalcOptions); 4] {
-    let base = RecalcOptions::sequential(); // kernels: true, delta: true
-    [
-        ("interp", RecalcOptions { backend: EvalBackend::Interpreted, ..base }),
-        (
-            "compiled",
-            RecalcOptions {
-                backend: EvalBackend::Compiled,
-                kernels: false,
-                delta: false,
-                ..base
-            },
-        ),
-        (
-            "compiled+kernels",
-            RecalcOptions { backend: EvalBackend::Compiled, delta: false, ..base },
-        ),
-        ("compiled+delta", RecalcOptions { backend: EvalBackend::Compiled, ..base }),
-    ]
+/// One rung: how it evaluates the formula column alone, and its full pass.
+struct Rung {
+    name: &'static str,
+    eval_pass: fn(&Sheet, &[CellAddr]),
+    recalc: fn(&mut Sheet) -> recalc::RecalcStats,
 }
+
+const RUNGS: [Rung; 2] = [
+    Rung {
+        name: "reference",
+        eval_pass: |sheet, formulas| {
+            for &addr in formulas {
+                let expr = sheet.formula_expr(addr).expect("fill-down cell is a formula");
+                black_box(ssbench_engine::eval::evaluate(expr, &sheet.eval_ctx(addr)));
+            }
+        },
+        recalc: |sheet| recalc::recalc_reference(sheet, None),
+    },
+    Rung {
+        name: "shipped",
+        // Driven through an `EvalSession` so the window cache slides from
+        // one formula to the next, as it does inside a recalc level.
+        eval_pass: |sheet, formulas| {
+            let mut session = EvalSession::new(sheet);
+            for &addr in formulas {
+                black_box(session.eval(addr));
+            }
+        },
+        recalc: recalc::recalc_all,
+    },
+];
 
 /// The fill-down sheet: `A1:A100000` values, `B{r} = SUM(A{r-499}:A{r})*2
 /// + A{r}` (window clipped at the top). Returns the formula addresses in
 /// fill order. Column-major layout: a trailing column window is then one
 /// contiguous grid slice, the kernels' designed-for case (the row-major
 /// strided case is covered by the differential tests, not benchmarked).
-fn fill_down_sheet(rows: u32, opts: RecalcOptions) -> (Sheet, Vec<CellAddr>) {
+fn fill_down_sheet(rows: u32) -> (Sheet, Vec<CellAddr>) {
     let mut s = Sheet::with_layout(Layout::ColumnMajor, 0, 0);
-    s.set_recalc_options(opts);
+    s.set_recalc_options(RecalcOptions::sequential());
     for r in 0..rows {
         s.set_value(CellAddr::new(r, 0), (r % 97) as i64);
     }
@@ -87,24 +91,12 @@ fn fill_down_sheet(rows: u32, opts: RecalcOptions) -> (Sheet, Vec<CellAddr>) {
     (s, formulas)
 }
 
-/// One pass of the evaluation hot path alone (no planning, no stores):
-/// what `run_plan`'s inner loop pays per formula. Driven through an
-/// [`EvalSession`] so the `compiled+delta` rung actually slides its
-/// window cache from one formula to the next; for the other rungs the
-/// session degenerates to plain one-shot evaluation.
-fn eval_pass(sheet: &Sheet, formulas: &[CellAddr]) {
-    let mut session = EvalSession::new(sheet);
-    for &addr in formulas {
-        black_box(session.eval(addr));
-    }
-}
-
 fn bench_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_compile/eval_100k_fill_down");
-    for (name, opts) in variants() {
-        let (sheet, formulas) = fill_down_sheet(ROWS, opts);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &(), move |b, _| {
-            b.iter(|| eval_pass(&sheet, &formulas))
+    for rung in &RUNGS {
+        let (sheet, formulas) = fill_down_sheet(ROWS);
+        group.bench_with_input(BenchmarkId::from_parameter(rung.name), &(), move |b, _| {
+            b.iter(|| (rung.eval_pass)(&sheet, &formulas))
         });
     }
     group.finish();
@@ -112,10 +104,10 @@ fn bench_eval(c: &mut Criterion) {
 
 fn bench_recalc(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_compile/recalc_100k_fill_down");
-    for (name, opts) in variants() {
-        let (mut sheet, _) = fill_down_sheet(ROWS, opts);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &(), move |b, _| {
-            b.iter(|| recalc::recalc_all(&mut sheet))
+    for rung in &RUNGS {
+        let (mut sheet, _) = fill_down_sheet(ROWS);
+        group.bench_with_input(BenchmarkId::from_parameter(rung.name), &(), move |b, _| {
+            b.iter(|| (rung.recalc)(&mut sheet))
         });
     }
     group.finish();
@@ -136,13 +128,13 @@ criterion_group! {
 
 /// Median ns per formula cell over 5 timed eval passes (one warm-up
 /// pass first, which also fills the program cache).
-fn median_ns_per_cell(opts: RecalcOptions) -> f64 {
-    let (sheet, formulas) = fill_down_sheet(ROWS, opts);
-    eval_pass(&sheet, &formulas);
+fn median_ns_per_cell(rung: &Rung) -> f64 {
+    let (sheet, formulas) = fill_down_sheet(ROWS);
+    (rung.eval_pass)(&sheet, &formulas);
     let mut samples: Vec<f64> = (0..5)
         .map(|_| {
             let start = Instant::now();
-            eval_pass(&sheet, &formulas);
+            (rung.eval_pass)(&sheet, &formulas);
             start.elapsed().as_secs_f64() * 1e9 / formulas.len() as f64
         })
         .collect();
@@ -150,74 +142,12 @@ fn median_ns_per_cell(opts: RecalcOptions) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Measures the VM directly (no program cache, no kernels) on the same
-/// fill-down programs twice: verified (operand stack pre-reserved to the
-/// proven `max_stack` bound) and with the bound stripped
-/// (`Program::without_stack_bound`, grow-on-demand). The two variants
-/// run the identical bytecode — only the scratch-stack pre-reserve
-/// differs — so the comparison is measured in tightly paired chunks
-/// (verified chunk, then the same unbounded chunk ~10 ms later, order
-/// alternating per round) with a per-chunk min over all rounds: slow
-/// host drift (frequency scaling, cgroup throttling on a 1-CPU
-/// container) hits both sides of a pair equally instead of skewing one
-/// whole pass. Returns (verified, unbounded) ns per formula cell.
-fn stack_bound_ablation() -> (f64, f64) {
-    use ssbench_engine::compile::{compile, vm, Program};
-    let mut sheet = Sheet::with_layout(Layout::ColumnMajor, 0, 0);
-    for r in 0..ROWS {
-        sheet.set_value(CellAddr::new(r, 0), (r % 97) as i64);
-    }
-    let verified: Vec<(CellAddr, Program)> = (0..ROWS)
-        .map(|r| {
-            let lo = r.saturating_sub(WINDOW - 1) + 1;
-            let expr = parse(&format!("SUM(A{lo}:A{hi})*2+A{hi}", hi = r + 1)).unwrap();
-            let addr = CellAddr::new(r, 1);
-            (addr, compile(&expr, addr))
-        })
-        .collect();
-    let unbounded: Vec<(CellAddr, Program)> =
-        verified.iter().map(|(a, p)| (*a, p.without_stack_bound())).collect();
-    let pass = |progs: &[(CellAddr, Program)]| {
-        let meter = Meter::new();
-        for (addr, prog) in progs {
-            black_box(vm::run(prog, &EvalCtx::new(&sheet, &meter, *addr), None));
-        }
-    };
-    pass(&verified); // warm-up
-    pass(&unbounded);
-    const CHUNKS: usize = 20;
-    let n = verified.len();
-    let seg = |i: usize| (i * n / CHUNKS)..((i + 1) * n / CHUNKS);
-    let timed = |progs: &[(CellAddr, Program)]| {
-        let t = Instant::now();
-        pass(progs);
-        t.elapsed().as_secs_f64()
-    };
-    let mut best_v = [f64::INFINITY; CHUNKS];
-    let mut best_u = [f64::INFINITY; CHUNKS];
-    for round in 0..8 {
-        for i in 0..CHUNKS {
-            let (v, u) = if round % 2 == 0 {
-                let v = timed(&verified[seg(i)]);
-                (v, timed(&unbounded[seg(i)]))
-            } else {
-                let u = timed(&unbounded[seg(i)]);
-                (timed(&verified[seg(i)]), u)
-            };
-            best_v[i] = best_v[i].min(v);
-            best_u[i] = best_u[i].min(u);
-        }
-    }
-    let per_cell = |best: &[f64; CHUNKS]| best.iter().sum::<f64>() * 1e9 / n as f64;
-    (per_cell(&best_v), per_cell(&best_u))
-}
-
 /// Rows for the structural-op (memo retention) workload: big enough
 /// that per-formula costs dominate, small enough that rebuilding the
 /// sheet per trial keeps the bench fast.
 const STRUCT_ROWS: u32 = 20_000;
 
-/// Memo-retention ablation (DESIGN.md §12): warm a compiled fill-down
+/// Memo-retention ablation (DESIGN.md §12): warm a fill-down
 /// sheet, sort it descending on column A, insert one row mid-column,
 /// then time the post-edit full recalc twice — once with the
 /// per-address memo bindings the structural ops provably retained, and
@@ -230,7 +160,7 @@ fn memo_retention_ablation() -> (f64, f64, usize) {
         let mut samples = Vec::new();
         let mut kept = 0usize;
         for _ in 0..3 {
-            let (mut s, formulas) = fill_down_sheet(STRUCT_ROWS, RecalcOptions::sequential());
+            let (mut s, formulas) = fill_down_sheet(STRUCT_ROWS);
             recalc::recalc_all(&mut s); // warm templates + memo
             s.apply(Op::Sort { keys: vec![SortKey::desc(0)] }).unwrap();
             s.apply(Op::InsertRows { at: STRUCT_ROWS / 2, count: 1 }).unwrap();
@@ -251,10 +181,7 @@ fn memo_retention_ablation() -> (f64, f64, usize) {
 }
 
 fn write_baseline() {
-    let named: Vec<(&str, f64)> =
-        variants().iter().map(|&(name, opts)| (name, median_ns_per_cell(opts))).collect();
-    let (interp, compiled, kernels, delta) = (named[0].1, named[1].1, named[2].1, named[3].1);
-    let (vm_verified, vm_unbounded) = stack_bound_ablation();
+    let [reference, shipped] = RUNGS.each_ref().map(median_ns_per_cell);
     let (memo_retained, memo_cleared, memo_kept) = memo_retention_ablation();
     let json = format!(
         concat!(
@@ -262,21 +189,10 @@ fn write_baseline() {
             "  \"bench\": \"ablation_compile\",\n",
             "  \"workload\": \"fill_down_sum_window{window}_rows{rows}\",\n",
             "  \"median_ns_per_cell\": {{\n",
-            "    \"interp\": {interp:.1},\n",
-            "    \"compiled\": {compiled:.1},\n",
-            "    \"compiled_kernels\": {kernels:.1},\n",
-            "    \"compiled_delta\": {delta:.1}\n",
+            "    \"reference\": {reference:.1},\n",
+            "    \"shipped\": {shipped:.1}\n",
             "  }},\n",
-            "  \"speedup_vs_interp\": {{\n",
-            "    \"compiled\": {s_compiled:.2},\n",
-            "    \"compiled_kernels\": {s_kernels:.2},\n",
-            "    \"compiled_delta\": {s_delta:.2}\n",
-            "  }},\n",
-            "  \"vm_stack_bound_ns_per_cell\": {{\n",
-            "    \"verified\": {vm_verified:.1},\n",
-            "    \"unbounded\": {vm_unbounded:.1},\n",
-            "    \"verified_over_unbounded\": {vm_ratio:.4}\n",
-            "  }},\n",
+            "  \"speedup_vs_reference\": {speedup:.2},\n",
             "  \"memo_retention\": {{\n",
             "    \"workload\": \"sort_desc_then_insert_row_rows{struct_rows}\",\n",
             "    \"post_edit_recalc_ns_per_cell\": {{\n",
@@ -290,16 +206,9 @@ fn write_baseline() {
         ),
         window = WINDOW,
         rows = ROWS,
-        interp = interp,
-        compiled = compiled,
-        kernels = kernels,
-        delta = delta,
-        s_compiled = interp / compiled,
-        s_kernels = interp / kernels,
-        s_delta = interp / delta,
-        vm_verified = vm_verified,
-        vm_unbounded = vm_unbounded,
-        vm_ratio = vm_verified / vm_unbounded,
+        reference = reference,
+        shipped = shipped,
+        speedup = reference / shipped,
         struct_rows = STRUCT_ROWS,
         memo_retained = memo_retained,
         memo_cleared = memo_cleared,
@@ -310,36 +219,16 @@ fn write_baseline() {
         std::env::var("BENCH_EVAL_JSON").unwrap_or_else(|_| "BENCH_eval.json".to_string());
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("baseline written to {path}:\n{json}");
-    // The enforced bar moved from >= 3x on compiled+kernels to >= 5x on
-    // the full stack when the window-delta rung landed; the kernels rung
-    // is still recorded, but its ~3x hovers too close to that old bar to
-    // gate on a 1-CPU noisy host.
-    let s_delta = interp / delta;
-    if s_delta < 5.0 {
-        eprintln!("FAIL: compiled+delta speedup {s_delta:.2}x is below the 5x acceptance bar");
-        std::process::exit(1);
-    }
-    // The 1% relative bar gained an absolute floor when per-formula cost
-    // dropped ~20% (the chunked grid's typed scans): the two variants run
-    // identical instructions after warm-up, so the paired measurement
-    // carries a constant ~15-20ns/formula allocation-layout bias that the
-    // relative bar alone no longer has headroom for. Differences under
-    // 25ns/formula are below this harness's discrimination floor.
-    let ratio = vm_verified / vm_unbounded;
-    if ratio > 1.01 && vm_verified - vm_unbounded > 25.0 {
-        eprintln!(
-            "FAIL: verified VM is {:.2}% ({:.0}ns/formula) slower than unbounded \
-             (bar: 1% and 25ns)",
-            (ratio - 1.0) * 100.0,
-            vm_verified - vm_unbounded,
-        );
+    let speedup = reference / shipped;
+    if speedup < 5.0 {
+        eprintln!("FAIL: shipped speedup {speedup:.2}x is below the 5x acceptance bar");
         std::process::exit(1);
     }
 }
 
 fn main() {
     // ABLATION_BASELINE_ONLY=1 skips the criterion groups and goes
-    // straight to the JSON baseline + acceptance gates — handy when
+    // straight to the JSON baseline + acceptance gate — handy when
     // regenerating BENCH_eval.json.
     if std::env::var("ABLATION_BASELINE_ONLY").is_err() {
         benches();

@@ -17,7 +17,7 @@ fn bench_fig2_open(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_parallel/fig2_open_20k_rows");
     for threads in THREADS {
         let mut sheet = build_sheet(20_000, Variant::FormulaValue);
-        sheet.set_recalc_options(RecalcOptions { parallelism: threads, threshold: 1, ..RecalcOptions::default() });
+        sheet.set_recalc_options(RecalcOptions { parallelism: threads, threshold: 1 });
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, move |b, _| {
             b.iter(|| recalc::recalc_all(&mut sheet))
         });
@@ -29,7 +29,7 @@ fn bench_fig2_open(c: &mut Criterion) {
 /// grand total (three levels), so the per-level barrier cost shows up.
 fn layered_sheet(n: u32, threads: usize) -> Sheet {
     let mut s = Sheet::new();
-    s.set_recalc_options(RecalcOptions { parallelism: threads, threshold: 1, ..RecalcOptions::default() });
+    s.set_recalc_options(RecalcOptions { parallelism: threads, threshold: 1 });
     for i in 0..n {
         s.set_value(CellAddr::new(i, 0), (i % 97) as i64);
         s.set_formula_str(CellAddr::new(i, 1), &format!("=A{r}*A{r}+1", r = i + 1)).unwrap();

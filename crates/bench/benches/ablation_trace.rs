@@ -64,7 +64,7 @@ fn bench_parallel_recalc(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_trace/layered_50k_recalc_4workers");
     for mode in MODES {
         let mut sheet = layered_sheet(50_000);
-        sheet.set_recalc_options(RecalcOptions { parallelism: 4, threshold: 1, ..RecalcOptions::default() });
+        sheet.set_recalc_options(RecalcOptions { parallelism: 4, threshold: 1 });
         group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, move |b, &mode| {
             set_tracing(mode);
             b.iter(|| {

@@ -235,13 +235,6 @@ impl Program {
         &self.reads
     }
 
-    /// Ablation hook: the same program without the verifier's stack bound,
-    /// so `ablation_compile` can measure what pre-reservation buys. The VM
-    /// treats a zero bound as "grow on demand" (the pre-PR-5 behavior).
-    pub fn without_stack_bound(&self) -> Program {
-        Program { max_stack: 0, ..self.clone() }
-    }
-
     /// Assembles a raw program for verifier tests — the only way to build
     /// one that did not come out of the lowerer.
     #[cfg(test)]

@@ -57,41 +57,6 @@ use crate::addr::CellAddr;
 use crate::formula::ast::Expr;
 use crate::formula::r1c1;
 
-/// Which evaluation backend a recalculation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EvalBackend {
-    /// The tree-walking interpreter (`eval::evaluate`) — the naive model
-    /// the paper attributes to all three systems, and the reference
-    /// semantics.
-    Interpreted,
-    /// The template-cached bytecode VM in this module — the default since
-    /// the 48-config oracle, the static verifier, and the corpus replay
-    /// pinned it bit-identical to the interpreter (values and meters).
-    /// Opt back out with `SSBENCH_EVAL_BACKEND=interp` or
-    /// [`crate::recalc::set_default_backend`].
-    #[default]
-    Compiled,
-}
-
-impl EvalBackend {
-    /// Stable lowercase name (used in labels and env parsing).
-    pub const fn name(self) -> &'static str {
-        match self {
-            EvalBackend::Interpreted => "interp",
-            EvalBackend::Compiled => "compiled",
-        }
-    }
-
-    /// Parses the `SSBENCH_EVAL_BACKEND` spellings.
-    pub fn parse(s: &str) -> Option<EvalBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "interp" | "interpreted" | "tree" => Some(EvalBackend::Interpreted),
-            "compiled" | "compile" | "vm" | "bytecode" => Some(EvalBackend::Compiled),
-            _ => None,
-        }
-    }
-}
-
 /// Hasher for the addr-memo map: a cell address is already a unique
 /// 64-bit pattern, so a fixed avalanche (the splitmix64 finalizer) beats
 /// SipHash on the per-eval hot path (the memo is probed once per formula
@@ -312,15 +277,6 @@ mod tests {
 
     fn at(s: &str) -> CellAddr {
         CellAddr::parse(s).unwrap()
-    }
-
-    #[test]
-    fn backend_parse_spellings() {
-        assert_eq!(EvalBackend::parse("compiled"), Some(EvalBackend::Compiled));
-        assert_eq!(EvalBackend::parse(" VM "), Some(EvalBackend::Compiled));
-        assert_eq!(EvalBackend::parse("interp"), Some(EvalBackend::Interpreted));
-        assert_eq!(EvalBackend::parse("turbo"), None);
-        assert_eq!(EvalBackend::default(), EvalBackend::Compiled);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::addr::{CellAddr, Range};
 use crate::error::CellError;
 use crate::eval::{apply_binary, apply_unary, EvalCtx};
 use crate::functions::{scalar, Arg};
-use crate::grid::{Grid, GridStore};
+use crate::grid::GridStore;
 use crate::meter::Primitive;
 use crate::value::{Criterion, Value};
 
@@ -57,8 +57,7 @@ pub fn run_with(
         stack.clear();
         // The verifier proved the program needs at most `max_stack` slots,
         // so one up-front reserve makes every push below a checked-capacity
-        // write, never a mid-run reallocation. (A zero bound — the
-        // `without_stack_bound` ablation — falls back to growing.)
+        // write, never a mid-run reallocation.
         let need = prog.max_stack() as usize;
         if stack.capacity() < need {
             stack.reserve(need);

@@ -40,7 +40,7 @@ use crate::error::EngineError;
 use crate::style::Style;
 use crate::value::Value;
 
-use super::empty_cell;
+use super::{empty_cell, Layout};
 use super::pool::{self, PageData, PageKind, Pool, SpillStats, CHUNK, PAGE_BYTES, WORDS};
 
 /// Hard engine limits. Addresses at or beyond these are rejected with
@@ -262,7 +262,7 @@ impl Segment {
         }
     }
 
-    /// Clone for `ChunkGrid::clone`; `Spilled` segments are materialized
+    /// Clone for `GridStore::clone`; `Spilled` segments are materialized
     /// by the caller before cloning and never reach here.
     fn clone_resident(&self) -> Segment {
         match self {
@@ -374,7 +374,7 @@ impl Column {
     /// Writes `v` at `row`. `keep_style` is the `set_value` semantic: an
     /// existing styled slot keeps its style and only the content changes.
     /// Precondition: the target chunk is not `Spilled` (callers load it
-    /// first via `ChunkGrid::make_resident`).
+    /// first via `GridStore::make_resident`).
     fn write(
         &mut self,
         row: u32,
@@ -701,10 +701,13 @@ fn read_slot_for_move(col: &Column, pool: &Pool, row: u32) -> SlotVal {
     }
 }
 
-/// The chunked columnar grid shared by both layout wrappers
-/// (`RowStore`/`ColStore` differ only in visit/scan order).
+/// The sheet's cell store: the chunked columnar grid plus the [`Layout`]
+/// that picks the order range visits and scans walk it in. Storage is the
+/// same under both layouts — only iteration order differs, which is what
+/// the §5.2 layout experiment measures.
 #[derive(Debug)]
-pub(crate) struct ChunkGrid {
+pub struct GridStore {
+    layout: Layout,
     cols: Vec<Column>,
     nrows: u32,
     ncols: u32,
@@ -712,11 +715,14 @@ pub(crate) struct ChunkGrid {
     pool: Pool,
 }
 
-impl ChunkGrid {
-    pub(crate) fn new(rows: u32, cols: u32) -> Self {
+impl GridStore {
+    /// A grid covering `rows` × `cols` (vacant cells allocate nothing),
+    /// visited and scanned in `layout` order.
+    pub fn new(layout: Layout, rows: u32, cols: u32) -> Self {
         let rows = rows.min(MAX_ROWS);
         let cols = cols.min(MAX_COLS);
-        let mut g = ChunkGrid {
+        let mut g = GridStore {
+            layout,
             cols: Vec::new(),
             nrows: rows,
             ncols: 0,
@@ -727,15 +733,23 @@ impl ChunkGrid {
         g
     }
 
-    pub(crate) fn nrows(&self) -> u32 {
+    /// The visit/scan order of this grid.
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    /// Number of materialized rows.
+    pub fn nrows(&self) -> u32 {
         self.nrows
     }
 
-    pub(crate) fn ncols(&self) -> u32 {
+    /// Number of materialized columns.
+    pub fn ncols(&self) -> u32 {
         self.ncols
     }
 
-    pub(crate) fn ensure_size(&mut self, rows: u32, cols: u32) -> Result<(), EngineError> {
+    /// Grows the grid so it covers at least `rows` × `cols`.
+    pub fn ensure_size(&mut self, rows: u32, cols: u32) -> Result<(), EngineError> {
         if rows > MAX_ROWS || cols > MAX_COLS {
             return Err(EngineError::OutOfBounds { rows, cols });
         }
@@ -799,7 +813,9 @@ impl ChunkGrid {
         }
     }
 
-    pub(crate) fn get(&self, addr: CellAddr) -> Option<CellGet<'_>> {
+    /// Returns the cell at `addr` if it is within the materialized area
+    /// (vacant in-extent positions read as the shared empty cell).
+    pub fn get(&self, addr: CellAddr) -> Option<CellGet<'_>> {
         if !self.in_extent(addr) {
             return None;
         }
@@ -845,7 +861,7 @@ impl ChunkGrid {
 
     /// The displayed value at `addr` (`Empty` outside the extent). The
     /// fast read path: typed slots never materialize a `Cell`.
-    pub(crate) fn value_at(&self, addr: CellAddr) -> Value {
+    pub fn value_at(&self, addr: CellAddr) -> Value {
         if !self.in_extent(addr) {
             return Value::Empty;
         }
@@ -874,7 +890,9 @@ impl ChunkGrid {
         }
     }
 
-    pub(crate) fn cell_mut(&mut self, addr: CellAddr) -> Result<&mut Cell, EngineError> {
+    /// Mutable access to the cell at `addr`, growing the grid as needed.
+    /// Errs only when `addr` lies beyond the engine's hard limits.
+    pub fn cell_mut(&mut self, addr: CellAddr) -> Result<&mut Cell, EngineError> {
         self.grow_for(addr)?;
         let ci = addr.row / CHUNK_ROWS;
         let off = (addr.row % CHUNK_ROWS) as usize;
@@ -888,8 +906,8 @@ impl ChunkGrid {
         Ok(self.cols[addr.col as usize].slot_mut(ci, off))
     }
 
-    /// Full-cell overwrite (content *and* style).
-    pub(crate) fn set(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
+    /// Full-cell overwrite (content *and* style), growing as needed.
+    pub fn set(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
         self.grow_for(addr)?;
         let ci = addr.row / CHUNK_ROWS;
         self.make_resident(addr.col, ci);
@@ -915,7 +933,7 @@ impl ChunkGrid {
 
     /// Content-only write that preserves an existing style; the typed fast
     /// path for plain values (never degrades a typed chunk to `Cells`).
-    pub(crate) fn set_value(&mut self, addr: CellAddr, v: Value) -> Result<(), EngineError> {
+    pub fn set_value(&mut self, addr: CellAddr, v: Value) -> Result<(), EngineError> {
         self.grow_for(addr)?;
         let ci = addr.row / CHUNK_ROWS;
         self.make_resident(addr.col, ci);
@@ -938,7 +956,7 @@ impl ChunkGrid {
     /// Style-only write. Plain-on-typed is a no-op (typed slots are plain
     /// by construction), so conditional formatting that matches nothing
     /// never degrades typed chunks.
-    pub(crate) fn set_style(&mut self, addr: CellAddr, style: Style) -> Result<(), EngineError> {
+    pub fn set_style(&mut self, addr: CellAddr, style: Style) -> Result<(), EngineError> {
         self.grow_for(addr)?;
         let ci = addr.row / CHUNK_ROWS;
         let off = (addr.row % CHUNK_ROWS) as usize;
@@ -965,7 +983,10 @@ impl ChunkGrid {
         Ok(())
     }
 
-    pub(crate) fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError> {
+    /// Reorders rows so that new row `i` is old row `perm[i]`. Errs with
+    /// [`EngineError::BadPermutation`] unless `perm` is a bijection of
+    /// `0..nrows`; the grid is unchanged on error.
+    pub fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError> {
         let n = self.nrows as usize;
         if perm.len() != n {
             return Err(EngineError::BadPermutation(format!(
@@ -1016,27 +1037,33 @@ impl ChunkGrid {
     // ------------------------------------------------------------------
     // Buffer-pool control surface.
 
-    pub(crate) fn budget(&self) -> Option<usize> {
+    /// The current resident-byte budget, if any.
+    pub fn budget(&self) -> Option<usize> {
         self.pool.budget()
     }
 
-    pub(crate) fn set_budget(&mut self, budget: Option<usize>) {
+    /// Sets (or clears) the resident-byte budget for typed chunks;
+    /// immediately evicts down to the new budget.
+    pub fn set_budget(&mut self, budget: Option<usize>) {
         self.pool.set_budget(budget);
         self.enforce_budget();
     }
 
-    pub(crate) fn resident_spill_bytes(&self) -> usize {
+    /// Bytes of typed chunk data currently resident (counted against the
+    /// budget; `Cells`/`Sparse` segments are wired and not counted).
+    pub fn resident_spill_bytes(&self) -> usize {
         self.pool.resident()
     }
 
-    pub(crate) fn spill_stats(&self) -> SpillStats {
+    /// Cumulative spill/load/fault counters for the grid's buffer pool.
+    pub fn spill_stats(&self) -> SpillStats {
         self.pool.stats()
     }
 
     /// True when any chunk of `col` could hold a formula (Cells/Sparse
     /// representation). Lets permute/sort skip the formula-rewrite scan
     /// over pure-typed columns.
-    pub(crate) fn col_may_have_formulas(&self, col: u32) -> bool {
+    pub fn col_may_have_formulas(&self, col: u32) -> bool {
         self.cols.get(col as usize).is_some_and(|c| {
             c.segs.values().any(|s| matches!(s, Segment::Cells(_) | Segment::Sparse(_)))
         })
@@ -1045,7 +1072,7 @@ impl ChunkGrid {
     /// Loads and pins every typed chunk intersecting `range`, stopping at
     /// `max_bytes`. Returns the bytes pinned. Pinned chunks are skipped by
     /// the evictor until `unpin_all`.
-    pub(crate) fn pin_range(&mut self, range: Range, max_bytes: usize) -> usize {
+    pub fn pin_range(&mut self, range: Range, max_bytes: usize) -> usize {
         if self.nrows == 0 || self.ncols == 0 {
             return 0;
         }
@@ -1084,7 +1111,7 @@ impl ChunkGrid {
     }
 
     /// Drops every pin (end of a recalc wave).
-    pub(crate) fn unpin_all(&mut self) {
+    pub fn unpin_all(&mut self) {
         for col in &mut self.cols {
             for seg in col.segs.values_mut() {
                 match seg {
@@ -1188,26 +1215,41 @@ impl ChunkGrid {
         Some((r0, c0, r1, c1))
     }
 
-    /// Visits every position of `range` (clipped to the extent) in
-    /// column-major order, vacant slots as the shared empty cell.
-    pub(crate) fn for_each_col_major(
-        &self,
-        range: Range,
-        f: &mut dyn FnMut(CellAddr, &Cell),
-    ) {
+    /// Visits every cell in `range` (clipped to the materialized area) in
+    /// this grid's layout order, passing vacant cells as the shared empty
+    /// cell.
+    pub fn for_each_in_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell)) {
+        match self.layout {
+            Layout::RowMajor => self.for_each_row_major(range, f),
+            Layout::ColumnMajor => self.for_each_col_major(range, f),
+        }
+    }
+
+    /// Slice scan over `range` for the §10 kernels: typed chunks emit
+    /// contiguous `f64`/id slices, general chunks emit cell slices, vacant
+    /// runs batch into `Empty(n)`. Iteration order and clipping match
+    /// [`Self::for_each_in_range`]. A single-column window — the common
+    /// aggregation shape — admits only one order, so under either layout
+    /// it takes the columnar path and gets maximal contiguous runs.
+    #[inline]
+    pub(crate) fn scan_range<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
+        if self.layout == Layout::ColumnMajor || range.start.col == range.end.col {
+            self.scan_col_major(range, f);
+        } else {
+            self.scan_row_major(range, f);
+        }
+    }
+
+    fn for_each_col_major(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell)) {
         let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
         for c in c0..=c1 {
             self.visit_column_span(c, r0, r1, f);
         }
     }
 
-    /// Same, row-major: chunk-row bands with per-column resolved chunk
-    /// refs, so each 1024-row band does one chunk lookup per column.
-    pub(crate) fn for_each_row_major(
-        &self,
-        range: Range,
-        f: &mut dyn FnMut(CellAddr, &Cell),
-    ) {
+    /// Row-major: chunk-row bands with per-column resolved chunk refs, so
+    /// each 1024-row band does one chunk lookup per column.
+    fn for_each_row_major(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell)) {
         let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
         for ci in (r0 / CHUNK_ROWS)..=(r1 / CHUNK_ROWS) {
             let lo = r0.max(ci * CHUNK_ROWS);
@@ -1297,7 +1339,7 @@ impl ChunkGrid {
     /// maximal contiguous runs — `f64` slices for numeric chunks, id
     /// slices for text chunks, cell slices otherwise, batched `Empty`
     /// runs for gaps. The §10 kernels consume this.
-    pub(crate) fn scan_col_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
+    fn scan_col_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
         let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
         for c in c0..=c1 {
             for ci in (r0 / CHUNK_ROWS)..=(r1 / CHUNK_ROWS) {
@@ -1333,7 +1375,7 @@ impl ChunkGrid {
 
     /// Row-major scan for multi-column ranges on the row layout: bands of
     /// chunk rows with per-column refs, one-cell emissions per slot.
-    pub(crate) fn scan_row_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
+    fn scan_row_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
         let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
         for ci in (r0 / CHUNK_ROWS)..=(r1 / CHUNK_ROWS) {
             let lo = r0.max(ci * CHUNK_ROWS);
@@ -1391,7 +1433,7 @@ impl ChunkGrid {
     /// Approximate heap bytes held by the grid (segments + column
     /// directory + interner). Used by the far-corner memory regression
     /// test; deliberately simple, not exact.
-    pub(crate) fn approx_heap_bytes(&self) -> usize {
+    pub fn approx_heap_bytes(&self) -> usize {
         let mut total = self.cols.len() * std::mem::size_of::<Column>();
         for col in &self.cols {
             for seg in col.segs.values() {
@@ -1411,7 +1453,7 @@ impl ChunkGrid {
 
     /// Checks every internal invariant; panics on violation. Test/debug
     /// aid (the pin/evict proptest calls it after every step).
-    pub(crate) fn validate(&self) {
+    pub fn validate(&self) {
         let mut typed = 0usize;
         let mut live_pages = std::collections::HashSet::new();
         for (c, col) in self.cols.iter().enumerate() {
@@ -1455,7 +1497,7 @@ impl ChunkGrid {
     }
 }
 
-impl Clone for ChunkGrid {
+impl Clone for GridStore {
     /// Clones materialize every spilled segment (via the fault cache, so
     /// the source is untouched), then re-enforce the budget on the copy —
     /// the clone gets its own page file and starts with no pins.
@@ -1476,7 +1518,8 @@ impl Clone for ChunkGrid {
             }
             cols.push(Column { segs });
         }
-        let mut g = ChunkGrid {
+        let mut g = GridStore {
+            layout: self.layout,
             cols,
             nrows: self.nrows,
             ncols: self.ncols,

@@ -1,86 +1,39 @@
-//! Grid storage. Two physical layouts are provided:
+//! Grid storage: one store, [`GridStore`], a chunked columnar core
+//! (DESIGN.md §14) of typed fixed-size segments per column with a
+//! spill-to-disk buffer pool under `SSBENCH_GRID_BUDGET`.
 //!
-//! * [`RowStore`] — row-major visit/scan order, the layout the benchmarked
-//!   systems effectively use (the paper finds "none of the systems utilize
-//!   any intelligent in-memory layout", §5.2);
-//! * [`ColStore`] — column-major, the "database-style" alternative the OOT
-//!   layout experiment probes for.
-//!
-//! Since PR 8 both are views over the same chunked columnar core
-//! ([`chunk::ChunkGrid`], DESIGN.md §14): typed fixed-size segments per
-//! column with a spill-to-disk buffer pool under `SSBENCH_GRID_BUDGET`.
-//! The layouts differ only in iteration order, which is what the §5.2
-//! experiment actually measures.
+//! The store carries a [`Layout`] that only picks the order range visits
+//! and scans walk it in — row-major, the order the benchmarked systems
+//! effectively use (the paper finds "none of the systems utilize any
+//! intelligent in-memory layout", §5.2), or column-major, the
+//! "database-style" alternative the OOT layout experiment probes for.
 //!
 //! Reads hand out [`CellGet`] — a borrow when the cell has real storage
 //! (always true for formulas), an owned reconstruction for typed slots.
 //! Writes are fallible: addresses past [`MAX_ROWS`]/[`MAX_COLS`] are a
-//! typed [`EngineError::OutOfBounds`] instead of a wrap or abort, and
-//! malformed permutations are [`EngineError::BadPermutation`].
+//! typed `EngineError::OutOfBounds` instead of a wrap or abort, and
+//! malformed permutations are `EngineError::BadPermutation`.
 
 mod chunk;
 mod pool;
 
-pub mod colstore;
-pub mod rowstore;
-
-pub use chunk::{CellGet, MAX_COLS, MAX_ROWS};
-pub use colstore::ColStore;
+pub use chunk::{CellGet, GridStore, MAX_COLS, MAX_ROWS};
 pub use pool::SpillStats;
-pub use rowstore::RowStore;
 
 pub(crate) use chunk::ScanSlice;
-pub(crate) use pool::env_grid_budget;
 
-use crate::addr::{CellAddr, Range};
 use crate::cell::Cell;
-use crate::error::EngineError;
-use crate::style::Style;
-use crate::value::Value;
 
-/// Common storage interface for cell grids.
-pub trait Grid {
-    /// Number of materialized rows.
-    fn nrows(&self) -> u32;
-
-    /// Number of materialized columns.
-    fn ncols(&self) -> u32;
-
-    /// Returns the cell at `addr` if it is within the materialized area
-    /// (vacant in-extent positions read as the shared empty cell).
-    fn get(&self, addr: CellAddr) -> Option<CellGet<'_>>;
-
-    /// The displayed value at `addr` (`Empty` outside the extent). The
-    /// cheap read path: typed slots never materialize a `Cell`.
-    fn value_at(&self, addr: CellAddr) -> Value;
-
-    /// Mutable access to the cell at `addr`, growing the grid as needed.
-    /// Errs only when `addr` lies beyond the engine's hard limits.
-    fn cell_mut(&mut self, addr: CellAddr) -> Result<&mut Cell, EngineError>;
-
-    /// Stores `cell` at `addr` (content *and* style), growing as needed.
-    fn set(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError>;
-
-    /// Stores a plain value at `addr`, preserving any existing style —
-    /// the typed fast path (never degrades a typed chunk).
-    fn set_value(&mut self, addr: CellAddr, v: Value) -> Result<(), EngineError>;
-
-    /// Sets only the style at `addr`. Applying a plain style to a slot
-    /// that is already plain is a no-op.
-    fn set_style(&mut self, addr: CellAddr, style: Style) -> Result<(), EngineError>;
-
-    /// Grows the grid so it covers at least `rows` × `cols`.
-    fn ensure_size(&mut self, rows: u32, cols: u32) -> Result<(), EngineError>;
-
-    /// Reorders rows so that new row `i` is old row `perm[i]`. Errs with
-    /// [`EngineError::BadPermutation`] unless `perm` is a bijection of
-    /// `0..nrows`; the grid is unchanged on error.
-    fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError>;
-
-    /// Visits every cell in `range` (clipped to the materialized area) in
-    /// the order most natural for this layout, passing vacant cells as
-    /// the shared empty cell.
-    fn for_each_in_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell));
+/// The order range visits and scans walk a grid in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Layout {
+    /// Row-major — the order the benchmarked systems effectively use
+    /// (§5.2 finds no evidence of columnar layouts).
+    #[default]
+    RowMajor,
+    /// Column-major — the database-style alternative, which agrees with
+    /// the physical chunk order.
+    ColumnMajor,
 }
 
 /// The static empty cell returned for vacant positions.
@@ -90,287 +43,245 @@ pub fn empty_cell() -> &'static Cell {
     EMPTY.get_or_init(Cell::empty)
 }
 
-/// A grid stored in one of the two layouts. Enum (rather than `dyn Grid`)
-/// so sheets stay `Clone`/`Send` and dispatch is static.
-#[derive(Debug, Clone)]
-pub enum GridStore {
-    Row(RowStore),
-    Col(ColStore),
-}
-
-impl GridStore {
-    /// A row-major grid of the given size.
-    pub fn row_major(rows: u32, cols: u32) -> Self {
-        GridStore::Row(RowStore::new(rows, cols))
-    }
-
-    /// A column-major grid of the given size.
-    pub fn col_major(rows: u32, cols: u32) -> Self {
-        GridStore::Col(ColStore::new(rows, cols))
-    }
-
-    fn as_grid(&self) -> &dyn Grid {
-        match self {
-            GridStore::Row(g) => g,
-            GridStore::Col(g) => g,
-        }
-    }
-
-    fn as_grid_mut(&mut self) -> &mut dyn Grid {
-        match self {
-            GridStore::Row(g) => g,
-            GridStore::Col(g) => g,
-        }
-    }
-
-    pub(crate) fn core(&self) -> &chunk::ChunkGrid {
-        match self {
-            GridStore::Row(g) => g.core(),
-            GridStore::Col(g) => g.core(),
-        }
-    }
-
-    fn core_mut(&mut self) -> &mut chunk::ChunkGrid {
-        match self {
-            GridStore::Row(g) => g.core_mut(),
-            GridStore::Col(g) => g.core_mut(),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Buffer-pool control surface (layout-independent).
-
-    /// Sets (or clears) the resident-byte budget for typed chunks;
-    /// immediately evicts down to the new budget.
-    pub fn set_budget(&mut self, budget: Option<usize>) {
-        self.core_mut().set_budget(budget);
-    }
-
-    /// The current resident-byte budget, if any.
-    pub fn budget(&self) -> Option<usize> {
-        self.core().budget()
-    }
-
-    /// Bytes of typed chunk data currently resident (counted against the
-    /// budget; `Cells`/`Sparse` segments are wired and not counted).
-    pub fn resident_spill_bytes(&self) -> usize {
-        self.core().resident_spill_bytes()
-    }
-
-    /// Cumulative spill/load/fault counters for the grid's buffer pool.
-    pub fn spill_stats(&self) -> SpillStats {
-        self.core().spill_stats()
-    }
-
-    /// Loads and pins the typed chunks intersecting `range` (up to
-    /// `max_bytes`), protecting them from eviction until [`Self::unpin_all`].
-    /// Returns the bytes pinned.
-    pub fn pin_range(&mut self, range: Range, max_bytes: usize) -> usize {
-        self.core_mut().pin_range(range, max_bytes)
-    }
-
-    /// Drops every pin.
-    pub fn unpin_all(&mut self) {
-        self.core_mut().unpin_all();
-    }
-
-    /// Approximate heap bytes held by the grid. Deliberately rough; used
-    /// by memory regression tests and the harness RSS gate.
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.core().approx_heap_bytes()
-    }
-
-    /// Checks every internal storage invariant; panics on violation.
-    /// Test/debug aid.
-    pub fn validate(&self) {
-        self.core().validate();
-    }
-
-    /// True when any chunk of `col` could hold a formula. Lets sort and
-    /// permute skip the formula-rewrite scan over pure-typed columns.
-    pub fn col_may_have_formulas(&self, col: u32) -> bool {
-        self.core().col_may_have_formulas(col)
-    }
-
-    /// Layout-aware slice scan over `range` for the §10 kernels: typed
-    /// chunks emit contiguous `f64`/id slices, general chunks emit cell
-    /// slices, vacant runs batch into `Empty(n)`. Iteration order and
-    /// clipping match [`Grid::for_each_in_range`] for this layout.
-    pub(crate) fn scan_range<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
-        match self {
-            GridStore::Row(g) => g.scan_range(range, f),
-            GridStore::Col(g) => g.scan_range(range, f),
-        }
-    }
-}
-
-impl Grid for GridStore {
-    fn nrows(&self) -> u32 {
-        self.as_grid().nrows()
-    }
-
-    fn ncols(&self) -> u32 {
-        self.as_grid().ncols()
-    }
-
-    fn get(&self, addr: CellAddr) -> Option<CellGet<'_>> {
-        self.as_grid().get(addr)
-    }
-
-    fn value_at(&self, addr: CellAddr) -> Value {
-        self.as_grid().value_at(addr)
-    }
-
-    fn cell_mut(&mut self, addr: CellAddr) -> Result<&mut Cell, EngineError> {
-        self.as_grid_mut().cell_mut(addr)
-    }
-
-    fn set(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
-        self.as_grid_mut().set(addr, cell)
-    }
-
-    fn set_value(&mut self, addr: CellAddr, v: Value) -> Result<(), EngineError> {
-        self.as_grid_mut().set_value(addr, v)
-    }
-
-    fn set_style(&mut self, addr: CellAddr, style: Style) -> Result<(), EngineError> {
-        self.as_grid_mut().set_style(addr, style)
-    }
-
-    fn ensure_size(&mut self, rows: u32, cols: u32) -> Result<(), EngineError> {
-        self.as_grid_mut().ensure_size(rows, cols)
-    }
-
-    fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError> {
-        self.as_grid_mut().permute_rows(perm)
-    }
-
-    fn for_each_in_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell)) {
-        self.as_grid().for_each_in_range(range, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::{CellAddr, Range};
+    use crate::cell::{CellContent, Formula};
+    use crate::error::EngineError;
+    use crate::formula::parse;
+    use crate::style::Style;
     use crate::value::Value;
 
-    fn check_grid(mut g: GridStore) {
-        assert_eq!(g.nrows(), 2);
-        assert_eq!(g.ncols(), 3);
-        let a = CellAddr::new(0, 1);
-        g.set(a, Cell::value(7)).unwrap();
-        assert_eq!(g.get(a).unwrap().display_value(), &Value::Number(7.0));
-        // Out of bounds reads are None.
-        assert!(g.get(CellAddr::new(9, 9)).is_none());
-        // Writing out of bounds grows.
-        g.set(CellAddr::new(4, 4), Cell::value("x")).unwrap();
-        assert_eq!(g.nrows(), 5);
-        assert_eq!(g.ncols(), 5);
-        assert!(g.get(CellAddr::new(3, 3)).unwrap().is_vacant());
-        g.validate();
+    /// Every test below is a table over both layouts: storage behaviour
+    /// must not depend on the layout, and visit order must follow it.
+    const LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColumnMajor];
+
+    fn range(s: &str) -> Range {
+        Range::parse(s).unwrap()
+    }
+
+    /// The displayed values `scan_range` emits, flattened in emission order.
+    fn scan_values(g: &GridStore, range: Range) -> Vec<Value> {
+        let mut out = Vec::new();
+        g.scan_range(range, &mut |s| match s {
+            ScanSlice::Nums(v) => out.extend(v.iter().map(|&n| Value::Number(n))),
+            ScanSlice::Texts(ids, interner) => {
+                out.extend(ids.iter().map(|&id| interner.value(id).clone()))
+            }
+            ScanSlice::Cells(cells) => out.extend(cells.iter().map(|c| c.display_value().clone())),
+            ScanSlice::Empty(n) => out.extend(std::iter::repeat_n(Value::Empty, n)),
+        });
+        out
     }
 
     #[test]
-    fn row_store_basic() {
-        check_grid(GridStore::row_major(2, 3));
-    }
-
-    #[test]
-    fn col_store_basic() {
-        check_grid(GridStore::col_major(2, 3));
-    }
-
-    fn check_permute(mut g: GridStore) {
-        for r in 0..3 {
-            g.set(CellAddr::new(r, 0), Cell::value(i64::from(r))).unwrap();
-            g.set(CellAddr::new(r, 1), Cell::value(format!("r{r}"))).unwrap();
+    fn reads_writes_and_growth() {
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 2, 3);
+            assert_eq!(g.layout(), layout);
+            assert_eq!((g.nrows(), g.ncols()), (2, 3));
+            let a = CellAddr::new(0, 1);
+            g.set(a, Cell::value(7)).unwrap();
+            assert_eq!(g.get(a).unwrap().display_value(), &Value::Number(7.0));
+            // Out of bounds reads are None.
+            assert!(g.get(CellAddr::new(9, 9)).is_none());
+            // Writing out of bounds grows, in either direction alone too.
+            g.set(CellAddr::new(4, 4), Cell::value("x")).unwrap();
+            assert_eq!((g.nrows(), g.ncols()), (5, 5));
+            g.set(CellAddr::new(0, 7), Cell::value(1)).unwrap();
+            assert_eq!((g.nrows(), g.ncols()), (5, 8));
+            g.set(CellAddr::new(9, 0), Cell::value("z")).unwrap();
+            assert_eq!((g.nrows(), g.ncols()), (10, 8));
+            assert_eq!(g.value_at(CellAddr::new(9, 0)), Value::text("z"));
+            // In-extent vacant positions read as empty, not None.
+            assert!(g.get(CellAddr::new(3, 3)).unwrap().is_vacant());
+            assert!(g.get(CellAddr::new(8, 6)).unwrap().is_vacant());
+            g.validate();
         }
-        g.permute_rows(&[2, 0, 1]).unwrap();
-        let v = |r: u32, c: u32| g.get(CellAddr::new(r, c)).unwrap().display_value().display();
-        assert_eq!(v(0, 0), "2");
-        assert_eq!(v(1, 0), "0");
-        assert_eq!(v(2, 0), "1");
-        assert_eq!(v(0, 1), "r2");
-        g.validate();
     }
 
     #[test]
-    fn row_store_permute() {
-        check_permute(GridStore::row_major(3, 2));
+    fn text_round_trips_through_interner() {
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 1, 1);
+            for r in 0..100 {
+                g.set(CellAddr::new(r, 0), Cell::value(format!("s{}", r % 7))).unwrap();
+            }
+            assert_eq!(g.value_at(CellAddr::new(13, 0)), Value::text("s6"));
+            assert_eq!(g.value_at(CellAddr::new(70, 0)), Value::text("s0"));
+            g.validate();
+        }
     }
 
     #[test]
-    fn col_store_permute() {
-        check_permute(GridStore::col_major(3, 2));
+    fn permute_rows_moves_every_column() {
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 3, 2);
+            for r in 0..3 {
+                g.set(CellAddr::new(r, 0), Cell::value(i64::from(r))).unwrap();
+                g.set(CellAddr::new(r, 1), Cell::value(format!("r{r}"))).unwrap();
+            }
+            g.permute_rows(&[2, 0, 1]).unwrap();
+            let v = |r: u32, c: u32| g.value_at(CellAddr::new(r, c)).display();
+            assert_eq!(v(0, 0), "2");
+            assert_eq!(v(1, 0), "0");
+            assert_eq!(v(2, 0), "1");
+            assert_eq!(v(0, 1), "r2");
+            g.validate();
+        }
     }
 
-    fn check_range_visit(mut g: GridStore) {
-        for r in 0..4 {
-            for c in 0..2 {
-                g.set(CellAddr::new(r, c), Cell::value(i64::from(r * 10 + c))).unwrap();
+    #[test]
+    fn malformed_permutations_are_typed_errors() {
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 3, 1);
+            for r in 0..3 {
+                g.set(CellAddr::new(r, 0), Cell::value(i64::from(r))).unwrap();
+            }
+            for bad in [&[0u32, 1][..], &[0, 1, 3], &[0, 0, 1]] {
+                let err = g.permute_rows(bad).unwrap_err();
+                assert!(
+                    matches!(err, EngineError::BadPermutation(_)),
+                    "expected BadPermutation, got {err:?}"
+                );
+            }
+            // The grid is untouched after a rejected permutation.
+            for r in 0..3 {
+                assert_eq!(g.value_at(CellAddr::new(r, 0)), Value::Number(f64::from(r)));
+            }
+            g.validate();
+        }
+    }
+
+    #[test]
+    fn range_visit_follows_the_layout_and_clips() {
+        let expected = [
+            (Layout::RowMajor, ["A1", "B1", "A2", "B2"]),
+            (Layout::ColumnMajor, ["A1", "A2", "B1", "B2"]),
+        ];
+        for (layout, order) in expected {
+            let mut g = GridStore::new(layout, 4, 2);
+            for r in 0..4 {
+                for c in 0..2 {
+                    g.set(CellAddr::new(r, c), Cell::value(i64::from(r * 10 + c))).unwrap();
+                }
+            }
+            let mut seen = Vec::new();
+            g.for_each_in_range(range("A1:B2"), &mut |a, _| seen.push(a.to_a1()));
+            assert_eq!(seen, order, "{layout:?}");
+            // An interior window visits exactly its own cells.
+            let mut vals = Vec::new();
+            g.for_each_in_range(range("A2:B3"), &mut |_, cell| {
+                vals.push(cell.display_value().as_number().unwrap() as i64);
+            });
+            vals.sort_unstable();
+            assert_eq!(vals, [10, 11, 20, 21]);
+            // Clipped to materialized area: a huge range visits only real cells.
+            let mut count = 0;
+            g.for_each_in_range(range("A1:Z100"), &mut |_, _| count += 1);
+            assert_eq!(count, 8);
+            // An empty store visits nothing.
+            let mut n = 0;
+            GridStore::new(layout, 0, 0).for_each_in_range(range("A1:B2"), &mut |_, _| n += 1);
+            assert_eq!(n, 0);
+        }
+    }
+
+    #[test]
+    fn single_column_scan_emits_contiguous_nums() {
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 1, 1);
+            // Enough uniform numbers to promote the chunk to a numeric segment.
+            for r in 0..200 {
+                g.set(CellAddr::new(r, 0), Cell::value(f64::from(r))).unwrap();
+            }
+            let (mut nums, mut cells, mut total) = (0usize, 0usize, 0usize);
+            g.scan_range(range("A1:A200"), &mut |s| match s {
+                ScanSlice::Nums(v) => {
+                    nums += 1;
+                    total += v.len();
+                }
+                ScanSlice::Cells(v) => {
+                    cells += 1;
+                    total += v.len();
+                }
+                ScanSlice::Texts(ids, _) => total += ids.len(),
+                ScanSlice::Empty(n) => total += n,
+            });
+            assert_eq!(total, 200);
+            assert_eq!(nums, 1, "{layout:?}: typed chunk should emit one contiguous f64 run");
+            assert_eq!(cells, 0);
+        }
+    }
+
+    #[test]
+    fn sparse_chunk_scan_covers_gaps() {
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 10, 1);
+            g.set(CellAddr::new(2, 0), Cell::value(5)).unwrap();
+            g.set(CellAddr::new(7, 0), Cell::value(9)).unwrap();
+            let (mut seen_cells, mut empties) = (0usize, 0usize);
+            g.scan_range(range("A1:A10"), &mut |s| match s {
+                ScanSlice::Cells(v) => seen_cells += v.len(),
+                ScanSlice::Empty(n) => empties += n,
+                ScanSlice::Nums(v) => seen_cells += v.len(),
+                ScanSlice::Texts(ids, _) => seen_cells += ids.len(),
+            });
+            assert_eq!(seen_cells, 2);
+            assert_eq!(empties, 8);
+        }
+    }
+
+    /// `scan_range` (what the kernels fold) and `for_each_in_range` (what
+    /// the interpreter's `read_range` folds) must walk the same cells in
+    /// the same order under both layouts, over every segment kind — the
+    /// order is what makes float accumulation bit-identical.
+    #[test]
+    fn scan_and_visit_agree_on_order_over_every_segment_kind() {
+        use super::chunk::CHUNK_ROWS;
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 1, 1);
+            let rows = 3 * CHUNK_ROWS;
+            for r in 0..rows {
+                // A: numbers (Num chunks); B: text (Text chunks).
+                g.set(CellAddr::new(r, 0), Cell::value(f64::from(r) + 0.25)).unwrap();
+                g.set(CellAddr::new(r, 1), Cell::value(format!("t{r}"))).unwrap();
+            }
+            // C: a dense chunk of formulas and bools (Cells), a sparse chunk
+            // with a handful of entries, and a fully vacant third chunk.
+            for r in 0..CHUNK_ROWS {
+                let cell = if r % 2 == 0 {
+                    Cell::value(r % 3 == 0)
+                } else {
+                    let formula = Formula { expr: parse("1+1").unwrap(), cached: f64::from(r).into() };
+                    Cell { content: CellContent::Formula(Box::new(formula)), style: Style::plain() }
+                };
+                g.set(CellAddr::new(r, 2), cell).unwrap();
+            }
+            for r in [3, 40, 500] {
+                g.set(CellAddr::new(CHUNK_ROWS + r, 2), Cell::value(i64::from(r))).unwrap();
+            }
+            // A cap of two pages leaves most typed chunks spilled.
+            g.set_budget(Some(2 * 8320));
+            assert!(g.spill_stats().spills > 0, "{layout:?}: nothing spilled");
+            g.validate();
+
+            for window in ["A1:C3072", "A1000:C1100", "B5:B2500", "A1030:C1030", "B2:C2047"] {
+                let window = range(window);
+                let mut visited = Vec::new();
+                g.for_each_in_range(window, &mut |_, cell| {
+                    visited.push(cell.display_value().clone());
+                });
+                assert_eq!(visited.len() as u64, window.len(), "{layout:?} {window:?}");
+                assert_eq!(scan_values(&g, window), visited, "{layout:?} {window:?}");
             }
         }
-        let mut seen = Vec::new();
-        g.for_each_in_range(Range::parse("A2:B3").unwrap(), &mut |addr, cell| {
-            seen.push((addr, cell.display_value().as_number().unwrap()));
-        });
-        seen.sort_by_key(|(a, _)| (a.row, a.col));
-        assert_eq!(
-            seen.iter().map(|(_, v)| *v as i64).collect::<Vec<_>>(),
-            vec![10, 11, 20, 21]
-        );
-        // Clipped to materialized area: a huge range visits only real cells.
-        let mut count = 0;
-        g.for_each_in_range(Range::parse("A1:Z100").unwrap(), &mut |_, _| count += 1);
-        assert_eq!(count, 8);
     }
-
-    #[test]
-    fn row_store_range_visit() {
-        check_range_visit(GridStore::row_major(4, 2));
-    }
-
-    #[test]
-    fn col_store_range_visit() {
-        check_range_visit(GridStore::col_major(4, 2));
-    }
-
-    // ---- satellite 1: malformed permutations are typed errors --------
-
-    fn check_bad_permutation(mut g: GridStore) {
-        for r in 0..3 {
-            g.set(CellAddr::new(r, 0), Cell::value(i64::from(r))).unwrap();
-        }
-        for bad in [&[0u32, 1][..], &[0, 1, 3], &[0, 0, 1]] {
-            let err = g.permute_rows(bad).unwrap_err();
-            assert!(
-                matches!(err, EngineError::BadPermutation(_)),
-                "expected BadPermutation, got {err:?}"
-            );
-        }
-        // The grid is untouched after a rejected permutation.
-        for r in 0..3 {
-            assert_eq!(g.value_at(CellAddr::new(r, 0)), Value::Number(f64::from(r)));
-        }
-        g.validate();
-    }
-
-    #[test]
-    fn row_store_bad_permutation() {
-        check_bad_permutation(GridStore::row_major(3, 1));
-    }
-
-    #[test]
-    fn col_store_bad_permutation() {
-        check_bad_permutation(GridStore::col_major(3, 1));
-    }
-
-    // ---- satellite 2: u32-boundary addresses are typed errors --------
 
     #[test]
     fn boundary_addresses_rejected() {
-        let mut g = GridStore::row_major(1, 1);
+        let mut g = GridStore::new(Layout::RowMajor, 1, 1);
         // `row + 1` would overflow u32.
         assert!(matches!(
             g.set(CellAddr::new(u32::MAX, 0), Cell::value(1)),
@@ -404,11 +315,10 @@ mod tests {
         g.validate();
     }
 
-    // ---- satellite 3: far-apart writes stay sparse -------------------
-
     #[test]
     fn far_corner_writes_allocate_no_intervening_chunks() {
-        for mut g in [GridStore::row_major(1, 1), GridStore::col_major(1, 1)] {
+        for layout in LAYOUTS {
+            let mut g = GridStore::new(layout, 1, 1);
             g.set(CellAddr::new(0, 0), Cell::value(1)).unwrap();
             g.set(CellAddr::new(1_000_000, 3), Cell::value(2)).unwrap();
             assert_eq!(g.nrows(), 1_000_001);
@@ -422,11 +332,9 @@ mod tests {
         }
     }
 
-    // ---- spill round trip --------------------------------------------
-
     #[test]
     fn budgeted_grid_spills_and_reloads_bit_identically() {
-        let mut g = GridStore::row_major(1, 1);
+        let mut g = GridStore::new(Layout::RowMajor, 1, 1);
         g.set_budget(Some(32 * 1024)); // ~4 chunks
         let n = 16 * 1024u32; // 16 chunks of numbers
         for r in 0..n {
@@ -446,4 +354,3 @@ mod tests {
         g.validate();
     }
 }
-

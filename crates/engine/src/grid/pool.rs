@@ -17,7 +17,7 @@
 //! immediately after opening, so the kernel reclaims it when the process
 //! exits no matter how it exits; it is never visible to other processes.
 //!
-//! Invariants (checked by `ChunkGrid::validate`):
+//! Invariants (checked by `GridStore::validate`):
 //!
 //! * `resident` equals `PAGE_BYTES` × the number of resident typed
 //!   segments — `Cells`/`Sparse` segments are wired (never spilled, never
@@ -177,7 +177,7 @@ impl FaultCache {
     }
 }
 
-/// The buffer pool. Owned by `ChunkGrid`; see the module docs for the
+/// The buffer pool. Owned by `GridStore`; see the module docs for the
 /// split of responsibilities.
 pub(crate) struct Pool {
     budget: Option<usize>,

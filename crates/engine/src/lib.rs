@@ -3,7 +3,8 @@
 //! A from-scratch spreadsheet engine built as the substrate for reproducing
 //! *Benchmarking Spreadsheet Systems* (SIGMOD 2020). It provides:
 //!
-//! * a grid of cells in a row-major or column-major layout ([`grid`]);
+//! * a chunked columnar grid of cells, visited in row-major or
+//!   column-major order ([`grid`]);
 //! * a formula language (lexer, parser, canonical printer) with ~60
 //!   built-in functions ([`formula`], [`functions`]);
 //! * a cell-by-cell tree-walking evaluator whose every primitive operation
@@ -63,24 +64,22 @@ pub mod workbook;
 
 // Root re-exports: the API surface downstream crates actually program
 // against, so they need not deep-import module paths.
-pub use crate::compile::EvalBackend;
 pub use crate::error::{CellError, EngineError};
 pub use crate::index::IndexStore;
 pub use crate::meter::{Counts, Meter, Primitive};
 pub use crate::ops::{Op, OpOutcome};
-pub use crate::recalc::{set_default_backend, EvalSession, RecalcOptions, RecalcOptionsBuilder};
-pub use crate::sheet::{EngineConfig, EngineConfigBuilder, Sheet};
+pub use crate::recalc::{EvalSession, RecalcOptions};
+pub use crate::sheet::Sheet;
 
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::addr::{CellAddr, CellRef, Range};
     pub use crate::analyze::{self, Analysis, ReadSet, TemplateReport, TySet};
     pub use crate::cell::{Cell, CellContent, Formula};
-    pub use crate::compile::EvalBackend;
-    pub use crate::error::{CellError, EngineError};
+        pub use crate::error::{CellError, EngineError};
     pub use crate::eval::{CellSource, EvalCtx, LookupStrategy};
     pub use crate::formula::{parse, print, Expr};
-    pub use crate::grid::{CellGet, Grid, GridStore, SpillStats, MAX_COLS, MAX_ROWS};
+    pub use crate::grid::{CellGet, GridStore, SpillStats, MAX_COLS, MAX_ROWS};
     pub use crate::index::IndexStore;
     pub use crate::io::SheetData;
     pub use crate::meter::{Counts, Meter, Primitive};
@@ -91,8 +90,8 @@ pub mod prelude {
         PivotAgg, PivotTable, SortKey, SortOrder,
     };
     pub use crate::recalc;
-    pub use crate::recalc::{set_default_backend, EvalSession, RecalcOptions, RecalcOptionsBuilder};
-    pub use crate::sheet::{EngineConfig, EngineConfigBuilder, Layout, Sheet};
+    pub use crate::recalc::{EvalSession, RecalcOptions};
+    pub use crate::sheet::{Layout, Sheet};
     pub use crate::trace;
     pub use crate::style::{Color, Style};
     pub use crate::value::{Criterion, Value};

@@ -238,6 +238,21 @@ pub(crate) fn restructure(sheet: &mut Sheet, axis: Axis, at: u32, count: u32, in
         })
         .collect();
     sheet.restore_index_snapshot(carried);
+    // An active filter rides the rebuild like the cells do: row edits
+    // shift the flags past the band (inserted rows are visible, deleted
+    // rows take their flags with them), column edits keep them verbatim.
+    // Rows past the last flag read as visible, so an edit at or beyond it
+    // — every edit of an unfiltered sheet — leaves the vector untouched.
+    let mut hidden = std::mem::take(fresh.hidden_flags_mut());
+    let lo = at as usize;
+    if axis == Axis::Row && lo < hidden.len() {
+        if insert {
+            hidden.splice(lo..lo, std::iter::repeat_n(false, count as usize));
+        } else {
+            hidden.drain(lo..(lo + count as usize).min(hidden.len()));
+        }
+    }
+    *sheet.hidden_flags_mut() = hidden;
     // Named ranges survive the rebuild. (They are carried over verbatim;
     // shifting a name's target range with the edit is a separate concern.)
     for name in fresh.names() {
@@ -440,7 +455,7 @@ mod tests {
         use crate::sheet::Layout;
 
         let mut s = Sheet::with_layout(Layout::ColumnMajor, 0, 0);
-        let opts = RecalcOptions { parallelism: 3, threshold: 7, ..RecalcOptions::default() };
+        let opts = RecalcOptions { parallelism: 3, threshold: 7 };
         let lookup = LookupStrategy { early_exit_exact: true, binary_search_approx: true };
         s.set_recalc_options(opts);
         s.set_lookup_strategy(lookup);
@@ -450,6 +465,7 @@ mod tests {
         }
         s.set_formula_str(a("B1"), "=SUM(A1:A4)").unwrap();
         s.define_name("Data", crate::addr::Range::parse("A1:A4").unwrap()).unwrap();
+        s.set_row_hidden(0, true);
 
         for (i, edit) in [
             Op::InsertRows { at: 1, count: 2 },
@@ -466,11 +482,72 @@ mod tests {
             assert_eq!(s.lookup_strategy(), lookup, "edit #{i} reset the lookup strategy");
             assert_eq!(s.now_serial(), 44_000.5, "edit #{i} reset the clock");
             assert!(s.name_range("Data").is_some(), "edit #{i} dropped named ranges");
+            assert!(s.is_row_hidden(0), "edit #{i} cleared the filter");
+            assert_eq!(s.visible_rows(), s.nrows() - 1, "edit #{i} changed the filter");
         }
         recalc::recalc_all(&mut s);
         // The formula rode along: row edits at row 2 left B1 in place, and
         // the column insert/delete pair cancelled out.
         assert_eq!(s.value(a("B1")), Value::Number(10.0)); // 1+2+3+4 intact
+    }
+
+    #[test]
+    fn structural_edits_keep_an_active_filter() {
+        use crate::value::Criterion;
+
+        // A: 1..6; the filter keeps the even rows (2, 4, 6) visible.
+        let filtered = || {
+            let mut s = Sheet::new();
+            for i in 0..6u32 {
+                s.set_value(CellAddr::new(i, 0), i64::from(i + 1));
+                s.set_value(CellAddr::new(i, 1), i64::from(i % 2));
+            }
+            let criterion = Criterion::parse(&Value::Number(1.0));
+            s.apply(Op::Filter { col: 1, criterion }).unwrap();
+            assert_eq!(s.visible_rows(), 3);
+            s
+        };
+        let hidden_values = |s: &Sheet, col: u32| -> Vec<Value> {
+            (0..s.nrows())
+                .filter(|&r| s.is_row_hidden(r))
+                .map(|r| s.value(CellAddr::new(r, col)))
+                .collect()
+        };
+        let odd: Vec<Value> = [1, 3, 5].map(|n| Value::Number(f64::from(n))).to_vec();
+
+        // Column edits keep the flags verbatim.
+        let mut s = filtered();
+        s.apply(Op::InsertCols { at: 1, count: 1 }).unwrap();
+        assert_eq!(s.visible_rows(), 3);
+        assert_eq!(hidden_values(&s, 0), odd);
+        s.apply(Op::DeleteCols { at: 1, count: 1 }).unwrap();
+        assert_eq!(s.visible_rows(), 3);
+        assert_eq!(hidden_values(&s, 0), odd);
+
+        // Inserted rows are visible; flags past the band shift with their rows.
+        let mut s = filtered();
+        s.apply(Op::InsertRows { at: 2, count: 2 }).unwrap();
+        assert_eq!((s.nrows(), s.visible_rows()), (8, 5));
+        assert_eq!(hidden_values(&s, 0), odd);
+        // At the tail nothing shifts.
+        s.apply(Op::InsertRows { at: 8, count: 1 }).unwrap();
+        assert_eq!((s.nrows(), s.visible_rows()), (9, 6));
+        assert_eq!(hidden_values(&s, 0), odd);
+
+        // A deleted band takes its flags with it: rows 2–3 (values 2, 3) die.
+        let mut s = filtered();
+        s.apply(Op::DeleteRows { at: 1, count: 2 }).unwrap();
+        assert_eq!((s.nrows(), s.visible_rows()), (4, 2));
+        assert_eq!(hidden_values(&s, 0), [Value::Number(1.0), Value::Number(5.0)]);
+        // A band running off the end is clamped like the rows are.
+        s.apply(Op::DeleteRows { at: 3, count: 10 }).unwrap();
+        assert_eq!((s.nrows(), s.visible_rows()), (3, 1));
+
+        // No filter, no flags: unfiltered edits leave the vector empty.
+        let mut s = Sheet::new();
+        s.set_value(a("A1"), 1);
+        s.apply(Op::InsertRows { at: 0, count: 1 }).unwrap();
+        assert!(s.hidden_flags_mut().is_empty());
     }
 
     /// Builds 6 values in column A plus `C1 = SUM(A2:A5)`, deletes
@@ -564,18 +641,11 @@ mod tests {
         assert_eq!(s.value(a("A3")), Value::Number(7.0)); // 2+5
     }
 
-    /// A compiled-backend fill-down fixture for the memo-retention tests:
+    /// A fill-down fixture for the memo-retention tests:
     /// values in A, `B{r} = A{r}*2` down the column, plus one absolute
     /// formula and one whole-column aggregate.
     fn compiled_filldown(n: u32) -> Sheet {
-        use crate::compile::EvalBackend;
-        use crate::recalc::RecalcOptions;
-
         let mut s = Sheet::new();
-        s.set_recalc_options(RecalcOptions {
-            backend: EvalBackend::Compiled,
-            ..RecalcOptions::sequential()
-        });
         for r in 0..n {
             s.set_value(CellAddr::new(r, 0), i64::from(r + 1));
             s.set_formula_str(CellAddr::new(r, 1), &format!("=A{}*2", r + 1)).unwrap();
@@ -631,17 +701,10 @@ mod tests {
 
     #[test]
     fn col_edits_retain_memo_symmetrically() {
-        use crate::compile::EvalBackend;
-        use crate::recalc::RecalcOptions;
-
         // The row predicates mirrored onto the column axis: D1 = C1*2
         // (window before nothing — same column, past the band once
         // shifted), A3 = SUM(A1:A2) (window in column A, before the band).
         let mut s = Sheet::new();
-        s.set_recalc_options(RecalcOptions {
-            backend: EvalBackend::Compiled,
-            ..RecalcOptions::sequential()
-        });
         s.set_value(a("A1"), 1);
         s.set_value(a("A2"), 2);
         s.set_value(a("C1"), 5);

@@ -13,6 +13,12 @@
 //!   single-cell edit. That is the paper's §5.5 finding; the incremental
 //!   alternative lives in `ssbench-optimized`.
 //!
+//! Both evaluate formulae one way — compiled R1C1-template programs on
+//! the VM, with range kernels and a sliding window-delta cache
+//! ([`crate::compile`]). [`recalc_reference`] walks the same plans with the
+//! tree-walking interpreter; it is what tests and the differential oracle
+//! compare the shipped passes against, not a mode of the engine.
+//!
 //! Both entry points run through a level-scheduled executor: the
 //! [`DirtyPlan`] stratifies formulae into topological levels, and when a
 //! plan is large enough ([`RecalcOptions::threshold`]) each level is
@@ -25,11 +31,10 @@
 //! wall-clock benchmarking, it does not change the modeled systems.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::addr::{CellAddr, Range};
-use crate::compile::{vm, EvalBackend};
+use crate::compile::vm;
 use crate::depgraph::DirtyPlan;
 use crate::error::CellError;
 use crate::eval::evaluate;
@@ -47,7 +52,10 @@ pub struct RecalcStats {
     pub cyclic: usize,
 }
 
-/// Knobs for the recalculation executor.
+/// Knobs for the recalculation executor. How a formula is evaluated is
+/// not one of them: every pass compiles each R1C1 template once and runs
+/// it on the VM with the range kernels and the window-delta cache (see
+/// [`crate::compile`]); [`recalc_reference`] is the tree-walking check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecalcOptions {
     /// Maximum worker threads per level; `1` forces the sequential path.
@@ -56,104 +64,23 @@ pub struct RecalcOptions {
     /// engages. Small dirty sets — the single-cell-edit workloads of
     /// §5.5 — must not pay thread-spawn overhead.
     pub threshold: usize,
-    /// How formulae are evaluated: the tree-walking interpreter or the
-    /// template-cached bytecode VM (see [`crate::compile`]). Values and
-    /// meter counts are bit-identical either way.
-    pub backend: EvalBackend,
-    /// Whether the compiled backend may dispatch range aggregates to the
-    /// vectorized grid kernels. `false` forces the VM's generic per-cell
-    /// path — an ablation knob (bytecode + cache alone vs kernels on
-    /// top); results and meter counts are identical either way. Ignored
-    /// by the interpreter.
-    pub kernels: bool,
-    /// Whether kernel-dispatched 1-D aggregates may slide a per-level
-    /// [`vm::DeltaCache`] across overlapping windows (the fill-down
-    /// `SUM(window)` shape) instead of rescanning each instance. Values
-    /// and meter counts are identical either way — the cache only answers
-    /// when it can reproduce the full scan exactly, and it always charges
-    /// full-window counts. An ablation knob; ignored without `kernels`.
-    pub delta: bool,
 }
 
 impl Default for RecalcOptions {
     fn default() -> Self {
-        RecalcOptions {
-            parallelism: default_parallelism(),
-            threshold: 1024,
-            backend: default_backend(),
-            kernels: true,
-            delta: true,
-        }
+        RecalcOptions { parallelism: default_parallelism(), threshold: 1024 }
     }
 }
 
 impl RecalcOptions {
     /// The classic single-threaded executor.
     pub fn sequential() -> Self {
-        RecalcOptions {
-            parallelism: 1,
-            threshold: usize::MAX,
-            backend: default_backend(),
-            kernels: true,
-            delta: true,
-        }
+        RecalcOptions { parallelism: 1, threshold: usize::MAX }
     }
 
     /// Default thresholds with an explicit worker count.
     pub fn with_parallelism(parallelism: usize) -> Self {
         RecalcOptions { parallelism: parallelism.max(1), ..RecalcOptions::default() }
-    }
-
-    /// Fluent construction starting from the defaults:
-    /// `RecalcOptions::builder().parallelism(4).threshold(512).build()`.
-    pub fn builder() -> RecalcOptionsBuilder {
-        RecalcOptionsBuilder { opts: RecalcOptions::default() }
-    }
-}
-
-/// Builder for [`RecalcOptions`]; obtained via [`RecalcOptions::builder`].
-#[derive(Debug, Clone, Copy)]
-pub struct RecalcOptionsBuilder {
-    opts: RecalcOptions,
-}
-
-impl RecalcOptionsBuilder {
-    /// Maximum worker threads per level (clamped to at least 1).
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.opts.parallelism = workers.max(1);
-        self
-    }
-
-    /// Minimum plan size before the parallel path engages.
-    pub fn threshold(mut self, formulas: usize) -> Self {
-        self.opts.threshold = formulas;
-        self
-    }
-
-    /// Evaluation backend (interpreter or compiled bytecode).
-    pub fn backend(mut self, backend: EvalBackend) -> Self {
-        self.opts.backend = backend;
-        self
-    }
-
-    /// Enables or disables the VM's vectorized range kernels (compiled
-    /// backend only; an ablation knob, not a correctness one).
-    pub fn kernels(mut self, on: bool) -> Self {
-        self.opts.kernels = on;
-        self
-    }
-
-    /// Enables or disables sliding-window delta aggregation (compiled
-    /// backend with kernels only; an ablation knob, not a correctness
-    /// one).
-    pub fn delta(mut self, on: bool) -> Self {
-        self.opts.delta = on;
-        self
-    }
-
-    /// The finished options.
-    pub fn build(self) -> RecalcOptions {
-        self.opts
     }
 }
 
@@ -173,72 +100,27 @@ fn default_parallelism() -> usize {
     })
 }
 
-/// Process-wide backend override set by [`set_default_backend`]:
-/// `0` = unset, `1` = interpreted, `2` = compiled.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the backend `RecalcOptions::default()` resolves to, taking
-/// precedence over the `SSBENCH_EVAL_BACKEND` environment variable; pass
-/// `None` to clear the override. This is the supported way to switch
-/// backends after startup — the env var is re-read on every resolution,
-/// but tests and embedders should prefer the explicit override to
-/// mutating process environment.
-pub fn set_default_backend(backend: Option<EvalBackend>) {
-    let tag = match backend {
-        None => 0,
-        Some(EvalBackend::Interpreted) => 1,
-        Some(EvalBackend::Compiled) => 2,
-    };
-    BACKEND_OVERRIDE.store(tag, Ordering::Relaxed);
-}
-
-/// Backend used by `RecalcOptions::default()`: the [`set_default_backend`]
-/// override when set, else the `SSBENCH_EVAL_BACKEND` environment variable
-/// (`interp` / `compiled`), else [`EvalBackend::default`]. Resolved on
-/// every call — an earlier resolution never pins a stale env read the way
-/// the old `OnceLock` cache did.
-fn default_backend() -> EvalBackend {
-    match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return EvalBackend::Interpreted,
-        2 => return EvalBackend::Compiled,
-        _ => {}
-    }
-    std::env::var("SSBENCH_EVAL_BACKEND")
-        .ok()
-        .and_then(|v| EvalBackend::parse(&v))
-        .unwrap_or_default()
-}
-
 /// Evaluates the formula at `addr` against the sheet's current state and
-/// returns its value; `None` when the cell is not a formula.
+/// returns its value; `None` when the cell is not a formula. One-shot:
+/// every aggregate window is scanned in full (no delta cache to slide).
 pub fn eval_formula_at(sheet: &Sheet, addr: CellAddr) -> Option<Value> {
-    let opts = sheet.recalc_options();
-    eval_formula_with(sheet, addr, sheet.meter(), opts.backend, opts.kernels, None)
+    eval_formula_with(sheet, addr, sheet.meter(), None)
 }
 
 /// Like [`eval_formula_at`] but charging an arbitrary meter (the hook the
-/// parallel path uses to give each worker its own counter), evaluating
-/// through an explicit backend, and optionally sliding a delta cache
-/// across overlapping aggregate windows.
+/// parallel path uses to give each worker its own counter) and optionally
+/// sliding a delta cache across overlapping aggregate windows.
 fn eval_formula_with(
     sheet: &Sheet,
     addr: CellAddr,
     meter: &Meter,
-    backend: EvalBackend,
-    kernels: bool,
     delta: Option<&mut vm::DeltaCache>,
 ) -> Option<Value> {
     let expr = sheet.formula_expr(addr)?;
     let ctx = sheet.eval_ctx_with(addr, meter);
     meter.tick(Primitive::FormulaEval);
-    Some(match backend {
-        EvalBackend::Interpreted => evaluate(expr, &ctx),
-        EvalBackend::Compiled => {
-            let prog = sheet.program_cache().get_or_compile(expr, addr);
-            let grid = if kernels { Some(sheet.grid_store()) } else { None };
-            vm::run_with(&prog, &ctx, grid, delta)
-        }
-    })
+    let prog = sheet.program_cache().get_or_compile(expr, addr);
+    Some(vm::run_with(&prog, &ctx, Some(sheet.grid_store()), delta))
 }
 
 /// A stateful evaluation handle for driving formula-at-a-time evaluation
@@ -259,7 +141,7 @@ pub struct EvalSession<'a> {
 }
 
 impl<'a> EvalSession<'a> {
-    /// A session over `sheet` using its configured [`RecalcOptions`].
+    /// A session over `sheet`.
     pub fn new(sheet: &'a Sheet) -> EvalSession<'a> {
         EvalSession { sheet, delta: vm::DeltaCache::new() }
     }
@@ -268,22 +150,20 @@ impl<'a> EvalSession<'a> {
     /// formula. Identical values and meter counts to
     /// [`eval_formula_at`], potentially much faster on sliding windows.
     pub fn eval(&mut self, addr: CellAddr) -> Option<Value> {
-        let opts = self.sheet.recalc_options();
-        let delta = (opts.backend == EvalBackend::Compiled && opts.kernels && opts.delta)
-            .then_some(&mut self.delta);
-        eval_formula_with(self.sheet, addr, self.sheet.meter(), opts.backend, opts.kernels, delta)
+        eval_formula_with(self.sheet, addr, self.sheet.meter(), Some(&mut self.delta))
     }
 }
 
 /// Executes a plan: evaluates level by level (each level parallel when the
-/// plan is large enough and `opts` allow), then marks cycles.
+/// plan is large enough and the sheet's options allow), then marks cycles.
 ///
 /// Both executors walk the same per-level structure so the trace — one
 /// `recalc` span wrapping one `level` span per topological level — is
 /// bit-identical (names, counts, nesting) at any thread count; only wall
 /// times differ. Within a level the sequential path visits `plan.order`
 /// slices in order, i.e. exactly the pre-levels flat iteration order.
-fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, opts: RecalcOptions, pass: &'static str) -> RecalcStats {
+fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcStats {
+    let opts = sheet.recalc_options();
     let span = Span::open_metered(
         Category::Recalc,
         || format!("{pass} ({} formulas, {} levels)", plan.order.len(), plan.level_count()),
@@ -291,7 +171,7 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, opts: RecalcOptions, pass: &'st
     );
     let workers = opts.parallelism.max(1);
     let parallel = workers > 1 && plan.order.len() >= opts.threshold;
-    if opts.backend == EvalBackend::Compiled && !plan.order.is_empty() {
+    if !plan.order.is_empty() {
         // Warm the program cache up front so the parallel workers only
         // ever take the read lock. One compile per distinct template.
         let cspan = Span::open_metered(
@@ -342,19 +222,15 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, opts: RecalcOptions, pass: &'st
         // level's stores can never land inside a same-level formula's
         // static window — the dependency edge would have stratified them
         // apart — so within a level the cache never goes stale.
-        let use_delta = opts.backend == EvalBackend::Compiled && opts.kernels && opts.delta;
         if fanout == 1 {
             let mut cache = vm::DeltaCache::new();
             for &addr in level {
-                let delta = use_delta.then_some(&mut cache);
-                if let Some(v) =
-                    eval_formula_with(sheet, addr, sheet.meter(), opts.backend, opts.kernels, delta)
-                {
+                if let Some(v) = eval_formula_with(sheet, addr, sheet.meter(), Some(&mut cache)) {
                     sheet.store_cached(addr, v);
                 }
             }
         } else {
-            run_level_parallel(sheet, level, fanout, opts.backend, opts.kernels, use_delta);
+            run_level_parallel(sheet, level, fanout);
         }
         lspan.finish_metered(sheet.meter());
         if pin_budget.is_some() {
@@ -387,14 +263,7 @@ const MIN_CHUNK: usize = 64;
 /// trace buffers (empty today — formula evaluation opens no spans — but
 /// the contract holds for any future in-worker span) are adopted in chunk
 /// order, which is determined by the plan alone.
-fn run_level_parallel(
-    sheet: &mut Sheet,
-    level: &[CellAddr],
-    fanout: usize,
-    backend: EvalBackend,
-    kernels: bool,
-    use_delta: bool,
-) {
+fn run_level_parallel(sheet: &mut Sheet, level: &[CellAddr], fanout: usize) {
     let chunk_len = level.len().div_ceil(fanout);
     let shared: &Sheet = sheet;
     let tracing = trace::enabled();
@@ -413,8 +282,7 @@ fn run_level_parallel(
                         let results: Vec<(CellAddr, Value)> = chunk
                             .iter()
                             .filter_map(|&addr| {
-                                let delta = use_delta.then_some(&mut cache);
-                                eval_formula_with(shared, addr, &local, backend, kernels, delta)
+                                eval_formula_with(shared, addr, &local, Some(&mut cache))
                                     .map(|v| (addr, v))
                             })
                             .collect();
@@ -435,38 +303,53 @@ fn run_level_parallel(
     }
 }
 
+/// The planning step every pass shares: bring maintained column indexes
+/// up to date (no-op unless the sheet opted in; the build charges
+/// `IndexProbe` ticks so the pass that pays for index construction is
+/// visible in the meter), then order every formula (`None`) or the
+/// formulae transitively affected by `changed`, precedents first.
+fn plan(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> DirtyPlan {
+    sheet.ensure_indexes();
+    match changed {
+        None => sheet.deps().full_order(),
+        Some(cells) => sheet.deps().dirty_order(cells),
+    }
+}
+
 /// Fully recalculates every formula on the sheet, precedents first, using
 /// the sheet's configured [`RecalcOptions`].
 pub fn recalc_all(sheet: &mut Sheet) -> RecalcStats {
-    recalc_all_with(sheet, sheet.recalc_options())
-}
-
-/// [`recalc_all`] with explicit options.
-pub fn recalc_all_with(sheet: &mut Sheet, opts: RecalcOptions) -> RecalcStats {
-    // Bring maintained column indexes up to date first (no-op unless the
-    // sheet opted in); the build charges `IndexProbe` ticks so the pass
-    // that pays for index construction is visible in the meter.
-    sheet.ensure_indexes();
-    let plan = sheet.deps().full_order();
-    run_plan(sheet, &plan, opts, "recalc_all")
+    let plan = plan(sheet, None);
+    run_plan(sheet, &plan, "recalc_all")
 }
 
 /// Recalculates the formulae transitively affected by changes to
 /// `changed`, precedents first, using the sheet's configured
 /// [`RecalcOptions`].
 pub fn recalc_from(sheet: &mut Sheet, changed: &[CellAddr]) -> RecalcStats {
-    recalc_from_with(sheet, changed, sheet.recalc_options())
+    let plan = plan(sheet, Some(changed));
+    run_plan(sheet, &plan, "recalc_from")
 }
 
-/// [`recalc_from`] with explicit options.
-pub fn recalc_from_with(
-    sheet: &mut Sheet,
-    changed: &[CellAddr],
-    opts: RecalcOptions,
-) -> RecalcStats {
-    sheet.ensure_indexes();
-    let plan = sheet.deps().dirty_order(changed);
-    run_plan(sheet, &plan, opts, "recalc_from")
+/// The reference recalculation the shipped one is proven against: the same
+/// plan as [`recalc_all`] (`changed: None`) or [`recalc_from`], walked
+/// sequentially, each formula evaluated by the tree-walking interpreter
+/// ([`crate::eval::evaluate`]) instead of a compiled program. Values and
+/// meter counts are specified to be bit-identical to the shipped pass;
+/// tests, the oracle and the ablation bench hold it to that. Not a mode of
+/// the engine — nothing that ships calls it.
+pub fn recalc_reference(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> RecalcStats {
+    let plan = plan(sheet, changed);
+    for &addr in &plan.order {
+        let Some(expr) = sheet.formula_expr(addr) else { continue };
+        sheet.meter().tick(Primitive::FormulaEval);
+        let v = evaluate(expr, &sheet.eval_ctx(addr));
+        sheet.store_cached(addr, v);
+    }
+    for &addr in &plan.cyclic {
+        sheet.store_cached(addr, Value::Error(CellError::Circular));
+    }
+    RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }
 }
 
 /// The open-time pass: builds the calculation sequence (charging one
@@ -563,12 +446,15 @@ mod tests {
 
     #[test]
     fn cycles_become_circ_errors() {
-        let mut s = Sheet::new();
-        s.set_formula_str(a("A1"), "=B1+1").unwrap();
-        s.set_formula_str(a("B1"), "=A1+1").unwrap();
-        let stats = recalc_all(&mut s);
-        assert_eq!(stats.cyclic, 2);
-        assert_eq!(s.value(a("A1")), Value::Error(CellError::Circular));
+        let shipped: fn(&mut Sheet) -> RecalcStats = recalc_all;
+        for pass in [shipped, |s| recalc_reference(s, None)] {
+            let mut s = Sheet::new();
+            s.set_formula_str(a("A1"), "=B1+1").unwrap();
+            s.set_formula_str(a("B1"), "=A1+1").unwrap();
+            let stats = pass(&mut s);
+            assert_eq!(stats.cyclic, 2);
+            assert_eq!(s.value(a("A1")), Value::Error(CellError::Circular));
+        }
     }
 
     #[test]
@@ -604,10 +490,7 @@ mod tests {
     fn parallel_recalc_matches_sequential_values_and_counts() {
         let n = 600;
         let mut seq = wide_dag_sheet(n, RecalcOptions::sequential());
-        let mut par = wide_dag_sheet(
-            n,
-            RecalcOptions { parallelism: 4, threshold: 1, ..RecalcOptions::default() },
-        );
+        let mut par = wide_dag_sheet(n, RecalcOptions { parallelism: 4, threshold: 1 });
         let seq_stats = recalc_all(&mut seq);
         let par_stats = recalc_all(&mut par);
         assert_eq!(seq_stats, par_stats);
@@ -620,16 +503,15 @@ mod tests {
         assert_eq!(seq.value(a("D1")), par.value(a("D1")));
         // The tentpole guarantee: meter counts are bit-identical.
         assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
+        // The precompile pass means workers only ever hit the cache.
+        assert_eq!(par.program_cache().len() as u64, par.program_cache().misses());
     }
 
     #[test]
     fn parallel_dirty_recalc_matches_sequential() {
         let n = 400;
         let mut seq = wide_dag_sheet(n, RecalcOptions::sequential());
-        let mut par = wide_dag_sheet(
-            n,
-            RecalcOptions { parallelism: 3, threshold: 1, ..RecalcOptions::default() },
-        );
+        let mut par = wide_dag_sheet(n, RecalcOptions { parallelism: 3, threshold: 1 });
         recalc_all(&mut seq);
         recalc_all(&mut par);
         for s in [&mut seq, &mut par] {
@@ -665,7 +547,7 @@ mod tests {
     #[test]
     fn parallel_path_marks_cycles_like_sequential() {
         let mut s = Sheet::new();
-        s.set_recalc_options(RecalcOptions { parallelism: 4, threshold: 1, ..RecalcOptions::default() });
+        s.set_recalc_options(RecalcOptions { parallelism: 4, threshold: 1 });
         for i in 0..200u32 {
             s.set_value(CellAddr::new(i, 0), 1);
             s.set_formula_str(CellAddr::new(i, 1), &format!("=A{0}+1", i + 1)).unwrap();
@@ -694,99 +576,80 @@ mod tests {
         assert_eq!(delta.get(Primitive::CellRead), 5 * 50);
     }
 
-    fn with_backend(backend: EvalBackend) -> RecalcOptions {
-        RecalcOptions { backend, ..RecalcOptions::sequential() }
+    /// Asserts two sheets hold the same formula values over `wide_dag_sheet`'s
+    /// formula columns (bit-exact for numbers) and the same meter counts.
+    fn assert_same_state(want: &Sheet, got: &Sheet, n: u32, what: &str) {
+        for row in 0..n {
+            for col in 1..4 {
+                let addr = CellAddr::new(row, col);
+                let (w, g) = (want.value(addr), got.value(addr));
+                assert_eq!(w, g, "{what}: {addr:?}");
+                if let (Value::Number(w), Value::Number(g)) = (w, g) {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{what}: {addr:?} bit pattern");
+                }
+            }
+        }
+        assert_eq!(want.meter().snapshot(), got.meter().snapshot(), "{what}: meter");
+    }
+
+    /// The kernels-without-delta leg: the shared plan walked one formula at
+    /// a time through the one-shot [`eval_formula_at`], which scans every
+    /// window in full.
+    fn recalc_one_shot(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> RecalcStats {
+        let plan = plan(sheet, changed);
+        for &addr in &plan.order {
+            if let Some(v) = eval_formula_at(sheet, addr) {
+                sheet.store_cached(addr, v);
+            }
+        }
+        RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }
     }
 
     #[test]
-    fn compiled_backend_matches_interpreter_full_and_dirty() {
-        let n = 300;
-        let mut interp = wide_dag_sheet(n, with_backend(EvalBackend::Interpreted));
-        let mut comp = wide_dag_sheet(n, with_backend(EvalBackend::Compiled));
-        assert_eq!(recalc_all(&mut interp), recalc_all(&mut comp));
-        for row in 0..n {
-            for col in 1..3 {
-                let addr = CellAddr::new(row, col);
-                assert_eq!(interp.value(addr), comp.value(addr), "{addr:?}");
-            }
-        }
-        assert_eq!(interp.value(a("D1")), comp.value(a("D1")));
-        // The correctness bar: meter counts bit-identical across backends.
-        assert_eq!(interp.meter().snapshot(), comp.meter().snapshot());
+    fn shipped_recalc_matches_reference_full_and_dirty() {
+        let n = 400;
+        let mut reference = wide_dag_sheet(n, RecalcOptions::sequential());
+        let mut one_shot = wide_dag_sheet(n, RecalcOptions::sequential());
+        let mut shipped = wide_dag_sheet(n, RecalcOptions::sequential());
+        let stats = recalc_reference(&mut reference, None);
+        assert_eq!(stats, recalc_one_shot(&mut one_shot, None));
+        assert_eq!(stats, recalc_all(&mut shipped));
+        // The correctness bar: values bit-exact and meter counts identical.
+        // The sliding path charges full-window counts, so all three agree.
+        assert_same_state(&reference, &shipped, n, "full");
+        assert_same_state(&one_shot, &shipped, n, "full, one-shot");
         // Template sharing: 2n+1 formulas collapse to a handful of
         // programs (one per fill-down template + window-start variants).
-        let templates = comp.program_cache().len();
+        let templates = shipped.program_cache().len();
         assert!(
             templates < 40,
             "expected template sharing, got {templates} programs for {} formulas",
             2 * n + 1
         );
-        assert_eq!(comp.program_cache().misses(), templates as u64);
+        assert_eq!(shipped.program_cache().misses(), templates as u64);
 
         // Dirty pass over value edits: cache stays warm, results identical.
-        let misses_before = comp.program_cache().misses();
-        for s in [&mut interp, &mut comp] {
-            s.set_value(a("A5"), 1000);
-            s.set_value(CellAddr::new(250, 0), -3);
-        }
+        let misses_before = shipped.program_cache().misses();
         let changed = [a("A5"), CellAddr::new(250, 0)];
-        assert_eq!(recalc_from(&mut interp, &changed), recalc_from(&mut comp, &changed));
-        for row in 0..n {
-            let addr = CellAddr::new(row, 2);
-            assert_eq!(interp.value(addr), comp.value(addr), "{addr:?}");
+        for s in [&mut reference, &mut one_shot, &mut shipped] {
+            s.set_value(changed[0], 1000);
+            s.set_value(changed[1], -3);
         }
-        assert_eq!(interp.meter().snapshot(), comp.meter().snapshot());
-        assert_eq!(comp.program_cache().misses(), misses_before, "value edits must not recompile");
-    }
-
-    #[test]
-    fn compiled_backend_without_kernels_matches_interpreter() {
-        // The ablation knob: bytecode + cache alone (generic per-cell
-        // range path) must still be observationally identical.
-        let n = 300;
-        let mut interp = wide_dag_sheet(n, with_backend(EvalBackend::Interpreted));
-        let mut comp = wide_dag_sheet(
-            n,
-            RecalcOptions { kernels: false, ..with_backend(EvalBackend::Compiled) },
+        let stats = recalc_reference(&mut reference, Some(&changed));
+        assert_eq!(stats, recalc_one_shot(&mut one_shot, Some(&changed)));
+        assert_eq!(stats, recalc_from(&mut shipped, &changed));
+        assert_same_state(&reference, &shipped, n, "dirty");
+        assert_same_state(&one_shot, &shipped, n, "dirty, one-shot");
+        assert_eq!(
+            shipped.program_cache().misses(),
+            misses_before,
+            "value edits must not recompile"
         );
-        assert_eq!(recalc_all(&mut interp), recalc_all(&mut comp));
-        for row in 0..n {
-            for col in 1..3 {
-                let addr = CellAddr::new(row, col);
-                assert_eq!(interp.value(addr), comp.value(addr), "{addr:?}");
-            }
-        }
-        assert_eq!(interp.meter().snapshot(), comp.meter().snapshot());
-    }
-
-    #[test]
-    fn compiled_backend_parallel_matches_compiled_sequential() {
-        let n = 600;
-        let mut seq = wide_dag_sheet(n, with_backend(EvalBackend::Compiled));
-        let mut par = wide_dag_sheet(
-            n,
-            RecalcOptions {
-                parallelism: 4,
-                threshold: 1,
-                ..with_backend(EvalBackend::Compiled)
-            },
-        );
-        assert_eq!(recalc_all(&mut seq), recalc_all(&mut par));
-        for row in 0..n {
-            for col in 1..3 {
-                let addr = CellAddr::new(row, col);
-                assert_eq!(seq.value(addr), par.value(addr), "{addr:?}");
-            }
-        }
-        assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
-        // The precompile pass means workers only ever hit the cache.
-        assert_eq!(par.program_cache().len() as u64, par.program_cache().misses());
     }
 
     #[test]
     fn program_cache_invalidation_is_fact_gated() {
         let mut s = Sheet::new();
-        s.set_recalc_options(with_backend(EvalBackend::Compiled));
         s.set_value(a("A1"), 2);
         s.set_formula_str(a("B1"), "=A1*3").unwrap();
         recalc_all(&mut s);
@@ -821,7 +684,6 @@ mod tests {
     #[test]
     fn fill_down_edit_recompiles_exactly_one_template() {
         let mut s = Sheet::new();
-        s.set_recalc_options(with_backend(EvalBackend::Compiled));
         for row in 0..50u32 {
             s.set_value(CellAddr::new(row, 0), i64::from(row));
             s.set_formula_str(CellAddr::new(row, 1), &format!("=A{}*2", row + 1)).unwrap();
@@ -838,72 +700,9 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_override_is_not_pinned() {
-        // Regression for the OnceLock bug: the first resolution used to be
-        // cached process-wide, so a later override (or env change) was
-        // silently ignored. Both backends are value- and meter-identical,
-        // so the transient global flip is outcome-neutral for any test
-        // resolving defaults concurrently.
-        set_default_backend(Some(EvalBackend::Interpreted));
-        assert_eq!(RecalcOptions::default().backend, EvalBackend::Interpreted);
-        set_default_backend(Some(EvalBackend::Compiled));
-        assert_eq!(RecalcOptions::default().backend, EvalBackend::Compiled);
-        assert_eq!(RecalcOptions::sequential().backend, EvalBackend::Compiled);
-        set_default_backend(None);
-        assert_eq!(
-            RecalcOptions::builder().delta(false).build().backend,
-            EvalBackend::default()
-        );
-    }
-
-    #[test]
-    fn delta_aggregation_matches_interpreter_and_non_delta() {
-        let n = 400;
-        let mut interp = wide_dag_sheet(n, with_backend(EvalBackend::Interpreted));
-        let mut plain = wide_dag_sheet(
-            n,
-            RecalcOptions { delta: false, ..with_backend(EvalBackend::Compiled) },
-        );
-        let mut delta = wide_dag_sheet(n, with_backend(EvalBackend::Compiled));
-        let si = recalc_all(&mut interp);
-        let sp = recalc_all(&mut plain);
-        let sd = recalc_all(&mut delta);
-        assert_eq!(si, sp);
-        assert_eq!(si, sd);
-        for row in 0..n {
-            for col in 1..3 {
-                let addr = CellAddr::new(row, col);
-                assert_eq!(interp.value(addr), delta.value(addr), "{addr:?}");
-                assert_eq!(plain.value(addr), delta.value(addr), "{addr:?}");
-            }
-        }
-        assert_eq!(interp.value(a("D1")), delta.value(a("D1")));
-        // The exactness contract: the sliding path charges full-window
-        // counts, so all three meters agree bit-for-bit.
-        assert_eq!(interp.meter().snapshot(), delta.meter().snapshot());
-        assert_eq!(plain.meter().snapshot(), delta.meter().snapshot());
-
-        // And again over a dirty pass.
-        for s in [&mut interp, &mut plain, &mut delta] {
-            s.set_value(a("A5"), 1000);
-        }
-        assert_eq!(
-            recalc_from(&mut interp, &[a("A5")]),
-            recalc_from(&mut delta, &[a("A5")])
-        );
-        recalc_from(&mut plain, &[a("A5")]);
-        for row in 0..n {
-            let addr = CellAddr::new(row, 2);
-            assert_eq!(interp.value(addr), delta.value(addr), "{addr:?}");
-        }
-        assert_eq!(interp.meter().snapshot(), delta.meter().snapshot());
-        assert_eq!(plain.meter().snapshot(), delta.meter().snapshot());
-    }
-
-    #[test]
     fn eval_session_matches_one_shot_eval() {
         let n = 300;
-        let mut s = wide_dag_sheet(n, with_backend(EvalBackend::Compiled));
+        let mut s = wide_dag_sheet(n, RecalcOptions::sequential());
         recalc_all(&mut s);
         // A session carries the delta cache across calls; values and meter
         // charges must nonetheless match the one-shot path exactly.
@@ -920,16 +719,5 @@ mod tests {
             assert_eq!(one_counts, via_counts, "row {row}");
         }
         assert_eq!(session.eval(a("A1")), None, "values are not formulas");
-    }
-
-    #[test]
-    fn cycles_become_circ_errors_under_compiled_backend() {
-        let mut s = Sheet::new();
-        s.set_recalc_options(with_backend(EvalBackend::Compiled));
-        s.set_formula_str(a("A1"), "=B1+1").unwrap();
-        s.set_formula_str(a("B1"), "=A1+1").unwrap();
-        let stats = recalc_all(&mut s);
-        assert_eq!(stats.cyclic, 2);
-        assert_eq!(s.value(a("A1")), Value::Error(CellError::Circular));
     }
 }

@@ -9,22 +9,13 @@ use crate::error::EngineError;
 use crate::eval::context::DEFAULT_NOW_SERIAL;
 use crate::eval::{CellSource, EvalCtx, LookupStrategy};
 use crate::formula::{Expr, NameResolver, RangeRef};
-use crate::grid::{CellGet, Grid, GridStore};
+use crate::grid::{CellGet, GridStore};
 use crate::index::{ColumnBuilder, IndexStore};
 use crate::meter::{Meter, Primitive};
 use crate::recalc::RecalcOptions;
 use crate::value::Value;
 
-/// Physical storage layout for a sheet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// Row-major storage — the layout the benchmarked systems effectively
-    /// use (§5.2 finds no evidence of columnar layouts).
-    #[default]
-    RowMajor,
-    /// Column-major storage — the database-style alternative.
-    ColumnMajor,
-}
+pub use crate::grid::Layout;
 
 /// A single spreadsheet sheet.
 #[derive(Debug)]
@@ -56,87 +47,6 @@ pub struct Sheet {
     auto_index: bool,
 }
 
-/// Unified engine configuration: every per-sheet knob in one value, so
-/// drivers (the system simulator, the oracle, benches) configure a sheet
-/// with a single call instead of a trail of ad-hoc setters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineConfig {
-    /// Lookup-strategy switches for `VLOOKUP`-family evaluation.
-    pub lookup: LookupStrategy,
-    /// The deterministic `NOW()`/`TODAY()` serial.
-    pub now_serial: f64,
-    /// Recalculation executor knobs (parallelism, backend, kernels, delta).
-    pub recalc: RecalcOptions,
-    /// Automatic column indexing (the optimized fourth system).
-    pub auto_index: bool,
-    /// Resident-byte budget for the grid's typed chunks; cold chunks
-    /// spill to a page file under pressure (DESIGN.md §14). `None` means
-    /// unbounded. Defaults to the `SSBENCH_GRID_BUDGET` env knob.
-    pub grid_budget: Option<usize>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            lookup: LookupStrategy::default(),
-            now_serial: DEFAULT_NOW_SERIAL,
-            recalc: RecalcOptions::default(),
-            auto_index: false,
-            grid_budget: crate::grid::env_grid_budget(),
-        }
-    }
-}
-
-impl EngineConfig {
-    /// A builder starting from the defaults.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder { cfg: EngineConfig::default() }
-    }
-}
-
-/// Builder for [`EngineConfig`].
-#[derive(Debug, Clone)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Sets the lookup strategy.
-    pub fn lookup(mut self, lookup: LookupStrategy) -> Self {
-        self.cfg.lookup = lookup;
-        self
-    }
-
-    /// Sets the deterministic `NOW()` serial.
-    pub fn now_serial(mut self, serial: f64) -> Self {
-        self.cfg.now_serial = serial;
-        self
-    }
-
-    /// Sets the recalculation options.
-    pub fn recalc(mut self, recalc: RecalcOptions) -> Self {
-        self.cfg.recalc = recalc;
-        self
-    }
-
-    /// Enables or disables automatic column indexing.
-    pub fn auto_index(mut self, on: bool) -> Self {
-        self.cfg.auto_index = on;
-        self
-    }
-
-    /// Sets the grid's resident-byte budget (`None` = unbounded).
-    pub fn grid_budget(mut self, budget: Option<usize>) -> Self {
-        self.cfg.grid_budget = budget;
-        self
-    }
-
-    /// Finishes the configuration.
-    pub fn build(self) -> EngineConfig {
-        self.cfg
-    }
-}
-
 /// The sheet's named-range table; implements the parser's name resolver.
 #[derive(Debug, Default)]
 struct NameTable(std::collections::HashMap<String, Range>);
@@ -158,12 +68,8 @@ impl Sheet {
 
     /// An empty sheet with the given layout and initial extent.
     pub fn with_layout(layout: Layout, rows: u32, cols: u32) -> Self {
-        let grid = match layout {
-            Layout::RowMajor => GridStore::row_major(rows, cols),
-            Layout::ColumnMajor => GridStore::col_major(rows, cols),
-        };
         Sheet {
-            grid,
+            grid: GridStore::new(layout, rows, cols),
             deps: DepGraph::new(),
             meter: Meter::new(),
             hidden: Vec::new(),
@@ -199,10 +105,7 @@ impl Sheet {
     /// The physical storage layout of the grid. Stable across every
     /// operation, including structural edits that rebuild the grid.
     pub fn layout(&self) -> Layout {
-        match self.grid {
-            GridStore::Row(_) => Layout::RowMajor,
-            GridStore::Col(_) => Layout::ColumnMajor,
-        }
+        self.grid.layout()
     }
 
     /// The serial `NOW()` returns (see [`Sheet::set_now_serial`]).
@@ -303,28 +206,6 @@ impl Sheet {
     /// The recalculation executor knobs.
     pub fn recalc_options(&self) -> RecalcOptions {
         self.recalc_opts
-    }
-
-    /// Applies a whole [`EngineConfig`] in one call (the preferred
-    /// configuration surface; the individual setters remain for granular
-    /// adjustments).
-    pub fn configure(&mut self, cfg: EngineConfig) {
-        self.lookup = cfg.lookup;
-        self.now_serial = cfg.now_serial;
-        self.recalc_opts = cfg.recalc;
-        self.auto_index = cfg.auto_index;
-        self.grid.set_budget(cfg.grid_budget);
-    }
-
-    /// The current configuration as one value.
-    pub fn config(&self) -> EngineConfig {
-        EngineConfig {
-            lookup: self.lookup,
-            now_serial: self.now_serial,
-            recalc: self.recalc_opts,
-            auto_index: self.auto_index,
-            grid_budget: self.grid.budget(),
-        }
     }
 
     // --- grid memory ------------------------------------------------------
@@ -730,6 +611,12 @@ impl Sheet {
         self.hidden.clear();
     }
 
+    /// The per-row hidden flags themselves, for structural edits that
+    /// rebuild the sheet and must carry the filter state across.
+    pub(crate) fn hidden_flags_mut(&mut self) -> &mut Vec<bool> {
+        &mut self.hidden
+    }
+
     /// Number of visible (unhidden) rows.
     pub fn visible_rows(&self) -> u32 {
         let hidden = self.hidden.iter().filter(|&&h| h).count() as u32;
@@ -963,14 +850,7 @@ mod tests {
 
     #[test]
     fn permute_retains_memo_for_window_stable_templates() {
-        use crate::compile::EvalBackend;
-        use crate::recalc::RecalcOptions;
-
         let mut s = Sheet::new();
-        s.set_recalc_options(RecalcOptions {
-            backend: EvalBackend::Compiled,
-            ..RecalcOptions::sequential()
-        });
         for r in 0..8u32 {
             s.set_value(CellAddr::new(r, 0), i64::from(r + 1));
             s.set_formula_str(CellAddr::new(r, 1), &format!("=A{}*2", r + 1)).unwrap();
@@ -996,14 +876,7 @@ mod tests {
 
     #[test]
     fn permute_drops_memo_when_windows_break() {
-        use crate::compile::EvalBackend;
-        use crate::recalc::RecalcOptions;
-
         let mut s = Sheet::new();
-        s.set_recalc_options(RecalcOptions {
-            backend: EvalBackend::Compiled,
-            ..RecalcOptions::sequential()
-        });
         s.set_value(a("A1"), 1);
         s.set_value(a("A2"), 2);
         s.set_value(a("A3"), 3);

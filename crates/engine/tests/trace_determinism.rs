@@ -55,8 +55,7 @@ fn span_trees_and_counts_identical_across_thread_counts() {
     trace::enable(trace::DEFAULT_CAPACITY);
     let sequential = traced_run(RecalcOptions::sequential());
     // Low threshold forces the parallel path (600-wide levels, 4 workers).
-    let parallel =
-        traced_run(RecalcOptions::builder().parallelism(4).threshold(1).build());
+    let parallel = traced_run(RecalcOptions { parallelism: 4, threshold: 1 });
     trace::disable();
     trace::clear();
 

@@ -4,9 +4,10 @@
 //! Modes, one binary:
 //!
 //! * `fuzz --seed N [--ops M] [--shrink] [--corpus DIR]` — generate a
-//!   seeded op sequence, replay it across the full configuration matrix,
-//!   and on divergence (optionally shrink, then) write a JSON reproducer
-//!   into the corpus directory. Exit 1 on failure.
+//!   seeded op sequence, replay it across the full configuration matrix
+//!   and on the reference evaluator, and on divergence (optionally
+//!   shrink, then) write a JSON reproducer into the corpus directory.
+//!   Exit 1 on failure.
 //! * `fuzz replay [--corpus DIR]` — replay every `*.json` script in the
 //!   corpus; exit 1 if any fails. This is the regression mode
 //!   `scripts/check.sh` and the `corpus_replay` test run.
@@ -93,7 +94,7 @@ fn fuzz_once(cli: &CliArgs, corpus: &Path) -> bool {
     let n_ops = cli.ops.unwrap_or(gen::DEFAULT_OPS);
     let script = gen::generate(cli.cfg.seed, gen::DEFAULT_ROWS, n_ops);
     eprintln!(
-        "fuzz: seed {} — {} ops over a {}-row workbook, {} configurations",
+        "fuzz: seed {} — {} ops over a {}-row workbook, {} configurations + the reference",
         script.seed,
         script.ops.len(),
         script.rows,

@@ -6,10 +6,10 @@
 //! (PR 1), and full vs incremental recalculation (Figs 13–14). The oracle
 //! enforces that by construction: it generates seeded random workbooks and
 //! op sequences ([`gen`]), replays each sequence under the whole
-//! configuration matrix ([`runner`]), and on any divergence shrinks the
-//! sequence to a minimal reproducer ([`shrink`]) serialized as JSON
-//! ([`script`]) into `tests/corpus/`, where a `cargo test` suite replays
-//! it forever after.
+//! configuration matrix and once on the reference evaluator ([`runner`]),
+//! and on any divergence shrinks the sequence to a minimal reproducer
+//! ([`shrink`]) serialized as JSON ([`script`]) into `tests/corpus/`,
+//! where a `cargo test` suite replays it forever after.
 
 pub mod gen;
 pub mod runner;

@@ -1,5 +1,8 @@
-//! Replays a [`Script`] across the configuration matrix and compares
-//! everything that is *specified* to be configuration-independent:
+//! Replays a [`Script`] across the configuration matrix — plus once on
+//! the reference evaluator ([`recalc::recalc_reference`], the tree-walking
+//! interpreter), which every replay's outcomes and digests are compared
+//! against — and checks everything that is *specified* to be
+//! configuration-independent:
 //!
 //! * per-op outcomes (sort permutations, filter visibility, pivot tables);
 //! * a per-op digest of every stored value and the hidden-row set, so two
@@ -21,7 +24,6 @@ use std::sync::Mutex;
 use ssbench_engine::addr::{CellAddr, Range};
 use ssbench_engine::analyze::{self, TemplateReport};
 use ssbench_engine::audit;
-use ssbench_engine::compile::EvalBackend;
 use ssbench_engine::eval::LookupStrategy;
 use ssbench_engine::io;
 use ssbench_engine::ops::{Op, PivotAgg, SortKey};
@@ -46,10 +48,6 @@ pub struct OracleConfig {
     /// Recalculate incrementally from each edit's dirty set instead of
     /// the whole sheet (Figs 13–14's variable).
     pub incremental: bool,
-    /// Evaluation backend (ISSUE 4's variable): tree-walking interpreter
-    /// or compiled bytecode with vectorized range kernels. Values must be
-    /// bit-identical across backends.
-    pub backend: EvalBackend,
     /// Maintain auto-built column indexes and let COUNTIF/SUMIF/VLOOKUP/
     /// MATCH answer through them (the fourth system's variable). Indexed
     /// probes must produce bit-identical values, and the indexes must ride
@@ -66,10 +64,10 @@ pub struct OracleConfig {
 
 impl OracleConfig {
     /// Compact label for failure messages, e.g.
-    /// `row/par4/opt-lookup/inc/compiled/ix/cap32k`.
+    /// `row/par4/opt-lookup/inc/ix/cap32k`.
     pub fn label(&self) -> String {
         format!(
-            "{}/par{}/{}/{}/{}/{}/{}",
+            "{}/par{}/{}/{}/{}/{}",
             match self.layout {
                 Layout::RowMajor => "row",
                 Layout::ColumnMajor => "col",
@@ -77,7 +75,6 @@ impl OracleConfig {
             self.parallelism,
             if self.lookup == LookupStrategy::default() { "naive-lookup" } else { "opt-lookup" },
             if self.incremental { "inc" } else { "full" },
-            self.backend.name(),
             if self.indexed { "ix" } else { "noix" },
             if self.budget.is_some() { "cap32k" } else { "nocap" },
         )
@@ -85,55 +82,52 @@ impl OracleConfig {
 
     /// Settings that legitimately change the *work performed* (and thus
     /// trace signatures and meter counts). Configurations sharing this key
-    /// must produce identical span trees. The backend is part of the key
-    /// because compiled replays add `compile` (precompile-pass) spans; the
-    /// meter counts inside the shared spans still agree across backends —
-    /// the per-op value digests enforce that indirectly, and the engine's
-    /// own tests enforce it directly. Indexing is part of the key because
-    /// index builds and probes replace scan reads (IndexProbe vs CellRead);
-    /// within the indexed half the replays must still be deterministic.
-    /// The grid budget is deliberately NOT part of the key: spilling and
-    /// faulting never touch the meter, so a capped replay must produce the
-    /// same span signatures as its unbounded twin.
-    fn signature_group(&self) -> (bool, bool, bool, bool, EvalBackend) {
+    /// must produce identical span trees. Indexing is part of the key
+    /// because index builds and probes replace scan reads (IndexProbe vs
+    /// CellRead); within the indexed half the replays must still be
+    /// deterministic. The grid budget is deliberately NOT part of the key:
+    /// spilling and faulting never touch the meter, so a capped replay must
+    /// produce the same span signatures as its unbounded twin.
+    fn signature_group(&self) -> (bool, bool, bool, bool) {
         (
             self.incremental,
             self.lookup.early_exit_exact,
             self.lookup.binary_search_approx,
             self.indexed,
-            self.backend,
         )
     }
 }
 
-/// The full 192-configuration matrix: 2 layouts × 2 lookup strategies ×
-/// full/incremental × 1/2/4 workers × 2 evaluation backends × indexed or
-/// not × unbounded/32 KB grid budget. The first entry is the reference
-/// configuration everything else is compared against.
+/// Label of the reference replay in failure messages: the plainest
+/// configuration (`matrix()[0]`), every formula evaluated by the
+/// tree-walking interpreter instead of the shipped compiled path.
+const REFERENCE_LABEL: &str = "reference";
+
+/// The configuration matrix of the shipped engine: 2 layouts × 2 lookup
+/// strategies × full/incremental × 1/2/4 workers × indexed or not ×
+/// unbounded/32 KB grid budget. The first entry is the plainest one; the
+/// reference replay runs on it too.
 pub fn matrix() -> Vec<OracleConfig> {
     let optimized = LookupStrategy { early_exit_exact: true, binary_search_approx: true };
     // Small enough that even the oracle's little workbooks overflow it
     // (each typed chunk page is ~8 KB), so the capped half of the matrix
     // actually exercises spill/fault during the replay.
     let cap = Some(32 * 1024);
-    let mut out = Vec::with_capacity(192);
+    let mut out = Vec::new();
     for layout in [Layout::RowMajor, Layout::ColumnMajor] {
         for lookup in [LookupStrategy::default(), optimized] {
             for incremental in [false, true] {
                 for parallelism in [1, 2, 4] {
-                    for backend in [EvalBackend::Interpreted, EvalBackend::Compiled] {
-                        for indexed in [false, true] {
-                            for budget in [None, cap] {
-                                out.push(OracleConfig {
-                                    layout,
-                                    parallelism,
-                                    lookup,
-                                    incremental,
-                                    backend,
-                                    indexed,
-                                    budget,
-                                });
-                            }
+                    for indexed in [false, true] {
+                        for budget in [None, cap] {
+                            out.push(OracleConfig {
+                                layout,
+                                parallelism,
+                                lookup,
+                                incremental,
+                                indexed,
+                                budget,
+                            });
                         }
                     }
                 }
@@ -191,21 +185,22 @@ enum Dirty {
 /// not interleave enable/disable.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Replays `script` under every configuration in [`matrix`] and returns
-/// the first divergence or invariant violation, if any.
+/// Replays `script` on the reference evaluator and under every
+/// configuration in [`matrix`], and returns the first divergence or
+/// invariant violation, if any.
 pub fn check_script(script: &Script) -> Result<(), Failure> {
     let guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let configs = matrix();
+    let ref_run = replay(script, configs[0], true)?;
     let mut replays = Vec::with_capacity(configs.len());
     for config in &configs {
-        replays.push(replay(script, *config)?);
+        replays.push(replay(script, *config, false)?);
     }
     drop(guard);
 
-    // Outcome + value digests: identical across the whole matrix.
-    let (ref_cfg, ref_run) = (&configs[0], &replays[0]);
-    for (config, run) in configs.iter().zip(&replays).skip(1) {
-        let pair = format!("{} vs {}", ref_cfg.label(), config.label());
+    // Outcome + value digests: every shipped replay equals the reference.
+    for (config, run) in configs.iter().zip(&replays) {
+        let pair = format!("{REFERENCE_LABEL} vs {}", config.label());
         for (i, (a, b)) in ref_run.per_op.iter().zip(&run.per_op).enumerate() {
             if a.0 != b.0 {
                 return Err(Failure {
@@ -239,9 +234,8 @@ pub fn check_script(script: &Script) -> Result<(), Failure> {
     }
 
     // Span signatures: identical within each (recalc mode, lookup,
-    // indexed, backend) group.
-    let mut groups: HashMap<(bool, bool, bool, bool, EvalBackend), (String, &str)> =
-        HashMap::new();
+    // indexed) group of shipped replays.
+    let mut groups: HashMap<(bool, bool, bool, bool), (String, &str)> = HashMap::new();
     for (config, run) in configs.iter().zip(&replays) {
         match groups.get(&config.signature_group()) {
             None => {
@@ -264,12 +258,23 @@ pub fn check_script(script: &Script) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Replays one configuration, enforcing per-op invariants as it goes.
-fn replay(script: &Script, config: OracleConfig) -> Result<Replay, Failure> {
+/// Replays one configuration, enforcing per-op invariants as it goes. The
+/// `reference` replay differs in exactly one thing: every recalculation is
+/// a full [`recalc::recalc_reference`] pass.
+fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Replay, Failure> {
     let fail = |op_index: Option<usize>, detail: String| Failure {
-        config: config.label(),
+        config: if reference { REFERENCE_LABEL.to_owned() } else { config.label() },
         op_index,
         detail,
+    };
+    let recalc = |sheet: &mut Sheet, changed: Option<&[CellAddr]>| {
+        if reference {
+            recalc::recalc_reference(sheet, None);
+        } else if let (true, Some(cells)) = (config.incremental, changed) {
+            recalc::recalc_from(sheet, cells);
+        } else {
+            recalc::recalc_all(sheet);
+        }
     };
 
     let opts = RecalcOptions {
@@ -277,13 +282,6 @@ fn replay(script: &Script, config: OracleConfig) -> Result<Replay, Failure> {
         // Force the parallel path even on small dirty sets; threshold
         // tuning is a performance knob, not a correctness one.
         threshold: if config.parallelism > 1 { 1 } else { RecalcOptions::default().threshold },
-        backend: config.backend,
-        // Deliberately pinned on (the `..default()` would do it too): the
-        // compiled half of the matrix must exercise the kernel and
-        // window-delta paths, which claim bit-exact values *and* meters.
-        kernels: true,
-        delta: true,
-        ..RecalcOptions::default()
     };
     let mut sheet = gen::build_workbook(script, config.layout);
     sheet.set_grid_budget(config.budget);
@@ -293,7 +291,7 @@ fn replay(script: &Script, config: OracleConfig) -> Result<Replay, Failure> {
     // recalc entry point re-registers and rebuilds as needed, and every
     // value write routes through the maintenance hook.
     sheet.set_auto_index(config.indexed);
-    recalc::recalc_all(&mut sheet);
+    recalc(&mut sheet, None);
 
     // Capture spans for the op replay only (workbook construction is
     // already covered by the digest of the state after op 0).
@@ -305,16 +303,8 @@ fn replay(script: &Script, config: OracleConfig) -> Result<Replay, Failure> {
             apply_script_op(&mut sheet, op).map_err(|e| fail(Some(i), e))?;
         match dirty {
             Dirty::None => {}
-            Dirty::Full => {
-                recalc::recalc_all(&mut sheet);
-            }
-            Dirty::Cells(cells) => {
-                if config.incremental {
-                    recalc::recalc_from(&mut sheet, &cells);
-                } else {
-                    recalc::recalc_all(&mut sheet);
-                }
-            }
+            Dirty::Full => recalc(&mut sheet, None),
+            Dirty::Cells(cells) => recalc(&mut sheet, Some(&cells)),
         }
         check_invariants(&sheet, config, opts).map_err(|e| fail(Some(i), e))?;
         per_op.push((outcome, grid_digest(&sheet)));
@@ -446,7 +436,7 @@ fn apply_script_op(sheet: &mut Sheet, op: &ScriptOp) -> Result<(String, Dirty), 
 /// classes), and every formula template must pass the static analyzer —
 /// bytecode verification plus dep-graph read-set coverage
 /// ([`ssbench_engine::analyze::check_sheet`]). Running the static pass
-/// here means every template the 48-config matrix or a fuzz run ever
+/// here means every template the matrix or a fuzz run ever
 /// compiles is proven, not just spot-checked.
 fn check_invariants(
     sheet: &Sheet,
@@ -583,17 +573,20 @@ mod tests {
     #[test]
     fn matrix_covers_all_dimensions() {
         let m = matrix();
-        assert_eq!(m.len(), 192);
+        assert_eq!(m.len(), 2 * 2 * 2 * 3 * 2 * 2);
         assert!(m.iter().any(|c| c.layout == Layout::ColumnMajor));
         assert!(m.iter().any(|c| c.parallelism == 4));
         assert!(m.iter().any(|c| c.lookup.early_exit_exact));
         assert!(m.iter().any(|c| c.incremental));
-        assert!(m.iter().any(|c| c.backend == EvalBackend::Compiled));
         assert!(m.iter().any(|c| c.indexed));
         assert!(m.iter().any(|c| c.budget.is_some()));
-        // Reference config is the plainest one: sequential interpreter,
-        // no indexes, unbounded grid memory.
-        assert_eq!(m[0].label(), "row/par1/naive-lookup/full/interp/noix/nocap");
+        // The reference replay runs on the plainest configuration —
+        // sequential, no indexes, unbounded grid memory — under a label no
+        // shipped configuration carries.
+        assert_eq!(m[0].label(), "row/par1/naive-lookup/full/noix/nocap");
+        let labels: std::collections::HashSet<String> = m.iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), m.len(), "configuration labels must be distinct");
+        assert!(!labels.contains(REFERENCE_LABEL));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 # full test suite, then re-run it in the two configurations most likely
 # to expose parallel-recalc bugs — a single test thread (serializes the
 # scoped-thread workers' scheduling environment) and a forced 4-worker
-# recalc default via RECALC_PARALLELISM. All four stages must pass.
+# recalc default via RECALC_PARALLELISM. `cargo test` covers the root
+# package and every member crate (Cargo.toml's default-members). Every
+# stage must pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,8 +35,10 @@ test -s "$trace_dir/trace.txt" || { echo "missing trace.txt" >&2; exit 1; }
 
 # Differential oracle (DESIGN.md §9): a bounded fixed-seed fuzz sweep —
 # deterministic, so CI cannot flake — plus a replay of every shrunk
-# reproducer in the corpus. The fuzz binary exits non-zero on any
-# divergence or invariant violation across the 96-configuration matrix.
+# reproducer in the corpus. The fuzz binary prints the size of the
+# configuration matrix it replays (plus the reference-evaluator replay
+# every digest is compared against) and exits non-zero on any divergence
+# or invariant violation.
 echo "==> differential fuzz smoke (3 seeds x 200 ops)"
 for seed in 1 2 3; do
   ./target/release/fuzz --seed "$seed" --ops 200
@@ -51,18 +55,21 @@ echo "==> corpus replay"
 echo "==> corpus static verification (bytecode + dep-graph soundness)"
 ./target/release/fuzz replay --verify --corpus tests/corpus
 
-# Compiled-backend ablation (DESIGN.md §10, §12): interpreter vs bytecode
-# vs bytecode+kernels vs bytecode+kernels+window-delta on the 100k-row
-# fill-down aggregate column, plus a structural-op workload (sort + mid-
-# column row insert) that records post-edit recalc cost with the memo
-# bindings retained vs cleared. The bench binary writes the median ns/cell
-# baseline per backend (and the memo_retention row) to BENCH_eval.json and
-# exits non-zero if compiled+delta falls below the 5x speedup bar (which
-# replaced the pre-delta 3x bar on compiled+kernels), or if the verified
-# VM (stack pre-reserved to the proven bound) is more than 1% slower than
-# the same programs with the bound stripped (with a 25ns/formula floor —
-# smaller paired differences are below the harness's discrimination
-# limit on a 1-CPU host).
+# Benchmark smoke (benchmark/README.md): every BENCHMARK.json workload at
+# 1/50 of its rows, one round, every output checked against the plain-Rust
+# reference. Exits non-zero on a failed check or if the benchmark crate no
+# longer compiles against the engine.
+echo "==> benchmark smoke"
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
+
+# Evaluator ablation (DESIGN.md §10, §12): the reference recalc (the
+# tree-walking interpreter) vs the shipped one (bytecode + kernels +
+# window-delta) on the 100k-row fill-down aggregate column, plus a
+# structural-op workload (sort + mid-column row insert) that records
+# post-edit recalc cost with the memo bindings retained vs cleared. The
+# bench binary writes the median ns/cell baseline per rung (and the
+# memo_retention row) to BENCH_eval.json and exits non-zero if the shipped
+# evaluation pass falls below the 5x speedup bar over the reference.
 echo "==> ablation_compile baseline (writes BENCH_eval.json)"
 BENCH_EVAL_JSON="$PWD/BENCH_eval.json" cargo bench -p ssbench-bench --bench ablation_compile
 test -s BENCH_eval.json || { echo "missing BENCH_eval.json" >&2; exit 1; }

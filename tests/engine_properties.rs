@@ -242,7 +242,7 @@ proptest! {
             recalc::recalc_all(&mut s);
             s
         };
-        let par_opts = RecalcOptions { parallelism: 4, threshold: 1, ..RecalcOptions::default() };
+        let par_opts = RecalcOptions { parallelism: 4, threshold: 1 };
         let mut seq = build(RecalcOptions::sequential());
         let mut par = build(par_opts);
         for i in 0..n as u32 {
@@ -603,9 +603,41 @@ fn arb_vm_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// One leg of a reference-vs-shipped differential.
+#[derive(Debug, Clone, Copy)]
+enum Leg {
+    /// `recalc_reference`: the tree-walking interpreter.
+    Reference,
+    /// The shared plan order walked through the one-shot
+    /// `eval_formula_at`: compiled programs and range kernels, every
+    /// window scanned in full (no delta cache to slide).
+    OneShot,
+    /// `recalc_all`, as shipped.
+    Shipped,
+}
+
+fn recalc_leg(s: &mut Sheet, leg: Leg) {
+    match leg {
+        Leg::Reference => {
+            recalc::recalc_reference(s, None);
+        }
+        Leg::OneShot => {
+            for addr in s.deps().full_order().order {
+                if let Some(v) = recalc::eval_formula_at(s, addr) {
+                    s.store_formula_result(addr, v);
+                }
+            }
+        }
+        Leg::Shipped => {
+            recalc::recalc_all(s);
+        }
+    }
+}
+
 proptest! {
-    /// The bytecode VM is observationally identical to the tree-walking
-    /// interpreter on random expression trees: same value for every
+    /// The shipped recalc (bytecode VM) is observationally identical to
+    /// the reference (the tree-walking interpreter) on random expression
+    /// trees: same value for every
     /// formula (including error propagation, implicit intersection,
     /// short-circuit IF/AND/OR, and volatile NOW) and the same meter
     /// counts, cell for cell and tick for tick.
@@ -614,9 +646,9 @@ proptest! {
         exprs in prop::collection::vec(arb_vm_expr(), 1..6),
         values in prop::collection::vec(-50i64..50, 24),
     ) {
-        let build = |backend: EvalBackend| {
+        let build = |leg: Leg| {
             let mut s = Sheet::new();
-            s.set_recalc_options(RecalcOptions { backend, ..RecalcOptions::sequential() });
+            s.set_recalc_options(RecalcOptions::sequential());
             // A mixed fixture in the top-left corner: numbers, text,
             // booleans, and formula cells (one of which evaluates to an
             // error). References outside it hit empty cells.
@@ -636,16 +668,16 @@ proptest! {
             for (i, e) in exprs.iter().enumerate() {
                 s.set_formula(CellAddr::new(i as u32, 30), e.clone());
             }
-            recalc::recalc_all(&mut s);
+            recalc_leg(&mut s, leg);
             s
         };
-        let interp = build(EvalBackend::Interpreted);
-        let vm = build(EvalBackend::Compiled);
+        let reference = build(Leg::Reference);
+        let shipped = build(Leg::Shipped);
         for i in 0..exprs.len() as u32 {
             let addr = CellAddr::new(i, 30);
-            prop_assert_eq!(interp.value(addr), vm.value(addr), "formula {}", i);
+            assert_value_bits(&reference.value(addr), &shipped.value(addr), &format!("formula {i}"))?;
         }
-        prop_assert_eq!(interp.meter().snapshot(), vm.meter().snapshot());
+        prop_assert_eq!(reference.meter().snapshot(), shipped.meter().snapshot());
     }
 }
 
@@ -668,7 +700,7 @@ fn fill_agg_cell(s: &mut Sheet, addr: CellAddr, tag: u8, v: i64) {
     }
 }
 
-/// Numbers must match bit for bit (the backends claim `-0.0` vs `0.0`
+/// Numbers must match bit for bit (the evaluators claim `-0.0` vs `0.0`
 /// agreement, which plain `PartialEq` on `Value` would not catch).
 fn assert_value_bits(a: &Value, b: &Value, what: &str) -> Result<(), TestCaseError> {
     if let (Value::Number(x), Value::Number(y)) = (a, b) {
@@ -681,10 +713,11 @@ fn assert_value_bits(a: &Value, b: &Value, what: &str) -> Result<(), TestCaseErr
 const AGG_FUNCS: [&str; 5] = ["SUM", "COUNT", "AVERAGE", "MIN", "MAX"];
 
 proptest! {
-    /// The strided range kernels are observationally identical to the
-    /// interpreter on both grid layouts and both 1-D range orientations
-    /// (plus 2-D blocks): same value for every aggregate and the same
-    /// meter counts, tick for tick.
+    /// The strided range kernels — with the delta cache (shipped) and
+    /// without it (one-shot) — are observationally identical to the
+    /// reference interpreter on both grid layouts and both 1-D range
+    /// orientations (plus 2-D blocks): same value for every aggregate and
+    /// the same meter counts, tick for tick.
     #[test]
     fn strided_kernels_match_interpreter_across_layouts(
         cells in prop::collection::vec((0u8..9, -50i64..50), 36),
@@ -694,13 +727,9 @@ proptest! {
         let name = AGG_FUNCS[func];
         let (r1, r2) = (a.min(b), a.max(b));
         let (c1, c2) = (c.min(d), c.max(d));
-        let build = |layout: Layout, backend: EvalBackend| {
+        let build = |layout: Layout, leg: Leg| {
             let mut s = Sheet::with_layout(layout, 0, 0);
-            s.set_recalc_options(RecalcOptions {
-                backend,
-                delta: false, // isolate the strided scans from the delta cache
-                ..RecalcOptions::sequential()
-            });
+            s.set_recalc_options(RecalcOptions::sequential());
             // A 6x6 mixed block; the aggregates live in column K, outside it.
             for (i, &(tag, v)) in cells.iter().enumerate() {
                 fill_agg_cell(&mut s, CellAddr::new(i as u32 / 6, (i % 6) as u32), tag, v);
@@ -723,33 +752,36 @@ proptest! {
             for (i, src) in [vert, horiz, block].iter().enumerate() {
                 s.set_formula_str(CellAddr::new(i as u32, 10), src).unwrap();
             }
-            recalc::recalc_all(&mut s);
+            recalc_leg(&mut s, leg);
             s
         };
         for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let interp = build(layout, EvalBackend::Interpreted);
-            let vm = build(layout, EvalBackend::Compiled);
-            for i in 0..3u32 {
-                let addr = CellAddr::new(i, 10);
-                assert_value_bits(
-                    &interp.value(addr),
-                    &vm.value(addr),
-                    &format!("{layout:?} formula {i}"),
-                )?;
+            let reference = build(layout, Leg::Reference);
+            for leg in [Leg::OneShot, Leg::Shipped] {
+                let got = build(layout, leg);
+                for i in 0..3u32 {
+                    let addr = CellAddr::new(i, 10);
+                    assert_value_bits(
+                        &reference.value(addr),
+                        &got.value(addr),
+                        &format!("{layout:?} {leg:?} formula {i}"),
+                    )?;
+                }
+                prop_assert_eq!(
+                    reference.meter().snapshot(),
+                    got.meter().snapshot(),
+                    "{:?} {:?} meters",
+                    layout,
+                    leg
+                );
             }
-            prop_assert_eq!(
-                interp.meter().snapshot(),
-                vm.meter().snapshot(),
-                "{:?} meters",
-                layout
-            );
         }
     }
 
     /// Window-delta aggregation (the sliding cache behind fill-down
     /// windows) is observationally identical to full rescans: the
-    /// interpreter, the compiled backend with delta off, and the
-    /// compiled backend with delta on agree on every value bit for bit
+    /// reference interpreter, the kernels without the cache (one-shot),
+    /// and the shipped recalc that slides it agree on every value bit for bit
     /// and on every meter count — including windows over text, booleans,
     /// errors, empties, and numbers outside the exact-integer envelope.
     #[test]
@@ -760,9 +792,9 @@ proptest! {
     ) {
         let name = AGG_FUNCS[func];
         let n = cells.len() as u32;
-        let build = |opts: RecalcOptions| {
+        let build = |leg: Leg| {
             let mut s = Sheet::new();
-            s.set_recalc_options(opts);
+            s.set_recalc_options(RecalcOptions::sequential());
             for (i, &(tag, v)) in cells.iter().enumerate() {
                 fill_agg_cell(&mut s, CellAddr::new(i as u32, 0), tag, v);
             }
@@ -775,14 +807,12 @@ proptest! {
                 )
                 .unwrap();
             }
-            recalc::recalc_all(&mut s);
+            recalc_leg(&mut s, leg);
             s
         };
-        let base = RecalcOptions::sequential();
-        let interp = build(RecalcOptions { backend: EvalBackend::Interpreted, ..base });
-        let rescan =
-            build(RecalcOptions { backend: EvalBackend::Compiled, delta: false, ..base });
-        let delta = build(RecalcOptions { backend: EvalBackend::Compiled, ..base });
+        let interp = build(Leg::Reference);
+        let rescan = build(Leg::OneShot);
+        let delta = build(Leg::Shipped);
         for r in 0..n {
             let addr = CellAddr::new(r, 2);
             let want = interp.value(addr);
@@ -811,7 +841,7 @@ proptest! {
         ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..60),
     ) {
         let n: u32 = 4 * 1024; // four full chunks in one column
-        let mut g = GridStore::row_major(1, 1);
+        let mut g = GridStore::new(Layout::RowMajor, 1, 1);
         let mut model: Vec<f64> = (0..n).map(f64::from).collect();
         for r in 0..n {
             g.set_value(CellAddr::new(r, 0), Value::Number(model[r as usize])).unwrap();

@@ -1,7 +1,8 @@
 //! Bounded in-test fuzz smoke: a fixed-seed generated sequence replayed
-//! across the full 96-configuration matrix. Deterministic (fixed seed,
-//! shimmed RNG), so CI cannot flake — the long random exploration lives
-//! in the `fuzz` binary, exercised by `scripts/check.sh`.
+//! across the full configuration matrix (`oracle::matrix()`) and on the
+//! reference evaluator. Deterministic (fixed seed, shimmed RNG), so CI
+//! cannot flake — the long random exploration lives in the `fuzz` binary,
+//! exercised by `scripts/check.sh`.
 
 use ssbench::harness::oracle::{check_script, gen};
 

@@ -60,7 +60,7 @@ fn dirty_edit_on_large_dag_parallel_equals_sequential() {
     const N: u32 = 20_000;
     let mut seq = wide_dag_sheet(N, RecalcOptions::sequential());
     recalc::recalc_all(&mut seq);
-    let mut par = wide_dag_sheet(N, RecalcOptions { parallelism: 4, threshold: 1, ..RecalcOptions::default() });
+    let mut par = wide_dag_sheet(N, RecalcOptions { parallelism: 4, threshold: 1 });
     recalc::recalc_all(&mut par);
 
     let before = seq.meter().snapshot();
