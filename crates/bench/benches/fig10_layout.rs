@@ -1,11 +1,10 @@
 //! Criterion bench regenerating Figure 10 (data layout, §5.2), plus the
-//! real row-store vs columnar scan contrast.
+//! real point-read vs typed-chunk-scan contrast on the engine's grid.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssbench_bench::bench_config;
 use ssbench_engine::prelude::*;
 use ssbench_harness::oot::fig10_layout;
-use ssbench_optimized::ColumnarTable;
 use ssbench_workload::schema::KEY_COL;
 use ssbench_workload::{build_sheet, Variant};
 
@@ -26,9 +25,13 @@ fn bench(c: &mut Criterion) {
             acc
         })
     });
-    let table = ColumnarTable::from_sheet(&sheet);
+    let column = Range::column_segment(KEY_COL, 0, sheet.nrows() - 1);
     c.bench_function("fig10/columnar_column_sum_100k", |b| {
-        b.iter(|| table.column(KEY_COL as usize).sum_sequential())
+        b.iter(|| {
+            let mut acc = 0.0;
+            sheet.visit_range(column, &mut |_, v, _| acc += v.as_number().unwrap_or(0.0));
+            acc
+        })
     });
 }
 

@@ -1,11 +1,11 @@
-//! Criterion bench regenerating Figure 11 (shared computation, §5.3),
-//! plus the independent-evaluation vs prefix-sharing contrast.
+//! Criterion bench regenerating Figure 11 (shared computation, §5.3) —
+//! its Optimized series is the prefix-sharing pass — plus the independent
+//! evaluation of the same cumulative family on the wall clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssbench_bench::bench_config;
 use ssbench_engine::prelude::*;
 use ssbench_harness::oot::fig11_shared;
-use ssbench_optimized::apply_shared_computation;
 
 fn cumulative_sheet(m: u32) -> Sheet {
     let mut s = Sheet::new();
@@ -24,22 +24,13 @@ fn bench(c: &mut Criterion) {
         let cfg = bench_config();
         b.iter(|| fig11_shared(&cfg))
     });
-    let mut group = c.benchmark_group("fig11/cumulative_2k");
-    group.bench_function("independent_recalc", |b| {
+    c.bench_function("fig11/cumulative_2k/independent_recalc", |b| {
         b.iter_batched(
             || cumulative_sheet(2_000),
             |mut s| recalc::recalc_all(&mut s),
             criterion::BatchSize::LargeInput,
         )
     });
-    group.bench_function("prefix_shared", |b| {
-        b.iter_batched(
-            || cumulative_sheet(2_000),
-            |mut s| apply_shared_computation(&mut s),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.finish();
 }
 
 

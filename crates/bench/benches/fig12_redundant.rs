@@ -1,11 +1,11 @@
-//! Criterion bench regenerating Figure 12 (redundant computation, §5.4),
-//! plus the repeated-evaluation vs memoization contrast.
+//! Criterion bench regenerating Figure 12 (redundant computation, §5.4) —
+//! its Optimized series is the formula memo — plus five un-memoized
+//! evaluations of one COUNTIF on the wall clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssbench_bench::bench_config;
 use ssbench_engine::prelude::*;
 use ssbench_harness::oot::fig12_redundant;
-use ssbench_optimized::FormulaMemo;
 use ssbench_workload::{build_sheet, Variant};
 
 fn bench(c: &mut Criterion) {
@@ -19,14 +19,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             for _ in 0..5 {
                 sheet.eval_expr(&expr);
-            }
-        })
-    });
-    c.bench_function("fig12/five_instances_memoized_20k", |b| {
-        b.iter(|| {
-            let mut memo = FormulaMemo::new();
-            for _ in 0..5 {
-                memo.eval(&sheet, &expr);
             }
         })
     });

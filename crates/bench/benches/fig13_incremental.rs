@@ -1,12 +1,11 @@
-//! Criterion bench regenerating Figure 13 (incremental updates, §5.5),
-//! plus the recompute-from-scratch vs delta-maintenance contrast.
+//! Criterion bench regenerating Figure 13 (incremental updates, §5.5) —
+//! its Optimized series is the delta-maintained view — plus the
+//! recompute-from-scratch edit on the wall clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssbench_bench::bench_config;
 use ssbench_engine::prelude::*;
-use ssbench_engine::value::Criterion as Crit;
 use ssbench_harness::oot::fig13_incremental;
-use ssbench_optimized::{AggKind, IncrementalAggregate};
 use ssbench_workload::schema::MEASURE_COL;
 use ssbench_workload::{build_sheet, Variant};
 
@@ -26,18 +25,6 @@ fn bench(c: &mut Criterion) {
             let new = if old == Value::Number(1.0) { 0 } else { 1 };
             sheet.set_value(edit, new);
             recalc::recalc_from(&mut sheet, &[edit])
-        })
-    });
-    let range = Range::column_segment(MEASURE_COL, 0, 49_999);
-    let crit = Crit::parse(&Value::Number(1.0));
-    let mut agg = IncrementalAggregate::build(&sheet, range, AggKind::CountIf(crit));
-    c.bench_function("fig13/incremental_delta_50k", |b| {
-        b.iter(|| {
-            let old = sheet.value(edit);
-            let new = if old == Value::Number(1.0) { Value::Number(0.0) } else { Value::Number(1.0) };
-            sheet.set_value(edit, new.clone());
-            agg.apply_edit(edit, &old, &new);
-            agg.value()
         })
     });
 }

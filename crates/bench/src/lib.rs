@@ -1,8 +1,8 @@
 //! # ssbench-bench
 //!
 //! Criterion benchmark targets, one per table/figure of the paper (see
-//! `benches/`), plus ablation benches for the `ssbench-optimized`
-//! implementations. This library only hosts shared helpers.
+//! `benches/`), plus ablation benches for the engine's optimizations.
+//! This library only hosts shared helpers.
 
 #![deny(rust_2018_idioms, unreachable_pub)]
 

@@ -21,9 +21,10 @@
 //! The engine is intentionally *naive* in exactly the ways the paper shows
 //! the commercial systems to be: no indexes, no columnar execution, no
 //! shared or incremental computation, full recalculation on structural
-//! operations. The database-style optimizations live in the companion
-//! `ssbench-optimized` crate, and the per-system behavioural profiles
-//! (Excel / LibreOffice Calc / Google Sheets) in `ssbench-systems`.
+//! operations. The database-style optimizations are opt-in ([`index`],
+//! the window-delta cache) or live with the per-system behavioural
+//! profiles (Excel / LibreOffice Calc / Google Sheets / Optimized) in
+//! `ssbench-systems`.
 //!
 //! ## Quick start
 //!

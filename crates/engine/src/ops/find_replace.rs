@@ -1,7 +1,7 @@
 //! Find-and-replace (§5.1.2): scans the input range one cell at a time,
 //! replacing occurrences of `X` with `Y`. Linear in the data size — "an
 //! expected trend in the absence of indexes". The inverted-index
-//! alternative lives in `ssbench-optimized`.
+//! alternative lives in `ssbench-systems` (`SimSystem::find_replace_indexed`).
 
 use crate::addr::{CellAddr, Range};
 use crate::cell::CellContent;

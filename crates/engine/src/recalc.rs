@@ -11,7 +11,7 @@
 //!   changed. Crucially, each dirty formula is recomputed **from
 //!   scratch** — a formula over an m-cell range costs O(m) even for a
 //!   single-cell edit. That is the paper's §5.5 finding; the incremental
-//!   alternative lives in `ssbench-optimized`.
+//!   alternative lives in `ssbench-systems` (`SimSystem::update_cell`).
 //!
 //! Both evaluate formulae one way — compiled R1C1-template programs on
 //! the VM, with range kernels and a sliding window-delta cache

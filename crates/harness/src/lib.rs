@@ -6,8 +6,8 @@
 //! * [`bct`] — the seven Basic Complexity Testing experiments
 //!   (Figures 2–8);
 //! * [`oot`] — the six Optimization Opportunities Testing experiments
-//!   (Figures 9–14), each with an extra "Optimized" counterfactual series
-//!   from `ssbench-optimized`;
+//!   (Figures 9–14), each with an extra "Optimized" series run through
+//!   `SimSystem` under the Optimized profile;
 //! * [`table2`] — the interactivity summary (Table 2);
 //! * [`oracle`] — the differential testing oracle and its `fuzz` binary
 //!   (DESIGN.md §9): seeded op sequences replayed across the layout ×

@@ -7,7 +7,6 @@
 //! its Absent series is a single probe.
 
 use ssbench_engine::prelude::*;
-use ssbench_optimized::{find_replace_indexed, InvertedIndex};
 use ssbench_systems::{OpClass, SimSystem, SystemKind};
 use ssbench_workload::schema::EVENT_COL_START;
 use ssbench_workload::Variant;
@@ -112,26 +111,19 @@ pub fn fig9_find_replace(cfg: &RunConfig) -> ExperimentResult {
             let sheet = grow.sheet_mut();
             // Index maintenance is amortized across the edit stream, like
             // the engine's column indexes: the build is not measured.
-            let mut index = InvertedIndex::build(sheet);
+            let mut index = sys.token_index(sheet);
             let ms_present = protocol.measure(|| {
-                let (changed, ms) = sys.measure(sheet, OpClass::FindReplace, |s| {
-                    s.meter().tick(Primitive::IndexProbe);
-                    let hits = index.find_token(NEEDLE).len() as u64;
-                    // One read per posting — the only cells touched.
-                    s.meter().bump(Primitive::CellRead, hits);
-                    find_replace_indexed(s, &mut index, NEEDLE, REPLACEMENT)
-                });
+                let (changed, ms) =
+                    sys.find_replace_indexed(sheet, &mut index, NEEDLE, REPLACEMENT);
                 assert!(changed > 0);
                 // Restore outside the measured region.
-                find_replace_indexed(sheet, &mut index, REPLACEMENT, NEEDLE);
+                index.find_replace(sheet, REPLACEMENT, NEEDLE);
                 ms
             });
             let ms_absent = protocol.measure(|| {
-                sys.measure(sheet, OpClass::FindReplace, |s| {
-                    s.meter().tick(Primitive::IndexProbe);
-                    assert!(index.find_token(ABSENT).is_empty());
-                })
-                .1
+                let (changed, ms) = sys.find_replace_indexed(sheet, &mut index, ABSENT, "x");
+                assert_eq!(changed, 0);
+                ms
             });
             present.push(rows, ms_present);
             absent.push(rows, ms_absent);

@@ -1,15 +1,17 @@
 //! Figure 10 — in-memory data layout (§5.2): sequential vs random
 //! scripted access to one column. In all three systems the two patterns
 //! cost the same (per-cell API overhead dominates — no columnar layout).
-//! The extra "Optimized" series measures a *real* typed columnar scan on
-//! the wall clock, where sequential locality genuinely wins.
+//! The two extra `(wall-clock)` series time the engine's own typed
+//! columnar chunks through the public API — a single-column range scan
+//! against point reads in shuffled order — where sequential locality
+//! genuinely wins.
 
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ssbench_optimized::{ColumnarTable, TypedColumn};
+use ssbench_engine::prelude::*;
 use ssbench_systems::SystemKind;
 use ssbench_workload::schema::KEY_COL;
 use ssbench_workload::Variant;
@@ -51,17 +53,16 @@ pub fn fig10_layout(cfg: &RunConfig) -> ExperimentResult {
         result.series.push(seq);
         result.series.push(rnd);
     }
-    // Beyond the paper: real wall-clock scans over a typed columnar
-    // projection — the layout the systems lack.
+    // Beyond the paper: real wall-clock reads of the grid's typed
+    // columnar chunks — the layout the systems lack. Sequential is the
+    // single-column typed-scan path; random is one point read per row.
     let mut grow = GrowingSheet::new(Variant::ValueOnly, cfg.seed);
     let mut seq = Series::new("Columnar Sequential (wall-clock)", SystemKind::Excel);
     let mut rnd = Series::new("Columnar Random (wall-clock)", SystemKind::Excel);
     for &rows in &sizes_for(SystemKind::Excel) {
         let rows = cfg.scaled(rows);
-        let sheet = grow.ensure(rows);
-        let table = ColumnarTable::from_sheet(sheet);
-        let col = table.column(KEY_COL as usize);
-        assert!(matches!(col, TypedColumn::Numbers(_)));
+        let sheet = &*grow.ensure(rows);
+        let column = Range::column_segment(KEY_COL, 0, rows - 1);
         let mut order: Vec<u32> = (0..rows).collect();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         for i in (1..order.len()).rev() {
@@ -72,12 +73,14 @@ pub fn fig10_layout(cfg: &RunConfig) -> ExperimentResult {
         let t0 = Instant::now();
         let mut acc = 0.0;
         for _ in 0..reps {
-            acc += col.sum_sequential();
+            sheet.visit_range(column, &mut |_, v, _| acc += v.as_number().unwrap_or(0.0));
         }
         let ms_seq = t0.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
         let t1 = Instant::now();
         for _ in 0..reps {
-            acc += col.sum_in_order(&order);
+            for &r in &order {
+                acc += sheet.value(CellAddr::new(r, KEY_COL)).as_number().unwrap_or(0.0);
+            }
         }
         let ms_rnd = t1.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
         assert!(acc.is_finite());

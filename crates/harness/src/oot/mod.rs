@@ -2,7 +2,9 @@
 //! experiments probing for database-style optimizations, each run on
 //! Value-only data to isolate the probed effect, plus — beyond the paper —
 //! an "Optimized" series per experiment showing what the corresponding
-//! `ssbench-optimized` implementation buys.
+//! optimization buys. Every such series is a `SimSystem` call under the
+//! Optimized profile; what that system does differently is decided in
+//! `ssbench-systems` (and the engine), never here.
 
 pub mod find_replace;
 pub mod incremental;

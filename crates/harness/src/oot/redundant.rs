@@ -7,7 +7,6 @@
 
 use ssbench_engine::meter::Primitive;
 use ssbench_engine::prelude::*;
-use ssbench_optimized::FormulaMemo;
 use ssbench_systems::{OpClass, SimSystem, SystemKind};
 use ssbench_workload::schema::MEASURE_COL;
 use ssbench_workload::Variant;
@@ -72,15 +71,9 @@ pub fn fig12_redundant(cfg: &RunConfig) -> ExperimentResult {
         let mut optimized = Series::new(format!("{} (memoized ×5)", kind.name()), kind);
         for &rows in &sizes {
             let sheet = grow.ensure(rows);
-            let expr = countif_expr(rows);
-            let (_, ms) = sys.measure(sheet, OpClass::Aggregate, |s| {
-                let mut memo = FormulaMemo::new();
-                for _ in 0..INSTANCES {
-                    s.meter().tick(Primitive::FormulaEval);
-                    memo.eval(s, &expr);
-                }
-                assert_eq!(memo.stats(), ((INSTANCES - 1) as u64, 1));
-            });
+            let exprs = vec![countif_expr(rows); INSTANCES];
+            let (evaluated, ms) = sys.eval_memoized(sheet, OpClass::Aggregate, &exprs);
+            assert_eq!(evaluated, 1, "one evaluation, {} memo hits", INSTANCES - 1);
             optimized.push(rows, ms);
         }
         result.series.push(optimized);

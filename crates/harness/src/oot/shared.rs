@@ -8,7 +8,6 @@
 
 use ssbench_engine::formula::{BinOp, Expr, RangeRef};
 use ssbench_engine::prelude::*;
-use ssbench_optimized::apply_shared_computation;
 use ssbench_systems::{OpClass, SimSystem, SystemKind};
 
 use crate::config::RunConfig;
@@ -101,9 +100,7 @@ pub fn fig11_shared(cfg: &RunConfig) -> ExperimentResult {
             let mut sheet = base_sheet(m);
             install_repeated(&mut sheet, m);
             sheet.meter().reset();
-            let (answered, ms) = sys.measure(&mut sheet, OpClass::Shared, |s| {
-                apply_shared_computation(s)
-            });
+            let (answered, ms) = sys.recalc_shared(&mut sheet);
             assert_eq!(answered as u32, m);
             optimized.push(m, ms);
         }

@@ -113,8 +113,8 @@ fn write_one(dir: &Path, r: &ExperimentResult) -> std::io::Result<()> {
 
 /// The BCT figures whose simulated total is exactly the sum of their
 /// `measure` spans (every trial is one `SimSystem` call). The OOT figures
-/// mix in optimized counterfactuals that bypass `SimSystem::measure`, so
-/// they are exported but not reconciled.
+/// mix in wall-clock series and unmeasured restore steps, so they are
+/// exported but not reconciled.
 const SUM_CHECKED_FIGS: [&str; 7] = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"];
 
 /// What a successful [`write_trace`] produced.

@@ -350,9 +350,11 @@ pub fn optimized() -> SystemProfile {
         kind: SystemKind::Optimized,
         policies: SystemPolicies {
             lookup: LookupStrategy { early_exit_exact: true, binary_search_approx: true },
-            // Sort-safety analysis (optimized::sortopt) proves which
-            // formulas are row-permutation-invariant; the survivors get a
-            // cheap recheck instead of Excel/Calc's full recomputation.
+            // The engine's memo-retention proof (`windows_resolve_at` in
+            // `engine::sheet`, `memo_survives_edit` in
+            // `engine::ops::structure`) shows which formulas ride a row
+            // permutation unchanged; the survivors get a cheap recheck
+            // instead of Excel/Calc's full recomputation.
             recalc_on_sort: RecalcTrigger::Recheck,
             recalc_on_format: RecalcTrigger::None,
             recalc_on_filter: RecalcTrigger::None,

@@ -7,12 +7,24 @@
 //! `AVERAGEIF`-style aggregates additionally keep the matching count, as
 //! §6 prescribes ("we may want to additionally maintain the count of the
 //! number of cells that meet that condition in addition to the average").
+//!
+//! A maintained count is always exactly what a rescan would count. A
+//! maintained f64 sum is not — `sum -= old; sum += new` rounds differently
+//! from a left-to-right rescan on fractional data — so sum-family views
+//! report whether they sit inside the exactness envelope the engine's
+//! `DeltaCache` uses ([`IncrementalAggregate::exact_with`]) and the caller
+//! recomputes when they do not.
 
 use ssbench_engine::prelude::*;
 
+/// Every integer-valued f64 up to 2^53 in magnitude is exactly
+/// representable, so while Σ|v| over integer contributions stays at or
+/// under it, every partial sum — in scan order or delta order — is exact.
+const MAX_EXACT_SUM: f64 = (1u64 << 53) as f64;
+
 /// Which aggregate is maintained.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AggKind {
+pub(crate) enum AggKind {
     Sum,
     Count,
     Average,
@@ -24,7 +36,7 @@ pub enum AggKind {
 
 /// A delta-maintained aggregate over one column segment.
 #[derive(Debug, Clone)]
-pub struct IncrementalAggregate {
+pub(crate) struct IncrementalAggregate {
     kind: AggKind,
     /// The watched region (single column).
     range: Range,
@@ -32,22 +44,62 @@ pub struct IncrementalAggregate {
     sum: f64,
     /// Running count of contributing values.
     count: u64,
+    /// Running Σ|v| of the summed values (bounds every partial sum).
+    sum_abs: f64,
+    /// A fractional summand or an error cell was seen: the running sum
+    /// can no longer vouch for a rescan's bits (or its `#ERR`).
+    inexact: bool,
 }
 
 impl IncrementalAggregate {
     /// Builds the aggregate with one O(m) scan; every subsequent update is
     /// O(1).
-    pub fn build(sheet: &Sheet, range: Range, kind: AggKind) -> Self {
-        let mut agg =
-            IncrementalAggregate { kind, range, sum: 0.0, count: 0 };
+    pub(crate) fn build(sheet: &Sheet, range: Range, kind: AggKind) -> Self {
+        let mut agg = IncrementalAggregate {
+            kind,
+            range,
+            sum: 0.0,
+            count: 0,
+            sum_abs: 0.0,
+            inexact: false,
+        };
         let ctx = sheet.eval_ctx(range.start);
-        ctx.read_range(range, &mut |_, v| {
-            if let Some((s, c)) = agg.contribution(v) {
-                agg.sum += s;
-                agg.count += c;
-            }
-        });
+        ctx.read_range(range, &mut |_, v| agg.fold(v, true));
         agg
+    }
+
+    /// Folds `v` into (`entering`) or out of the running state. `inexact`
+    /// is sticky: a fractional value leaving does not restore the bits its
+    /// stay already rounded away.
+    fn fold(&mut self, v: &Value, entering: bool) {
+        let contribution = self.contribution(v);
+        if entering {
+            self.inexact |= !summand_is_exact(contribution, v);
+        }
+        let Some((s, c)) = contribution else { return };
+        if entering {
+            self.sum += s;
+            self.sum_abs += s.abs();
+            self.count += c;
+        } else {
+            self.sum -= s;
+            self.sum_abs -= s.abs();
+            self.count -= c;
+        }
+    }
+
+    /// Whether the view's value is still bit-identical to a rescan once
+    /// `new` is written into its range. Count-family views always are;
+    /// sum-family views only while every summand is an integer, no cell is
+    /// an error, and Σ|v| ≤ 2^53.
+    pub(crate) fn exact_with(&self, new: &Value) -> bool {
+        if matches!(self.kind, AggKind::Count | AggKind::CountIf(_)) {
+            return true;
+        }
+        let entering = self.contribution(new);
+        !self.inexact
+            && summand_is_exact(entering, new)
+            && self.sum_abs + entering.map_or(0.0, |(s, _)| s.abs()) <= MAX_EXACT_SUM
     }
 
     /// What `v` contributes as `(sum, count)`, or `None` if nothing.
@@ -69,23 +121,17 @@ impl IncrementalAggregate {
 
     /// Applies one cell edit in O(1). Returns `true` when the edit was
     /// inside the watched region.
-    pub fn apply_edit(&mut self, addr: CellAddr, old: &Value, new: &Value) -> bool {
+    pub(crate) fn apply_edit(&mut self, addr: CellAddr, old: &Value, new: &Value) -> bool {
         if !self.range.contains(addr) {
             return false;
         }
-        if let Some((s, c)) = self.contribution(old) {
-            self.sum -= s;
-            self.count -= c;
-        }
-        if let Some((s, c)) = self.contribution(new) {
-            self.sum += s;
-            self.count += c;
-        }
+        self.fold(old, false);
+        self.fold(new, true);
         true
     }
 
     /// The current aggregate value.
-    pub fn value(&self) -> Value {
+    pub(crate) fn value(&self) -> Value {
         match self.kind {
             AggKind::Sum | AggKind::SumIf(_) => Value::Number(self.sum),
             AggKind::Count | AggKind::CountIf(_) => Value::Number(self.count as f64),
@@ -98,37 +144,32 @@ impl IncrementalAggregate {
             }
         }
     }
+}
 
-    /// The watched region.
-    pub fn range(&self) -> Range {
-        self.range
-    }
+/// Whether a cell keeps a running sum exact: its summand (if any) is an
+/// integer, and it is not an error a rescan would have to surface.
+fn summand_is_exact(summand: Option<(f64, u64)>, v: &Value) -> bool {
+    !matches!(v, Value::Error(_)) && summand.is_none_or(|(s, _)| s.fract() == 0.0)
 }
 
 /// A registry of incremental aggregates bound to formula cells: routes
 /// each edit to the affected aggregates and refreshes their cached
 /// results.
 #[derive(Debug, Default)]
-pub struct IncrementalRegistry {
+pub(crate) struct IncrementalRegistry {
     entries: Vec<(CellAddr, IncrementalAggregate)>,
 }
 
 impl IncrementalRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IncrementalRegistry::default()
-    }
-
-    /// Registers an aggregate materializing into `formula_cell`.
-    pub fn register(&mut self, sheet: &mut Sheet, formula_cell: CellAddr, range: Range, kind: AggKind) {
-        let agg = IncrementalAggregate::build(sheet, range, kind);
-        self.register_built(sheet, formula_cell, agg);
     }
 
     /// Registers an already-built aggregate materializing into
     /// `formula_cell`. Lets duplicate formulas over the same range share a
     /// single O(m) build scan: build once, clone, register each copy.
-    pub fn register_built(
+    pub(crate) fn register_built(
         &mut self,
         sheet: &mut Sheet,
         formula_cell: CellAddr,
@@ -138,19 +179,9 @@ impl IncrementalRegistry {
         self.entries.push((formula_cell, agg));
     }
 
-    /// Number of maintained aggregates.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Performs an edit through the registry: O(#affected aggregates),
     /// not O(data). Returns how many aggregates were refreshed.
-    pub fn edit(&mut self, sheet: &mut Sheet, addr: CellAddr, new: Value) -> usize {
+    pub(crate) fn edit(&mut self, sheet: &mut Sheet, addr: CellAddr, new: Value) -> usize {
         let old = sheet.value(addr);
         sheet.set_value(addr, new.clone());
         let mut touched = 0;
@@ -256,6 +287,37 @@ mod tests {
     }
 
     #[test]
+    fn sum_family_is_exact_only_inside_the_integer_envelope() {
+        let col = |vals: &[f64]| {
+            let mut s = Sheet::new();
+            for (i, &v) in vals.iter().enumerate() {
+                s.set_value(CellAddr::new(i as u32, 0), v);
+            }
+            (s, Range::column_segment(0, 0, vals.len() as u32 - 1))
+        };
+        let crit = || Criterion::parse(&Value::text(">0"));
+        let (ints, r) = col(&[1.0, 2.0, 3.0]);
+        let (tenths, rt) = col(&[0.1, 0.2, 0.3]);
+        let sum_family =
+            [AggKind::Sum, AggKind::Average, AggKind::SumIf(crit()), AggKind::AverageIf(crit())];
+        for kind in sum_family {
+            let a = IncrementalAggregate::build(&ints, r, kind.clone());
+            assert!(a.exact_with(&Value::Number(7.0)), "{kind:?}: integers are exact");
+            assert!(a.exact_with(&Value::text("n/a")), "{kind:?}: non-summands are exact");
+            assert!(!a.exact_with(&Value::Number(0.7)), "{kind:?}: fractional edit");
+            assert!(!a.exact_with(&Value::Number(MAX_EXACT_SUM)), "{kind:?}: Σ|v| > 2^53");
+            assert!(!a.exact_with(&Value::Error(CellError::Div0)), "{kind:?}: error edit");
+            let b = IncrementalAggregate::build(&tenths, rt, kind.clone());
+            assert!(!b.exact_with(&Value::Number(7.0)), "{kind:?}: fractional column");
+        }
+        // Counts never leave the envelope.
+        for kind in [AggKind::Count, AggKind::CountIf(crit())] {
+            let b = IncrementalAggregate::build(&tenths, rt, kind);
+            assert!(b.exact_with(&Value::Number(0.7)));
+        }
+    }
+
+    #[test]
     fn edits_outside_range_ignored() {
         let s = sheet();
         let crit = Criterion::parse(&Value::Number(1.0));
@@ -275,8 +337,10 @@ mod tests {
         s.set_formula_str(f2, "=SUM(J1:J200)").unwrap();
         let mut reg = IncrementalRegistry::new();
         let crit = Criterion::parse(&Value::Number(1.0));
-        reg.register(&mut s, f1, col_j(200), AggKind::CountIf(crit));
-        reg.register(&mut s, f2, col_j(200), AggKind::Sum);
+        let count = IncrementalAggregate::build(&s, col_j(200), AggKind::CountIf(crit));
+        reg.register_built(&mut s, f1, count);
+        let sum = IncrementalAggregate::build(&s, col_j(200), AggKind::Sum);
+        reg.register_built(&mut s, f2, sum);
         assert_eq!(s.value(f1), Value::Number(100.0));
         let touched = reg.edit(&mut s, CellAddr::new(1, 9), Value::Number(0.0));
         assert_eq!(touched, 2);

@@ -4,8 +4,14 @@
 //! three systems measured by *Benchmarking Spreadsheet Systems* (SIGMOD
 //! 2020) — Microsoft Excel 2016, LibreOffice Calc 6.0.3.2, Google Sheets
 //! — plus the engine-integrated *Optimized* fourth system, which runs the
-//! paper's §6 "what if?" optimizations (maintained column indexes,
-//! delta-maintained aggregates, sort-safety analysis) for real.
+//! paper's §6 "what if?" optimizations for real. Most of them live in the
+//! engine (maintained column indexes, typed columnar chunks, template
+//! memo, window deltas, memo retention across sorts) and are switched on
+//! by the profile's policies; the four with no engine twin live here as
+//! crate-private modules reached only through [`SimSystem`]: the token
+//! inverted index (`find_replace_indexed`, Fig 9), prefix-family sharing
+//! (`recalc_shared`, Fig 11), the formula-value memo (`eval_memoized`,
+//! Fig 12) and delta-maintained aggregates (`update_cell`, Figs 13/14).
 //!
 //! Profiles are resolved through an open registry
 //! ([`profile::registry`]/[`all_profiles`]): adding a system is one enum
@@ -28,12 +34,19 @@
 
 pub mod calibration;
 pub mod cost;
+mod incremental;
+mod index {
+    pub(crate) mod inverted;
+}
+mod memo;
 pub mod op;
 pub mod policy;
 pub mod profile;
+mod shared;
 pub mod sim;
 
 pub use cost::{CostModel, CostTable};
+pub use index::inverted::InvertedIndex;
 pub use op::{OpClass, ALL_OPS};
 pub use policy::{Quotas, RecalcTrigger, SystemPolicies};
 pub use profile::{

@@ -15,19 +15,19 @@ use ssbench_engine::prelude::*;
 /// One detected prefix-aggregate formula: `SUM(col, start_row ..= end_row)`
 /// anchored at a shared `start_row`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixSum {
+struct PrefixSum {
     /// The cell holding the formula.
-    pub at: CellAddr,
+    at: CellAddr,
     /// The summed column.
-    pub col: u32,
+    col: u32,
     /// First row of the range (shared anchor).
-    pub start_row: u32,
+    start_row: u32,
     /// Last row of the range (inclusive).
-    pub end_row: u32,
+    end_row: u32,
 }
 
 /// Recognizes `SUM(<single-column range>)` and returns its prefix shape.
-pub fn recognize_prefix_sum(at: CellAddr, expr: &Expr) -> Option<PrefixSum> {
+fn recognize_prefix_sum(at: CellAddr, expr: &Expr) -> Option<PrefixSum> {
     let Expr::Call(name, args) = expr else { return None };
     if name != "SUM" || args.len() != 1 {
         return None;
@@ -42,7 +42,7 @@ pub fn recognize_prefix_sum(at: CellAddr, expr: &Expr) -> Option<PrefixSum> {
 
 /// Groups prefix sums by `(column, start_row)` anchor; groups of size > 1
 /// are sharing opportunities.
-pub fn group_by_anchor(sums: &[PrefixSum]) -> HashMap<(u32, u32), Vec<PrefixSum>> {
+fn group_by_anchor(sums: &[PrefixSum]) -> HashMap<(u32, u32), Vec<PrefixSum>> {
     let mut groups: HashMap<(u32, u32), Vec<PrefixSum>> = HashMap::new();
     for &p in sums {
         groups.entry((p.col, p.start_row)).or_default().push(p);
@@ -56,7 +56,7 @@ pub fn group_by_anchor(sums: &[PrefixSum]) -> HashMap<(u32, u32), Vec<PrefixSum>
 ///
 /// Total cell reads: `max(end_row) − start_row + 1` — versus the engine's
 /// independent evaluation which costs the *sum* of all range lengths.
-pub fn eval_prefix_family(sheet: &Sheet, family: &[PrefixSum]) -> Vec<(CellAddr, f64)> {
+fn eval_prefix_family(sheet: &Sheet, family: &[PrefixSum]) -> Vec<(CellAddr, f64)> {
     let Some(&first) = family.first() else { return Vec::new() };
     debug_assert!(family
         .iter()
@@ -84,7 +84,7 @@ pub fn eval_prefix_family(sheet: &Sheet, family: &[PrefixSum]) -> Vec<(CellAddr,
 /// Scans a sheet for prefix-sum formulae, evaluates every same-anchor
 /// family via shared prefix passes, and writes results back into the
 /// formula caches. Returns the number of formulae answered via sharing.
-pub fn apply_shared_computation(sheet: &mut Sheet) -> usize {
+pub(crate) fn apply_shared_computation(sheet: &mut Sheet) -> usize {
     let mut sums = Vec::new();
     for addr in sheet.deps().formula_addrs().collect::<Vec<_>>() {
         if let Some(expr) = sheet.formula_expr(addr) {

@@ -12,8 +12,10 @@ use ssbench_engine::io::{self, SheetData};
 use ssbench_engine::meter::Primitive;
 use ssbench_engine::prelude::*;
 use ssbench_engine::trace::{Category, Span};
-use ssbench_optimized::{AggKind, IncrementalAggregate, IncrementalRegistry};
 
+use crate::incremental::{AggKind, IncrementalAggregate, IncrementalRegistry};
+use crate::index::inverted::InvertedIndex;
+use crate::memo::FormulaMemo;
 use crate::op::OpClass;
 use crate::policy::RecalcTrigger;
 use crate::profile::{SystemKind, SystemProfile};
@@ -315,6 +317,29 @@ impl SimSystem {
         })
     }
 
+    /// Builds the inverted token index over `sheet`'s text cells (§5.1.2,
+    /// Fig 9). Like the engine's column indexes its construction is
+    /// amortized across the edit stream: call it outside any measured
+    /// region, once per sheet, and keep it in step by routing every text
+    /// rewrite through [`InvertedIndex::find_replace`].
+    pub fn token_index(&self, sheet: &Sheet) -> InvertedIndex {
+        InvertedIndex::build(sheet)
+    }
+
+    /// Find-and-replace through the token index: one probe, then a read
+    /// and a write per posting — nothing for an absent needle. Whole-token
+    /// and ASCII-case-folded, unlike [`SimSystem::find_replace`]'s
+    /// substring scan.
+    pub fn find_replace_indexed(
+        &self,
+        sheet: &mut Sheet,
+        index: &mut InvertedIndex,
+        needle: &str,
+        replacement: &str,
+    ) -> (u32, f64) {
+        self.measure(sheet, OpClass::FindReplace, |s| index.find_replace(s, needle, replacement))
+    }
+
     /// Sequential scripted read of `rows` cells down one column (§5.2).
     pub fn sequential_access(&self, sheet: &mut Sheet, col: u32, rows: u32) -> f64 {
         let (_, ms) = self.measure(sheet, OpClass::Access, |s| {
@@ -362,6 +387,29 @@ impl SimSystem {
         ms
     }
 
+    /// Recalculation with prefix-family sharing (§5.3, Fig 11): every
+    /// family of `SUM(A$1:Ai)` formulae over one anchor is answered from a
+    /// single running-prefix pass instead of formula by formula. Returns
+    /// how many formulae the shared passes answered.
+    pub fn recalc_shared(&self, sheet: &mut Sheet) -> (usize, f64) {
+        self.measure(sheet, OpClass::Shared, crate::shared::apply_shared_computation)
+    }
+
+    /// Evaluates `exprs` as one scripted query of class `op` through a
+    /// formula-value memo (§5.4, Fig 12): formulae with the same canonical
+    /// text are evaluated once and answered from the memo afterwards.
+    /// Returns how many evaluations actually ran.
+    pub fn eval_memoized(&self, sheet: &mut Sheet, op: OpClass, exprs: &[Expr]) -> (u64, f64) {
+        self.measure(sheet, op, |s| {
+            let mut memo = FormulaMemo::new();
+            for expr in exprs {
+                s.meter().tick(Primitive::FormulaEval);
+                memo.eval(s, expr);
+            }
+            memo.stats().1
+        })
+    }
+
     /// Edits one cell and recomputes its dependents (§5.5). The three
     /// commercial systems recompute the affected aggregates from scratch;
     /// a profile with `incremental_update` instead routes the edit through
@@ -369,7 +417,7 @@ impl SimSystem {
     /// making the measured update O(1) in the data size.
     pub fn update_cell(&self, sheet: &mut Sheet, addr: CellAddr, v: Value) -> f64 {
         if self.profile.policies.incremental_update {
-            if let Some(mut reg) = self.incrementalize(sheet, addr) {
+            if let Some(mut reg) = self.incrementalize(sheet, addr, &v) {
                 let delta = v.clone();
                 let (_, ms) = self.measure(sheet, OpClass::Update, |s| {
                     reg.edit(s, addr, delta);
@@ -388,11 +436,18 @@ impl SimSystem {
     /// (§5.5, §6). Succeeds only when replaying the edit through the views
     /// is provably equivalent to a full recomputation: the edited cell is
     /// a plain value, every formula in the sheet is a whole-range
-    /// aggregate with a literal criterion, and no aggregate reads another
-    /// formula's output. View construction happens *outside* the measured
+    /// aggregate with a literal criterion, no aggregate reads another
+    /// formula's output, and every running sum stays bit-identical to a
+    /// rescan once `new` is written ([`IncrementalAggregate::exact_with`]).
+    /// View construction happens *outside* the measured
     /// region — like index maintenance, it is amortized across the edit
     /// stream, so the measured update pays only the O(1) delta.
-    fn incrementalize(&self, sheet: &mut Sheet, edited: CellAddr) -> Option<IncrementalRegistry> {
+    fn incrementalize(
+        &self,
+        sheet: &mut Sheet,
+        edited: CellAddr,
+        new: &Value,
+    ) -> Option<IncrementalRegistry> {
         if sheet.is_formula(edited) || sheet.formula_count() == 0 {
             return None;
         }
@@ -410,19 +465,28 @@ impl SimSystem {
         }
         // Duplicate formulas over the same (range, kind) share one O(m)
         // build scan — the fig-14 workload registers thousands of copies
-        // of the same COUNTIF.
-        let mut reg = IncrementalRegistry::new();
-        let mut built: Vec<(Range, AggKind, IncrementalAggregate)> = Vec::new();
+        // of the same COUNTIF. Every view is built and vetted before any
+        // is registered, so a refusal leaves the sheet untouched for the
+        // recompute path.
+        let mut views: Vec<(Range, AggKind, IncrementalAggregate)> = Vec::new();
+        let mut bound: Vec<(CellAddr, usize)> = Vec::with_capacity(plan.len());
         for (cell, range, kind) in plan {
-            let agg = match built.iter().find(|(r, k, _)| *r == range && *k == kind) {
-                Some((_, _, shared)) => shared.clone(),
+            let view = match views.iter().position(|(r, k, _)| *r == range && *k == kind) {
+                Some(i) => i,
                 None => {
-                    let a = IncrementalAggregate::build(sheet, range, kind.clone());
-                    built.push((range, kind, a.clone()));
-                    a
+                    let agg = IncrementalAggregate::build(sheet, range, kind.clone());
+                    if !agg.exact_with(new) {
+                        return None;
+                    }
+                    views.push((range, kind, agg));
+                    views.len() - 1
                 }
             };
-            reg.register_built(sheet, cell, agg);
+            bound.push((cell, view));
+        }
+        let mut reg = IncrementalRegistry::new();
+        for (cell, view) in bound {
+            reg.register_built(sheet, cell, views[view].2.clone());
         }
         Some(reg)
     }
@@ -646,6 +710,67 @@ mod tests {
         // Fallback recomputes the dependent formula for real.
         assert!(d.get(Primitive::CellRead) > 0, "expected a recompute");
         assert_eq!(v.value(CellAddr::new(0, 20)), Value::Number(99.0));
+    }
+
+    #[test]
+    fn optimized_update_of_a_fractional_sum_matches_recompute() {
+        // `sum -= 0.1; sum += 0.7` lands on 1.2000000000000002 where a
+        // rescan of 0.7+0.2+0.3 gives 1.2: outside the integer envelope
+        // the Optimized profile must recompute like everyone else.
+        let build = || {
+            let mut s = Sheet::new();
+            for (i, v) in [0.1, 0.2, 0.3].into_iter().enumerate() {
+                s.set_value(CellAddr::new(i as u32, 0), v);
+            }
+            for (i, f) in ["=SUM(A1:A3)", "=AVERAGE(A1:A3)", "=COUNT(A1:A3)"].iter().enumerate() {
+                s.set_formula_str(CellAddr::new(i as u32, 2), f).unwrap();
+            }
+            recalc::recalc_all(&mut s);
+            s
+        };
+        let (mut opt, mut excel) = (build(), build());
+        let edited = CellAddr::new(0, 0);
+        SimSystem::new(SystemKind::Optimized).update_cell(&mut opt, edited, Value::Number(0.7));
+        SimSystem::new(SystemKind::Excel).update_cell(&mut excel, edited, Value::Number(0.7));
+        for row in 0..3 {
+            let at = CellAddr::new(row, 2);
+            let (got, want) = (opt.value(at), excel.value(at));
+            assert_eq!(
+                got.as_number().unwrap().to_bits(),
+                want.as_number().unwrap().to_bits(),
+                "{at}: optimized {got:?} vs recompute {want:?}"
+            );
+        }
+        assert_eq!(excel.value(CellAddr::new(0, 2)), Value::Number(1.2));
+    }
+
+    #[test]
+    fn optimized_update_keeps_the_delta_path_for_integer_sums() {
+        let sys = SimSystem::new(SystemKind::Optimized);
+        let mut v = build_sheet(2000, Variant::ValueOnly);
+        v.set_formula_str(CellAddr::new(0, 20), "=SUM(K1:K2000)").unwrap();
+        recalc::recalc_all(&mut v);
+        let ms = sys.update_cell(&mut v, CellAddr::new(0, 10), Value::Number(5.0));
+        assert!(ms < 5.0, "integer column stays inside the envelope, got {ms} ms");
+        let delta = v.value(CellAddr::new(0, 20));
+        recalc::recalc_all(&mut v);
+        assert_eq!(v.value(CellAddr::new(0, 20)), delta);
+    }
+
+    #[test]
+    fn memoized_eval_runs_each_distinct_formula_once() {
+        // Excel's profile has no column index, so the scan is visible.
+        let sys = SimSystem::new(SystemKind::Excel);
+        let mut v = build_sheet(1000, Variant::ValueOnly);
+        let countif = parse("COUNTIF(K1:K1000,1)").unwrap();
+        let sum = parse("SUM(A1:A1000)").unwrap();
+        let exprs = [countif.clone(), sum, countif.clone(), countif];
+        let before = v.meter().snapshot();
+        let (evaluated, _) = sys.eval_memoized(&mut v, OpClass::Aggregate, &exprs);
+        let d = v.meter().snapshot().since(&before);
+        assert_eq!(evaluated, 2);
+        assert_eq!(d.get(Primitive::CellRead), 2000, "two scans for four formulae");
+        assert_eq!(d.get(Primitive::FormulaEval), 4, "every instance is still charged");
     }
 
     #[test]

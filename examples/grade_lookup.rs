@@ -4,9 +4,10 @@
 //! spreadsheets, it would take less than a second within a database."
 //!
 //! This example builds the grade table and a large score column, runs the
-//! per-row VLOOKUPs three ways — Calc-style full scans, Excel-style binary
-//! search, and a hash/sorted index (the database-style join) — and prints
-//! the measured work for each.
+//! per-row VLOOKUPs two ways — Calc-style full scans and Excel-style
+//! binary search — and prints the measured work for each. (The engine's
+//! maintained column index answers *exact* lookups only; see
+//! `optimization_demo` for that contrast.)
 //!
 //! ```text
 //! cargo run --release --example grade_lookup
@@ -16,7 +17,6 @@ use std::time::Instant;
 
 use ssbench::engine::eval::LookupStrategy;
 use ssbench::engine::prelude::*;
-use ssbench::optimized::OptimizedSheet;
 
 const STUDENTS: u32 = 50_000;
 
@@ -84,46 +84,8 @@ fn main() {
         LookupStrategy { early_exit_exact: true, binary_search_approx: true },
     );
 
-    // 3. Database-style: ONE sorted index over the grade keys answers all
-    //    lookups — the "join instead of a collection of VLOOKUPs" of §6.
-    let mut sheet = build_sheet();
-    let t0 = Instant::now();
-    let mut opt = OptimizedSheet::new(sheet.clone_values_note());
-    let mut graded = 0u32;
-    for i in 0..STUDENTS {
-        let score = sheet.value(CellAddr::new(i, 0));
-        let grade = opt.vlookup_approx(&score, 5, 6);
-        sheet.set_value(CellAddr::new(i, 1), grade);
-        graded += 1;
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "{:<28} {:>10} index probes {wall_ms:>8.1} ms wall   ({graded} graded)",
-        "sorted index (database-style)", STUDENTS
-    );
-
     println!(
         "\nscan/binary read ratio: {:.0}x fewer reads with binary search",
         scan_reads as f64 / bin_reads as f64
     );
-}
-
-/// Helper trait bridging this example: clone only the values of a sheet.
-trait CloneValues {
-    fn clone_values_note(&self) -> Sheet;
-}
-
-impl CloneValues for Sheet {
-    fn clone_values_note(&self) -> Sheet {
-        let mut out = Sheet::new();
-        if let Some(range) = self.used_range() {
-            for addr in range.iter() {
-                let v = self.value(addr);
-                if !v.is_empty() {
-                    out.set_value(addr, v);
-                }
-            }
-        }
-        out
-    }
 }

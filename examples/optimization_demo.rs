@@ -1,5 +1,8 @@
-//! Naive vs optimized, side by side: every §6 optimization demonstrated
-//! on real wall-clock time over the same data.
+//! Naive vs optimized, side by side, over the same data: the engine's
+//! maintained column indexes on the wall clock, then the four strategies
+//! the Optimized profile adds on top (token index, prefix sharing, formula
+//! memo, delta-maintained aggregates) in simulated milliseconds against
+//! Excel's profile.
 //!
 //! ```text
 //! cargo run --release --example optimization_demo
@@ -8,9 +11,7 @@
 use std::time::Instant;
 
 use ssbench::engine::prelude::*;
-use ssbench::optimized::{
-    apply_shared_computation, recalc_after_sort, AggKind, OptimizedSheet,
-};
+use ssbench::systems::{OpClass, SimSystem, SystemKind};
 use ssbench::workload::schema::*;
 use ssbench::workload::{build_sheet, Variant};
 
@@ -24,113 +25,92 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 
 fn line(name: &str, naive_ms: f64, opt_ms: f64) {
     let speedup = naive_ms / opt_ms.max(1e-6);
-    println!("{name:<34} {naive_ms:>9.2} ms → {opt_ms:>9.3} ms   ({speedup:>7.0}×)");
+    println!("{name:<38} {naive_ms:>9.2} ms → {opt_ms:>9.3} ms   ({speedup:>7.0}×)");
+}
+
+/// `Bi = SUM(A1:Ai)` over `A = 1..=m` — the §5.3 cumulative family.
+fn cumulative_sheet(m: u32) -> Sheet {
+    let mut s = Sheet::new();
+    s.ensure_size(m, 2);
+    for i in 0..m {
+        s.set_value(CellAddr::new(i, 0), i64::from(i + 1));
+    }
+    for i in 0..m {
+        s.set_formula_str(CellAddr::new(i, 1), &format!("=SUM(A1:A{})", i + 1)).unwrap();
+    }
+    s
 }
 
 fn main() {
     println!("building {ROWS}-row Value-only weather sheet…\n");
     let sheet = build_sheet(ROWS, Variant::ValueOnly);
-    println!("{:<34} {:>12} {:>14}", "optimization (§)", "naive", "optimized");
 
-    // --- §5.1 indexing: COUNTIF ------------------------------------------
-    let src = format!("=COUNTIF(K1:K{ROWS},1)");
-    let (naive_v, naive_ms) = timed(|| sheet.eval_str(&src).unwrap());
-    let mut opt = OptimizedSheet::new(build_sheet(ROWS, Variant::ValueOnly));
-    opt.countif_eq(FORMULA_COL_START, &Value::Number(1.0)); // build index (amortized)
-    let (opt_v, opt_ms) = timed(|| opt.countif_eq(FORMULA_COL_START, &Value::Number(1.0)));
-    assert_eq!(naive_v, Value::Number(opt_v as f64));
-    line("hash index: COUNTIF (§5.1)", naive_ms, opt_ms);
-
-    // --- §5.1 indexing: exact VLOOKUP -------------------------------------
+    // --- §5.1 maintained column indexes (engine, wall clock) --------------
+    println!("{:<38} {:>12} {:>14}", "engine column index (wall clock)", "scan", "probe");
+    let mut indexed = build_sheet(ROWS, Variant::ValueOnly);
+    indexed.set_auto_index(true);
+    indexed.ensure_indexes(); // built once, maintained across edits
     let key = f64::from(ROWS - 5);
-    let src = format!("=VLOOKUP({key},A1:B{ROWS},2,FALSE)");
-    let (naive_v, naive_ms) = timed(|| sheet.eval_str(&src).unwrap());
-    opt.vlookup_exact(&Value::Number(key), KEY_COL, STATE_COL); // build index
-    let (opt_v, opt_ms) = timed(|| opt.vlookup_exact(&Value::Number(key), KEY_COL, STATE_COL));
-    assert_eq!(naive_v, opt_v);
-    line("hash index: exact VLOOKUP (§5.1)", naive_ms, opt_ms);
+    for (name, src) in [
+        ("COUNTIF (§5.1)", format!("=COUNTIF(K1:K{ROWS},1)")),
+        ("exact VLOOKUP (§5.1)", format!("=VLOOKUP({key},A1:B{ROWS},2,FALSE)")),
+    ] {
+        let (naive_v, naive_ms) = timed(|| sheet.eval_str(&src).unwrap());
+        let (opt_v, opt_ms) = timed(|| indexed.eval_str(&src).unwrap());
+        assert_eq!(naive_v, opt_v);
+        line(name, naive_ms, opt_ms);
+    }
 
-    // --- §5.1.2 inverted index: absent find --------------------------------
-    let range = sheet.used_range().unwrap();
-    let (hits, naive_ms) = timed(|| find_all(&sheet, range, "NOSUCHTOKEN").len());
-    assert_eq!(hits, 0);
-    opt.find_token("warmup"); // build token index
-    let (opt_hits, opt_ms) = timed(|| opt.find_token("NOSUCHTOKEN").len());
-    assert_eq!(opt_hits, 0);
-    line("inverted index: absent find (§5.1.2)", naive_ms, opt_ms);
+    // --- the Optimized profile's four strategies (simulated ms) -----------
+    println!("\n{:<38} {:>12} {:>14}", "SimSystem (simulated ms)", "Excel", "Optimized");
+    let excel = SimSystem::new(SystemKind::Excel);
+    let opt = SimSystem::new(SystemKind::Optimized);
+    let mut naive_sheet = build_sheet(ROWS, Variant::ValueOnly);
+    let mut opt_sheet = build_sheet(ROWS, Variant::ValueOnly);
 
-    // --- §5.4 redundant elimination ----------------------------------------
-    let src = format!("=COUNTIF(J1:J{ROWS},1)");
-    let (_, naive_ms) = timed(|| {
+    // §5.1.2 token inverted index: an absent needle is one failed probe.
+    let (hits, naive_ms) = excel.find_replace(&mut naive_sheet, "NOSUCHTOKEN", "x");
+    let mut tokens = opt.token_index(&opt_sheet);
+    let (opt_hits, opt_ms) =
+        opt.find_replace_indexed(&mut opt_sheet, &mut tokens, "NOSUCHTOKEN", "x");
+    assert_eq!((hits, opt_hits), (0, 0));
+    line("token index: absent find (§5.1.2)", naive_ms, opt_ms);
+
+    // §5.4 formula memo: five identical COUNTIFs evaluate once.
+    let expr = parse(&format!("COUNTIF(J1:J{ROWS},1)")).unwrap();
+    let (_, naive_ms) = excel.measure(&mut naive_sheet, OpClass::Aggregate, |s| {
         for _ in 0..5 {
-            sheet.eval_str(&src).unwrap();
+            s.meter().tick(Primitive::FormulaEval);
+            s.eval_expr(&expr);
         }
     });
-    let (_, opt_ms) = timed(|| {
-        for _ in 0..5 {
-            opt.eval_memoized(&src).unwrap();
-        }
-    });
+    let (evaluated, opt_ms) =
+        opt.eval_memoized(&mut opt_sheet, OpClass::Aggregate, &vec![expr; 5]);
+    assert_eq!(evaluated, 1);
     line("memo: 5 identical COUNTIFs (§5.4)", naive_ms, opt_ms);
 
-    // --- §5.5 incremental updates -------------------------------------------
-    let mut naive_sheet = build_sheet(ROWS, Variant::ValueOnly);
+    // §5.5 delta-maintained aggregates: a single-cell edit is O(1).
     let cell = CellAddr::new(0, 20);
-    naive_sheet.set_formula_str(cell, &src).unwrap();
-    recalc::recalc_all(&mut naive_sheet);
     let edit = CellAddr::new(1, MEASURE_COL);
-    let (_, naive_ms) = timed(|| {
-        naive_sheet.set_value(edit, 0);
-        recalc::recalc_from(&mut naive_sheet, &[edit]);
-    });
-    opt.sheet_mut().set_formula_str(cell, &src).unwrap();
-    opt.register_incremental(
-        cell,
-        Range::column_segment(MEASURE_COL, 0, ROWS - 1),
-        AggKind::CountIf(Criterion::parse(&Value::Number(1.0))),
-    );
-    let (_, opt_ms) = timed(|| opt.set_value(edit, 0));
-    assert_eq!(naive_sheet.value(cell), opt.sheet().value(cell));
+    for s in [&mut naive_sheet, &mut opt_sheet] {
+        s.set_formula_str(cell, &format!("=COUNTIF(J1:J{ROWS},1)")).unwrap();
+        recalc::recalc_all(s);
+    }
+    let naive_ms = excel.update_cell(&mut naive_sheet, edit, Value::Number(0.0));
+    let opt_ms = opt.update_cell(&mut opt_sheet, edit, Value::Number(0.0));
+    assert_eq!(naive_sheet.value(cell), opt_sheet.value(cell));
     line("incremental: single-cell edit (§5.5)", naive_ms, opt_ms);
 
-    // --- §5.3 shared computation ---------------------------------------------
+    // §5.3 prefix-family sharing: one running pass answers every SUM.
     let m = 20_000u32;
-    let build_cumulative = || {
-        let mut s = Sheet::new();
-        s.ensure_size(m, 2);
-        for i in 0..m {
-            s.set_value(CellAddr::new(i, 0), i64::from(i + 1));
-        }
-        for i in 0..m {
-            s.set_formula_str(CellAddr::new(i, 1), &format!("=SUM(A1:A{})", i + 1)).unwrap();
-        }
-        s
-    };
-    let mut naive_cum = build_cumulative();
-    let (_, naive_ms) = timed(|| recalc::recalc_all(&mut naive_cum));
-    let mut shared_cum = build_cumulative();
-    let (answered, opt_ms) = timed(|| apply_shared_computation(&mut shared_cum));
+    let mut naive_cum = cumulative_sheet(m);
+    let naive_ms = excel.recalc_embedded(&mut naive_cum);
+    let mut shared_cum = cumulative_sheet(m);
+    let (answered, opt_ms) = opt.recalc_shared(&mut shared_cum);
     assert_eq!(answered as u32, m);
     assert_eq!(
         naive_cum.value(CellAddr::new(m - 1, 1)),
         shared_cum.value(CellAddr::new(m - 1, 1))
     );
     line(&format!("shared: {m} cumulative sums (§5.3)"), naive_ms, opt_ms);
-
-    // --- §4.2.1/§6 sort recomputation avoidance --------------------------------
-    // The physical sort costs the same either way; the difference is what
-    // happens *after*: full recalculation (all three systems) vs a
-    // reference-analysis pass that proves nothing needs recomputing.
-    let mut naive_f = build_sheet(50_000, Variant::FormulaValue);
-    sort_rows(&mut naive_f, &[SortKey::asc(KEY_COL)]);
-    let (_, naive_ms) = timed(|| recalc::recalc_all(&mut naive_f));
-    let mut smart_f = build_sheet(50_000, Variant::FormulaValue);
-    sort_rows(&mut smart_f, &[SortKey::asc(KEY_COL)]);
-    let (stats, opt_ms) = timed(|| recalc_after_sort(&mut smart_f));
-    line("post-sort recalc vs analysis (§6)", naive_ms, opt_ms.max(0.001));
-    println!(
-        "\nsort analysis skipped {} of {} formulae (all per-row relative references).",
-        stats.skipped,
-        stats.skipped + stats.recomputed
-    );
 }

@@ -9,10 +9,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --workspace (warnings are errors)"
+echo "==> cargo build --release --workspace --bins --benches (warnings are errors)"
 # --workspace: the root manifest is a package, so a bare build would skip
 # the member crates' bin targets (bct, fuzz) the later stages execute.
-RUSTFLAGS="-D warnings" cargo build --release --workspace
+# --benches: no other stage compiles most bench targets, so a type they
+# import could be deleted without anything noticing (--bins keeps the
+# binaries once a target filter is given). Not --all-targets: examples and
+# integration tests still call the deprecated free-function ops.
+RUSTFLAGS="-D warnings" cargo build --release --workspace --bins --benches
 
 echo "==> cargo test -q"
 cargo test -q

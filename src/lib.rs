@@ -7,6 +7,5 @@
 
 pub use ssbench_engine as engine;
 pub use ssbench_harness as harness;
-pub use ssbench_optimized as optimized;
 pub use ssbench_systems as systems;
 pub use ssbench_workload as workload;

@@ -166,26 +166,3 @@ fn dates_and_lookups_compose() {
     assert_eq!(v, Value::text("week3"));
     assert_eq!(s.eval_str("=WEEKDAY(A1)").unwrap(), Value::Number(2.0)); // 2021-03-01 Monday
 }
-
-#[test]
-fn progressive_recalc_over_a_real_workload() {
-    use ssbench::optimized::ProgressiveRecalc;
-    use ssbench::workload::{build_sheet, Variant};
-    let mut sheet = build_sheet(2_000, Variant::FormulaValue);
-    // Invalidate everything by rebuilding caches progressively.
-    let mut prog = ProgressiveRecalc::plan_full(&sheet, 0..40);
-    let mut steps = 0;
-    while prog.step(&mut sheet, 500) > 0 {
-        steps += 1;
-        assert!(prog.progress() <= 1.0);
-    }
-    assert!(steps >= 2_000 * 7 / 500);
-    // Every formula cache is correct afterwards.
-    let truth = build_sheet(2_000, Variant::FormulaValue);
-    for r in 0..2_000u32 {
-        for c in 10..17u32 {
-            let addr = CellAddr::new(r, c);
-            assert_eq!(sheet.value(addr), truth.value(addr), "cell {addr}");
-        }
-    }
-}

@@ -268,68 +268,96 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Indexes vs scans (optimized crate consistency)
+// The Optimized profile's strategies vs the engine's plain paths
 // ---------------------------------------------------------------------
 
 proptest! {
-    /// Hash-index COUNTIF equals the formula scan for arbitrary data and
-    /// stays equal under edits.
+    /// Delta-maintained aggregates are invisible in values: after any edit
+    /// sequence through `SimSystem::update_cell`, every aggregate under the
+    /// Optimized profile is bit-identical to Excel's recompute — on
+    /// integers (inside the sum envelope, so the delta path runs) and on
+    /// tenths (outside it, so sums must fall back).
     #[test]
-    fn index_countif_matches_scan(
-        values in prop::collection::vec(0i64..5, 5..60),
-        edits in prop::collection::vec((0usize..5, 0i64..5), 0..8),
+    fn incremental_aggregate_matches_recompute(
+        values in prop::collection::vec(0i64..40, 5..50),
+        edits in prop::collection::vec((0usize..50, 0i64..40), 1..12),
+        tenths in any::<bool>(),
     ) {
-        use ssbench::optimized::OptimizedSheet;
-        let mut sheet = Sheet::new();
-        for (i, &v) in values.iter().enumerate() {
-            sheet.set_value(CellAddr::new(i as u32, 0), v);
-        }
+        use ssbench::systems::{SimSystem, SystemKind};
+        let draw = |v: i64| if tenths { v as f64 / 10.0 } else { (v % 4) as f64 };
         let n = values.len();
-        let mut opt = OptimizedSheet::new(sheet);
-        let _ = opt.countif_eq(0, &Value::Number(1.0)); // build
+        let formulas = [
+            format!("=COUNTIF(A1:A{n},1)"),
+            format!("=SUM(A1:A{n})"),
+            format!("=AVERAGE(A1:A{n})"),
+            format!("=SUMIF(A1:A{n},\">0.5\")"),
+        ];
+        let build = || {
+            let mut sheet = Sheet::new();
+            for (i, &v) in values.iter().enumerate() {
+                sheet.set_value(CellAddr::new(i as u32, 0), draw(v));
+            }
+            for (i, f) in formulas.iter().enumerate() {
+                sheet.set_formula_str(CellAddr::new(i as u32, 2), f).unwrap();
+            }
+            recalc::recalc_all(&mut sheet);
+            sheet
+        };
+        let (mut opt, mut excel) = (build(), build());
+        let (opt_sys, excel_sys) =
+            (SimSystem::new(SystemKind::Optimized), SimSystem::new(SystemKind::Excel));
         for &(idx, v) in &edits {
-            let idx = idx % n;
-            opt.set_value(CellAddr::new(idx as u32, 0), v);
-        }
-        for needle in 0..5i64 {
-            let via_index = opt.countif_eq(0, &Value::Number(needle as f64));
-            let via_scan = opt
-                .sheet()
-                .eval_str(&format!("=COUNTIF(A1:A{n},{needle})"))
-                .unwrap();
-            prop_assert_eq!(Value::Number(via_index as f64), via_scan, "needle {}", needle);
+            let addr = CellAddr::new((idx % n) as u32, 0);
+            opt_sys.update_cell(&mut opt, addr, Value::Number(draw(v)));
+            excel_sys.update_cell(&mut excel, addr, Value::Number(draw(v)));
+            for (i, f) in formulas.iter().enumerate() {
+                let at = CellAddr::new(i as u32, 2);
+                let (got, want) = (opt.value(at), excel.value(at));
+                match (&got, &want) {
+                    (Value::Number(g), Value::Number(w)) => {
+                        prop_assert_eq!(g.to_bits(), w.to_bits(), "{}: {} vs {}", f, g, w)
+                    }
+                    _ => prop_assert_eq!(&got, &want, "{}", f),
+                }
+            }
         }
     }
 
-    /// Incremental aggregates equal recomputation from scratch under any
-    /// edit sequence.
+    /// Index-driven find-replace and `Op::FindReplace` leave identical
+    /// sheets and report the same changed count on whole-token, case-exact
+    /// ASCII needles — the only class Fig 9 plants. (Elsewhere they differ
+    /// by design: the op matches substrings case-sensitively, the index
+    /// whole tokens case-folded.)
     #[test]
-    fn incremental_aggregate_matches_recompute(
-        values in prop::collection::vec(0i64..4, 5..50),
-        edits in prop::collection::vec((0usize..5, 0i64..4), 1..12),
+    fn indexed_find_replace_matches_op_on_whole_tokens(
+        cells in prop::collection::vec(prop::collection::vec(0usize..5, 0..5), 3..30),
+        needle in 0usize..4,
     ) {
-        use ssbench::optimized::{AggKind, IncrementalAggregate};
-        let n = values.len();
-        let mut sheet = Sheet::new();
-        for (i, &v) in values.iter().enumerate() {
-            sheet.set_value(CellAddr::new(i as u32, 0), v);
+        use ssbench::systems::{SimSystem, SystemKind};
+        // No word is a substring or a case variant of another, so every
+        // substring hit is a whole-token, case-exact hit.
+        const WORDS: [&str; 5] = ["storm", "HAIL", "Wind9", "calm", "x"];
+        let build = || {
+            let mut sheet = Sheet::new();
+            for (i, words) in cells.iter().enumerate() {
+                let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                sheet.set_value(CellAddr::new(i as u32, 0), text.join(", ").as_str());
+                sheet.set_value(CellAddr::new(i as u32, 1), i as i64);
+            }
+            sheet
+        };
+        let (mut scanned, mut indexed) = (build(), build());
+        let sys = SimSystem::new(SystemKind::Optimized);
+        let (by_op, _) = sys.find_replace(&mut scanned, WORDS[needle], "FOUND");
+        let mut index = sys.token_index(&indexed);
+        let (by_index, _) =
+            sys.find_replace_indexed(&mut indexed, &mut index, WORDS[needle], "FOUND");
+        prop_assert_eq!(by_op, by_index);
+        for addr in scanned.used_range().unwrap().iter() {
+            prop_assert_eq!(scanned.value(addr), indexed.value(addr), "cell {}", addr);
         }
-        let range = Range::column_segment(0, 0, n as u32 - 1);
-        let crit = Criterion::parse(&Value::Number(1.0));
-        let mut count = IncrementalAggregate::build(&sheet, range, AggKind::CountIf(crit));
-        let mut sum = IncrementalAggregate::build(&sheet, range, AggKind::Sum);
-        for &(idx, v) in &edits {
-            let addr = CellAddr::new((idx % n) as u32, 0);
-            let old = sheet.value(addr);
-            sheet.set_value(addr, v);
-            count.apply_edit(addr, &old, &Value::Number(v as f64));
-            sum.apply_edit(addr, &old, &Value::Number(v as f64));
-        }
-        prop_assert_eq!(
-            count.value(),
-            sheet.eval_str(&format!("=COUNTIF(A1:A{n},1)")).unwrap()
-        );
-        prop_assert_eq!(sum.value(), sheet.eval_str(&format!("=SUM(A1:A{n})")).unwrap());
+        // The index followed the rewrite: the needle is gone from it too.
+        prop_assert_eq!(index.find_replace(&mut indexed, WORDS[needle], "again"), 0);
     }
 
     /// Find-and-replace equals the naive per-cell string pass.
