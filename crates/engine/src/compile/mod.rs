@@ -214,27 +214,6 @@ impl ProgramCache {
         }
     }
 
-    /// Rebuild-by-replacement adoption: copies every pure template from
-    /// `old` (the cache of the sheet a structural edit replaced) and
-    /// installs the proven-still-valid memo bindings, preserving the new
-    /// cache's hit/miss tallies. The insert-side edit hooks have already
-    /// run on `self`, so adoption must come last.
-    pub(crate) fn adopt_retained(&self, old: &ProgramCache, retained: Vec<(CellAddr, Arc<Program>)>) {
-        {
-            let theirs = old.map.read().expect("program cache poisoned");
-            let mut ours = self.map.write().expect("program cache poisoned");
-            for (key, prog) in theirs.iter() {
-                if !prog.is_volatile() && prog.reads().is_bounded() {
-                    ours.entry(key.clone()).or_insert_with(|| Arc::clone(prog));
-                }
-            }
-        }
-        let mut memo = self.by_addr.write().expect("program cache poisoned");
-        for (addr, prog) in retained {
-            memo.insert(addr, prog);
-        }
-    }
-
     /// Number of cached programs (distinct templates seen).
     pub fn len(&self) -> usize {
         self.map.read().expect("program cache poisoned").len()

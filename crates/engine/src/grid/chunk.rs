@@ -25,6 +25,10 @@
 //!   access points and are served read-only through the pool's fault
 //!   cache from `&self`, so the grid stays `Sync` for parallel recalc.
 //!
+//! Row and column inserts and deletes shift this storage in place
+//! (`GridStore::move_rows`, DESIGN.md §15): typed runs move as slices,
+//! general cells by value, and spilled chunks are loaded one at a time.
+//!
 //! Spill machinery never touches the op meter: a budgeted grid produces
 //! bit-identical values, meter counts, and trace signatures to an
 //! unbounded one (enforced by the §9 oracle's `budget` dimension).
@@ -35,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::addr::{CellAddr, Range};
-use crate::cell::{Cell, CellContent};
+use crate::cell::{Cell, CellContent, Formula};
 use crate::error::EngineError;
 use crate::style::Style;
 use crate::value::Value;
@@ -170,6 +174,16 @@ impl std::fmt::Debug for NumSeg {
 }
 
 impl NumSeg {
+    fn vacant() -> Self {
+        NumSeg {
+            present: [0; WORDS],
+            count: 0,
+            pins: 0,
+            hot: AtomicBool::new(true),
+            vals: [0.0; CHUNK],
+        }
+    }
+
     fn get(&self, off: usize) -> Option<f64> {
         if bit(&self.present, off) {
             Some(self.vals[off])
@@ -212,6 +226,10 @@ impl std::fmt::Debug for TextSeg {
 }
 
 impl TextSeg {
+    fn vacant() -> Self {
+        TextSeg { count: 0, pins: 0, hot: AtomicBool::new(true), ids: [NO_TEXT; CHUNK] }
+    }
+
     fn get(&self, off: usize) -> u32 {
         self.ids[off]
     }
@@ -241,6 +259,9 @@ struct SparseSeg {
 struct Spilled {
     page: u32,
     kind: PageKind,
+    /// Occupied slots on the page, so a structural edit can charge the
+    /// meter for a spilled chunk it only re-keys without reading it back.
+    count: u16,
 }
 
 #[derive(Debug)]
@@ -259,6 +280,18 @@ impl Segment {
         match self {
             Segment::Num(_) | Segment::Text(_) => PAGE_BYTES,
             _ => 0,
+        }
+    }
+
+    /// Non-vacant cells in this segment (what a structural edit charges
+    /// the meter for).
+    fn population(&self) -> u64 {
+        match self {
+            Segment::Num(s) => u64::from(s.count),
+            Segment::Text(s) => u64::from(s.count),
+            Segment::Cells(v) => v.iter().filter(|c| !c.is_vacant()).count() as u64,
+            Segment::Sparse(sp) => sp.cells.values().filter(|c| !c.is_vacant()).count() as u64,
+            Segment::Spilled(sp) => u64::from(sp.count),
         }
     }
 
@@ -589,13 +622,7 @@ impl Column {
         match uniform {
             Some(Uniform::Nums) => {
                 let Some(Segment::Sparse(sp)) = self.segs.get(&ci) else { unreachable!() };
-                let mut seg = Box::new(NumSeg {
-                    present: [0; WORDS],
-                    count: 0,
-                    pins: 0,
-                    hot: AtomicBool::new(true),
-                    vals: [0.0; CHUNK],
-                });
+                let mut seg = Box::new(NumSeg::vacant());
                 for (&k, c) in &sp.cells {
                     if let CellContent::Value(Value::Number(n)) = &c.content {
                         seg.set(k as usize, *n);
@@ -614,12 +641,7 @@ impl Column {
                         entries.push((k, it.intern(s)));
                     }
                 }
-                let mut seg = Box::new(TextSeg {
-                    count: 0,
-                    pins: 0,
-                    hot: AtomicBool::new(true),
-                    ids: [NO_TEXT; CHUNK],
-                });
+                let mut seg = Box::new(TextSeg::vacant());
                 for (k, id) in entries {
                     seg.set(k as usize, id);
                 }
@@ -660,6 +682,12 @@ impl Column {
     fn resident_spillable_bytes(&self) -> usize {
         self.segs.values().map(Segment::spillable_bytes).sum()
     }
+
+}
+
+/// Non-vacant cells in a run of columns.
+fn population(cols: &[Column]) -> u64 {
+    cols.iter().flat_map(|col| col.segs.values()).map(Segment::population).sum()
 }
 
 /// Reads a slot out of a column for transplant (permutation rebuild).
@@ -699,6 +727,163 @@ fn read_slot_for_move(col: &Column, pool: &Pool, row: u32) -> SlotVal {
             },
         },
     }
+}
+
+fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// Copies `len` presence bits from `src[a..]` onto `dst[d..]`, a word at a
+/// time; returns how many of them are set.
+fn copy_bits(src: &[u64; WORDS], a: usize, dst: &mut [u64; WORDS], d: usize, len: usize) -> usize {
+    let (mut set, mut done) = (0, 0);
+    while done < len {
+        let (dw, db) = ((d + done) / 64, (d + done) % 64);
+        let take = (64 - db).min(len - done);
+        let (sw, sb) = ((a + done) / 64, (a + done) % 64);
+        let mut bits = src[sw] >> sb;
+        if sb != 0 && sw + 1 < WORDS {
+            bits |= src[sw + 1] << (64 - sb);
+        }
+        let mask = low_mask(take);
+        bits &= mask;
+        dst[dw] = dst[dw] & !(mask << db) | bits << db;
+        set += bits.count_ones() as usize;
+        done += take;
+    }
+    set
+}
+
+/// Places one non-vacant general cell into a destination chunk under
+/// assembly. General storage takes anything; a plain number or text
+/// landing on a matching typed chunk stays typed; any other cell opens a
+/// vacant chunk as general storage (`dense` picks `Cells` over `Sparse`)
+/// or turns a typed one into `Cells`, as a mismatched write would.
+fn put_cell(dst: &mut Option<Segment>, off: usize, cell: Cell, dense: bool, it: &mut Interner) {
+    let plain = cell.style.is_plain();
+    match (&mut *dst, &cell.content) {
+        (Some(Segment::Cells(v)), _) => v[off] = cell,
+        (Some(Segment::Sparse(sp)), _) => {
+            sp.cells.insert(off as u16, cell);
+        }
+        (Some(Segment::Num(t)), CellContent::Value(Value::Number(n))) if plain => t.set(off, *n),
+        (Some(Segment::Text(t)), CellContent::Value(Value::Text(s))) if plain => {
+            t.set(off, it.intern(s));
+        }
+        _ => {
+            *dst = Some(match dst.take() {
+                None if dense => Segment::Cells(vec![Cell::empty(); CHUNK]),
+                None => Segment::Sparse(SparseSeg::default()),
+                Some(typed) => Segment::Cells(seg_to_cells(&typed, it)),
+            });
+            put_cell(dst, off, cell, dense, it);
+        }
+    }
+}
+
+/// Moves slots `a..b` of the resident segment `src` to slots `d..` of the
+/// destination chunk under assembly (`None` = still vacant) and returns
+/// how many were occupied. Typed runs move as slices — values plus
+/// presence bits, or interner ids — onto a vacant or same-typed
+/// destination; general cells, and typed slots landing on anything else,
+/// move one by one through [`put_cell`], by value.
+fn move_slots(
+    dst: &mut Option<Segment>,
+    d: usize,
+    src: &mut Segment,
+    a: usize,
+    b: usize,
+    it: &mut Interner,
+) -> u64 {
+    let len = b - a;
+    match src {
+        Segment::Num(s) => {
+            let mut run = [0u64; WORDS];
+            let n = copy_bits(&s.present, a, &mut run, d, len);
+            if n == 0 {
+                return 0;
+            }
+            match dst.get_or_insert_with(|| Segment::Num(Box::new(NumSeg::vacant()))) {
+                Segment::Num(t) => {
+                    // The destination run is vacant: chunks are assembled
+                    // from disjoint pieces.
+                    for (word, bits) in t.present.iter_mut().zip(run) {
+                        *word |= bits;
+                    }
+                    t.vals[d..d + len].copy_from_slice(&s.vals[a..b]);
+                    t.count += n as u16;
+                }
+                _ => {
+                    for i in a..b {
+                        if let Some(v) = s.get(i) {
+                            put_cell(dst, d + i - a, Cell::value(v), true, it);
+                        }
+                    }
+                }
+            }
+            n as u64
+        }
+        Segment::Text(s) => {
+            let n = s.ids[a..b].iter().filter(|&&id| id != NO_TEXT).count();
+            if n == 0 {
+                return 0;
+            }
+            match dst.get_or_insert_with(|| Segment::Text(Box::new(TextSeg::vacant()))) {
+                Segment::Text(t) => {
+                    t.ids[d..d + len].copy_from_slice(&s.ids[a..b]);
+                    t.count += n as u16;
+                }
+                _ => {
+                    for i in a..b {
+                        if s.ids[i] != NO_TEXT {
+                            let cell = Cell {
+                                content: CellContent::Value(it.value(s.ids[i]).clone()),
+                                style: Style::plain(),
+                            };
+                            put_cell(dst, d + i - a, cell, true, it);
+                        }
+                    }
+                }
+            }
+            n as u64
+        }
+        Segment::Cells(v) => {
+            let mut n = 0;
+            for (i, cell) in v[a..b].iter_mut().enumerate() {
+                if !cell.is_vacant() {
+                    put_cell(dst, d + i, std::mem::take(cell), true, it);
+                    n += 1;
+                }
+            }
+            n
+        }
+        Segment::Sparse(sp) => {
+            let mut run = sp.cells.split_off(&(a as u16));
+            let mut rest = run.split_off(&(b as u16));
+            sp.cells.append(&mut rest);
+            let mut n = 0;
+            for (k, cell) in run {
+                if !cell.is_vacant() {
+                    put_cell(dst, d + k as usize - a, cell, false, it);
+                    n += 1;
+                }
+            }
+            n
+        }
+        Segment::Spilled(_) => unreachable!("row shifts load spilled chunks before moving slots"),
+    }
+}
+
+/// Non-vacant cells a structural edit left in place (`kept`: lines before
+/// the edit point) and relocated (`moved`: lines past the edit band).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ShiftCounts {
+    pub(crate) kept: u64,
+    pub(crate) moved: u64,
 }
 
 /// The sheet's cell store: the chunked columnar grid plus the [`Layout`]
@@ -1035,6 +1220,192 @@ impl GridStore {
     }
 
     // ------------------------------------------------------------------
+    // Structural shifts (used only by `ops::structure`, which validates
+    // the new extent against the engine limits first).
+
+    /// Opens `count` vacant rows before row `at`; the extent grows by
+    /// `count` wherever `at` lies.
+    pub(crate) fn insert_rows(&mut self, at: u32, count: u32) -> ShiftCounts {
+        debug_assert!(
+            self.nrows.checked_add(count).is_some_and(|n| n <= MAX_ROWS),
+            "caller validates the new extent"
+        );
+        let counts = self.move_rows(at, at, at + count);
+        self.nrows += count;
+        counts
+    }
+
+    /// Removes rows `at..at + count` (clamped to the extent) and closes
+    /// the gap.
+    pub(crate) fn delete_rows(&mut self, at: u32, count: u32) -> ShiftCounts {
+        let lo = at.min(self.nrows);
+        let hi = at.saturating_add(count).min(self.nrows);
+        let counts = self.move_rows(lo, hi, lo);
+        self.nrows -= hi - lo;
+        counts
+    }
+
+    /// Opens `count` vacant columns before column `at`.
+    pub(crate) fn insert_cols(&mut self, at: u32, count: u32) -> ShiftCounts {
+        debug_assert!(
+            self.ncols.checked_add(count).is_some_and(|n| n <= MAX_COLS),
+            "caller validates the new extent"
+        );
+        let at = (at as usize).min(self.cols.len());
+        let counts =
+            ShiftCounts { kept: population(&self.cols[..at]), moved: population(&self.cols[at..]) };
+        self.cols.splice(at..at, std::iter::repeat_with(Column::default).take(count as usize));
+        self.ncols += count;
+        counts
+    }
+
+    /// Removes columns `at..at + count` (clamped to the extent), freeing
+    /// their pages.
+    pub(crate) fn delete_cols(&mut self, at: u32, count: u32) -> ShiftCounts {
+        let lo = at.min(self.ncols) as usize;
+        let hi = at.saturating_add(count).min(self.ncols) as usize;
+        let counts =
+            ShiftCounts { kept: population(&self.cols[..lo]), moved: population(&self.cols[hi..]) };
+        let dropped: Vec<Column> = self.cols.drain(lo..hi).collect();
+        for seg in dropped.into_iter().flat_map(|col| col.segs.into_values()) {
+            self.discard(seg);
+        }
+        self.ncols -= (hi - lo) as u32;
+        counts
+    }
+
+    /// The row shift behind [`Self::insert_rows`] and
+    /// [`Self::delete_rows`]: rows before `at` stay, rows `at..from` are
+    /// dropped, and row `from + i` becomes row `to + i` (`at == from` on
+    /// insert, `at == to` on delete).
+    ///
+    /// Each column's chunks from `at`'s onward are taken out and their
+    /// slots moved, a source chunk at a time, into freshly assembled
+    /// destination chunks ([`move_slots`]). A chunk the shift maps onto
+    /// one whole destination chunk (the shift is a multiple of the chunk
+    /// size) is re-keyed as it is — spilled ones without being read back.
+    /// Any other spilled chunk is loaded for the duration of its own move,
+    /// and the budget is enforced after every source chunk, so the shift
+    /// holds at most two chunks above the budget at any time.
+    fn move_rows(&mut self, at: u32, from: u32, to: u32) -> ShiftCounts {
+        let mut counts = ShiftCounts::default();
+        let first = at / CHUNK_ROWS;
+        let rekey = from.abs_diff(to).is_multiple_of(CHUNK_ROWS);
+        for c in 0..self.cols.len() {
+            let col = &mut self.cols[c];
+            counts.kept += col.segs.range(..first).map(|(_, seg)| seg.population()).sum::<u64>();
+            let old = col.segs.split_off(&first);
+            let mut dst: Option<Segment> = None;
+            let mut dst_ci = first;
+            for (ci, seg) in old {
+                let base = ci * CHUNK_ROWS;
+                // Chunk-local slots: `..keep` stay, `keep..mv` are dropped,
+                // `mv..` move.
+                let keep = (at.saturating_sub(base).min(CHUNK_ROWS)) as usize;
+                let mv = (from.saturating_sub(base).min(CHUNK_ROWS)) as usize;
+                if keep == 0 && (mv == CHUNK || (mv == 0 && rekey)) {
+                    if mv == 0 {
+                        counts.moved += seg.population();
+                        self.finish_chunk(c, dst_ci, dst.take());
+                        self.cols[c].segs.insert((base - from + to) / CHUNK_ROWS, seg);
+                    } else {
+                        self.discard(seg);
+                    }
+                    continue;
+                }
+                // From here the source chunk is uncounted: its slots are
+                // counted again with the destination chunks they land in.
+                self.pool.sub_resident(seg.spillable_bytes());
+                let mut seg = match seg {
+                    Segment::Spilled(sp) => segment_from_page(&self.pool.load(sp.page, sp.kind)),
+                    resident => resident,
+                };
+                if keep > 0 {
+                    counts.kept += move_slots(&mut dst, 0, &mut seg, 0, keep, &mut self.interner);
+                }
+                let mut a = mv;
+                while a < CHUNK {
+                    let row = base + a as u32 - from + to;
+                    let (ci, d) = (row / CHUNK_ROWS, (row % CHUNK_ROWS) as usize);
+                    if ci != dst_ci {
+                        self.finish_chunk(c, dst_ci, dst.take());
+                        dst_ci = ci;
+                    }
+                    let b = (a + CHUNK - d).min(CHUNK);
+                    counts.moved += move_slots(&mut dst, d, &mut seg, a, b, &mut self.interner);
+                    a = b;
+                }
+                self.enforce_budget();
+            }
+            self.finish_chunk(c, dst_ci, dst.take());
+            self.enforce_budget();
+        }
+        counts
+    }
+
+    /// Gives up a deleted chunk's resident bytes or page.
+    fn discard(&mut self, seg: Segment) {
+        self.pool.sub_resident(seg.spillable_bytes());
+        if let Segment::Spilled(sp) = seg {
+            self.pool.free_page(sp.page);
+        }
+    }
+
+    /// Installs a destination chunk [`Self::move_rows`] assembled.
+    fn finish_chunk(&mut self, col: usize, ci: u32, seg: Option<Segment>) {
+        if let Some(seg) = seg {
+            self.pool.add_resident(seg.spillable_bytes());
+            self.cols[col].segs.insert(ci, seg);
+        }
+    }
+
+    /// The formula stored at `addr`, for in-place reference rewriting.
+    /// Formulas only live in general storage, so this never converts or
+    /// loads a typed chunk.
+    pub(crate) fn formula_mut(&mut self, addr: CellAddr) -> Option<&mut Formula> {
+        let seg = self.cols.get_mut(addr.col as usize)?.segs.get_mut(&(addr.row / CHUNK_ROWS))?;
+        let off = (addr.row % CHUNK_ROWS) as usize;
+        let cell = match seg {
+            Segment::Cells(v) => &mut v[off],
+            Segment::Sparse(sp) => sp.cells.get_mut(&(off as u16))?,
+            _ => return None,
+        };
+        match &mut cell.content {
+            CellContent::Formula(f) => Some(f),
+            CellContent::Value(_) => None,
+        }
+    }
+
+    /// Visits every formula, column by column and top to bottom. Only
+    /// general-storage chunks are walked: typed and spilled chunks cannot
+    /// hold one.
+    pub(crate) fn for_each_formula(&self, f: &mut dyn FnMut(CellAddr, &Formula)) {
+        let mut visit = |row: u32, col: usize, cell: &Cell| {
+            if let CellContent::Formula(formula) = &cell.content {
+                f(CellAddr::new(row, col as u32), formula);
+            }
+        };
+        for (c, col) in self.cols.iter().enumerate() {
+            for (&ci, seg) in &col.segs {
+                let base = ci * CHUNK_ROWS;
+                match seg {
+                    Segment::Cells(v) => {
+                        for (off, cell) in v.iter().enumerate() {
+                            visit(base + off as u32, c, cell);
+                        }
+                    }
+                    Segment::Sparse(sp) => {
+                        for (&off, cell) in &sp.cells {
+                            visit(base + u32::from(off), c, cell);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Buffer-pool control surface.
 
     /// The current resident-byte budget, if any.
@@ -1179,16 +1550,18 @@ impl GridStore {
     }
 
     fn spill_seg(&mut self, col: u32, ci: u32) -> bool {
-        let encoded = match self.cols[col as usize].segs.get(&ci) {
-            Some(Segment::Num(s)) => (pool::encode_num(&s.present, &s.vals), PageKind::Num),
-            Some(Segment::Text(s)) => (pool::encode_text(&s.ids), PageKind::Text),
+        let (encoded, kind, count) = match self.cols[col as usize].segs.get(&ci) {
+            Some(Segment::Num(s)) => {
+                (pool::encode_num(&s.present, &s.vals), PageKind::Num, s.count)
+            }
+            Some(Segment::Text(s)) => (pool::encode_text(&s.ids), PageKind::Text, s.count),
             _ => return false,
         };
-        match self.pool.store(&encoded.0) {
+        match self.pool.store(&encoded) {
             Ok(page) => {
                 self.cols[col as usize]
                     .segs
-                    .insert(ci, Segment::Spilled(Spilled { page, kind: encoded.1 }));
+                    .insert(ci, Segment::Spilled(Spilled { page, kind, count }));
                 self.pool.sub_resident(PAGE_BYTES);
                 true
             }

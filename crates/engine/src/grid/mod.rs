@@ -279,6 +279,140 @@ mod tests {
         }
     }
 
+    /// Every cell of `g`, row by row.
+    fn snapshot(g: &GridStore) -> Vec<Vec<Cell>> {
+        let cell = |r, c| g.get(CellAddr::new(r, c)).unwrap().into_cell();
+        (0..g.nrows()).map(|r| (0..g.ncols()).map(|c| cell(r, c)).collect()).collect()
+    }
+
+    fn occupied(rows: &[Vec<Cell>]) -> u64 {
+        rows.iter().flatten().filter(|c| !c.is_vacant()).count() as u64
+    }
+
+    /// A 3000-row grid whose columns cover every segment kind: A numbers
+    /// with presence holes, B text, C a dense chunk of formulas and bools
+    /// then a sparse chunk with a styled cell, D a number chunk followed by
+    /// a text chunk followed by bools, E a lone far-down cell.
+    fn mixed_grid(layout: Layout) -> GridStore {
+        use super::chunk::CHUNK_ROWS;
+        let mut g = GridStore::new(layout, 1, 1);
+        for r in 0..3000u32 {
+            if r % 7 != 3 {
+                g.set(CellAddr::new(r, 0), Cell::value(f64::from(r) + 0.5)).unwrap();
+            }
+            if r % 11 != 5 {
+                g.set(CellAddr::new(r, 1), Cell::value(format!("t{}", r % 17))).unwrap();
+            }
+            let d = match r / CHUNK_ROWS {
+                0 => Cell::value(f64::from(r)),
+                1 => Cell::value(format!("d{r}")),
+                _ => Cell::value(r % 2 == 0),
+            };
+            g.set(CellAddr::new(r, 3), d).unwrap();
+        }
+        for r in 0..CHUNK_ROWS {
+            let cell = if r % 3 == 0 {
+                Cell::value(r % 2 == 0)
+            } else {
+                let formula = Formula { expr: parse("A1+1").unwrap(), cached: f64::from(r).into() };
+                Cell { content: CellContent::Formula(Box::new(formula)), style: Style::plain() }
+            };
+            g.set(CellAddr::new(r, 2), cell).unwrap();
+        }
+        for r in [0, 1, 500, 1022, 1023] {
+            g.set(CellAddr::new(CHUNK_ROWS + r, 2), Cell::value(i64::from(r))).unwrap();
+        }
+        let styled = Style::plain().with_fill(crate::style::Color::GREEN);
+        g.set_style(CellAddr::new(CHUNK_ROWS + 7, 2), styled).unwrap();
+        g.set(CellAddr::new(2999, 4), Cell::value("end")).unwrap();
+        g
+    }
+
+    /// The row shift on its own, against a `Vec` model: every `at` around
+    /// the word and chunk boundaries crossed with counts that carry slots
+    /// zero, one and many chunks along, over every segment kind, with and
+    /// without a budget that keeps most typed chunks spilled.
+    #[test]
+    fn row_shifts_match_a_vec_model_across_chunk_boundaries() {
+        const ATS: [u32; 12] = [0, 1, 63, 64, 65, 700, 1023, 1024, 1025, 2047, 2999, 3500];
+        const COUNTS: [u32; 7] = [1, 63, 65, 1023, 1024, 1025, 2048];
+        let budget = 3 * 8320;
+        for (case, (&at, &count)) in
+            ATS.iter().flat_map(|at| COUNTS.iter().map(move |c| (at, c))).enumerate()
+        {
+            for insert in [true, false] {
+                let layout = LAYOUTS[case % 2];
+                let mut g = mixed_grid(layout);
+                if case % 3 != 0 {
+                    g.set_budget(Some(budget));
+                    assert!(g.spill_stats().spills > 0);
+                }
+                let mut model = snapshot(&g);
+                let ncols = g.ncols() as usize;
+                let lo = (at as usize).min(model.len());
+                let counts = if insert {
+                    let blank = vec![Cell::empty(); ncols];
+                    // Past the extent nothing moves, but the extent grows.
+                    model.splice(lo..lo, std::iter::repeat_n(blank, count as usize));
+                    g.insert_rows(at, count)
+                } else {
+                    let hi = (lo + count as usize).min(model.len());
+                    model.drain(lo..hi);
+                    g.delete_rows(at, count)
+                };
+                let what = format!("{layout:?} insert={insert} at={at} count={count}");
+                g.validate();
+                assert_eq!(g.nrows() as usize, model.len(), "{what}");
+                assert_eq!(snapshot(&g), model, "{what}");
+                let kept = occupied(&model[..lo]);
+                let tail = if insert { lo + count as usize } else { lo };
+                let moved = occupied(&model[tail.min(model.len())..]);
+                assert_eq!((counts.kept, counts.moved), (kept, moved), "{what}");
+                if let Some(b) = g.budget() {
+                    assert!(g.resident_spill_bytes() <= b, "{what}: over budget");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_shifts_match_a_vec_model_and_free_dropped_pages() {
+        for (at, count) in [(0u32, 1u32), (0, 9), (2, 1), (2, 2), (4, 3), (5, 1), (9, 2)] {
+            for insert in [true, false] {
+                let mut g = mixed_grid(Layout::ColumnMajor);
+                g.set_budget(Some(3 * 8320));
+                let mut model = snapshot(&g);
+                let width = model[0].len();
+                let lo = (at as usize).min(width);
+                let hi = (lo + count as usize).min(width);
+                let by_cols = |m: &[Vec<Cell>], a: usize, b: usize| -> u64 {
+                    m.iter().flat_map(|row| &row[a..b]).filter(|c| !c.is_vacant()).count() as u64
+                };
+                let (kept, moved) = (
+                    by_cols(&model, 0, lo),
+                    by_cols(&model, if insert { lo } else { hi }, width),
+                );
+                for row in &mut model {
+                    if insert {
+                        row.splice(lo..lo, std::iter::repeat_n(Cell::empty(), count as usize));
+                    } else {
+                        row.drain(lo..hi);
+                    }
+                }
+                let counts =
+                    if insert { g.insert_cols(at, count) } else { g.delete_cols(at, count) };
+                let what = format!("insert={insert} at={at} count={count}");
+                // Validation also proves the dropped columns' pages went
+                // back to the free list and the resident bytes were given up.
+                g.validate();
+                assert_eq!(g.ncols() as usize, model[0].len(), "{what}");
+                assert_eq!(snapshot(&g), model, "{what}");
+                assert_eq!((counts.kept, counts.moved), (kept, moved), "{what}");
+                assert!(g.resident_spill_bytes() <= 3 * 8320, "{what}: over budget");
+            }
+        }
+    }
+
     #[test]
     fn boundary_addresses_rejected() {
         let mut g = GridStore::new(Layout::RowMajor, 1, 1);

@@ -26,7 +26,8 @@
 //!   the same slot, and the free list is disjoint from live slots;
 //! * segments are clean-on-spill: a page is written exactly once when its
 //!   segment is evicted and freed when the segment reloads (or is
-//!   rewritten by a permutation), so there is no dirty-writeback state.
+//!   rewritten by a permutation, or deleted by a structural edit), so
+//!   there is no dirty-writeback state.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;

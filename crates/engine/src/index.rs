@@ -270,26 +270,21 @@ impl IndexStore {
         }
     }
 
-    /// Registration snapshot `(col, dropped)` for carrying registrations
-    /// across a structural rebuild (`ops::structure` swaps in a fresh
-    /// sheet and remaps columns).
-    pub(crate) fn snapshot(&self) -> Vec<(u32, bool)> {
-        let mut out: Vec<(u32, bool)> = self
-            .cols
-            .iter()
-            .map(|(&c, s)| (c, matches!(s, ColState::Dropped)))
+    /// Structural column edit: registrations move with their columns
+    /// (`None` = the column was deleted, and its registration with it).
+    /// Dropped columns stay dropped; everything else re-enters as pending,
+    /// as after any structural edit ([`Self::invalidate_built`]).
+    pub(crate) fn remap_cols(&mut self, map: impl Fn(u32) -> Option<u32>) {
+        self.cols = std::mem::take(&mut self.cols)
+            .into_iter()
+            .filter_map(|(col, state)| {
+                let state = match state {
+                    ColState::Dropped => ColState::Dropped,
+                    _ => ColState::Pending,
+                };
+                map(col).map(|col| (col, state))
+            })
             .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Restores a (remapped) snapshot: dropped columns stay dropped,
-    /// everything else re-enters as pending.
-    pub(crate) fn restore(&mut self, snapshot: impl IntoIterator<Item = (u32, bool)>) {
-        self.cols.clear();
-        for (col, dropped) in snapshot {
-            self.cols.insert(col, if dropped { ColState::Dropped } else { ColState::Pending });
-        }
     }
 }
 
@@ -565,14 +560,15 @@ mod tests {
         // A dropped column cannot be re-registered.
         store.register(1);
         assert_eq!(store.pending_cols(), Vec::<u32>::new());
-        // Snapshots carry the dropped bit.
+        // A column remap carries the dropped bit, demotes live indexes and
+        // forgets deleted columns.
         store.register(3);
-        let snap = store.snapshot();
-        assert_eq!(snap, vec![(1, true), (3, false)]);
-        let mut other = IndexStore::default();
-        other.restore(snap);
-        assert_eq!(other.pending_cols(), vec![3]);
-        assert!(matches!(other.cols.get(&1), Some(ColState::Dropped)));
+        store.install(3, built(&nums(&[1.0])));
+        store.register(4);
+        store.remap_cols(|col| (col != 4).then_some(col + 2));
+        assert_eq!(store.pending_cols(), vec![5]);
+        assert!(matches!(store.cols.get(&3), Some(ColState::Dropped)));
+        assert_eq!(store.cols.len(), 2);
     }
 
     #[test]

@@ -120,59 +120,53 @@ impl Sheet {
     /// opens an `op:<name>` span with the operation's meter delta.
     ///
     /// Almost every command's preconditions are handled by clamping, as the
-    /// free functions always did; `Sort` is the exception — it surfaces
+    /// free functions always did. The exceptions: `Sort` surfaces
     /// [`EngineError::BadPermutation`] if the grid rejects the computed row
-    /// permutation (a bug in the sort itself, not bad user input). The span
-    /// is finished either way, so an error still traces as a complete op.
+    /// permutation (a bug in the sort itself, not bad user input), and
+    /// `InsertRows`/`InsertCols` return [`EngineError::OutOfBounds`], with
+    /// the sheet untouched, when the new extent would exceed the engine
+    /// limits. The span is finished either way, so an error still traces
+    /// as a complete op.
     pub fn apply(&mut self, op: Op) -> Result<OpOutcome, EngineError> {
         let span =
             trace::Span::open_metered(trace::Category::Op, || format!("op:{}", op.name()), self.meter());
         let outcome = match op {
-            Op::Sort { keys } => match sort::sort_rows_impl(self, &keys) {
-                Ok(permutation) => OpOutcome::Sorted { permutation },
-                Err(e) => {
-                    span.finish_metered(self.meter());
-                    return Err(e);
-                }
-            },
-            Op::Filter { col, criterion } => {
-                OpOutcome::Filtered { visible: filter::filter_rows_impl(self, col, &criterion) }
-            }
+            Op::Sort { keys } => sort::sort_rows_impl(self, &keys)
+                .map(|permutation| OpOutcome::Sorted { permutation }),
+            Op::Filter { col, criterion } => Ok(OpOutcome::Filtered {
+                visible: filter::filter_rows_impl(self, col, &criterion),
+            }),
             Op::ClearFilter => {
                 filter::clear_filter_impl(self);
-                OpOutcome::FilterCleared
+                Ok(OpOutcome::FilterCleared)
             }
-            Op::CondFormat { range, criterion, fill } => OpOutcome::Formatted {
+            Op::CondFormat { range, criterion, fill } => Ok(OpOutcome::Formatted {
                 cells: cond_format::conditional_format_impl(self, range, &criterion, fill),
-            },
-            Op::FindReplace { range, needle, replacement } => OpOutcome::Replaced {
+            }),
+            Op::FindReplace { range, needle, replacement } => Ok(OpOutcome::Replaced {
                 cells: find_replace::find_replace_impl(self, range, &needle, &replacement),
-            },
+            }),
             Op::CopyPaste { src, dst } => {
-                OpOutcome::Pasted { dst: copy_paste::copy_paste_impl(self, src, dst) }
+                Ok(OpOutcome::Pasted { dst: copy_paste::copy_paste_impl(self, src, dst) })
             }
             Op::Pivot { dim_col, measure_col, agg } => {
-                OpOutcome::Pivoted(pivot::pivot_impl(self, dim_col, measure_col, agg))
+                Ok(OpOutcome::Pivoted(pivot::pivot_impl(self, dim_col, measure_col, agg)))
             }
             Op::InsertRows { at, count } => {
-                structure::restructure(self, structure::Axis::Row, at, count, true);
-                OpOutcome::Restructured
+                structure::restructure(self, structure::Axis::Row, at, count, true)
             }
             Op::DeleteRows { at, count } => {
-                structure::restructure(self, structure::Axis::Row, at, count, false);
-                OpOutcome::Restructured
+                structure::restructure(self, structure::Axis::Row, at, count, false)
             }
             Op::InsertCols { at, count } => {
-                structure::restructure(self, structure::Axis::Col, at, count, true);
-                OpOutcome::Restructured
+                structure::restructure(self, structure::Axis::Col, at, count, true)
             }
             Op::DeleteCols { at, count } => {
-                structure::restructure(self, structure::Axis::Col, at, count, false);
-                OpOutcome::Restructured
+                structure::restructure(self, structure::Axis::Col, at, count, false)
             }
         };
         span.finish_metered(self.meter());
-        Ok(outcome)
+        outcome
     }
 }
 

@@ -8,16 +8,14 @@
 //! number, because a single change (adding a row) can lead to an update of
 //! the entire index."
 
-use std::sync::Arc;
-
 use crate::addr::{CellAddr, CellRef};
-use crate::cell::{Cell, CellContent};
 use crate::compile::Program;
-use crate::error::CellError;
+use crate::error::{CellError, EngineError};
 use crate::formula::ast::{Expr, RangeRef};
 use crate::formula::r1c1::{Axis as RefAxis, RefSpec};
+use crate::grid::{MAX_COLS, MAX_ROWS};
 use crate::meter::Primitive;
-use crate::ops::Op;
+use crate::ops::{Op, OpOutcome};
 use crate::sheet::Sheet;
 
 /// Which axis a structural edit operates on.
@@ -27,13 +25,15 @@ pub enum Axis {
     Col,
 }
 
-/// How one coordinate responds to an insertion/deletion at `at`.
+/// How one coordinate responds to an insertion/deletion at `at`. The
+/// arithmetic saturates: a reference may name a line far past the engine
+/// limits, and `count` is unchecked on deletes.
 fn shift_coord(coord: u32, at: u32, count: u32, insert: bool) -> Option<u32> {
     if insert {
-        Some(if coord >= at { coord + count } else { coord })
+        Some(if coord >= at { coord.saturating_add(count) } else { coord })
     } else if coord < at {
         Some(coord)
-    } else if coord < at + count {
+    } else if coord < at.saturating_add(count) {
         None // inside the deleted band
     } else {
         Some(coord - count)
@@ -70,9 +70,10 @@ fn shift_range(r: RangeRef, axis: Axis, at: u32, count: u32, insert: bool) -> Op
         }
         (None, Some(e)) => {
             let mut s = r.start;
+            let band_end = at.saturating_add(count);
             match axis {
-                Axis::Row => s.addr.row = (at + count).min(e.addr.row + count),
-                Axis::Col => s.addr.col = (at + count).min(e.addr.col + count),
+                Axis::Row => s.addr.row = band_end.min(e.addr.row.saturating_add(count)),
+                Axis::Col => s.addr.col = band_end.min(e.addr.col.saturating_add(count)),
             }
             let s = shift_ref(s, axis, at, count, insert)?;
             Some(RangeRef { start: s, end: e })
@@ -80,28 +81,29 @@ fn shift_range(r: RangeRef, axis: Axis, at: u32, count: u32, insert: bool) -> Op
     }
 }
 
-/// Rewrites every reference of an expression for a structural edit.
-fn shift_expr(expr: &Expr, axis: Axis, at: u32, count: u32, insert: bool) -> Expr {
+/// Rewrites every reference of an expression for a structural edit, in
+/// place.
+fn shift_expr(expr: &mut Expr, axis: Axis, at: u32, count: u32, insert: bool) {
     match expr {
         Expr::Ref(r) => match shift_ref(*r, axis, at, count, insert) {
-            Some(adj) => Expr::Ref(adj),
-            None => Expr::Error(CellError::Ref),
+            Some(adj) => *r = adj,
+            None => *expr = Expr::Error(CellError::Ref),
         },
         Expr::RangeRef(r) => match shift_range(*r, axis, at, count, insert) {
-            Some(adj) => Expr::RangeRef(adj),
-            None => Expr::Error(CellError::Ref),
+            Some(adj) => *r = adj,
+            None => *expr = Expr::Error(CellError::Ref),
         },
-        Expr::Unary(op, e) => Expr::Unary(*op, Box::new(shift_expr(e, axis, at, count, insert))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(shift_expr(a, axis, at, count, insert)),
-            Box::new(shift_expr(b, axis, at, count, insert)),
-        ),
-        Expr::Call(name, args) => Expr::Call(
-            name.clone(),
-            args.iter().map(|a| shift_expr(a, axis, at, count, insert)).collect(),
-        ),
-        other => other.clone(),
+        Expr::Unary(_, e) => shift_expr(e, axis, at, count, insert),
+        Expr::Binary(_, a, b) => {
+            shift_expr(a, axis, at, count, insert);
+            shift_expr(b, axis, at, count, insert);
+        }
+        Expr::Call(_, args) => {
+            for arg in args {
+                shift_expr(arg, axis, at, count, insert);
+            }
+        }
+        Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => {}
     }
 }
 
@@ -133,7 +135,7 @@ fn memo_survives_edit(
         Axis::Row => old.row,
         Axis::Col => old.col,
     };
-    let band_end = if insert { at } else { at + count };
+    let band_end = if insert { at } else { at.saturating_add(count) };
     let moved = fc >= band_end;
     let rel_on_axis = |spec: &RefSpec| match axis {
         Axis::Row => matches!(spec.row, RefAxis::Rel(_)),
@@ -155,142 +157,135 @@ fn memo_survives_edit(
     })
 }
 
-/// Applies a structural edit to the whole sheet: moves cells, rewrites
-/// every formula, and rebuilds the dependency graph. Charges one
-/// `CellMove` per relocated cell — exactly the O(total cells) cost that
-/// makes row-number-encoding indexes expensive to maintain (§6).
-pub(crate) fn restructure(sheet: &mut Sheet, axis: Axis, at: u32, count: u32, insert: bool) {
+/// Applies a structural edit to the whole sheet, in place: the grid shifts
+/// its typed chunks, and everything else the sheet keys by coordinate —
+/// formula references, named ranges, filter flags, index registrations,
+/// the dependency graph and the program memo — follows.
+///
+/// The meter is charged what moving the sheet cell by cell costs: one
+/// `CellMove` per relocated slot (occupied or not) and per occupied cell
+/// that stays put, one `CellWrite` per occupied cell that survives —
+/// exactly the O(total cells) cost that makes row-number-encoding indexes
+/// expensive to maintain (§6).
+///
+/// An insert that would push the extent past the engine limits is
+/// [`EngineError::OutOfBounds`], decided before anything is touched.
+pub(crate) fn restructure(
+    sheet: &mut Sheet,
+    axis: Axis,
+    at: u32,
+    count: u32,
+    insert: bool,
+) -> Result<OpOutcome, EngineError> {
     let (nrows, ncols) = (sheet.nrows(), sheet.ncols());
     if count == 0 || nrows == 0 || ncols == 0 {
-        return;
+        return Ok(OpOutcome::Restructured);
     }
-    // Collect the surviving cells with their new coordinates.
-    let (new_rows, new_cols) = match (axis, insert) {
-        (Axis::Row, true) => (nrows + count, ncols),
-        (Axis::Row, false) => (nrows.saturating_sub(count.min(nrows.saturating_sub(at))), ncols),
-        (Axis::Col, true) => (nrows, ncols + count),
-        (Axis::Col, false) => (nrows, ncols.saturating_sub(count.min(ncols.saturating_sub(at)))),
-    };
-    let mut moved: Vec<(CellAddr, Cell)> = Vec::new();
-    let mut retained: Vec<(CellAddr, Arc<Program>)> = Vec::new();
-    for r in 0..nrows {
-        for c in 0..ncols {
-            let old = CellAddr::new(r, c);
-            let coord = match axis {
-                Axis::Row => r,
-                Axis::Col => c,
-            };
-            let Some(new_coord) = shift_coord(coord, at, count, insert) else {
-                continue; // deleted band
-            };
-            let new = match axis {
-                Axis::Row => CellAddr::new(new_coord, c),
-                Axis::Col => CellAddr::new(r, new_coord),
-            };
-            let Some(cell) = sheet.cell(old) else { continue };
-            if cell.is_vacant() && new == old {
-                continue;
-            }
-            let mut cell = cell.into_cell();
-            if let CellContent::Formula(f) = &mut cell.content {
-                // Probe the memo before the rewrite: a binding whose read
-                // windows provably ride the edit keeps its compiled
-                // program at the destination address.
-                if let Some(prog) = sheet.program_cache().memo_get(old) {
-                    if memo_survives_edit(&prog, old, axis, at, count, insert) {
-                        retained.push((new, prog));
-                    }
-                }
-                f.expr = shift_expr(&f.expr, axis, at, count, insert);
-            }
-            sheet.meter().tick(Primitive::CellMove);
-            moved.push((new, cell));
+    if insert {
+        let (rows, cols) = match axis {
+            Axis::Row => (nrows.saturating_add(count), ncols),
+            Axis::Col => (nrows, ncols.saturating_add(count)),
+        };
+        if rows > MAX_ROWS || cols > MAX_COLS {
+            return Err(EngineError::OutOfBounds { rows, cols });
         }
     }
-    // Rebuild the grid, keeping the sheet's own physical layout: a
-    // structural edit must never silently convert a column-major sheet to
-    // row-major (that would corrupt any layout experiment downstream).
-    let mut fresh = Sheet::with_layout(sheet.layout(), new_rows, new_cols);
-    std::mem::swap(sheet, &mut fresh);
-    sheet.ensure_size(new_rows.max(1), new_cols.max(1));
-    // Carry over configuration and accumulated work from the old sheet.
-    sheet.set_lookup_strategy(fresh.lookup_strategy());
-    sheet.set_recalc_options(fresh.recalc_options());
-    sheet.set_now_serial(fresh.now_serial());
-    // The rebuilt grid must honor the same memory cap as the old one (a
-    // fresh sheet re-reads the env default, which an explicit budget may
-    // have overridden).
-    sheet.set_grid_budget(fresh.grid_budget());
-    // Maintained column indexes ride the rebuild as *registrations*, with
-    // the same coordinate remapping the cells get: row edits keep columns
-    // in place, column edits shift registrations past the band and drop
-    // the ones inside it. Every surviving registration demotes to Pending
-    // — the re-insert loop below replays cells through the normal edit
-    // hooks (so formula columns re-drop themselves) and the next recalc
-    // rebuilds, paying the §6 maintenance cost through `IndexProbe`.
-    sheet.set_auto_index(fresh.auto_index());
-    let carried: Vec<(u32, bool)> = fresh
-        .index_snapshot()
-        .into_iter()
-        .filter_map(|(col, dropped)| match axis {
-            Axis::Row => Some((col, dropped)),
-            Axis::Col => shift_coord(col, at, count, insert).map(|c| (c, dropped)),
-        })
-        .collect();
-    sheet.restore_index_snapshot(carried);
-    // An active filter rides the rebuild like the cells do: row edits
-    // shift the flags past the band (inserted rows are visible, deleted
-    // rows take their flags with them), column edits keep them verbatim.
-    // Rows past the last flag read as visible, so an edit at or beyond it
-    // — every edit of an unfiltered sheet — leaves the vector untouched.
-    let mut hidden = std::mem::take(fresh.hidden_flags_mut());
+    let line = |addr: CellAddr| match axis {
+        Axis::Row => addr.row,
+        Axis::Col => addr.col,
+    };
+
+    // Formulas, at their old addresses: where each one lands, whether its
+    // memo binding provably rides the edit, and whether any reference has
+    // a coordinate the edit can change (those before `at` never do).
+    let mut retained = Vec::new();
+    let mut rewrite = Vec::new();
+    for old in sheet.deps().formula_addrs() {
+        let Some(coord) = shift_coord(line(old), at, count, insert) else {
+            continue; // deleted with its line
+        };
+        let new = match axis {
+            Axis::Row => CellAddr::new(coord, old.col),
+            Axis::Col => CellAddr::new(old.row, coord),
+        };
+        if let Some(prog) = sheet.program_cache().memo_get(old) {
+            if memo_survives_edit(&prog, old, axis, at, count, insert) {
+                retained.push((new, prog));
+            }
+        }
+        let prec = sheet.deps().precedents_of(old).expect("listed formula is registered");
+        if prec.cells.iter().any(|&c| line(c) >= at)
+            || prec.ranges.iter().any(|r| line(r.end) >= at)
+        {
+            rewrite.push(new);
+        }
+    }
+
+    let grid = sheet.grid_store_mut();
+    let counts = match (axis, insert) {
+        (Axis::Row, true) => grid.insert_rows(at, count),
+        (Axis::Row, false) => grid.delete_rows(at, count),
+        (Axis::Col, true) => grid.insert_cols(at, count),
+        (Axis::Col, false) => grid.delete_cols(at, count),
+    };
+    // Deleting every line still leaves a 1 × 1 sheet.
+    sheet.ensure_size(1, 1);
+    for addr in rewrite {
+        let formula =
+            sheet.grid_store_mut().formula_mut(addr).expect("formulas ride the shift");
+        shift_expr(&mut formula.expr, axis, at, count, insert);
+    }
+
+    // An active filter rides the edit like the cells do: row edits shift
+    // the flags past the band (inserted rows are visible, deleted rows
+    // take their flags with them), column edits leave them alone. Rows
+    // past the last flag read as visible, so an edit at or beyond it —
+    // every edit of an unfiltered sheet — leaves the vector untouched.
+    let hidden = sheet.hidden_flags_mut();
     let lo = at as usize;
     if axis == Axis::Row && lo < hidden.len() {
         if insert {
             hidden.splice(lo..lo, std::iter::repeat_n(false, count as usize));
         } else {
-            hidden.drain(lo..(lo + count as usize).min(hidden.len()));
+            hidden.drain(lo..lo.saturating_add(count as usize).min(hidden.len()));
         }
     }
-    *sheet.hidden_flags_mut() = hidden;
-    // Named ranges survive the rebuild. (They are carried over verbatim;
-    // shifting a name's target range with the edit is a separate concern.)
-    for name in fresh.names() {
-        let range = fresh.name_range(name).expect("listed name resolves");
-        sheet.define_name(name, range).expect("existing name stays valid");
+    // Column indexes: a column edit moves registrations with their
+    // columns; either axis demotes every live index to pending (row edits
+    // through `rebuild_deps_retaining` below) and the next recalc rebuilds
+    // them, paying the §6 maintenance cost through `IndexProbe`.
+    if axis == Axis::Col {
+        sheet.remap_index_cols(|col| shift_coord(col, at, count, insert));
     }
-    sheet.meter().absorb(&fresh.meter().snapshot());
-    for (addr, cell) in moved {
-        match cell.content {
-            CellContent::Formula(f) => {
-                sheet.set_formula(addr, f.expr);
-                sheet.cell_mut(addr).style = cell.style;
-                sheet.store_formula_result(addr, f.cached);
-            }
-            CellContent::Value(v) => {
-                if !v.is_empty() || !cell.style.is_plain() {
-                    sheet.set_value(addr, v);
-                    // Plain-styled values stay in typed chunk form;
-                    // `cell_mut` would materialize them one by one.
-                    if !cell.style.is_plain() {
-                        sheet.cell_mut(addr).style = cell.style;
-                    }
-                }
-            }
-        }
-    }
-    // Adopt the old cache last: the re-insert loop's edit hooks have run
-    // against the fresh (empty) cache, so pure templates copy over and
-    // the proven memo bindings install without being invalidated again.
-    sheet.program_cache().adopt_retained(fresh.program_cache(), retained);
+    // Named ranges move like absolute references do: shifted, clipped, and
+    // gone once their whole range is deleted.
+    sheet.remap_names(|range| {
+        let range = RangeRef {
+            start: CellRef::absolute(range.start),
+            end: CellRef::absolute(range.end),
+        };
+        shift_range(range, axis, at, count, insert).map(|r| r.range())
+    });
+    sheet.rebuild_deps_retaining(retained);
+
+    let band_end = if insert { at } else { at.saturating_add(count) };
+    let (lines, width) = match axis {
+        Axis::Row => (nrows, ncols),
+        Axis::Col => (ncols, nrows),
+    };
+    let relocated = u64::from(lines.saturating_sub(band_end)) * u64::from(width);
+    sheet.meter().bump(Primitive::CellMove, counts.kept + relocated);
+    sheet.meter().bump(Primitive::CellWrite, counts.kept + counts.moved);
+    Ok(OpOutcome::Restructured)
 }
 
-/// Inserts `count` blank rows before row `at` (0-based).
+/// Inserts `count` blank rows before row `at` (0-based). Panics when the
+/// new extent would exceed the engine limits.
 ///
 /// Thin wrapper over [`Sheet::apply`] with [`Op::InsertRows`].
 #[deprecated(note = "route the edit through `Sheet::apply(Op::InsertRows { .. })`")]
 pub fn insert_rows(sheet: &mut Sheet, at: u32, count: u32) {
-    let _ = sheet.apply(Op::InsertRows { at, count }).expect("insert_rows is infallible");
+    let _ = sheet.apply(Op::InsertRows { at, count }).expect("insert_rows: within engine limits");
 }
 
 /// Deletes `count` rows starting at row `at`.
@@ -301,12 +296,13 @@ pub fn delete_rows(sheet: &mut Sheet, at: u32, count: u32) {
     let _ = sheet.apply(Op::DeleteRows { at, count }).expect("delete_rows is infallible");
 }
 
-/// Inserts `count` blank columns before column `at`.
+/// Inserts `count` blank columns before column `at`. Panics when the new
+/// extent would exceed the engine limits.
 ///
 /// Thin wrapper over [`Sheet::apply`] with [`Op::InsertCols`].
 #[deprecated(note = "route the edit through `Sheet::apply(Op::InsertCols { .. })`")]
 pub fn insert_cols(sheet: &mut Sheet, at: u32, count: u32) {
-    let _ = sheet.apply(Op::InsertCols { at, count }).expect("insert_cols is infallible");
+    let _ = sheet.apply(Op::InsertCols { at, count }).expect("insert_cols: within engine limits");
 }
 
 /// Deletes `count` columns starting at column `at`.
@@ -316,6 +312,9 @@ pub fn insert_cols(sheet: &mut Sheet, at: u32, count: u32) {
 pub fn delete_cols(sheet: &mut Sheet, at: u32, count: u32) {
     let _ = sheet.apply(Op::DeleteCols { at, count }).expect("delete_cols is infallible");
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 #[allow(deprecated)] // the compatibility wrappers stay exercised here
@@ -446,6 +445,99 @@ mod tests {
         insert_rows(&mut s, 3, 0);
         delete_rows(&mut s, 99, 1);
         assert_eq!(crate::io::save(&s), snapshot);
+    }
+
+    #[test]
+    fn oversized_inserts_are_rejected_with_the_sheet_unchanged() {
+        use crate::grid::{MAX_COLS, MAX_ROWS};
+
+        let mut s = sample();
+        s.define_name("Data", crate::addr::Range::parse("A1:A5").unwrap()).unwrap();
+        s.set_row_hidden(1, true);
+        let saved = crate::io::save(&s);
+        let meter = s.meter().snapshot();
+        for op in [
+            Op::InsertRows { at: 0, count: MAX_ROWS },
+            Op::InsertRows { at: 2, count: u32::MAX },
+            Op::InsertRows { at: 99, count: MAX_ROWS - 4 },
+            Op::InsertCols { at: 0, count: MAX_COLS },
+            Op::InsertCols { at: 1, count: u32::MAX },
+            Op::InsertCols { at: 99, count: MAX_COLS - 1 },
+        ] {
+            let err = s.apply(op.clone()).unwrap_err();
+            assert!(matches!(err, EngineError::OutOfBounds { .. }), "{op:?}: {err:?}");
+            assert_eq!(crate::io::save(&s), saved, "{op:?} touched the sheet");
+            assert_eq!((s.nrows(), s.ncols()), (5, 2), "{op:?}");
+            assert_eq!(s.formula_count(), 3, "{op:?}");
+            assert!(s.is_row_hidden(1), "{op:?}");
+            assert_eq!(s.meter().snapshot(), meter, "{op:?} charged the meter");
+        }
+        assert_eq!(s.eval_str("=SUM(Data)").unwrap(), Value::Number(15.0));
+        // The largest inserts that fit are fine, and deletes of any count
+        // only clamp.
+        s.apply(Op::InsertRows { at: 5, count: MAX_ROWS - 5 }).unwrap();
+        s.apply(Op::InsertCols { at: 2, count: MAX_COLS - 2 }).unwrap();
+        assert_eq!((s.nrows(), s.ncols()), (MAX_ROWS, MAX_COLS));
+        s.apply(Op::DeleteRows { at: 5, count: u32::MAX }).unwrap();
+        s.apply(Op::DeleteCols { at: 2, count: u32::MAX }).unwrap();
+        assert_eq!((s.nrows(), s.ncols()), (5, 2));
+        assert_eq!(crate::io::save(&s), saved);
+    }
+
+    #[test]
+    fn named_ranges_move_with_structural_edits() {
+        let range = |s: &str| crate::addr::Range::parse(s).unwrap();
+        // Rows: `Data` = A1:A5 over 1..5.
+        let named = || {
+            let mut s = sample();
+            s.define_name("Data", range("A1:A5")).unwrap();
+            s
+        };
+        let mut s = named();
+        s.apply(Op::InsertRows { at: 0, count: 2 }).unwrap();
+        assert_eq!(s.name_range("Data"), Some(range("A3:A7")));
+        assert_eq!(s.eval_str("=SUM(Data)").unwrap(), Value::Number(15.0));
+        s.apply(Op::InsertRows { at: 4, count: 1 }).unwrap(); // inside: the name widens
+        assert_eq!(s.name_range("Data"), Some(range("A3:A8")));
+        assert_eq!(s.eval_str("=SUM(Data)").unwrap(), Value::Number(15.0));
+
+        let mut s = named();
+        s.apply(Op::DeleteRows { at: 3, count: 5 }).unwrap(); // clips the tail: 4 and 5 die
+        assert_eq!(s.name_range("Data"), Some(range("A1:A3")));
+        assert_eq!(s.eval_str("=SUM(Data)").unwrap(), Value::Number(6.0));
+        s.apply(Op::DeleteRows { at: 0, count: 1 }).unwrap(); // clips the head
+        assert_eq!(s.name_range("Data"), Some(range("A1:A2")));
+        assert_eq!(s.eval_str("=SUM(Data)").unwrap(), Value::Number(5.0));
+
+        let mut s = named();
+        s.apply(Op::DeleteRows { at: 0, count: 5 }).unwrap(); // the whole range dies
+        assert_eq!(s.name_range("Data"), None);
+        assert!(s.names().is_empty());
+        assert!(s.eval_str("=SUM(Data)").is_err());
+
+        // Columns: `Wide` = B1:D1 over 2, 3, 4.
+        let named = || {
+            let mut s = Sheet::new();
+            for c in 0..5u32 {
+                s.set_value(CellAddr::new(0, c), i64::from(c + 1));
+            }
+            s.define_name("Wide", range("B1:D1")).unwrap();
+            s
+        };
+        let mut s = named();
+        s.apply(Op::InsertCols { at: 1, count: 3 }).unwrap();
+        assert_eq!(s.name_range("Wide"), Some(range("E1:G1")));
+        assert_eq!(s.eval_str("=SUM(Wide)").unwrap(), Value::Number(9.0));
+
+        let mut s = named();
+        s.apply(Op::DeleteCols { at: 0, count: 2 }).unwrap(); // A and B: clips the head
+        assert_eq!(s.name_range("Wide"), Some(range("A1:B1")));
+        assert_eq!(s.eval_str("=SUM(Wide)").unwrap(), Value::Number(7.0));
+
+        let mut s = named();
+        s.apply(Op::DeleteCols { at: 1, count: 3 }).unwrap();
+        assert_eq!(s.name_range("Wide"), None);
+        assert!(s.eval_str("=SUM(Wide)").is_err());
     }
 
     #[test]
@@ -661,6 +753,7 @@ mod tests {
         s.set_formula_str(a("C5"), "=$A$6").unwrap(); // absolute ref past the band
         recalc::recalc_all(&mut s);
         assert_eq!(s.program_cache().memo_len(), 8);
+        let misses = s.program_cache().misses();
 
         insert_rows(&mut s, 3, 1);
         // B1–B3 are unmoved with windows before row 4; B4–B6 moved down
@@ -669,9 +762,13 @@ mod tests {
         // renumbered by the shift, which changes the template key.
         assert_eq!(s.program_cache().memo_len(), 7);
         recalc::recalc_all(&mut s);
-        // The rebuilt cache counts from zero; everything else was adopted,
-        // so the renumbered absolute template is the only compile.
-        assert_eq!(s.program_cache().misses(), 1, "only the renumbered template recompiles");
+        // Every other binding and pure template survived, so the
+        // renumbered absolute template is the only compile.
+        assert_eq!(
+            s.program_cache().misses(),
+            misses + 1,
+            "only the renumbered template recompiles"
+        );
         assert_eq!(s.value(a("B2")), Value::Number(4.0));
         assert_eq!(s.value(a("B5")), Value::Number(8.0)); // old B4, shifted
         assert_eq!(s.value(a("C1")), Value::Number(3.0));
@@ -684,6 +781,7 @@ mod tests {
         s.set_formula_str(a("C8"), "=SUM(A1:A8)").unwrap(); // straddles any interior band
         recalc::recalc_all(&mut s);
         assert_eq!(s.program_cache().memo_len(), 9);
+        let misses = s.program_cache().misses();
 
         delete_rows(&mut s, 3, 2); // rows 4–5 die
         // B1–B3 unmoved (windows before row 4); old B6–B8 moved up with
@@ -692,9 +790,12 @@ mod tests {
         // (its refs get clipped), so it must drop.
         assert_eq!(s.program_cache().memo_len(), 6);
         recalc::recalc_all(&mut s);
-        // The rebuilt cache counts from zero; only the clipped aggregate's
-        // rewritten template needs a compile.
-        assert_eq!(s.program_cache().misses(), 1, "only the clipped aggregate recompiles");
+        // Only the clipped aggregate's rewritten template needs a compile.
+        assert_eq!(
+            s.program_cache().misses(),
+            misses + 1,
+            "only the clipped aggregate recompiles"
+        );
         assert_eq!(s.value(a("B4")), Value::Number(12.0)); // old B6
         assert_eq!(s.value(a("C6")), Value::Number(1.0 + 2.0 + 3.0 + 6.0 + 7.0 + 8.0));
     }

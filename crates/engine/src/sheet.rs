@@ -102,8 +102,15 @@ impl Sheet {
         &self.grid
     }
 
+    /// Mutable grid access for `ops::structure`, which shifts rows and
+    /// columns in place and then repairs everything else the sheet keyed
+    /// by coordinate (formulas, names, filter flags, indexes, deps).
+    pub(crate) fn grid_store_mut(&mut self) -> &mut GridStore {
+        &mut self.grid
+    }
+
     /// The physical storage layout of the grid. Stable across every
-    /// operation, including structural edits that rebuild the grid.
+    /// operation.
     pub fn layout(&self) -> Layout {
         self.grid.layout()
     }
@@ -324,16 +331,11 @@ impl Sheet {
         }
     }
 
-    /// Registration snapshot for structural rebuilds (see
-    /// `ops::structure`).
-    pub(crate) fn index_snapshot(&self) -> Vec<(u32, bool)> {
-        self.indexes.snapshot()
-    }
-
-    /// Restores a (remapped) registration snapshot; all live indexes
-    /// re-enter as pending and rebuild at the next `ensure_indexes`.
-    pub(crate) fn restore_index_snapshot(&mut self, snapshot: Vec<(u32, bool)>) {
-        self.indexes.restore(snapshot);
+    /// Moves index registrations with their columns for a structural
+    /// column edit (`None` = the column was deleted); every live index
+    /// demotes to pending and rebuilds at the next `ensure_indexes`.
+    pub(crate) fn remap_index_cols(&mut self, map: impl Fn(u32) -> Option<u32>) {
+        self.indexes.remap_cols(map);
     }
 
     // --- mutation --------------------------------------------------------
@@ -424,6 +426,18 @@ impl Sheet {
         out
     }
 
+    /// Moves every named range with a structural edit; a name whose whole
+    /// range was deleted (`None`) is removed.
+    pub(crate) fn remap_names(&mut self, map: impl Fn(Range) -> Option<Range>) {
+        self.names.0.retain(|_, range| match map(*range) {
+            Some(moved) => {
+                *range = moved;
+                true
+            }
+            None => false,
+        });
+    }
+
     /// Sets a cell from user input: `=...` becomes a formula, numeric text
     /// a number, `TRUE`/`FALSE` booleans, everything else text.
     pub fn set_input(&mut self, addr: CellAddr, input: &str) -> Result<(), EngineError> {
@@ -481,8 +495,9 @@ impl Sheet {
         self.grid.cell_mut(addr).expect("cell_mut: address beyond engine limits")
     }
 
-    /// Mutable dependency-graph access for operations.
-    #[allow(dead_code)] // reserved for structural operations
+    /// Mutable dependency-graph access, for tests that corrupt the graph
+    /// on purpose.
+    #[cfg(test)]
     pub(crate) fn deps_mut(&mut self) -> &mut DepGraph {
         &mut self.deps
     }
@@ -578,16 +593,8 @@ impl Sheet {
         // grid, and the next `ensure_indexes` rebuilds them.
         self.indexes.invalidate_built();
         self.programs.retain_pure_with(retained);
-        let Some(range) = self.used_range() else { return };
-        let mut formulas: Vec<(CellAddr, Expr)> = Vec::new();
-        self.grid.for_each_in_range(range, &mut |addr, cell| {
-            if let CellContent::Formula(f) = &cell.content {
-                formulas.push((addr, f.expr.clone()));
-            }
-        });
-        for (addr, expr) in formulas {
-            self.deps.add(addr, &expr);
-        }
+        let deps = &mut self.deps;
+        self.grid.for_each_formula(&mut |addr, formula| deps.add(addr, &formula.expr));
     }
 
     // --- filter state ----------------------------------------------------
@@ -611,8 +618,8 @@ impl Sheet {
         self.hidden.clear();
     }
 
-    /// The per-row hidden flags themselves, for structural edits that
-    /// rebuild the sheet and must carry the filter state across.
+    /// The per-row hidden flags themselves, for structural edits, which
+    /// splice them along with the rows.
     pub(crate) fn hidden_flags_mut(&mut self) -> &mut Vec<bool> {
         &mut self.hidden
     }

@@ -1,6 +1,6 @@
 //! Memory-capped grid scenario: builds a tall numeric sheet, recalculates
-//! a set of whole-column aggregates, sorts it, and digests the values
-//! after each phase.
+//! a set of whole-column aggregates, sorts it, inserts and deletes a row
+//! mid-sheet, and digests the values after each phase.
 //!
 //! ```text
 //! cargo run --release -p ssbench-harness --bin spill -- [--rows N]
@@ -75,6 +75,23 @@ fn main() {
     recalc::recalc_all(&mut sheet);
     report_phase(&sheet, "sort");
     println!("digest_sorted={:016x}", digest(&sheet));
+
+    // Phase 4: one row in, then out again, mid-sheet: every chunk below
+    // the edit point shifts by one slot, spilled or not. The wall time
+    // covers the two edits and their recalculations, not the digests.
+    let mut restructure = std::time::Duration::ZERO;
+    for (op, phase) in [
+        (Op::InsertRows { at: rows / 2, count: 1 }, "inserted"),
+        (Op::DeleteRows { at: rows / 2, count: 1 }, "restructured"),
+    ] {
+        let started = std::time::Instant::now();
+        sheet.apply(op).expect("structural edit applies");
+        recalc::recalc_all(&mut sheet);
+        restructure += started.elapsed();
+        report_phase(&sheet, phase);
+        println!("digest_{phase}={:016x}", digest(&sheet));
+    }
+    println!("restructure_ms={:.1}", restructure.as_secs_f64() * 1e3);
 
     let stats = sheet.grid_spill_stats();
     println!(
