@@ -90,11 +90,14 @@ pub fn open_window(
 pub fn to_csv(data: &SheetData) -> String {
     let mut out = String::new();
     for row in &data.rows {
+        // A row holding one empty field is written `""`: left bare it would
+        // be a blank line, which `from_csv` skips.
+        let lone_blank = matches!(row.as_slice(), [f] if f.is_empty());
         for (i, field) in row.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            if field.contains([',', '"', '\n', '\r']) {
+            if lone_blank || field.contains([',', '"', '\n', '\r']) {
                 out.push('"');
                 out.push_str(&field.replace('"', "\"\""));
                 out.push('"');
@@ -177,6 +180,8 @@ pub fn read_csv_file(path: &std::path::Path) -> Result<SheetData, EngineError> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::recalc;
     use crate::value::Value;
@@ -250,6 +255,33 @@ mod tests {
         assert_eq!(from_csv("").unwrap().nrows(), 0);
         let d = from_csv("a,b\n").unwrap();
         assert_eq!(d.rows, vec![vec!["a".to_owned(), "b".to_owned()]]);
+    }
+
+    proptest! {
+        /// `from_csv(to_csv(d))` keeps every row and every cell, whatever
+        /// mix of blank, plain and quoting-needed fields the rows hold —
+        /// including a one-column document with blank cells, whose rows
+        /// used to be written as bare newlines and skipped on the way in.
+        #[test]
+        fn csv_round_trip_preserves_every_cell(
+            ncols in 1usize..=4,
+            rows in prop::collection::vec(
+                prop::collection::vec(
+                    prop_oneof![
+                        Just(String::new()),
+                        "[a-z0-9 ]{1,6}",
+                        "[ab,\"\n\r]{1,5}",
+                    ],
+                    4,
+                ),
+                0..8,
+            ),
+        ) {
+            let rows = rows.into_iter().map(|r| r[..ncols].to_vec()).collect();
+            let data = SheetData { rows };
+            let back = from_csv(&to_csv(&data)).unwrap();
+            prop_assert_eq!(back, data);
+        }
     }
 
     #[test]

@@ -84,11 +84,8 @@ pub mod prelude {
     pub use crate::index::IndexStore;
     pub use crate::io::SheetData;
     pub use crate::meter::{Counts, Meter, Primitive};
-    #[allow(deprecated)]
     pub use crate::ops::{
-        clear_filter, conditional_format, copy_paste, filter_rows, find_all, find_replace,
-        delete_cols, delete_rows, insert_cols, insert_rows, pivot, sort_rows, Op, OpOutcome,
-        PivotAgg, PivotTable, SortKey, SortOrder,
+        find_all, pivot, Op, OpOutcome, PivotAgg, PivotTable, SortKey, SortOrder,
     };
     pub use crate::recalc;
     pub use crate::recalc::{EvalSession, RecalcOptions};

@@ -4,7 +4,6 @@
 
 use crate::addr::{CellAddr, Range};
 use crate::meter::Primitive;
-use crate::ops::{Op, OpOutcome};
 use crate::sheet::Sheet;
 use crate::style::Color;
 use crate::value::Criterion;
@@ -12,21 +11,6 @@ use crate::value::Criterion;
 /// Applies `fill` to every cell of `range` matching `criterion`; cells
 /// that no longer match lose the fill (re-evaluation semantics, as when a
 /// rule is re-applied). Returns the number of cells now filled.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::CondFormat`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::CondFormat { .. })`")]
-pub fn conditional_format(
-    sheet: &mut Sheet,
-    range: Range,
-    criterion: &Criterion,
-    fill: Color,
-) -> u32 {
-    match sheet.apply(Op::CondFormat { range, criterion: criterion.clone(), fill }) {
-        Ok(OpOutcome::Formatted { cells }) => cells,
-        other => unreachable!("cond_format dispatch returned {other:?}"),
-    }
-}
-
 pub(crate) fn conditional_format_impl(
     sheet: &mut Sheet,
     range: Range,
@@ -67,10 +51,19 @@ pub(crate) fn conditional_format_impl(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the compatibility wrappers stay exercised here
 mod tests {
     use super::*;
+    use crate::ops::{Op, OpOutcome};
     use crate::value::Value;
+
+    /// The paper's rule: fill K1:K6 green where the cell holds 1.
+    fn green_ones() -> Op {
+        Op::CondFormat {
+            range: Range::column_segment(10, 0, 5),
+            criterion: Criterion::parse(&Value::Number(1.0)),
+            fill: Color::GREEN,
+        }
+    }
 
     fn ones_sheet() -> Sheet {
         let mut s = Sheet::new();
@@ -83,10 +76,7 @@ mod tests {
     #[test]
     fn formats_matching_cells_green() {
         let mut s = ones_sheet();
-        let crit = Criterion::parse(&Value::Number(1.0));
-        let range = Range::column_segment(10, 0, 5);
-        let count = conditional_format(&mut s, range, &crit, Color::GREEN);
-        assert_eq!(count, 3);
+        assert_eq!(s.apply(green_ones()), Ok(OpOutcome::Formatted { cells: 3 }));
         assert_eq!(s.cell(CellAddr::new(1, 10)).unwrap().style.fill, Some(Color::GREEN));
         assert_eq!(s.cell(CellAddr::new(0, 10)).unwrap().style.fill, None);
     }
@@ -94,27 +84,23 @@ mod tests {
     #[test]
     fn reapplication_clears_stale_fills() {
         let mut s = ones_sheet();
-        let crit = Criterion::parse(&Value::Number(1.0));
-        let range = Range::column_segment(10, 0, 5);
-        conditional_format(&mut s, range, &crit, Color::GREEN);
+        s.apply(green_ones()).unwrap();
         s.set_value(CellAddr::new(1, 10), 0);
-        conditional_format(&mut s, range, &crit, Color::GREEN);
+        s.apply(green_ones()).unwrap();
         assert_eq!(s.cell(CellAddr::new(1, 10)).unwrap().style.fill, None);
     }
 
     #[test]
     fn charges_scan_plus_updates() {
         let mut s = ones_sheet();
-        let crit = Criterion::parse(&Value::Number(1.0));
-        let range = Range::column_segment(10, 0, 5);
         let before = s.meter().snapshot();
-        conditional_format(&mut s, range, &crit, Color::GREEN);
+        s.apply(green_ones()).unwrap();
         let d = s.meter().snapshot().since(&before);
         assert_eq!(d.get(Primitive::CellRead), 6);
         assert_eq!(d.get(Primitive::StyleUpdate), 3);
         // Idempotent re-run updates nothing.
         let before = s.meter().snapshot();
-        conditional_format(&mut s, range, &crit, Color::GREEN);
+        s.apply(green_ones()).unwrap();
         let d = s.meter().snapshot().since(&before);
         assert_eq!(d.get(Primitive::StyleUpdate), 0);
     }

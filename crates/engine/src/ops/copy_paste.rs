@@ -5,22 +5,11 @@
 use crate::addr::{CellAddr, Range};
 use crate::cell::{Cell, CellContent};
 use crate::meter::Primitive;
-use crate::ops::{Op, OpOutcome};
 use crate::sheet::Sheet;
 
 /// Copies `src` to the block of the same shape starting at `dst_start`.
 /// Overlapping copy is supported (the source is snapshotted first, as real
 /// systems do via the clipboard). Returns the destination range.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::CopyPaste`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::CopyPaste { .. })`")]
-pub fn copy_paste(sheet: &mut Sheet, src: Range, dst_start: CellAddr) -> Range {
-    match sheet.apply(Op::CopyPaste { src, dst: dst_start }) {
-        Ok(OpOutcome::Pasted { dst }) => dst,
-        other => unreachable!("copy_paste dispatch returned {other:?}"),
-    }
-}
-
 pub(crate) fn copy_paste_impl(sheet: &mut Sheet, src: Range, dst_start: CellAddr) -> Range {
     let rows = src.rows();
     let cols = src.cols();
@@ -53,15 +42,19 @@ pub(crate) fn copy_paste_impl(sheet: &mut Sheet, src: Range, dst_start: CellAddr
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the compatibility wrappers stay exercised here
 mod tests {
     use super::*;
     use crate::error::CellError;
+    use crate::ops::{Op, OpOutcome};
     use crate::recalc;
     use crate::value::Value;
 
     fn a(s: &str) -> CellAddr {
         CellAddr::parse(s).unwrap()
+    }
+
+    fn paste(src: &str, dst: &str) -> Op {
+        Op::CopyPaste { src: Range::parse(src).unwrap(), dst: a(dst) }
     }
 
     #[test]
@@ -70,7 +63,7 @@ mod tests {
         s.set_value(a("A1"), 7);
         s.cell_mut(a("A1")).style =
             crate::style::Style::plain().with_fill(crate::style::Color::GREEN);
-        copy_paste(&mut s, Range::parse("A1").unwrap(), a("C3"));
+        s.apply(paste("A1", "C3")).unwrap();
         assert_eq!(s.value(a("C3")), Value::Number(7.0));
         assert_eq!(s.cell(a("C3")).unwrap().style.fill, Some(crate::style::Color::GREEN));
     }
@@ -81,7 +74,7 @@ mod tests {
         s.set_value(a("A1"), 1);
         s.set_value(a("A2"), 2);
         s.set_formula_str(a("B1"), "=A1*10").unwrap();
-        copy_paste(&mut s, Range::parse("B1").unwrap(), a("B2"));
+        s.apply(paste("B1", "B2")).unwrap();
         assert_eq!(s.input_text(a("B2")), "=A2*10");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("B2")), Value::Number(20.0));
@@ -92,7 +85,7 @@ mod tests {
         let mut s = Sheet::new();
         s.set_value(a("A1"), 5);
         s.set_formula_str(a("B1"), "=$A$1+A1").unwrap();
-        copy_paste(&mut s, Range::parse("B1").unwrap(), a("C5"));
+        s.apply(paste("B1", "C5")).unwrap();
         assert_eq!(s.input_text(a("C5")), "=$A$1+B5");
     }
 
@@ -102,7 +95,7 @@ mod tests {
         s.set_value(a("B2"), 1);
         s.set_formula_str(a("B3"), "=B2").unwrap();
         // Pasting B3 at A1 would need the reference to move to row 0.
-        copy_paste(&mut s, Range::parse("B3").unwrap(), a("A1"));
+        s.apply(paste("B3", "A1")).unwrap();
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("A1")), Value::Error(CellError::Ref));
     }
@@ -115,8 +108,8 @@ mod tests {
                 s.set_value(CellAddr::new(r, c), i64::from(r * 10 + c));
             }
         }
-        let dst = copy_paste(&mut s, Range::parse("A1:B2").unwrap(), a("D4"));
-        assert_eq!(dst, Range::parse("D4:E5").unwrap());
+        let out = s.apply(paste("A1:B2", "D4"));
+        assert_eq!(out, Ok(OpOutcome::Pasted { dst: Range::parse("D4:E5").unwrap() }));
         assert_eq!(s.value(a("E5")), Value::Number(11.0));
     }
 
@@ -127,7 +120,7 @@ mod tests {
             s.set_value(CellAddr::new(i, 0), i64::from(i));
         }
         // Shift the block down by one over itself.
-        copy_paste(&mut s, Range::parse("A1:A4").unwrap(), a("A2"));
+        s.apply(paste("A1:A4", "A2")).unwrap();
         let col: Vec<f64> =
             (0..5).map(|r| s.value(CellAddr::new(r, 0)).as_number().unwrap()).collect();
         assert_eq!(col, vec![0.0, 0.0, 1.0, 2.0, 3.0]);
@@ -138,7 +131,7 @@ mod tests {
         let mut s = Sheet::new();
         s.set_value(a("A1"), 1);
         let before = s.meter().snapshot();
-        copy_paste(&mut s, Range::parse("A1:B2").unwrap(), a("D1"));
+        s.apply(paste("A1:B2", "D1")).unwrap();
         let d = s.meter().snapshot().since(&before);
         assert_eq!(d.get(Primitive::CellRead), 4);
         // 4 pastes; set_value/set_formula tick CellWrite again internally.

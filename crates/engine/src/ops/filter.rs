@@ -5,22 +5,11 @@
 
 use crate::addr::CellAddr;
 use crate::meter::Primitive;
-use crate::ops::{Op, OpOutcome};
 use crate::sheet::Sheet;
 use crate::value::Criterion;
 
 /// Applies a filter on `col`: rows whose cell does not match `criterion`
 /// are hidden. Returns the number of visible (matching) rows.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::Filter`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::Filter { .. })`")]
-pub fn filter_rows(sheet: &mut Sheet, col: u32, criterion: &Criterion) -> u32 {
-    match sheet.apply(Op::Filter { col, criterion: criterion.clone() }) {
-        Ok(OpOutcome::Filtered { visible }) => visible,
-        other => unreachable!("filter dispatch returned {other:?}"),
-    }
-}
-
 pub(crate) fn filter_rows_impl(sheet: &mut Sheet, col: u32, criterion: &Criterion) -> u32 {
     let m = sheet.nrows();
     let mut visible = 0u32;
@@ -39,13 +28,6 @@ pub(crate) fn filter_rows_impl(sheet: &mut Sheet, col: u32, criterion: &Criterio
 }
 
 /// Clears the filter, unhiding every row.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::ClearFilter`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::ClearFilter)`")]
-pub fn clear_filter(sheet: &mut Sheet) {
-    let _ = sheet.apply(Op::ClearFilter).expect("clear_filter is infallible");
-}
-
 pub(crate) fn clear_filter_impl(sheet: &mut Sheet) {
     let hidden = u64::from(sheet.nrows() - sheet.visible_rows());
     sheet.meter().bump(Primitive::RowToggle, hidden);
@@ -53,10 +35,14 @@ pub(crate) fn clear_filter_impl(sheet: &mut Sheet) {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the compatibility wrappers stay exercised here
 mod tests {
     use super::*;
+    use crate::ops::{Op, OpOutcome};
     use crate::value::Value;
+
+    fn filter(col: u32, criterion: &str) -> Op {
+        Op::Filter { col, criterion: Criterion::parse(&Value::text(criterion)) }
+    }
 
     fn states() -> Sheet {
         let mut s = Sheet::new();
@@ -70,9 +56,7 @@ mod tests {
     fn filters_by_state() {
         // The paper's experiment: filter by state = SD.
         let mut s = states();
-        let crit = Criterion::parse(&Value::text("SD"));
-        let visible = filter_rows(&mut s, 1, &crit);
-        assert_eq!(visible, 3);
+        assert_eq!(s.apply(filter(1, "SD")), Ok(OpOutcome::Filtered { visible: 3 }));
         assert!(!s.is_row_hidden(0));
         assert!(s.is_row_hidden(1));
         assert!(s.is_row_hidden(3));
@@ -82,9 +66,8 @@ mod tests {
     #[test]
     fn refilter_replaces_previous() {
         let mut s = states();
-        filter_rows(&mut s, 1, &Criterion::parse(&Value::text("SD")));
-        let visible = filter_rows(&mut s, 1, &Criterion::parse(&Value::text("IL")));
-        assert_eq!(visible, 1);
+        s.apply(filter(1, "SD")).unwrap();
+        assert_eq!(s.apply(filter(1, "IL")), Ok(OpOutcome::Filtered { visible: 1 }));
         assert!(s.is_row_hidden(0));
         assert!(!s.is_row_hidden(1));
     }
@@ -92,9 +75,9 @@ mod tests {
     #[test]
     fn clear_restores_all() {
         let mut s = states();
-        filter_rows(&mut s, 1, &Criterion::parse(&Value::text("CA")));
+        s.apply(filter(1, "CA")).unwrap();
         assert_eq!(s.visible_rows(), 1);
-        clear_filter(&mut s);
+        assert_eq!(s.apply(Op::ClearFilter), Ok(OpOutcome::FilterCleared));
         assert_eq!(s.visible_rows(), 5);
     }
 
@@ -102,7 +85,7 @@ mod tests {
     fn charges_full_scan() {
         let mut s = states();
         let before = s.meter().snapshot();
-        filter_rows(&mut s, 1, &Criterion::parse(&Value::text("SD")));
+        s.apply(filter(1, "SD")).unwrap();
         let d = s.meter().snapshot().since(&before);
         assert_eq!(d.get(Primitive::CellRead), 5);
         assert_eq!(d.get(Primitive::RowToggle), 2);
@@ -114,7 +97,6 @@ mod tests {
         for i in 0..10u32 {
             s.set_value(CellAddr::new(i, 0), i);
         }
-        let visible = filter_rows(&mut s, 0, &Criterion::parse(&Value::text(">=5")));
-        assert_eq!(visible, 5);
+        assert_eq!(s.apply(filter(0, ">=5")), Ok(OpOutcome::Filtered { visible: 5 }));
     }
 }

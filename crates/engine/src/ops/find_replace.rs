@@ -6,8 +6,8 @@
 use crate::addr::{CellAddr, Range};
 use crate::cell::CellContent;
 use crate::meter::Primitive;
-use crate::ops::{with_query_span, Op, OpOutcome};
 use crate::sheet::Sheet;
+use crate::trace;
 use crate::value::Value;
 
 /// Scans `range` for cells whose text contains `needle` (case-sensitive
@@ -15,10 +15,10 @@ use crate::value::Value;
 /// Even an absent needle costs a full scan (§5.1.2: "even when searching a
 /// non-existent value, the search time increases linearly").
 ///
-/// A `&Sheet` query: traced with the shared op-span helper since it cannot
-/// route through [`Sheet::apply`].
+/// A `&Sheet` query: it opens its own `op:find_all` span since it cannot
+/// route through [`Sheet::apply`](crate::sheet::Sheet::apply).
 pub fn find_all(sheet: &Sheet, range: Range, needle: &str) -> Vec<CellAddr> {
-    with_query_span("find_all", sheet.meter(), || find_all_impl(sheet, range, needle))
+    trace::with_op_span("find_all", sheet.meter(), || find_all_impl(sheet, range, needle))
 }
 
 pub(crate) fn find_all_impl(sheet: &Sheet, range: Range, needle: &str) -> Vec<CellAddr> {
@@ -43,21 +43,6 @@ pub(crate) fn find_all_impl(sheet: &Sheet, range: Range, needle: &str) -> Vec<Ce
 
 /// Replaces every occurrence of `needle` inside matching cells of `range`
 /// with `replacement`. Returns the number of cells changed.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::FindReplace`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::FindReplace { .. })`")]
-pub fn find_replace(sheet: &mut Sheet, range: Range, needle: &str, replacement: &str) -> u32 {
-    let op = Op::FindReplace {
-        range,
-        needle: needle.to_owned(),
-        replacement: replacement.to_owned(),
-    };
-    match sheet.apply(op) {
-        Ok(OpOutcome::Replaced { cells }) => cells,
-        other => unreachable!("find_replace dispatch returned {other:?}"),
-    }
-}
-
 pub(crate) fn find_replace_impl(
     sheet: &mut Sheet,
     range: Range,
@@ -92,9 +77,9 @@ fn cell_text_contains(sheet: &Sheet, addr: CellAddr, needle: &str) -> bool {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the compatibility wrappers stay exercised here
 mod tests {
     use super::*;
+    use crate::ops::{Op, OpOutcome};
 
     fn sheet() -> Sheet {
         let mut s = Sheet::new();
@@ -106,6 +91,10 @@ mod tests {
 
     fn full(s: &Sheet) -> Range {
         s.used_range().unwrap()
+    }
+
+    fn replace(s: &Sheet, needle: &str, replacement: &str) -> Op {
+        Op::FindReplace { range: full(s), needle: needle.into(), replacement: replacement.into() }
     }
 
     #[test]
@@ -128,9 +117,8 @@ mod tests {
     #[test]
     fn replace_rewrites_only_matches() {
         let mut s = sheet();
-        let range = full(&s);
-        let changed = find_replace(&mut s, range, "STORM", "WIND");
-        assert_eq!(changed, 2);
+        let op = replace(&s, "STORM", "WIND");
+        assert_eq!(s.apply(op), Ok(OpOutcome::Replaced { cells: 2 }));
         assert_eq!(s.value(CellAddr::new(0, 2)), Value::text("WIND"));
         assert_eq!(s.value(CellAddr::new(2, 2)), Value::text("WINDY"));
         assert_eq!(s.value(CellAddr::new(4, 2)), Value::text("storm"));
@@ -139,15 +127,15 @@ mod tests {
     #[test]
     fn replace_absent_changes_nothing() {
         let mut s = sheet();
-        let range = full(&s);
-        assert_eq!(find_replace(&mut s, range, "TORNADO", "X"), 0);
+        let op = replace(&s, "TORNADO", "X");
+        assert_eq!(s.apply(op), Ok(OpOutcome::Replaced { cells: 0 }));
     }
 
     #[test]
     fn empty_needle_is_noop() {
         let mut s = sheet();
-        let range = full(&s);
-        assert_eq!(find_replace(&mut s, range, "", "X"), 0);
+        let op = replace(&s, "", "X");
+        assert_eq!(s.apply(op), Ok(OpOutcome::Replaced { cells: 0 }));
     }
 
     #[test]

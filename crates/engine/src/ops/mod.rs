@@ -7,10 +7,8 @@
 //! Operations are dispatched through one choke point — the [`Op`] command
 //! enum and [`Sheet::apply`] — so span-level tracing (and any future
 //! policy, logging, or batching layer) instruments exactly one call site.
-//! The original mutating free functions ([`sort_rows`], [`filter_rows`],
-//! …) remain as thin deprecated wrappers for compatibility; the read-only
-//! queries ([`pivot`], [`find_all`]) stay first-class — they take `&Sheet`
-//! and have no `Op` equivalent to migrate to.
+//! The read-only queries ([`pivot`], [`find_all`]) are free functions: they
+//! take `&Sheet`, which `apply(&mut self, …)` cannot serve.
 
 pub mod cond_format;
 pub mod copy_paste;
@@ -20,25 +18,12 @@ pub mod pivot;
 pub mod sort;
 pub mod structure;
 
-#[allow(deprecated)]
-pub use cond_format::conditional_format;
-#[allow(deprecated)]
-pub use copy_paste::copy_paste;
-#[allow(deprecated)]
-pub use filter::{clear_filter, filter_rows};
-#[allow(deprecated)]
-pub use find_replace::find_replace;
 pub use find_replace::find_all;
 pub use pivot::{pivot, PivotAgg, PivotTable};
-#[allow(deprecated)]
-pub use sort::sort_rows;
 pub use sort::{SortKey, SortOrder};
-#[allow(deprecated)]
-pub use structure::{delete_cols, delete_rows, insert_cols, insert_rows};
 
 use crate::addr::{CellAddr, Range};
 use crate::error::EngineError;
-use crate::meter::Meter;
 use crate::sheet::Sheet;
 use crate::style::Color;
 use crate::trace;
@@ -119,9 +104,9 @@ impl Sheet {
     /// mutation funnels through, and the choke point where the tracer
     /// opens an `op:<name>` span with the operation's meter delta.
     ///
-    /// Almost every command's preconditions are handled by clamping, as the
-    /// free functions always did. The exceptions: `Sort` surfaces
-    /// [`EngineError::BadPermutation`] if the grid rejects the computed row
+    /// Almost every command's preconditions are handled by clamping. The
+    /// exceptions: `Sort` surfaces [`EngineError::BadPermutation`] if the
+    /// grid rejects the computed row
     /// permutation (a bug in the sort itself, not bad user input), and
     /// `InsertRows`/`InsertCols` return [`EngineError::OutOfBounds`], with
     /// the sheet untouched, when the new extent would exceed the engine
@@ -168,13 +153,6 @@ impl Sheet {
         span.finish_metered(self.meter());
         outcome
     }
-}
-
-/// Span wrapper for the `&Sheet` query ops (`pivot`, `find_all`), which
-/// cannot route through `apply(&mut self, …)`; keeps their spans named
-/// identically to the dispatcher's.
-pub(crate) fn with_query_span<R>(name: &'static str, meter: &Meter, f: impl FnOnce() -> R) -> R {
-    trace::with_op_span(name, meter, f)
 }
 
 #[cfg(test)]

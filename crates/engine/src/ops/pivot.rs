@@ -6,8 +6,8 @@ use std::collections::HashMap;
 
 use crate::addr::CellAddr;
 use crate::meter::Primitive;
-use crate::ops::with_query_span;
 use crate::sheet::Sheet;
+use crate::trace;
 use crate::value::Value;
 
 /// Aggregation applied to the measure column.
@@ -59,11 +59,11 @@ impl PivotTable {
 /// Builds a pivot of `agg(measure_col)` grouped by `dim_col`, scanning
 /// every row once (the expected O(m) of Table 1).
 ///
-/// A `&Sheet` query: traced with the shared op-span helper since it cannot
+/// A `&Sheet` query: it opens its own `op:pivot` span since it cannot
 /// route through [`Sheet::apply`]; the `Op::Pivot` command dispatches to
 /// the same implementation.
 pub fn pivot(sheet: &Sheet, dim_col: u32, measure_col: u32, agg: PivotAgg) -> PivotTable {
-    with_query_span("pivot", sheet.meter(), || pivot_impl(sheet, dim_col, measure_col, agg))
+    trace::with_op_span("pivot", sheet.meter(), || pivot_impl(sheet, dim_col, measure_col, agg))
 }
 
 pub(crate) fn pivot_impl(sheet: &Sheet, dim_col: u32, measure_col: u32, agg: PivotAgg) -> PivotTable {

@@ -8,7 +8,6 @@ use std::cell::Cell as StdCell;
 use crate::addr::CellAddr;
 use crate::error::EngineError;
 use crate::meter::Primitive;
-use crate::ops::{Op, OpOutcome};
 use crate::sheet::Sheet;
 use crate::value::Value;
 
@@ -40,18 +39,7 @@ impl SortKey {
 }
 
 /// Stable-sorts every row of the sheet by the given keys. Returns the
-/// permutation that was applied (new row `i` was old row `perm[i]`), which
-/// callers (e.g. the sort-optimization ablation) can inspect.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::Sort`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::Sort { .. })`")]
-pub fn sort_rows(sheet: &mut Sheet, keys: &[SortKey]) -> Vec<u32> {
-    match sheet.apply(Op::Sort { keys: keys.to_vec() }) {
-        Ok(OpOutcome::Sorted { permutation }) => permutation,
-        other => unreachable!("sort dispatch returned {other:?}"),
-    }
-}
-
+/// permutation that was applied (new row `i` was old row `perm[i]`).
 pub(crate) fn sort_rows_impl(sheet: &mut Sheet, keys: &[SortKey]) -> Result<Vec<u32>, EngineError> {
     let m = sheet.nrows();
     let n = sheet.ncols();
@@ -145,9 +133,9 @@ pub(crate) fn sort_rows_impl(sheet: &mut Sheet, keys: &[SortKey]) -> Result<Vec<
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the compatibility wrappers stay exercised here
 mod tests {
     use super::*;
+    use crate::ops::{Op, OpOutcome};
     use crate::meter::Primitive;
 
     fn sheet_with_col(values: &[i64]) -> Sheet {
@@ -166,16 +154,16 @@ mod tests {
     #[test]
     fn sorts_ascending_and_descending() {
         let mut s = sheet_with_col(&[3, 1, 2]);
-        sort_rows(&mut s, &[SortKey::asc(0)]);
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         assert_eq!(col_a(&s), vec![1.0, 2.0, 3.0]);
-        sort_rows(&mut s, &[SortKey::desc(0)]);
+        s.apply(Op::Sort { keys: vec![SortKey::desc(0)] }).unwrap();
         assert_eq!(col_a(&s), vec![3.0, 2.0, 1.0]);
     }
 
     #[test]
     fn rows_move_together() {
         let mut s = sheet_with_col(&[3, 1, 2]);
-        sort_rows(&mut s, &[SortKey::asc(0)]);
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         assert_eq!(s.value(CellAddr::new(0, 1)), Value::text("row1"));
         assert_eq!(s.value(CellAddr::new(2, 1)), Value::text("row0"));
     }
@@ -187,7 +175,7 @@ mod tests {
             s.set_value(CellAddr::new(i as u32, 0), *k as i64);
             s.set_value(CellAddr::new(i as u32, 1), *tag);
         }
-        sort_rows(&mut s, &[SortKey::asc(0)]);
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         let tags: Vec<String> =
             (0..4).map(|r| s.value(CellAddr::new(r, 1)).display()).collect();
         assert_eq!(tags, ["b", "d", "a", "c"]);
@@ -201,7 +189,7 @@ mod tests {
             s.set_value(CellAddr::new(i as u32, 0), *a as i64);
             s.set_value(CellAddr::new(i as u32, 1), *b as i64);
         }
-        sort_rows(&mut s, &[SortKey::asc(0), SortKey::desc(1)]);
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0), SortKey::desc(1)] }).unwrap();
         let pairs: Vec<(f64, f64)> = (0..4)
             .map(|r| {
                 (
@@ -217,7 +205,7 @@ mod tests {
     fn charges_moves_and_comparisons() {
         let mut s = sheet_with_col(&[5, 4, 3, 2, 1]);
         let before = s.meter().snapshot();
-        sort_rows(&mut s, &[SortKey::asc(0)]);
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         let d = s.meter().snapshot().since(&before);
         assert_eq!(d.get(Primitive::CellMove), 10); // 5 rows × 2 cols
         assert_eq!(d.get(Primitive::CellRead), 5); // one key read per row
@@ -227,13 +215,14 @@ mod tests {
     #[test]
     fn empty_sheet_is_noop() {
         let mut s = Sheet::new();
-        assert!(sort_rows(&mut s, &[SortKey::asc(0)]).is_empty());
+        let out = s.apply(Op::Sort { keys: vec![SortKey::asc(0)] });
+        assert_eq!(out, Ok(OpOutcome::Sorted { permutation: vec![] }));
     }
 
     #[test]
     fn returns_applied_permutation() {
         let mut s = sheet_with_col(&[30, 10, 20]);
-        let perm = sort_rows(&mut s, &[SortKey::asc(0)]);
-        assert_eq!(perm, vec![1, 2, 0]);
+        let out = s.apply(Op::Sort { keys: vec![SortKey::asc(0)] });
+        assert_eq!(out, Ok(OpOutcome::Sorted { permutation: vec![1, 2, 0] }));
     }
 }

@@ -15,7 +15,7 @@ use crate::formula::ast::{Expr, RangeRef};
 use crate::formula::r1c1::{Axis as RefAxis, RefSpec};
 use crate::grid::{MAX_COLS, MAX_ROWS};
 use crate::meter::Primitive;
-use crate::ops::{Op, OpOutcome};
+use crate::ops::OpOutcome;
 use crate::sheet::Sheet;
 
 /// Which axis a structural edit operates on.
@@ -279,47 +279,13 @@ pub(crate) fn restructure(
     Ok(OpOutcome::Restructured)
 }
 
-/// Inserts `count` blank rows before row `at` (0-based). Panics when the
-/// new extent would exceed the engine limits.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::InsertRows`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::InsertRows { .. })`")]
-pub fn insert_rows(sheet: &mut Sheet, at: u32, count: u32) {
-    let _ = sheet.apply(Op::InsertRows { at, count }).expect("insert_rows: within engine limits");
-}
-
-/// Deletes `count` rows starting at row `at`.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::DeleteRows`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::DeleteRows { .. })`")]
-pub fn delete_rows(sheet: &mut Sheet, at: u32, count: u32) {
-    let _ = sheet.apply(Op::DeleteRows { at, count }).expect("delete_rows is infallible");
-}
-
-/// Inserts `count` blank columns before column `at`. Panics when the new
-/// extent would exceed the engine limits.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::InsertCols`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::InsertCols { .. })`")]
-pub fn insert_cols(sheet: &mut Sheet, at: u32, count: u32) {
-    let _ = sheet.apply(Op::InsertCols { at, count }).expect("insert_cols: within engine limits");
-}
-
-/// Deletes `count` columns starting at column `at`.
-///
-/// Thin wrapper over [`Sheet::apply`] with [`Op::DeleteCols`].
-#[deprecated(note = "route the edit through `Sheet::apply(Op::DeleteCols { .. })`")]
-pub fn delete_cols(sheet: &mut Sheet, at: u32, count: u32) {
-    let _ = sheet.apply(Op::DeleteCols { at, count }).expect("delete_cols is infallible");
-}
-
 #[cfg(test)]
 mod differential;
 
 #[cfg(test)]
-#[allow(deprecated)] // the compatibility wrappers stay exercised here
 mod tests {
     use super::*;
+    use crate::ops::Op;
     use crate::recalc;
     use crate::value::Value;
 
@@ -342,7 +308,7 @@ mod tests {
     #[test]
     fn insert_rows_shifts_data_and_references() {
         let mut s = sample();
-        insert_rows(&mut s, 2, 1); // blank row before row 3
+        s.apply(Op::InsertRows { at: 2, count: 1 }).unwrap(); // blank row before row 3
         assert_eq!(s.value(a("A2")), Value::Number(2.0));
         assert_eq!(s.value(a("A3")), Value::Empty); // the new blank row
         assert_eq!(s.value(a("A4")), Value::Number(3.0));
@@ -360,7 +326,7 @@ mod tests {
     #[test]
     fn delete_row_clips_ranges_and_breaks_direct_refs() {
         let mut s = sample();
-        delete_rows(&mut s, 2, 1); // delete row 3 (value 3)
+        s.apply(Op::DeleteRows { at: 2, count: 1 }).unwrap(); // delete row 3 (value 3)
         assert_eq!(s.value(a("A3")), Value::Number(4.0));
         assert_eq!(s.nrows(), 4);
         // The range shrinks; the direct reference to the deleted row dies.
@@ -378,7 +344,7 @@ mod tests {
     fn delete_rows_containing_formulas_removes_them() {
         let mut s = sample();
         let before = s.formula_count();
-        delete_rows(&mut s, 0, 2); // rows 1–2 hold B1 and B2
+        s.apply(Op::DeleteRows { at: 0, count: 2 }).unwrap(); // rows 1–2 hold B1 and B2
         assert_eq!(s.formula_count(), before - 2);
         assert!(s.is_formula(a("B3"))); // old B5 moved up two rows
         assert_eq!(s.input_text(a("B3")), "=$A$3");
@@ -387,7 +353,7 @@ mod tests {
     #[test]
     fn insert_cols_shifts_columns() {
         let mut s = sample();
-        insert_cols(&mut s, 0, 2);
+        s.apply(Op::InsertCols { at: 0, count: 2 }).unwrap();
         assert_eq!(s.value(a("C1")), Value::Number(1.0));
         assert_eq!(s.input_text(a("D1")), "=SUM(C1:C5)");
         recalc::recalc_all(&mut s);
@@ -397,7 +363,7 @@ mod tests {
     #[test]
     fn delete_col_kills_dependent_formulas() {
         let mut s = sample();
-        delete_cols(&mut s, 0, 1); // delete column A
+        s.apply(Op::DeleteCols { at: 0, count: 1 }).unwrap(); // delete column A
         // Formulas moved into column A; everything referenced A → #REF!.
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("A1")), Value::Error(CellError::Ref));
@@ -412,7 +378,7 @@ mod tests {
             s.set_value(CellAddr::new(i, 0), i64::from(i + 1));
         }
         s.set_formula_str(a("C1"), "=SUM(A2:A4)").unwrap();
-        delete_rows(&mut s, 1, 1); // delete row 2, the range's first row
+        s.apply(Op::DeleteRows { at: 1, count: 1 }).unwrap(); // delete row 2, the range's first row
         assert_eq!(s.input_text(a("C1")), "=SUM(A2:A3)");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("C1")), Value::Number(7.0)); // 3+4
@@ -423,7 +389,7 @@ mod tests {
         let mut s = Sheet::new();
         s.set_value(a("A2"), 5);
         s.set_formula_str(a("C1"), "=SUM(A2:A2)").unwrap();
-        delete_rows(&mut s, 1, 1);
+        s.apply(Op::DeleteRows { at: 1, count: 1 }).unwrap();
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("C1")), Value::Error(CellError::Ref));
     }
@@ -432,7 +398,7 @@ mod tests {
     fn structural_edit_charges_cell_moves() {
         let mut s = sample();
         let before = s.meter().snapshot();
-        insert_rows(&mut s, 0, 1);
+        s.apply(Op::InsertRows { at: 0, count: 1 }).unwrap();
         let d = s.meter().snapshot().since(&before);
         // Every non-vacant cell relocated — the §6 index-maintenance cost.
         assert!(d.get(Primitive::CellMove) >= 8);
@@ -442,8 +408,8 @@ mod tests {
     fn noop_edits() {
         let mut s = sample();
         let snapshot = crate::io::save(&s);
-        insert_rows(&mut s, 3, 0);
-        delete_rows(&mut s, 99, 1);
+        s.apply(Op::InsertRows { at: 3, count: 0 }).unwrap();
+        s.apply(Op::DeleteRows { at: 99, count: 1 }).unwrap();
         assert_eq!(crate::io::save(&s), snapshot);
     }
 
@@ -651,7 +617,7 @@ mod tests {
             s.set_value(CellAddr::new(i, 0), i64::from(i + 1)); // A: 1..6
         }
         s.set_formula_str(a("C1"), "=SUM(A2:A5)").unwrap(); // 2+3+4+5 = 14
-        delete_rows(&mut s, at, count);
+        s.apply(Op::DeleteRows { at, count }).unwrap();
         recalc::recalc_all(&mut s);
         (s.input_text(a("C1")), s.value(a("C1")))
     }
@@ -665,7 +631,7 @@ mod tests {
             s.set_value(CellAddr::new(i, 0), i64::from(i + 1));
         }
         s.set_formula_str(a("C6"), "=SUM(A2:A5)").unwrap();
-        delete_rows(&mut s, 0, 3);
+        s.apply(Op::DeleteRows { at: 0, count: 3 }).unwrap();
         assert_eq!(s.input_text(a("C3")), "=SUM(A1:A2)"); // the surviving 4, 5
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("C3")), Value::Number(9.0));
@@ -712,7 +678,7 @@ mod tests {
             s.set_value(CellAddr::new(i, 0), i64::from(i + 1));
         }
         s.set_formula_str(a("C6"), "=SUM(A1:A4)").unwrap();
-        delete_rows(&mut s, 0, 2); // rows 1–2 die; range becomes A1:A2
+        s.apply(Op::DeleteRows { at: 0, count: 2 }).unwrap(); // rows 1–2 die; range becomes A1:A2
         assert_eq!(s.input_text(a("C4")), "=SUM(A1:A2)");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("C4")), Value::Number(7.0)); // 3+4
@@ -727,7 +693,7 @@ mod tests {
             s.set_value(CellAddr::new(0, c), i64::from(c + 1)); // A1..F1: 1..6
         }
         s.set_formula_str(a("A3"), "=SUM(B1:E1)").unwrap(); // 2+3+4+5
-        delete_cols(&mut s, 2, 2); // delete C, D
+        s.apply(Op::DeleteCols { at: 2, count: 2 }).unwrap(); // delete C, D
         assert_eq!(s.input_text(a("A3")), "=SUM(B1:C1)");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("A3")), Value::Number(7.0)); // 2+5
@@ -755,7 +721,7 @@ mod tests {
         assert_eq!(s.program_cache().memo_len(), 8);
         let misses = s.program_cache().misses();
 
-        insert_rows(&mut s, 3, 1);
+        s.apply(Op::InsertRows { at: 3, count: 1 }).unwrap();
         // B1–B3 are unmoved with windows before row 4; B4–B6 moved down
         // with relative same-row windows; C1's absolute windows sit before
         // the band. Only C5 drops: its absolute row coordinate is
@@ -783,7 +749,7 @@ mod tests {
         assert_eq!(s.program_cache().memo_len(), 9);
         let misses = s.program_cache().misses();
 
-        delete_rows(&mut s, 3, 2); // rows 4–5 die
+        s.apply(Op::DeleteRows { at: 3, count: 2 }).unwrap(); // rows 4–5 die
         // B1–B3 unmoved (windows before row 4); old B6–B8 moved up with
         // same-row windows past the band; the two in-band bindings die
         // with their cells; the straddling SUM's window overlaps the band
@@ -814,7 +780,7 @@ mod tests {
         recalc::recalc_all(&mut s);
         assert_eq!(s.program_cache().memo_len(), 2);
 
-        insert_cols(&mut s, 1, 1); // new blank column B
+        s.apply(Op::InsertCols { at: 1, count: 1 }).unwrap(); // new blank column B
         // A3 stays (windows in column 0, before the band); D1 moves to E1
         // with its relative window riding along.
         assert_eq!(s.program_cache().memo_len(), 2);
@@ -837,7 +803,7 @@ mod tests {
 
         // Insert a column before B: the registration shifts with the data
         // and the next recalc rebuilds it at the new coordinate.
-        insert_cols(&mut s, 0, 1);
+        s.apply(Op::InsertCols { at: 0, count: 1 }).unwrap();
         assert!(!s.index_store().has_built(2), "registration demoted to pending");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("E1")), Value::Number(5.0));
@@ -847,7 +813,7 @@ mod tests {
         // stale index at the old coordinate), and the rewritten
         // `COUNTIF(#REF!,2)` counts nothing — not the stale 5 a surviving
         // index would report.
-        delete_cols(&mut s, 2, 1);
+        s.apply(Op::DeleteCols { at: 2, count: 1 }).unwrap();
         assert!(!s.index_store().has_built(2), "deleted column's registration died");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("D1")), Value::Number(0.0));
@@ -861,7 +827,7 @@ mod tests {
         s.set_formula_str(a("C1"), "=COUNTIF(A1:A20,3)").unwrap();
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("C1")), Value::Number(5.0));
-        insert_rows(&mut s, 5, 2);
+        s.apply(Op::InsertRows { at: 5, count: 2 }).unwrap();
         recalc::recalc_all(&mut s);
         // The range widened to A1:A22 over the same 20 values + 2 blanks.
         assert_eq!(s.value(a("C1")), Value::Number(5.0));
@@ -877,7 +843,7 @@ mod tests {
         for i in 0..10u32 {
             s.set_value(CellAddr::new(i, 0), i64::from(i % 3));
         }
-        insert_rows(&mut s, 5, 1);
+        s.apply(Op::InsertRows { at: 5, count: 1 }).unwrap();
         let count = s.eval_str("=COUNTIF(A1:A11,0)").unwrap();
         assert_eq!(count, Value::Number(4.0));
     }

@@ -124,7 +124,8 @@ fn eval_formula_with(
 }
 
 /// A stateful evaluation handle for driving formula-at-a-time evaluation
-/// over an *unchanging* sheet — the benchmark harness's eval-pass shape —
+/// over an *unchanging* sheet — the shape of `benchmark/`'s
+/// `recalc.eval_ns_per_formula` probe, its one caller outside tests —
 /// carrying a [`vm::DeltaCache`] from call to call so consecutive
 /// overlapping aggregate windows slide instead of rescanning.
 ///
@@ -226,7 +227,7 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcSt
             let mut cache = vm::DeltaCache::new();
             for &addr in level {
                 if let Some(v) = eval_formula_with(sheet, addr, sheet.meter(), Some(&mut cache)) {
-                    sheet.store_cached(addr, v);
+                    sheet.store_formula_result(addr, v);
                 }
             }
         } else {
@@ -238,7 +239,7 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcSt
         }
     }
     for &addr in &plan.cyclic {
-        sheet.store_cached(addr, Value::Error(CellError::Circular));
+        sheet.store_formula_result(addr, Value::Error(CellError::Circular));
     }
     span.finish_metered(sheet.meter());
     RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }
@@ -298,7 +299,7 @@ fn run_level_parallel(sheet: &mut Sheet, level: &[CellAddr], fanout: usize) {
         sheet.meter().absorb(&counts);
         trace::adopt(events);
         for (addr, v) in results {
-            sheet.store_cached(addr, v);
+            sheet.store_formula_result(addr, v);
         }
     }
 }
@@ -336,7 +337,7 @@ pub fn recalc_from(sheet: &mut Sheet, changed: &[CellAddr]) -> RecalcStats {
 /// sequentially, each formula evaluated by the tree-walking interpreter
 /// ([`crate::eval::evaluate`]) instead of a compiled program. Values and
 /// meter counts are specified to be bit-identical to the shipped pass;
-/// tests, the oracle and the ablation bench hold it to that. Not a mode of
+/// tests and the oracle hold it to that. Not a mode of
 /// the engine — nothing that ships calls it.
 pub fn recalc_reference(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> RecalcStats {
     let plan = plan(sheet, changed);
@@ -344,10 +345,10 @@ pub fn recalc_reference(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> Reca
         let Some(expr) = sheet.formula_expr(addr) else { continue };
         sheet.meter().tick(Primitive::FormulaEval);
         let v = evaluate(expr, &sheet.eval_ctx(addr));
-        sheet.store_cached(addr, v);
+        sheet.store_formula_result(addr, v);
     }
     for &addr in &plan.cyclic {
-        sheet.store_cached(addr, Value::Error(CellError::Circular));
+        sheet.store_formula_result(addr, Value::Error(CellError::Circular));
     }
     RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }
 }
@@ -599,7 +600,7 @@ mod tests {
         let plan = plan(sheet, changed);
         for &addr in &plan.order {
             if let Some(v) = eval_formula_at(sheet, addr) {
-                sheet.store_cached(addr, v);
+                sheet.store_formula_result(addr, v);
             }
         }
         RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }

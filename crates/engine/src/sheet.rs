@@ -467,10 +467,10 @@ impl Sheet {
         self.grid.ensure_size(rows, cols).expect("ensure_size: beyond engine limits");
     }
 
-    /// Stores an evaluated result into a formula cell's cache. Exposed so
-    /// alternative evaluation strategies (the optimized engine's shared
-    /// and incremental computation) can materialize results; a no-op on
-    /// non-formula cells.
+    /// Stores an evaluated result into a formula cell's cache: recalc's
+    /// write path, and public so the strategies outside the engine
+    /// (`ssbench-systems`' shared and incremental computation) can
+    /// materialize results. A no-op on non-formula cells.
     pub fn store_formula_result(&mut self, addr: CellAddr, v: Value) {
         // The formula check first keeps the no-op path allocation-free
         // (cell_mut would materialize general storage for the slot).
@@ -481,11 +481,6 @@ impl Sheet {
         if let CellContent::Formula(f) = &mut cell.content {
             f.cached = v;
         }
-    }
-
-    /// Internal alias used by the recalculation engine.
-    pub(crate) fn store_cached(&mut self, addr: CellAddr, v: Value) {
-        self.store_formula_result(addr, v);
     }
 
     /// Mutable cell access for operations (styles, pastes); callers are

@@ -399,8 +399,10 @@ impl Drop for Span {
 
 // --- convenience ---------------------------------------------------------
 
-/// Runs `f` inside a metered span; the shared helper behind every op-level
-/// span (both `Sheet::apply` and the `&Sheet` query ops use it).
+/// Runs `f` inside a metered `op:<name>` span: what the `&Sheet` query ops
+/// (`ops::pivot`, `ops::find_all`) wrap themselves in. `Sheet::apply` opens
+/// the same span inline, since its closure would need `&mut` to the sheet
+/// whose meter is borrowed here.
 pub fn with_op_span<R>(name: &'static str, meter: &Meter, f: impl FnOnce() -> R) -> R {
     let span = Span::open_metered(Category::Op, || format!("op:{name}"), meter);
     let result = f();

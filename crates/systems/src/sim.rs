@@ -792,6 +792,47 @@ mod tests {
         assert_eq!(n, n2);
     }
 
+    /// The fourth system's headline: COUNTIF, exact VLOOKUP and a
+    /// single-cell update stay interactive however tall the sheet is. The
+    /// simulated times are deterministic, so the claim is held as "under
+    /// the bound and identical at two sizes" — O(1) in rows, which carries
+    /// it to the paper's 500k without building 500k rows in a debug test —
+    /// while Excel's scan-based times grow with the sheet.
+    #[test]
+    fn optimized_stays_interactive_at_any_size() {
+        use crate::INTERACTIVITY_BOUND_MS;
+        use ssbench_workload::schema::{FORMULA_COL_START, MEASURE_COL};
+
+        const OPS: [&str; 3] = ["countif", "vlookup", "update"];
+        let run = |kind: SystemKind, rows: u32| -> [f64; 3] {
+            let sys = SimSystem::new(kind);
+            let mut sheet = build_sheet(rows, Variant::ValueOnly);
+            let (_, countif) = sys.countif(&mut sheet, FORMULA_COL_START, rows, "1");
+            let (_, vlookup) = sys.vlookup(&mut sheet, f64::from(rows - 7), rows, 1, false);
+            // The update rides the delta-maintained aggregate: install the
+            // COUNTIF Figure 13 edits under, then flip one measure cell.
+            let range = Range::column_segment(MEASURE_COL, 0, rows - 1);
+            sheet
+                .set_formula_str(CellAddr::new(0, 20), &format!("=COUNTIF({},1)", range.to_a1()))
+                .unwrap();
+            recalc::recalc_all(&mut sheet);
+            let edited = CellAddr::new(1, MEASURE_COL);
+            let update = sys.update_cell(&mut sheet, edited, Value::Number(0.0));
+            [countif, vlookup, update]
+        };
+        let small = run(SystemKind::Optimized, 5_000);
+        let large = run(SystemKind::Optimized, 50_000);
+        assert_eq!(small, large, "Optimized times must not depend on the row count");
+        for (what, ms) in OPS.iter().zip(large) {
+            assert!(ms < INTERACTIVITY_BOUND_MS, "Optimized {what}: {ms} ms");
+        }
+        let small = run(SystemKind::Excel, 5_000);
+        let large = run(SystemKind::Excel, 50_000);
+        for (what, (s, l)) in OPS.iter().zip(small.into_iter().zip(large)) {
+            assert!(l > s, "Excel {what} scans, so it must grow: {s} ms -> {l} ms");
+        }
+    }
+
     #[test]
     fn optimized_open_charges_index_construction() {
         let o = SimSystem::new(SystemKind::Optimized);

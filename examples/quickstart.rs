@@ -52,7 +52,7 @@ fn main() {
     println!("items > $2:  {pricey}");
 
     // 6. Operations: sort by price, descending.
-    sort_rows(&mut sheet, &[SortKey::desc(1)]);
+    sheet.apply(Op::Sort { keys: vec![SortKey::desc(1)] }).unwrap();
     println!("\nsorted by price (desc):");
     for row in 0..sheet.nrows() {
         let name = sheet.value(CellAddr::new(row, 0));

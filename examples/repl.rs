@@ -99,14 +99,14 @@ fn run_command(sheet: &mut Sheet, input: &str) -> Result<Reply, String> {
             let col = parse_col(parts.next().ok_or("usage: sort <col> [desc]")?)?;
             let desc = parts.next() == Some("desc");
             let key = if desc { SortKey::desc(col) } else { SortKey::asc(col) };
-            sort_rows(sheet, &[key]);
+            sheet.apply(Op::Sort { keys: vec![key] }).map_err(|e| e.to_string())?;
             recalc::recalc_all(sheet);
             Ok(Reply::Text(format!("sorted by {}", col_to_letters(col))))
         }
         "filter" => {
             let arg = parts.next().ok_or("usage: filter <col> <crit> | filter clear")?;
             if arg == "clear" {
-                clear_filter(sheet);
+                sheet.apply(Op::ClearFilter).map_err(|e| e.to_string())?;
                 return Ok(Reply::Text("filter cleared".to_owned()));
             }
             let col = parse_col(arg)?;
@@ -114,9 +114,13 @@ fn run_command(sheet: &mut Sheet, input: &str) -> Result<Reply, String> {
             if crit_text.is_empty() {
                 return Err("usage: filter <col> <crit>".to_owned());
             }
-            let crit = Criterion::parse(&Value::text(crit_text));
-            let visible = filter_rows(sheet, col, &crit);
-            Ok(Reply::Text(format!("{visible} rows visible")))
+            let criterion = Criterion::parse(&Value::text(crit_text));
+            match sheet.apply(Op::Filter { col, criterion }) {
+                Ok(OpOutcome::Filtered { visible }) => {
+                    Ok(Reply::Text(format!("{visible} rows visible")))
+                }
+                other => Err(format!("filter: {other:?}")),
+            }
         }
         "pivot" => {
             let dim = parse_col(parts.next().ok_or("usage: pivot <dim> <measure>")?)?;

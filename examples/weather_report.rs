@@ -48,20 +48,24 @@ fn main() {
     }
 
     // --- filter to South Dakota (Fig 5's operation) ---------------------
-    let crit = Criterion::parse(&Value::text(FILTER_STATE));
-    let visible = filter_rows(&mut sheet, STATE_COL, &crit);
+    let criterion = Criterion::parse(&Value::text(FILTER_STATE));
+    let Ok(OpOutcome::Filtered { visible }) = sheet.apply(Op::Filter { col: STATE_COL, criterion })
+    else {
+        unreachable!("a filter reports the rows it left visible")
+    };
     println!("\nfilter state = {FILTER_STATE}: {visible} rows visible of {ROWS}");
-    clear_filter(&mut sheet);
+    sheet.apply(Op::ClearFilter).unwrap();
 
     // --- conditional formatting (Fig 4's operation) ---------------------
-    let range = Range::column_segment(FORMULA_COL_START, 0, ROWS - 1);
-    let green = conditional_format(
-        &mut sheet,
-        range,
-        &Criterion::parse(&Value::Number(1.0)),
-        Color::GREEN,
-    );
-    println!("conditional formatting: {green} cells colored green");
+    let rule = Op::CondFormat {
+        range: Range::column_segment(FORMULA_COL_START, 0, ROWS - 1),
+        criterion: Criterion::parse(&Value::Number(1.0)),
+        fill: Color::GREEN,
+    };
+    let Ok(OpOutcome::Formatted { cells }) = sheet.apply(rule) else {
+        unreachable!("a conditional format reports the cells it filled")
+    };
+    println!("conditional formatting: {cells} cells colored green");
 
     // --- a lookup (Fig 8's operation) -----------------------------------
     let key = ROWS / 2;

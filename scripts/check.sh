@@ -9,14 +9,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --workspace --bins --benches (warnings are errors)"
+# Verification must not rewrite the tree it verifies: a dirty work tree is
+# fine, a tree this script dirtied is not (checked again at the bottom).
+tree_before="$(git status --porcelain)"
+
+echo "==> cargo build --release --workspace --all-targets (warnings are errors)"
 # --workspace: the root manifest is a package, so a bare build would skip
-# the member crates' bin targets (bct, fuzz) the later stages execute.
-# --benches: no other stage compiles most bench targets, so a type they
-# import could be deleted without anything noticing (--bins keeps the
-# binaries once a target filter is given). Not --all-targets: examples and
-# integration tests still call the deprecated free-function ops.
-RUSTFLAGS="-D warnings" cargo build --release --workspace --bins --benches
+# the member crates' bin targets (bct, fuzz, spill) the later stages
+# execute. --all-targets: examples and integration tests compile under
+# -D warnings too, so a type they import cannot be deleted unnoticed.
+RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 
 echo "==> cargo test -q"
 cargo test -q
@@ -66,38 +68,6 @@ echo "==> corpus static verification (bytecode + dep-graph soundness)"
 echo "==> benchmark smoke"
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 
-# Evaluator ablation (DESIGN.md §10, §12): the reference recalc (the
-# tree-walking interpreter) vs the shipped one (bytecode + kernels +
-# window-delta) on the 100k-row fill-down aggregate column, plus a
-# structural-op workload (sort + mid-column row insert) that records
-# post-edit recalc cost with the memo bindings retained vs cleared. The
-# bench binary writes the median ns/cell baseline per rung (and the
-# memo_retention row) to BENCH_eval.json and exits non-zero if the shipped
-# evaluation pass falls below the 5x speedup bar over the reference.
-echo "==> ablation_compile baseline (writes BENCH_eval.json)"
-BENCH_EVAL_JSON="$PWD/BENCH_eval.json" cargo bench -p ssbench-bench --bench ablation_compile
-test -s BENCH_eval.json || { echo "missing BENCH_eval.json" >&2; exit 1; }
-
-# Index ablation (DESIGN.md §13): maintained column indexes vs naive
-# scans for COUNTIF and exact VLOOKUP at 500k rows, plus the Optimized
-# profile's simulated interactivity rows. The bench appends an
-# "ablation_index" section to BENCH_eval.json (read-modify-write, after
-# ablation_compile's full rewrite above) and exits non-zero if either
-# indexed evaluation is under the 10x bar or any Optimized row breaks
-# the 500 ms interactivity bound.
-echo "==> ablation_index gate (appends to BENCH_eval.json)"
-BENCH_EVAL_JSON="$PWD/BENCH_eval.json" cargo bench -p ssbench-bench --bench ablation_index
-grep -q '"ablation_index"' BENCH_eval.json || { echo "missing ablation_index section" >&2; exit 1; }
-
-# Spill ablation (DESIGN.md §14): whole-column SUM over a 200k-row sheet
-# with the grid capped at 4 MB vs unbounded. The working set fits the
-# budget, so the buffer pool must serve it from resident chunks: the
-# bench exits non-zero if the budgeted median exceeds 2x the unbounded
-# one, and appends an "ablation_spill" section to BENCH_eval.json.
-echo "==> ablation_spill gate (appends to BENCH_eval.json)"
-BENCH_EVAL_JSON="$PWD/BENCH_eval.json" cargo bench -p ssbench-bench --bench ablation_spill
-grep -q '"ablation_spill"' BENCH_eval.json || { echo "missing ablation_spill section" >&2; exit 1; }
-
 # Memory-capped grid scenario (DESIGN.md §14): a 5M-row x 4-col numeric
 # sheet is built, recalculated through whole-column aggregates, sorted,
 # and has one row inserted and deleted again mid-sheet (the in-place
@@ -121,5 +91,12 @@ for phase in digest_recalc digest_sorted digest_inserted digest_restructured; do
   fi
 done
 grep -o 'spills=[0-9]*' <<< "$cap"
+
+tree_after="$(git status --porcelain)"
+if [ "$tree_before" != "$tree_after" ]; then
+  echo "check.sh changed the work tree:" >&2
+  diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+  exit 1
+fi
 
 echo "==> all checks passed"

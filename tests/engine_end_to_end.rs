@@ -59,7 +59,7 @@ fn structural_edit_then_sort_then_totals_stay_consistent() {
     let total_before = s.value(a("G1"));
 
     // Insert a new row in the middle and fill it in.
-    insert_rows(&mut s, 3, 1);
+    s.apply(Op::InsertRows { at: 3, count: 1 }).unwrap();
     assert_eq!(s.input_text(a("G1")), "=SUM(E1:E7)");
     s.set_value(a("A4"), "north");
     s.set_value(a("B4"), "plum");
@@ -74,7 +74,7 @@ fn structural_edit_then_sort_then_totals_stay_consistent() {
 
     // Sort by units; per-row revenue formulas move with their rows and
     // stay correct.
-    sort_rows(&mut s, &[SortKey::desc(2)]);
+    s.apply(Op::Sort { keys: vec![SortKey::desc(2)] }).unwrap();
     recalc::recalc_all(&mut s);
     for r in 0..7u32 {
         let units = s.value(CellAddr::new(r, 2)).as_number().unwrap();
@@ -92,26 +92,26 @@ fn structural_edit_then_sort_then_totals_stay_consistent() {
 #[test]
 fn filter_pivot_and_clear_interplay() {
     let mut s = ledger();
-    let crit = Criterion::parse(&Value::text("east"));
-    let visible = filter_rows(&mut s, 0, &crit);
-    assert_eq!(visible, 3);
+    let criterion = Criterion::parse(&Value::text("east"));
+    assert_eq!(s.apply(Op::Filter { col: 0, criterion }), Ok(OpOutcome::Filtered { visible: 3 }));
     // Pivot ignores the filter (as in the real systems: pivots read source
     // data, not the view).
     let p = pivot(&s, 0, 2, PivotAgg::Sum);
     assert_eq!(p.value_for(&Value::text("west")), Some(18.0));
-    clear_filter(&mut s);
+    s.apply(Op::ClearFilter).unwrap();
     assert_eq!(s.visible_rows(), 6);
 }
 
 #[test]
 fn workbook_save_load_preserves_cross_feature_state() {
     let mut data_sheet = ledger();
-    conditional_format(
-        &mut data_sheet,
-        Range::parse("C1:C6").unwrap(),
-        &Criterion::parse(&Value::text(">=9")),
-        Color::GREEN,
-    );
+    data_sheet
+        .apply(Op::CondFormat {
+            range: Range::parse("C1:C6").unwrap(),
+            criterion: Criterion::parse(&Value::text(">=9")),
+            fill: Color::GREEN,
+        })
+        .unwrap();
     let mut wb = Workbook::with_sheet(data_sheet);
     let mut summary = Sheet::new();
     summary.set_formula_str(a("A1"), "=1+1").unwrap();

@@ -125,7 +125,7 @@ proptest! {
             sheet.set_value(CellAddr::new(i as u32, 0), k);
             sheet.set_value(CellAddr::new(i as u32, 1), format!("tag{i}"));
         }
-        sort_rows(&mut sheet, &[SortKey::asc(0)]);
+        sheet.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         // Ordered.
         let sorted: Vec<f64> = (0..keys.len() as u32)
             .map(|r| sheet.value(CellAddr::new(r, 0)).as_number().unwrap())
@@ -150,10 +150,10 @@ proptest! {
         for (i, &k) in keys.iter().enumerate() {
             sheet.set_value(CellAddr::new(i as u32, 0), k);
         }
-        sort_rows(&mut sheet, &[SortKey::asc(0)]);
+        sheet.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         let once: Vec<String> =
             (0..keys.len() as u32).map(|r| sheet.value(CellAddr::new(r, 0)).display()).collect();
-        sort_rows(&mut sheet, &[SortKey::asc(0)]);
+        sheet.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         let twice: Vec<String> =
             (0..keys.len() as u32).map(|r| sheet.value(CellAddr::new(r, 0)).display()).collect();
         prop_assert_eq!(once, twice);
@@ -371,7 +371,8 @@ proptest! {
             sheet.set_value(CellAddr::new(i as u32, 0), t.as_str());
         }
         let range = sheet.used_range().unwrap();
-        let changed = find_replace(&mut sheet, range, &needle, "Z");
+        let op = Op::FindReplace { range, needle: needle.clone(), replacement: "Z".into() };
+        let outcome = sheet.apply(op);
         let mut expect_changed = 0;
         for (i, t) in texts.iter().enumerate() {
             let replaced = t.replace(&needle, "Z");
@@ -383,7 +384,7 @@ proptest! {
                 replaced
             );
         }
-        prop_assert_eq!(changed, expect_changed);
+        prop_assert_eq!(outcome, Ok(OpOutcome::Replaced { cells: expect_changed }));
     }
 }
 
@@ -402,7 +403,6 @@ proptest! {
         values in prop::collection::vec((0i64..6, -20i64..20), 6..30),
         ops in prop::collection::vec((0u8..4, 0u32..30, 0i64..6), 1..10),
     ) {
-        use ssbench::engine::ops::structure::{delete_rows, insert_rows};
         let build = |indexed: bool| {
             let mut s = Sheet::new();
             for (i, &(k, v)) in values.iter().enumerate() {
@@ -423,15 +423,15 @@ proptest! {
                         s.set_value(CellAddr::new(pos % n, 0), k);
                     }
                     1 => {
-                        insert_rows(s, pos % (n + 1), 1 + pos % 2);
+                        s.apply(Op::InsertRows { at: pos % (n + 1), count: 1 + pos % 2 }).unwrap();
                     }
                     2 => {
                         if n > 1 {
-                            delete_rows(s, pos % n, 1);
+                            s.apply(Op::DeleteRows { at: pos % n, count: 1 }).unwrap();
                         }
                     }
                     _ => {
-                        sort_rows(s, &[SortKey::asc(0)]);
+                        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
                     }
                 }
                 recalc::recalc_all(s);
@@ -482,7 +482,7 @@ proptest! {
                 &format!("=SUMIF(B1:B{n},1,A1:A{n})", n = values.len()),
             ).unwrap();
             recalc::recalc_all(&mut s);
-            sort_rows(&mut s, &[SortKey::asc(0)]);
+            s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
             s
         };
         let row = build(Layout::RowMajor);
@@ -510,7 +510,6 @@ proptest! {
         count in 1u32..4,
     ) {
         use ssbench::engine::io;
-        use ssbench::engine::ops::structure::{delete_rows, insert_rows};
         let n = values.len() as u32;
         prop_assume!(at <= n);
         let mut sheet = Sheet::new();
@@ -523,8 +522,8 @@ proptest! {
             .unwrap();
         recalc::recalc_all(&mut sheet);
         let before = io::save(&sheet);
-        insert_rows(&mut sheet, at, count);
-        delete_rows(&mut sheet, at, count);
+        sheet.apply(Op::InsertRows { at, count }).unwrap();
+        sheet.apply(Op::DeleteRows { at, count }).unwrap();
         let after = io::save(&sheet);
         prop_assert_eq!(before, after);
     }
@@ -537,7 +536,6 @@ proptest! {
         at in 0u32..20,
         count in 1u32..5,
     ) {
-        use ssbench::engine::ops::structure::delete_rows;
         let n = values.len() as u32;
         prop_assume!(at < n);
         let mut sheet = Sheet::new();
@@ -545,7 +543,7 @@ proptest! {
             sheet.set_value(CellAddr::new(i as u32, 0), v);
         }
         sheet.set_formula_str(CellAddr::new(0, 2), &format!("=SUM(A1:A{n})")).unwrap();
-        delete_rows(&mut sheet, at, count);
+        sheet.apply(Op::DeleteRows { at, count }).unwrap();
         recalc::recalc_all(&mut sheet);
         let survivors: i64 = values
             .iter()
