@@ -5,13 +5,12 @@
 //! 1); the A1 codec performs the off-by-one conversion. Columns use the
 //! standard bijective base-26 letter scheme (`A`..`Z`, `AA`..).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::EngineError;
 
 /// A zero-based cell coordinate within a sheet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellAddr {
     /// Zero-based row index (spreadsheet row 1 is `row == 0`).
     pub row: u32,
@@ -65,7 +64,7 @@ impl fmt::Display for CellAddr {
 /// entire spreadsheet by row, any formula with relative columnar references
 /// … are unaffected, while formulae with absolute references … require
 /// recomputation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellRef {
     pub addr: CellAddr,
     /// True if the row component is absolute (`$7`).
@@ -148,7 +147,7 @@ impl fmt::Display for CellRef {
 }
 
 /// An inclusive rectangular range of cells (`A1:C10`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Range {
     /// Top-left corner (minimum row and column).
     pub start: CellAddr,

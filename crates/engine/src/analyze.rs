@@ -23,13 +23,16 @@
 //!    half of the loop: the registration covers everything evaluation can
 //!    *read*, so dirty propagation can never miss an edit.
 //!
-//! The inferred facts feed back into the engine: volatile templates bypass
-//! the program cache's per-address memo, and pure templates survive
-//! structural-rebuild invalidation (`ProgramCache::retain_pure`).
+//! The inferred facts feed back into the engine: the static read-set
+//! stored on each program is what `Sheet::permute_rows` and
+//! `ops::structure` consult to decide whether a moved formula's program
+//! binding is still the right one, and [`check_sheet`] holds every binding
+//! to the template map.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::addr::{CellAddr, CellRef, Range};
 use crate::compile::lower::{Inst, Program, BUILTINS};
@@ -328,7 +331,7 @@ impl ReadSet {
     }
 
     /// The bounded windows, when there are any — the handle the
-    /// structural memo-retention paths use to prove an edit left a
+    /// structural binding-retention paths use to prove an edit left a
     /// template instance's precedents untouched.
     pub fn windows(&self) -> Option<&[RangeSpec]> {
         match self {
@@ -364,9 +367,9 @@ pub struct Analysis {
     /// `Some` when the whole expression constant-folds (literal-pure tree).
     pub const_value: Option<Value>,
     /// Whether the template is rooted in a volatile builtin (NOW, TODAY,
-    /// RAND, RANDBETWEEN) anywhere in its tree. Volatile templates bypass
-    /// the program cache's per-address memo and are dropped by
-    /// `ProgramCache::retain_pure`.
+    /// RAND, RANDBETWEEN) anywhere in its tree. A fact for reports: the
+    /// program is still a pure function of its template (the builtins read
+    /// the clock from the evaluation context at run time).
     pub volatile: bool,
     /// The static read-set.
     pub reads: ReadSet,
@@ -639,6 +642,10 @@ impl fmt::Display for TemplateReport {
 /// * the facts stored on the cached [`Program`] agree with a fresh
 ///   [`analyze`] of the instance (they are template-invariant, so a cache
 ///   hit from another anchor must carry identical facts);
+/// * a formula that has a program bound runs the template map's program
+///   for its own `normalize(expr, address)` — the same `Arc`, not a
+///   look-alike — so a binding that outlived a rewrite or a move it should
+///   not have is caught here, whatever the values happen to be;
 /// * for every instance with a bounded read-set, each window that resolves
 ///   at the instance address is covered by the precedents the dep graph
 ///   registered for that instance (a window that does not resolve is never
@@ -652,10 +659,18 @@ pub fn check_sheet(sheet: &Sheet) -> Result<Vec<TemplateReport>, String> {
     let Some(used) = sheet.used_range() else { return Ok(Vec::new()) };
     let deps = sheet.deps();
     for addr in used.iter() {
-        let Some(expr) = sheet.formula_expr(addr) else { continue };
+        let Some(formula) = sheet.formula_at(addr) else { continue };
+        let expr = &formula.expr;
         let key = r1c1::normalize(expr, addr);
         let analysis = analyze(expr, addr);
         let prog = sheet.program_cache().get_or_compile(expr, addr);
+        if formula.program().is_some_and(|bound| !Arc::ptr_eq(bound, &prog)) {
+            return Err(format!(
+                "template {key:?}: the program bound to the instance at {} is not the \
+                 template map's (a stale binding survived an edit)",
+                addr.to_a1()
+            ));
+        }
         if let Some(report) = reports.get_mut(&key) {
             report.instances += 1;
         } else {

@@ -1,14 +1,15 @@
 //! The cell model: a cell holds either a plain value or a formula (parsed
-//! expression + cached result), plus a style.
+//! expression + program binding + cached result), plus a style.
 
-use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
+use crate::compile::Program;
 use crate::formula::{self, Expr};
 use crate::style::Style;
 use crate::value::Value;
 
 /// A parsed formula living in a cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Formula {
     /// The parsed expression.
     pub expr: Expr,
@@ -16,12 +17,45 @@ pub struct Formula {
     /// the displayed value materialized; what they do *not* do (per §5.5)
     /// is maintain it incrementally.
     pub cached: Value,
+    /// The compiled program this formula runs: the sheet's template-map
+    /// entry for `r1c1::normalize(expr, address)`, bound by the first
+    /// evaluation and read by every later one. Set once through `&self`
+    /// (the parallel recalc workers bind through `&Sheet`), cleared only
+    /// through `&mut self`. It travels with the formula — a clone, a sort
+    /// or a structural shift carries it along — so whoever rewrites `expr`
+    /// or moves the formula to an address where `expr` normalizes
+    /// differently must [`unbind`](Formula::unbind) it. Derived state: not
+    /// part of equality.
+    program: OnceLock<Arc<Program>>,
+}
+
+impl PartialEq for Formula {
+    fn eq(&self, other: &Self) -> bool {
+        self.expr == other.expr && self.cached == other.cached
+    }
 }
 
 impl Formula {
-    /// Wraps an expression with an uncomputed (`Empty`) cache.
+    /// Wraps an expression with an uncomputed (`Empty`) cache and no
+    /// program bound.
     pub fn new(expr: Expr) -> Self {
-        Formula { expr, cached: Value::Empty }
+        Formula { expr, cached: Value::Empty, program: OnceLock::new() }
+    }
+
+    /// The bound program, if an evaluation has bound one.
+    pub fn program(&self) -> Option<&Arc<Program>> {
+        self.program.get()
+    }
+
+    /// The bound program, binding what `resolve` returns on first use.
+    pub(crate) fn program_or_bind(&self, resolve: impl FnOnce() -> Arc<Program>) -> &Arc<Program> {
+        self.program.get_or_init(resolve)
+    }
+
+    /// Clears the binding; the next evaluation resolves the formula
+    /// through the template map again.
+    pub(crate) fn unbind(&mut self) {
+        self.program.take();
     }
 
     /// The canonical source text (with leading `=`).
@@ -31,7 +65,7 @@ impl Formula {
 }
 
 /// What a cell contains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CellContent {
     /// A literal value.
     Value(Value),
@@ -41,7 +75,7 @@ pub enum CellContent {
 }
 
 /// One spreadsheet cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     pub content: CellContent,
     pub style: Style,

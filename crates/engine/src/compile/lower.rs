@@ -201,9 +201,10 @@ pub struct Program {
     /// Verifier-proven maximum operand-stack depth (`analyze::verify`);
     /// the VM pre-reserves this many scratch slots before executing.
     pub(crate) max_stack: u32,
-    /// Whether the template is rooted in a volatile builtin. Volatile
-    /// programs bypass the per-address memo and are dropped by
-    /// `ProgramCache::retain_pure`.
+    /// Whether the template is rooted in a volatile builtin. A reported
+    /// fact, not a caching rule: the builtin reads the clock from the
+    /// evaluation context at run time, so the program is as pure a
+    /// function of its key as any other.
     pub(crate) volatile: bool,
     /// The template's static read-set (`analyze::analyze`).
     pub(crate) reads: ReadSet,

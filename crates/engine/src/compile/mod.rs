@@ -10,7 +10,7 @@
 //!
 //! ## Pipeline
 //!
-//! 1. **Normalize** — [`formula::r1c1::normalize`] spells the formula in
+//! 1. **Normalize** — [`r1c1::normalize`] spells the formula in
 //!    R1C1-relative form; the resulting string is the cache key. Fill
 //!    copies share a key; distinct formulas never collide.
 //! 2. **Cache** — [`ProgramCache`] (one per sheet) maps key →
@@ -23,7 +23,11 @@
 //!    `apply_unary`/`apply_binary` the interpreter uses), literals land in
 //!    a shared constant pool (`Arc<str>` texts clone by refcount), and
 //!    function names resolve to dense [`lower::FuncId`]s.
-//! 4. **Run** — [`vm::run`] executes the program against the same
+//! 4. **Bind** — the formula cell keeps the `Arc` it resolved
+//!    ([`Formula::program`](crate::cell::Formula::program)), so steps 1–2
+//!    run once per formula, not once per evaluation: a recalculation pass
+//!    reads expression and program from the one grid lookup it does anyway.
+//! 5. **Run** — [`vm::run`] executes the program against the same
 //!    [`EvalCtx`](crate::eval::EvalCtx) the interpreter uses. Aggregate
 //!    calls over ranges dispatch to vectorized kernels that walk the grid's
 //!    row/column slices directly and charge the meter in bulk.
@@ -36,13 +40,19 @@
 //! each grid layout's clipping and iteration order exactly, and the
 //! differential oracle and proptests in `tests/` prove it on random
 //! expression trees and full op sequences. Programs are pure functions of
-//! their cache key — a key encodes the whole template, so a cached program
-//! can never go stale. Every program additionally carries the static facts
-//! [`crate::analyze`] proved about it (verified max stack depth,
-//! volatility, read-set); those facts gate the *invalidation* policy: only
-//! the per-address memo tracks sheet state, so a formula edit drops one
-//! memo entry ([`ProgramCache::invalidate_addr`]) and a structural rebuild
-//! keeps every pure template ([`ProgramCache::retain_pure`]).
+//! their cache key — a key encodes the whole template, and a volatile
+//! builtin reads the clock from the evaluation context at run time — so a
+//! cached program can never go stale and nothing is ever evicted. What can
+//! go stale is a *binding*: it is right for as long as
+//! `normalize(expr, address)` is the key it was resolved under. A new
+//! formula starts unbound, a sort or structural shift carries the binding
+//! along with the cell, and the two places that rewrite or relocate a
+//! stored expression (`Sheet::permute_rows`, `ops::structure`) clear the
+//! bindings whose key they cannot prove unchanged, using the static
+//! read-set [`crate::analyze`] stored on the program.
+//! [`analyze::check_sheet`](crate::analyze::check_sheet) re-derives every
+//! bound formula's key and fails on a program that is not the template
+//! map's.
 
 pub mod lower;
 pub mod vm;
@@ -57,64 +67,19 @@ use crate::addr::CellAddr;
 use crate::formula::ast::Expr;
 use crate::formula::r1c1;
 
-/// Hasher for the addr-memo map: a cell address is already a unique
-/// 64-bit pattern, so a fixed avalanche (the splitmix64 finalizer) beats
-/// SipHash on the per-eval hot path (the memo is probed once per formula
-/// evaluation). A plain multiply is not enough: hashbrown buckets on the
-/// *low* hash bits, and `(row << 32 | col) * odd` leaves them a function
-/// of the column alone — every row of a fill-down column would collide.
-#[derive(Debug, Default, Clone, Copy)]
-struct AddrHasher(u64);
-
-impl std::hash::Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 << 8) | u64::from(b);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 << 32) | u64::from(n);
-    }
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct BuildAddrHasher;
-
-impl std::hash::BuildHasher for BuildAddrHasher {
-    type Hasher = AddrHasher;
-    fn build_hasher(&self) -> AddrHasher {
-        AddrHasher::default()
-    }
-}
-
 /// A per-sheet cache of compiled programs, keyed by the R1C1-normalized
-/// template string. Shared read-mostly: parallel recalc workers hold
-/// `&Sheet` and take the read lock only on lookup; the precompile pass in
-/// `recalc::run_plan` warms the cache before any worker starts.
+/// template string (fill copies share one entry). Shared read-mostly:
+/// parallel recalc workers hold `&Sheet` and take the read lock only on
+/// lookup; the precompile pass in `recalc::run_plan` binds every formula
+/// of the plan before any worker starts.
 ///
-/// Two layers: `by_template` is the ground truth (normalized string →
-/// program; fill copies share one entry), and `by_addr` memoizes the
-/// per-cell resolution so steady-state evaluation pays one cheap address
-/// hash instead of re-normalizing the formula every pass. Only the memo
-/// can go stale — template entries are pure functions of their key — so
-/// invalidation is scoped to what an edit can actually invalidate: a
-/// formula mutation at one address drops that address's memo entry
-/// ([`invalidate_addr`](ProgramCache::invalidate_addr)); a structural
-/// rebuild (addresses reshuffled wholesale) clears the memo but keeps
-/// every pure template ([`retain_pure`](ProgramCache::retain_pure)).
-/// Volatile programs never enter the memo at all.
+/// Entries are pure functions of their key, so nothing here tracks sheet
+/// state and no edit invalidates anything. Which program a given cell runs
+/// is remembered by the cell itself (see the module docs); a resolve
+/// through this map happens once per formula per binding.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
     map: RwLock<HashMap<String, Arc<Program>>>,
-    by_addr: RwLock<HashMap<CellAddr, Arc<Program>, BuildAddrHasher>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -126,19 +91,13 @@ impl ProgramCache {
     }
 
     /// The program for `expr` anchored at `at`, compiling on first sight
-    /// of its template. The first call for a given address normalizes the
-    /// formula and resolves it through the template map; later calls hit
-    /// the address memo directly.
+    /// of its template.
     pub fn get_or_compile(&self, expr: &Expr, at: CellAddr) -> Arc<Program> {
-        if let Some(p) = self.by_addr.read().expect("program cache poisoned").get(&at) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
         let key = r1c1::normalize(expr, at);
         // Clone out of the read guard before matching: the `None` arm
         // takes the write lock on the same `RwLock`.
         let cached = self.map.read().expect("program cache poisoned").get(&key).cloned();
-        let prog = match cached {
+        match cached {
             Some(p) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 p
@@ -157,60 +116,6 @@ impl ProgramCache {
                         .or_insert(compiled),
                 )
             }
-        };
-        // Volatile templates bypass the memo: keeping them out means no
-        // invalidation path ever has to reason about them, and the memo
-        // stays a cache of *pure* address → program bindings.
-        if !prog.is_volatile() {
-            self.by_addr
-                .write()
-                .expect("program cache poisoned")
-                .insert(at, Arc::clone(&prog));
-        }
-        prog
-    }
-
-    /// Drops the per-address memo entry for one cell. The sheet calls this
-    /// when the formula at `addr` changes (edit, or a value overwriting a
-    /// formula): only that address's template binding is affected, so the
-    /// template map — and every other cell's memo entry — stays warm.
-    pub fn invalidate_addr(&self, addr: CellAddr) {
-        self.by_addr.write().expect("program cache poisoned").remove(&addr);
-    }
-
-    /// Structural-rebuild invalidation: the address memo is dropped
-    /// wholesale (any address may now hold any formula), and the template
-    /// map retains exactly the *pure* programs — non-volatile, statically
-    /// bounded read-sets per `analyze`. Purity is what makes retention
-    /// sound: a pure template's program depends only on its R1C1 key,
-    /// which restructuring does not change.
-    pub fn retain_pure(&self) {
-        self.by_addr.write().expect("program cache poisoned").clear();
-        self.map
-            .write()
-            .expect("program cache poisoned")
-            .retain(|_, p| !p.is_volatile() && p.reads().is_bounded());
-    }
-
-    /// The memoized program bound to `addr`, if any. Used by the
-    /// structural-edit paths to probe which bindings are candidates for
-    /// retention before the rebuild discards the memo.
-    pub fn memo_get(&self, addr: CellAddr) -> Option<Arc<Program>> {
-        self.by_addr.read().expect("program cache poisoned").get(&addr).cloned()
-    }
-
-    /// [`retain_pure`](ProgramCache::retain_pure) plus re-insertion of
-    /// memo bindings the caller proved still valid at their (possibly
-    /// moved) addresses — the structural memo-retention path. The caller
-    /// is responsible for the proof: each program's static read-set
-    /// windows must resolve at the new address to the same cells they
-    /// covered before the edit (see `Sheet::permute_rows` /
-    /// `ops::structure`).
-    pub(crate) fn retain_pure_with(&self, retained: Vec<(CellAddr, Arc<Program>)>) {
-        self.retain_pure();
-        let mut memo = self.by_addr.write().expect("program cache poisoned");
-        for (addr, prog) in retained {
-            memo.insert(addr, prog);
         }
     }
 
@@ -224,18 +129,12 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// Number of live per-address memo entries (diagnostics/tests — lets
-    /// tests observe that volatile programs bypass the memo).
-    pub fn memo_len(&self) -> usize {
-        self.by_addr.read().expect("program cache poisoned").len()
-    }
-
-    /// Drops every cached program. Called on structural rebuilds and
-    /// formula edits; safe at any time because programs are pure functions
-    /// of their key.
+    /// Drops every cached program. Nothing in the engine calls this on a
+    /// sheet's cache: formulas already bound keep their (still correct)
+    /// programs, but later resolves of the same templates would compile
+    /// fresh copies the bound ones no longer share.
     pub fn clear(&self) {
         self.map.write().expect("program cache poisoned").clear();
-        self.by_addr.write().expect("program cache poisoned").clear();
     }
 
     /// Lookups answered from cache.
@@ -250,12 +149,29 @@ impl ProgramCache {
 }
 
 #[cfg(test)]
+impl ProgramCache {
+    /// Lookups so far, hit or miss. A bound formula never looks anything
+    /// up, so across a `recalc_all` the delta is the number of formulas
+    /// that had to bind: 0 = every binding survived whatever came before.
+    pub(crate) fn lookups(&self) -> u64 {
+        self.hits() + self.misses()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::formula::parse;
+    use crate::recalc::recalc_all;
+    use crate::sheet::Sheet;
+    use crate::value::Value;
 
     fn at(s: &str) -> CellAddr {
         CellAddr::parse(s).unwrap()
+    }
+
+    fn bound(sheet: &Sheet, addr: &str) -> Arc<Program> {
+        Arc::clone(sheet.formula_at(at(addr)).unwrap().program().expect("evaluated, so bound"))
     }
 
     #[test]
@@ -277,77 +193,93 @@ mod tests {
 
     #[test]
     fn distinct_templates_get_distinct_programs() {
-        // Distinct addresses: the address memo assumes one formula per
-        // cell between clears (the sheet's edit hooks guarantee it).
         let cache = ProgramCache::new();
         let a = cache.get_or_compile(&parse("A1+1").unwrap(), at("B1"));
-        let b = cache.get_or_compile(&parse("A1+2").unwrap(), at("C1"));
+        let b = cache.get_or_compile(&parse("A1+2").unwrap(), at("B1"));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 2);
     }
 
+    /// The name dates from when the address → program relation was a side
+    /// table; it is the cell's own binding that answers now.
     #[test]
     fn addr_memo_answers_repeat_lookups() {
-        let cache = ProgramCache::new();
-        let e = parse("A1*2").unwrap();
-        let first = cache.get_or_compile(&e, at("B1"));
-        let again = cache.get_or_compile(&e, at("B1"));
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
-        // The memo is keyed by address alone, which is why every formula
-        // edit path must drop the edited address's entry (set_formula and
-        // value-over-formula call invalidate_addr; rebuild_deps clears the
-        // memo via retain_pure).
-        cache.invalidate_addr(at("B1"));
-        let other = cache.get_or_compile(&parse("A1*3").unwrap(), at("B1"));
-        assert!(!Arc::ptr_eq(&first, &other));
-        assert_eq!(cache.len(), 2); // both templates remain ground truth
+        let mut s = Sheet::new();
+        s.set_value(at("A1"), 3);
+        s.set_formula_str(at("B1"), "=A1*2").unwrap();
+        assert!(s.formula_at(at("B1")).unwrap().program().is_none(), "a new formula is unbound");
+        recalc_all(&mut s);
+        // One resolve binds; the evaluation that follows reads the binding.
+        assert_eq!((s.program_cache().misses(), s.program_cache().hits()), (1, 0));
+        let first = bound(&s, "B1");
+        recalc_all(&mut s);
+        assert_eq!(s.program_cache().lookups(), 1, "a bound formula never touches the cache");
+        assert!(Arc::ptr_eq(&first, &bound(&s, "B1")));
+        // A different formula at the same address is a new cell with no
+        // binding — there is nothing to invalidate.
+        s.set_formula_str(at("B1"), "=A1*3").unwrap();
+        recalc_all(&mut s);
+        assert_eq!(s.value(at("B1")), Value::Number(9.0));
+        assert!(!Arc::ptr_eq(&first, &bound(&s, "B1")));
+        assert_eq!(s.program_cache().len(), 2); // both templates remain ground truth
     }
 
     #[test]
-    fn invalidate_addr_is_scoped_to_one_cell() {
-        let cache = ProgramCache::new();
-        let e = parse("A1*2").unwrap();
-        cache.get_or_compile(&e, at("B1"));
-        cache.get_or_compile(&e.adjusted(at("B1"), at("B2")), at("B2"));
-        assert_eq!(cache.memo_len(), 2);
-        cache.invalidate_addr(at("B1"));
-        assert_eq!(cache.memo_len(), 1);
-        // B2 still answers from the memo; B1 re-resolves through the
-        // template map without recompiling.
-        let hits = cache.hits();
-        cache.get_or_compile(&e.adjusted(at("B1"), at("B2")), at("B2"));
-        cache.get_or_compile(&e, at("B1"));
-        assert_eq!(cache.hits(), hits + 2);
-        assert_eq!(cache.misses(), 1);
+    fn a_formula_edit_rebinds_exactly_one_cell() {
+        let mut s = Sheet::new();
+        s.set_formula_str(at("B1"), "=A1*2").unwrap();
+        s.set_formula_str(at("B2"), "=A2*2").unwrap();
+        recalc_all(&mut s);
+        assert_eq!((s.program_cache().misses(), s.program_cache().hits()), (1, 1));
+        // Retyping B1 leaves B2 bound; B1 re-resolves through the template
+        // map without recompiling.
+        s.set_formula_str(at("B1"), "=A1*2").unwrap();
+        recalc_all(&mut s);
+        assert_eq!((s.program_cache().misses(), s.program_cache().hits()), (1, 2));
+        assert!(Arc::ptr_eq(&bound(&s, "B1"), &bound(&s, "B2")));
+        // A value over a formula needs no hook either: the binding went
+        // with the cell.
+        s.set_value(at("B1"), 7);
+        recalc_all(&mut s);
+        assert_eq!(s.program_cache().lookups(), 3);
     }
 
     #[test]
-    fn retain_pure_keeps_pure_templates_and_drops_volatile() {
-        let cache = ProgramCache::new();
-        cache.get_or_compile(&parse("A1*2").unwrap(), at("B1"));
-        cache.get_or_compile(&parse("NOW()+A1").unwrap(), at("C1"));
-        cache.get_or_compile(&parse("OFFSET(A1,1,0)").unwrap(), at("D1"));
-        assert_eq!(cache.len(), 3);
-        cache.retain_pure();
-        // Only the pure bounded template survives; the memo is gone.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.memo_len(), 0);
-        let misses = cache.misses();
-        cache.get_or_compile(&parse("A1*2").unwrap(), at("B1"));
-        assert_eq!(cache.misses(), misses, "pure template must not recompile");
+    fn rebuild_deps_evicts_nothing_and_clears_no_binding() {
+        let mut s = Sheet::new();
+        s.set_value(at("A1"), 1);
+        s.set_value(at("A2"), 5);
+        s.set_formula_str(at("B1"), "=A1*2").unwrap();
+        s.set_formula_str(at("C1"), "=NOW()+A1").unwrap();
+        s.set_formula_str(at("D1"), "=OFFSET(A1,1,0)").unwrap();
+        recalc_all(&mut s);
+        assert_eq!(s.program_cache().len(), 3);
+        assert!(bound(&s, "C1").is_volatile());
+        assert!(!bound(&s, "D1").reads().is_bounded());
+        let lookups = s.program_cache().lookups();
+        s.rebuild_deps();
+        // Pure, volatile, unbounded: programs are functions of their key,
+        // and the dependency graph is not part of the key.
+        assert_eq!(s.program_cache().len(), 3);
+        recalc_all(&mut s);
+        assert_eq!(s.program_cache().lookups(), lookups);
+        assert_eq!(s.value(at("D1")), Value::Number(5.0));
     }
 
     #[test]
-    fn volatile_programs_bypass_the_addr_memo() {
-        let cache = ProgramCache::new();
-        let e = parse("NOW()+A1").unwrap();
-        let p = cache.get_or_compile(&e, at("B1"));
-        assert!(p.is_volatile());
-        assert_eq!(cache.memo_len(), 0);
-        // Repeat lookups still hit — through the template map.
-        cache.get_or_compile(&e, at("B1"));
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    fn volatile_programs_bind_like_any_other() {
+        let mut s = Sheet::new();
+        s.set_value(at("A1"), 1);
+        s.set_formula_str(at("B1"), "=NOW()+A1").unwrap();
+        s.set_now_serial(100.0);
+        recalc_all(&mut s);
+        assert!(bound(&s, "B1").is_volatile());
+        assert_eq!(s.value(at("B1")), Value::Number(101.0));
+        // The clock is an input of the run, not of the program.
+        s.set_now_serial(200.0);
+        recalc_all(&mut s);
+        assert_eq!(s.value(at("B1")), Value::Number(201.0));
+        assert_eq!((s.program_cache().misses(), s.program_cache().hits()), (1, 0));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Engine error types: host-level errors (`EngineError`) and in-cell
 //! spreadsheet errors (`CellError`, the `#DIV/0!`-style values).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors surfaced by the engine API (as opposed to errors that live *in*
@@ -63,7 +62,7 @@ impl From<std::io::Error> for EngineError {
 /// Spreadsheet cell-level errors, displayed in-grid with the conventional
 /// `#NAME?` spellings. These are *values*: they flow through formula
 /// evaluation exactly like numbers do in real spreadsheet systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellError {
     /// Division by zero (`#DIV/0!`).
     Div0,

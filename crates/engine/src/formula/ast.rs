@@ -1,6 +1,5 @@
 //! The formula abstract syntax tree.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::addr::{CellAddr, CellRef, Range};
@@ -8,7 +7,7 @@ use crate::error::CellError;
 
 /// A reference to a rectangular range, keeping per-corner absolute/relative
 /// markers (`$A$1:B10`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeRef {
     pub start: CellRef,
     pub end: CellRef,
@@ -28,7 +27,7 @@ impl RangeRef {
 }
 
 /// Binary operators, in the dialect shared by the benchmarked systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     Add,
     Sub,
@@ -83,7 +82,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
     /// Prefix negation `-x`.
     Neg,
@@ -94,7 +93,7 @@ pub enum UnaryOp {
 }
 
 /// A formula expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Number(f64),
     /// A text literal, shared so evaluation never re-allocates it.

@@ -254,7 +254,8 @@ mod tests {
                 let cell = if r % 2 == 0 {
                     Cell::value(r % 3 == 0)
                 } else {
-                    let formula = Formula { expr: parse("1+1").unwrap(), cached: f64::from(r).into() };
+                    let mut formula = Formula::new(parse("1+1").unwrap());
+                    formula.cached = f64::from(r).into();
                     Cell { content: CellContent::Formula(Box::new(formula)), style: Style::plain() }
                 };
                 g.set(CellAddr::new(r, 2), cell).unwrap();
@@ -314,7 +315,8 @@ mod tests {
             let cell = if r % 3 == 0 {
                 Cell::value(r % 2 == 0)
             } else {
-                let formula = Formula { expr: parse("A1+1").unwrap(), cached: f64::from(r).into() };
+                let mut formula = Formula::new(parse("A1+1").unwrap());
+                formula.cached = f64::from(r).into();
                 Cell { content: CellContent::Formula(Box::new(formula)), style: Style::plain() }
             };
             g.set(CellAddr::new(r, 2), cell).unwrap();

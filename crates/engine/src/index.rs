@@ -22,7 +22,7 @@
 //!   engine funnels through `Sheet::set_value`/`set_formula` (operations
 //!   use `cell_mut` only for styles), so `on_write` sees every edit of an
 //!   indexed column with the old value still in hand.
-//! * **Structural edits invalidate.** `rebuild_deps_retaining` (sort,
+//! * **Structural edits invalidate.** `Sheet::rebuild_deps` (sort,
 //!   insert/delete rows/cols) demotes every built index to pending; the
 //!   next `ensure_indexes` rebuilds from the grid. A pending or dropped
 //!   column simply falls back to the scan path, so correctness never

@@ -1,8 +1,6 @@
-//! Import/export: a serializable cell-text document model (`SheetData`),
+//! Import/export: a cell-text document model (`SheetData`),
 //! CSV encode/decode, and the metered `open` that materializes a document
 //! into a [`Sheet`] — the data-load operation of §4.1.
-
-use serde::{Deserialize, Serialize};
 
 use crate::addr::CellAddr;
 use crate::error::EngineError;
@@ -13,7 +11,7 @@ use crate::sheet::{Layout, Sheet};
 /// (formulae keep their leading `=`). This plays the role of the xlsx/ods
 /// files of §3.3 — a layout-independent serialization that `open` must
 /// parse cell-by-cell.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SheetData {
     /// Row-major cell texts. Rows may be ragged.
     pub rows: Vec<Vec<String>>,

@@ -15,8 +15,7 @@
 //! * the update and query operations of the paper's taxonomy: sort,
 //!   filter, find-and-replace, copy-paste, conditional formatting, and
 //!   pivot tables ([`ops`]);
-//! * document import/export ([`io`]) and multi-sheet workbooks
-//!   ([`workbook`]).
+//! * document import/export ([`io`]).
 //!
 //! The engine is intentionally *naive* in exactly the ways the paper shows
 //! the commercial systems to be: no indexes, no columnar execution, no
@@ -61,7 +60,6 @@ pub mod sheet;
 pub mod style;
 pub mod trace;
 pub mod value;
-pub mod workbook;
 
 // Root re-exports: the API surface downstream crates actually program
 // against, so they need not deep-import module paths.
@@ -77,7 +75,7 @@ pub mod prelude {
     pub use crate::addr::{CellAddr, CellRef, Range};
     pub use crate::analyze::{self, Analysis, ReadSet, TemplateReport, TySet};
     pub use crate::cell::{Cell, CellContent, Formula};
-        pub use crate::error::{CellError, EngineError};
+    pub use crate::error::{CellError, EngineError};
     pub use crate::eval::{CellSource, EvalCtx, LookupStrategy};
     pub use crate::formula::{parse, print, Expr};
     pub use crate::grid::{CellGet, GridStore, SpillStats, MAX_COLS, MAX_ROWS};
@@ -93,5 +91,4 @@ pub mod prelude {
     pub use crate::trace;
     pub use crate::style::{Color, Style};
     pub use crate::value::{Criterion, Value};
-    pub use crate::workbook::Workbook;
 }

@@ -7,7 +7,7 @@
 //! Operations are dispatched through one choke point — the [`Op`] command
 //! enum and [`Sheet::apply`] — so span-level tracing (and any future
 //! policy, logging, or batching layer) instruments exactly one call site.
-//! The read-only queries ([`pivot`], [`find_all`]) are free functions: they
+//! The read-only queries ([`pivot()`], [`find_all`]) are free functions: they
 //! take `&Sheet`, which `apply(&mut self, …)` cannot serve.
 
 pub mod cond_format;

@@ -212,6 +212,29 @@ mod tests {
         assert!(d.get(Primitive::CmpRead) >= 4, "at least m-1 comparisons");
     }
 
+    /// Volatile (`NOW`) and unbounded-read (`OFFSET`) templates are as
+    /// much functions of their R1C1 key as any other: a sort must not make
+    /// the next recalculation compile them again.
+    #[test]
+    fn sort_recompiles_neither_volatile_nor_unbounded_templates() {
+        let mut s = sheet_with_col(&[3, 1, 2]);
+        s.set_now_serial(100.0);
+        for r in 0..3u32 {
+            s.set_formula_str(CellAddr::new(r, 2), &format!("=NOW()+A{}", r + 1)).unwrap();
+            s.set_formula_str(CellAddr::new(r, 3), &format!("=OFFSET(A{},0,0)", r + 1)).unwrap();
+        }
+        crate::recalc::recalc_all(&mut s);
+        assert_eq!((s.program_cache().len(), s.program_cache().misses()), (2, 2));
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
+        crate::recalc::recalc_all(&mut s);
+        assert_eq!(s.program_cache().misses(), 2, "the sort evicted a template");
+        for r in 0..3u32 {
+            let n = f64::from(r + 1);
+            assert_eq!(s.value(CellAddr::new(r, 2)), Value::Number(100.0 + n));
+            assert_eq!(s.value(CellAddr::new(r, 3)), Value::Number(n));
+        }
+    }
+
     #[test]
     fn empty_sheet_is_noop() {
         let mut s = Sheet::new();

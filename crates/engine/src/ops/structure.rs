@@ -107,8 +107,8 @@ fn shift_expr(expr: &mut Expr, axis: Axis, at: u32, count: u32, insert: bool) {
     }
 }
 
-/// The structural memo-retention predicate: whether the program bound to
-/// the formula at `old` is still the right compilation after an
+/// The structural binding-retention predicate: whether the program bound
+/// to the formula at `old` is still the right compilation after an
 /// insert/delete of `count` lines at `at` moves the formula to its new
 /// address. True when every static read window provably rides the edit
 /// without a rewrite that changes the R1C1 key:
@@ -122,7 +122,7 @@ fn shift_expr(expr: &mut Expr, axis: Axis, at: u32, count: u32, insert: bool) {
 ///
 /// Windows that fail to resolve at `old`, and `Unbounded` read-sets,
 /// prove nothing and never retain.
-fn memo_survives_edit(
+fn binding_survives_edit(
     prog: &Program,
     old: CellAddr,
     axis: Axis,
@@ -159,8 +159,8 @@ fn memo_survives_edit(
 
 /// Applies a structural edit to the whole sheet, in place: the grid shifts
 /// its typed chunks, and everything else the sheet keys by coordinate —
-/// formula references, named ranges, filter flags, index registrations,
-/// the dependency graph and the program memo — follows.
+/// formula references and program bindings, named ranges, filter flags,
+/// index registrations, the dependency graph — follows.
 ///
 /// The meter is charged what moving the sheet cell by cell costs: one
 /// `CellMove` per relocated slot (occupied or not) and per occupied cell
@@ -195,29 +195,27 @@ pub(crate) fn restructure(
         Axis::Col => addr.col,
     };
 
-    // Formulas, at their old addresses: where each one lands, whether its
-    // memo binding provably rides the edit, and whether any reference has
-    // a coordinate the edit can change (those before `at` never do).
-    let mut retained = Vec::new();
-    let mut rewrite = Vec::new();
-    for old in sheet.deps().formula_addrs() {
-        let Some(coord) = shift_coord(line(old), at, count, insert) else {
+    // Formulas, still at their old addresses: clear the program binding
+    // unless it provably rides the edit, and rewrite the references whose
+    // coordinates the edit can change (those before `at` never do). The
+    // grid shift below then carries expression and binding to the new
+    // address together.
+    let formulas: Vec<CellAddr> = sheet.deps().formula_addrs().collect();
+    for old in formulas {
+        if shift_coord(line(old), at, count, insert).is_none() {
             continue; // deleted with its line
-        };
-        let new = match axis {
-            Axis::Row => CellAddr::new(coord, old.col),
-            Axis::Col => CellAddr::new(old.row, coord),
-        };
-        if let Some(prog) = sheet.program_cache().memo_get(old) {
-            if memo_survives_edit(&prog, old, axis, at, count, insert) {
-                retained.push((new, prog));
-            }
         }
         let prec = sheet.deps().precedents_of(old).expect("listed formula is registered");
-        if prec.cells.iter().any(|&c| line(c) >= at)
-            || prec.ranges.iter().any(|r| line(r.end) >= at)
-        {
-            rewrite.push(new);
+        let rewrite = prec.cells.iter().any(|&c| line(c) >= at)
+            || prec.ranges.iter().any(|r| line(r.end) >= at);
+        let formula =
+            sheet.grid_store_mut().formula_mut(old).expect("registered formula is in the grid");
+        let bound = formula.program();
+        if bound.is_some_and(|p| !binding_survives_edit(p, old, axis, at, count, insert)) {
+            formula.unbind();
+        }
+        if rewrite {
+            shift_expr(&mut formula.expr, axis, at, count, insert);
         }
     }
 
@@ -230,11 +228,6 @@ pub(crate) fn restructure(
     };
     // Deleting every line still leaves a 1 × 1 sheet.
     sheet.ensure_size(1, 1);
-    for addr in rewrite {
-        let formula =
-            sheet.grid_store_mut().formula_mut(addr).expect("formulas ride the shift");
-        shift_expr(&mut formula.expr, axis, at, count, insert);
-    }
 
     // An active filter rides the edit like the cells do: row edits shift
     // the flags past the band (inserted rows are visible, deleted rows
@@ -252,7 +245,7 @@ pub(crate) fn restructure(
     }
     // Column indexes: a column edit moves registrations with their
     // columns; either axis demotes every live index to pending (row edits
-    // through `rebuild_deps_retaining` below) and the next recalc rebuilds
+    // through `rebuild_deps` below) and the next recalc rebuilds
     // them, paying the §6 maintenance cost through `IndexProbe`.
     if axis == Axis::Col {
         sheet.remap_index_cols(|col| shift_coord(col, at, count, insert));
@@ -266,7 +259,7 @@ pub(crate) fn restructure(
         };
         shift_range(range, axis, at, count, insert).map(|r| r.range())
     });
-    sheet.rebuild_deps_retaining(retained);
+    sheet.rebuild_deps();
 
     let band_end = if insert { at } else { at.saturating_add(count) };
     let (lines, width) = match axis {
@@ -699,7 +692,7 @@ mod tests {
         assert_eq!(s.value(a("A3")), Value::Number(7.0)); // 2+5
     }
 
-    /// A fill-down fixture for the memo-retention tests:
+    /// A fill-down fixture for the binding-retention tests:
     /// values in A, `B{r} = A{r}*2` down the column, plus one absolute
     /// formula and one whole-column aggregate.
     fn compiled_filldown(n: u32) -> Sheet {
@@ -718,18 +711,17 @@ mod tests {
         s.set_formula_str(a("C1"), "=SUM($A$1:$A$2)").unwrap(); // windows before the band
         s.set_formula_str(a("C5"), "=$A$6").unwrap(); // absolute ref past the band
         recalc::recalc_all(&mut s);
-        assert_eq!(s.program_cache().memo_len(), 8);
-        let misses = s.program_cache().misses();
+        let (lookups, misses) = (s.program_cache().lookups(), s.program_cache().misses());
 
         s.apply(Op::InsertRows { at: 3, count: 1 }).unwrap();
         // B1–B3 are unmoved with windows before row 4; B4–B6 moved down
         // with relative same-row windows; C1's absolute windows sit before
         // the band. Only C5 drops: its absolute row coordinate is
         // renumbered by the shift, which changes the template key.
-        assert_eq!(s.program_cache().memo_len(), 7);
         recalc::recalc_all(&mut s);
-        // Every other binding and pure template survived, so the
-        // renumbered absolute template is the only compile.
+        assert_eq!(s.program_cache().lookups(), lookups + 1, "7 of 8 bindings ride the insert");
+        // Every other binding survived, so the renumbered absolute
+        // template is the only compile.
         assert_eq!(
             s.program_cache().misses(),
             misses + 1,
@@ -746,16 +738,16 @@ mod tests {
         let mut s = compiled_filldown(8);
         s.set_formula_str(a("C8"), "=SUM(A1:A8)").unwrap(); // straddles any interior band
         recalc::recalc_all(&mut s);
-        assert_eq!(s.program_cache().memo_len(), 9);
-        let misses = s.program_cache().misses();
+        let (lookups, misses) = (s.program_cache().lookups(), s.program_cache().misses());
 
         s.apply(Op::DeleteRows { at: 3, count: 2 }).unwrap(); // rows 4–5 die
         // B1–B3 unmoved (windows before row 4); old B6–B8 moved up with
         // same-row windows past the band; the two in-band bindings die
         // with their cells; the straddling SUM's window overlaps the band
         // (its refs get clipped), so it must drop.
-        assert_eq!(s.program_cache().memo_len(), 6);
+        assert_eq!(s.formula_count(), 7);
         recalc::recalc_all(&mut s);
+        assert_eq!(s.program_cache().lookups(), lookups + 1, "6 of 9 bindings ride the delete");
         // Only the clipped aggregate's rewritten template needs a compile.
         assert_eq!(
             s.program_cache().misses(),
@@ -778,13 +770,13 @@ mod tests {
         s.set_formula_str(a("A3"), "=SUM(A1:A2)").unwrap();
         s.set_formula_str(a("D1"), "=C1*2").unwrap();
         recalc::recalc_all(&mut s);
-        assert_eq!(s.program_cache().memo_len(), 2);
+        let lookups = s.program_cache().lookups();
 
         s.apply(Op::InsertCols { at: 1, count: 1 }).unwrap(); // new blank column B
         // A3 stays (windows in column 0, before the band); D1 moves to E1
         // with its relative window riding along.
-        assert_eq!(s.program_cache().memo_len(), 2);
         recalc::recalc_all(&mut s);
+        assert_eq!(s.program_cache().lookups(), lookups, "2 of 2 bindings ride the insert");
         assert_eq!(s.value(a("A3")), Value::Number(3.0));
         assert_eq!(s.value(a("E1")), Value::Number(10.0));
     }

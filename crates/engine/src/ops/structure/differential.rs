@@ -10,7 +10,7 @@ use crate::addr::{CellAddr, CellRef, Range};
 use crate::cell::{Cell, CellContent};
 use crate::formula::ast::RangeRef;
 use crate::meter::Primitive;
-use crate::ops::Op;
+use crate::ops::{Op, SortKey};
 use crate::sheet::{Layout, Sheet};
 use crate::style::{Color, Style};
 use crate::value::{Criterion, Value};
@@ -127,7 +127,12 @@ fn build(layout: Layout, budget: Option<usize>) -> Sheet {
     s.define_name("Data", Range::parse("A1:A2600").unwrap()).unwrap();
     s.define_name("Tail", Range::parse("B2000:B2100").unwrap()).unwrap();
     s.define_name("Spot", Range::parse("C1025").unwrap()).unwrap();
-    // F: a handful of scattered formulas of every reference shape.
+    // F: a handful of scattered formulas of every reference shape. The
+    // last three sit at the edges a program binding must not outlive: an
+    // absolute row every insert above it renumbers, a far-away relative
+    // window that stays before an edit which moves its formula, and a
+    // previous-row reference on the last row, which the descending sort
+    // carries to row 1 and off the sheet (`#REF!`).
     for (row, src) in [
         (0, "=SUM($A$1:$A$2600)"),
         (1, "=COUNTIF(C1:C2600,3)"),
@@ -136,6 +141,9 @@ fn build(layout: Layout, budget: Option<usize>) -> Sheet {
         (4, "=VLOOKUP(3,C1:D2600,2,FALSE)"),
         (1030, "=A1031+C1"),
         (2000, "=SUM(Data)+Spot"),
+        (5, "=$A$2000*2"),
+        (2500, "=A3*2"),
+        (2599, "=A2599+1"),
     ] {
         s.set_formula_str(CellAddr::new(row, 5), src).unwrap();
     }
@@ -206,12 +214,23 @@ proptest! {
     fn in_place_edits_match_the_rebuild(
         column_major in any::<bool>(),
         capped in any::<bool>(),
+        sort_first in any::<bool>(),
         edits in prop::collection::vec((any::<bool>(), any::<bool>(), 0usize..7, 0usize..4), 1..4),
     ) {
         let layout = if column_major { Layout::ColumnMajor } else { Layout::RowMajor };
         let mut sheet = build(layout, capped.then_some(BUDGET));
         if capped {
             prop_assert!(sheet.grid_spill_stats().spills > 0, "the capped sheet must spill");
+        }
+        if sort_first {
+            // Reverse the rows, so the edits below meet formulas a sort has
+            // moved: bindings that rode it, and the ones it had to clear.
+            sheet.apply(Op::Sort { keys: vec![SortKey::desc(0)] }).unwrap();
+            prop_assert_eq!(sheet.input_text(CellAddr::new(0, 5)), "=#REF!+1");
+            if let Err(e) = analyze::check_sheet(&sheet) {
+                return Err(TestCaseError::fail(format!("{layout:?} capped={capped} sort: {e}")));
+            }
+            recalc::recalc_all(&mut sheet);
         }
         for (on_rows, insert, at, count) in edits {
             // Wide sheets make the cell-by-cell reference crawl.
@@ -236,7 +255,8 @@ proptest! {
             sheet.apply(op).unwrap();
             compare(&sheet, &want, &what)?;
             // The next recalculation rebuilds the demoted indexes and
-            // recompiles what the memo lost: same values, same charges.
+            // rebinds the formulas whose binding the edit cleared: same
+            // values, same charges.
             recalc::recalc_all(&mut sheet);
             recalc::recalc_all(&mut want);
             compare(&sheet, &want, &format!("{what}, recalculated"))?;

@@ -26,7 +26,7 @@
 //! snapshot, committing values and merging per-worker meter counts at
 //! the level barrier. Values and meter counts are bit-identical to the
 //! sequential path regardless of thread count; see
-//! [`run_levels_parallel`] for the argument. Simulated-system profiles
+//! `run_level_parallel` for the argument. Simulated-system profiles
 //! keep charging single-threaded costs — the parallelism accelerates
 //! wall-clock benchmarking, it does not change the modeled systems.
 
@@ -34,7 +34,8 @@ use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 use crate::addr::{CellAddr, Range};
-use crate::compile::vm;
+use crate::cell::Formula;
+use crate::compile::{vm, Program};
 use crate::depgraph::DirtyPlan;
 use crate::error::CellError;
 use crate::eval::evaluate;
@@ -116,11 +117,17 @@ fn eval_formula_with(
     meter: &Meter,
     delta: Option<&mut vm::DeltaCache>,
 ) -> Option<Value> {
-    let expr = sheet.formula_expr(addr)?;
+    let formula = sheet.formula_at(addr)?;
     let ctx = sheet.eval_ctx_with(addr, meter);
     meter.tick(Primitive::FormulaEval);
-    let prog = sheet.program_cache().get_or_compile(expr, addr);
-    Some(vm::run_with(&prog, &ctx, Some(sheet.grid_store()), delta))
+    Some(vm::run_with(bound_program(sheet, formula, addr), &ctx, Some(sheet.grid_store()), delta))
+}
+
+/// The program the formula at `addr` runs: its binding, resolved through
+/// the sheet's template map (normalize, look up, compile on first sight of
+/// the template) the first time and read from the cell ever after.
+fn bound_program<'a>(sheet: &Sheet, formula: &'a Formula, addr: CellAddr) -> &'a Program {
+    formula.program_or_bind(|| sheet.program_cache().get_or_compile(&formula.expr, addr))
 }
 
 /// A stateful evaluation handle for driving formula-at-a-time evaluation
@@ -173,16 +180,18 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcSt
     let workers = opts.parallelism.max(1);
     let parallel = workers > 1 && plan.order.len() >= opts.threshold;
     if !plan.order.is_empty() {
-        // Warm the program cache up front so the parallel workers only
-        // ever take the read lock. One compile per distinct template.
+        // Bind every formula of the plan up front, so the workers find
+        // their programs in the cells and never touch the cache. One
+        // compile per distinct template; nothing at all for a formula
+        // that is already bound.
         let cspan = Span::open_metered(
             Category::Compile,
             || format!("precompile ({} formulas)", plan.order.len()),
             sheet.meter(),
         );
         for &addr in &plan.order {
-            if let Some(expr) = sheet.formula_expr(addr) {
-                sheet.program_cache().get_or_compile(expr, addr);
+            if let Some(formula) = sheet.formula_at(addr) {
+                bound_program(sheet, formula, addr);
             }
         }
         cspan.finish_metered(sheet.meter());
@@ -504,7 +513,8 @@ mod tests {
         assert_eq!(seq.value(a("D1")), par.value(a("D1")));
         // The tentpole guarantee: meter counts are bit-identical.
         assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
-        // The precompile pass means workers only ever hit the cache.
+        // The precompile pass binds every formula, one compile per
+        // template; the workers never reach the cache.
         assert_eq!(par.program_cache().len() as u64, par.program_cache().misses());
     }
 
@@ -660,23 +670,23 @@ mod tests {
         recalc_from(&mut s, &[a("A1")]);
         assert_eq!(s.value(a("B1")), Value::Number(15.0));
         assert_eq!(s.program_cache().misses(), 1);
-        // Editing a formula drops only B1's memo entry; the old template
-        // stays ground truth and the new one compiles alongside it.
+        // Editing a formula replaces B1's cell, binding and all; the old
+        // template stays ground truth and the new one compiles alongside.
         s.set_formula_str(a("B1"), "=A1*4").unwrap();
         assert_eq!(s.program_cache().len(), 1);
-        assert_eq!(s.program_cache().memo_len(), 0);
+        assert!(s.formula_at(a("B1")).unwrap().program().is_none());
         recalc_all(&mut s);
         assert_eq!(s.value(a("B1")), Value::Number(20.0));
         assert_eq!(s.program_cache().len(), 2);
         assert_eq!(s.program_cache().misses(), 2);
-        // Structural rebuilds void the memo but keep pure templates: the
-        // next full pass answers entirely from the template map.
+        // A dependency rebuild touches neither templates nor bindings: the
+        // next full pass never reaches the cache.
+        let lookups = s.program_cache().lookups();
         s.rebuild_deps();
         assert_eq!(s.program_cache().len(), 2);
-        assert_eq!(s.program_cache().memo_len(), 0);
         recalc_all(&mut s);
         assert_eq!(s.value(a("B1")), Value::Number(20.0));
-        assert_eq!(s.program_cache().misses(), 2, "rebuild must not recompile pure templates");
+        assert_eq!(s.program_cache().lookups(), lookups, "a rebuild clears no binding");
     }
 
     /// The ISSUE-5 satellite regression: editing one cell of a fill-down

@@ -2,7 +2,7 @@
 //! cost meter. This is the engine's main API surface.
 
 use crate::addr::{CellAddr, CellRef, Range};
-use crate::cell::{Cell, CellContent};
+use crate::cell::{Cell, CellContent, Formula};
 use crate::compile::ProgramCache;
 use crate::depgraph::DepGraph;
 use crate::error::EngineError;
@@ -32,11 +32,8 @@ pub struct Sheet {
     /// Executor knobs used by `recalc_all` / `recalc_from`.
     recalc_opts: RecalcOptions,
     /// Compiled-backend program cache, keyed by R1C1 template. Programs
-    /// are pure functions of their key, so template entries can never go
-    /// stale; only the per-address memo tracks sheet state. Formula edits
-    /// drop the edited address's memo entry (`invalidate_addr`);
-    /// dependency rebuilds clear the memo but keep pure templates
-    /// (`retain_pure`), guided by the `analyze` facts on each program.
+    /// are pure functions of their key, so no edit invalidates an entry;
+    /// which program a cell runs is bound in the cell's own `Formula`.
     programs: ProgramCache,
     /// Maintained column indexes (the optimized fourth system's lookup
     /// path). Empty — and costing nothing — unless columns are registered
@@ -177,14 +174,20 @@ impl Sheet {
         &self.deps
     }
 
-    /// The parsed expression of the formula at `addr`.
-    pub fn formula_expr(&self, addr: CellAddr) -> Option<&Expr> {
+    /// The formula at `addr`: expression, program binding and cached
+    /// result behind one grid lookup.
+    pub(crate) fn formula_at(&self, addr: CellAddr) -> Option<&Formula> {
         // Formulas always live in general storage, so the borrowed arm is
         // the only one that can hold one (typed slots are plain values).
         match self.grid.get(addr)? {
-            CellGet::Borrowed(Cell { content: CellContent::Formula(f), .. }) => Some(&f.expr),
+            CellGet::Borrowed(Cell { content: CellContent::Formula(f), .. }) => Some(f),
             _ => None,
         }
+    }
+
+    /// The parsed expression of the formula at `addr`.
+    pub fn formula_expr(&self, addr: CellAddr) -> Option<&Expr> {
+        self.formula_at(addr).map(|f| &f.expr)
     }
 
     // --- configuration --------------------------------------------------
@@ -343,13 +346,7 @@ impl Sheet {
     /// Writes a literal value, unregistering any formula that was there.
     pub fn set_value(&mut self, addr: CellAddr, v: impl Into<Value>) {
         self.meter.tick(Primitive::CellWrite);
-        if self.deps.contains(addr) {
-            self.deps.remove(addr);
-            // A formula was overwritten: only this address's template
-            // binding is stale. Value edits into value cells skip even
-            // that (the BCT incremental workloads stay fully warm).
-            self.programs.invalidate_addr(addr);
-        }
+        self.deps.remove(addr);
         let v = v.into();
         if self.indexes.has_built(addr.col) {
             // Maintain the column index incrementally: capture the old
@@ -371,10 +368,6 @@ impl Sheet {
         self.grid
             .set(addr, Cell::formula(expr))
             .expect("set_formula: address beyond engine limits");
-        // The new formula may normalize to a different template; every
-        // other cell's memo entry is untouched, so a fill-down edit
-        // recompiles at most the one new template.
-        self.programs.invalidate_addr(addr);
         // A formula's displayed value changes during recalc without
         // passing through `set_value`, so its column can never be
         // indexed again (deterministic degradation to the scan path).
@@ -525,69 +518,43 @@ impl Sheet {
             }
             self.hidden = hidden;
         }
-        // Rewrite relative references of every moved formula, probing the
-        // program memo as we go: a binding survives the permutation when
-        // every window of its program's static read-set resolves at the
-        // destination address — then `normalize(adjusted(e, old, new),
+        // Rewrite the relative references of every moved formula. Its
+        // program binding rode the permutation with it and stays right
+        // when every window of the program's static read-set resolves at
+        // the destination address — then `normalize(adjusted(e, old, new),
         // new) == normalize(e, old)`, the R1C1 key is unchanged, and the
         // compiled program (a pure function of that key) is still the
-        // right one. Unmoved formulas pass trivially: windows anchored at
-        // an address always resolve there. Pure-typed columns can't hold
-        // formulas, so the scan skips them wholesale.
+        // right one; otherwise the binding is cleared. Pure-typed columns
+        // can't hold formulas, so the scan skips them wholesale.
         let formula_cols: Vec<u32> =
             (0..self.ncols()).filter(|&c| self.grid.col_may_have_formulas(c)).collect();
-        let mut retained: Vec<(CellAddr, std::sync::Arc<crate::compile::Program>)> = Vec::new();
         for (new_row, &old_row) in perm.iter().enumerate() {
             let new_row = new_row as u32;
+            if new_row == old_row {
+                continue;
+            }
             for &col in &formula_cols {
                 let addr = CellAddr::new(new_row, col);
-                if !self.is_formula(addr) {
-                    continue;
+                let Some(f) = self.grid.formula_mut(addr) else { continue };
+                if f.program().is_some_and(|prog| !windows_resolve_at(prog.reads(), addr)) {
+                    f.unbind();
                 }
-                if let Some(prog) = self.programs.memo_get(CellAddr::new(old_row, col)) {
-                    if windows_resolve_at(prog.reads(), addr) {
-                        retained.push((addr, prog));
-                    }
-                }
-                if new_row == old_row {
-                    continue;
-                }
-                let adjusted =
-                    self.formula_expr(addr).map(|e| e.adjusted(CellAddr::new(old_row, col), addr));
-                if let Some(expr) = adjusted {
-                    if let CellContent::Formula(f) = &mut self.cell_mut(addr).content {
-                        f.expr = expr;
-                    }
-                }
+                f.expr = f.expr.adjusted(CellAddr::new(old_row, col), addr);
             }
         }
-        self.rebuild_deps_retaining(retained);
+        self.rebuild_deps();
         Ok(())
     }
 
     /// Rebuilds the dependency graph by scanning the grid (used after bulk
-    /// structural changes). Conservative: drops every per-address memo
-    /// entry (see [`rebuild_deps_retaining`](Sheet::rebuild_deps_retaining)
-    /// for the retention-aware variant structural ops use).
+    /// structural changes). Compiled programs and their bindings are not
+    /// its business: neither depends on the graph.
     pub fn rebuild_deps(&mut self) {
-        self.rebuild_deps_retaining(Vec::new());
-    }
-
-    /// [`rebuild_deps`](Sheet::rebuild_deps) plus re-installation of memo
-    /// bindings the caller proved survive the restructure (their programs'
-    /// read windows resolve unchanged at the retained addresses).
-    pub(crate) fn rebuild_deps_retaining(
-        &mut self,
-        retained: Vec<(CellAddr, std::sync::Arc<crate::compile::Program>)>,
-    ) {
         self.deps.clear();
-        // Addresses were reshuffled wholesale, so the memo is void except
-        // for the proven bindings — and pure templates are still valid for
-        // whatever cell instantiates them next. Column indexes demote to
-        // pending for the same reason: row postings no longer match the
-        // grid, and the next `ensure_indexes` rebuilds them.
+        // Rows were reshuffled wholesale, so column indexes demote to
+        // pending: row postings no longer match the grid, and the next
+        // `ensure_indexes` rebuilds them.
         self.indexes.invalidate_built();
-        self.programs.retain_pure_with(retained);
         let deps = &mut self.deps;
         self.grid.for_each_formula(&mut |addr, formula| deps.add(addr, &formula.expr));
     }
@@ -675,12 +642,12 @@ fn check_addr(addr: CellAddr) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// The memo-retention predicate: every window of a bounded read-set
-/// resolves at `at`. Read windows are derived one-per-reference, so
-/// resolution of every window corner is exactly the condition under which
-/// a moved formula's adjusted expression keeps its R1C1 normalization —
-/// and with it its compiled program. `Unbounded` proves nothing and never
-/// retains.
+/// The binding-retention predicate for a moved formula: every window of a
+/// bounded read-set resolves at `at`. Read windows are derived
+/// one-per-reference, so resolution of every window corner is exactly the
+/// condition under which the adjusted expression keeps its R1C1
+/// normalization — and with it its compiled program. `Unbounded` proves
+/// nothing and never retains.
 pub(crate) fn windows_resolve_at(reads: &crate::analyze::ReadSet, at: CellAddr) -> bool {
     match reads.windows() {
         Some(ws) => {
@@ -858,15 +825,14 @@ mod tests {
             s.set_formula_str(CellAddr::new(r, 1), &format!("=A{}*2", r + 1)).unwrap();
         }
         recalc::recalc_all(&mut s);
-        assert_eq!(s.program_cache().memo_len(), 8);
-        let misses = s.program_cache().misses();
+        let lookups = s.program_cache().lookups();
+        assert_eq!(lookups, 8, "one resolve per formula binds it");
         // Reverse the rows: every formula's same-row window resolves at
-        // its destination, so every memo binding rides the sort.
+        // its destination, so every binding rides the sort (8 of 8).
         let perm: Vec<u32> = (0..8).rev().collect();
         s.permute_rows(&perm).unwrap();
-        assert_eq!(s.program_cache().memo_len(), 8, "same-row templates survive a sort");
         recalc::recalc_all(&mut s);
-        assert_eq!(s.program_cache().misses(), misses, "a sort must not recompile");
+        assert_eq!(s.program_cache().lookups(), lookups, "same-row templates survive a sort");
         for r in 0..8u32 {
             assert_eq!(
                 s.value(CellAddr::new(r, 1)),
@@ -886,12 +852,14 @@ mod tests {
         s.set_formula_str(a("B2"), "=A1*2").unwrap();
         s.set_formula_str(a("B3"), "=A2*2").unwrap();
         recalc::recalc_all(&mut s);
-        assert_eq!(s.program_cache().memo_len(), 2);
+        let lookups = s.program_cache().lookups();
         // Old row 2 (B2) moves to the top: its previous-row window walks
         // off the sheet, so that binding must drop; unmoved B3 survives.
         s.permute_rows(&[1, 0, 2]).unwrap();
-        assert_eq!(s.program_cache().memo_len(), 1);
+        assert!(s.formula_at(a("B1")).unwrap().program().is_none());
+        assert!(s.formula_at(a("B3")).unwrap().program().is_some());
         recalc::recalc_all(&mut s);
+        assert_eq!(s.program_cache().lookups(), lookups + 1, "1 of 2 bindings was cleared");
         assert_eq!(s.value(a("B1")), Value::Error(crate::error::CellError::Ref));
         // B3 still reads the row above it, which now holds old A1's 1.
         assert_eq!(s.value(a("B3")), Value::Number(2.0));

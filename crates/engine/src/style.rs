@@ -2,10 +2,8 @@
 //! formatting colors matching cells green), but the model carries the
 //! common attributes so styling costs are realistic.
 
-use serde::{Deserialize, Serialize};
-
 /// An RGB color.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Color {
     pub r: u8,
     pub g: u8,
@@ -21,7 +19,7 @@ impl Color {
 }
 
 /// Style attributes attached to a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Style {
     pub fill: Option<Color>,
     pub font_color: Option<Color>,

@@ -1,7 +1,6 @@
 //! The spreadsheet value model: dynamically-typed cell values with the
 //! coercion and comparison semantics shared by Excel, Calc, and Sheets.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -11,7 +10,7 @@ use crate::error::CellError;
 /// A cell value. Numbers are IEEE-754 doubles, as in all three benchmarked
 /// systems; dates and percentages are numbers with display styles and do not
 /// need distinct runtime representations for the benchmark workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// The empty cell. Treated as 0 in arithmetic and "" in text contexts.
     Empty,

@@ -350,9 +350,10 @@ pub fn optimized() -> SystemProfile {
         kind: SystemKind::Optimized,
         policies: SystemPolicies {
             lookup: LookupStrategy { early_exit_exact: true, binary_search_approx: true },
-            // The engine's memo-retention proof (`windows_resolve_at` in
-            // `engine::sheet`, `memo_survives_edit` in
-            // `engine::ops::structure`) shows which formulas ride a row
+            // The engine's binding-retention proof (`windows_resolve_at`
+            // in `engine::sheet`, `binding_survives_edit` in
+            // `engine::ops::structure`: which formulas keep their compiled
+            // program through a move) shows which formulas ride a row
             // permutation unchanged; the survivors get a cheap recheck
             // instead of Excel/Calc's full recomputation.
             recalc_on_sort: RecalcTrigger::Recheck,

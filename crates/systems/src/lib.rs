@@ -5,9 +5,9 @@
 //! 2020) — Microsoft Excel 2016, LibreOffice Calc 6.0.3.2, Google Sheets
 //! — plus the engine-integrated *Optimized* fourth system, which runs the
 //! paper's §6 "what if?" optimizations for real. Most of them live in the
-//! engine (maintained column indexes, typed columnar chunks, template
-//! memo, window deltas, memo retention across sorts) and are switched on
-//! by the profile's policies; the four with no engine twin live here as
+//! engine (maintained column indexes, typed columnar chunks, compiled
+//! templates, window deltas, program bindings that survive sorts) and are
+//! switched on by the profile's policies; the four with no engine twin live here as
 //! crate-private modules reached only through [`SimSystem`]: the token
 //! inverted index (`find_replace_indexed`, Fig 9), prefix-family sharing
 //! (`recalc_shared`, Fig 11), the formula-value memo (`eval_memoized`,

@@ -20,6 +20,12 @@ echo "==> cargo build --release --workspace --all-targets (warnings are errors)"
 # -D warnings too, so a type they import cannot be deleted unnoticed.
 RUSTFLAGS="-D warnings" cargo build --release --workspace --all-targets
 
+# Intra-doc links name methods, and deleting a method does not fail the
+# build of a comment that links to it; rustdoc does, when told to.
+echo "==> cargo doc -p ssbench-engine (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc --no-deps -p ssbench-engine --offline
+
 echo "==> cargo test -q"
 cargo test -q
 

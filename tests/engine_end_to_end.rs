@@ -4,7 +4,6 @@
 
 use ssbench::engine::io;
 use ssbench::engine::prelude::*;
-use ssbench::engine::workbook::WorkbookData;
 
 fn a(s: &str) -> CellAddr {
     CellAddr::parse(s).unwrap()
@@ -112,23 +111,24 @@ fn workbook_save_load_preserves_cross_feature_state() {
             fill: Color::GREEN,
         })
         .unwrap();
-    let mut wb = Workbook::with_sheet(data_sheet);
     let mut summary = Sheet::new();
     summary.set_formula_str(a("A1"), "=1+1").unwrap();
-    wb.insert("Summary", summary).unwrap();
 
-    let saved = wb.to_data();
-    let json = serde_json::to_string(&saved).unwrap();
-    let loaded: WorkbookData = serde_json::from_str(&json).unwrap();
-    let restored = Workbook::from_data(&loaded).unwrap();
-
-    let sheet = restored.get("Sheet1").unwrap();
+    // Each sheet is saved as a document, written out as CSV, read back and
+    // opened — the file formats of §3.3, one file per sheet.
+    let restore = |sheet: &Sheet| {
+        let csv = io::to_csv(&io::save(sheet));
+        let mut back = io::open(&io::from_csv(&csv).unwrap(), Layout::RowMajor).unwrap();
+        recalc::open_recalc(&mut back);
+        back
+    };
+    let sheet = restore(&data_sheet);
     // Values and formulas round-trip (styles live outside SheetData — the
     // document model matches the paper's file formats, which the harness
     // re-applies formatting to).
     assert_eq!(sheet.value(a("E5")), Value::Number(23.1));
     assert!(sheet.is_formula(a("E5")));
-    assert_eq!(restored.get("Summary").unwrap().value(a("A1")), Value::Number(2.0));
+    assert_eq!(restore(&summary).value(a("A1")), Value::Number(2.0));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! nowhere else. The workspace is the root package, four member crates and
 //! the five offline shims (path dependencies under the workspace root are
 //! members too), and declares no bench target, so a bench main cannot
-//! quietly come back beside the benchmark.
+//! quietly come back beside the benchmark. The engine depends on nothing.
 
 use serde::Deserialize;
 
@@ -15,6 +15,14 @@ struct Metadata {
 struct Package {
     name: String,
     targets: Vec<Target>,
+    dependencies: Vec<Dependency>,
+}
+
+#[derive(Deserialize)]
+struct Dependency {
+    name: String,
+    /// `None` for a normal dependency, `"dev"` / `"build"` otherwise.
+    kind: Option<String>,
 }
 
 #[derive(Deserialize)]
@@ -23,16 +31,19 @@ struct Target {
     kind: Vec<String>,
 }
 
-#[test]
-fn workspace_has_four_crates_five_shims_and_no_bench_target() {
+fn metadata() -> Metadata {
     let out = std::process::Command::new(env!("CARGO"))
         .args(["metadata", "--no-deps", "--offline", "--format-version", "1"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("cargo metadata runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let meta: Metadata =
-        serde_json::from_str(std::str::from_utf8(&out.stdout).unwrap()).expect("metadata parses");
+    serde_json::from_str(std::str::from_utf8(&out.stdout).unwrap()).expect("metadata parses")
+}
+
+#[test]
+fn workspace_has_four_crates_five_shims_and_no_bench_target() {
+    let meta = metadata();
 
     let mut names: Vec<&str> = meta.packages.iter().map(|p| p.name.as_str()).collect();
     names.sort_unstable();
@@ -52,4 +63,17 @@ fn workspace_has_four_crates_five_shims_and_no_bench_target() {
         .map(|(p, t)| format!("{}/{}", p.name, t.name))
         .collect();
     assert!(benches.is_empty(), "bench targets are back: {benches:?} (see benchmark/README.md)");
+}
+
+#[test]
+fn engine_has_no_normal_dependencies() {
+    let meta = metadata();
+    let engine = meta.packages.iter().find(|p| p.name == "ssbench-engine").expect("engine listed");
+    let normal: Vec<&str> = engine
+        .dependencies
+        .iter()
+        .filter(|d| d.kind.is_none())
+        .map(|d| d.name.as_str())
+        .collect();
+    assert!(normal.is_empty(), "the engine builds from std alone; it now depends on {normal:?}");
 }
