@@ -4,11 +4,67 @@
 //! Used for dirty propagation after edits and for ordering recalculation.
 //! Range precedents are tracked separately from single-cell precedents so
 //! that aggregate formulae over large ranges stay cheap to register.
+//!
+//! Every map and set here is keyed by a [`CellAddr`] or a column number
+//! and hashed by `AddrHasher`, not by std's SipHash. Registering a
+//! formula and planning a recalculation are a handful of probes per
+//! formula and nothing else, so the hash *is* their cost: with SipHash over
+//! 8-byte keys it was 70 % of what a sort of a formula sheet had left to
+//! do once the grid moved chunks (`rebuild_deps` re-registers every
+//! formula), and most of `full_order`. What SipHash buys — keys an
+//! adversary cannot make collide — protects a server that hashes strangers'
+//! input; this graph belongs to one sheet, its keys are coordinates below
+//! `MAX_ROWS`/`MAX_COLS`, and the worst a crafted document does is slow its
+//! own recalculation. (PR 16 deleted an earlier `AddrHasher`: that one
+//! served the per-address program memo in `compile`, which no longer
+//! exists; the graph had always been on SipHash.) No result depends on
+//! iteration order — it was per-process random before, it is fixed now,
+//! and `order_subset` sorts every frontier either way.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{CellAddr, Range};
 use crate::formula::Expr;
+
+/// Multiply-rotate hasher for the graph's coordinate keys. Each `u32` of
+/// the key (row, then column) is xored into the state and multiplied by an
+/// odd constant. A multiply only mixes upwards — the low bits of `row * K`
+/// are a function of the low bits of `row` — while hashbrown takes the
+/// bucket from the *low* bits of the hash and its tag from the top seven.
+/// So the state is rotated by half a word between the two coordinates (the
+/// column meets the well-mixed half of the row's product, not its low
+/// bits: without that, a block of 16 columns × 4 096 rows fills a third of
+/// the buckets a random function would) and `finish` rotates the high half
+/// down. `addr_hasher_spreads_coordinate_keys` holds it to a random
+/// function's spread on the key families a sheet produces.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(32) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    /// Not reached by the graph's keys (`u32` fields only); correct for
+    /// any other.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type AddrMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;
+type AddrSet = HashSet<CellAddr, BuildHasherDefault<AddrHasher>>;
 
 /// The precedents of one formula.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -18,13 +74,11 @@ pub struct Precedents {
 }
 
 impl Precedents {
-    /// Extracts the precedents of an expression.
+    /// Extracts the precedents of an expression, in syntactic order.
     pub fn of(expr: &Expr) -> Self {
-        let (cell_refs, range_refs) = expr.refs();
-        Precedents {
-            cells: cell_refs.iter().map(|r| r.addr).collect(),
-            ranges: range_refs.iter().map(|r| r.range()).collect(),
-        }
+        let mut prec = Precedents::default();
+        expr.visit_refs(&mut |c| prec.cells.push(c.addr), &mut |r| prec.ranges.push(r.range()));
+        prec
     }
 
     /// Whether this precedent set covers the read window `w`: a single
@@ -57,7 +111,7 @@ const WIDE_RANGE_COLS: u32 = 16;
 /// only the changed cell's column bucket plus the (rare) wide list.
 #[derive(Debug, Clone, Default)]
 struct RangeIndex {
-    by_col: HashMap<u32, Vec<(u32, u32, CellAddr)>>,
+    by_col: AddrMap<u32, Vec<(u32, u32, CellAddr)>>,
     wide: Vec<(Range, CellAddr)>,
 }
 
@@ -123,11 +177,11 @@ impl RangeIndex {
 #[derive(Debug, Clone, Default)]
 pub struct DepGraph {
     /// cell → formulae that reference it directly.
-    dependents: HashMap<CellAddr, Vec<CellAddr>>,
+    dependents: AddrMap<CellAddr, Vec<CellAddr>>,
     /// Range references, indexed by column for point lookup.
     range_watchers: RangeIndex,
     /// formula → its precedents (for removal and ordering).
-    precedents: HashMap<CellAddr, Precedents>,
+    precedents: AddrMap<CellAddr, Precedents>,
 }
 
 impl DepGraph {
@@ -217,7 +271,7 @@ impl DepGraph {
     /// they are formulae.
     pub fn dirty_order(&self, changed: &[CellAddr]) -> DirtyPlan {
         // 1. BFS over dependents.
-        let mut dirty: HashSet<CellAddr> = HashSet::new();
+        let mut dirty = AddrSet::default();
         let mut queue: VecDeque<CellAddr> = VecDeque::new();
         let mut scratch: Vec<CellAddr> = Vec::new();
         for &c in changed {
@@ -247,16 +301,16 @@ impl DepGraph {
     /// Orders every registered formula (used for whole-sheet
     /// recalculation on open).
     pub fn full_order(&self) -> DirtyPlan {
-        let all: HashSet<CellAddr> = self.precedents.keys().copied().collect();
+        let all: AddrSet = self.precedents.keys().copied().collect();
         self.order_subset(&all)
     }
 
     /// Kahn's algorithm over the sub-graph induced by `subset`.
-    fn order_subset(&self, subset: &HashSet<CellAddr>) -> DirtyPlan {
+    fn order_subset(&self, subset: &AddrSet) -> DirtyPlan {
         // Index dirty formula cells by column with sorted rows, so range
         // precedents can locate contained dirty formulae by binary search
         // instead of scanning the whole range or the whole dirty set.
-        let mut by_col: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut by_col: AddrMap<u32, Vec<u32>> = AddrMap::default();
         for &a in subset {
             by_col.entry(a.col).or_default().push(a.row);
         }
@@ -265,8 +319,9 @@ impl DepGraph {
         }
 
         // in-degree and adjacency within the subset.
-        let mut indeg: HashMap<CellAddr, u32> = HashMap::with_capacity(subset.len());
-        let mut edges: HashMap<CellAddr, Vec<CellAddr>> = HashMap::new();
+        let mut indeg: AddrMap<CellAddr, u32> =
+            AddrMap::with_capacity_and_hasher(subset.len(), Default::default());
+        let mut edges: AddrMap<CellAddr, Vec<CellAddr>> = AddrMap::default();
         for &f in subset {
             indeg.entry(f).or_insert(0);
             let Some(prec) = self.precedents.get(&f) else { continue };
@@ -327,7 +382,7 @@ impl DepGraph {
         let mut cyclic: Vec<CellAddr> = if order.len() == subset.len() {
             Vec::new()
         } else {
-            let ordered: HashSet<CellAddr> = order.iter().copied().collect();
+            let ordered: AddrSet = order.iter().copied().collect();
             subset.iter().copied().filter(|a| !ordered.contains(a)).collect()
         };
         cyclic.sort_unstable();
@@ -525,6 +580,87 @@ mod tests {
         assert_eq!(plan.level_starts[0], 0);
         assert_eq!(plan.levels().map(<[CellAddr]>::len).sum::<usize>(), plan.order.len());
         assert_eq!(plan.max_level_width(), 2);
+    }
+
+    /// 2 000 formulas of every edge shape — a running-total chain, sliding
+    /// windows over that chain (range edges onto formula cells), a fan-in
+    /// through an absolute cell, and a cycle with a dependent — registered
+    /// in `order`.
+    fn mixed_graph(order: impl Iterator<Item = u32>) -> DepGraph {
+        let src = |i: u32| -> (CellAddr, String) {
+            let (k, row) = (i / 4, i / 4 + 1);
+            match (i % 4, k) {
+                (0, 0) => (CellAddr::new(0, 2), "A1".into()),
+                (0, _) => (CellAddr::new(k, 2), format!("A{row}+C{k}")),
+                (1, _) => {
+                    (CellAddr::new(k, 3), format!("SUM(C{}:C{row})", row.saturating_sub(5).max(1)))
+                }
+                (2, _) => (CellAddr::new(k, 4), format!("D{row}*2+$C$1")),
+                (_, 0) => (CellAddr::new(0, 5), "F2+1".into()),
+                (_, 1) => (CellAddr::new(1, 5), "F3+1".into()),
+                (_, 2) => (CellAddr::new(2, 5), "F1+E3".into()),
+                (_, _) => (CellAddr::new(k, 5), format!("F{k}+B{row}")),
+            }
+        };
+        let mut g = DepGraph::new();
+        for i in order {
+            let (addr, text) = src(i);
+            g.add(addr, &parse(&text).unwrap());
+        }
+        g
+    }
+
+    /// Maps iterate in an order that depends on how they were filled; no
+    /// plan may. Two fills of the same graph — forwards, and in a stride
+    /// that scatters neighbours — must plan identically.
+    #[test]
+    fn plans_do_not_depend_on_insertion_order() {
+        let forwards = mixed_graph(0..2000);
+        let scattered = mixed_graph((0..2000).map(|i| (i * 1441 + 17) % 2000));
+        assert_eq!(forwards.len(), 2000);
+        assert_eq!(scattered.len(), 2000);
+        let full = forwards.full_order();
+        assert_eq!(full, scattered.full_order());
+        // Column F hangs off its three-cell cycle; everything else orders.
+        assert_eq!(full.cyclic.len(), 500);
+        assert_eq!(full.order.len(), 1500);
+        assert!(full.level_count() >= 500, "the running total is a chain");
+        for changed in [&[a("A1")][..], &[a("A250"), a("C10")], &[a("B400")], &[a("E3")]] {
+            let plan = forwards.dirty_order(changed);
+            assert_eq!(plan, scattered.dirty_order(changed), "{changed:?}");
+            assert!(!plan.order.is_empty() || !plan.cyclic.is_empty(), "{changed:?}");
+        }
+    }
+
+    /// hashbrown buckets on the low bits of the hash and tags with the top
+    /// seven. For the key families a sheet produces — a column of
+    /// consecutive rows, a row of consecutive columns, blocks of a few
+    /// columns, every other row, chunk-aligned rows, bare column numbers —
+    /// both must spread as a random function's would: 2^16 keys hit
+    /// 1 − 1/e ≈ 63 % of 2^16 buckets (41 400) and every tag.
+    #[test]
+    fn addr_hasher_spreads_coordinate_keys() {
+        use std::hash::{BuildHasher, Hash};
+        fn spread<K: Hash>(what: &str, keys: impl Iterator<Item = K>) {
+            let build = BuildHasherDefault::<AddrHasher>::default();
+            let (mut buckets, mut tags) = (HashSet::new(), HashSet::new());
+            for key in keys {
+                let h = build.hash_one(key);
+                buckets.insert(h & 0xFFFF);
+                tags.insert(h >> 57);
+            }
+            assert!(buckets.len() > 38_000, "{what}: {} of 65536 buckets", buckets.len());
+            assert_eq!(tags.len(), 128, "{what}: tags");
+        }
+        spread("a column", (0..1 << 16).map(|r| CellAddr::new(r, 3)));
+        spread("a row", (0..1 << 16).map(|c| CellAddr::new(7, c)));
+        for width in [4, 16, 256] {
+            let block = (0..1 << 16).map(|i| CellAddr::new(1000 + i / width, 20 + i % width));
+            spread(&format!("a block {width} wide"), block);
+        }
+        spread("every other row", (0..1 << 16).map(|i| CellAddr::new(i * 2, 5)));
+        spread("chunk starts", (0..1 << 16).map(|i| CellAddr::new(i * 1024, 0)));
+        spread("column numbers", 0..1u32 << 16);
     }
 
     /// Reference implementation: the answer `dependents_of` must give for

@@ -112,25 +112,34 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Collects every cell/range this expression references, in syntactic
-    /// order. Used by the dependency graph and by the reference-analysis
-    /// optimizations.
-    pub fn collect_refs(&self, cells: &mut Vec<CellRef>, ranges: &mut Vec<RangeRef>) {
+    /// Hands every cell and range reference of the expression to `cell` or
+    /// `range`, in syntactic order.
+    pub fn visit_refs(
+        &self,
+        cell: &mut impl FnMut(&CellRef),
+        range: &mut impl FnMut(&RangeRef),
+    ) {
         match self {
-            Expr::Ref(r) => cells.push(*r),
-            Expr::RangeRef(r) => ranges.push(*r),
-            Expr::Unary(_, e) => e.collect_refs(cells, ranges),
+            Expr::Ref(r) => cell(r),
+            Expr::RangeRef(r) => range(r),
+            Expr::Unary(_, e) => e.visit_refs(cell, range),
             Expr::Binary(_, a, b) => {
-                a.collect_refs(cells, ranges);
-                b.collect_refs(cells, ranges);
+                a.visit_refs(cell, range);
+                b.visit_refs(cell, range);
             }
             Expr::Call(_, args) => {
                 for a in args {
-                    a.collect_refs(cells, ranges);
+                    a.visit_refs(cell, range);
                 }
             }
             Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => {}
         }
+    }
+
+    /// Collects every cell/range this expression references, in syntactic
+    /// order. Used by the reference-analysis optimizations.
+    pub fn collect_refs(&self, cells: &mut Vec<CellRef>, ranges: &mut Vec<RangeRef>) {
+        self.visit_refs(&mut |c| cells.push(*c), &mut |r| ranges.push(*r));
     }
 
     /// Convenience: all referenced single cells and ranges.
@@ -153,27 +162,38 @@ impl Expr {
                 .any(|r| r.start.abs_row || r.start.abs_col || r.end.abs_row || r.end.abs_col)
     }
 
-    /// Rewrites every reference for a copy from `from` to `to`; references
-    /// that would fall off the sheet become `#REF!` literals.
-    pub fn adjusted(&self, from: CellAddr, to: CellAddr) -> Expr {
+    /// Rewrites every reference for a move from `from` to `to`, in place;
+    /// references that would fall off the sheet become `#REF!` literals.
+    pub fn adjust(&mut self, from: CellAddr, to: CellAddr) {
         match self {
             Expr::Ref(r) => match r.adjusted(from, to) {
-                Some(adj) => Expr::Ref(adj),
-                None => Expr::Error(CellError::Ref),
+                Some(adj) => *r = adj,
+                None => *self = Expr::Error(CellError::Ref),
             },
             Expr::RangeRef(r) => match r.adjusted(from, to) {
-                Some(adj) => Expr::RangeRef(adj),
-                None => Expr::Error(CellError::Ref),
+                Some(adj) => *r = adj,
+                None => *self = Expr::Error(CellError::Ref),
             },
-            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.adjusted(from, to))),
-            Expr::Binary(op, a, b) => {
-                Expr::Binary(*op, Box::new(a.adjusted(from, to)), Box::new(b.adjusted(from, to)))
+            Expr::Unary(_, e) => e.adjust(from, to),
+            Expr::Binary(_, a, b) => {
+                a.adjust(from, to);
+                b.adjust(from, to);
             }
-            Expr::Call(name, args) => {
-                Expr::Call(name.clone(), args.iter().map(|a| a.adjusted(from, to)).collect())
+            Expr::Call(_, args) => {
+                for arg in args {
+                    arg.adjust(from, to);
+                }
             }
-            other => other.clone(),
+            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => {}
         }
+    }
+
+    /// A copy of the expression [`adjust`](Expr::adjust)ed from `from` to
+    /// `to`.
+    pub fn adjusted(&self, from: CellAddr, to: CellAddr) -> Expr {
+        let mut copy = self.clone();
+        copy.adjust(from, to);
+        copy
     }
 
     /// Number of nodes in the expression tree (used for cost accounting and

@@ -29,6 +29,19 @@
 //! (`GridStore::move_rows`, DESIGN.md §15): typed runs move as slices,
 //! general cells by value, and spilled chunks are loaded one at a time.
 //!
+//! A row permutation — a sort — is a scatter over the same storage
+//! (`GridStore::permute_rows`, DESIGN.md §14): a column's chunks are taken
+//! out in order, each spilled one loaded once for its own turn, and only
+//! their occupied slots are sent to their new rows — numbers as a value and
+//! a presence bit, text as the interner id it already is, general cells
+//! moved, formulas included, never cloned. Both moves assemble destination
+//! chunks off to the side and share one set of placement rules (`put_cell`,
+//! `finish_chunk`): a typed slot landing on a vacant or same-typed chunk
+//! stays typed, anything else resolves as a mismatched write would. The
+//! cell-at-a-time rebuild the scatter replaced survives as
+//! `permute_rows_reference`, under `#[cfg(test)]`, for the differential
+//! tests.
+//!
 //! Spill machinery never touches the op meter: a budgeted grid produces
 //! bit-identical values, meter counts, and trace signatures to an
 //! unbounded one (enforced by the §9 oracle's `budget` dimension).
@@ -678,11 +691,6 @@ impl Column {
             _ => unreachable!("prepare_slot_mut ran"),
         }
     }
-
-    fn resident_spillable_bytes(&self) -> usize {
-        self.segs.values().map(Segment::spillable_bytes).sum()
-    }
-
 }
 
 /// Non-vacant cells in a run of columns.
@@ -690,8 +698,9 @@ fn population(cols: &[Column]) -> u64 {
     cols.iter().flat_map(|col| col.segs.values()).map(Segment::population).sum()
 }
 
-/// Reads a slot out of a column for transplant (permutation rebuild).
+/// Reads one slot out of a column for [`GridStore::permute_rows_reference`].
 /// Text ids move without re-interning; full cells clone.
+#[cfg(test)]
 fn read_slot_for_move(col: &Column, pool: &Pool, row: u32) -> SlotVal {
     let ci = row / CHUNK_ROWS;
     let off = (row % CHUNK_ROWS) as usize;
@@ -875,6 +884,102 @@ fn move_slots(
             n
         }
         Segment::Spilled(_) => unreachable!("row shifts load spilled chunks before moving slots"),
+    }
+}
+
+/// The inverse of `perm` (`inv[perm[i]] == i`: where each old row goes), or
+/// why `perm` is not a bijection of `0..n`.
+fn inverse_permutation(perm: &[u32], n: usize) -> Result<Vec<u32>, EngineError> {
+    // No row index reaches the sentinel: `n <= MAX_ROWS`.
+    const UNSET: u32 = u32::MAX;
+    if perm.len() != n {
+        return Err(EngineError::BadPermutation(format!(
+            "length {} does not match {n} rows",
+            perm.len()
+        )));
+    }
+    let mut inv = vec![UNSET; n];
+    for (new, &old) in perm.iter().enumerate() {
+        let Some(slot) = inv.get_mut(old as usize) else {
+            return Err(EngineError::BadPermutation(format!(
+                "index {old} out of range for {n} rows"
+            )));
+        };
+        if *slot != UNSET {
+            return Err(EngineError::BadPermutation(format!("duplicate index {old}")));
+        }
+        *slot = new as u32;
+    }
+    Ok(inv)
+}
+
+/// Scatters the occupied slots of the resident segment `src`, whose first
+/// slot is row `base`, to the rows `inv` sends them to, in the destination
+/// chunks under assembly (`dst[chunk]`, `None` = still vacant). A typed
+/// slot landing on a vacant or same-typed chunk stays typed — a number
+/// sets its value and presence bit, an interner id is stored as it is;
+/// general cells, and typed slots landing on anything else, are placed by
+/// [`put_cell`], by value.
+fn scatter_slots(
+    dst: &mut [Option<Segment>],
+    inv: &[u32],
+    base: u32,
+    src: Segment,
+    it: &mut Interner,
+) {
+    // Occupied slots lie inside the extent, so `to[off]` exists for each.
+    let to = &inv[base as usize..];
+    let place = |row: u32| ((row / CHUNK_ROWS) as usize, (row % CHUNK_ROWS) as usize);
+    match src {
+        Segment::Num(s) => {
+            for (w, &word) in s.present.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let off = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let (ci, d) = place(to[off]);
+                    match dst[ci].get_or_insert_with(|| Segment::Num(Box::new(NumSeg::vacant()))) {
+                        Segment::Num(t) => t.set(d, s.vals[off]),
+                        _ => put_cell(&mut dst[ci], d, Cell::value(s.vals[off]), true, it),
+                    }
+                }
+            }
+        }
+        Segment::Text(s) => {
+            for (off, &id) in s.ids.iter().enumerate() {
+                if id == NO_TEXT {
+                    continue;
+                }
+                let (ci, d) = place(to[off]);
+                match dst[ci].get_or_insert_with(|| Segment::Text(Box::new(TextSeg::vacant()))) {
+                    Segment::Text(t) => t.set(d, id),
+                    _ => {
+                        let cell = Cell {
+                            content: CellContent::Value(it.value(id).clone()),
+                            style: Style::plain(),
+                        };
+                        put_cell(&mut dst[ci], d, cell, true, it);
+                    }
+                }
+            }
+        }
+        Segment::Cells(v) => {
+            for (off, cell) in v.into_iter().enumerate() {
+                if !cell.is_vacant() {
+                    let (ci, d) = place(to[off]);
+                    put_cell(&mut dst[ci], d, cell, true, it);
+                }
+            }
+        }
+        Segment::Sparse(sp) => {
+            for (off, cell) in sp.cells {
+                if !cell.is_vacant() {
+                    let (ci, d) = place(to[off as usize]);
+                    put_cell(&mut dst[ci], d, cell, false, it);
+                }
+            }
+        }
+        Segment::Spilled(_) => unreachable!("a permutation loads spilled chunks before scattering"),
     }
 }
 
@@ -1171,34 +1276,52 @@ impl GridStore {
     /// Reorders rows so that new row `i` is old row `perm[i]`. Errs with
     /// [`EngineError::BadPermutation`] unless `perm` is a bijection of
     /// `0..nrows`; the grid is unchanged on error.
+    ///
+    /// A scatter, one column at a time: the column's chunks are taken out
+    /// in order — a spilled one is loaded for the duration of its own
+    /// scatter — and only their occupied slots are sent to their new rows
+    /// (`scatter_slots`), into destination chunks assembled off to the
+    /// side and installed when the column is done. A random permutation
+    /// sends every source chunk to every destination chunk, so none of
+    /// them can be finished (or spilled) early: the sort holds at most the
+    /// column under assembly plus one source chunk above the budget, and
+    /// the budget is enforced after every column.
     pub fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError> {
-        let n = self.nrows as usize;
-        if perm.len() != n {
-            return Err(EngineError::BadPermutation(format!(
-                "length {} does not match {n} rows",
-                perm.len()
-            )));
-        }
-        let mut seen = vec![0u64; n.div_ceil(64)];
-        for &p in perm {
-            let p = p as usize;
-            if p >= n {
-                return Err(EngineError::BadPermutation(format!(
-                    "index {p} out of range for {n} rows"
-                )));
+        let inv = inverse_permutation(perm, self.nrows as usize)?;
+        let mut dst: Vec<Option<Segment>> = Vec::new();
+        dst.resize_with((self.nrows as usize).div_ceil(CHUNK), || None);
+        for c in 0..self.cols.len() {
+            if self.cols[c].segs.is_empty() {
+                continue;
             }
-            let (w, b) = (p / 64, p % 64);
-            if seen[w] >> b & 1 == 1 {
-                return Err(EngineError::BadPermutation(format!("duplicate index {p}")));
+            for (ci, seg) in std::mem::take(&mut self.cols[c].segs) {
+                // From here the source chunk is uncounted: its slots are
+                // counted again with the destination chunks they land in.
+                self.pool.sub_resident(seg.spillable_bytes());
+                let seg = match seg {
+                    Segment::Spilled(sp) => segment_from_page(&self.pool.load(sp.page, sp.kind)),
+                    resident => resident,
+                };
+                scatter_slots(&mut dst, &inv, ci * CHUNK_ROWS, seg, &mut self.interner);
             }
-            seen[w] |= 1 << b;
+            for (ci, seg) in dst.iter_mut().enumerate() {
+                self.finish_chunk(c, ci as u32, seg.take());
+            }
+            self.enforce_budget();
         }
-        // Rebuild column by column, streaming the old column (spilled
-        // chunks read through the fault cache) into a fresh one, so peak
-        // memory stays near one resident column above the budget.
+        Ok(())
+    }
+
+    /// What [`Self::permute_rows`] did before it scattered chunks: every
+    /// column rebuilt one cell at a time through the write path, spilled
+    /// chunks read through the fault cache. Kept as the reference the
+    /// differential tests compare the scatter against.
+    #[cfg(test)]
+    pub(crate) fn permute_rows_reference(&mut self, perm: &[u32]) -> Result<(), EngineError> {
+        inverse_permutation(perm, self.nrows as usize)?;
         for c in 0..self.cols.len() {
             let old = std::mem::take(&mut self.cols[c]);
-            self.pool.sub_resident(old.resident_spillable_bytes());
+            self.pool.sub_resident(old.segs.values().map(Segment::spillable_bytes).sum());
             let mut newc = Column::default();
             let mut delta = 0isize;
             for (dst, &src) in perm.iter().enumerate() {
@@ -1351,7 +1474,8 @@ impl GridStore {
         }
     }
 
-    /// Installs a destination chunk [`Self::move_rows`] assembled.
+    /// Installs a destination chunk [`Self::move_rows`] or
+    /// [`Self::permute_rows`] assembled.
     fn finish_chunk(&mut self, col: usize, ci: u32, seg: Option<Segment>) {
         if let Some(seg) = seg {
             self.pool.add_resident(seg.spillable_bytes());
@@ -1405,6 +1529,35 @@ impl GridStore {
         }
     }
 
+    /// [`Self::for_each_formula`] with the formulas handed out mutably, in
+    /// the same order: how a sort rewrites the references of the formulas
+    /// it moved without probing every row of every column.
+    pub(crate) fn for_each_formula_mut(&mut self, f: &mut dyn FnMut(CellAddr, &mut Formula)) {
+        let mut visit = |row: u32, col: usize, cell: &mut Cell| {
+            if let CellContent::Formula(formula) = &mut cell.content {
+                f(CellAddr::new(row, col as u32), formula);
+            }
+        };
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            for (&ci, seg) in &mut col.segs {
+                let base = ci * CHUNK_ROWS;
+                match seg {
+                    Segment::Cells(v) => {
+                        for (off, cell) in v.iter_mut().enumerate() {
+                            visit(base + off as u32, c, cell);
+                        }
+                    }
+                    Segment::Sparse(sp) => {
+                        for (&off, cell) in &mut sp.cells {
+                            visit(base + u32::from(off), c, cell);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Buffer-pool control surface.
 
@@ -1429,15 +1582,6 @@ impl GridStore {
     /// Cumulative spill/load/fault counters for the grid's buffer pool.
     pub fn spill_stats(&self) -> SpillStats {
         self.pool.stats()
-    }
-
-    /// True when any chunk of `col` could hold a formula (Cells/Sparse
-    /// representation). Lets permute/sort skip the formula-rewrite scan
-    /// over pure-typed columns.
-    pub fn col_may_have_formulas(&self, col: u32) -> bool {
-        self.cols.get(col as usize).is_some_and(|c| {
-            c.segs.values().any(|s| matches!(s, Segment::Cells(_) | Segment::Sparse(_)))
-        })
     }
 
     /// Loads and pins every typed chunk intersecting `range`, stopping at

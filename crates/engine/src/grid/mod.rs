@@ -44,6 +44,9 @@ pub fn empty_cell() -> &'static Cell {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::{CellAddr, Range};
@@ -371,6 +374,39 @@ mod tests {
                 let moved = occupied(&model[tail.min(model.len())..]);
                 assert_eq!((counts.kept, counts.moved), (kept, moved), "{what}");
                 if let Some(b) = g.budget() {
+                    assert!(g.resident_spill_bytes() <= b, "{what}: over budget");
+                }
+            }
+        }
+    }
+
+    /// The permutation on its own, against the same `Vec` model: row `i`
+    /// of the result is row `perm[i]` of the snapshot, whatever mix of
+    /// segment kinds each destination chunk collects, spilled or not.
+    #[test]
+    fn permutations_match_a_vec_model_over_every_segment_kind() {
+        let n = 3000u32;
+        // 1 499 is coprime to 3 000: consecutive rows land chunks apart.
+        let stride = |i: u32| (i * 1499 + 7) % n;
+        let perms: [(&str, Vec<u32>); 4] = [
+            ("identity", (0..n).collect()),
+            ("reversal", (0..n).rev().collect()),
+            ("rotation by 1025", (0..n).map(|i| (i + 1025) % n).collect()),
+            ("stride", (0..n).map(stride).collect()),
+        ];
+        for (case, (what, perm)) in perms.iter().enumerate() {
+            for budget in [None, Some(3 * 8320)] {
+                let layout = LAYOUTS[case % 2];
+                let mut g = mixed_grid(layout);
+                g.set_budget(budget);
+                let model = snapshot(&g);
+                g.permute_rows(perm).unwrap();
+                g.validate();
+                let want: Vec<Vec<Cell>> =
+                    perm.iter().map(|&p| model[p as usize].clone()).collect();
+                assert_eq!(snapshot(&g), want, "{layout:?} {what} budget={budget:?}");
+                if let Some(b) = budget {
+                    assert!(g.spill_stats().spills > 0);
                     assert!(g.resident_spill_bytes() <= b, "{what}: over budget");
                 }
             }

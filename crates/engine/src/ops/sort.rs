@@ -2,11 +2,23 @@
 //! (§4.2.1). The expected complexity is O(m log m) comparisons plus
 //! O(m·n) cell moves; both are charged to the meter from the *actual*
 //! comparison and move counts.
+//!
+//! Four phases. **Keys**: each key column is read once through the
+//! single-column range visit over the grid's slice scan (one chunk resolve,
+//! and under a budget at most one page read, per 1 024 rows) into a flat
+//! vector — raw `f64`s while every key is a finite number or blank,
+//! `Value`s from the first key that is not. **Order**: a stable sort of
+//! row indices over those vectors, counting comparisons. **Grid** and
+//! **formulas**: [`Sheet::permute_rows`] moves the chunks (DESIGN.md §14),
+//! rewrites the moved formulas' references where they landed and rebuilds
+//! the dependency graph.
 
 use std::cell::Cell as StdCell;
+use std::cmp::Ordering;
 
-use crate::addr::CellAddr;
+use crate::addr::{CellAddr, Range};
 use crate::error::EngineError;
+use crate::eval::CellSource;
 use crate::meter::Primitive;
 use crate::sheet::Sheet;
 use crate::value::Value;
@@ -26,6 +38,16 @@ pub struct SortKey {
     pub order: SortOrder,
 }
 
+impl SortOrder {
+    /// An ascending comparison's outcome, in this direction.
+    fn direct(self, ord: Ordering) -> Ordering {
+        match self {
+            SortOrder::Ascending => ord,
+            SortOrder::Descending => ord.reverse(),
+        }
+    }
+}
+
 impl SortKey {
     /// Ascending key on `col`.
     pub fn asc(col: u32) -> Self {
@@ -38,6 +60,88 @@ impl SortKey {
     }
 }
 
+/// The displayed values of one key column, one per row.
+enum KeyColumn {
+    /// Every key is a finite number or blank. [`Value::sheet_cmp`] ranks
+    /// `Empty` below every number, so `NEG_INFINITY` stands in for it and
+    /// `partial_cmp` decides every pair exactly as `sheet_cmp` would.
+    Nums(Vec<f64>),
+    /// Anything else: text, booleans, errors — and the `±inf` and `NaN` a
+    /// formula can cache (`+ − × ÷` overflow is not `#NUM!` yet, ROADMAP
+    /// item 1), which only `sheet_cmp` orders totally.
+    Values(Vec<Value>),
+}
+
+/// The stand-in for a blank key in [`KeyColumn::Nums`].
+const BLANK: f64 = f64::NEG_INFINITY;
+
+impl KeyColumn {
+    /// Reads rows `0..m` of `col` through the sheet's single-column range
+    /// visit, which walks the grid's slice scan. At millions of rows a
+    /// 24-byte `Value` per row is the sort's peak-memory term, so the `f64`
+    /// vector is filled directly and converted only when a key turns up
+    /// that does not fit it.
+    fn read(sheet: &Sheet, col: u32, m: u32) -> KeyColumn {
+        let mut keys = KeyColumn::Nums(Vec::with_capacity(m as usize));
+        let range = Range::new(CellAddr::new(0, col), CellAddr::new(m - 1, col));
+        sheet.visit_range(range, &mut |_, v, _| keys.push(v));
+        // A key column past the extent reads as blank, as `Sheet::value` does.
+        match &mut keys {
+            KeyColumn::Nums(nums) => nums.resize(m as usize, BLANK),
+            KeyColumn::Values(vals) => vals.resize(m as usize, Value::Empty),
+        }
+        keys
+    }
+
+    /// Appends one key. The first that is neither a finite number nor
+    /// blank moves what was read so far over to `Values` (every `BLANK`
+    /// among it is a blank: `-inf` itself would have been that first key).
+    fn push(&mut self, v: &Value) {
+        if let KeyColumn::Nums(nums) = self {
+            match v {
+                Value::Number(n) if n.is_finite() => return nums.push(*n),
+                Value::Empty => return nums.push(BLANK),
+                _ => {}
+            }
+            let mut vals = Vec::with_capacity(nums.capacity());
+            vals.extend(nums.iter().map(|&n| {
+                if n == BLANK {
+                    Value::Empty
+                } else {
+                    Value::Number(n)
+                }
+            }));
+            *self = KeyColumn::Values(vals);
+        }
+        if let KeyColumn::Values(vals) = self {
+            vals.push(v.clone());
+        }
+    }
+
+    /// How rows `a` and `b` compare on this key, ascending.
+    fn cmp(&self, a: u32, b: u32) -> Ordering {
+        match self {
+            KeyColumn::Nums(k) => cmp_nums(k, a, b),
+            KeyColumn::Values(k) => k[a as usize].sheet_cmp(&k[b as usize]),
+        }
+    }
+}
+
+fn cmp_nums(keys: &[f64], a: u32, b: u32) -> Ordering {
+    keys[a as usize].partial_cmp(&keys[b as usize]).expect("numeric sort keys are never NaN")
+}
+
+/// Stable-sorts `perm` by `cmp` and returns the exact number of
+/// comparisons the sort made.
+fn sort_counting(perm: &mut [u32], cmp: impl Fn(u32, u32) -> Ordering) -> u64 {
+    let comparisons = StdCell::new(0u64);
+    perm.sort_by(|&a, &b| {
+        comparisons.set(comparisons.get() + 1);
+        cmp(a, b)
+    });
+    comparisons.get()
+}
+
 /// Stable-sorts every row of the sheet by the given keys. Returns the
 /// permutation that was applied (new row `i` was old row `perm[i]`).
 pub(crate) fn sort_rows_impl(sheet: &mut Sheet, keys: &[SortKey]) -> Result<Vec<u32>, EngineError> {
@@ -47,84 +151,32 @@ pub(crate) fn sort_rows_impl(sheet: &mut Sheet, keys: &[SortKey]) -> Result<Vec<
         return Ok(Vec::new());
     }
 
-    // Stable sort with an exact comparison counter. Comparison *decisions*
-    // are identical across the paths below, so the counter (and therefore
-    // the CmpRead charge) does not depend on which representation holds the
-    // keys.
-    let comparisons = StdCell::new(0u64);
-    let mut perm: Vec<u32> = (0..m).collect();
+    // One metered read per key cell.
+    let columns: Vec<(KeyColumn, SortOrder)> =
+        keys.iter().map(|key| (KeyColumn::read(sheet, key.col, m), key.order)).collect();
+    sheet.meter().bump(Primitive::CellRead, u64::from(m) * keys.len() as u64);
 
-    if let [key] = keys {
-        // Single-key sort: extract a flat key vector (one metered read per
-        // row), and when the column is purely numeric/empty compare raw
-        // `f64`s instead of `Value`s — at millions of rows the per-row
-        // `Vec<Value>` of the general path dominates peak memory.
-        let mut vals: Vec<Value> = Vec::with_capacity(m as usize);
-        for row in 0..m {
-            sheet.meter().tick(Primitive::CellRead);
-            vals.push(sheet.value(CellAddr::new(row, key.col)));
+    // Comparison *decisions* do not depend on which representation holds a
+    // key column, so neither does their count (the CmpRead charge). The
+    // common sort, one numeric key, gets a comparator with nothing between
+    // the sort and the two `f64`s: the sort phase runs a fifth faster than
+    // through the general one.
+    let mut perm: Vec<u32> = (0..m).collect();
+    let comparisons = match columns.as_slice() {
+        [(KeyColumn::Nums(keys), order)] => {
+            sort_counting(&mut perm, |a, b| order.direct(cmp_nums(keys, a, b)))
         }
-        if vals.iter().all(|v| matches!(v, Value::Number(_) | Value::Empty)) {
-            // `sheet_cmp` ranks Empty below every number, and the grid
-            // never stores a non-finite number, so NEG_INFINITY is a safe
-            // stand-in for Empty and `partial_cmp` never sees NaN.
-            let nums: Vec<f64> = vals
+        _ => sort_counting(&mut perm, |a, b| {
+            columns
                 .iter()
-                .map(|v| match v {
-                    Value::Number(x) => *x,
-                    _ => f64::NEG_INFINITY,
-                })
-                .collect();
-            drop(vals);
-            perm.sort_by(|&a, &b| {
-                comparisons.set(comparisons.get() + 1);
-                let ord = nums[a as usize]
-                    .partial_cmp(&nums[b as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal);
-                match key.order {
-                    SortOrder::Ascending => ord,
-                    SortOrder::Descending => ord.reverse(),
-                }
-            });
-        } else {
-            perm.sort_by(|&a, &b| {
-                comparisons.set(comparisons.get() + 1);
-                let ord = vals[a as usize].sheet_cmp(&vals[b as usize]);
-                match key.order {
-                    SortOrder::Ascending => ord,
-                    SortOrder::Descending => ord.reverse(),
-                }
-            });
-        }
-    } else {
-        // Extract key values once per row (one metered read per key cell).
-        let mut key_values: Vec<Vec<Value>> = Vec::with_capacity(m as usize);
-        for row in 0..m {
-            let mut ks = Vec::with_capacity(keys.len());
-            for key in keys {
-                sheet.meter().tick(Primitive::CellRead);
-                ks.push(sheet.value(CellAddr::new(row, key.col)));
-            }
-            key_values.push(ks);
-        }
-        perm.sort_by(|&a, &b| {
-            comparisons.set(comparisons.get() + 1);
-            let ka = &key_values[a as usize];
-            let kb = &key_values[b as usize];
-            for (i, key) in keys.iter().enumerate() {
-                let ord = ka[i].sheet_cmp(&kb[i]);
-                let ord = match key.order {
-                    SortOrder::Ascending => ord,
-                    SortOrder::Descending => ord.reverse(),
-                };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    sheet.meter().bump(Primitive::CmpRead, comparisons.get());
+                .map(|(column, order)| order.direct(column.cmp(a, b)))
+                .find(|ord| !ord.is_eq())
+                .unwrap_or(Ordering::Equal)
+        }),
+    };
+    // The keys are dead weight while the grid moves.
+    drop(columns);
+    sheet.meter().bump(Primitive::CmpRead, comparisons);
 
     // Physically move every cell of every row.
     sheet.meter().bump(Primitive::CellMove, u64::from(m) * u64::from(n));
@@ -232,6 +284,88 @@ mod tests {
             let n = f64::from(r + 1);
             assert_eq!(s.value(CellAddr::new(r, 2)), Value::Number(100.0 + n));
             assert_eq!(s.value(CellAddr::new(r, 3)), Value::Number(n));
+        }
+    }
+
+    /// Only `^` and the math functions map overflow to `#NUM!`: `=-1E308*10`
+    /// caches `-inf` and `=1E308*10-1E308*10` caches `NaN`. Standing
+    /// `NEG_INFINITY` in for blanks interleaved the former with them, and
+    /// `partial_cmp(..).unwrap_or(Equal)` made the latter equal to
+    /// everything — not a total order.
+    #[test]
+    fn non_finite_keys_sort_in_sheet_cmp_order() {
+        let mut s = Sheet::new();
+        for r in 0..200u32 {
+            let at = CellAddr::new(r, 0);
+            match r % 4 {
+                0 => s.set_formula_str(at, "=-1E308*10").unwrap(),
+                1 => s.set_formula_str(at, "=1E308*10-1E308*10").unwrap(),
+                2 => s.set_value(at, i64::from(r % 7) - 3),
+                _ => {}
+            }
+            s.set_value(CellAddr::new(r, 1), r);
+        }
+        crate::recalc::recalc_all(&mut s);
+        assert_eq!(s.value(CellAddr::new(0, 0)), Value::Number(f64::NEG_INFINITY));
+        assert!(matches!(s.value(CellAddr::new(1, 0)), Value::Number(n) if n.is_nan()));
+
+        let keys = |s: &Sheet| (0..200).map(|r| s.value(CellAddr::new(r, 0))).collect::<Vec<_>>();
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
+        let sorted = keys(&s);
+        for (r, pair) in sorted.windows(2).enumerate() {
+            assert!(pair[0].sheet_cmp(&pair[1]).is_le(), "rows {r} and {}: {pair:?}", r + 1);
+        }
+        assert!(sorted[..50].iter().all(Value::is_empty), "blanks first");
+        assert!(sorted[50..100].iter().all(|v| *v == Value::Number(f64::NEG_INFINITY)));
+        assert!(sorted[150..].iter().all(|v| matches!(v, Value::Number(n) if n.is_nan())));
+
+        s.apply(Op::Sort { keys: vec![SortKey::desc(0)] }).unwrap();
+        for (r, pair) in keys(&s).windows(2).enumerate() {
+            assert!(pair[0].sheet_cmp(&pair[1]).is_ge(), "rows {r} and {}: {pair:?}", r + 1);
+        }
+    }
+
+    /// A key column that starts numeric and turns to text half way down,
+    /// an all-numeric one, one past the extent, and multi-key sorts mixing
+    /// the two representations: the order, and the charges, of comparing
+    /// `Sheet::value`s row by row.
+    #[test]
+    fn key_vectors_agree_with_per_row_values() {
+        for keys in [
+            vec![SortKey::asc(0)],
+            vec![SortKey::desc(1)],
+            vec![SortKey::desc(1), SortKey::asc(0)],
+            vec![SortKey::asc(7), SortKey::desc(0)],
+        ] {
+            let mut s = Sheet::new();
+            for r in 0..3000u32 {
+                let a = CellAddr::new(r, 0);
+                match r {
+                    0..=1499 if r % 9 != 4 => s.set_value(a, i64::from((r * 7919) % 13)),
+                    1500..=2999 if r % 5 != 1 => s.set_value(a, format!("k{}", (r * 31) % 17)),
+                    _ => {}
+                }
+                s.set_value(CellAddr::new(r, 1), i64::from((r * 104_729) % 11));
+            }
+            let value = |row: u32, key: &SortKey| s.value(CellAddr::new(row, key.col));
+            let mut compared = 0u64;
+            let mut want: Vec<u32> = (0..s.nrows()).collect();
+            want.sort_by(|&x, &y| {
+                compared += 1;
+                keys.iter()
+                    .map(|key| match key.order {
+                        SortOrder::Ascending => value(x, key).sheet_cmp(&value(y, key)),
+                        SortOrder::Descending => value(x, key).sheet_cmp(&value(y, key)).reverse(),
+                    })
+                    .find(|ord| !ord.is_eq())
+                    .unwrap_or(Ordering::Equal)
+            });
+            let before = s.meter().snapshot();
+            let out = s.apply(Op::Sort { keys: keys.clone() });
+            assert_eq!(out, Ok(OpOutcome::Sorted { permutation: want }), "{keys:?}");
+            let d = s.meter().snapshot().since(&before);
+            assert_eq!(d.get(Primitive::CellRead), 3000 * keys.len() as u64, "{keys:?}");
+            assert_eq!(d.get(Primitive::CmpRead), compared, "{keys:?}");
         }
     }
 

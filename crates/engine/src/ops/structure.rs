@@ -273,7 +273,7 @@ pub(crate) fn restructure(
 }
 
 #[cfg(test)]
-mod differential;
+pub(crate) mod differential;
 
 #[cfg(test)]
 mod tests {

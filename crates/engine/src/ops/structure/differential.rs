@@ -16,7 +16,7 @@ use crate::style::{Color, Style};
 use crate::value::{Criterion, Value};
 use crate::{analyze, audit, recalc};
 
-const BUDGET: usize = 32 * 1024;
+pub(crate) const BUDGET: usize = 32 * 1024;
 
 /// The reference: what `restructure` did before it worked in place.
 fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet {
@@ -101,7 +101,7 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
 
 /// A sheet whose columns cover every segment kind over three chunks, with
 /// styled cells, an active filter, named ranges and a live auto-index.
-fn build(layout: Layout, budget: Option<usize>) -> Sheet {
+pub(crate) fn build(layout: Layout, budget: Option<usize>) -> Sheet {
     const ROWS: u32 = 2600;
     let mut s = Sheet::with_layout(layout, 0, 0);
     s.set_grid_budget(budget);
@@ -164,7 +164,7 @@ fn build(layout: Layout, budget: Option<usize>) -> Sheet {
 
 /// Everything observable about the two sheets must agree, and the sheet
 /// edited in place must satisfy every invariant checker.
-fn compare(got: &Sheet, want: &Sheet, what: &str) -> Result<(), TestCaseError> {
+pub(crate) fn compare(got: &Sheet, want: &Sheet, what: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()), "{}: extent", what);
     for r in 0..got.nrows() {
         prop_assert_eq!(got.is_row_hidden(r), want.is_row_hidden(r), "{}: hidden flag {}", what, r);

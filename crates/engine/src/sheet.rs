@@ -511,6 +511,31 @@ impl Sheet {
     /// absolute ones may not.
     pub fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError> {
         self.grid.permute_rows(perm)?;
+        self.permute_hidden(perm);
+        // Rewrite the relative references of every moved formula, in one
+        // walk over the chunks that can hold one. Its program binding rode
+        // the permutation with it and stays right when every window of the
+        // program's static read-set resolves at the destination address —
+        // then `normalize(adjusted(e, old, new), new) == normalize(e, old)`,
+        // the R1C1 key is unchanged, and the compiled program (a pure
+        // function of that key) is still the right one; otherwise the
+        // binding is cleared.
+        self.grid.for_each_formula_mut(&mut |addr, f| {
+            let old_row = perm[addr.row as usize];
+            if old_row == addr.row {
+                return;
+            }
+            if f.program().is_some_and(|prog| !windows_resolve_at(prog.reads(), addr)) {
+                f.unbind();
+            }
+            f.expr.adjust(CellAddr::new(old_row, addr.col), addr);
+        });
+        self.rebuild_deps();
+        Ok(())
+    }
+
+    /// Carries the filter flags along with a row permutation.
+    fn permute_hidden(&mut self, perm: &[u32]) {
         if !self.hidden.is_empty() {
             let mut hidden = vec![false; perm.len()];
             for (i, &p) in perm.iter().enumerate() {
@@ -518,22 +543,22 @@ impl Sheet {
             }
             self.hidden = hidden;
         }
-        // Rewrite the relative references of every moved formula. Its
-        // program binding rode the permutation with it and stays right
-        // when every window of the program's static read-set resolves at
-        // the destination address — then `normalize(adjusted(e, old, new),
-        // new) == normalize(e, old)`, the R1C1 key is unchanged, and the
-        // compiled program (a pure function of that key) is still the
-        // right one; otherwise the binding is cleared. Pure-typed columns
-        // can't hold formulas, so the scan skips them wholesale.
-        let formula_cols: Vec<u32> =
-            (0..self.ncols()).filter(|&c| self.grid.col_may_have_formulas(c)).collect();
+    }
+
+    /// What [`Sheet::permute_rows`] did before it moved chunks: the grid
+    /// rebuilt cell by cell, then every row of every column probed for a
+    /// formula whose expression is replaced by an adjusted copy. Kept as
+    /// the reference the differential test compares the scatter against.
+    #[cfg(test)]
+    pub(crate) fn permute_rows_reference(&mut self, perm: &[u32]) -> Result<(), EngineError> {
+        self.grid.permute_rows_reference(perm)?;
+        self.permute_hidden(perm);
         for (new_row, &old_row) in perm.iter().enumerate() {
             let new_row = new_row as u32;
             if new_row == old_row {
                 continue;
             }
-            for &col in &formula_cols {
+            for col in 0..self.ncols() {
                 let addr = CellAddr::new(new_row, col);
                 let Some(f) = self.grid.formula_mut(addr) else { continue };
                 if f.program().is_some_and(|prog| !windows_resolve_at(prog.reads(), addr)) {

@@ -126,7 +126,7 @@ impl Value {
             // Purely case-insensitive, consistent with `sheet_eq` (values
             // differing only in case compare Equal, as in the real
             // systems' default collation).
-            (Value::Text(a), Value::Text(b)) => a.to_lowercase().cmp(&b.to_lowercase()),
+            (Value::Text(a), Value::Text(b)) => cmp_ignore_case(a, b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Error(a), Value::Error(b)) => a.code().cmp(b.code()),
             _ => rank(self).cmp(&rank(other)),
@@ -146,6 +146,19 @@ impl Value {
             (Value::Error(a), Value::Error(b)) => a == b,
             _ => false,
         }
+    }
+}
+
+/// `a.to_lowercase().cmp(&b.to_lowercase())` without the two `String`s
+/// when both sides are ASCII (a text-key sort of m rows allocated
+/// ~2·m·log m of them). On ASCII `to_lowercase` is `to_ascii_lowercase`
+/// and `str` orders bytewise, so the result is the same.
+fn cmp_ignore_case(a: &str, b: &str) -> Ordering {
+    if a.is_ascii() && b.is_ascii() {
+        let (a, b) = (a.bytes(), b.bytes());
+        a.map(|c| c.to_ascii_lowercase()).cmp(b.map(|c| c.to_ascii_lowercase()))
+    } else {
+        a.to_lowercase().cmp(&b.to_lowercase())
     }
 }
 
@@ -394,6 +407,24 @@ mod tests {
     fn sheet_cmp_text_case_insensitive() {
         assert_eq!(Value::text("Apple").sheet_cmp(&Value::text("apple")), Ordering::Equal);
         assert_eq!(Value::text("apple").sheet_cmp(&Value::text("BANANA")), Ordering::Less);
+    }
+
+    #[test]
+    fn text_comparison_without_allocating_agrees_with_to_lowercase() {
+        let words = [
+            "", "a", "A", "apple", "Apple", "APPLE", "app", "apple pie", "Banana", "banana",
+            "zebra", "Zebra!", "[", "_", "a_b", "A[b", "10", "9", "état", "État", "ÉTAT", "e",
+            "straße", "STRASSE", "İstanbul", "istanbul", "日本", "ǅ", "ǆ",
+        ];
+        for a in words {
+            for b in words {
+                assert_eq!(
+                    Value::text(a).sheet_cmp(&Value::text(b)),
+                    a.to_lowercase().cmp(&b.to_lowercase()),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]
