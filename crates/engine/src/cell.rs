@@ -18,8 +18,9 @@ pub struct Formula {
     /// is maintain it incrementally.
     pub cached: Value,
     /// The compiled program this formula runs: the sheet's template-map
-    /// entry for `r1c1::normalize(expr, address)`, bound by the first
-    /// evaluation and read by every later one. Set once through `&self`
+    /// entry for `r1c1::normalize(expr, address)`, bound when a document
+    /// is opened or else by the first evaluation, and read by every later
+    /// one. Set once through `&self`
     /// (the parallel recalc workers bind through `&Sheet`), cleared only
     /// through `&mut self`. It travels with the formula — a clone, a sort
     /// or a structural shift carries it along — so whoever rewrites `expr`
@@ -42,7 +43,15 @@ impl Formula {
         Formula { expr, cached: Value::Empty, program: OnceLock::new() }
     }
 
-    /// The bound program, if an evaluation has bound one.
+    /// Wraps an expression with an uncomputed cache and `program` already
+    /// bound: the caller resolved it for this expression at the address
+    /// the formula is about to be stored at (the bulk load does, once per
+    /// template — `compile::OpenTemplates`).
+    pub(crate) fn bound(expr: Expr, program: Arc<Program>) -> Self {
+        Formula { expr, cached: Value::Empty, program: OnceLock::from(program) }
+    }
+
+    /// The bound program, if the load or an evaluation has bound one.
     pub fn program(&self) -> Option<&Arc<Program>> {
         self.program.get()
     }

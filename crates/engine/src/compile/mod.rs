@@ -27,6 +27,9 @@
 //!    ([`Formula::program`](crate::cell::Formula::program)), so steps 1–2
 //!    run once per formula, not once per evaluation: a recalculation pass
 //!    reads expression and program from the one grid lookup it does anyway.
+//!    A document's formulas are bound as it is opened, and there the steps
+//!    run once per *template*: `OpenTemplates` recognises a fill-down
+//!    copy by its token stream before it is ever parsed.
 //! 5. **Run** — [`vm::run`] executes the program against the same
 //!    [`EvalCtx`](crate::eval::EvalCtx) the interpreter uses. Aggregate
 //!    calls over ranges dispatch to vectorized kernels that walk the grid's
@@ -44,8 +47,9 @@
 //! builtin reads the clock from the evaluation context at run time — so a
 //! cached program can never go stale and nothing is ever evicted. What can
 //! go stale is a *binding*: it is right for as long as
-//! `normalize(expr, address)` is the key it was resolved under. A new
-//! formula starts unbound, a sort or structural shift carries the binding
+//! `normalize(expr, address)` is the key it was resolved under. A typed-in
+//! formula starts unbound (one loaded from a document arrives bound to its
+//! template's program), a sort or structural shift carries the binding
 //! along with the cell, and the two places that rewrite or relocate a
 //! stored expression (`Sheet::permute_rows`, `ops::structure`) clear the
 //! bindings whose key they cannot prove unchanged, using the static
@@ -64,8 +68,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::addr::CellAddr;
+use crate::cell::Formula;
+use crate::error::EngineError;
 use crate::formula::ast::Expr;
-use crate::formula::r1c1;
+use crate::formula::{parse_with, r1c1, NameResolver};
 
 /// A per-sheet cache of compiled programs, keyed by the R1C1-normalized
 /// template string (fill copies share one entry). Shared read-mostly:
@@ -145,6 +151,54 @@ impl ProgramCache {
     /// Lookups that had to compile.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+}
+
+/// The formula front end of one bulk load (`Sheet::load_rows`): a
+/// document's fill-down columns are thousands of texts that differ only in
+/// the row numbers of their references, so each distinct
+/// [`r1c1::token_key`] is parsed and resolved through the [`ProgramCache`]
+/// once, and every later cell with that key gets the parsed expression
+/// re-pointed at itself and a clone of the program's `Arc`. The table lives
+/// for one load; the programs it resolved live in the sheet's cache.
+#[derive(Default)]
+pub(crate) struct OpenTemplates {
+    by_key: HashMap<Vec<u8>, Template>,
+    /// The key under construction, kept for its allocation.
+    key: Vec<u8>,
+}
+
+/// A parsed formula, the cell it was written at, and its program.
+struct Template {
+    expr: Expr,
+    origin: CellAddr,
+    program: Arc<Program>,
+}
+
+impl OpenTemplates {
+    /// The formula cell content for the body `src` (no leading `=`) at
+    /// `at`: what `parse_with(src, names)` builds, bound to the program
+    /// `programs` holds for it. A text [`r1c1::token_key`] will not vouch
+    /// for is parsed on its own and left unbound, as a typed-in formula is.
+    pub(crate) fn formula(
+        &mut self,
+        src: &str,
+        at: CellAddr,
+        names: &dyn NameResolver,
+        programs: &ProgramCache,
+    ) -> Result<Formula, EngineError> {
+        self.key.clear();
+        if !r1c1::token_key(src, at, &mut self.key) {
+            return Ok(Formula::new(parse_with(src, names)?));
+        }
+        if let Some(t) = self.by_key.get(self.key.as_slice()) {
+            return Ok(Formula::bound(t.expr.adjusted(t.origin, at), Arc::clone(&t.program)));
+        }
+        let expr = parse_with(src, names)?;
+        let program = programs.get_or_compile(&expr, at);
+        let template = Template { expr: expr.clone(), origin: at, program: Arc::clone(&program) };
+        self.by_key.insert(self.key.clone(), template);
+        Ok(Formula::bound(expr, program))
     }
 }
 

@@ -215,6 +215,12 @@ impl DepGraph {
         self.precedents.get(&addr)
     }
 
+    /// Makes room for `formulas` more registrations, so a bulk load does
+    /// not grow the map a doubling at a time.
+    pub(crate) fn reserve(&mut self, formulas: usize) {
+        self.precedents.reserve(formulas);
+    }
+
     /// Registers (or re-registers) the formula at `addr`.
     pub fn add(&mut self, addr: CellAddr, expr: &Expr) {
         self.remove(addr);

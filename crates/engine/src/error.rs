@@ -94,6 +94,24 @@ impl CellError {
             CellError::Circular => "#CIRC!",
         }
     }
+
+    /// Every error value, in declaration order.
+    pub(crate) const ALL: [CellError; 7] = [
+        CellError::Div0,
+        CellError::Value,
+        CellError::Ref,
+        CellError::Name,
+        CellError::Na,
+        CellError::Num,
+        CellError::Circular,
+    ];
+
+    /// The error a display spelling denotes, in either case: the inverse of
+    /// [`CellError::code`], shared by the formula parser's error literals
+    /// and the cell-input classifier.
+    pub(crate) fn from_code(code: &str) -> Option<CellError> {
+        CellError::ALL.into_iter().find(|e| e.code().eq_ignore_ascii_case(code))
+    }
 }
 
 impl fmt::Display for CellError {
@@ -111,6 +129,11 @@ mod tests {
         assert_eq!(CellError::Div0.to_string(), "#DIV/0!");
         assert_eq!(CellError::Na.code(), "#N/A");
         assert_eq!(CellError::Circular.code(), "#CIRC!");
+        for e in CellError::ALL {
+            assert_eq!(CellError::from_code(e.code()), Some(e));
+            assert_eq!(CellError::from_code(&e.code().to_ascii_lowercase()), Some(e));
+        }
+        assert_eq!(CellError::from_code("#NOPE!"), None);
     }
 
     #[test]

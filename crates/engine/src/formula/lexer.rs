@@ -1,20 +1,30 @@
 //! The formula lexer. Splits `=COUNTIF(K2:K500000,1)` (without the leading
 //! `=`, which the cell layer strips) into tokens.
+//!
+//! Tokens borrow from the source text: an identifier or an error literal is
+//! a slice of it, and a string literal is one too unless it holds an escaped
+//! quote (`""`), the only spelling that has to be rewritten. `Lexer` hands
+//! them out one at a time, so a consumer that only needs to *look* at a
+//! formula — the bulk load's template key, `r1c1::token_key`, which runs
+//! once per formula cell of a document — allocates nothing; the parser
+//! collects them with [`lex`].
+
+use std::borrow::Cow;
 
 use crate::error::EngineError;
 
-/// A lexical token.
+/// A lexical token, borrowing from the formula text it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// A numeric literal.
     Number(f64),
     /// A double-quoted string literal (quotes removed, `""` unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An identifier-like run: function name, `TRUE`/`FALSE`, or a cell
     /// reference candidate such as `$B$7`. Disambiguated by the parser.
-    Ident(String),
+    Ident(&'a str),
     /// An error literal such as `#N/A` or `#DIV/0!`.
-    ErrorLit(String),
+    ErrorLit(&'a str),
     LParen,
     RParen,
     Comma,
@@ -35,108 +45,71 @@ pub enum Token {
 }
 
 /// Lexes a formula body into tokens.
-pub fn lex(input: &str) -> Result<Vec<Token>, EngineError> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            b')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            b',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            b':' => {
-                tokens.push(Token::Colon);
-                i += 1;
-            }
-            b'+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            b'-' => {
-                tokens.push(Token::Minus);
-                i += 1;
-            }
-            b'*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            b'/' => {
-                tokens.push(Token::Slash);
-                i += 1;
-            }
-            b'^' => {
-                tokens.push(Token::Caret);
-                i += 1;
-            }
-            b'&' => {
-                tokens.push(Token::Amp);
-                i += 1;
-            }
-            b'%' => {
-                tokens.push(Token::Percent);
-                i += 1;
-            }
-            b'=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            b'<' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    tokens.push(Token::Ne);
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Le);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            b'>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Ge);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>, EngineError> {
+    Lexer::new(input).collect()
+}
+
+/// The tokens of a formula body, in order. Yields the first lexical error
+/// in place of the offending token and nothing after it.
+#[derive(Debug, Clone)]
+pub(crate) struct Lexer<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub(crate) fn new(input: &'a str) -> Self {
+        Lexer { input, pos: 0 }
+    }
+
+    /// The token starting at `self.pos` (not whitespace, not the end).
+    fn token(&mut self) -> Result<Token<'a>, EngineError> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let i = self.pos;
+        let (token, next) = match bytes[i] {
+            b'(' => (Token::LParen, i + 1),
+            b')' => (Token::RParen, i + 1),
+            b',' => (Token::Comma, i + 1),
+            b':' => (Token::Colon, i + 1),
+            b'+' => (Token::Plus, i + 1),
+            b'-' => (Token::Minus, i + 1),
+            b'*' => (Token::Star, i + 1),
+            b'/' => (Token::Slash, i + 1),
+            b'^' => (Token::Caret, i + 1),
+            b'&' => (Token::Amp, i + 1),
+            b'%' => (Token::Percent, i + 1),
+            b'=' => (Token::Eq, i + 1),
+            b'<' => match bytes.get(i + 1) {
+                Some(b'>') => (Token::Ne, i + 2),
+                Some(b'=') => (Token::Le, i + 2),
+                _ => (Token::Lt, i + 1),
+            },
+            b'>' => match bytes.get(i + 1) {
+                Some(b'=') => (Token::Ge, i + 2),
+                _ => (Token::Gt, i + 1),
+            },
             b'"' => {
                 let (s, next) = lex_string(input, i)?;
-                tokens.push(Token::Str(s));
-                i = next;
+                (Token::Str(s), next)
             }
             b'#' => {
                 let (s, next) = lex_error_literal(input, i);
-                tokens.push(Token::ErrorLit(s));
-                i = next;
+                (Token::ErrorLit(s), next)
             }
             b'0'..=b'9' | b'.' => {
                 let (n, next) = lex_number(input, i)?;
-                tokens.push(Token::Number(n));
-                i = next;
+                (Token::Number(n), next)
             }
             b'$' | b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                let start = i;
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'$' | b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_' | b'.' => i += 1,
-                        _ => break,
-                    }
+                let mut j = i + 1;
+                while let Some(b'$' | b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_' | b'.') =
+                    bytes.get(j)
+                {
+                    j += 1;
                 }
-                tokens.push(Token::Ident(input[start..i].to_owned()));
+                (Token::Ident(&input[i..j]), j)
             }
             other => {
                 return Err(EngineError::Parse(format!(
@@ -144,32 +117,52 @@ pub fn lex(input: &str) -> Result<Vec<Token>, EngineError> {
                     other as char
                 )))
             }
-        }
+        };
+        self.pos = next;
+        Ok(token)
     }
-    Ok(tokens)
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Token<'a>, EngineError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = self.input.as_bytes();
+        while let Some(b' ' | b'\t' | b'\r' | b'\n') = bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        if self.pos >= bytes.len() {
+            return None;
+        }
+        let token = self.token();
+        if token.is_err() {
+            self.pos = bytes.len();
+        }
+        Some(token)
+    }
 }
 
 /// Lexes a string literal starting at the opening quote; `""` inside a
-/// string is an escaped quote. Returns the contents and the index past the
+/// string is an escaped quote. Returns the contents — the source slice
+/// itself unless an escape had to be rewritten — and the index past the
 /// closing quote.
-fn lex_string(input: &str, start: usize) -> Result<(String, usize), EngineError> {
+fn lex_string(input: &str, start: usize) -> Result<(Cow<'_, str>, usize), EngineError> {
     let bytes = input.as_bytes();
     debug_assert_eq!(bytes[start], b'"');
-    let mut out = String::new();
+    let mut escaped = false;
     let mut i = start + 1;
+    // A quote byte is never part of a multi-byte character, so the byte
+    // scan splits the text on character boundaries.
     while i < bytes.len() {
-        if bytes[i] == b'"' {
-            if bytes.get(i + 1) == Some(&b'"') {
-                out.push('"');
-                i += 2;
-            } else {
-                return Ok((out, i + 1));
-            }
+        if bytes[i] != b'"' {
+            i += 1;
+        } else if bytes.get(i + 1) == Some(&b'"') {
+            escaped = true;
+            i += 2;
         } else {
-            // Push the full (possibly multi-byte) character.
-            let ch = input[i..].chars().next().expect("in-bounds char");
-            out.push(ch);
-            i += ch.len_utf8();
+            let raw = &input[start + 1..i];
+            let text = if escaped { Cow::Owned(raw.replace("\"\"", "\"")) } else { Cow::Borrowed(raw) };
+            return Ok((text, i + 1));
         }
     }
     Err(EngineError::Parse("unterminated string literal".into()))
@@ -177,7 +170,7 @@ fn lex_string(input: &str, start: usize) -> Result<(String, usize), EngineError>
 
 /// Lexes `#N/A`, `#DIV/0!`, `#REF!` and friends: `#` followed by letters,
 /// digits, `/`, `?`, `!`.
-fn lex_error_literal(input: &str, start: usize) -> (String, usize) {
+fn lex_error_literal(input: &str, start: usize) -> (&str, usize) {
     let bytes = input.as_bytes();
     let mut i = start + 1;
     while i < bytes.len() {
@@ -186,7 +179,7 @@ fn lex_error_literal(input: &str, start: usize) -> (String, usize) {
             _ => break,
         }
     }
-    (input[start..i].to_owned(), i)
+    (&input[start..i], i)
 }
 
 /// Lexes a number: digits, optional fraction, optional exponent.
@@ -269,6 +262,38 @@ mod tests {
         assert!(t.contains(&Token::Str("STORM".into())));
         let t = lex(r#""say ""hi""""#).unwrap();
         assert_eq!(t, vec![Token::Str("say \"hi\"".into())]);
+    }
+
+    #[test]
+    fn tokens_borrow_from_the_source() {
+        let src = r#"sum(a1,"plain","esc""aped",#n/a)"#;
+        let tokens = lex(src).unwrap();
+        let within = |s: &str| src.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        match (&tokens[0], &tokens[2], &tokens[4], &tokens[6], &tokens[8]) {
+            (
+                Token::Ident(name),
+                Token::Ident(cell),
+                Token::Str(Cow::Borrowed(plain)),
+                Token::Str(Cow::Owned(escaped)),
+                Token::ErrorLit(err),
+            ) => {
+                // As written: case is the parser's business.
+                assert_eq!((*name, *cell, *plain, *err), ("sum", "a1", "plain", "#n/a"));
+                assert!(within(name) && within(cell) && within(plain) && within(err));
+                // Only an escaped quote forces a copy.
+                assert_eq!(escaped, "esc\"aped");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lexer_yields_the_first_error_and_stops() {
+        let mut lexer = Lexer::new(" 1 @ 2");
+        assert_eq!(lexer.next(), Some(Ok(Token::Number(1.0))));
+        assert!(matches!(lexer.next(), Some(Err(EngineError::Parse(_)))));
+        assert_eq!(lexer.next(), None);
+        assert_eq!(Lexer::new(" \t\r\n").next(), None);
     }
 
     #[test]

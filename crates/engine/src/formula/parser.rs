@@ -66,7 +66,7 @@ pub fn parse_with(input: &str, names: &dyn NameResolver) -> Result<Expr, EngineE
 }
 
 struct Parser<'a> {
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Current expression-tree nesting level, bounded by
     /// [`MAX_FORMULA_DEPTH`]. Counts *tree* depth, not call-stack depth:
@@ -76,12 +76,12 @@ struct Parser<'a> {
     names: &'a dyn NameResolver,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Token> {
+    fn next(&mut self) -> Option<Token<'a>> {
         let t = self.tokens.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -89,14 +89,14 @@ impl Parser<'_> {
         t
     }
 
-    fn expect(&mut self, want: &Token, ctx: &str) -> Result<(), EngineError> {
+    fn expect(&mut self, want: &Token<'_>, ctx: &str) -> Result<(), EngineError> {
         match self.next() {
             Some(ref t) if t == want => Ok(()),
             other => Err(EngineError::Parse(format!("expected {want:?} {ctx}, found {other:?}"))),
         }
     }
 
-    fn binop_of(token: &Token) -> Option<BinOp> {
+    fn binop_of(token: &Token<'_>) -> Option<BinOp> {
         Some(match token {
             Token::Plus => BinOp::Add,
             Token::Minus => BinOp::Sub,
@@ -196,7 +196,7 @@ impl Parser<'_> {
         match self.next() {
             Some(Token::Number(n)) => Ok(Expr::Number(n)),
             Some(Token::Str(s)) => Ok(Expr::Text(s.into())),
-            Some(Token::ErrorLit(s)) => Ok(Expr::Error(parse_error_literal(&s)?)),
+            Some(Token::ErrorLit(s)) => Ok(Expr::Error(parse_error_literal(s)?)),
             Some(Token::LParen) => {
                 let e = self.parse_expr(0)?;
                 self.expect(&Token::RParen, "to close parenthesized expression")?;
@@ -209,7 +209,7 @@ impl Parser<'_> {
 
     /// Disambiguates identifiers: function call (when followed by `(`),
     /// boolean literal, cell reference, or range reference.
-    fn parse_ident(&mut self, name: String) -> Result<Expr, EngineError> {
+    fn parse_ident(&mut self, name: &str) -> Result<Expr, EngineError> {
         if self.peek() == Some(&Token::LParen) {
             self.next();
             let mut args = Vec::new();
@@ -227,18 +227,17 @@ impl Parser<'_> {
             self.expect(&Token::RParen, "to close argument list")?;
             return Ok(Expr::Call(name.to_ascii_uppercase(), args));
         }
-        let upper = name.to_ascii_uppercase();
-        if upper == "TRUE" {
+        if name.eq_ignore_ascii_case("TRUE") {
             return Ok(Expr::Bool(true));
         }
-        if upper == "FALSE" {
+        if name.eq_ignore_ascii_case("FALSE") {
             return Ok(Expr::Bool(false));
         }
-        let start = match CellRef::parse(&name) {
+        let start = match CellRef::parse(name) {
             Ok(r) => r,
             Err(_) => {
                 // Not a reference: try the named-range resolver.
-                if let Some(range) = self.names.resolve(&name) {
+                if let Some(range) = self.names.resolve(name) {
                     return Ok(if range.range().len() == 1 {
                         Expr::Ref(range.start)
                     } else {
@@ -256,7 +255,7 @@ impl Parser<'_> {
                     "expected reference after ':' in range, found {end_tok:?}"
                 )));
             };
-            let end = CellRef::parse(&end_name)
+            let end = CellRef::parse(end_name)
                 .map_err(|_| EngineError::Parse(format!("bad range end {end_name:?}")))?;
             return Ok(Expr::RangeRef(RangeRef { start, end }));
         }
@@ -266,16 +265,9 @@ impl Parser<'_> {
 
 /// Maps error-literal spellings to [`CellError`] values.
 fn parse_error_literal(s: &str) -> Result<CellError, EngineError> {
-    match s.to_ascii_uppercase().as_str() {
-        "#DIV/0!" => Ok(CellError::Div0),
-        "#VALUE!" => Ok(CellError::Value),
-        "#REF!" => Ok(CellError::Ref),
-        "#NAME?" => Ok(CellError::Name),
-        "#N/A" => Ok(CellError::Na),
-        "#NUM!" => Ok(CellError::Num),
-        "#CIRC!" => Ok(CellError::Circular),
-        other => Err(EngineError::Parse(format!("unknown error literal {other:?}"))),
-    }
+    CellError::from_code(s).ok_or_else(|| {
+        EngineError::Parse(format!("unknown error literal {:?}", s.to_ascii_uppercase()))
+    })
 }
 
 #[cfg(test)]

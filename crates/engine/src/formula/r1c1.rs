@@ -13,6 +13,8 @@ use std::fmt::Write;
 
 use crate::addr::{CellAddr, CellRef};
 use crate::formula::ast::{Expr, RangeRef, UnaryOp};
+use crate::formula::lexer::{Lexer, Token};
+use crate::grid::{MAX_COLS, MAX_ROWS};
 use crate::value::format_number;
 
 /// One axis of a normalized reference: a signed offset from the evaluating
@@ -184,6 +186,99 @@ fn write_expr(out: &mut String, expr: &Expr, origin: CellAddr, min_prec: u8) {
 
 const UNARY_PREC: u8 = 6;
 
+/// Appends to `key` the *template key* of the formula body `src` as
+/// written at `at`: its token stream, with every cell-reference token
+/// respelled relative to `at` exactly as [`RefSpec::from_ref`] would —
+/// `$` markers, offsets and pins included — and case folded where the
+/// parser folds it. Two texts with equal keys parse to expressions that
+/// are [`Expr::adjusted`] copies of one another between their two cells,
+/// and so [`normalize`] to one program-cache key: the bulk load parses the
+/// first, instantiates the rest, and lets them share its program
+/// (`compile::OpenTemplates`). Nothing is allocated beyond `key` itself.
+///
+/// Returns `false`, with `key` in an unspecified state, when the text is
+/// not safely a template: it does not lex, it names something that is
+/// neither a reference, a boolean nor a function (a defined name — or a
+/// mistake the parser will report), or a reference lies past the engine's
+/// limits. The caller parses such a text on its own.
+///
+/// An identifier followed by `(` is a function name whatever it looks
+/// like — `LOG10(` is a call, not column `LOG` — and is keyed as written.
+pub(crate) fn token_key(src: &str, at: CellAddr, key: &mut Vec<u8>) -> bool {
+    fn push_text(key: &mut Vec<u8>, tag: u8, text: &str, fold_case: bool) {
+        key.push(tag);
+        key.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        let start = key.len();
+        key.extend_from_slice(text.as_bytes());
+        if fold_case {
+            key[start..].make_ascii_uppercase();
+        }
+    }
+    let mut tokens = Lexer::new(src).peekable();
+    while let Some(token) = tokens.next() {
+        let Ok(token) = token else { return false };
+        // Every payload carries its length, so the encoding is prefix-free.
+        key.push(match token {
+            Token::Number(n) => {
+                key.push(b'n');
+                key.extend_from_slice(&n.to_bits().to_le_bytes());
+                continue;
+            }
+            Token::Str(s) => {
+                push_text(key, b's', &s, false);
+                continue;
+            }
+            Token::ErrorLit(s) => {
+                push_text(key, b'e', s, true);
+                continue;
+            }
+            Token::Ident(name) => {
+                let call = matches!(tokens.peek(), Some(Ok(Token::LParen)));
+                if call
+                    || name.eq_ignore_ascii_case("TRUE")
+                    || name.eq_ignore_ascii_case("FALSE")
+                {
+                    push_text(key, b'i', name, true);
+                    continue;
+                }
+                let Ok(r) = CellRef::parse(name) else { return false };
+                if r.addr.row >= MAX_ROWS || r.addr.col >= MAX_COLS {
+                    return false;
+                }
+                let spec = RefSpec::from_ref(r, at);
+                key.push(b'r');
+                for axis in [spec.row, spec.col] {
+                    let (pinned, n) = match axis {
+                        Axis::Abs(c) => (1, i64::from(c)),
+                        Axis::Rel(d) => (0, d),
+                    };
+                    key.push(pinned);
+                    key.extend_from_slice(&n.to_le_bytes());
+                }
+                continue;
+            }
+            Token::LParen => b'(',
+            Token::RParen => b')',
+            Token::Comma => b',',
+            Token::Colon => b':',
+            Token::Plus => b'+',
+            Token::Minus => b'-',
+            Token::Star => b'*',
+            Token::Slash => b'/',
+            Token::Caret => b'^',
+            Token::Amp => b'&',
+            Token::Percent => b'%',
+            Token::Eq => b'=',
+            Token::Ne => b'!',
+            Token::Lt => b'<',
+            Token::Le => b'l',
+            Token::Gt => b'>',
+            Token::Ge => b'g',
+        });
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +347,69 @@ mod tests {
         assert_eq!(norm("SUM(J1:J100)", "K1"), "SUM(RC[-1]:R[99]C[-1])");
         assert_eq!(norm("SUM($J$1:$J$100)", "K1"), "SUM(R1C10:R100C10)");
         assert_eq!(norm("IF(A1>0,\"hi\",#N/A)", "A2"), "IF(R[-1]C>0,\"hi\",#N/A)");
+    }
+
+    fn key(src: &str, origin: &str) -> Option<Vec<u8>> {
+        let mut key = Vec::new();
+        token_key(src, at(origin), &mut key).then_some(key)
+    }
+
+    #[test]
+    fn token_keys_agree_exactly_when_normalized_parses_do() {
+        // Every pair of (text, cell): the keys are equal iff the R1C1
+        // normalizations of the parsed texts are.
+        let cases = [
+            ("A2*2+$E$1", "D2"),
+            ("A3*2+$E$1", "D3"),
+            ("a3 * 2 + $e$1", "D3"),
+            ("A3*2+$E$2", "D3"),
+            ("A3*2+E$1", "D3"),
+            ("A3*2+$E1", "D3"),
+            ("A3*2+E1", "D3"),
+            ("A3*3+$E$1", "D3"),
+            ("A3*2+$E$1", "E3"),
+            ("SUM(J1:J100)", "K1"),
+            ("sum( j2 : j101 )", "K2"),
+            ("SUM(J2:J100)", "K2"),
+            ("COUNTIF(C2,\"STORM\")", "K2"),
+            ("COUNTIF(C3,\"STORM\")", "K3"),
+            ("COUNTIF(C3,\"storm\")", "K3"),
+            ("COUNTIF(C3,\"ST\"\"ORM\")", "K3"),
+            ("IF(A1>=1000,TRUE,#N/A)", "B1"),
+            ("if(a2>=1e3,true,#n/a)", "B2"),
+            ("IF(A2>1000,TRUE,#N/A)", "B2"),
+            ("LOG10(A1)", "B1"),
+            ("LOG10(A2)", "B2"),
+            ("LOG11(A2)", "B2"),
+            ("LOG10", "B1"),
+            ("LOG11", "B2"),
+            ("-A1%", "B1"),
+            ("-A1", "B1"),
+        ];
+        for (i, (a, at_a)) in cases.iter().enumerate() {
+            for (b, at_b) in &cases[i..] {
+                let same_template = norm(a, at_a) == norm(b, at_b);
+                assert_eq!(
+                    key(a, at_a).unwrap() == key(b, at_b).unwrap(),
+                    same_template,
+                    "{a} at {at_a} vs {b} at {at_b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn token_key_declines_what_it_cannot_vouch_for() {
+        assert!(key("SUM(Scores)", "A1").is_none(), "a name");
+        assert!(key("A1.5", "A1").is_none(), "neither a name nor a reference");
+        assert!(key("A1 @ B1", "A1").is_none(), "does not lex");
+        assert!(key("\"open", "A1").is_none(), "does not lex");
+        assert!(key("A1073741825", "A1").is_none(), "row past MAX_ROWS");
+        assert!(key("A1073741824", "A1").is_some(), "the last row");
+        assert!(key("ZZZZZ1", "A1").is_none(), "column past MAX_COLS");
+        // What parses badly still has a key: the parser reports it.
+        assert!(key("1+", "A1").is_some());
+        assert!(key("", "A1").is_some());
     }
 
     #[test]

@@ -42,6 +42,12 @@
 //! `permute_rows_reference`, under `#[cfg(test)]`, for the differential
 //! tests.
 //!
+//! Opening a document is the third client of those rules
+//! (`GridStore::bulk_load`, DESIGN.md §17): the load assembles one chunk
+//! per column for the 1 024-row band it is in — numbers and interned text
+//! written straight into a typed segment, everything else through
+//! `put_cell` — and installs the band with `finish_chunk` as it leaves it.
+//!
 //! Spill machinery never touches the op meter: a budgeted grid produces
 //! bit-identical values, meter counts, and trace signatures to an
 //! unbounded one (enforced by the §9 oracle's `budget` dimension).
@@ -138,13 +144,26 @@ pub(crate) struct Interner {
 
 impl Interner {
     fn intern(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&id) = self.map.get(s.as_ref()) {
-            return id;
+        match self.map.get(s.as_ref()) {
+            Some(&id) => id,
+            None => self.insert(Arc::clone(s)),
         }
+    }
+
+    /// [`Self::intern`] from a borrowed string: a text seen before costs a
+    /// probe and no allocation.
+    fn intern_str(&mut self, s: &str) -> u32 {
+        match self.map.get(s) {
+            Some(&id) => id,
+            None => self.insert(Arc::from(s)),
+        }
+    }
+
+    fn insert(&mut self, s: Arc<str>) -> u32 {
         let id = u32::try_from(self.vals.len()).expect("interner id space exhausted");
         assert!(id < NO_TEXT, "interner id space exhausted");
-        self.vals.push(Value::Text(s.clone()));
-        self.map.insert(s.clone(), id);
+        self.vals.push(Value::Text(Arc::clone(&s)));
+        self.map.insert(s, id);
         id
     }
 
@@ -983,6 +1002,120 @@ fn scatter_slots(
     }
 }
 
+/// A bulk load's side of an empty grid (`Sheet::load_rows`): the third
+/// client of the placement rules, after the row shift and the scatter. One
+/// destination chunk per column is assembled off to the side for the
+/// 1 024-row band the load is in; the load fills it in ascending row order,
+/// each slot once, and the band's chunks are installed ([`GridStore::
+/// finish_chunk`]) and the budget enforced when the load moves on to the
+/// next band — so a load holds at most one chunk per column above the
+/// budget.
+///
+/// A chunk ends up in the representation the write path would have left
+/// it in, had the same cells been written one `set_value` at a time: a
+/// number or a text opens a typed chunk and its like keep it typed (a text
+/// is interned from the `&str`, in first-seen order, wherever it lands);
+/// anything else — a bool, an error, a formula, the other type — goes
+/// through [`put_cell`], which turns a typed chunk into `Cells`, except
+/// that a typed chunk still under [`SPARSE_PROMOTE`] slots is first set
+/// back to the `Sparse` overlay the write path would not yet have promoted;
+/// a `Sparse` chunk becomes `Cells` at [`SPARSE_TO_CELLS`]; and a typed
+/// chunk that closes under `SPARSE_PROMOTE` slots is installed `Sparse`.
+pub(crate) struct ChunkLoader<'g> {
+    grid: &'g mut GridStore,
+    /// Per column, the chunk of band `band` under assembly (`None` = still
+    /// vacant).
+    dst: Vec<Option<Segment>>,
+    band: u32,
+    /// The current row's slot within the band.
+    off: usize,
+}
+
+impl ChunkLoader<'_> {
+    /// Moves the load to `row`; rows are visited in ascending order.
+    pub(crate) fn at_row(&mut self, row: u32) {
+        let band = row / CHUNK_ROWS;
+        if band != self.band {
+            self.install_band();
+            self.band = band;
+        }
+        self.off = (row % CHUNK_ROWS) as usize;
+    }
+
+    /// Places a plain number in column `col` of the current row.
+    pub(crate) fn number(&mut self, col: usize, n: f64) {
+        match self.dst[col].get_or_insert_with(|| Segment::Num(Box::new(NumSeg::vacant()))) {
+            Segment::Num(t) => t.set(self.off, n),
+            _ => self.cell(col, Cell::value(n)),
+        }
+    }
+
+    /// Places a plain text in column `col` of the current row.
+    pub(crate) fn text(&mut self, col: usize, s: &str) {
+        let id = self.grid.interner.intern_str(s);
+        match self.dst[col].get_or_insert_with(|| Segment::Text(Box::new(TextSeg::vacant()))) {
+            Segment::Text(t) => t.set(self.off, id),
+            _ => {
+                let content = CellContent::Value(self.grid.interner.value(id).clone());
+                self.cell(col, Cell { content, style: Style::plain() });
+            }
+        }
+    }
+
+    /// Places any other non-vacant cell — or a number or text a typed
+    /// chunk of the other kind cannot hold — in column `col` of the
+    /// current row.
+    pub(crate) fn cell(&mut self, col: usize, cell: Cell) {
+        let it = &mut self.grid.interner;
+        let dst = &mut self.dst[col];
+        sparse_if_small(dst, it);
+        put_cell(dst, self.off, cell, false, it);
+        if matches!(dst, Some(Segment::Sparse(sp)) if sp.cells.len() >= SPARSE_TO_CELLS) {
+            let Some(Segment::Sparse(sp)) = dst.take() else { unreachable!("just matched") };
+            let mut cells = vec![Cell::empty(); CHUNK];
+            for (off, cell) in sp.cells {
+                cells[off as usize] = cell;
+            }
+            *dst = Some(Segment::Cells(cells));
+        }
+    }
+
+    /// Installs the last band's chunks. A load dropped without this has
+    /// installed whole bands only and leaves the grid's accounting intact.
+    pub(crate) fn finish(mut self) {
+        self.install_band();
+    }
+
+    fn install_band(&mut self) {
+        for (c, dst) in self.dst.iter_mut().enumerate() {
+            sparse_if_small(dst, &self.grid.interner);
+            self.grid.finish_chunk(c, self.band, dst.take());
+        }
+        self.grid.enforce_budget();
+    }
+}
+
+/// Sets a typed chunk under assembly that holds fewer than
+/// [`SPARSE_PROMOTE`] slots back to the `Sparse` overlay (see
+/// [`ChunkLoader`]).
+fn sparse_if_small(dst: &mut Option<Segment>, it: &Interner) {
+    let Some(seg) = dst else { return };
+    let cells = match seg {
+        Segment::Num(t) if usize::from(t.count) < SPARSE_PROMOTE => (0..CHUNK)
+            .filter_map(|off| t.get(off).map(|n| (off as u16, Cell::value(n))))
+            .collect(),
+        Segment::Text(t) if usize::from(t.count) < SPARSE_PROMOTE => (0..CHUNK)
+            .filter(|&off| t.ids[off] != NO_TEXT)
+            .map(|off| {
+                let content = CellContent::Value(it.value(t.ids[off]).clone());
+                (off as u16, Cell { content, style: Style::plain() })
+            })
+            .collect(),
+        _ => return,
+    };
+    *seg = Segment::Sparse(SparseSeg { cells });
+}
+
 /// Non-vacant cells a structural edit left in place (`kept`: lines before
 /// the edit point) and relocated (`moved`: lines past the edit band).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1474,13 +1607,20 @@ impl GridStore {
         }
     }
 
-    /// Installs a destination chunk [`Self::move_rows`] or
-    /// [`Self::permute_rows`] assembled.
+    /// Installs a destination chunk [`Self::move_rows`],
+    /// [`Self::permute_rows`] or a [`ChunkLoader`] assembled.
     fn finish_chunk(&mut self, col: usize, ci: u32, seg: Option<Segment>) {
         if let Some(seg) = seg {
             self.pool.add_resident(seg.spillable_bytes());
             self.cols[col].segs.insert(ci, seg);
         }
+    }
+
+    /// Starts a bulk load of this grid, which must not hold a cell yet.
+    pub(crate) fn bulk_load(&mut self) -> ChunkLoader<'_> {
+        assert!(self.cols.iter().all(|col| col.segs.is_empty()), "a bulk load fills an empty grid");
+        let dst = std::iter::repeat_with(|| None).take(self.cols.len()).collect();
+        ChunkLoader { grid: self, dst, band: 0, off: 0 }
     }
 
     /// The formula stored at `addr`, for in-place reference rewriting.

@@ -1,11 +1,27 @@
 //! Import/export: a cell-text document model (`SheetData`),
 //! CSV encode/decode, and the metered `open` that materializes a document
 //! into a [`Sheet`] — the data-load operation of §4.1.
+//!
+//! `open` is a bulk load (DESIGN.md §17): one row-major pass classifies
+//! every text without allocating, writes numbers and interned text straight
+//! into the typed chunk each column is assembling, and parses and compiles
+//! a fill-down column's formula once, handing every other cell of the
+//! column a re-pointed copy with the program already bound. The sheet and
+//! its meter are exactly what a `Sheet::set_input` per cell would have
+//! produced; that loop survives under `#[cfg(test)]` as the reference of
+//! `io/differential.rs`.
+//!
+//! A document carries types by spelling alone, so [`save`] and [`open`]
+//! share one reading of a cell text (`value::classify`): `save` puts a
+//! leading `'` on any text the reading would take for something else.
 
 use crate::addr::CellAddr;
+use crate::cell::CellContent;
 use crate::error::EngineError;
+#[cfg(test)]
 use crate::meter::Primitive;
 use crate::sheet::{Layout, Sheet};
+use crate::value::{classify, Input, Value};
 
 /// A saved spreadsheet document: the formula-bar text of every cell
 /// (formulae keep their leading `=`). This plays the role of the xlsx/ods
@@ -35,37 +51,43 @@ impl SheetData {
     }
 }
 
-/// Serializes a sheet to its document form.
+/// Serializes a sheet to its document form. A text cell that [`open`]
+/// would read back as anything but that same text — `007`, `=A1`, `TRUE`,
+/// `#N/A`, the empty string, a text that itself starts with `'` — is
+/// written with a leading `'`, the formula-bar convention `value::classify`
+/// reads, so values keep their types across a save and an open. (One
+/// spelling is still lossy: `-0.0` displays, and so saves, as `0`.)
 pub fn save(sheet: &Sheet) -> SheetData {
     let mut rows = Vec::with_capacity(sheet.nrows() as usize);
     for r in 0..sheet.nrows() {
         let mut row = Vec::with_capacity(sheet.ncols() as usize);
         for c in 0..sheet.ncols() {
-            row.push(sheet.input_text(CellAddr::new(r, c)));
+            let cell = sheet.cell(CellAddr::new(r, c)).expect("inside the extent");
+            row.push(match &cell.content {
+                CellContent::Value(Value::Text(s)) if !reads_back_as_itself(s) => format!("'{s}"),
+                _ => cell.input_text(),
+            });
         }
         rows.push(row);
     }
     SheetData { rows }
 }
 
+/// Whether [`open`] reads the cell text `s` as the text `s`.
+fn reads_back_as_itself(s: &str) -> bool {
+    // A blank is no cell at all; a quoted text comes back shorter.
+    !s.is_empty() && matches!(classify(s), Input::Text(t) if t.len() == s.len())
+}
+
 /// Materializes a document into a sheet, parsing every cell (one
 /// `CellParse` each) — the O(m·n) data-load cost of Table 1. Formula
 /// *recalculation* is a separate step (`recalc::open_recalc`), because the
 /// systems sequence it differently (§4.1).
+///
+/// The load is one pass over the document (`Sheet::load_rows`, DESIGN.md
+/// §17), not a `set_input` per cell: same sheet, same meter.
 pub fn open(data: &SheetData, layout: Layout) -> Result<Sheet, EngineError> {
-    let rows = data.nrows() as u32;
-    let cols = data.rows.iter().map(Vec::len).max().unwrap_or(0) as u32;
-    let mut sheet = Sheet::with_layout(layout, rows, cols);
-    for (r, row) in data.rows.iter().enumerate() {
-        for (c, text) in row.iter().enumerate() {
-            sheet.meter().tick(Primitive::CellParse);
-            if text.is_empty() {
-                continue;
-            }
-            sheet.set_input(CellAddr::new(r as u32, c as u32), text)?;
-        }
-    }
-    Ok(sheet)
+    open_rows(&data.rows, layout)
 }
 
 /// Opens only the first `window_rows` rows of the document — the lazy
@@ -76,8 +98,37 @@ pub fn open_window(
     layout: Layout,
     window_rows: u32,
 ) -> Result<Sheet, EngineError> {
-    let clipped = data.truncated(window_rows as usize);
-    open(&clipped, layout)
+    let n = data.nrows().min(window_rows as usize);
+    open_rows(&data.rows[..n], layout)
+}
+
+fn open_rows(rows: &[Vec<String>], layout: Layout) -> Result<Sheet, EngineError> {
+    let mut sheet = Sheet::with_layout(layout, 0, 0);
+    sheet.load_rows(rows)?;
+    Ok(sheet)
+}
+
+/// What [`open`] did before it loaded in bulk: a `set_input` per non-blank
+/// cell. Kept as the reference the differential test compares the bulk
+/// load against; `sheet` is the empty sheet to fill, so a test can budget
+/// it first.
+#[cfg(test)]
+pub(crate) fn load_rows_reference(
+    sheet: &mut Sheet,
+    rows: &[Vec<String>],
+) -> Result<(), EngineError> {
+    let cols = rows.iter().map(Vec::len).max().unwrap_or(0) as u32;
+    sheet.ensure_size(rows.len() as u32, cols);
+    for (r, row) in rows.iter().enumerate() {
+        for (c, text) in row.iter().enumerate() {
+            sheet.meter().tick(Primitive::CellParse);
+            if text.is_empty() {
+                continue;
+            }
+            sheet.set_input(CellAddr::new(r as u32, c as u32), text)?;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -177,12 +228,15 @@ pub fn read_csv_file(path: &std::path::Path) -> Result<SheetData, EngineError> {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::error::CellError;
     use crate::recalc;
-    use crate::value::Value;
 
     fn a(s: &str) -> CellAddr {
         CellAddr::parse(s).unwrap()
@@ -279,6 +333,56 @@ mod tests {
             let data = SheetData { rows };
             let back = from_csv(&to_csv(&data)).unwrap();
             prop_assert_eq!(back, data);
+        }
+    }
+
+    /// A cell value of any type, text chosen to look like every other
+    /// type: digits, `=`, `.`, `'`, `#`, and the letters of `TRUE`, `inf`
+    /// and the error codes.
+    fn any_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Empty),
+            any::<i32>().prop_map(|n| Value::Number(f64::from(n))),
+            any::<i32>().prop_map(|n| Value::Number(f64::from(n) / 1024.0)),
+            Just(Value::Number(0.1 + 0.2)),
+            Just(Value::Number(1e15)),
+            Just(Value::Number(-1e-7)),
+            "[0-9=.'# A-Za-z]{0,6}".prop_map(Value::text),
+            prop_oneof![
+                Just("007"), Just("=A1"), Just("TRUE"), Just(" false "), Just("#DIV/0!"),
+                Just("#n/a"), Just("1e5"), Just("inf"), Just("'quoted"), Just("''"), Just(" 7 "),
+            ]
+            .prop_map(Value::text),
+            any::<bool>().prop_map(Value::Bool),
+            (0..CellError::ALL.len()).prop_map(|i| Value::Error(CellError::ALL[i])),
+        ]
+    }
+
+    proptest! {
+        /// Values keep their types through `save` → CSV → `open`: text
+        /// that reads as a number, a formula, a boolean or an error comes
+        /// back as that text (it is saved behind a `'`), and an error
+        /// value — what `freeze_all_formulas` leaves of a formula that
+        /// failed — comes back as the error, not as text. (`-0.0` is not
+        /// generated: it saves as `0`.)
+        #[test]
+        fn save_open_round_trip_preserves_types(
+            values in prop::collection::vec(any_value(), 1..40),
+            ncols in 1u32..=4,
+            column_major in any::<bool>(),
+        ) {
+            let layout = if column_major { Layout::ColumnMajor } else { Layout::RowMajor };
+            let mut s = Sheet::with_layout(layout, 0, 0);
+            for (i, v) in values.iter().enumerate() {
+                s.set_value(CellAddr::new(i as u32 / ncols, i as u32 % ncols), v.clone());
+            }
+            let doc = from_csv(&to_csv(&save(&s))).unwrap();
+            let back = open(&doc, layout).unwrap();
+            prop_assert_eq!((back.nrows(), back.ncols()), (s.nrows(), s.ncols()));
+            prop_assert_eq!(back.formula_count(), 0);
+            for addr in s.used_range().unwrap().iter() {
+                prop_assert_eq!(back.value(addr), s.value(addr), "{} of {:?}", addr, doc);
+            }
         }
     }
 

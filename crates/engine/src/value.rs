@@ -232,6 +232,48 @@ pub fn parse_number(text: &str) -> Option<f64> {
     text.trim().parse::<f64>().ok().filter(|n| n.is_finite())
 }
 
+/// What a cell text — typed into the formula bar or read from a document
+/// — denotes, borrowing from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Input<'a> {
+    /// `=…`: a formula; the body without its `=`.
+    Formula(&'a str),
+    /// A finite number, surrounding whitespace ignored.
+    Number(f64),
+    /// `TRUE` / `FALSE`, in either case, surrounding whitespace ignored.
+    Bool(bool),
+    /// An error value's display spelling (`#DIV/0!`), read like a boolean.
+    Error(CellError),
+    /// Anything else, as written — or whatever follows a leading `'`, the
+    /// real systems' way of entering text that would otherwise read as one
+    /// of the above (`'007`, `'=A1`).
+    Text(&'a str),
+}
+
+/// Classifies a cell text; allocates nothing. The one set of rules behind
+/// `Sheet::set_input` and the bulk load of `io::open`, and the one
+/// `io::save` asks which text cells need their leading `'`.
+pub(crate) fn classify(text: &str) -> Input<'_> {
+    if let Some(body) = text.strip_prefix('=') {
+        return Input::Formula(body);
+    }
+    if let Some(literal) = text.strip_prefix('\'') {
+        return Input::Text(literal);
+    }
+    // The first character decides which reading is worth trying: a finite
+    // number starts with a digit, a sign or a point (`inf` and `NaN` are
+    // text, see [`parse_number`]), so plain words skip the float parser.
+    let word = text.trim();
+    let typed = match word.as_bytes().first() {
+        Some(b'0'..=b'9' | b'+' | b'-' | b'.') => parse_number(word).map(Input::Number),
+        Some(b't' | b'T') if word.eq_ignore_ascii_case("TRUE") => Some(Input::Bool(true)),
+        Some(b'f' | b'F') if word.eq_ignore_ascii_case("FALSE") => Some(Input::Bool(false)),
+        Some(b'#') => CellError::from_code(word).map(Input::Error),
+        _ => None,
+    };
+    typed.unwrap_or(Input::Text(text))
+}
+
 /// Formats a number like spreadsheets do in the general format: integers
 /// without a decimal point, others with up to ~15 significant digits and no
 /// trailing zeros.
@@ -334,7 +376,41 @@ pub fn wildcard_match(pattern: &str, text: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    #[test]
+    fn classify_reads_each_type() {
+        assert_eq!(classify("=A1+1"), Input::Formula("A1+1"));
+        assert_eq!(classify("="), Input::Formula(""));
+        assert_eq!(classify(" 3.5 "), Input::Number(3.5));
+        assert_eq!(classify("-.5e1"), Input::Number(-5.0));
+        assert_eq!(classify("+7"), Input::Number(7.0));
+        assert_eq!(classify(" true "), Input::Bool(true));
+        assert_eq!(classify("False"), Input::Bool(false));
+        assert_eq!(classify("#div/0!"), Input::Error(CellError::Div0));
+        assert_eq!(classify(" #N/A"), Input::Error(CellError::Na));
+        // Near misses stay text, as written.
+        for text in ["", " ", "storm", "truely", "#N/A!", "-", ".", "1e999", "-inf", " =A1", "7 up"] {
+            assert_eq!(classify(text), Input::Text(text), "{text:?}");
+        }
+        // A leading quote makes text of anything, and is not part of it.
+        assert_eq!(classify("'007"), Input::Text("007"));
+        assert_eq!(classify("'=A1"), Input::Text("=A1"));
+        assert_eq!(classify("''"), Input::Text("'"));
+        assert_eq!(classify("'"), Input::Text(""));
+    }
+
+    proptest! {
+        /// Dispatching on the first character loses no number: a text
+        /// reads as a number exactly when `parse_number` accepts it.
+        #[test]
+        fn classify_finds_every_number(text in "[-+.0-9eEinfatyINFANTY _]{0,8}") {
+            let want = parse_number(&text).map_or(Input::Text(&text), Input::Number);
+            prop_assert_eq!(classify(&text), want);
+        }
+    }
 
     #[test]
     fn coerce_number_rules() {

@@ -34,7 +34,10 @@ fn main() {
 
     // Phase 1: build. Column A holds a pseudo-random sort key, B the row
     // number, C a low-cardinality bucket, D a derived value. All numeric,
-    // so the grid stores them as typed chunks — the spillable kind.
+    // so the grid stores them as typed chunks — the spillable kind. The
+    // wall time is the cell-at-a-time write path's (`Sheet::set_value`, a
+    // budget check per cell), not a bulk load's.
+    let started = std::time::Instant::now();
     let mut sheet = Sheet::new();
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     for r in 0..rows {
@@ -63,7 +66,9 @@ fn main() {
     for (i, src) in aggs.iter().enumerate() {
         sheet.set_formula_str(CellAddr::new(i as u32, 4), src).expect("aggregate parses");
     }
+    let build = started.elapsed();
     report_phase(&sheet, "build");
+    println!("build_ms={:.1}", build.as_secs_f64() * 1e3);
 
     // Phase 2: full recalculation (the read set is every data column).
     recalc::recalc_all(&mut sheet);

@@ -8,6 +8,11 @@
 //! * a per-op digest of every stored value and the hidden-row set, so two
 //!   configurations cannot briefly diverge and reconverge unnoticed;
 //! * the final workbook (input texts and bit-exact values);
+//! * the final workbook *reopened*: `io::open(&io::save(&sheet))` +
+//!   `open_recalc` under the configuration's layout and budget must save
+//!   to the same document and — unless a volatile formula is on the sheet
+//!   — hold bit-identical values, so every script also drives the bulk
+//!   load (DESIGN.md §17) and the save/open type round trip;
 //! * trace span-tree signatures, within groups that share the settings
 //!   which legitimately change the work done (lookup strategy changes
 //!   read counts, incremental recalc changes which formulas run) —
@@ -313,12 +318,54 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         trace::drain().iter().map(|s| s.signature()).collect::<Vec<_>>().join("\n");
     trace::disable();
 
+    let saved = io::save(&sheet);
+    check_reopen(&saved, &sheet, config, opts, reference).map_err(|e| fail(None, e))?;
     Ok(Replay {
         per_op,
-        final_inputs: io::save(&sheet).rows,
+        final_inputs: saved.rows,
         final_digest: grid_digest(&sheet),
         signature,
     })
+}
+
+/// Opens the document `sheet` was just saved to, under the same
+/// configuration, and holds the reopened sheet to every per-op invariant,
+/// to saving as the same document (formula texts and value types made the
+/// trip), and to the values `sheet` holds. What a document does not carry
+/// is not compared: styles, filter flags, names (a formula has its names
+/// resolved when it is entered). A sheet with a volatile formula is
+/// reopened and checked but its values are not compared.
+fn check_reopen(
+    saved: &io::SheetData,
+    sheet: &Sheet,
+    config: OracleConfig,
+    opts: RecalcOptions,
+    reference: bool,
+) -> Result<(), String> {
+    let mut reopened = io::open(saved, config.layout)
+        .map_err(|e| format!("reopen: the saved workbook does not open: {e}"))?;
+    reopened.set_grid_budget(config.budget);
+    reopened.set_lookup_strategy(config.lookup);
+    reopened.set_recalc_options(opts);
+    reopened.set_auto_index(config.indexed);
+    reopened.set_now_serial(sheet.now_serial());
+    if reference {
+        recalc::recalc_reference(&mut reopened, None);
+    } else {
+        recalc::open_recalc(&mut reopened);
+    }
+    let templates =
+        check_invariants(&reopened, config, opts).map_err(|e| format!("reopen: {e}"))?;
+    if io::save(&reopened) != *saved {
+        return Err("reopen: the reopened workbook saves to a different document".to_owned());
+    }
+    if templates.iter().any(|t| t.volatile) {
+        return Ok(());
+    }
+    if value_digest(&reopened) != value_digest(sheet) {
+        return Err("reopen: values diverge from the workbook that was saved".to_owned());
+    }
+    Ok(())
 }
 
 /// Applies one [`ScriptOp`], returning its outcome descriptor and dirty
@@ -442,7 +489,7 @@ fn check_invariants(
     sheet: &Sheet,
     config: OracleConfig,
     opts: RecalcOptions,
-) -> Result<(), String> {
+) -> Result<Vec<TemplateReport>, String> {
     if sheet.layout() != config.layout {
         return Err(format!(
             "sheet layout changed to {:?} (configured {:?})",
@@ -487,7 +534,7 @@ fn check_invariants(
     // bookkeeping) panic on violation.
     sheet.validate_grid();
     audit::check_all(sheet)?;
-    analyze::check_sheet(sheet).map(|_| ())
+    analyze::check_sheet(sheet)
 }
 
 /// Replays `script` on the reference configuration and statically
@@ -516,53 +563,64 @@ pub fn verify_script(script: &Script) -> Result<Vec<TemplateReport>, Failure> {
     Ok(reports)
 }
 
+/// FNV-1a, fed a slice at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
 /// FNV-1a digest of every stored value (bit-exact for numbers) plus the
 /// hidden-row set. Cheap enough to run after every op, strong enough that
 /// a transient divergence cannot cancel itself out before the final
 /// comparison.
 fn grid_digest(sheet: &Sheet) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+    let mut h = Fnv(value_digest(sheet));
+    for row in 0..sheet.nrows() {
+        if sheet.is_row_hidden(row) {
+            h.eat(&[5]);
+            h.eat(&row.to_le_bytes());
         }
-    };
+    }
+    h.0
+}
+
+/// The values half of [`grid_digest`]: all of it that a saved document
+/// carries.
+fn value_digest(sheet: &Sheet) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     if let Some(used) = sheet.used_range() {
         for addr in used.iter() {
             let v = sheet.value(addr);
             if v == Value::Empty {
                 continue;
             }
-            eat(&addr.row.to_le_bytes());
-            eat(&addr.col.to_le_bytes());
+            h.eat(&addr.row.to_le_bytes());
+            h.eat(&addr.col.to_le_bytes());
             match v {
                 Value::Empty => unreachable!(),
                 Value::Number(n) => {
-                    eat(&[1]);
-                    eat(&n.to_bits().to_le_bytes());
+                    h.eat(&[1]);
+                    h.eat(&n.to_bits().to_le_bytes());
                 }
                 Value::Text(s) => {
-                    eat(&[2]);
-                    eat(s.as_bytes());
+                    h.eat(&[2]);
+                    h.eat(s.as_bytes());
                 }
-                Value::Bool(b) => eat(&[3, u8::from(b)]),
+                Value::Bool(b) => h.eat(&[3, u8::from(b)]),
                 Value::Error(e) => {
-                    eat(&[4]);
-                    eat(format!("{e:?}").as_bytes());
+                    h.eat(&[4]);
+                    h.eat(format!("{e:?}").as_bytes());
                 }
             }
         }
     }
-    for row in 0..sheet.nrows() {
-        if sheet.is_row_hidden(row) {
-            eat(&[5]);
-            eat(&row.to_le_bytes());
-        }
-    }
-    h
+    h.0
 }
 
 #[cfg(test)]

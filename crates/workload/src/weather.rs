@@ -217,6 +217,32 @@ mod tests {
         }
     }
 
+    /// The Formula-value document is seven fill-down templates: opening
+    /// it parses and compiles each once, every formula leaves `io::open`
+    /// bound, and the recalculation that follows resolves nothing — not one
+    /// template-map probe, where a formula-at-a-time open had `open_recalc`
+    /// make 6 993 hits.
+    #[test]
+    fn open_compiles_each_template_once_and_binds_every_formula() {
+        use ssbench_engine::cell::CellContent;
+        use ssbench_engine::io;
+        let doc = crate::build_doc_seeded(1000, Variant::FormulaValue, DEFAULT_SEED);
+        let mut sheet = io::open(&doc, Layout::RowMajor).unwrap();
+        let tally = |s: &Sheet| (s.program_cache().misses(), s.program_cache().hits());
+        assert_eq!(tally(&sheet), (u64::from(NUM_FORMULA_COLS), 0));
+        let mut bound = 0;
+        for addr in sheet.used_range().unwrap().iter() {
+            if let CellContent::Formula(f) = &sheet.cell(addr).unwrap().content {
+                assert!(f.program().is_some(), "{addr} left the open unbound");
+                bound += 1;
+            }
+        }
+        assert_eq!(bound, 1000 * NUM_FORMULA_COLS as usize);
+        recalc::open_recalc(&mut sheet);
+        assert_eq!(tally(&sheet), (7, 0));
+        assert_eq!(sheet.program_cache().len(), 7);
+    }
+
     #[test]
     fn formula_text_is_papers_shape() {
         // Row 2 of the sheet (index 1), column K.

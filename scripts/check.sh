@@ -6,6 +6,11 @@
 # recalc default via RECALC_PARALLELISM. `cargo test` covers the root
 # package and every member crate (Cargo.toml's default-members). Every
 # stage must pass.
+#
+# The bulk load behind `io::open` (DESIGN.md §17) has no stage of its own:
+# every oracle replay ends by reopening the workbook it saved and comparing
+# it with the one it had, so the fuzz and corpus stages below drive the
+# loader on every script, and `cargo test` runs `io/differential.rs`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -177,6 +177,40 @@ proptest! {
         }
     }
 
+    /// The parser reads back what the printer wrote — `print(parse(s))`
+    /// is `s` for every printed tree `s`, `print` being code the borrowing
+    /// lexer did not touch — and a document opened in bulk holds, for each
+    /// `=s`, the expression a plain parse of `s` builds: for the text the
+    /// template table parses, and for the fill-down copy below it that the
+    /// table instantiates instead.
+    #[test]
+    fn printed_trees_parse_back_unchanged_alone_and_in_a_document(
+        exprs in prop::collection::vec(arb_expr(), 1..5),
+    ) {
+        use ssbench::engine::formula::{parse, print};
+        use ssbench::engine::io::{self, SheetData};
+        let mut texts = Vec::new();
+        for (i, expr) in exprs.iter().enumerate() {
+            let (here, below) = (CellAddr::new(2 * i as u32, 0), CellAddr::new(2 * i as u32 + 1, 0));
+            for text in [print(expr), print(&expr.adjusted(here, below))] {
+                let parsed = parse(&text).unwrap_or_else(|e| panic!("reparse {text:?}: {e}"));
+                prop_assert_eq!(print(&parsed), text.clone());
+                texts.push((text, parsed));
+            }
+        }
+        let doc = SheetData { rows: texts.iter().map(|(text, _)| vec![format!("={text}")]).collect() };
+        for layout in LAYOUTS {
+            let sheet = io::open(&doc, layout).unwrap();
+            for (r, (text, parsed)) in texts.iter().enumerate() {
+                let got = sheet.formula_expr(CellAddr::new(r as u32, 0));
+                prop_assert_eq!(got, Some(parsed), "row {} holds {:?}", r + 1, text);
+            }
+            if let Err(e) = analyze::check_sheet(&sheet) {
+                prop_assert!(false, "{layout:?}: {e}");
+            }
+        }
+    }
+
     /// Whole-sheet soundness: with the random trees installed as real
     /// formulas, `check_sheet` proves bytecode verification, fact
     /// agreement, and dep-graph read-set coverage for every template —
