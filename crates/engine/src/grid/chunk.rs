@@ -48,6 +48,18 @@
 //! written straight into a typed segment, everything else through
 //! `put_cell` — and installs the band with `finish_chunk` as it leaves it.
 //!
+//! The scan operations are a fourth client of the storage, and assemble
+//! nothing (DESIGN.md §18). Filter, pivot and find read columns as the
+//! slices the formula kernels read (`GridStore::scan_range`); find-and-
+//! replace and conditional formatting edit a range where it is stored, a
+//! chunk of a column at a time (`GridStore::for_each_chunk_mut`, which
+//! hands out a `ChunkMut`): a text chunk has interner ids exchanged for
+//! interner ids, a general chunk has its cells rewritten or restyled in
+//! place, and a typed chunk becomes general cells — once — only if a
+//! style has to land in it. A spilled chunk is read through the fault
+//! cache and loaded only when an edit lands in it, with the budget
+//! enforced after each load.
+//!
 //! Spill machinery never touches the op meter: a budgeted grid produces
 //! bit-identical values, meter counts, and trace signatures to an
 //! unbounded one (enforced by the §9 oracle's `budget` dimension).
@@ -152,7 +164,7 @@ impl Interner {
 
     /// [`Self::intern`] from a borrowed string: a text seen before costs a
     /// probe and no allocation.
-    fn intern_str(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern_str(&mut self, s: &str) -> u32 {
         match self.map.get(s) {
             Some(&id) => id,
             None => self.insert(Arc::from(s)),
@@ -1858,7 +1870,9 @@ impl GridStore {
     // ------------------------------------------------------------------
     // Visits and scans.
 
-    fn clip(&self, range: Range) -> Option<(u32, u32, u32, u32)> {
+    /// `range` clipped to the materialized area, as `(r0, c0, r1, c1)`;
+    /// `None` when none of it is inside.
+    pub(crate) fn clip(&self, range: Range) -> Option<(u32, u32, u32, u32)> {
         if self.nrows == 0 || self.ncols == 0 {
             return None;
         }
@@ -1999,34 +2013,26 @@ impl GridStore {
     fn scan_col_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
         let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
         for c in c0..=c1 {
-            for ci in (r0 / CHUNK_ROWS)..=(r1 / CHUNK_ROWS) {
-                let lo = r0.max(ci * CHUNK_ROWS);
-                let hi = r1.min(ci * CHUNK_ROWS + (CHUNK_ROWS - 1));
-                let a = (lo % CHUNK_ROWS) as usize;
-                let b = (hi % CHUNK_ROWS) as usize;
-                match self.chunk_ref(c, ci) {
-                    ChunkRef::Vacant => f(ScanSlice::Empty(b - a + 1)),
-                    ChunkRef::Seg(Segment::Cells(v)) => f(ScanSlice::Cells(&v[a..=b])),
-                    ChunkRef::Seg(Segment::Sparse(sp)) => {
-                        emit_sparse(sp, a, b, f);
-                    }
-                    ChunkRef::Seg(Segment::Num(s)) => {
-                        emit_num_runs(&s.present, &s.vals, a, b, f);
-                    }
-                    ChunkRef::Seg(Segment::Text(s)) => {
-                        f(ScanSlice::Texts(&s.ids[a..=b], &self.interner))
-                    }
-                    ChunkRef::Seg(Segment::Spilled(_)) => {
-                        unreachable!("chunk_ref resolves spills")
-                    }
-                    ChunkRef::Page(page) => match &*page {
-                        PageData::Num(np) => emit_num_runs(&np.present, &np.vals, a, b, f),
-                        PageData::Text(tp) => {
-                            f(ScanSlice::Texts(&tp.ids[a..=b], &self.interner))
-                        }
-                    },
-                }
+            for (ci, a, b) in chunk_pieces(r0, r1) {
+                self.scan_chunk(c, ci, a, b, f);
             }
+        }
+    }
+
+    /// Slots `a..=b` of one chunk as the slices a column scan emits for
+    /// them; a spilled chunk is read through the fault cache.
+    fn scan_chunk<F: FnMut(ScanSlice<'_>)>(&self, c: u32, ci: u32, a: usize, b: usize, f: &mut F) {
+        match self.chunk_ref(c, ci) {
+            ChunkRef::Vacant => f(ScanSlice::Empty(b - a + 1)),
+            ChunkRef::Seg(Segment::Cells(v)) => f(ScanSlice::Cells(&v[a..=b])),
+            ChunkRef::Seg(Segment::Sparse(sp)) => emit_sparse(sp, a, b, f),
+            ChunkRef::Seg(Segment::Num(s)) => emit_num_runs(&s.present, &s.vals, a, b, f),
+            ChunkRef::Seg(Segment::Text(s)) => f(ScanSlice::Texts(&s.ids[a..=b], &self.interner)),
+            ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
+            ChunkRef::Page(page) => match &*page {
+                PageData::Num(np) => emit_num_runs(&np.present, &np.vals, a, b, f),
+                PageData::Text(tp) => f(ScanSlice::Texts(&tp.ids[a..=b], &self.interner)),
+            },
         }
     }
 
@@ -2084,6 +2090,26 @@ impl GridStore {
         }
     }
 
+    /// The `&mut` counterpart of [`Self::scan_range`], for the operations
+    /// that rewrite a range where it is stored (find-and-replace,
+    /// conditional formatting): hands `f` each chunk's share of `range`
+    /// (clipped to the materialized area) as a [`ChunkMut`], column by
+    /// column and top to bottom whatever the layout — an edit pass has no
+    /// visit order to keep. The budget is enforced once after every chunk
+    /// the visit loaded, so the pass holds at most one chunk above it.
+    pub(crate) fn for_each_chunk_mut(&mut self, range: Range, f: &mut dyn FnMut(&mut ChunkMut<'_>)) {
+        let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
+        for col in c0..=c1 {
+            for (ci, a, b) in chunk_pieces(r0, r1) {
+                let mut chunk = ChunkMut { grid: self, col, ci, a, b, loaded: false };
+                f(&mut chunk);
+                if chunk.loaded {
+                    self.enforce_budget();
+                }
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Introspection for tests and the harness.
 
@@ -2106,6 +2132,24 @@ impl GridStore {
             }
         }
         total + self.interner.approx_bytes()
+    }
+
+    /// How each chunk of `col` is stored, top to bottom (vacant chunks
+    /// left out): what the tests that a pass left typed storage typed, or
+    /// put a range over every kind of chunk, look at.
+    #[cfg(test)]
+    pub(crate) fn chunk_kinds(&self, col: u32) -> Vec<&'static str> {
+        let Some(col) = self.cols.get(col as usize) else { return Vec::new() };
+        col.segs
+            .values()
+            .map(|seg| match seg {
+                Segment::Num(_) => "num",
+                Segment::Text(_) => "text",
+                Segment::Cells(_) => "cells",
+                Segment::Sparse(_) => "sparse",
+                Segment::Spilled(_) => "spilled",
+            })
+            .collect()
     }
 
     /// Checks every internal invariant; panics on violation. Test/debug
@@ -2187,6 +2231,178 @@ impl Clone for GridStore {
         g.enforce_budget();
         g
     }
+}
+
+/// One chunk's share of a range — slots `a..=b` of chunk `ci` of one column
+/// — open for editing in place ([`GridStore::for_each_chunk_mut`]). What
+/// the visitor does not ask for does not happen: a typed chunk stays typed
+/// and a spilled one stays on its page unless an edit has to land in it.
+pub(crate) struct ChunkMut<'g> {
+    grid: &'g mut GridStore,
+    col: u32,
+    ci: u32,
+    a: usize,
+    b: usize,
+    /// Set when the visit read a spilled page back in.
+    loaded: bool,
+}
+
+impl ChunkMut<'_> {
+    /// The column this chunk belongs to.
+    pub(crate) fn col(&self) -> u32 {
+        self.col
+    }
+
+    /// The row of the chunk's first slot.
+    fn base(&self) -> u32 {
+        self.ci * CHUNK_ROWS
+    }
+
+    fn seg(&self) -> Option<&Segment> {
+        self.grid.cols[self.col as usize].segs.get(&self.ci)
+    }
+
+    /// Whether the chunk is plain numbers or plain text, resident or
+    /// spilled: storage that holds no style and no formula.
+    pub(crate) fn is_typed(&self) -> bool {
+        matches!(self.seg(), Some(Segment::Num(_) | Segment::Text(_) | Segment::Spilled(_)))
+    }
+
+    /// The share as the slices [`GridStore::scan_range`] emits for it; a
+    /// spilled chunk is read through the fault cache and stays spilled.
+    pub(crate) fn scan<F: FnMut(ScanSlice<'_>)>(&self, f: &mut F) {
+        self.grid.scan_chunk(self.col, self.ci, self.a, self.b, f);
+    }
+
+    fn load(&mut self) {
+        if matches!(self.seg(), Some(Segment::Spilled(_))) {
+            self.grid.make_resident(self.col, self.ci);
+            self.loaded = true;
+        }
+    }
+
+    /// Rewrites the texts of a text chunk as interner ids: `rewrite` is
+    /// asked once per occupied slot what its text becomes (`None`: it
+    /// stays), the slot is overwritten with the id it answers, and
+    /// `changed` hears the row, the old value and the new. A spilled page
+    /// is asked through the fault cache first and loaded only if one of
+    /// its slots changes — `rewrite` is therefore called twice for those,
+    /// and must answer the same both times. Any other chunk is left alone.
+    pub(crate) fn rewrite_texts(
+        &mut self,
+        rewrite: &mut dyn FnMut(u32, &mut Interner) -> Option<u32>,
+        changed: &mut dyn FnMut(u32, &Value, &Value),
+    ) {
+        let (a, b) = (self.a, self.b);
+        if let Some(&Segment::Spilled(sp)) = self.seg() {
+            if sp.kind != PageKind::Text {
+                return;
+            }
+            let page = self.grid.pool.fault(sp.page, sp.kind);
+            let PageData::Text(tp) = &*page else { unreachable!("a text page decodes as text") };
+            let interner = &mut self.grid.interner;
+            let hit =
+                tp.ids[a..=b].iter().any(|&id| id != NO_TEXT && rewrite(id, interner).is_some());
+            // Given up before the load, which can then take the cached
+            // page over instead of copying it.
+            drop(page);
+            if !hit {
+                return;
+            }
+            self.load();
+        }
+        let base = self.base();
+        let GridStore { cols, interner, .. } = &mut *self.grid;
+        let Some(Segment::Text(seg)) = cols[self.col as usize].segs.get_mut(&self.ci) else {
+            return;
+        };
+        // Ids are exchanged for ids, so the occupancy count stands.
+        *seg.hot.get_mut() = true;
+        for (off, slot) in seg.ids[a..=b].iter_mut().enumerate() {
+            let old = *slot;
+            if old == NO_TEXT {
+                continue;
+            }
+            if let Some(new) = rewrite(old, interner) {
+                assert!(new != NO_TEXT, "a text is rewritten to a text");
+                *slot = new;
+                changed(base + (a + off) as u32, interner.value(old), interner.value(new));
+            }
+        }
+    }
+
+    /// Hands `f` every cell of the share that general storage holds — all
+    /// of a `Cells` chunk's, a `Sparse` chunk's entries — with its row,
+    /// for a content or style edit where it lies; a typed or vacant chunk
+    /// has none. `f` must leave formulas as they are: nothing here keeps
+    /// the dependency graph in step.
+    pub(crate) fn stored_cells_mut(&mut self, f: &mut dyn FnMut(u32, &mut Cell)) {
+        let (base, a, b) = (self.base(), self.a, self.b);
+        let segs = &mut self.grid.cols[self.col as usize].segs;
+        match segs.get_mut(&self.ci) {
+            Some(Segment::Cells(v)) => {
+                for (off, cell) in v[a..=b].iter_mut().enumerate() {
+                    f(base + (a + off) as u32, cell);
+                }
+            }
+            Some(Segment::Sparse(sp)) => {
+                let mut vacated = Vec::new();
+                for (&off, cell) in sp.cells.range_mut(a as u16..=b as u16) {
+                    f(base + u32::from(off), cell);
+                    if cell.is_vacant() {
+                        vacated.push(off);
+                    }
+                }
+                for off in vacated {
+                    sp.cells.remove(&off);
+                }
+                if sp.cells.is_empty() {
+                    segs.remove(&self.ci);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Hands `f` every slot of the share as a cell, vacant ones included:
+    /// the chunk is first given general storage for them. A typed chunk is
+    /// loaded if spilled and turned into `Cells`, once, as a styled write
+    /// into it would; a `Sparse` or vacant chunk gets an entry per slot,
+    /// or becomes `Cells` where that would fill it past
+    /// [`SPARSE_TO_CELLS`]. Slots `f` leaves vacant are given back.
+    pub(crate) fn all_cells_mut(&mut self, f: &mut dyn FnMut(u32, &mut Cell)) {
+        self.load();
+        let GridStore { cols, interner, pool, .. } = &mut *self.grid;
+        let col = &mut cols[self.col as usize];
+        // General storage as a `&mut Cell` of any one slot would get it: a
+        // vacant chunk opens as `Sparse`, a typed one becomes `Cells`.
+        let mut resident = 0isize;
+        col.prepare_slot_mut(self.ci, interner, &mut resident);
+        pool.sub_resident(resident.unsigned_abs());
+        let slots = self.b - self.a + 1;
+        if let Some(Segment::Sparse(sp)) = col.segs.get(&self.ci) {
+            if sp.cells.len() + slots >= SPARSE_TO_CELLS {
+                let cells = seg_to_cells(&col.segs[&self.ci], interner);
+                col.segs.insert(self.ci, Segment::Cells(cells));
+            }
+        }
+        if let Some(Segment::Sparse(sp)) = col.segs.get_mut(&self.ci) {
+            for off in self.a..=self.b {
+                sp.cells.entry(off as u16).or_insert_with(Cell::empty);
+            }
+        }
+        self.stored_cells_mut(f);
+    }
+}
+
+/// The chunks rows `r0..=r1` fall in, each with the first and last slot of
+/// its share of them.
+fn chunk_pieces(r0: u32, r1: u32) -> impl Iterator<Item = (u32, usize, usize)> {
+    (r0 / CHUNK_ROWS..=r1 / CHUNK_ROWS).map(move |ci| {
+        let lo = r0.max(ci * CHUNK_ROWS);
+        let hi = r1.min(ci * CHUNK_ROWS + (CHUNK_ROWS - 1));
+        (ci, (lo % CHUNK_ROWS) as usize, (hi % CHUNK_ROWS) as usize)
+    })
 }
 
 fn emit_sparse<F: FnMut(ScanSlice<'_>)>(sp: &SparseSeg, a: usize, b: usize, f: &mut F) {

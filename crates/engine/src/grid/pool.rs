@@ -25,11 +25,13 @@
 //! * every `Spilled` segment names a live page slot, no two segments name
 //!   the same slot, and the free list is disjoint from live slots;
 //! * segments are clean-on-spill: a page is written exactly once when its
-//!   segment is evicted and freed when the segment reloads — for a write,
-//!   or for the duration of its own move in a row shift or a permutation,
-//!   which `load` each spilled chunk once and never go through the fault
-//!   cache — or is deleted by a structural edit, so there is no
-//!   dirty-writeback state;
+//!   segment is evicted and freed when the segment reloads — for a write
+//!   (an in-place edit pass, `GridStore::for_each_chunk_mut`, peeks at a
+//!   page through the fault cache and reloads it only if an edit lands in
+//!   it), or for the duration of its own move in a row shift or a
+//!   permutation, which `load` each spilled chunk once and never go
+//!   through the fault cache — or is deleted by a structural edit, so
+//!   there is no dirty-writeback state;
 //! * a chunk a row shift or a permutation has taken out of its column is
 //!   uncounted from that moment, and the chunks it is assembling are
 //!   counted only when installed: in between, the grid holds at most two

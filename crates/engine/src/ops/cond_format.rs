@@ -1,12 +1,23 @@
 //! Conditional formatting (§4.2.2): scans an input range and updates the
 //! style of the cells that satisfy a condition — the paper's experiment
 //! colors a cell green when it contains the value 1.
+//!
+//! The pass restyles chunks where they are stored (DESIGN.md §18). Typed
+//! chunks hold no styled cell, so one with no match in it has nothing to
+//! gain or to lose and is left as it is — typed, and on its page if
+//! spilled — after a read of its slices; one with a match is turned into
+//! general cells once and restyled as a `&mut [Cell]`. General chunks are
+//! restyled in place, and vacant positions are visited only under a
+//! criterion that an empty cell satisfies.
 
-use crate::addr::{CellAddr, Range};
+use crate::addr::Range;
+use crate::cell::Cell;
+use crate::grid::ScanSlice;
 use crate::meter::Primitive;
+use crate::ops::{clipped_cells, IdMemo};
 use crate::sheet::Sheet;
 use crate::style::Color;
-use crate::value::Criterion;
+use crate::value::{Criterion, Value};
 
 /// Applies `fill` to every cell of `range` matching `criterion`; cells
 /// that no longer match lose the fill (re-evaluation semantics, as when a
@@ -17,6 +28,68 @@ pub(crate) fn conditional_format_impl(
     criterion: &Criterion,
     fill: Color,
 ) -> u32 {
+    let cells = clipped_cells(sheet, range);
+    let empty_matches = criterion.matches(&Value::Empty);
+    let mut memo = IdMemo::for_cells(cells);
+    let (mut formatted, mut updates) = (0u32, 0u64);
+    let mut restyle = |_row: u32, cell: &mut Cell| {
+        if criterion.matches(cell.display_value()) {
+            if cell.style.fill != Some(fill) {
+                cell.style = cell.style.with_fill(fill);
+                updates += 1;
+            }
+            formatted += 1;
+        } else if cell.style.fill == Some(fill) {
+            cell.style.fill = None;
+            updates += 1;
+        }
+    };
+    sheet.grid_store_mut().for_each_chunk_mut(range, &mut |chunk| {
+        let typed = chunk.is_typed();
+        if typed {
+            let mut hit = false;
+            chunk.scan(&mut |slice| {
+                hit = hit
+                    || match slice {
+                        ScanSlice::Nums(vals) => {
+                            vals.iter().any(|&n| criterion.matches(&Value::Number(n)))
+                        }
+                        ScanSlice::Texts(ids, interner) => ids
+                            .iter()
+                            .any(|&id| memo.get(id, || criterion.matches(interner.value(id)))),
+                        ScanSlice::Empty(_) => empty_matches,
+                        ScanSlice::Cells(cells) => {
+                            cells.iter().any(|cell| criterion.matches(cell.display_value()))
+                        }
+                    };
+            });
+            if !hit {
+                return;
+            }
+        }
+        if typed || empty_matches {
+            chunk.all_cells_mut(&mut restyle);
+        } else {
+            chunk.stored_cells_mut(&mut restyle);
+        }
+    });
+    sheet.meter().bump(Primitive::CellRead, cells);
+    sheet.meter().bump(Primitive::StyleUpdate, updates);
+    formatted
+}
+
+/// What [`conditional_format_impl`] did before it restyled chunks in
+/// place: a `Sheet::value`, a `Sheet::cell` and, on a change, a
+/// `Sheet::cell_mut` per position. Kept as the reference the differential
+/// test compares the chunk pass against.
+#[cfg(test)]
+pub(crate) fn conditional_format_reference(
+    sheet: &mut Sheet,
+    range: Range,
+    criterion: &Criterion,
+    fill: Color,
+) -> u32 {
+    use crate::addr::CellAddr;
     let (nrows, ncols) = (sheet.nrows(), sheet.ncols());
     if nrows == 0 || ncols == 0 {
         return 0;
@@ -29,10 +102,6 @@ pub(crate) fn conditional_format_impl(
             let addr = CellAddr::new(row, col);
             sheet.meter().tick(Primitive::CellRead);
             let matches = criterion.matches(&sheet.value(addr));
-            // Peek at the fill read-only and materialize the cell only on
-            // an actual style change: `cell_mut` on a typed chunk degrades
-            // the whole chunk to cell form, so an unconditional call here
-            // would wreck the columnar layout of every scanned range.
             let fill_now = sheet.cell(addr).and_then(|c| c.style.fill);
             if matches {
                 if fill_now != Some(fill) {
@@ -53,8 +122,8 @@ pub(crate) fn conditional_format_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::CellAddr;
     use crate::ops::{Op, OpOutcome};
-    use crate::value::Value;
 
     /// The paper's rule: fill K1:K6 green where the cell holds 1.
     fn green_ones() -> Op {

@@ -27,16 +27,12 @@ pub(crate) fn copy_paste_impl(sheet: &mut Sheet, src: Range, dst_start: CellAddr
         let dst = CellAddr::new(dst_start.row + d_row, dst_start.col + d_col);
         sheet.meter().tick(Primitive::CellWrite);
         match cell.content {
-            CellContent::Formula(f) => {
-                let adjusted = f.expr.adjusted(src_addr, dst);
-                sheet.set_formula(dst, adjusted);
-                sheet.cell_mut(dst).style = cell.style;
-            }
-            CellContent::Value(v) => {
-                sheet.set_value(dst, v);
-                sheet.cell_mut(dst).style = cell.style;
-            }
+            CellContent::Formula(f) => sheet.set_formula(dst, f.expr.adjusted(src_addr, dst)),
+            CellContent::Value(v) => sheet.set_value(dst, v),
         }
+        // Not through `&mut Cell`: handing one out of a typed chunk turns
+        // the whole chunk into general cells, and a plain value needs none.
+        sheet.set_style(dst, cell.style);
     }
     Range::new(dst_start, CellAddr::new(dst_start.row + rows - 1, dst_start.col + cols - 1))
 }
@@ -66,6 +62,37 @@ mod tests {
         s.apply(paste("A1", "C3")).unwrap();
         assert_eq!(s.value(a("C3")), Value::Number(7.0));
         assert_eq!(s.cell(a("C3")).unwrap().style.fill, Some(crate::style::Color::GREEN));
+    }
+
+    /// A plain paste is a run of typed writes: the destination chunks stay
+    /// typed, as the source's are, and as compact.
+    #[test]
+    fn plain_numeric_paste_leaves_the_destination_typed() {
+        let mut s = Sheet::new();
+        for r in 0..2048u32 {
+            s.set_value(CellAddr::new(r, 0), f64::from(r) * 0.5);
+        }
+        let one_column = s.grid_heap_bytes();
+        s.apply(paste("A1:A2048", "C1")).unwrap();
+        assert_eq!(s.grid_store().chunk_kinds(0), ["num", "num"]);
+        assert_eq!(s.grid_store().chunk_kinds(2), ["num", "num"]);
+        assert!(s.grid_heap_bytes() <= one_column * 2 + one_column / 4, "{one_column}");
+        assert_eq!(s.value(a("C2048")), Value::Number(1023.5));
+    }
+
+    #[test]
+    fn plain_source_clears_the_fill_it_lands_on() {
+        let green = crate::style::Style::plain().with_fill(crate::style::Color::GREEN);
+        let mut s = Sheet::new();
+        s.set_value(a("A1"), 7);
+        s.set_value(a("C3"), 1);
+        s.set_style(a("C3"), green);
+        // A styled cell with no content, too.
+        s.set_style(a("C4"), green);
+        s.apply(paste("A1:A2", "C3")).unwrap();
+        assert_eq!(s.value(a("C3")), Value::Number(7.0));
+        assert_eq!(s.cell(a("C3")).unwrap().style.fill, None);
+        assert!(s.cell(a("C4")).unwrap().is_vacant());
     }
 
     #[test]

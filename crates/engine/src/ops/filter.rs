@@ -1,16 +1,69 @@
 //! Filter: hides the rows that do not satisfy a condition on one column
 //! (§4.3.1 — "Filter operations in spreadsheets hide the rows that do not
 //! satisfy the filtering condition"). A full scan of the column, as in all
-//! three benchmarked systems.
+//! three benchmarked systems — over the grid's typed slices (DESIGN.md
+//! §18): numbers as `&[f64]`, text as interner ids decided once per
+//! distinct string, vacant runs with one precomputed answer.
 
-use crate::addr::CellAddr;
+use crate::addr::Range;
+use crate::grid::ScanSlice;
 use crate::meter::Primitive;
+use crate::ops::IdMemo;
 use crate::sheet::Sheet;
-use crate::value::Criterion;
+use crate::value::{Criterion, Value};
 
 /// Applies a filter on `col`: rows whose cell does not match `criterion`
 /// are hidden. Returns the number of visible (matching) rows.
 pub(crate) fn filter_rows_impl(sheet: &mut Sheet, col: u32, criterion: &Criterion) -> u32 {
+    let m = sheet.nrows();
+    if m == 0 {
+        return 0;
+    }
+    // The flags leave the sheet for the scan, which borrows its grid.
+    let mut hidden = std::mem::take(sheet.hidden_flags_mut());
+    if hidden.len() < m as usize {
+        hidden.resize(m as usize, false);
+    }
+    // What the scan does not emit — a vacant run, a column past the
+    // extent — reads as empty.
+    hidden[..m as usize].fill(!criterion.matches(&Value::Empty));
+    let mut memo = IdMemo::for_cells(u64::from(m));
+    let mut row = 0usize;
+    let column = Range::column_segment(col, 0, m - 1);
+    sheet.grid_store().scan_range(column, &mut |slice| match slice {
+        ScanSlice::Nums(vals) => {
+            for (flag, &n) in hidden[row..].iter_mut().zip(vals) {
+                *flag = !criterion.matches(&Value::Number(n));
+            }
+            row += vals.len();
+        }
+        ScanSlice::Texts(ids, interner) => {
+            for (flag, &id) in hidden[row..].iter_mut().zip(ids) {
+                *flag = !memo.get(id, || criterion.matches(interner.value(id)));
+            }
+            row += ids.len();
+        }
+        ScanSlice::Cells(cells) => {
+            for (flag, cell) in hidden[row..].iter_mut().zip(cells) {
+                *flag = !criterion.matches(cell.display_value());
+            }
+            row += cells.len();
+        }
+        ScanSlice::Empty(n) => row += n,
+    });
+    let toggled = hidden[..m as usize].iter().filter(|&&h| h).count() as u32;
+    *sheet.hidden_flags_mut() = hidden;
+    sheet.meter().bump(Primitive::CellRead, u64::from(m));
+    sheet.meter().bump(Primitive::RowToggle, u64::from(toggled));
+    m - toggled
+}
+
+/// What [`filter_rows_impl`] did before it read slices: one `Sheet::value`
+/// and one `set_row_hidden` per row. Kept as the reference the differential
+/// test compares the scan against.
+#[cfg(test)]
+pub(crate) fn filter_rows_reference(sheet: &mut Sheet, col: u32, criterion: &Criterion) -> u32 {
+    use crate::addr::CellAddr;
     let m = sheet.nrows();
     let mut visible = 0u32;
     for row in 0..m {
@@ -37,8 +90,8 @@ pub(crate) fn clear_filter_impl(sheet: &mut Sheet) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::CellAddr;
     use crate::ops::{Op, OpOutcome};
-    use crate::value::Value;
 
     fn filter(col: u32, criterion: &str) -> Op {
         Op::Filter { col, criterion: Criterion::parse(&Value::text(criterion)) }

@@ -9,10 +9,11 @@ use crate::error::EngineError;
 use crate::eval::context::DEFAULT_NOW_SERIAL;
 use crate::eval::{CellSource, EvalCtx, LookupStrategy};
 use crate::formula::{Expr, NameResolver, RangeRef};
-use crate::grid::{CellGet, GridStore};
+use crate::grid::{CellGet, ChunkMut, GridStore};
 use crate::index::{ColumnBuilder, IndexStore};
 use crate::meter::{Meter, Primitive};
 use crate::recalc::RecalcOptions;
+use crate::style::Style;
 use crate::value::{classify, Input, Value};
 
 pub use crate::grid::Layout;
@@ -43,6 +44,10 @@ pub struct Sheet {
     /// automatically (and the recalc entry points call it).
     auto_index: bool,
 }
+
+/// The hook [`Sheet::edit_chunks`] hands its visitor, to be told of each
+/// value cell it rewrote: address, old value, new value.
+pub(crate) type Wrote<'a> = dyn FnMut(CellAddr, &Value, &Value) + 'a;
 
 /// The sheet's named-range table; implements the parser's name resolver.
 #[derive(Debug, Default)]
@@ -101,7 +106,9 @@ impl Sheet {
 
     /// Mutable grid access for `ops::structure`, which shifts rows and
     /// columns in place and then repairs everything else the sheet keyed
-    /// by coordinate (formulas, names, filter flags, indexes, deps).
+    /// by coordinate (formulas, names, filter flags, indexes, deps), and
+    /// for `ops::cond_format`, which restyles chunks in place (nothing
+    /// else on the sheet is keyed by a style).
     pub(crate) fn grid_store_mut(&mut self) -> &mut GridStore {
         &mut self.grid
     }
@@ -534,9 +541,42 @@ impl Sheet {
         }
     }
 
-    /// Mutable cell access for operations (styles, pastes); callers are
-    /// responsible for keeping the dependency graph consistent when they
-    /// change formula content.
+    /// Sets the style of the cell at `addr`, content untouched. A plain
+    /// style on a typed slot is a no-op (typed storage holds no style), so
+    /// pasting plain cells leaves a typed chunk typed.
+    pub(crate) fn set_style(&mut self, addr: CellAddr, style: Style) {
+        self.grid.set_style(addr, style).expect("set_style: address beyond engine limits");
+    }
+
+    /// Edits the cells of `range` where they are stored, one chunk of one
+    /// column at a time ([`GridStore::for_each_chunk_mut`]). `f` is handed
+    /// each chunk and a hook to report every value cell whose content it
+    /// rewrote — address, old value, new value — to: the writes are charged
+    /// to the meter and a built index of the column is kept in step, as
+    /// [`Sheet::set_value`] would have. `f` must leave formulas alone (no
+    /// dependency is maintained here) and its own reads are its to charge.
+    pub(crate) fn edit_chunks(
+        &mut self,
+        range: Range,
+        f: &mut dyn FnMut(&mut ChunkMut<'_>, &mut Wrote<'_>),
+    ) {
+        let Sheet { grid, indexes, meter, .. } = self;
+        let mut written = 0u64;
+        grid.for_each_chunk_mut(range, &mut |chunk| {
+            let indexed = indexes.has_built(chunk.col());
+            f(chunk, &mut |addr, old, new| {
+                written += 1;
+                if indexed {
+                    indexes.on_write(meter, addr, old, new);
+                }
+            });
+        });
+        meter.bump(Primitive::CellWrite, written);
+    }
+
+    /// Mutable cell access, for tests that style a cell or corrupt one on
+    /// purpose.
+    #[cfg(test)]
     pub(crate) fn cell_mut(&mut self, addr: CellAddr) -> &mut Cell {
         self.grid.cell_mut(addr).expect("cell_mut: address beyond engine limits")
     }
@@ -663,8 +703,9 @@ impl Sheet {
         self.hidden.clear();
     }
 
-    /// The per-row hidden flags themselves, for structural edits, which
-    /// splice them along with the rows.
+    /// The per-row hidden flags themselves: structural edits splice them
+    /// along with the rows, and a filter writes them straight from its
+    /// scan.
     pub(crate) fn hidden_flags_mut(&mut self) -> &mut Vec<bool> {
         &mut self.hidden
     }

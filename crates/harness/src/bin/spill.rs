@@ -1,6 +1,7 @@
 //! Memory-capped grid scenario: builds a tall numeric sheet, recalculates
 //! a set of whole-column aggregates, sorts it, inserts and deletes a row
-//! mid-sheet, and digests the values after each phase.
+//! mid-sheet, filters it and pivots it, and digests the result of each
+//! phase.
 //!
 //! ```text
 //! cargo run --release -p ssbench-harness --bin spill -- [--rows N]
@@ -14,15 +15,16 @@
 //! * `SSBENCH_RSS_LIMIT_MB` — optional hard gate on the process peak RSS
 //!   (`VmHWM`); the run exits non-zero when exceeded.
 //!
-//! The digests printed are bit-exact FNV-1a over every stored value; a
-//! capped run must print the same digests as an unbounded one
-//! (`scripts/check.sh` compares them).
+//! The digests printed are bit-exact FNV-1a — over every stored value, over
+//! the hidden rows a filter left, over a pivot table; a capped run must
+//! print the same digests as an unbounded one (`scripts/check.sh` compares
+//! them).
 
 use ssbench_engine::addr::CellAddr;
-use ssbench_engine::ops::{Op, SortKey};
+use ssbench_engine::ops::{Op, OpOutcome, PivotAgg, SortKey};
 use ssbench_engine::recalc;
 use ssbench_engine::sheet::Sheet;
-use ssbench_engine::value::Value;
+use ssbench_engine::value::{Criterion, Value};
 
 fn main() {
     let rows = parse_rows().unwrap_or(5_000_000);
@@ -102,6 +104,38 @@ fn main() {
     }
     println!("restructure_ms={:.1}", restructure.as_secs_f64() * 1e3);
 
+    // Phase 5: the two scan ops, each one pass over columns of mostly
+    // spilled chunks. The filter keeps the lower half of the buckets; the
+    // pivot sums the derived value per bucket — 1 000 groups under number
+    // keys. The wall times cover the ops alone, not the digests.
+    let started = std::time::Instant::now();
+    let criterion = Criterion::parse(&Value::text("<500"));
+    let filtered = sheet.apply(Op::Filter { col: 2, criterion }).expect("filter applies");
+    let filter = started.elapsed();
+    report_phase(&sheet, "filter");
+    let mut hidden = Fnv::default();
+    (0..sheet.nrows()).filter(|&r| sheet.is_row_hidden(r)).for_each(|r| hidden.eat(&r.to_le_bytes()));
+    println!("digest_filtered={:016x}", hidden.0);
+    println!("filter_ms={:.1}", filter.as_secs_f64() * 1e3);
+    eprintln!("filter: {filtered:?}");
+
+    let started = std::time::Instant::now();
+    let pivoted = sheet
+        .apply(Op::Pivot { dim_col: 2, measure_col: 3, agg: PivotAgg::Sum })
+        .expect("pivot applies");
+    let pivot = started.elapsed();
+    report_phase(&sheet, "pivot");
+    let OpOutcome::Pivoted(table) = pivoted else { unreachable!("a pivot answers with its table") };
+    let mut groups = Fnv::default();
+    for (key, sum, count) in &table.groups {
+        groups.eat(key.display().as_bytes());
+        groups.eat(&sum.to_bits().to_le_bytes());
+        groups.eat(&count.to_le_bytes());
+    }
+    println!("digest_pivot={:016x}", groups.0);
+    println!("pivot_ms={:.1}", pivot.as_secs_f64() * 1e3);
+    eprintln!("pivot: {} groups", table.len());
+
     let stats = sheet.grid_spill_stats();
     println!(
         "spills={} loads={} faults={} resident_bytes={}",
@@ -151,44 +185,54 @@ fn report_phase(sheet: &Sheet, phase: &str) {
     eprintln!("{phase}: resident {} KB, heap ~{} MB", resident / 1024, sheet.grid_heap_bytes() >> 20);
 }
 
+/// FNV-1a, fed a slice at a time.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
 /// FNV-1a over every non-empty stored value, bit-exact for numbers. Same
 /// shape as the oracle's digest; layout- and budget-independent.
 fn digest(sheet: &Sheet) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    let Some(used) = sheet.used_range() else { return h };
+    let mut h = Fnv::default();
+    let Some(used) = sheet.used_range() else { return h.0 };
     for addr in used.iter() {
         let v = sheet.value(addr);
         if v == Value::Empty {
             continue;
         }
-        eat(&addr.row.to_le_bytes());
-        eat(&addr.col.to_le_bytes());
+        h.eat(&addr.row.to_le_bytes());
+        h.eat(&addr.col.to_le_bytes());
         match v {
             Value::Empty => unreachable!("skipped above"),
             Value::Number(n) => {
-                eat(&[1]);
-                eat(&n.to_bits().to_le_bytes());
+                h.eat(&[1]);
+                h.eat(&n.to_bits().to_le_bytes());
             }
             Value::Text(s) => {
-                eat(&[2]);
-                eat(s.as_bytes());
+                h.eat(&[2]);
+                h.eat(s.as_bytes());
             }
-            Value::Bool(b) => eat(&[3, u8::from(b)]),
+            Value::Bool(b) => h.eat(&[3, u8::from(b)]),
             Value::Error(e) => {
-                eat(&[4]);
-                eat(format!("{e:?}").as_bytes());
+                h.eat(&[4]);
+                h.eat(format!("{e:?}").as_bytes());
             }
         }
     }
-    h
+    h.0
 }
 
 /// Peak resident set size in KB (`VmHWM` from `/proc/self/status`).

@@ -4,9 +4,10 @@
 //! *specified* to be configuration-independent, so any divergence the
 //! runner reports is a real bug and never generator noise:
 //!
-//! * range arguments are **single-column** — multi-column aggregates
-//!   would visit cells in storage order and sum floats in a
-//!   layout-dependent order;
+//! * range arguments of formulas are **single-column** — multi-column
+//!   aggregates would visit cells in storage order and sum floats in a
+//!   layout-dependent order (a find-and-replace range may span two
+//!   columns: it rewrites cell by cell, whatever the order);
 //! * `VLOOKUP` is always **exact-match** (`FALSE`) — approximate match
 //!   over unsorted data may legitimately differ between the scan and
 //!   binary-search strategies;
@@ -100,29 +101,41 @@ impl OpGen<'_> {
                 col: self.rng.random_range(0..3u32.min(self.cols)),
                 asc: self.rng.random_range(0..2u32) == 0,
             },
-            57..=62 => ScriptOp::Filter {
-                col: 1.min(self.cols - 1),
-                criterion: format!(
-                    "{}{}",
-                    [">=", "<=", "<>"][self.rng.random_range(0..3usize)],
-                    self.rng.random_range(1..=9u32)
-                ),
+            // Numbers on column B, or — a text criterion, matched per
+            // distinct string — labels on column C, kept or excluded.
+            57..=62 => match self.rng.random_range(0..5u32) {
+                0..=2 => ScriptOp::Filter {
+                    col: 1.min(self.cols - 1),
+                    criterion: format!(
+                        "{}{}",
+                        [">=", "<=", "<>"][self.rng.random_range(0..3usize)],
+                        self.rng.random_range(1..=9u32)
+                    ),
+                },
+                op => ScriptOp::Filter {
+                    col: 2.min(self.cols - 1),
+                    criterion: format!("{}{}", ["", "<>"][(op - 3) as usize], self.label()),
+                },
             },
             63..=66 => ScriptOp::ClearFilter,
-            67..=70 => ScriptOp::CondFormat {
-                range: self.column_segment(0),
-                criterion: format!(">={}", self.rng.random_range(100..=900u32)),
-            },
-            71..=74 => {
-                let (from, to) = (
-                    self.rng.random_range(0..LABELS),
-                    self.rng.random_range(0..LABELS),
-                );
-                ScriptOp::FindReplace {
+            67..=70 => match self.rng.random_range(0..3u32) {
+                0 | 1 => ScriptOp::CondFormat {
+                    range: self.column_segment(0),
+                    criterion: format!(">={}", self.rng.random_range(100..=900u32)),
+                },
+                _ => ScriptOp::CondFormat {
                     range: self.column_segment(2.min(self.cols - 1)),
-                    needle: format!("item{from}"),
-                    replacement: format!("item{to}"),
-                }
+                    criterion: format!("={}", self.label()),
+                },
+            },
+            // The label column alone, or with its right-hand neighbour: a
+            // replace is a per-cell rewrite, so — unlike an aggregate — it
+            // may span columns without depending on the visit order.
+            71..=74 => {
+                let (needle, replacement) = (self.label(), self.label());
+                let first = 2.min(self.cols - 1);
+                let last = (first + self.rng.random_range(0..2u32)).min(self.cols - 1);
+                ScriptOp::FindReplace { range: self.segment(first, last), needle, replacement }
             }
             75..=80 => {
                 let src_col = self.rng.random_range(0..self.cols);
@@ -151,7 +164,7 @@ impl OpGen<'_> {
         let text = match self.rng.random_range(0..10u32) {
             // Mostly ordinary numbers…
             0..=5 => self.rng.random_range(1..=1000i64).to_string(),
-            6 | 7 => format!("item{}", self.rng.random_range(0..LABELS)),
+            6 | 7 => self.label(),
             // …but regularly the spellings `parse::<f64>()` would turn
             // into NaN/±inf if coercion let it.
             _ => ["inf", "-inf", "NaN", "infinity", "1e999", "-1E999"]
@@ -209,12 +222,21 @@ impl OpGen<'_> {
     }
 
     /// A random single-column A1 range in `col` (see the module doc for
-    /// why ranges never span columns).
+    /// why the ranges aggregates read never span columns).
     fn column_segment(&mut self, col: u32) -> String {
+        self.segment(col, col)
+    }
+
+    /// A random run of rows of columns `first..=last`, as an A1 range.
+    fn segment(&mut self, first: u32, last: u32) -> String {
         let r0 = self.rng.random_range(1..=self.rows);
         let r1 = self.rng.random_range(r0..=self.rows);
-        let letter = col_to_letters(col);
-        format!("{letter}{r0}:{letter}{r1}")
+        format!("{}{r0}:{}{r1}", col_to_letters(first), col_to_letters(last))
+    }
+
+    /// One of the initial workbook's text labels.
+    fn label(&mut self) -> String {
+        format!("item{}", self.rng.random_range(0..LABELS))
     }
 }
 

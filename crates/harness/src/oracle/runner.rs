@@ -5,8 +5,9 @@
 //! configuration-independent:
 //!
 //! * per-op outcomes (sort permutations, filter visibility, pivot tables);
-//! * a per-op digest of every stored value and the hidden-row set, so two
-//!   configurations cannot briefly diverge and reconverge unnoticed;
+//! * a per-op digest of every stored value, the hidden-row set and every
+//!   fill, so two configurations cannot briefly diverge and reconverge
+//!   unnoticed;
 //! * the final workbook (input texts and bit-exact values);
 //! * the final workbook *reopened*: `io::open(&io::save(&sheet))` +
 //!   `open_recalc` under the configuration's layout and budget must save
@@ -576,9 +577,10 @@ impl Fnv {
 }
 
 /// FNV-1a digest of every stored value (bit-exact for numbers) plus the
-/// hidden-row set. Cheap enough to run after every op, strong enough that
-/// a transient divergence cannot cancel itself out before the final
-/// comparison.
+/// hidden-row set and every fill — without the fills a conditional format
+/// would be compared by its count alone. Cheap enough to run after every
+/// op, strong enough that a transient divergence cannot cancel itself out
+/// before the final comparison.
 fn grid_digest(sheet: &Sheet) -> u64 {
     let mut h = Fnv(value_digest(sheet));
     for row in 0..sheet.nrows() {
@@ -587,11 +589,19 @@ fn grid_digest(sheet: &Sheet) -> u64 {
             h.eat(&row.to_le_bytes());
         }
     }
+    for addr in sheet.used_range().iter().flat_map(Range::iter) {
+        if let Some(fill) = sheet.cell(addr).and_then(|cell| cell.style.fill) {
+            h.eat(&[6]);
+            h.eat(&addr.row.to_le_bytes());
+            h.eat(&addr.col.to_le_bytes());
+            h.eat(&[fill.r, fill.g, fill.b]);
+        }
+    }
     h.0
 }
 
 /// The values half of [`grid_digest`]: all of it that a saved document
-/// carries.
+/// carries (filter flags and styles are not saved).
 fn value_digest(sheet: &Sheet) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     if let Some(used) = sheet.used_range() {
@@ -667,5 +677,18 @@ mod tests {
         let unhidden = grid_digest(&sheet);
         sheet.set_row_hidden(3, true);
         assert_ne!(unhidden, grid_digest(&sheet));
+        // A fill shows in the grid digest, and which fill; it is no part
+        // of the values a saved document carries.
+        let (unfilled, values) = (grid_digest(&sheet), value_digest(&sheet));
+        let mut fill = |fill| {
+            let range = Range::parse("A1:A4").unwrap();
+            let criterion = Criterion::parse(&Value::text(">=0"));
+            sheet.apply(Op::CondFormat { range, criterion, fill }).expect("format applies");
+            (grid_digest(&sheet), value_digest(&sheet))
+        };
+        let (green, black) = (fill(Color::GREEN), fill(Color::BLACK));
+        assert_ne!(unfilled, green.0);
+        assert_ne!(green.0, black.0);
+        assert_eq!((values, values), (green.1, black.1));
     }
 }

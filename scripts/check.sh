@@ -81,18 +81,21 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 
 # Memory-capped grid scenario (DESIGN.md §14): a 5M-row x 4-col numeric
 # sheet is built, recalculated through whole-column aggregates, sorted,
-# and has one row inserted and deleted again mid-sheet (the in-place
-# structural edit shifting 2.5M rows of mostly spilled chunks), once
-# unbounded and once under a 64 MB grid budget with a hard 384 MB peak-RSS
-# gate. The spill binary asserts resident <= budget after every phase and
-# that the budgeted run actually spilled; this stage then requires the two
-# runs' value digests to be bit-identical — spilling is memory placement,
-# never semantics.
+# has one row inserted and deleted again mid-sheet (the in-place
+# structural edit shifting 2.5M rows of mostly spilled chunks), and is
+# filtered and pivoted (the scan ops reading spilled chunks a slice at a
+# time, DESIGN.md §18), once unbounded and once under a 64 MB grid budget
+# with a hard 384 MB peak-RSS gate. The spill binary asserts resident <=
+# budget after every phase and that the budgeted run actually spilled;
+# this stage then requires the two runs' digests — values, hidden rows,
+# pivot table — to be bit-identical: spilling is memory placement, never
+# semantics.
 echo "==> spill scenario: 5M rows under a 64 MB grid budget"
 nocap="$(./target/release/spill --rows 5000000 2> /dev/null)"
 cap="$(SSBENCH_GRID_BUDGET=64M SSBENCH_RSS_LIMIT_MB=384 \
   ./target/release/spill --rows 5000000 2> /dev/null)"
-for phase in digest_recalc digest_sorted digest_inserted digest_restructured; do
+for phase in digest_recalc digest_sorted digest_inserted digest_restructured \
+  digest_filtered digest_pivot; do
   a="$(grep -o "${phase}=[0-9a-f]*" <<< "$nocap")"
   b="$(grep -o "${phase}=[0-9a-f]*" <<< "$cap")"
   test -n "$a" || { echo "spill: unbounded run printed no $phase" >&2; exit 1; }
