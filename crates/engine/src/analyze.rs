@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::addr::{CellAddr, CellRef, Range};
-use crate::compile::lower::{Inst, Program, BUILTINS};
+use crate::compile::lower::{Inst, Kernel, Program, BUILTINS};
 use crate::eval::{apply_binary, apply_unary, CellSource};
 use crate::formula::ast::{BinOp, Expr, RangeRef, UnaryOp};
 use crate::formula::r1c1::{self, RangeSpec, RefSpec};
@@ -66,6 +66,8 @@ pub enum VerifyError {
     ConstOutOfBounds { pc: usize, index: u32 },
     /// A `Call`'s dense function ID exceeds the builtin table.
     FuncOutOfBounds { pc: usize, id: u16 },
+    /// A criteria kernel's literal index exceeds the criterion pool.
+    CriterionOutOfBounds { pc: usize, index: u32 },
     /// A jump target lies beyond the end of the program.
     JumpOutOfBounds { pc: usize, target: u32 },
     /// Two control-flow paths reach the same pc with different depths.
@@ -91,6 +93,9 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::FuncOutOfBounds { pc, id } => {
                 write!(f, "function id {id} out of bounds at pc {pc}")
+            }
+            VerifyError::CriterionOutOfBounds { pc, index } => {
+                write!(f, "criterion index {index} out of bounds at pc {pc}")
             }
             VerifyError::JumpOutOfBounds { pc, target } => {
                 write!(f, "jump target {target} out of bounds at pc {pc}")
@@ -177,9 +182,14 @@ pub fn verify(prog: &Program) -> Result<u32, VerifyError> {
                 need(2)?;
                 Some(depth - 1)
             }
-            Inst::Call { id, argc, .. } => {
+            Inst::Call { id, argc, kernel } => {
                 if id.0 as usize >= BUILTINS.len() {
                     return Err(VerifyError::FuncOutOfBounds { pc, id: id.0 });
+                }
+                if let Some(Kernel::If { literal: Some(index), .. }) = *kernel {
+                    if index as usize >= prog.criteria.len() {
+                        return Err(VerifyError::CriterionOutOfBounds { pc, index });
+                    }
                 }
                 need(*argc)?;
                 Some(depth - argc + 1)
@@ -732,7 +742,7 @@ pub fn check_sheet(sheet: &Sheet) -> Result<Vec<TemplateReport>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::lower::{compile, FuncId};
+    use crate::compile::lower::{compile, func_id, FuncId, IfFold};
     use crate::error::CellError;
     use crate::eval::{evaluate, EvalCtx};
     use crate::formula::parse;
@@ -811,6 +821,19 @@ mod tests {
                 two.clone()
             )),
             Err(VerifyError::FuncOutOfBounds { pc: 1, id: 9999 })
+        );
+        let countif = |literal| Inst::Call {
+            id: func_id("COUNTIF").unwrap(),
+            argc: 2,
+            kernel: Some(Kernel::If { fold: IfFold::Count, literal }),
+        };
+        assert_eq!(
+            verify(&prog(vec![Inst::Const(0), Inst::Const(1), countif(Some(0))], two.clone())),
+            Err(VerifyError::CriterionOutOfBounds { pc: 2, index: 0 })
+        );
+        assert_eq!(
+            verify(&prog(vec![Inst::Const(0), Inst::Const(1), countif(None)], two.clone())),
+            Ok(2)
         );
         // Jump skipping an instruction leaves it unreachable.
         assert_eq!(

@@ -1,6 +1,6 @@
 //! Lowering: AST → flat stack bytecode.
 //!
-//! The compiler performs exactly three optimizations, all decided at
+//! The compiler performs exactly four optimizations, all decided at
 //! compile time so the VM's hot loop stays branch-light:
 //!
 //! * **Constant folding** — literal-pure subtrees (no refs, ranges, or
@@ -14,6 +14,9 @@
 //!   builtin table instead of a name, replacing the per-call string match
 //!   with an array load. `IF`/`IFERROR` lower to explicit jumps, keeping
 //!   the interpreter's lazy-branch semantics.
+//! * **Criterion pooling** — a literal `COUNTIF`/`SUMIF`/`AVERAGEIF`
+//!   criterion is parsed and compiled ([`Matcher`]) once here, into a
+//!   per-program pool beside the constants, instead of once per evaluation.
 
 use crate::addr::CellAddr;
 use crate::analyze::{self, ReadSet};
@@ -22,7 +25,7 @@ use crate::eval::{apply_binary, apply_unary, EvalCtx};
 use crate::formula::ast::{BinOp, Expr, UnaryOp};
 use crate::formula::r1c1::{RangeSpec, RefSpec};
 use crate::functions::{self, Arg};
-use crate::value::Value;
+use crate::value::{Criterion, Matcher, Value};
 
 /// A dense builtin-function identifier: an index into [`BUILTINS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,13 +150,33 @@ pub fn func_id(name: &str) -> Option<FuncId> {
 /// available (non-`Sheet` cell sources).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
+    /// `SUM`, `AVERAGE`, `COUNT`, `MIN` or `MAX` of one range.
+    Plain(Agg),
+    /// `COUNTIF`, `SUMIF` or `AVERAGEIF`. `literal` indexes the program's
+    /// criterion pool when the criterion argument is a literal; otherwise
+    /// the criterion is compiled from the evaluated argument on each call.
+    If { fold: IfFold, literal: Option<u32> },
+}
+
+/// The single-range aggregates with a kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Agg {
     Sum,
     Average,
     Count,
     Min,
     Max,
-    CountIf,
-    SumIf,
+}
+
+/// What a criteria kernel does with the cells that match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IfFold {
+    /// `COUNTIF(range, criterion)`.
+    Count,
+    /// `SUMIF(range, criterion, [sum_range])`.
+    Sum,
+    /// `AVERAGEIF(range, criterion, [avg_range])`.
+    Average,
 }
 
 /// One bytecode instruction. Jump targets are absolute code indices.
@@ -198,6 +221,9 @@ pub(crate) enum Inst {
 pub struct Program {
     pub(crate) code: Vec<Inst>,
     pub(crate) consts: Vec<Value>,
+    /// Literal criteria of the criteria kernels, compiled once per program
+    /// (see [`Kernel::If`]).
+    pub(crate) criteria: Vec<Matcher>,
     /// Verifier-proven maximum operand-stack depth (`analyze::verify`);
     /// the VM pre-reserves this many scratch slots before executing.
     pub(crate) max_stack: u32,
@@ -240,7 +266,14 @@ impl Program {
     /// one that did not come out of the lowerer.
     #[cfg(test)]
     pub(crate) fn for_tests(code: Vec<Inst>, consts: Vec<Value>) -> Program {
-        Program { code, consts, max_stack: 0, volatile: false, reads: ReadSet::Windows(Vec::new()) }
+        Program {
+            code,
+            consts,
+            criteria: Vec::new(),
+            max_stack: 0,
+            volatile: false,
+            reads: ReadSet::Windows(Vec::new()),
+        }
     }
 }
 
@@ -250,12 +283,13 @@ impl Program {
 /// here: the stored `max_stack` is the proven bound, so the VM never
 /// executes unchecked bytecode.
 pub fn compile(expr: &Expr, origin: CellAddr) -> Program {
-    let mut l = Lowerer { code: Vec::new(), consts: Vec::new(), origin };
+    let mut l = Lowerer { code: Vec::new(), consts: Vec::new(), criteria: Vec::new(), origin };
     l.lower_scalar(expr);
     let facts = analyze::analyze(expr, origin);
     let mut prog = Program {
         code: l.code,
         consts: l.consts,
+        criteria: l.criteria,
         max_stack: 0,
         volatile: facts.volatile,
         reads: facts.reads,
@@ -285,6 +319,7 @@ enum Shape {
 struct Lowerer {
     code: Vec<Inst>,
     consts: Vec<Value>,
+    criteria: Vec<Matcher>,
     origin: CellAddr,
 }
 
@@ -356,7 +391,15 @@ impl Lowerer {
         let argc = args.len() as u32;
         match func_id(name) {
             Some(id) => {
-                let kernel = kernel_for(name, &shapes);
+                let mut kernel = kernel_for(name, &shapes);
+                if let Some(Kernel::If { literal, .. }) = &mut kernel {
+                    // A literal criterion reads no cell, so compiling it
+                    // here instead of per call moves no meter charge.
+                    if let Some(v) = fold(&args[1]) {
+                        self.criteria.push(Matcher::new(Criterion::parse(&v)));
+                        *literal = Some((self.criteria.len() - 1) as u32);
+                    }
+                }
                 self.code.push(Inst::Call { id, argc, kernel });
             }
             None => self.code.push(Inst::NameError(argc)),
@@ -422,16 +465,28 @@ fn fold(expr: &Expr) -> Option<Value> {
 /// the simple form whose semantics the kernel replicates.
 fn kernel_for(name: &str, shapes: &[Shape]) -> Option<Kernel> {
     let range0 = shapes.first() == Some(&Shape::Range);
+    let plain = |agg: Agg| (shapes.len() == 1 && range0).then_some(Kernel::Plain(agg));
+    // The criteria range, the criterion, and for the folding two an
+    // optional range the matched rows are read from. Whether two ranges
+    // line up for the column walk is a run-time fact (`vm::run_kernel`).
+    let criteria = |fold: IfFold| {
+        let arity_ok = match fold {
+            IfFold::Count => shapes.len() == 2,
+            IfFold::Sum | IfFold::Average => {
+                shapes.len() == 2 || (shapes.len() == 3 && shapes[2] == Shape::Range)
+            }
+        };
+        (range0 && arity_ok).then_some(Kernel::If { fold, literal: None })
+    };
     match name {
-        "SUM" if shapes.len() == 1 && range0 => Some(Kernel::Sum),
-        "AVERAGE" if shapes.len() == 1 && range0 => Some(Kernel::Average),
-        "COUNT" if shapes.len() == 1 && range0 => Some(Kernel::Count),
-        "MIN" if shapes.len() == 1 && range0 => Some(Kernel::Min),
-        "MAX" if shapes.len() == 1 && range0 => Some(Kernel::Max),
-        "COUNTIF" if shapes.len() == 2 && range0 => Some(Kernel::CountIf),
-        // The 3-arg SUMIF (separate sum range) does offset-aligned point
-        // reads; it stays on the generic path.
-        "SUMIF" if shapes.len() == 2 && range0 => Some(Kernel::SumIf),
+        "SUM" => plain(Agg::Sum),
+        "AVERAGE" => plain(Agg::Average),
+        "COUNT" => plain(Agg::Count),
+        "MIN" => plain(Agg::Min),
+        "MAX" => plain(Agg::Max),
+        "COUNTIF" => criteria(IfFold::Count),
+        "SUMIF" => criteria(IfFold::Sum),
+        "AVERAGEIF" => criteria(IfFold::Average),
         _ => None,
     }
 }
@@ -489,14 +544,35 @@ mod tests {
                 _ => None,
             })?
         };
-        assert_eq!(kernel_of("SUM(A1:A9)"), Some(Kernel::Sum));
-        assert_eq!(kernel_of("AVERAGE(B1:B4)"), Some(Kernel::Average));
-        assert_eq!(kernel_of("COUNTIF(J1:J100,1)"), Some(Kernel::CountIf));
-        assert_eq!(kernel_of("SUMIF(A1:A9,\">2\")"), Some(Kernel::SumIf));
-        // Multi-argument SUM and scalar-only aggregates stay generic.
+        assert_eq!(kernel_of("SUM(A1:A9)"), Some(Kernel::Plain(Agg::Sum)));
+        assert_eq!(kernel_of("AVERAGE(B1:B4)"), Some(Kernel::Plain(Agg::Average)));
+        let literal = |fold| Some(Kernel::If { fold, literal: Some(0) });
+        assert_eq!(kernel_of("COUNTIF(J1:J100,1)"), literal(IfFold::Count));
+        assert_eq!(kernel_of("SUMIF(A1:A9,\">2\")"), literal(IfFold::Sum));
+        assert_eq!(kernel_of("SUMIF(A1:A9,\">2\",C1:C9)"), literal(IfFold::Sum));
+        assert_eq!(kernel_of("AVERAGEIF(A1:A9,\">\"&1+1,C1)"), literal(IfFold::Average));
+        // A criterion that reads the sheet is compiled when it is known.
+        assert_eq!(
+            kernel_of("COUNTIF(J1:J100,B5)"),
+            Some(Kernel::If { fold: IfFold::Count, literal: None })
+        );
+        // Multi-argument SUM, scalar-only aggregates and a scalar where the
+        // range to fold should be stay generic.
         assert_eq!(kernel_of("SUM(A1:A9,B1)"), None);
         assert_eq!(kernel_of("SUM(1,2)"), None);
-        assert_eq!(kernel_of("SUMIF(A1:A9,\">2\",C1:C9)"), None);
+        assert_eq!(kernel_of("SUMIF(A1:A9,\">2\",5)"), None);
+        assert_eq!(kernel_of("COUNTIF(A1:A9,1,2)"), None);
+    }
+
+    #[test]
+    fn literal_criteria_are_compiled_into_the_program() {
+        let p = lower("COUNTIF(A1:A9,\">=2\")+SUMIF(A1:A9,B1)+AVERAGEIF(A1:A9,\"x*\",C1:C9)");
+        assert_eq!(p.criteria.len(), 2);
+        assert_eq!(p.criteria[0], Matcher::new(Criterion::Ge(2.0)));
+        assert_eq!(p.criteria[1], Matcher::new(Criterion::Eq(Value::text("x*"))));
+        // The argument is still pushed: the builtin the kernel falls back
+        // to (no grid, an off-sheet range) takes it from the stack.
+        assert!(p.consts.contains(&Value::text(">=2")));
     }
 
     #[test]

@@ -203,6 +203,9 @@ impl OpenTemplates {
 }
 
 #[cfg(test)]
+mod differential;
+
+#[cfg(test)]
 impl ProgramCache {
     /// Lookups so far, hit or miss. A bound formula never looks anything
     /// up, so across a `recalc_all` the delta is the number of formulas

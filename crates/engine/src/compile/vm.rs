@@ -1,25 +1,30 @@
-//! The stack VM that executes compiled programs, plus the vectorized
-//! range-aggregate kernels.
+//! The stack VM that executes compiled programs, plus the range-aggregate
+//! kernels.
 //!
 //! The VM runs against the same [`EvalCtx`] as the interpreter, so every
 //! cell read charges the meter identically. The kernels are the one place
 //! execution diverges *mechanically*: an aggregate over a contiguous range
-//! walks the grid's row/column slices directly instead of going through the
-//! per-cell `read_range` callback, then charges the meter in bulk with the
-//! exact counts the callback path would have produced. Values are
-//! bit-identical because each kernel replicates its builtin's semantics
-//! (skip/abort rules) *and* the layout's clipping and iteration order, so
-//! even floating-point accumulation order matches.
+//! folds the grid's typed slices a run at a time (`GridStore::scan_range`:
+//! `&[f64]` runs, interner-id runs, general cells, vacant runs as a count)
+//! instead of going through the per-cell `read_range` callback, then
+//! charges the meter in bulk with the exact counts the callback path would
+//! have produced. Values are bit-identical because each kernel replicates
+//! its builtin's semantics (skip/abort rules) *and* the layout's clipping
+//! and iteration order — a float sum is one chain of adds in scan order,
+//! never reassociated — and `compile/differential.rs` holds every kernel
+//! to the interpreter over every kind of chunk (DESIGN.md §19).
 
 use crate::addr::{CellAddr, Range};
+use crate::cell::CellContent;
 use crate::error::CellError;
 use crate::eval::{apply_binary, apply_unary, EvalCtx};
 use crate::functions::{scalar, Arg};
-use crate::grid::GridStore;
+use crate::grid::{GridStore, IdMemo, ScanSlice, CHUNK_ROWS};
+use crate::index;
 use crate::meter::Primitive;
-use crate::value::{Criterion, Value};
+use crate::value::{Criterion, Matcher, Value};
 
-use super::lower::{Inst, Kernel, Program, BUILTINS};
+use super::lower::{Agg, IfFold, Inst, Kernel, Program, BUILTINS};
 use crate::formula::r1c1::RangeSpec;
 
 /// Executes `prog` for the cell `ctx.current`. `grid` enables the
@@ -118,7 +123,7 @@ fn exec(
                 let base = stack.len().saturating_sub(*argc as usize);
                 let args = &stack[base..];
                 let v = match (*kernel, grid) {
-                    (Some(k), Some(g)) => run_kernel(k, g, ctx, args, delta.as_deref_mut())
+                    (Some(k), Some(g)) => run_kernel(k, prog, g, ctx, args, delta.as_deref_mut())
                         .unwrap_or_else(|| (BUILTINS[id.0 as usize].1)(ctx, args)),
                     _ => (BUILTINS[id.0 as usize].1)(ctx, args),
                 };
@@ -175,14 +180,18 @@ fn resolve_range(spec: &RangeSpec, ctx: &EvalCtx<'_>) -> Result<Range, CellError
 }
 
 // ---------------------------------------------------------------------
-// Vectorized range-aggregate kernels.
+// Range-aggregate kernels: every one folds `GridStore::scan_range`'s typed
+// slices a run at a time (DESIGN.md §19).
 // ---------------------------------------------------------------------
 
-/// Runs the kernel, or `None` when the range argument turned out not to be
-/// a range at run time (e.g. an off-sheet `#REF!`), in which case the
-/// caller falls back to the generic builtin.
+/// Runs the kernel, or `None` when an argument turned out not to have the
+/// shape the kernel walks (an off-sheet `#REF!` where the range should be,
+/// a sum range that does not line up with the criteria range), in which
+/// case the caller falls back to the generic builtin. Every `None` is
+/// returned before anything is read, so the builtin charges from zero.
 fn run_kernel(
     k: Kernel,
+    prog: &Program,
     grid: &GridStore,
     ctx: &EvalCtx<'_>,
     args: &[Arg],
@@ -191,233 +200,11 @@ fn run_kernel(
     let Some(Arg::Range(range)) = args.first() else {
         return None;
     };
-    let range = *range;
-    // Plain single-range aggregates over 1-D windows can slide: try the
-    // delta cache first. 2-D windows, criteria kernels, and fully-clipped
-    // ranges fall through to the scan kernels below.
-    if matches!(k, Kernel::Sum | Kernel::Average | Kernel::Count | Kernel::Min | Kernel::Max) {
-        if let Some(cache) = delta {
-            if let Some(clipped) = clip(grid, range) {
-                if clipped.start.row == clipped.end.row || clipped.start.col == clipped.end.col {
-                    return Some(delta_aggregate(k, cache, grid, ctx, clipped));
-                }
-            }
+    match k {
+        Kernel::Plain(agg) => Some(plain_aggregate(agg, grid, ctx, *range, delta)),
+        Kernel::If { fold, literal } => {
+            criteria_kernel(fold, literal, prog, grid, ctx, *range, args)
         }
-    }
-    Some(match k {
-        Kernel::Sum => match sum_scan(grid, ctx, range) {
-            Ok(total) => Value::Number(total),
-            Err(e) => Value::Error(e),
-        },
-        Kernel::Average => {
-            let mut total = 0.0;
-            let mut count = 0u64;
-            match numeric_scan(grid, ctx, range, |n| {
-                total += n;
-                count += 1;
-            }) {
-                Ok(()) if count > 0 => Value::Number(total / count as f64),
-                Ok(()) => Value::Error(CellError::Div0),
-                Err(e) => Value::Error(e),
-            }
-        }
-        Kernel::Count => {
-            let mut n = 0u64;
-            let (visited, formulas) = scan(grid, range, &mut |v| {
-                if matches!(v, Value::Number(_)) {
-                    n += 1;
-                }
-            });
-            charge(ctx, visited, formulas);
-            Value::Number(n as f64)
-        }
-        Kernel::Min => extremum_scan(grid, ctx, range, |best, n| best <= n),
-        Kernel::Max => extremum_scan(grid, ctx, range, |best, n| best >= n),
-        Kernel::CountIf => {
-            // Criterion first: its scalar resolution may read a cell, and
-            // the interpreter charges that read before the range scan.
-            let criterion = Criterion::parse(&scalar(ctx, &args[1]));
-            if let Some(count) = crate::index::countif_probe(ctx, range, &criterion) {
-                return Some(Value::Number(count));
-            }
-            let mut n = 0u64;
-            let (visited, formulas) = scan(grid, range, &mut |v| {
-                if criterion.matches(v) {
-                    n += 1;
-                }
-            });
-            charge(ctx, visited, formulas);
-            Value::Number(n as f64)
-        }
-        Kernel::SumIf => {
-            let criterion = Criterion::parse(&scalar(ctx, &args[1]));
-            if let Some((total, _)) = crate::index::sumif_probe(ctx, range, None, &criterion) {
-                return Some(Value::Number(total));
-            }
-            let mut total = 0.0;
-            let (visited, formulas) = scan(grid, range, &mut |v| {
-                if criterion.matches(v) {
-                    if let Value::Number(n) = v {
-                        total += n;
-                    }
-                }
-            });
-            charge(ctx, visited, formulas);
-            Value::Number(total)
-        }
-    })
-}
-
-/// The `fold_numbers` contract over one range: number cells feed `f`,
-/// text/bool/empty are skipped, the first error aborts accumulation — but
-/// the scan (and its metering) still covers the whole range, exactly like
-/// the interpreter's `read_range`-based fold.
-/// `SUM` gets its own monomorphic scan: the `&[f64]` fold sits directly
-/// in the slice match arm with no abstraction between the run and the
-/// accumulator, so the hot loop stays at float-add latency.
-fn sum_scan(grid: &GridStore, ctx: &EvalCtx<'_>, range: Range) -> Result<f64, CellError> {
-    use crate::grid::ScanSlice;
-    let mut total = 0.0f64;
-    let mut first_err: Option<CellError> = None;
-    let mut visited = 0u64;
-    let mut formulas = 0u64;
-    grid.scan_range(range, &mut |slice: ScanSlice<'_>| match slice {
-        ScanSlice::Nums(vals) => {
-            visited += vals.len() as u64;
-            if first_err.is_none() {
-                for &n in vals {
-                    total += n;
-                }
-            }
-        }
-        ScanSlice::Texts(ids, interner) => {
-            visited += ids.len() as u64;
-            if first_err.is_none() {
-                for &id in ids {
-                    match interner.value(id) {
-                        Value::Number(n) => total += n,
-                        Value::Error(e) => {
-                            first_err = Some(*e);
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        ScanSlice::Cells(cells) => {
-            visited += cells.len() as u64;
-            for cell in cells {
-                let v = match &cell.content {
-                    crate::cell::CellContent::Value(v) => v,
-                    crate::cell::CellContent::Formula(fm) => {
-                        formulas += 1;
-                        &fm.cached
-                    }
-                };
-                if first_err.is_some() {
-                    continue;
-                }
-                match v {
-                    Value::Number(n) => total += n,
-                    Value::Error(e) => first_err = Some(*e),
-                    _ => {}
-                }
-            }
-        }
-        ScanSlice::Empty(n) => visited += n as u64,
-    });
-    charge(ctx, visited, formulas);
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(total),
-    }
-}
-
-fn numeric_scan(
-    grid: &GridStore,
-    ctx: &EvalCtx<'_>,
-    range: Range,
-    mut f: impl FnMut(f64),
-) -> Result<(), CellError> {
-    use crate::grid::ScanSlice;
-    let mut first_err: Option<CellError> = None;
-    let mut visited = 0u64;
-    let mut formulas = 0u64;
-    // Consumes typed runs directly: a numeric chunk is a plain `&[f64]`
-    // fold with no per-cell `Value` round-trip or error-flag branch —
-    // the aggregate hot loop. Visit counts keep accumulating after an
-    // error (the meter charges every visited cell either way).
-    grid.scan_range(range, &mut |slice: ScanSlice<'_>| match slice {
-        ScanSlice::Nums(vals) => {
-            visited += vals.len() as u64;
-            if first_err.is_none() {
-                for &n in vals {
-                    f(n);
-                }
-            }
-        }
-        ScanSlice::Texts(ids, interner) => {
-            visited += ids.len() as u64;
-            if first_err.is_none() {
-                for &id in ids {
-                    match interner.value(id) {
-                        Value::Number(n) => f(*n),
-                        Value::Error(e) => {
-                            first_err = Some(*e);
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        ScanSlice::Cells(cells) => {
-            visited += cells.len() as u64;
-            for cell in cells {
-                let v = match &cell.content {
-                    crate::cell::CellContent::Value(v) => v,
-                    crate::cell::CellContent::Formula(fm) => {
-                        formulas += 1;
-                        &fm.cached
-                    }
-                };
-                if first_err.is_some() {
-                    continue;
-                }
-                match v {
-                    Value::Number(n) => f(*n),
-                    Value::Error(e) => first_err = Some(*e),
-                    _ => {}
-                }
-            }
-        }
-        ScanSlice::Empty(n) => visited += n as u64,
-    });
-    charge(ctx, visited, formulas);
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// MIN/MAX over one range, `0` when no numbers (the interpreter's
-/// `extremum` with a single range argument).
-fn extremum_scan(
-    grid: &GridStore,
-    ctx: &EvalCtx<'_>,
-    range: Range,
-    better: fn(f64, f64) -> bool,
-) -> Value {
-    let mut best: Option<f64> = None;
-    match numeric_scan(grid, ctx, range, |n| {
-        best = Some(match best {
-            Some(b) if better(b, n) => b,
-            _ => n,
-        });
-    }) {
-        Ok(()) => Value::Number(best.unwrap_or(0.0)),
-        Err(e) => Value::Error(e),
     }
 }
 
@@ -429,10 +216,78 @@ fn charge(ctx: &EvalCtx<'_>, visited: u64, formulas: u64) {
     ctx.meter.bump(Primitive::FormulaRecheck, formulas);
 }
 
+/// `range` clipped to the grid's materialized extent; `None` when nothing
+/// materialized falls inside it. Mirrors the clipping every scan applies.
+fn clip(grid: &GridStore, range: Range) -> Option<Range> {
+    let (r0, c0, r1, c1) = grid.clip(range)?;
+    Some(Range { start: CellAddr::new(r0, c0), end: CellAddr::new(r1, c1) })
+}
+
 // ---------------------------------------------------------------------
-// Sliding-window delta aggregation (the paper's Fig 11 shared-computation
-// optimization on the hot path).
+// Plain aggregates: SUM / AVERAGE / COUNT / MIN / MAX of one range, each an
+// answer read off a window state built from the slices — and, for a 1-D
+// window with a cache at hand, slid from the previous one (the paper's
+// Fig 11 shared-computation optimization on the hot path).
 // ---------------------------------------------------------------------
+
+/// What a pass over a window hands on of the cells an aggregate folds:
+/// runs of numbers, in scan order among themselves, and single errors, in
+/// scan order among themselves. Text, booleans and vacant cells are counted
+/// by the pass and fold into nothing.
+enum Run<'a> {
+    Nums(&'a [f64]),
+    Error(CellError),
+}
+
+/// Numbers gathered from a general chunk before they are handed on as a run.
+const GATHER: usize = 64;
+
+/// Walks `range` (clipped to the materialized extent, in the store's own
+/// scan order) a typed run at a time. Returns `(visited, formula_cells)`,
+/// the meter's charge for the pass.
+fn walk<F: FnMut(Run<'_>)>(grid: &GridStore, range: Range, f: &mut F) -> (u64, u64) {
+    let mut visited = 0u64;
+    let mut formulas = 0u64;
+    let mut gathered = [0.0f64; GATHER];
+    grid.scan_range(range, &mut |slice: ScanSlice<'_>| match slice {
+        ScanSlice::Nums(vals) => {
+            visited += vals.len() as u64;
+            f(Run::Nums(vals));
+        }
+        // An interned value is a text (the vacant marker reads as empty).
+        ScanSlice::Texts(ids, _) => visited += ids.len() as u64,
+        ScanSlice::Cells(cells) => {
+            visited += cells.len() as u64;
+            let mut n = 0;
+            for cell in cells {
+                let v = match &cell.content {
+                    CellContent::Value(v) => v,
+                    CellContent::Formula(fm) => {
+                        formulas += 1;
+                        &fm.cached
+                    }
+                };
+                match v {
+                    Value::Number(x) => {
+                        if n == GATHER {
+                            f(Run::Nums(&gathered));
+                            n = 0;
+                        }
+                        gathered[n] = *x;
+                        n += 1;
+                    }
+                    // Ahead of the numbers gathered before it: a window
+                    // holding an error has no total to keep in order.
+                    Value::Error(e) => f(Run::Error(*e)),
+                    _ => {}
+                }
+            }
+            f(Run::Nums(&gathered[..n]));
+        }
+        ScanSlice::Empty(n) => visited += n as u64,
+    });
+    (visited, formulas)
+}
 
 /// Exact-summation bound: every integer-valued f64 with magnitude at most
 /// 2^53 is exactly representable, so while a window's sum of *absolute*
@@ -441,17 +296,59 @@ fn charge(ctx: &EvalCtx<'_>, visited: u64, formulas: u64) {
 /// i128 total reproduces the scan's float total bit-for-bit.
 const MAX_EXACT_SUM: i128 = 1 << 53;
 
-/// Whether `n` participates in the exact integer sum. Non-qualifying
-/// numbers are tracked by count instead; while any is inside the window,
-/// SUM/AVERAGE answer by rescan.
-fn exact_int(n: f64) -> bool {
-    n.fract() == 0.0 && n.abs() <= MAX_EXACT_SUM as f64
+/// Numbers summed into `i64` partials before these are folded into the
+/// `i128` sums: 512 magnitudes of at most 2^53 stay under 2^63. Integer
+/// adds are associative, so the blocking is invisible — unlike the float
+/// fold, which has to stay one left-to-right chain.
+const EXACT_BLOCK: usize = 512;
+
+/// `n` as the integer it is, when it qualifies for the exact integer sum:
+/// it survives the round trip through `i64` and its magnitude is at most
+/// 2^53. (`as i64` saturates and sends NaN to 0, so fractions, NaN,
+/// infinities and anything past ±2^63 fail the round trip; the magnitude
+/// test catches the integers in between.) While a number that does not
+/// qualify is inside a slid window, SUM/AVERAGE answer by rescan.
+#[inline]
+fn exact_int(n: f64) -> Option<i64> {
+    let i = n as i64;
+    (i as f64 == n && i.unsigned_abs() <= MAX_EXACT_SUM as u64).then_some(i)
 }
 
-/// Running aggregation state over one 1-D window. Every field is a pure
-/// function of (grid contents, `range`), independent of how the window got
-/// here — which is what lets adjacent fill-down instances share a state by
-/// sliding it forward (evict the departed prefix, fold in the entered
+/// One block's share of a window's exact sums, in `i64`.
+#[derive(Default)]
+struct ExactBlock {
+    sum: i64,
+    sum_abs: i64,
+    inexact: u64,
+}
+
+impl ExactBlock {
+    #[inline]
+    fn add(&mut self, n: f64) {
+        match exact_int(n) {
+            Some(i) => {
+                self.sum += i;
+                self.sum_abs += i.abs();
+            }
+            None => self.inexact += 1,
+        }
+    }
+}
+
+/// The interpreter's own fold of a window, kept by the full scan that built
+/// a [`WindowState`]: the numbers added left to right from `+0.0`, and the
+/// first error in scan order — which, when there is one, is the value of
+/// every aggregate but COUNT, so the total is then never looked at.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    total: f64,
+    first_err: Option<CellError>,
+}
+
+/// Running aggregation state over one window. Every field but `fold` is a
+/// pure function of (grid contents, `range`), independent of how the window
+/// got here — which is what lets adjacent fill-down instances share a state
+/// by sliding it forward (evict the departed prefix, fold in the entered
 /// suffix) instead of rescanning `O(window)` cells per instance.
 #[derive(Debug, Clone)]
 struct WindowState {
@@ -463,12 +360,12 @@ struct WindowState {
     formulas: u64,
     /// `Value::Number` cells.
     nums: u64,
-    /// `Value::Error` cells. While nonzero, every kernel but COUNT must
-    /// rescan — the result is the *first* error in scan order, which a
-    /// multiset summary cannot name.
+    /// `Value::Error` cells. While nonzero, every kernel but COUNT answers
+    /// with the *first* error in scan order, which a multiset summary
+    /// cannot name: from the fold, or by rescan.
     errs: u64,
     /// Numeric cells outside the exact-integer envelope (fractional or
-    /// magnitude above 2^53); while nonzero, SUM/AVERAGE rescan.
+    /// magnitude above 2^53); while nonzero, SUM/AVERAGE need the fold.
     unsafe_nums: u64,
     /// Exact sum over the qualifying integer cells.
     sum: i128,
@@ -481,6 +378,12 @@ struct WindowState {
     /// may have been elsewhere — or nowhere); a rescan re-seeds.
     min_valid: bool,
     max_valid: bool,
+    /// The float fold of the full scan that built this state; gone once the
+    /// window slides, since a float sum cannot give back what it added. With
+    /// it every kernel answers outright — a same-window hit outside the
+    /// exact-integer envelope (`AVERAGE(D:D)` then `SUM(D:D)` over
+    /// fractions) needs no second pass.
+    fold: Option<Fold>,
 }
 
 impl WindowState {
@@ -498,74 +401,193 @@ impl WindowState {
             max: 0.0,
             min_valid: true,
             max_valid: true,
+            fold: None,
         }
     }
 
-    /// Folds one entering cell. Entered cells always extend the high edge,
-    /// i.e. come *after* every surviving cell in scan order, so keep-first
+    /// Folds in a run of entering numbers, and returns `total` with the run
+    /// added to it left to right — one pass keeps the float fold, the
+    /// extrema and the exact sums, and the float adds, a single dependent
+    /// chain, set its pace. Entered cells always extend the high edge, i.e.
+    /// come *after* every surviving cell in scan order, so keep-first
     /// tie-breaking (a later equal value — including the other zero sign —
-    /// never replaces the incumbent) matches the interpreter's fold.
-    fn enter(&mut self, v: &Value) {
-        match v {
-            Value::Number(n) => {
-                let n = *n;
-                if self.nums == 0 {
-                    self.min = n;
-                    self.max = n;
-                } else {
-                    if self.min_valid && !(self.min <= n) {
-                        self.min = n;
-                    }
-                    if self.max_valid && !(self.max >= n) {
-                        self.max = n;
-                    }
+    /// never replaces the incumbent) matches the interpreter's fold, as do
+    /// its comparisons: `!(best <= n)` lets a NaN in and out exactly as
+    /// `extremum` does.
+    fn enter_nums(&mut self, vals: &[f64], mut total: f64) -> f64 {
+        let Some(&first) = vals.first() else { return total };
+        if self.nums == 0 {
+            self.min = first;
+            self.max = first;
+        }
+        // An extremum that is not valid is not updated: the rescan that
+        // revalidates it starts from nothing.
+        let (mut min, mut max) = (self.min, self.max);
+        for block in vals.chunks(EXACT_BLOCK) {
+            let mut exact = ExactBlock::default();
+            for &n in block {
+                total += n;
+                if !(min <= n) {
+                    min = n;
                 }
-                self.nums += 1;
-                if exact_int(n) {
-                    self.sum += n as i128;
-                    self.sum_abs += n.abs() as i128;
-                } else {
-                    self.unsafe_nums += 1;
+                if !(max >= n) {
+                    max = n;
                 }
+                exact.add(n);
             }
-            Value::Error(_) => self.errs += 1,
-            _ => {}
+            self.sum += i128::from(exact.sum);
+            self.sum_abs += i128::from(exact.sum_abs);
+            self.unsafe_nums += exact.inexact;
+        }
+        if self.min_valid {
+            self.min = min;
+        }
+        if self.max_valid {
+            self.max = max;
+        }
+        self.nums += vals.len() as u64;
+        total
+    }
+
+    /// Unfolds a run of evicted numbers (the window's low edge slid past
+    /// them).
+    fn evict_nums(&mut self, vals: &[f64]) {
+        for block in vals.chunks(EXACT_BLOCK) {
+            let mut exact = ExactBlock::default();
+            block.iter().for_each(|&n| exact.add(n));
+            self.sum -= i128::from(exact.sum);
+            self.sum_abs -= i128::from(exact.sum_abs);
+            self.unsafe_nums -= exact.inexact;
+        }
+        self.nums -= vals.len() as u64;
+        // `==` deliberately pairs -0.0 with 0.0: the fold distinguishes
+        // their representations by scan position, which eviction destroys —
+        // invalidate and let a rescan re-establish which sign the
+        // interpreter would return.
+        if self.min_valid && vals.contains(&self.min) {
+            self.min_valid = false;
+        }
+        if self.max_valid && vals.contains(&self.max) {
+            self.max_valid = false;
+        }
+        if self.nums == 0 {
+            // Nothing numeric left: the next entering number re-seeds both
+            // extrema from scratch.
+            self.min_valid = true;
+            self.max_valid = true;
         }
     }
 
-    /// Unfolds one evicted cell (the window's low edge slid past it).
-    fn evict(&mut self, v: &Value) {
-        match v {
-            Value::Number(n) => {
-                let n = *n;
-                self.nums -= 1;
-                if exact_int(n) {
-                    self.sum -= n as i128;
-                    self.sum_abs -= n.abs() as i128;
-                } else {
-                    self.unsafe_nums -= 1;
-                }
-                // `==` deliberately pairs -0.0 with 0.0: the fold
-                // distinguishes their representations by scan position,
-                // which eviction destroys — invalidate and let a rescan
-                // re-establish which sign the interpreter would return.
-                if self.min_valid && n == self.min {
-                    self.min_valid = false;
-                }
-                if self.max_valid && n == self.max {
-                    self.max_valid = false;
-                }
-                if self.nums == 0 {
-                    // Nothing numeric left: the next entering number
-                    // re-seeds both extrema from scratch.
-                    self.min_valid = true;
-                    self.max_valid = true;
-                }
-            }
-            Value::Error(_) => self.errs -= 1,
-            _ => {}
+    /// The aggregate's value from the summary alone — what a slid window
+    /// has — or `None` when the summary cannot name it: an error inside
+    /// (the value is the first in scan order), a sum outside the
+    /// exact-integer envelope, an evicted extremum.
+    fn by_summary(&self, agg: Agg) -> Option<Value> {
+        // COUNT is a pure multiset count: always answerable, errors and
+        // all (the interpreter counts `Number` cells and skips the rest).
+        if agg == Agg::Count {
+            return Some(Value::Number(self.nums as f64));
+        }
+        if self.errs > 0 {
+            return None;
+        }
+        // Exactness: see MAX_EXACT_SUM. `0 as f64` is +0.0, and the scan's
+        // accumulator (seeded +0.0, round-to-nearest) can never produce
+        // -0.0 — signs agree too.
+        let exact = self.unsafe_nums == 0 && self.sum_abs <= MAX_EXACT_SUM;
+        match agg {
+            Agg::Sum if exact => Some(Value::Number(self.sum as f64)),
+            Agg::Average if exact => Some(self.average(self.sum as f64)),
+            Agg::Min if self.min_valid => Some(self.extremum(self.min)),
+            Agg::Max if self.max_valid => Some(self.extremum(self.max)),
+            _ => None,
         }
     }
+
+    /// The aggregate's value given the fold of a full scan of this window.
+    fn by_fold(&self, agg: Agg, fold: Fold) -> Value {
+        match (agg, fold.first_err) {
+            (Agg::Count, _) => Value::Number(self.nums as f64),
+            (_, Some(e)) => Value::Error(e),
+            (Agg::Sum, None) => Value::Number(fold.total),
+            (Agg::Average, None) => self.average(fold.total),
+            // A full scan evicts nothing: both extrema stand.
+            (Agg::Min, None) => self.extremum(self.min),
+            (Agg::Max, None) => self.extremum(self.max),
+        }
+    }
+
+    /// `total` over the window's numbers; same dividend bits as the scan's
+    /// total and the same divisor, so the quotient is bit-identical.
+    fn average(&self, total: f64) -> Value {
+        match self.nums {
+            0 => Value::Error(CellError::Div0),
+            n => Value::Number(total / n as f64),
+        }
+    }
+
+    /// `best`, or the `0` MIN/MAX give over no numbers.
+    fn extremum(&self, best: f64) -> Value {
+        Value::Number(if self.nums == 0 { 0.0 } else { best })
+    }
+}
+
+/// A window state from one full scan of `range`; it keeps that scan's fold.
+fn scan_state(grid: &GridStore, range: Range) -> WindowState {
+    let mut state = WindowState::empty(range);
+    let mut fold = Fold { total: 0.0, first_err: None };
+    let (visited, formulas) = walk(grid, range, &mut |run| match run {
+        Run::Nums(vals) => fold.total = state.enter_nums(vals, fold.total),
+        Run::Error(e) => {
+            state.errs += 1;
+            fold.first_err.get_or_insert(e);
+        }
+    });
+    state.visited = visited;
+    state.formulas = formulas;
+    state.fold = Some(fold);
+    state
+}
+
+/// The aggregate over `state`'s window: read off the state, or — when a slid
+/// state cannot name it — off a full rescan, which also replaces the state.
+fn aggregate(agg: Agg, state: &mut WindowState, grid: &GridStore) -> Value {
+    if state.fold.is_none() {
+        if let Some(v) = state.by_summary(agg) {
+            return v;
+        }
+        *state = scan_state(grid, state.range);
+    }
+    let fold = state.fold.expect("`scan_state` sets the fold");
+    state.by_fold(agg, fold)
+}
+
+/// One plain aggregate over `range`. The meter is charged the full window
+/// either way — it models the naive system, the cache only saves wall
+/// clock.
+fn plain_aggregate(
+    agg: Agg,
+    grid: &GridStore,
+    ctx: &EvalCtx<'_>,
+    range: Range,
+    delta: Option<&mut DeltaCache>,
+) -> Value {
+    let mut scanned;
+    let state = match (delta, clip(grid, range)) {
+        // A 1-D window can slide from the one before it on its line.
+        (Some(cache), Some(window))
+            if window.start.row == window.end.row || window.start.col == window.end.col =>
+        {
+            cache.window(grid, window)
+        }
+        _ => {
+            scanned = scan_state(grid, range);
+            &mut scanned
+        }
+    };
+    let value = aggregate(agg, state, grid);
+    charge(ctx, state.visited, state.formulas);
+    value
 }
 
 /// Caches sliding-window aggregate state across the formula evaluations
@@ -576,10 +598,11 @@ impl WindowState {
 /// SUM/AVERAGE/COUNT/MIN/MAX whose 1-D window forward-overlaps a cached
 /// one advances it in O(slide) instead of rescanning. Every instance of a
 /// fill-down `=SUM(window)` column thereby shares one sliding entry per
-/// source line. Values and meter counts stay bit-identical to a full
-/// scan: the exactness gates (integer-exact sums, extremum-eviction
-/// invalidation, error-order) force a rescan whenever the summary could
-/// not reproduce the fold, and every answer charges full-window counts.
+/// source line, and every whole-column aggregate of one column one scan.
+/// Values and meter counts stay bit-identical to a full scan: the
+/// exactness gates (integer-exact sums, extremum-eviction invalidation,
+/// error-order) force a rescan whenever the summary could not reproduce
+/// the fold, and every answer charges full-window counts.
 ///
 /// ## Staleness contract
 ///
@@ -614,6 +637,39 @@ impl DeltaCache {
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
     }
+
+    /// The state of the clipped 1-D window `range`: the one cached for its
+    /// line, slid forward when the windows overlap, else built by a full
+    /// scan.
+    fn window(&mut self, grid: &GridStore, range: Range) -> &mut WindowState {
+        let (vert, line, lo, hi) = window_axis(range);
+        let found = self.states.iter().position(|s| {
+            let (sv, sl, _, _) = window_axis(s.range);
+            sv == vert && sl == line
+        });
+        let idx = match found {
+            Some(i) => {
+                let state = &mut self.states[i];
+                let (_, _, slo, shi) = window_axis(state.range);
+                if lo >= slo && hi >= shi && u64::from(lo) <= u64::from(shi) + 1 {
+                    advance(state, grid, range);
+                } else {
+                    // Same line, incompatible window (a restart or a
+                    // backward jump): rebuild this entry in place.
+                    *state = scan_state(grid, range);
+                }
+                i
+            }
+            None => {
+                if self.states.len() == DELTA_CAP {
+                    self.states.remove(0);
+                }
+                self.states.push(scan_state(grid, range));
+                self.states.len() - 1
+            }
+        };
+        &mut self.states[idx]
+    }
 }
 
 /// Decomposes a clipped 1-D range into (vertical?, fixed line, lo, hi).
@@ -626,115 +682,13 @@ fn window_axis(range: Range) -> (bool, u32, u32, u32) {
     }
 }
 
-/// Evaluates one plain aggregate over a clipped 1-D `range` through the
-/// delta cache: find (or build) the state for this window's line, slide it
-/// forward when the windows overlap, and answer from the state when the
-/// per-kernel exactness gate holds — otherwise fall back to a full rescan
-/// that also re-seeds the state. Either way the meter is charged the
-/// full-window counts the naive per-cell scan would have produced.
-fn delta_aggregate(
-    k: Kernel,
-    cache: &mut DeltaCache,
-    grid: &GridStore,
-    ctx: &EvalCtx<'_>,
-    range: Range,
-) -> Value {
-    let (vert, line, lo, hi) = window_axis(range);
-    let found = cache
-        .states
-        .iter()
-        .position(|s| {
-            let (sv, sl, _, _) = window_axis(s.range);
-            sv == vert && sl == line
-        });
-    let idx = match found {
-        Some(i) => {
-            let (_, _, slo, shi) = window_axis(cache.states[i].range);
-            if lo >= slo && hi >= shi && u64::from(lo) <= u64::from(shi) + 1 {
-                advance(&mut cache.states[i], grid, vert, line, slo, shi, lo, hi);
-                cache.states[i].range = range;
-            } else {
-                // Same line, incompatible window (a restart or a backward
-                // jump): rebuild this entry in place.
-                cache.states[i] = scan_state(grid, range);
-            }
-            i
-        }
-        None => {
-            if cache.states.len() == DELTA_CAP {
-                cache.states.remove(0);
-            }
-            cache.states.push(scan_state(grid, range));
-            cache.states.len() - 1
-        }
-    };
-    let state = &mut cache.states[idx];
-    charge(ctx, state.visited, state.formulas);
-    match k {
-        // COUNT is a pure multiset count: always answerable, errors and
-        // all (the interpreter counts `Number` cells and skips the rest).
-        Kernel::Count => Value::Number(state.nums as f64),
-        Kernel::Sum => {
-            if state.errs == 0 && state.unsafe_nums == 0 && state.sum_abs <= MAX_EXACT_SUM {
-                // Exactness: see MAX_EXACT_SUM. `0 as f64` is +0.0, and
-                // the scan's accumulator (seeded +0.0, round-to-nearest)
-                // can never produce -0.0 — signs agree too.
-                Value::Number(state.sum as f64)
-            } else {
-                rescan(state, grid, k)
-            }
-        }
-        Kernel::Average => {
-            if state.errs == 0 && state.unsafe_nums == 0 && state.sum_abs <= MAX_EXACT_SUM {
-                if state.nums == 0 {
-                    Value::Error(CellError::Div0)
-                } else {
-                    // Same dividend bits as the scan's total (see SUM) and
-                    // the same divisor — the quotient is bit-identical.
-                    Value::Number(state.sum as f64 / state.nums as f64)
-                }
-            } else {
-                rescan(state, grid, k)
-            }
-        }
-        Kernel::Min => {
-            if state.errs == 0 && state.nums == 0 {
-                Value::Number(0.0)
-            } else if state.errs == 0 && state.min_valid {
-                Value::Number(state.min)
-            } else {
-                rescan(state, grid, k)
-            }
-        }
-        Kernel::Max => {
-            if state.errs == 0 && state.nums == 0 {
-                Value::Number(0.0)
-            } else if state.errs == 0 && state.max_valid {
-                Value::Number(state.max)
-            } else {
-                rescan(state, grid, k)
-            }
-        }
-        Kernel::CountIf | Kernel::SumIf => {
-            unreachable!("criteria kernels never take the delta path")
-        }
-    }
-}
-
-/// Slides `state` (covering `[slo, shi]` on its line) forward to
-/// `[lo, hi]` by scanning only the evicted prefix and the entered suffix.
-/// These sub-scans never touch the meter — the caller charges the full new
-/// window, exactly what a fresh scan would have.
-fn advance(
-    state: &mut WindowState,
-    grid: &GridStore,
-    vert: bool,
-    line: u32,
-    slo: u32,
-    shi: u32,
-    lo: u32,
-    hi: u32,
-) {
+/// Slides `state` forward along its line to the window `to`, which starts
+/// and ends no earlier, by walking only the evicted prefix and the entered
+/// suffix. These sub-walks never touch the meter — the caller charges the
+/// full new window, exactly what a fresh scan would have.
+fn advance(state: &mut WindowState, grid: &GridStore, to: Range) {
+    let (vert, line, slo, shi) = window_axis(state.range);
+    let (_, _, lo, hi) = window_axis(to);
     let seg = |a: u32, b: u32| {
         if vert {
             Range { start: CellAddr::new(a, line), end: CellAddr::new(b, line) }
@@ -743,143 +697,261 @@ fn advance(
         }
     };
     if lo > slo {
-        let (v, f) = scan(grid, seg(slo, lo - 1), &mut |val| state.evict(val));
+        let (v, f) = walk(grid, seg(slo, lo - 1), &mut |run| match run {
+            Run::Nums(vals) => state.evict_nums(vals),
+            Run::Error(_) => state.errs -= 1,
+        });
         state.visited -= v;
         state.formulas -= f;
+        state.fold = None;
     }
     if hi > shi {
-        let (v, f) = scan(grid, seg(shi + 1, hi), &mut |val| state.enter(val));
+        let (v, f) = walk(grid, seg(shi + 1, hi), &mut |run| match run {
+            Run::Nums(vals) => {
+                state.enter_nums(vals, 0.0);
+            }
+            Run::Error(_) => state.errs += 1,
+        });
         state.visited += v;
         state.formulas += f;
+        state.fold = None;
     }
+    state.range = to;
 }
 
-/// A fresh window state from one full scan of `range`.
-fn scan_state(grid: &GridStore, range: Range) -> WindowState {
-    let mut state = WindowState::empty(range);
-    let (v, f) = scan(grid, range, &mut |val| state.enter(val));
-    state.visited = v;
-    state.formulas = f;
-    state
-}
+// ---------------------------------------------------------------------
+// Criteria kernels: COUNTIF / SUMIF / AVERAGEIF.
+// ---------------------------------------------------------------------
 
-/// Full-window fallback: recomputes the interpreter's fold (the first
-/// error in scan order aborts accumulation) and rebuilds the state —
-/// re-seeding the extrema — in the same pass. Never charges the meter;
-/// the caller already charged the full window.
-fn rescan(state: &mut WindowState, grid: &GridStore, k: Kernel) -> Value {
-    let range = state.range;
-    *state = WindowState::empty(range);
-    let mut first_err: Option<CellError> = None;
-    let mut total = 0.0f64;
-    let mut count = 0u64;
-    let mut best: Option<f64> = None;
-    let better: fn(f64, f64) -> bool = match k {
-        Kernel::Min => |b, n| b <= n,
-        _ => |b, n| b >= n,
+/// `COUNTIF(range, c)`, `SUMIF`/`AVERAGEIF(range, c, [sum_range])`; `None`
+/// leaves the call to the builtin (see [`run_kernel`]).
+fn criteria_kernel(
+    fold: IfFold,
+    literal: Option<u32>,
+    prog: &Program,
+    grid: &GridStore,
+    ctx: &EvalCtx<'_>,
+    range: Range,
+    args: &[Arg],
+) -> Option<Value> {
+    // A second range is walked in step with the first, which takes two
+    // single columns of one height; anything else is the builtin's.
+    let sum_range = match args.get(2) {
+        None => None,
+        Some(Arg::Range(sr))
+            if fold != IfFold::Count
+                && range.start.col == range.end.col
+                && sr.start.col == sr.end.col
+                && sr.rows() == range.rows() =>
+        {
+            Some(*sr)
+        }
+        Some(_) => return None,
     };
-    let (v, f) = scan(grid, range, &mut |val| {
-        state.enter(val);
-        if first_err.is_some() {
-            return;
+    // Criterion first: resolving its scalar may read a cell, and the
+    // interpreter charges that read before the range scan.
+    let compiled;
+    let matcher = match literal {
+        Some(i) => &prog.criteria[i as usize],
+        None => {
+            compiled = Matcher::new(Criterion::parse(&scalar(ctx, args.get(1)?)));
+            &compiled
         }
-        match val {
-            Value::Number(n) => {
-                total += n;
-                count += 1;
-                best = Some(match best {
-                    Some(b) if better(b, *n) => b,
-                    _ => *n,
-                });
-            }
-            Value::Error(e) => first_err = Some(*e),
-            _ => {}
+    };
+    let (total, count) = match fold {
+        IfFold::Count => {
+            let n = index::countif_probe(ctx, range, matcher.criterion())
+                .unwrap_or_else(|| count_matches(grid, ctx, range, matcher) as f64);
+            return Some(Value::Number(n));
         }
-    });
-    state.visited = v;
-    state.formulas = f;
-    if let Some(e) = first_err {
-        return Value::Error(e);
-    }
-    match k {
-        Kernel::Sum => Value::Number(total),
-        Kernel::Average => {
-            if count > 0 {
-                Value::Number(total / count as f64)
-            } else {
-                Value::Error(CellError::Div0)
-            }
+        IfFold::Sum | IfFold::Average => {
+            index::sumif_probe(ctx, range, sum_range, matcher.criterion()).unwrap_or_else(|| {
+                match sum_range {
+                    None => fold_matches(grid, ctx, range, matcher),
+                    Some(sr) => fold_aligned(grid, ctx, range, sr, matcher),
+                }
+            })
         }
-        Kernel::Min | Kernel::Max => Value::Number(best.unwrap_or(0.0)),
-        Kernel::Count | Kernel::CountIf | Kernel::SumIf => {
-            unreachable!("COUNT answers from the state; criteria kernels never delta")
-        }
-    }
+    };
+    Some(match fold {
+        IfFold::Average if count == 0 => Value::Error(CellError::Div0),
+        IfFold::Average => Value::Number(total / count as f64),
+        _ => Value::Number(total),
+    })
 }
 
-/// Walks `range` clipped to the materialized extent in the store's own
-/// iteration order (row-major / column-major), feeding each cell's
-/// displayed value to `f`. Returns `(visited, formula_cells)` for the
-/// meter. Dispatches to the store's monomorphized `scan_range` — which
-/// has a strided fast path for windows that cross the layout (a column
-/// window on a row store and vice versa) — so every orientation stays on
-/// the kernel path instead of degrading to per-cell reads.
-fn scan<F: FnMut(&Value)>(grid: &GridStore, range: Range, f: &mut F) -> (u64, u64) {
-    use crate::grid::ScanSlice;
-    let mut visited = 0u64;
-    let mut formulas = 0u64;
-    // The chunked stores hand over typed runs: contiguous `f64` slices
-    // for numeric chunks (the aggregate hot loop — no `Cell` tag branch
-    // at all), interner-id slices for text chunks, cell slices for
-    // general chunks, and batched empty runs for vacant gaps (criteria
-    // kernels can match empties, so every position is fed through `f`).
+/// How many cells of `range` match. A text chunk is decided once per
+/// distinct string; a vacant run all at once.
+fn count_matches(grid: &GridStore, ctx: &EvalCtx<'_>, range: Range, m: &Matcher) -> u64 {
+    // A fill-down `COUNTIF(C2,"STORM")` is a one-cell range seven thousand
+    // times a pass: one grid read, charged as a scan of the range would be
+    // (nothing outside the materialized extent), not a scan set up for one
+    // cell.
+    if range.start == range.end {
+        let Some(cell) = grid.get(range.start) else { return 0 };
+        charge(ctx, 1, u64::from(cell.is_formula()));
+        return u64::from(m.matches(cell.display_value()));
+    }
+    let (mut visited, mut formulas, mut count) = (0u64, 0u64, 0u64);
+    let mut memo = IdMemo::for_cells(range.len());
     grid.scan_range(range, &mut |slice: ScanSlice<'_>| match slice {
         ScanSlice::Nums(vals) => {
             visited += vals.len() as u64;
-            for n in vals {
-                f(&Value::Number(*n));
-            }
+            count += vals.iter().filter(|&&n| m.matches_num(n)).count() as u64;
         }
         ScanSlice::Texts(ids, interner) => {
             visited += ids.len() as u64;
             for &id in ids {
-                f(interner.value(id));
+                count += u64::from(memo.get(id, || m.matches(interner.value(id))));
             }
         }
         ScanSlice::Cells(cells) => {
             visited += cells.len() as u64;
             for cell in cells {
-                match &cell.content {
-                    crate::cell::CellContent::Value(v) => f(v),
-                    crate::cell::CellContent::Formula(fm) => {
-                        formulas += 1;
-                        f(&fm.cached);
-                    }
-                }
+                formulas += u64::from(cell.is_formula());
+                count += u64::from(m.matches(cell.display_value()));
             }
         }
         ScanSlice::Empty(n) => {
             visited += n as u64;
-            for _ in 0..n {
-                f(&Value::Empty);
+            if m.matches_empty() {
+                count += n as u64;
             }
         }
     });
-    (visited, formulas)
+    charge(ctx, visited, formulas);
+    count
 }
 
-/// `range` clipped to the grid's materialized extent; `None` when nothing
-/// materialized falls inside it. Mirrors the clipping every scan applies.
-fn clip(grid: &GridStore, range: Range) -> Option<Range> {
-    let (nrows, ncols) = (grid.nrows(), grid.ncols());
-    if nrows == 0 || ncols == 0 {
-        return None;
+/// `(sum, count)` of the numbers of `range` that match, added in scan order
+/// — the two-argument `SUMIF`/`AVERAGEIF`, where only a number has anything
+/// to add, so text and vacant runs are only counted as visited.
+fn fold_matches(grid: &GridStore, ctx: &EvalCtx<'_>, range: Range, m: &Matcher) -> (f64, u64) {
+    let (mut total, mut count) = (0.0f64, 0u64);
+    let mut add = |n: f64| {
+        if m.matches_num(n) {
+            total += n;
+            count += 1;
+        }
+    };
+    let (mut visited, mut formulas) = (0u64, 0u64);
+    grid.scan_range(range, &mut |slice: ScanSlice<'_>| match slice {
+        ScanSlice::Nums(vals) => {
+            visited += vals.len() as u64;
+            vals.iter().copied().for_each(&mut add);
+        }
+        ScanSlice::Texts(ids, _) => visited += ids.len() as u64,
+        ScanSlice::Cells(cells) => {
+            visited += cells.len() as u64;
+            for cell in cells {
+                formulas += u64::from(cell.is_formula());
+                if let Value::Number(n) = cell.display_value() {
+                    add(*n);
+                }
+            }
+        }
+        ScanSlice::Empty(n) => visited += n as u64,
+    });
+    charge(ctx, visited, formulas);
+    (total, count)
+}
+
+/// The three-argument `SUMIF`/`AVERAGEIF` over two single columns of one
+/// height: `(sum, count)` of the numbers of `sum` on the rows where
+/// `criteria` matches. The columns are walked in step, a chunk of the
+/// criteria column at a time — its slices become the list of matching rows,
+/// then the slices under the same rows of the sum column are folded at those
+/// rows only — so a spilled chunk faults once and matches add up in
+/// ascending row order, as the interpreter's row-at-a-time point reads do.
+/// Charged like them: a read per criteria cell, and one more (with a recheck
+/// on a formula) per matching row, whatever its target holds.
+fn fold_aligned(
+    grid: &GridStore,
+    ctx: &EvalCtx<'_>,
+    criteria: Range,
+    sum: Range,
+    m: &Matcher,
+) -> (f64, u64) {
+    let Some(window) = clip(grid, criteria) else { return (0.0, 0) };
+    let (crit_col, sum_col) = (criteria.start.col, sum.start.col);
+    let (mut total, mut count) = (0.0f64, 0u64);
+    let (mut reads, mut formulas) = (0u64, 0u64);
+    let mut memo = IdMemo::for_cells(window.len());
+    // Offsets into the band of the rows that match, ascending.
+    let mut hits = [0u16; CHUNK_ROWS as usize];
+    for chunk in window.start.row / CHUNK_ROWS..=window.end.row / CHUNK_ROWS {
+        let top = window.start.row.max(chunk * CHUNK_ROWS);
+        let bottom = window.end.row.min(chunk * CHUNK_ROWS + (CHUNK_ROWS - 1));
+        let (mut at, mut n_hits) = (0usize, 0usize);
+        let mut hit = |offset: usize| {
+            hits[n_hits] = offset as u16;
+            n_hits += 1;
+        };
+        grid.scan_range(Range::column_segment(crit_col, top, bottom), &mut |slice| match slice {
+            ScanSlice::Nums(vals) => {
+                for (i, &n) in vals.iter().enumerate() {
+                    if m.matches_num(n) {
+                        hit(at + i);
+                    }
+                }
+                at += vals.len();
+            }
+            ScanSlice::Texts(ids, interner) => {
+                for (i, &id) in ids.iter().enumerate() {
+                    if memo.get(id, || m.matches(interner.value(id))) {
+                        hit(at + i);
+                    }
+                }
+                at += ids.len();
+            }
+            ScanSlice::Cells(cells) => {
+                for (i, cell) in cells.iter().enumerate() {
+                    formulas += u64::from(cell.is_formula());
+                    if m.matches(cell.display_value()) {
+                        hit(at + i);
+                    }
+                }
+                at += cells.len();
+            }
+            ScanSlice::Empty(n) => {
+                if m.matches_empty() {
+                    (at..at + n).for_each(&mut hit);
+                }
+                at += n;
+            }
+        });
+        reads += (at + n_hits) as u64;
+        if n_hits > 0 {
+            // The band's targets; what lies past the extent is not emitted,
+            // and holds no number.
+            let first = sum.start.row + (top - criteria.start.row);
+            let targets = Range::column_segment(sum_col, first, first + (bottom - top));
+            let mut hits = hits[..n_hits].iter().map(|&h| usize::from(h)).peekable();
+            let mut at = 0usize;
+            grid.scan_range(targets, &mut |slice| {
+                let len = slice.len();
+                while let Some(h) = hits.next_if(|&h| h < at + len) {
+                    let n = match &slice {
+                        ScanSlice::Nums(vals) => vals[h - at],
+                        ScanSlice::Cells(cells) => {
+                            let cell = &cells[h - at];
+                            formulas += u64::from(cell.is_formula());
+                            match cell.display_value() {
+                                Value::Number(n) => *n,
+                                _ => continue,
+                            }
+                        }
+                        ScanSlice::Texts(..) | ScanSlice::Empty(_) => continue,
+                    };
+                    total += n;
+                    count += 1;
+                }
+                at += len;
+            });
+        }
     }
-    let end = crate::addr::CellAddr::new(range.end.row.min(nrows - 1), range.end.col.min(ncols - 1));
-    if range.start.row > end.row || range.start.col > end.col {
-        return None;
-    }
-    Some(Range { start: range.start, end })
+    charge(ctx, reads, formulas);
+    (total, count)
 }
 
 #[cfg(test)]
@@ -995,7 +1067,8 @@ mod tests {
                 "A1+A2*2",
                 "-A3%",
                 "SUM(A1:A3,B7,4)",       // multi-arg: no kernel
-                "SUMIF(A1:A4,\">1\",A5:A8)", // 3-arg: no kernel
+                "SUMIF(A1:A4,\">1\",A5:A8)", // two columns walked in step
+                "SUMIF(A1:A4,\">1\",A5:B8)", // 2-D sum range: no kernel
                 "IF(A1>0,SUM(A1:A10),1/0)",
                 "IF(A1>100,1/0,\"ok\")",
                 "IF(B5>0,1,2)",          // error condition propagates

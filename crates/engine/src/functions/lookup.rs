@@ -145,6 +145,9 @@ pub fn hlookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         return Value::Error(e);
     }
     let needle = scalar(ctx, &args[0]);
+    if let Value::Error(e) = needle {
+        return Value::Error(e);
+    }
     let range = match range_arg(args, 1) {
         Ok(r) => r,
         Err(e) => return Value::Error(e),
@@ -226,6 +229,9 @@ pub fn match_fn(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         return Value::Error(e);
     }
     let needle = scalar(ctx, &args[0]);
+    if let Value::Error(e) = needle {
+        return Value::Error(e);
+    }
     let range = match range_arg(args, 1) {
         Ok(r) => r,
         Err(e) => return Value::Error(e),
@@ -538,6 +544,25 @@ mod tests {
         ];
         assert_eq!(eval_on(rows.clone(), "HLOOKUP(2,A1:C2,2,FALSE)"), t("b"));
         assert_eq!(eval_on(rows, "HLOOKUP(2.5,A1:C2,2,TRUE)"), t("b"));
+    }
+
+    /// An error needle is the result, as in `VLOOKUP`: it used to be
+    /// compared like any other value — `#N/A` from the exact forms, and a
+    /// *hit* on the last column from the approximate ones, because an error
+    /// sorts above every number.
+    #[test]
+    fn an_error_needle_propagates() {
+        let rows = vec![vec![n(1.0), n(2.0), n(3.0)]];
+        let div0 = Value::Error(CellError::Div0);
+        for src in [
+            "HLOOKUP(1/0,A1:C1,1,FALSE)",
+            "HLOOKUP(1/0,A1:C1,1)",
+            "MATCH(1/0,A1:C1,0)",
+            "MATCH(1/0,A1:C1,1)",
+            "VLOOKUP(1/0,A1:C1,1,FALSE)",
+        ] {
+            assert_eq!(eval_on(rows.clone(), src), div0, "{src}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ mod pool;
 pub use chunk::{CellGet, GridStore, MAX_COLS, MAX_ROWS};
 pub use pool::SpillStats;
 
-pub(crate) use chunk::{ChunkMut, ScanSlice, CHUNK_ROWS};
+pub(crate) use chunk::{ChunkMut, IdMemo, ScanSlice, CHUNK_ROWS};
 
 use crate::cell::Cell;
 

@@ -12,9 +12,9 @@
 
 use crate::addr::Range;
 use crate::cell::Cell;
-use crate::grid::ScanSlice;
+use crate::grid::{IdMemo, ScanSlice};
 use crate::meter::Primitive;
-use crate::ops::{clipped_cells, IdMemo};
+use crate::ops::clipped_cells;
 use crate::sheet::Sheet;
 use crate::style::Color;
 use crate::value::{Criterion, Value};

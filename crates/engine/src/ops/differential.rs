@@ -426,7 +426,7 @@ fn replace_loads_only_the_pages_it_rewrites() {
 /// must not size a table by the interner.
 #[test]
 fn a_memo_never_holds_more_slots_than_the_op_reads_cells() {
-    let mut memo = crate::ops::IdMemo::for_cells(3);
+    let mut memo = crate::grid::IdMemo::for_cells(3);
     let mut asked = 0;
     for id in [2, 90_000, 2, 90_000, u32::MAX] {
         memo.get(id, || asked += 1);

@@ -6,9 +6,8 @@
 //! distinct string, vacant runs with one precomputed answer.
 
 use crate::addr::Range;
-use crate::grid::ScanSlice;
+use crate::grid::{IdMemo, ScanSlice};
 use crate::meter::Primitive;
-use crate::ops::IdMemo;
 use crate::sheet::Sheet;
 use crate::value::{Criterion, Value};
 

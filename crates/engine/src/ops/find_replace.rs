@@ -15,9 +15,9 @@
 
 use crate::addr::{CellAddr, Range};
 use crate::cell::CellContent;
-use crate::grid::ScanSlice;
+use crate::grid::{IdMemo, ScanSlice};
 use crate::meter::Primitive;
-use crate::ops::{clipped_cells, IdMemo};
+use crate::ops::clipped_cells;
 use crate::sheet::Sheet;
 use crate::trace;
 use crate::value::Value;

@@ -107,42 +107,6 @@ pub(crate) fn clipped_cells(sheet: &Sheet, range: Range) -> u64 {
     })
 }
 
-/// What a scan op decided about each text it met, indexed by interner id.
-/// A predicate or a transform of a text cell is a function of the string,
-/// and a `Text` chunk stores ids, so the op decides once per distinct
-/// string and the loop over a chunk's `&[u32]` is a table lookup — exact,
-/// because the interner never gives one id to two strings or changes the
-/// string behind an id.
-///
-/// The table grows with the ids it meets, and never past one slot per cell
-/// the op reads: a short range on a sheet with a hundred thousand distinct
-/// texts stays O(range). An id past that is decided each time it is met —
-/// as the vacant-slot marker (`u32::MAX`) always is.
-pub(crate) struct IdMemo<T> {
-    slots: Vec<Option<T>>,
-    cap: usize,
-}
-
-impl<T: Copy> IdMemo<T> {
-    /// A memo for an op that reads `cells` cells.
-    pub(crate) fn for_cells(cells: u64) -> Self {
-        IdMemo { slots: Vec::new(), cap: usize::try_from(cells).unwrap_or(usize::MAX) }
-    }
-
-    /// What was decided for `id`, asking `decide` the first time.
-    #[inline]
-    pub(crate) fn get(&mut self, id: u32, decide: impl FnOnce() -> T) -> T {
-        let i = id as usize;
-        if i >= self.slots.len() {
-            if i >= self.cap {
-                return decide();
-            }
-            self.slots.resize(i + 1, None);
-        }
-        *self.slots[i].get_or_insert_with(decide)
-    }
-}
-
 impl Sheet {
     /// Applies one [`Op`] to the sheet: the single dispatcher every
     /// mutation funnels through, and the choke point where the tracer

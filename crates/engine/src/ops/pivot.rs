@@ -12,9 +12,8 @@
 use std::collections::HashMap;
 
 use crate::addr::{CellAddr, Range};
-use crate::grid::{ScanSlice, CHUNK_ROWS};
+use crate::grid::{IdMemo, ScanSlice, CHUNK_ROWS};
 use crate::meter::Primitive;
-use crate::ops::IdMemo;
 use crate::sheet::Sheet;
 use crate::trace;
 use crate::value::Value;

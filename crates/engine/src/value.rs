@@ -355,9 +355,148 @@ impl Criterion {
     }
 }
 
+/// A [`Criterion`] compiled for a scan: what it says about a number, about a
+/// vacant cell and about anything else is worked out once — per call of a
+/// criteria kernel, or per *program* when the criterion is a literal — so
+/// the loop over a numeric run builds no [`Value`], a vacant run costs one
+/// precomputed answer, and the wildcard test is not repeated per cell.
+///
+/// Deliberately not built on [`Criterion::matches`]: that is what the
+/// reference interpreter decides with, and the kernels are held to it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Matcher {
+    criterion: Criterion,
+    num: NumTest,
+    /// Whether a vacant cell matches.
+    empty: bool,
+    /// `Eq` over a text holding `*` or `?`.
+    wildcard: bool,
+}
+
+/// How a [`Matcher`] decides a number.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum NumTest {
+    /// An equality criterion on a non-number: no number equals it.
+    Never,
+    /// An inequality criterion on a non-number: every number differs.
+    Always,
+    Eq(f64),
+    Ne(f64),
+    Lt(f64),
+    Le(f64),
+    Gt(f64),
+    Ge(f64),
+}
+
+impl Matcher {
+    pub(crate) fn new(criterion: Criterion) -> Matcher {
+        let num = match &criterion {
+            Criterion::Eq(Value::Number(k)) => NumTest::Eq(*k),
+            Criterion::Eq(_) => NumTest::Never,
+            Criterion::Ne(Value::Number(k)) => NumTest::Ne(*k),
+            Criterion::Ne(_) => NumTest::Always,
+            Criterion::Lt(k) => NumTest::Lt(*k),
+            Criterion::Le(k) => NumTest::Le(*k),
+            Criterion::Gt(k) => NumTest::Gt(*k),
+            Criterion::Ge(k) => NumTest::Ge(*k),
+        };
+        let empty = match &criterion {
+            Criterion::Eq(target) => target.is_empty(),
+            Criterion::Ne(target) => !target.is_empty(),
+            _ => false,
+        };
+        let wildcard = matches!(
+            &criterion,
+            Criterion::Eq(Value::Text(pat)) if pat.contains('*') || pat.contains('?')
+        );
+        Matcher { criterion, num, empty, wildcard }
+    }
+
+    /// The criterion this was compiled from (what the index probes take).
+    pub(crate) fn criterion(&self) -> &Criterion {
+        &self.criterion
+    }
+
+    /// Whether the number `n` matches.
+    #[inline]
+    pub(crate) fn matches_num(&self, n: f64) -> bool {
+        match self.num {
+            NumTest::Never => false,
+            NumTest::Always => true,
+            NumTest::Eq(k) => n == k,
+            NumTest::Ne(k) => n != k,
+            NumTest::Lt(k) => n < k,
+            NumTest::Le(k) => n <= k,
+            NumTest::Gt(k) => n > k,
+            NumTest::Ge(k) => n >= k,
+        }
+    }
+
+    /// Whether a vacant cell matches.
+    #[inline]
+    pub(crate) fn matches_empty(&self) -> bool {
+        self.empty
+    }
+
+    /// Whether `v` matches.
+    pub(crate) fn matches(&self, v: &Value) -> bool {
+        match (v, &self.criterion) {
+            (Value::Number(n), _) => self.matches_num(*n),
+            (Value::Empty, _) => self.empty,
+            (Value::Text(s), Criterion::Eq(Value::Text(pat))) if self.wildcard => {
+                wildcard_match(pat, s)
+            }
+            (_, Criterion::Eq(_)) if self.wildcard => false,
+            (_, Criterion::Eq(target)) => v.sheet_eq(target),
+            (_, Criterion::Ne(target)) => !v.sheet_eq(target),
+            // Comparisons match numbers only.
+            _ => false,
+        }
+    }
+}
+
 /// Case-insensitive glob match supporting `*` (any run) and `?` (one char),
-/// the wildcard dialect of COUNTIF criteria.
+/// the wildcard dialect of COUNTIF criteria. Two cursors and one saved
+/// position — where the last `*` stands and how much text it has swallowed
+/// so far — so a mismatch backs up to that star alone: O(pattern × text)
+/// at worst, and nothing is allocated.
 pub fn wildcard_match(pattern: &str, text: &str) -> bool {
+    let (mut p, mut t) = (pattern.chars(), text.chars());
+    let mut star: Option<(std::str::Chars<'_>, std::str::Chars<'_>)> = None;
+    loop {
+        let mut p_next = p.clone();
+        match p_next.next() {
+            Some('*') => {
+                p = p_next;
+                star = Some((p.clone(), t.clone()));
+                continue;
+            }
+            Some(pc) => {
+                let mut t_next = t.clone();
+                if let Some(tc) = t_next.next() {
+                    if pc == '?' || pc.to_lowercase().eq(tc.to_lowercase()) {
+                        (p, t) = (p_next, t_next);
+                        continue;
+                    }
+                }
+            }
+            None if t.as_str().is_empty() => return true,
+            None => {}
+        }
+        // No way on from here: the last star takes one more character.
+        let Some((after_star, swallowed)) = &mut star else { return false };
+        if swallowed.next().is_none() {
+            return false;
+        }
+        (p, t) = (after_star.clone(), swallowed.clone());
+    }
+}
+
+/// The matcher [`wildcard_match`] replaced, which tries both readings of
+/// every `*` and so takes time exponential in their number. Kept as the
+/// specification the proptest holds the iterative one to.
+#[cfg(test)]
+fn wildcard_match_reference(pattern: &str, text: &str) -> bool {
     fn inner(p: &[char], t: &[char]) -> bool {
         match (p.first(), t.first()) {
             (None, None) => true,
@@ -552,6 +691,63 @@ mod tests {
         assert!(wildcard_match("*", ""));
         assert!(wildcard_match("**a", "ba"));
         assert!(!wildcard_match("?", ""));
+        assert!(wildcard_match("É*é", "éclairÉ"));
+        assert!(!wildcard_match("a*b", "ab c"));
+    }
+
+    /// The recursive matcher took 60 ms on 28 `a`s against this pattern and
+    /// doubled with every two more; the text here is 4 096 long.
+    #[test]
+    fn wildcard_match_is_not_exponential_in_the_stars() {
+        let text = "a".repeat(4096);
+        assert!(!wildcard_match("*a*a*a*a*a*a*a*b", &text));
+        assert!(wildcard_match("*a*a*a*a*a*a*a*", &text));
+    }
+
+    proptest! {
+        #[test]
+        fn wildcard_match_agrees_with_the_recursive_matcher(
+            pattern in "[abAÉ*?]{0,6}",
+            text in "[abBAé]{0,8}",
+        ) {
+            prop_assert_eq!(
+                wildcard_match(&pattern, &text),
+                wildcard_match_reference(&pattern, &text)
+            );
+        }
+    }
+
+    /// The compiled form decides every kind of value as the criterion it was
+    /// compiled from does.
+    #[test]
+    fn matcher_agrees_with_the_criterion_it_compiles() {
+        let criteria = [
+            Value::text("SD"), Value::text("sd"), Value::text("<>SD"), Value::text("<>"),
+            Value::text("S*"), Value::text("?d"), Value::text("<>S*"), Value::text("=S?"),
+            Value::text(""), Value::text("="), Value::text(">=2"), Value::text(">2"),
+            Value::text("<2"), Value::text("<=2"), Value::text("<>2"), Value::text("=2"),
+            Value::text("2"), Value::text(">x"), Value::text("TRUE"), Value::Number(2.0),
+            Value::Number(-0.0), Value::Number(f64::NAN), Value::Bool(true), Value::Empty,
+            Value::Error(CellError::Div0),
+        ];
+        let values = [
+            Value::Empty, Value::Number(2.0), Value::Number(1.5), Value::Number(0.0),
+            Value::Number(-0.0), Value::Number(f64::NAN), Value::Number(f64::NEG_INFINITY),
+            Value::text("SD"), Value::text("sd"), Value::text("S"), Value::text("2"),
+            Value::text(""), Value::text("S*"), Value::text("TRUE"), Value::Bool(true),
+            Value::Bool(false), Value::Error(CellError::Div0), Value::Error(CellError::Na),
+        ];
+        for arg in &criteria {
+            let criterion = Criterion::parse(arg);
+            let matcher = Matcher::new(criterion.clone());
+            assert_eq!(matcher.matches_empty(), criterion.matches(&Value::Empty), "{arg:?}");
+            for v in &values {
+                assert_eq!(matcher.matches(v), criterion.matches(v), "{arg:?} on {v:?}");
+                if let Value::Number(n) = v {
+                    assert_eq!(matcher.matches_num(*n), criterion.matches(v), "{arg:?} on {n}");
+                }
+            }
+        }
     }
 
     #[test]

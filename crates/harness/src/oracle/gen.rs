@@ -7,7 +7,11 @@
 //! * range arguments of formulas are **single-column** — multi-column
 //!   aggregates would visit cells in storage order and sum floats in a
 //!   layout-dependent order (a find-and-replace range may span two
-//!   columns: it rewrites cell by cell, whatever the order);
+//!   columns: it rewrites cell by cell, whatever the order). Within that,
+//!   the formula side covers every range kernel: the five plain aggregates
+//!   over value cells and over formula cells, `COUNTIF` with numeric, text,
+//!   `<>` and wildcard criteria, and `SUMIF`/`AVERAGEIF` with and without
+//!   a second range of the same rows;
 //! * `VLOOKUP` is always **exact-match** (`FALSE`) — approximate match
 //!   over unsorted data may legitimately differ between the scan and
 //!   binary-search strategies;
@@ -178,18 +182,75 @@ impl OpGen<'_> {
         let row = self.rng.random_range(0..self.rows);
         let col = self.rng.random_range(3..self.cols.max(4));
         let r1 = self.rng.random_range(1..=self.rows); // A1-style
-        let text = match self.rng.random_range(0..5u32) {
+        let (numbers, labels) = (1.min(self.cols - 1), 2.min(self.cols - 1));
+        let text = match self.rng.random_range(0..10u32) {
             0 => format!("=A{r1}*3-B{r1}"),
-            1 => format!("=SUM({})", self.column_segment(0)),
+            1 => {
+                let func = ["SUM", "AVERAGE", "COUNT", "MIN", "MAX"][self.rng.random_range(0..5usize)];
+                let values = self.values_column(col);
+                format!("={func}({})", self.column_segment(values))
+            }
             2 => format!("=IF(B{r1}>=5,A{r1},0)"),
-            3 => format!("=COUNTIF({},\">=3\")", self.column_segment(1.min(self.cols - 1))),
-            _ => format!(
+            3 => format!("=COUNTIF({},\">=3\")", self.column_segment(numbers)),
+            4 => format!(
                 "=VLOOKUP({},B1:C{},2,FALSE)",
                 self.rng.random_range(1..=9u32),
                 self.rows
             ),
+            // A text criterion over the label column: decided per distinct
+            // string, by equality, inequality or wildcard.
+            5 | 6 => {
+                let criterion = self.text_criterion();
+                format!("=COUNTIF({},\"{criterion}\")", self.column_segment(labels))
+            }
+            // The folding pair: over the criteria segment itself…
+            7 => {
+                let func = self.folding_if();
+                let criterion = self.number_criterion();
+                format!("={func}({},\"{criterion}\")", self.column_segment(numbers))
+            }
+            // …or over the same rows of another column.
+            _ => {
+                let func = self.folding_if();
+                let (criteria, criterion) = match self.rng.random_range(0..2u32) {
+                    0 => (labels, self.text_criterion()),
+                    _ => (numbers, self.number_criterion()),
+                };
+                let (criteria, values) =
+                    (col_to_letters(criteria), col_to_letters(self.values_column(col)));
+                let (r0, r1) = self.row_span();
+                format!("={func}({criteria}{r0}:{criteria}{r1},\"{criterion}\",{values}{r0}:{values}{r1})")
+            }
         };
         ScriptOp::Set { row, col, text }
+    }
+
+    fn folding_if(&mut self) -> &'static str {
+        ["SUMIF", "AVERAGEIF"][self.rng.random_range(0..2usize)]
+    }
+
+    /// A column of numbers for a formula written into column `into` to
+    /// fold: the values of A, or the per-row formulas of D — formula cells
+    /// under a window — which a formula that is itself in D must not read.
+    fn values_column(&mut self, into: u32) -> u32 {
+        match self.rng.random_range(0..2u32) {
+            1 if into != 3 && self.cols > 3 => 3,
+            _ => 0,
+        }
+    }
+
+    fn number_criterion(&mut self) -> String {
+        let op = [">=", "<=", "<>", "="][self.rng.random_range(0..4usize)];
+        format!("{op}{}", self.rng.random_range(1..=9u32))
+    }
+
+    fn text_criterion(&mut self) -> String {
+        match self.rng.random_range(0..3u32) {
+            0 => self.label(),
+            1 => format!("<>{}", self.label()),
+            // item1, item10, item11.
+            _ => "item1*".to_owned(),
+        }
     }
 
     fn structural(&mut self) -> ScriptOp {
@@ -229,9 +290,14 @@ impl OpGen<'_> {
 
     /// A random run of rows of columns `first..=last`, as an A1 range.
     fn segment(&mut self, first: u32, last: u32) -> String {
-        let r0 = self.rng.random_range(1..=self.rows);
-        let r1 = self.rng.random_range(r0..=self.rows);
+        let (r0, r1) = self.row_span();
         format!("{}{r0}:{}{r1}", col_to_letters(first), col_to_letters(last))
+    }
+
+    /// A random run of rows, first and last, as A1 writes them.
+    fn row_span(&mut self) -> (u32, u32) {
+        let r0 = self.rng.random_range(1..=self.rows);
+        (r0, self.rng.random_range(r0..=self.rows))
     }
 
     /// One of the initial workbook's text labels.
