@@ -220,6 +220,19 @@ impl Range {
             && other.start.col <= self.end.col
     }
 
+    /// The part of this range inside an `nrows` × `ncols` extent; `None`
+    /// when none of it is. Every range read — scans, lookups, index
+    /// probes, the ops' meter charges — clips through here.
+    pub fn clip_to(&self, nrows: u32, ncols: u32) -> Option<Range> {
+        if self.start.row >= nrows || self.start.col >= ncols {
+            return None;
+        }
+        Some(Range {
+            start: self.start,
+            end: CellAddr::new(self.end.row.min(nrows - 1), self.end.col.min(ncols - 1)),
+        })
+    }
+
     /// Iterates all addresses in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = CellAddr> + '_ {
         let (r0, r1) = (self.start.row, self.end.row);
@@ -378,6 +391,17 @@ mod tests {
         assert!(!r.contains(CellAddr::parse("A1").unwrap()));
         assert!(r.intersects(&Range::parse("D5:F9").unwrap()));
         assert!(!r.intersects(&Range::parse("E6:F9").unwrap()));
+    }
+
+    #[test]
+    fn range_clips_to_an_extent() {
+        let r = Range::parse("B2:D5").unwrap();
+        assert_eq!(r.clip_to(10, 10), Some(r));
+        assert_eq!(r.clip_to(3, 2), Some(Range::parse("B2:B3").unwrap()));
+        // Starting past either edge, or an empty extent, leaves nothing.
+        assert_eq!(r.clip_to(1, 10), None);
+        assert_eq!(r.clip_to(10, 1), None);
+        assert_eq!(Range::parse("A1").unwrap().clip_to(0, 0), None);
     }
 
     #[test]

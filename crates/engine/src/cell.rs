@@ -134,15 +134,6 @@ impl Cell {
             CellContent::Formula(f) => f.source(),
         }
     }
-
-    /// Replaces a formula cell by its cached value (used to derive the
-    /// Value-only dataset from the Formula-value dataset, §3.2: "any
-    /// formulae within cells were replaced by the corresponding value").
-    pub fn freeze(&mut self) {
-        if let CellContent::Formula(f) = &self.content {
-            self.content = CellContent::Value(f.cached.clone());
-        }
-    }
 }
 
 impl Default for Cell {
@@ -170,20 +161,6 @@ mod tests {
         assert!(c.is_formula());
         assert_eq!(c.input_text(), "=SUM(A1:A3)");
         assert_eq!(c.display_value(), &Value::Empty); // not yet computed
-    }
-
-    #[test]
-    fn freeze_converts_formula_to_value() {
-        let mut c = Cell::formula(parse("1+1").unwrap());
-        if let CellContent::Formula(f) = &mut c.content {
-            f.cached = Value::Number(2.0);
-        }
-        c.freeze();
-        assert!(!c.is_formula());
-        assert_eq!(c.display_value(), &Value::Number(2.0));
-        // Freezing a value cell is a no-op.
-        c.freeze();
-        assert_eq!(c.display_value(), &Value::Number(2.0));
     }
 
     #[test]

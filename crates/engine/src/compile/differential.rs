@@ -12,8 +12,8 @@
 //! magnitudes of 2^53 (outside the delta cache's exact-integer envelope),
 //! zeros of both signs, cached infinities and a NaN — and, under the 32 KB
 //! budget, `Spilled` pages. Windows start and end mid-chunk and on either
-//! side of the first chunk boundary, under both layouts, with no delta
-//! cache, with a fresh one, and with one that has slid there.
+//! side of the first chunk boundary, with no delta cache, with a fresh
+//! one, and with one that has slid there.
 //!
 //! Mutations these tests were seen to catch (each planted, seen to fail,
 //! and removed): the per-id memo keyed on `id >> 1`; the float fold of the
@@ -30,11 +30,9 @@ use crate::formula::parse;
 use crate::meter::Meter;
 use crate::ops::structure::differential::BUDGET;
 use crate::recalc::recalc_all;
-use crate::sheet::{Layout, Sheet};
+use crate::sheet::Sheet;
 use crate::style::{Color, Style};
 use crate::value::Value;
-
-const LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColumnMajor];
 
 /// Three whole chunks and an eighth of a fourth.
 const ROWS: u32 = 3200;
@@ -51,8 +49,8 @@ const LABELS: [&str; 12] =
 /// (`Cells`), H nothing at all.
 const COLUMNS: [char; 8] = ['A', 'B', 'C', 'D', 'E', 'F', 'G', 'H'];
 
-fn build(layout: Layout, capped: bool) -> Sheet {
-    let mut s = Sheet::with_layout(layout, 0, 0);
+fn build(capped: bool) -> Sheet {
+    let mut s = Sheet::new();
     s.set_grid_budget(capped.then_some(BUDGET));
     let green = Style::plain().with_fill(Color::GREEN);
     for r in 0..ROWS {
@@ -114,7 +112,7 @@ fn build(layout: Layout, capped: bool) -> Sheet {
 
 #[test]
 fn the_sheet_puts_every_chunk_kind_under_a_window() {
-    let s = build(Layout::RowMajor, false);
+    let s = build(false);
     let kinds = |col| s.grid_store().chunk_kinds(col);
     assert_eq!(kinds(0), ["num"; 4]);
     assert_eq!(kinds(1), ["text"; 4]);
@@ -124,7 +122,7 @@ fn the_sheet_puts_every_chunk_kind_under_a_window() {
     assert_eq!(kinds(6), ["cells", "cells", "cells", "sparse"]);
     assert_eq!(s.value(CellAddr::new(100, 6)), Value::Number(f64::NEG_INFINITY));
     assert!(matches!(s.value(CellAddr::new(200, 6)), Value::Number(n) if n.is_nan()));
-    let capped = build(Layout::RowMajor, true);
+    let capped = build(true);
     assert!(capped.grid_store().chunk_kinds(0).contains(&"spilled"));
     assert!(capped.grid_store().chunk_kinds(1).contains(&"spilled"));
 }
@@ -180,9 +178,7 @@ fn check_both(sheet: &Sheet, src: &str, what: &str) {
 }
 
 fn sheets() -> impl Iterator<Item = (String, Sheet)> {
-    LAYOUTS.into_iter().flat_map(|layout| {
-        [false, true].map(|capped| (format!("{layout:?} capped={capped}"), build(layout, capped)))
-    })
+    [false, true].into_iter().map(|capped| (format!("capped={capped}"), build(capped)))
 }
 
 #[test]
@@ -195,7 +191,7 @@ fn plain_aggregates_match_the_interpreter_over_every_chunk_kind() {
                 }
             }
         }
-        // 2-D windows, which never slide, in the layout's own order.
+        // 2-D windows, which never slide, row by row.
         for window in ["A1:G3200", "A1000:D1100", "C690:E710", "D1499:E1503", "F1:H50"] {
             for func in ["SUM", "AVERAGE", "COUNT", "MIN", "MAX"] {
                 check_both(&s, &format!("{func}({window})"), &what);

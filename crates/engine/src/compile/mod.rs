@@ -40,7 +40,7 @@
 //! Values and meter counts are **bit-identical** to the tree-walking
 //! interpreter on every formula: scalar semantics are shared code
 //! (`apply_unary`/`apply_binary`, the function library), kernels replicate
-//! each grid layout's clipping and iteration order exactly, and the
+//! the grid scan's clipping and row-major order exactly, and the
 //! differential oracle and proptests in `tests/` prove it on random
 //! expression trees and full op sequences. Programs are pure functions of
 //! their cache key — a key encodes the whole template, and a volatile

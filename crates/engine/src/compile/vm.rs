@@ -9,8 +9,8 @@
 //! instead of going through the per-cell `read_range` callback, then
 //! charges the meter in bulk with the exact counts the callback path would
 //! have produced. Values are bit-identical because each kernel replicates
-//! its builtin's semantics (skip/abort rules) *and* the layout's clipping
-//! and iteration order — a float sum is one chain of adds in scan order,
+//! its builtin's semantics (skip/abort rules) *and* the scan's clipping
+//! and row-major order — a float sum is one chain of adds in scan order,
 //! never reassociated — and `compile/differential.rs` holds every kernel
 //! to the interpreter over every kind of chunk (DESIGN.md §19).
 
@@ -214,13 +214,6 @@ fn run_kernel(
 fn charge(ctx: &EvalCtx<'_>, visited: u64, formulas: u64) {
     ctx.meter.bump(Primitive::CellRead, visited);
     ctx.meter.bump(Primitive::FormulaRecheck, formulas);
-}
-
-/// `range` clipped to the grid's materialized extent; `None` when nothing
-/// materialized falls inside it. Mirrors the clipping every scan applies.
-fn clip(grid: &GridStore, range: Range) -> Option<Range> {
-    let (r0, c0, r1, c1) = grid.clip(range)?;
-    Some(Range { start: CellAddr::new(r0, c0), end: CellAddr::new(r1, c1) })
 }
 
 // ---------------------------------------------------------------------
@@ -573,7 +566,7 @@ fn plain_aggregate(
     delta: Option<&mut DeltaCache>,
 ) -> Value {
     let mut scanned;
-    let state = match (delta, clip(grid, range)) {
+    let state = match (delta, grid.clip(range)) {
         // A 1-D window can slide from the one before it on its line.
         (Some(cache), Some(window))
             if window.start.row == window.end.row || window.start.col == window.end.col =>
@@ -872,7 +865,7 @@ fn fold_aligned(
     sum: Range,
     m: &Matcher,
 ) -> (f64, u64) {
-    let Some(window) = clip(grid, criteria) else { return (0.0, 0) };
+    let Some(window) = grid.clip(criteria) else { return (0.0, 0) };
     let (crit_col, sum_col) = (criteria.start.col, sum.start.col);
     let (mut total, mut count) = (0.0f64, 0u64);
     let (mut reads, mut formulas) = (0u64, 0u64);
@@ -963,13 +956,13 @@ mod tests {
     use crate::formula::parse;
     use crate::meter::Meter;
     use crate::recalc::recalc_all;
-    use crate::sheet::{Layout, Sheet};
+    use crate::sheet::Sheet;
     use crate::value::Value;
 
     /// A sheet exercising every value kind the kernels must handle: a
     /// numeric column, text, booleans, errors, empties, and formula cells.
-    fn fixture(layout: Layout) -> Sheet {
-        let mut s = Sheet::with_layout(layout, 12, 4);
+    fn fixture() -> Sheet {
+        let mut s = Sheet::with_size(12, 4);
         for r in 0..10u32 {
             s.set_value(CellAddr::new(r, 0), f64::from(r) + 0.5);
         }
@@ -1008,105 +1001,95 @@ mod tests {
         want
     }
 
-    fn both_layouts(f: impl Fn(&Sheet)) {
-        f(&fixture(Layout::RowMajor));
-        f(&fixture(Layout::ColumnMajor));
-    }
-
     #[test]
     fn kernels_match_interpreter_on_clean_numeric_column() {
-        both_layouts(|s| {
-            assert_eq!(assert_identical(s, "SUM(A1:A10)"), Value::Number(50.0));
-            assert_identical(s, "AVERAGE(A1:A10)");
-            assert_identical(s, "COUNT(A1:A10)");
-            assert_identical(s, "MIN(A1:A10)");
-            assert_identical(s, "MAX(A1:A10)");
-            assert_identical(s, "COUNTIF(A1:A10,\">4\")");
-            assert_identical(s, "SUMIF(A1:A10,\">=2.5\")");
-        });
+        let s = &fixture();
+        assert_eq!(assert_identical(s, "SUM(A1:A10)"), Value::Number(50.0));
+        assert_identical(s, "AVERAGE(A1:A10)");
+        assert_identical(s, "COUNT(A1:A10)");
+        assert_identical(s, "MIN(A1:A10)");
+        assert_identical(s, "MAX(A1:A10)");
+        assert_identical(s, "COUNTIF(A1:A10,\">4\")");
+        assert_identical(s, "SUMIF(A1:A10,\">=2.5\")");
     }
 
     #[test]
     fn kernels_match_on_mixed_types_errors_and_formulas() {
-        both_layouts(|s| {
-            // B5 is `1/0` → #DIV/0!: aborts SUM/MIN/MAX but not COUNT*.
-            for src in [
-                "SUM(B1:B8)",
-                "AVERAGE(B1:B8)",
-                "COUNT(B1:B8)",
-                "MIN(B1:B8)",
-                "MAX(B1:B8)",
-                "COUNTIF(B1:B8,42)",
-                "COUNTIF(B1:B8,\"text\")",
-                "SUMIF(B1:B8,\">0\")",
-                // 2-D range spanning both columns.
-                "SUM(A1:B4)",
-                "COUNTIF(A1:B10,\">1\")",
-            ] {
-                assert_identical(s, src);
-            }
-        });
+        let s = &fixture();
+        // B5 is `1/0` → #DIV/0!: aborts SUM/MIN/MAX but not COUNT*.
+        for src in [
+            "SUM(B1:B8)",
+            "AVERAGE(B1:B8)",
+            "COUNT(B1:B8)",
+            "MIN(B1:B8)",
+            "MAX(B1:B8)",
+            "COUNTIF(B1:B8,42)",
+            "COUNTIF(B1:B8,\"text\")",
+            "SUMIF(B1:B8,\">0\")",
+            // 2-D range spanning both columns.
+            "SUM(A1:B4)",
+            "COUNTIF(A1:B10,\">1\")",
+        ] {
+            assert_identical(s, src);
+        }
     }
 
     #[test]
     fn kernels_match_on_clipped_and_empty_ranges() {
-        both_layouts(|s| {
-            // Extends past the materialized grid → clipped identically.
-            assert_identical(s, "SUM(A1:A500)");
-            assert_identical(s, "AVERAGE(A11:A500)"); // fully past content: #DIV/0!
-            assert_identical(s, "COUNT(C1:C12)"); // materialized but empty
-            assert_identical(s, "SUM(Z100:Z200)"); // fully off-grid
-            assert_identical(s, "MIN(A11:A12)"); // empty → 0
-        });
+        let s = &fixture();
+        // Extends past the materialized grid → clipped identically.
+        assert_identical(s, "SUM(A1:A500)");
+        assert_identical(s, "AVERAGE(A11:A500)"); // fully past content: #DIV/0!
+        assert_identical(s, "COUNT(C1:C12)"); // materialized but empty
+        assert_identical(s, "SUM(Z100:Z200)"); // fully off-grid
+        assert_identical(s, "MIN(A11:A12)"); // empty → 0
     }
 
     #[test]
     fn generic_path_and_control_flow_match() {
-        both_layouts(|s| {
-            for src in [
-                "A1+A2*2",
-                "-A3%",
-                "SUM(A1:A3,B7,4)",       // multi-arg: no kernel
-                "SUMIF(A1:A4,\">1\",A5:A8)", // two columns walked in step
-                "SUMIF(A1:A4,\">1\",A5:B8)", // 2-D sum range: no kernel
-                "IF(A1>0,SUM(A1:A10),1/0)",
-                "IF(A1>100,1/0,\"ok\")",
-                "IF(B5>0,1,2)",          // error condition propagates
-                "IFERROR(B5,\"fallback\")",
-                "IFERROR(A1,B5)",
-                "CONCATENATE(B2,\"-\",A1)",
-                "VLOOKUP(2.5,A1:B10,1)",
-                "NOSUCHFN(A1,2)",
-                "A1:A10+1", // bare range in scalar position → #VALUE!
-                "B6:B6*2",  // single-cell range collapses
-                "ROW(A5)+COLUMN(C1)",
-                "NOW()-TODAY()",
-            ] {
-                assert_identical(s, src);
-            }
-        });
+        let s = &fixture();
+        for src in [
+            "A1+A2*2",
+            "-A3%",
+            "SUM(A1:A3,B7,4)",       // multi-arg: no kernel
+            "SUMIF(A1:A4,\">1\",A5:A8)", // two columns walked in step
+            "SUMIF(A1:A4,\">1\",A5:B8)", // 2-D sum range: no kernel
+            "IF(A1>0,SUM(A1:A10),1/0)",
+            "IF(A1>100,1/0,\"ok\")",
+            "IF(B5>0,1,2)",          // error condition propagates
+            "IFERROR(B5,\"fallback\")",
+            "IFERROR(A1,B5)",
+            "CONCATENATE(B2,\"-\",A1)",
+            "VLOOKUP(2.5,A1:B10,1)",
+            "NOSUCHFN(A1,2)",
+            "A1:A10+1", // bare range in scalar position → #VALUE!
+            "B6:B6*2",  // single-cell range collapses
+            "ROW(A5)+COLUMN(C1)",
+            "NOW()-TODAY()",
+        ] {
+            assert_identical(s, src);
+        }
     }
 
     #[test]
     fn off_sheet_relative_refs_are_ref_errors() {
-        both_layouts(|s| {
-            // Compile at D1, but run at A1 so a left-relative ref walks off
-            // the sheet: the spec fails to resolve and the VM yields #REF!.
-            let origin = CellAddr::parse("D1").unwrap();
-            let prog = compile(&parse("A1+1").unwrap(), origin);
-            let meter = Meter::new();
-            let ctx = s.eval_ctx_with(CellAddr::parse("A1").unwrap(), &meter);
-            assert_eq!(
-                run(&prog, &ctx, Some(s.grid_store())),
-                Value::Error(CellError::Ref)
-            );
-            // Same for a range corner.
-            let prog = compile(&parse("SUM(A1:B2)").unwrap(), origin);
-            assert_eq!(
-                run(&prog, &ctx, Some(s.grid_store())),
-                Value::Error(CellError::Ref)
-            );
-        });
+        let s = &fixture();
+        // Compile at D1, but run at A1 so a left-relative ref walks off
+        // the sheet: the spec fails to resolve and the VM yields #REF!.
+        let origin = CellAddr::parse("D1").unwrap();
+        let prog = compile(&parse("A1+1").unwrap(), origin);
+        let meter = Meter::new();
+        let ctx = s.eval_ctx_with(CellAddr::parse("A1").unwrap(), &meter);
+        assert_eq!(
+            run(&prog, &ctx, Some(s.grid_store())),
+            Value::Error(CellError::Ref)
+        );
+        // Same for a range corner.
+        let prog = compile(&parse("SUM(A1:B2)").unwrap(), origin);
+        assert_eq!(
+            run(&prog, &ctx, Some(s.grid_store())),
+            Value::Error(CellError::Ref)
+        );
     }
 
     /// Evaluates `src` at D1 under the interpreter and under the VM with
@@ -1139,161 +1122,148 @@ mod tests {
 
     #[test]
     fn delta_slide_matches_full_scan_on_integer_column() {
-        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let mut s = Sheet::with_layout(layout, 64, 2);
-            for r in 0..60u32 {
-                s.set_value(CellAddr::new(r, 0), f64::from(r % 7));
-            }
-            recalc_all(&mut s);
-            let mut cache = DeltaCache::new();
-            for func in ["SUM", "AVERAGE", "COUNT", "MIN", "MAX"] {
-                for r in 0..60u32 {
-                    let (lo, hi) = (r.saturating_sub(9) + 1, r + 1);
-                    assert_delta_identical(&s, &mut cache, &format!("{func}(A{lo}:A{hi})"));
-                }
-            }
-            // Every window slid one shared per-line state.
-            assert_eq!(cache.len(), 1);
+        let mut s = Sheet::with_size(64, 2);
+        for r in 0..60u32 {
+            s.set_value(CellAddr::new(r, 0), f64::from(r % 7));
         }
+        recalc_all(&mut s);
+        let mut cache = DeltaCache::new();
+        for func in ["SUM", "AVERAGE", "COUNT", "MIN", "MAX"] {
+            for r in 0..60u32 {
+                let (lo, hi) = (r.saturating_sub(9) + 1, r + 1);
+                assert_delta_identical(&s, &mut cache, &format!("{func}(A{lo}:A{hi})"));
+            }
+        }
+        // Every window slid one shared per-line state.
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn delta_slide_matches_along_a_row() {
-        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let mut s = Sheet::with_layout(layout, 2, 64);
-            for c in 0..60u32 {
-                s.set_value(CellAddr::new(0, c), f64::from(c % 11));
-            }
-            recalc_all(&mut s);
-            let mut cache = DeltaCache::new();
-            for c in 9..60u32 {
-                let lo = CellAddr::new(0, c - 9).to_a1();
-                let hi = CellAddr::new(0, c).to_a1();
-                assert_delta_identical(&s, &mut cache, &format!("SUM({lo}:{hi})"));
-                assert_delta_identical(&s, &mut cache, &format!("MAX({lo}:{hi})"));
-            }
-            assert_eq!(cache.len(), 1);
+        let mut s = Sheet::with_size(2, 64);
+        for c in 0..60u32 {
+            s.set_value(CellAddr::new(0, c), f64::from(c % 11));
         }
+        recalc_all(&mut s);
+        let mut cache = DeltaCache::new();
+        for c in 9..60u32 {
+            let lo = CellAddr::new(0, c - 9).to_a1();
+            let hi = CellAddr::new(0, c).to_a1();
+            assert_delta_identical(&s, &mut cache, &format!("SUM({lo}:{hi})"));
+            assert_delta_identical(&s, &mut cache, &format!("MAX({lo}:{hi})"));
+        }
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn delta_handles_errors_text_and_empties_in_the_window() {
-        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let mut s = Sheet::with_layout(layout, 48, 2);
-            for r in 0..40u32 {
-                s.set_value(CellAddr::new(r, 0), f64::from(r));
-            }
-            s.set_value(CellAddr::new(10, 0), "text");
-            s.set_value(CellAddr::new(11, 0), true);
-            s.set_formula(CellAddr::new(20, 0), parse("1/0").unwrap());
-            s.set_value(CellAddr::new(21, 0), Value::Empty);
-            recalc_all(&mut s);
-            s.meter().reset();
-            let mut cache = DeltaCache::new();
-            // Windows slide across the text cells, over the error (forcing
-            // first-error-in-scan-order rescans while it is inside), past
-            // it again, and finally off the materialized grid.
-            for func in ["SUM", "AVERAGE", "COUNT", "MIN", "MAX"] {
-                for r in 0..46u32 {
-                    let (lo, hi) = (r.saturating_sub(7) + 1, r + 1);
-                    assert_delta_identical(&s, &mut cache, &format!("{func}(A{lo}:A{hi})"));
-                }
+        let mut s = Sheet::with_size(48, 2);
+        for r in 0..40u32 {
+            s.set_value(CellAddr::new(r, 0), f64::from(r));
+        }
+        s.set_value(CellAddr::new(10, 0), "text");
+        s.set_value(CellAddr::new(11, 0), true);
+        s.set_formula(CellAddr::new(20, 0), parse("1/0").unwrap());
+        s.set_value(CellAddr::new(21, 0), Value::Empty);
+        recalc_all(&mut s);
+        s.meter().reset();
+        let mut cache = DeltaCache::new();
+        // Windows slide across the text cells, over the error (forcing
+        // first-error-in-scan-order rescans while it is inside), past
+        // it again, and finally off the materialized grid.
+        for func in ["SUM", "AVERAGE", "COUNT", "MIN", "MAX"] {
+            for r in 0..46u32 {
+                let (lo, hi) = (r.saturating_sub(7) + 1, r + 1);
+                assert_delta_identical(&s, &mut cache, &format!("{func}(A{lo}:A{hi})"));
             }
         }
     }
 
     #[test]
     fn delta_rescans_on_evicted_extrema() {
-        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let mut s = Sheet::with_layout(layout, 40, 1);
-            // Strictly decreasing: every slide evicts the window's MAX;
-            // strictly increasing would do the same for MIN, so interleave
-            // a sawtooth to exercise both.
-            for r in 0..40u32 {
-                let v = if r % 2 == 0 { f64::from(100 - r) } else { f64::from(r) };
-                s.set_value(CellAddr::new(r, 0), v);
-            }
-            recalc_all(&mut s);
-            let mut cache = DeltaCache::new();
-            for r in 4..40u32 {
-                let (lo, hi) = (r - 3, r + 1);
-                assert_delta_identical(&s, &mut cache, &format!("MIN(A{lo}:A{hi})"));
-                assert_delta_identical(&s, &mut cache, &format!("MAX(A{lo}:A{hi})"));
-            }
+        let mut s = Sheet::with_size(40, 1);
+        // Strictly decreasing: every slide evicts the window's MAX;
+        // strictly increasing would do the same for MIN, so interleave
+        // a sawtooth to exercise both.
+        for r in 0..40u32 {
+            let v = if r % 2 == 0 { f64::from(100 - r) } else { f64::from(r) };
+            s.set_value(CellAddr::new(r, 0), v);
+        }
+        recalc_all(&mut s);
+        let mut cache = DeltaCache::new();
+        for r in 4..40u32 {
+            let (lo, hi) = (r - 3, r + 1);
+            assert_delta_identical(&s, &mut cache, &format!("MIN(A{lo}:A{hi})"));
+            assert_delta_identical(&s, &mut cache, &format!("MAX(A{lo}:A{hi})"));
         }
     }
 
     #[test]
     fn delta_falls_back_outside_the_exact_integer_envelope() {
         let huge = 9_007_199_254_740_992.0; // 2^53
-        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let mut s = Sheet::with_layout(layout, 32, 1);
+        let mut s = Sheet::with_size(32, 1);
+        for r in 0..30u32 {
+            // Fractionals, magnitudes at/above 2^53, and sign flips:
+            // sum_abs overflows the exactness bound almost immediately.
+            let v = match r % 4 {
+                0 => huge,
+                1 => -huge * 0.5,
+                2 => 0.1 + f64::from(r),
+                _ => f64::from(r),
+            };
+            s.set_value(CellAddr::new(r, 0), v);
+        }
+        recalc_all(&mut s);
+        let mut cache = DeltaCache::new();
+        for func in ["SUM", "AVERAGE", "MIN", "MAX", "COUNT"] {
             for r in 0..30u32 {
-                // Fractionals, magnitudes at/above 2^53, and sign flips:
-                // sum_abs overflows the exactness bound almost immediately.
-                let v = match r % 4 {
-                    0 => huge,
-                    1 => -huge * 0.5,
-                    2 => 0.1 + f64::from(r),
-                    _ => f64::from(r),
-                };
-                s.set_value(CellAddr::new(r, 0), v);
-            }
-            recalc_all(&mut s);
-            let mut cache = DeltaCache::new();
-            for func in ["SUM", "AVERAGE", "MIN", "MAX", "COUNT"] {
-                for r in 0..30u32 {
-                    let (lo, hi) = (r.saturating_sub(5) + 1, r + 1);
-                    assert_delta_identical(&s, &mut cache, &format!("{func}(A{lo}:A{hi})"));
-                }
+                let (lo, hi) = (r.saturating_sub(5) + 1, r + 1);
+                assert_delta_identical(&s, &mut cache, &format!("{func}(A{lo}:A{hi})"));
             }
         }
     }
 
     #[test]
     fn delta_preserves_zero_signs_in_extrema() {
-        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let mut s = Sheet::with_layout(layout, 16, 1);
-            let vals = [-0.0, 0.0, 5.0, 0.0, -0.0, -1.0, 0.0, 3.0, -0.0, 2.0];
-            for (r, v) in vals.iter().enumerate() {
-                s.set_value(CellAddr::new(r as u32, 0), *v);
-            }
-            recalc_all(&mut s);
-            let mut cache = DeltaCache::new();
-            for r in 2..10u32 {
-                let (lo, hi) = (r - 1, r + 1);
-                assert_delta_identical(&s, &mut cache, &format!("MIN(A{lo}:A{hi})"));
-                assert_delta_identical(&s, &mut cache, &format!("MAX(A{lo}:A{hi})"));
-                assert_delta_identical(&s, &mut cache, &format!("SUM(A{lo}:A{hi})"));
-            }
+        let mut s = Sheet::with_size(16, 1);
+        let vals = [-0.0, 0.0, 5.0, 0.0, -0.0, -1.0, 0.0, 3.0, -0.0, 2.0];
+        for (r, v) in vals.iter().enumerate() {
+            s.set_value(CellAddr::new(r as u32, 0), *v);
+        }
+        recalc_all(&mut s);
+        let mut cache = DeltaCache::new();
+        for r in 2..10u32 {
+            let (lo, hi) = (r - 1, r + 1);
+            assert_delta_identical(&s, &mut cache, &format!("MIN(A{lo}:A{hi})"));
+            assert_delta_identical(&s, &mut cache, &format!("MAX(A{lo}:A{hi})"));
+            assert_delta_identical(&s, &mut cache, &format!("SUM(A{lo}:A{hi})"));
         }
     }
 
     #[test]
     fn delta_rebuilds_on_backward_jumps_and_skips_2d_windows() {
-        both_layouts(|s| {
-            let mut cache = DeltaCache::new();
-            // Forward, far jump, backward jump, partial backward overlap:
-            // only the first pair slides; the rest rebuild in place.
-            for src in [
-                "SUM(A1:A5)",
-                "SUM(A2:A6)",
-                "SUM(A8:A10)",
-                "SUM(A1:A3)",
-                "SUM(A2:A4)",
-                // 2-D and criteria shapes bypass the delta cache entirely.
-                "SUM(A1:B4)",
-                "COUNTIF(A1:A10,\">4\")",
-            ] {
-                assert_delta_identical(s, &mut cache, src);
-            }
-            assert_eq!(cache.len(), 1);
-        });
+        let s = &fixture();
+        let mut cache = DeltaCache::new();
+        // Forward, far jump, backward jump, partial backward overlap:
+        // only the first pair slides; the rest rebuild in place.
+        for src in [
+            "SUM(A1:A5)",
+            "SUM(A2:A6)",
+            "SUM(A8:A10)",
+            "SUM(A1:A3)",
+            "SUM(A2:A4)",
+            // 2-D and criteria shapes bypass the delta cache entirely.
+            "SUM(A1:B4)",
+            "COUNTIF(A1:A10,\">4\")",
+        ] {
+            assert_delta_identical(s, &mut cache, src);
+        }
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn delta_cache_evicts_oldest_line_beyond_capacity() {
-        let mut s = Sheet::with_layout(Layout::RowMajor, 4, 12);
+        let mut s = Sheet::with_size(4, 12);
         for r in 0..4u32 {
             for c in 0..12u32 {
                 s.set_value(CellAddr::new(r, c), f64::from(r * 12 + c));
@@ -1314,16 +1284,15 @@ mod tests {
 
     #[test]
     fn without_grid_slices_kernels_fall_back_generically() {
-        both_layouts(|s| {
-            let origin = CellAddr::parse("D1").unwrap();
-            let expr = parse("SUM(A1:A10)").unwrap();
-            let prog = compile(&expr, origin);
-            let m1 = Meter::new();
-            let with_grid = run(&prog, &s.eval_ctx_with(origin, &m1), Some(s.grid_store()));
-            let m2 = Meter::new();
-            let without = run(&prog, &s.eval_ctx_with(origin, &m2), None);
-            assert_eq!(with_grid, without);
-            assert_eq!(m1.snapshot(), m2.snapshot());
-        });
+        let s = &fixture();
+        let origin = CellAddr::parse("D1").unwrap();
+        let expr = parse("SUM(A1:A10)").unwrap();
+        let prog = compile(&expr, origin);
+        let m1 = Meter::new();
+        let with_grid = run(&prog, &s.eval_ctx_with(origin, &m1), Some(s.grid_store()));
+        let m2 = Meter::new();
+        let without = run(&prog, &s.eval_ctx_with(origin, &m2), None);
+        assert_eq!(with_grid, without);
+        assert_eq!(m1.snapshot(), m2.snapshot());
     }
 }

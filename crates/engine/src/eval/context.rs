@@ -21,20 +21,24 @@ pub trait CellSource {
 
     /// Visits every cell of `range` clipped to the materialized extent
     /// (mirrors the "used range" clipping every real system performs), in
-    /// storage order: `(addr, value, is_formula)`.
+    /// row-major order: `(addr, value, is_formula)`. The order is part of
+    /// the contract — it is the order float sums accumulate in.
     fn visit_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Value, bool));
 }
 
-/// Lookup-strategy switches. These correspond to the behavioural
-/// differences §4.3.4 infers: Excel terminates exact-match scans at the
-/// first hit and binary-searches sorted data for approximate match, while
-/// Calc and Google Sheets "continue to scan the entire data".
+/// How a lookup searches its data: the behavioural split §4.3.4 infers
+/// between Excel and the other two systems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LookupStrategy {
-    /// Stop an exact-match `VLOOKUP` scan at the first match.
-    pub early_exit_exact: bool,
-    /// Use binary search for approximate-match `VLOOKUP` on sorted data.
-    pub binary_search_approx: bool,
+pub enum LookupStrategy {
+    /// Calc and Google Sheets "continue to scan the entire data": an
+    /// exact match reads every row after its hit, an approximate match
+    /// scans linearly.
+    #[default]
+    FullScan,
+    /// Excel "terminates execution after finding the value": an exact
+    /// match stops at its first hit, an approximate match binary-searches
+    /// the sorted data.
+    StopEarly,
 }
 
 /// Everything evaluation needs: the cell source, the cost meter, the
@@ -146,21 +150,9 @@ impl CellSource for ValueMatrix {
 
     fn visit_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Value, bool)) {
         let (nrows, ncols) = self.bounds();
-        if nrows == 0 || ncols == 0 {
-            return;
-        }
-        let r1 = range.end.row.min(nrows - 1);
-        let c1 = range.end.col.min(ncols - 1);
-        for r in range.start.row..=r1 {
-            for c in range.start.col..=c1 {
-                let v = self
-                    .rows
-                    .get(r as usize)
-                    .and_then(|row| row.get(c as usize))
-                    .cloned()
-                    .unwrap_or(Value::Empty);
-                f(CellAddr::new(r, c), &v, false);
-            }
+        let Some(window) = range.clip_to(nrows, ncols) else { return };
+        for addr in window.iter() {
+            f(addr, &self.value_at(addr), false);
         }
     }
 }

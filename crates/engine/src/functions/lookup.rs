@@ -1,14 +1,15 @@
 //! Lookup builtins. `VLOOKUP` is the paper's representative (§4.3.4); its
-//! scan behaviour is controlled by the context's [`crate::eval::LookupStrategy`]:
+//! scan behaviour is the context's [`LookupStrategy`]:
 //!
-//! * `early_exit_exact` — Excel "terminates execution after finding the
-//!   value"; Calc and Google Sheets "continue to scan the entire data".
-//! * `binary_search_approx` — Excel's near-constant sorted lookup
-//!   ("log2 500000 ≈ 19 … roughly 19 comparisons in memory").
+//! * `StopEarly` — Excel "terminates execution after finding the value",
+//!   and its sorted lookup is near-constant ("log2 500000 ≈ 19 … roughly
+//!   19 comparisons in memory").
+//! * `FullScan` — Calc and Google Sheets "continue to scan the entire
+//!   data".
 
 use crate::addr::{CellAddr, Range};
 use crate::error::CellError;
-use crate::eval::EvalCtx;
+use crate::eval::{EvalCtx, LookupStrategy};
 use crate::index;
 use crate::value::Value;
 
@@ -22,22 +23,6 @@ fn range_arg(args: &[Arg], i: usize) -> Result<Range, CellError> {
     }
 }
 
-/// Clips `range` to the materialized sheet extent; `None` when fully
-/// outside.
-fn clip(ctx: &EvalCtx<'_>, range: Range) -> Option<Range> {
-    let (nrows, ncols) = ctx.cells.bounds();
-    if nrows == 0 || ncols == 0 {
-        return None;
-    }
-    if range.start.row >= nrows || range.start.col >= ncols {
-        return None;
-    }
-    Some(Range::new(
-        range.start,
-        CellAddr::new(range.end.row.min(nrows - 1), range.end.col.min(ncols - 1)),
-    ))
-}
-
 /// Linear exact-match scan down `col` of `range`; honors early exit.
 /// Returns the matching row (absolute).
 fn scan_exact(ctx: &EvalCtx<'_>, range: Range, col: u32, needle: &Value) -> Option<u32> {
@@ -46,7 +31,7 @@ fn scan_exact(ctx: &EvalCtx<'_>, range: Range, col: u32, needle: &Value) -> Opti
         let v = ctx.read(CellAddr::new(row, col));
         if found.is_none() && v.sheet_eq(needle) {
             found = Some(row);
-            if ctx.lookup.early_exit_exact {
+            if ctx.lookup == LookupStrategy::StopEarly {
                 break;
             }
         }
@@ -58,7 +43,7 @@ fn scan_exact(ctx: &EvalCtx<'_>, range: Range, col: u32, needle: &Value) -> Opti
 /// ascending): either a binary search (Excel with Sorted=TRUE) or the full
 /// linear scan the other systems perform.
 fn scan_approx(ctx: &EvalCtx<'_>, range: Range, col: u32, needle: &Value) -> Option<u32> {
-    if ctx.lookup.binary_search_approx {
+    if ctx.lookup == LookupStrategy::StopEarly {
         let mut lo = range.start.row;
         let mut hi = range.end.row;
         let mut best: Option<u32> = None;
@@ -119,7 +104,8 @@ pub fn vlookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         },
         None => true,
     };
-    let Some(range) = clip(ctx, range) else {
+    let (nrows, ncols) = ctx.cells.bounds();
+    let Some(range) = range.clip_to(nrows, ncols) else {
         return Value::Error(CellError::Na);
     };
     let key_col = range.start.col;
@@ -167,7 +153,8 @@ pub fn hlookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         },
         None => true,
     };
-    let Some(range) = clip(ctx, range) else {
+    let (nrows, ncols) = ctx.cells.bounds();
+    let Some(range) = range.clip_to(nrows, ncols) else {
         return Value::Error(CellError::Na);
     };
     let key_row = range.start.row;
@@ -181,7 +168,7 @@ pub fn hlookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
             }
         } else if hit.is_none() && v.sheet_eq(&needle) {
             hit = Some(col);
-            if ctx.lookup.early_exit_exact {
+            if ctx.lookup == LookupStrategy::StopEarly {
                 break;
             }
         }
@@ -246,7 +233,8 @@ pub fn match_fn(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     if range.rows() != 1 && range.cols() != 1 {
         return Value::Error(CellError::Na);
     }
-    let Some(range) = clip(ctx, range) else {
+    let (nrows, ncols) = ctx.cells.bounds();
+    let Some(range) = range.clip_to(nrows, ncols) else {
         return Value::Error(CellError::Na);
     };
     let vertical = range.cols() == 1;
@@ -275,7 +263,7 @@ pub fn match_fn(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         if match_type == 0.0 {
             if result.is_none() && v.sheet_eq(&needle) {
                 result = Some(i);
-                if ctx.lookup.early_exit_exact {
+                if ctx.lookup == LookupStrategy::StopEarly {
                     break;
                 }
             }
@@ -307,7 +295,8 @@ pub fn lookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         Ok(r) => r,
         Err(e) => return Value::Error(e),
     };
-    let Some(lookup_clipped) = clip(ctx, lookup_range) else {
+    let (nrows, ncols) = ctx.cells.bounds();
+    let Some(lookup_clipped) = lookup_range.clip_to(nrows, ncols) else {
         return Value::Error(CellError::Na);
     };
     let vertical = lookup_clipped.cols() == 1;
@@ -362,7 +351,8 @@ pub fn xlookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         },
         None => 0,
     };
-    let Some(clipped) = clip(ctx, lookup_range) else {
+    let (nrows, ncols) = ctx.cells.bounds();
+    let Some(clipped) = lookup_range.clip_to(nrows, ncols) else {
         return xlookup_miss(ctx, args);
     };
     let vertical = clipped.cols() == 1;
@@ -382,7 +372,7 @@ pub fn xlookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         let v = read_at(i);
         if v.sheet_eq(&needle) {
             exact = Some(i);
-            if ctx.lookup.early_exit_exact && match_mode == 0 {
+            if ctx.lookup == LookupStrategy::StopEarly && match_mode == 0 {
                 break;
             }
             continue;
@@ -468,7 +458,7 @@ pub fn choose(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
 mod tests {
     use super::*;
     use crate::addr::CellAddr;
-    use crate::eval::{evaluate, EvalCtx, LookupStrategy, ValueMatrix};
+    use crate::eval::{evaluate, ValueMatrix};
     use crate::formula::parse;
     use crate::functions::testutil::{eval_on, n, t};
     use crate::meter::{Meter, Primitive};
@@ -514,8 +504,7 @@ mod tests {
 
     #[test]
     fn early_exit_reduces_reads() {
-        let naive = LookupStrategy::default();
-        let excel = LookupStrategy { early_exit_exact: true, binary_search_approx: true };
+        let (naive, excel) = (LookupStrategy::FullScan, LookupStrategy::StopEarly);
         let (v1, reads_naive) = run_with_strategy("VLOOKUP(20,A1:B10,2,FALSE)", naive);
         let (v2, reads_excel) = run_with_strategy("VLOOKUP(20,A1:B10,2,FALSE)", excel);
         assert_eq!(v1, v2);
@@ -526,8 +515,7 @@ mod tests {
 
     #[test]
     fn binary_search_reduces_reads() {
-        let naive = LookupStrategy::default();
-        let excel = LookupStrategy { early_exit_exact: true, binary_search_approx: true };
+        let (naive, excel) = (LookupStrategy::FullScan, LookupStrategy::StopEarly);
         let (v1, reads_naive) = run_with_strategy("VLOOKUP(77,A1:B10,2,TRUE)", naive);
         let (v2, reads_excel) = run_with_strategy("VLOOKUP(77,A1:B10,2,TRUE)", excel);
         assert_eq!(v1, t("s70"));

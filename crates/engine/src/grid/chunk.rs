@@ -75,7 +75,7 @@ use crate::error::EngineError;
 use crate::style::Style;
 use crate::value::Value;
 
-use super::{empty_cell, Layout};
+use super::empty_cell;
 use super::pool::{self, PageData, PageKind, Pool, SpillStats, CHUNK, PAGE_BYTES, WORDS};
 
 /// Hard engine limits. Addresses at or beyond these are rejected with
@@ -1184,13 +1184,10 @@ pub(crate) struct ShiftCounts {
     pub(crate) moved: u64,
 }
 
-/// The sheet's cell store: the chunked columnar grid plus the [`Layout`]
-/// that picks the order range visits and scans walk it in. Storage is the
-/// same under both layouts — only iteration order differs, which is what
-/// the §5.2 layout experiment measures.
+/// The sheet's cell store: the chunked columnar grid. Storage is by
+/// column; range scans walk it in row-major order.
 #[derive(Debug)]
 pub struct GridStore {
-    layout: Layout,
     cols: Vec<Column>,
     nrows: u32,
     ncols: u32,
@@ -1199,13 +1196,11 @@ pub struct GridStore {
 }
 
 impl GridStore {
-    /// A grid covering `rows` × `cols` (vacant cells allocate nothing),
-    /// visited and scanned in `layout` order.
-    pub fn new(layout: Layout, rows: u32, cols: u32) -> Self {
+    /// A grid covering `rows` × `cols` (vacant cells allocate nothing).
+    pub fn new(rows: u32, cols: u32) -> Self {
         let rows = rows.min(MAX_ROWS);
         let cols = cols.min(MAX_COLS);
         let mut g = GridStore {
-            layout,
             cols: Vec::new(),
             nrows: rows,
             ncols: 0,
@@ -1214,11 +1209,6 @@ impl GridStore {
         };
         g.ensure_size(rows, cols).expect("constructor sizes are clamped to engine limits");
         g
-    }
-
-    /// The visit/scan order of this grid.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Number of materialized rows.
@@ -1918,223 +1908,64 @@ impl GridStore {
     // ------------------------------------------------------------------
     // Visits and scans.
 
-    /// `range` clipped to the materialized area, as `(r0, c0, r1, c1)`;
-    /// `None` when none of it is inside.
-    pub(crate) fn clip(&self, range: Range) -> Option<(u32, u32, u32, u32)> {
-        if self.nrows == 0 || self.ncols == 0 {
-            return None;
-        }
-        let r0 = range.start.row;
-        let c0 = range.start.col;
-        let r1 = range.end.row.min(self.nrows - 1);
-        let c1 = range.end.col.min(self.ncols - 1);
-        if r0 > r1 || c0 > c1 {
-            return None;
-        }
-        Some((r0, c0, r1, c1))
+    /// `range` clipped to the materialized area; `None` when none of it
+    /// is inside.
+    pub(crate) fn clip(&self, range: Range) -> Option<Range> {
+        range.clip_to(self.nrows, self.ncols)
     }
 
-    /// Visits every cell in `range` (clipped to the materialized area) in
-    /// this grid's layout order, passing vacant cells as the shared empty
-    /// cell.
-    pub fn for_each_in_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell)) {
-        match self.layout {
-            Layout::RowMajor => self.for_each_row_major(range, f),
-            Layout::ColumnMajor => self.for_each_col_major(range, f),
-        }
-    }
-
-    /// Slice scan over `range` for the §10 kernels: typed chunks emit
-    /// contiguous `f64`/id slices, general chunks emit cell slices, vacant
-    /// runs batch into `Empty(n)`. Iteration order and clipping match
-    /// [`Self::for_each_in_range`]. A single-column window — the common
-    /// aggregation shape — admits only one order, so under either layout
-    /// it takes the columnar path and gets maximal contiguous runs.
+    /// Slice scan over `range` (clipped to the materialized area), in
+    /// row-major order: typed chunks emit contiguous `f64`/id slices,
+    /// general chunks emit cell slices, vacant runs batch into `Empty(n)`.
+    /// A single-column window — the common aggregation shape — gets
+    /// maximal contiguous runs; a window spanning columns is emitted a
+    /// cell at a time, row by row.
     #[inline]
     pub(crate) fn scan_range<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
-        if self.layout == Layout::ColumnMajor || range.start.col == range.end.col {
+        if range.start.col == range.end.col {
             self.scan_col_major(range, f);
         } else {
             self.scan_row_major(range, f);
         }
     }
 
-    fn for_each_col_major(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell)) {
-        let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
-        for c in c0..=c1 {
-            self.visit_column_span(c, r0, r1, f);
-        }
-    }
-
-    /// Row-major: chunk-row bands with per-column resolved chunk refs, so
-    /// each 1024-row band does one chunk lookup per column.
-    fn for_each_row_major(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Cell)) {
-        let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
-        for ci in (r0 / CHUNK_ROWS)..=(r1 / CHUNK_ROWS) {
-            let lo = r0.max(ci * CHUNK_ROWS);
-            let hi = r1.min(ci * CHUNK_ROWS + (CHUNK_ROWS - 1));
-            let refs: Vec<ChunkRef<'_>> =
-                (c0..=c1).map(|c| self.chunk_ref(c, ci)).collect();
-            for r in lo..=hi {
-                let off = (r % CHUNK_ROWS) as usize;
-                for (i, cref) in refs.iter().enumerate() {
-                    let addr = CellAddr::new(r, c0 + i as u32);
-                    self.visit_slot(cref, addr, off, f);
-                }
-            }
-        }
-    }
-
-    fn visit_slot(
-        &self,
-        cref: &ChunkRef<'_>,
-        addr: CellAddr,
-        off: usize,
-        f: &mut dyn FnMut(CellAddr, &Cell),
-    ) {
-        match cref {
-            ChunkRef::Vacant => f(addr, empty_cell()),
-            ChunkRef::Seg(Segment::Cells(v)) => f(addr, &v[off]),
-            ChunkRef::Seg(Segment::Sparse(sp)) => match sp.cells.get(&(off as u16)) {
-                Some(c) => f(addr, c),
-                None => f(addr, empty_cell()),
-            },
-            ChunkRef::Seg(Segment::Num(s)) => match s.get(off) {
-                Some(n) => f(addr, &Cell::value(n)),
-                None => f(addr, empty_cell()),
-            },
-            ChunkRef::Seg(Segment::Text(s)) => match s.get(off) {
-                NO_TEXT => f(addr, empty_cell()),
-                id => f(
-                    addr,
-                    &Cell {
-                        content: CellContent::Value(self.interner.value(id).clone()),
-                        style: Style::plain(),
-                    },
-                ),
-            },
-            ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
-            ChunkRef::Page(page) => match &**page {
-                PageData::Num(np) => {
-                    if bit(&np.present, off) {
-                        f(addr, &Cell::value(np.vals[off]))
-                    } else {
-                        f(addr, empty_cell())
-                    }
-                }
-                PageData::Text(tp) => match tp.ids[off] {
-                    NO_TEXT => f(addr, empty_cell()),
-                    id => f(
-                        addr,
-                        &Cell {
-                            content: CellContent::Value(self.interner.value(id).clone()),
-                            style: Style::plain(),
-                        },
-                    ),
-                },
-            },
-        }
-    }
-
-    fn visit_column_span(
-        &self,
-        c: u32,
-        r0: u32,
-        r1: u32,
-        f: &mut dyn FnMut(CellAddr, &Cell),
-    ) {
-        for ci in (r0 / CHUNK_ROWS)..=(r1 / CHUNK_ROWS) {
-            let lo = r0.max(ci * CHUNK_ROWS);
-            let hi = r1.min(ci * CHUNK_ROWS + (CHUNK_ROWS - 1));
-            let cref = self.chunk_ref(c, ci);
-            for r in lo..=hi {
-                let off = (r % CHUNK_ROWS) as usize;
-                self.visit_slot(&cref, CellAddr::new(r, c), off, f);
-            }
-        }
-    }
-
-    /// Column-major slice scan: each column of the (clipped) range emits
-    /// maximal contiguous runs — `f64` slices for numeric chunks, id
-    /// slices for text chunks, cell slices otherwise, batched `Empty`
-    /// runs for gaps. The §10 kernels consume this.
+    /// One column top to bottom: each chunk's share as maximal runs.
     fn scan_col_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
-        let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
-        for c in c0..=c1 {
-            for (ci, a, b) in chunk_pieces(r0, r1) {
-                self.scan_chunk(c, ci, a, b, f);
+        let Some(Range { start, end }) = self.clip(range) else { return };
+        for (ci, a, b) in chunk_pieces(start.row, end.row) {
+            self.scan_ref(&self.chunk_ref(start.col, ci), a, b, f);
+        }
+    }
+
+    /// Several columns row by row: bands of chunk rows with each column's
+    /// chunk resolved once per band, one-cell emissions per slot.
+    fn scan_row_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
+        let Some(Range { start, end }) = self.clip(range) else { return };
+        for (ci, a, b) in chunk_pieces(start.row, end.row) {
+            let refs: Vec<ChunkRef<'_>> =
+                (start.col..=end.col).map(|c| self.chunk_ref(c, ci)).collect();
+            for off in a..=b {
+                for cref in &refs {
+                    self.scan_ref(cref, off, off, f);
+                }
             }
         }
     }
 
-    /// Slots `a..=b` of one chunk as the slices a column scan emits for
-    /// them; a spilled chunk is read through the fault cache.
-    fn scan_chunk<F: FnMut(ScanSlice<'_>)>(&self, c: u32, ci: u32, a: usize, b: usize, f: &mut F) {
-        match self.chunk_ref(c, ci) {
+    /// Slots `a..=b` of one resolved chunk as the slices a scan emits for
+    /// them.
+    fn scan_ref<F: FnMut(ScanSlice<'_>)>(&self, cref: &ChunkRef<'_>, a: usize, b: usize, f: &mut F) {
+        match cref {
             ChunkRef::Vacant => f(ScanSlice::Empty(b - a + 1)),
             ChunkRef::Seg(Segment::Cells(v)) => f(ScanSlice::Cells(&v[a..=b])),
             ChunkRef::Seg(Segment::Sparse(sp)) => emit_sparse(sp, a, b, f),
             ChunkRef::Seg(Segment::Num(s)) => emit_num_runs(&s.present, &s.vals, a, b, f),
             ChunkRef::Seg(Segment::Text(s)) => f(ScanSlice::Texts(&s.ids[a..=b], &self.interner)),
             ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
-            ChunkRef::Page(page) => match &*page {
+            ChunkRef::Page(page) => match &**page {
                 PageData::Num(np) => emit_num_runs(&np.present, &np.vals, a, b, f),
                 PageData::Text(tp) => f(ScanSlice::Texts(&tp.ids[a..=b], &self.interner)),
             },
-        }
-    }
-
-    /// Row-major scan for multi-column ranges on the row layout: bands of
-    /// chunk rows with per-column refs, one-cell emissions per slot.
-    fn scan_row_major<F: FnMut(ScanSlice<'_>)>(&self, range: Range, f: &mut F) {
-        let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
-        for ci in (r0 / CHUNK_ROWS)..=(r1 / CHUNK_ROWS) {
-            let lo = r0.max(ci * CHUNK_ROWS);
-            let hi = r1.min(ci * CHUNK_ROWS + (CHUNK_ROWS - 1));
-            let refs: Vec<ChunkRef<'_>> =
-                (c0..=c1).map(|c| self.chunk_ref(c, ci)).collect();
-            for r in lo..=hi {
-                let off = (r % CHUNK_ROWS) as usize;
-                for cref in &refs {
-                    match cref {
-                        ChunkRef::Vacant => f(ScanSlice::Empty(1)),
-                        ChunkRef::Seg(Segment::Cells(v)) => {
-                            f(ScanSlice::Cells(std::slice::from_ref(&v[off])))
-                        }
-                        ChunkRef::Seg(Segment::Sparse(sp)) => {
-                            match sp.cells.get(&(off as u16)) {
-                                Some(c) => f(ScanSlice::Cells(std::slice::from_ref(c))),
-                                None => f(ScanSlice::Empty(1)),
-                            }
-                        }
-                        ChunkRef::Seg(Segment::Num(s)) => {
-                            if bit(&s.present, off) {
-                                f(ScanSlice::Nums(&s.vals[off..=off]))
-                            } else {
-                                f(ScanSlice::Empty(1))
-                            }
-                        }
-                        ChunkRef::Seg(Segment::Text(s)) => {
-                            f(ScanSlice::Texts(&s.ids[off..=off], &self.interner))
-                        }
-                        ChunkRef::Seg(Segment::Spilled(_)) => {
-                            unreachable!("chunk_ref resolves spills")
-                        }
-                        ChunkRef::Page(page) => match &**page {
-                            PageData::Num(np) => {
-                                if bit(&np.present, off) {
-                                    f(ScanSlice::Nums(&np.vals[off..=off]))
-                                } else {
-                                    f(ScanSlice::Empty(1))
-                                }
-                            }
-                            PageData::Text(tp) => {
-                                f(ScanSlice::Texts(&tp.ids[off..=off], &self.interner))
-                            }
-                        },
-                    }
-                }
-            }
         }
     }
 
@@ -2142,13 +1973,13 @@ impl GridStore {
     /// that rewrite a range where it is stored (find-and-replace,
     /// conditional formatting): hands `f` each chunk's share of `range`
     /// (clipped to the materialized area) as a [`ChunkMut`], column by
-    /// column and top to bottom whatever the layout — an edit pass has no
-    /// visit order to keep. The budget is enforced once after every chunk
+    /// column and top to bottom — an edit pass has no visit order to
+    /// keep. The budget is enforced once after every chunk
     /// the visit loaded, so the pass holds at most one chunk above it.
     pub(crate) fn for_each_chunk_mut(&mut self, range: Range, f: &mut dyn FnMut(&mut ChunkMut<'_>)) {
-        let Some((r0, c0, r1, c1)) = self.clip(range) else { return };
-        for col in c0..=c1 {
-            for (ci, a, b) in chunk_pieces(r0, r1) {
+        let Some(Range { start, end }) = self.clip(range) else { return };
+        for col in start.col..=end.col {
+            for (ci, a, b) in chunk_pieces(start.row, end.row) {
                 let mut chunk = ChunkMut { grid: self, col, ci, a, b, loaded: false };
                 f(&mut chunk);
                 if chunk.loaded {
@@ -2268,7 +2099,6 @@ impl Clone for GridStore {
             cols.push(Column { segs });
         }
         let mut g = GridStore {
-            layout: self.layout,
             cols,
             nrows: self.nrows,
             ncols: self.ncols,
@@ -2319,7 +2149,7 @@ impl ChunkMut<'_> {
     /// The share as the slices [`GridStore::scan_range`] emits for it; a
     /// spilled chunk is read through the fault cache and stays spilled.
     pub(crate) fn scan<F: FnMut(ScanSlice<'_>)>(&self, f: &mut F) {
-        self.grid.scan_chunk(self.col, self.ci, self.a, self.b, f);
+        self.grid.scan_ref(&self.grid.chunk_ref(self.col, self.ci), self.a, self.b, f);
     }
 
     fn load(&mut self) {

@@ -12,14 +12,12 @@ use crate::addr::CellAddr;
 use crate::error::EngineError;
 use crate::ops::structure::differential::{build, compare, BUDGET};
 use crate::recalc;
-use crate::sheet::{Layout, Sheet};
-
-const LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColumnMajor];
+use crate::sheet::Sheet;
 
 /// The shared sheet plus a lone cell in the far corner of the extent, two
 /// vacant columns away: a sparse column, and columns with nothing to move.
-fn sheet(layout: Layout, capped: bool) -> Sheet {
-    let mut s = build(layout, capped.then_some(BUDGET));
+fn sheet(capped: bool) -> Sheet {
+    let mut s = build(capped.then_some(BUDGET));
     s.set_value(CellAddr::new(s.nrows() - 1, s.ncols() + 2), "corner");
     recalc::recalc_all(&mut s);
     assert!(!capped || s.grid_spill_stats().spills > 0, "the capped sheet must spill");
@@ -44,9 +42,9 @@ fn shuffle(perm: &mut [u32], lo: usize, hi: usize, mut seed: u64) {
 /// Permutes two copies of the sheet, one each way, and compares all that
 /// is observable — cells, styles, filter flags, names, meter, invariants,
 /// budget — before and after the next recalculation.
-fn check(layout: Layout, capped: bool, perm: &[u32], what: &str) -> Result<(), TestCaseError> {
-    let what = format!("{layout:?} capped={capped} {what}");
-    let (mut got, mut want) = (sheet(layout, capped), sheet(layout, capped));
+fn check(capped: bool, perm: &[u32], what: &str) -> Result<(), TestCaseError> {
+    let what = format!("capped={capped} {what}");
+    let (mut got, mut want) = (sheet(capped), sheet(capped));
     want.permute_rows_reference(perm).unwrap();
     got.permute_rows(perm).unwrap();
     compare(&got, &want, &what)?;
@@ -60,18 +58,16 @@ fn check(layout: Layout, capped: bool, perm: &[u32], what: &str) -> Result<(), T
 /// just over one chunk.
 #[test]
 fn structured_permutations_match_the_rebuild() {
-    for layout in LAYOUTS {
-        for capped in [false, true] {
-            let n = sheet(layout, capped).nrows();
-            let mut cases = vec![
-                ("identity".to_owned(), (0..n).collect::<Vec<u32>>()),
-                ("reversal".to_owned(), (0..n).rev().collect()),
-            ];
-            cases.extend([1, 1023, 1024, 1025].map(|by| (format!("rotation by {by}"), rotation(n, by))));
-            for (what, perm) in cases {
-                if let Err(e) = check(layout, capped, &perm, &what) {
-                    panic!("{e:?}");
-                }
+    for capped in [false, true] {
+        let n = sheet(capped).nrows();
+        let mut cases = vec![
+            ("identity".to_owned(), (0..n).collect::<Vec<u32>>()),
+            ("reversal".to_owned(), (0..n).rev().collect()),
+        ];
+        cases.extend([1, 1023, 1024, 1025].map(|by| (format!("rotation by {by}"), rotation(n, by))));
+        for (what, perm) in cases {
+            if let Err(e) = check(capped, &perm, &what) {
+                panic!("{e:?}");
             }
         }
     }
@@ -82,38 +78,34 @@ proptest! {
     /// middle chunk alone (every other chunk must come through as it is).
     #[test]
     fn random_permutations_match_the_rebuild(
-        column_major in any::<bool>(),
         capped in any::<bool>(),
         one_chunk in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let layout = LAYOUTS[usize::from(column_major)];
-        let n = sheet(layout, false).nrows() as usize;
+        let n = sheet(false).nrows() as usize;
         let mut perm: Vec<u32> = (0..n as u32).collect();
         let (lo, hi) = if one_chunk { (1024, 2048) } else { (0, n) };
         shuffle(&mut perm, lo, hi, seed);
-        check(layout, capped, &perm, &format!("shuffle of {lo}..{hi}, seed {seed}"))?;
+        check(capped, &perm, &format!("shuffle of {lo}..{hi}, seed {seed}"))?;
     }
 }
 
 /// A rejected permutation leaves the sheet as it was.
 #[test]
 fn malformed_permutations_leave_the_sheet_untouched() {
-    for layout in LAYOUTS {
-        for capped in [false, true] {
-            let (mut got, want) = (sheet(layout, capped), sheet(layout, capped));
-            let n = got.nrows();
-            let short: Vec<u32> = (0..n - 1).collect();
-            let mut out_of_range: Vec<u32> = (0..n).collect();
-            out_of_range[1500] = n;
-            let mut duplicate: Vec<u32> = (0..n).rev().collect();
-            duplicate[n as usize - 1] = 1;
-            for bad in [short, out_of_range, duplicate] {
-                let err = got.permute_rows(&bad).unwrap_err();
-                assert!(matches!(err, EngineError::BadPermutation(_)), "{err:?}");
-                if let Err(e) = compare(&got, &want, &format!("{layout:?} capped={capped}")) {
-                    panic!("{e:?}");
-                }
+    for capped in [false, true] {
+        let (mut got, want) = (sheet(capped), sheet(capped));
+        let n = got.nrows();
+        let short: Vec<u32> = (0..n - 1).collect();
+        let mut out_of_range: Vec<u32> = (0..n).collect();
+        out_of_range[1500] = n;
+        let mut duplicate: Vec<u32> = (0..n).rev().collect();
+        duplicate[n as usize - 1] = 1;
+        for bad in [short, out_of_range, duplicate] {
+            let err = got.permute_rows(&bad).unwrap_err();
+            assert!(matches!(err, EngineError::BadPermutation(_)), "{err:?}");
+            if let Err(e) = compare(&got, &want, &format!("capped={capped}")) {
+                panic!("{e:?}");
             }
         }
     }

@@ -330,22 +330,17 @@ impl ColumnBuilder {
 // Probe helpers consulted by the evaluators (interpreter and VM).
 // ---------------------------------------------------------------------
 
-/// A clipped single-column window `[lo, hi]` of `range`, mirroring the
-/// grid's `for_each_in_range`/`clip` semantics exactly: `None` when the
-/// range spans columns or starts beyond the materialized extent (where a
-/// scan would visit nothing and the caller must keep scan behaviour).
+/// A clipped single-column window `[lo, hi]` of `range`, clipped exactly
+/// as a scan of it is: `None` when the range spans columns or starts
+/// beyond the materialized extent (where a scan would visit nothing and
+/// the caller must keep scan behaviour).
 fn col_window(ctx: &EvalCtx<'_>, range: Range) -> Option<(u32, u32, u32)> {
     if range.start.col != range.end.col {
         return None;
     }
     let (nrows, ncols) = ctx.cells.bounds();
-    if nrows == 0 || ncols == 0 {
-        return None;
-    }
-    if range.start.row >= nrows || range.start.col >= ncols {
-        return None;
-    }
-    Some((range.start.col, range.start.row, range.end.row.min(nrows - 1)))
+    let window = range.clip_to(nrows, ncols)?;
+    Some((window.start.col, window.start.row, window.end.row))
 }
 
 /// The equality key of a criterion eligible for hash probing: `Eq` over a

@@ -43,12 +43,6 @@ impl SheetData {
     pub fn cell_count(&self) -> usize {
         self.rows.iter().map(Vec::len).sum()
     }
-
-    /// Keeps only the first `n` rows (used to derive the sampled dataset
-    /// versions of §3.2).
-    pub fn truncated(&self, n: usize) -> SheetData {
-        SheetData { rows: self.rows.iter().take(n).cloned().collect() }
-    }
 }
 
 /// Serializes a sheet to its document form. A text cell that [`open`]
@@ -86,24 +80,24 @@ fn reads_back_as_itself(s: &str) -> bool {
 ///
 /// The load is one pass over the document (`Sheet::load_rows`, DESIGN.md
 /// §17), not a `set_input` per cell: same sheet, same meter.
-pub fn open(data: &SheetData, layout: Layout) -> Result<Sheet, EngineError> {
-    open_rows(&data.rows, layout)
+///
+/// The [`Layout`] argument selects nothing — there is one scan order. It
+/// is the last signature that takes one, kept until `benchmark/src/api.rs`
+/// stops passing it (ROADMAP item 8).
+pub fn open(data: &SheetData, _layout: Layout) -> Result<Sheet, EngineError> {
+    open_rows(&data.rows)
 }
 
 /// Opens only the first `window_rows` rows of the document — the lazy
 /// viewport load Google Sheets performs ("load the first m rows visible
 /// within the screen, and then load the rest on-demand", §4.1).
-pub fn open_window(
-    data: &SheetData,
-    layout: Layout,
-    window_rows: u32,
-) -> Result<Sheet, EngineError> {
+pub fn open_window(data: &SheetData, window_rows: u32) -> Result<Sheet, EngineError> {
     let n = data.nrows().min(window_rows as usize);
-    open_rows(&data.rows[..n], layout)
+    open_rows(&data.rows[..n])
 }
 
-fn open_rows(rows: &[Vec<String>], layout: Layout) -> Result<Sheet, EngineError> {
-    let mut sheet = Sheet::with_layout(layout, 0, 0);
+fn open_rows(rows: &[Vec<String>]) -> Result<Sheet, EngineError> {
+    let mut sheet = Sheet::new();
     sheet.load_rows(rows)?;
     Ok(sheet)
 }
@@ -279,7 +273,7 @@ mod tests {
 
     #[test]
     fn open_window_truncates() {
-        let s = open_window(&doc(), Layout::RowMajor, 1).unwrap();
+        let s = open_window(&doc(), 1).unwrap();
         assert_eq!(s.nrows(), 1);
         assert_eq!(s.meter().snapshot().get(Primitive::CellParse), 3);
     }
@@ -362,35 +356,25 @@ mod tests {
         /// Values keep their types through `save` → CSV → `open`: text
         /// that reads as a number, a formula, a boolean or an error comes
         /// back as that text (it is saved behind a `'`), and an error
-        /// value — what `freeze_all_formulas` leaves of a formula that
-        /// failed — comes back as the error, not as text. (`-0.0` is not
+        /// value comes back as the error, not as text. (`-0.0` is not
         /// generated: it saves as `0`.)
         #[test]
         fn save_open_round_trip_preserves_types(
             values in prop::collection::vec(any_value(), 1..40),
             ncols in 1u32..=4,
-            column_major in any::<bool>(),
         ) {
-            let layout = if column_major { Layout::ColumnMajor } else { Layout::RowMajor };
-            let mut s = Sheet::with_layout(layout, 0, 0);
+            let mut s = Sheet::new();
             for (i, v) in values.iter().enumerate() {
                 s.set_value(CellAddr::new(i as u32 / ncols, i as u32 % ncols), v.clone());
             }
             let doc = from_csv(&to_csv(&save(&s))).unwrap();
-            let back = open(&doc, layout).unwrap();
+            let back = open(&doc, Layout::RowMajor).unwrap();
             prop_assert_eq!((back.nrows(), back.ncols()), (s.nrows(), s.ncols()));
             prop_assert_eq!(back.formula_count(), 0);
             for addr in s.used_range().unwrap().iter() {
                 prop_assert_eq!(back.value(addr), s.value(addr), "{} of {:?}", addr, doc);
             }
         }
-    }
-
-    #[test]
-    fn truncated_keeps_prefix() {
-        let d = doc().truncated(1);
-        assert_eq!(d.nrows(), 1);
-        assert_eq!(d.cell_count(), 3);
     }
 
     #[test]

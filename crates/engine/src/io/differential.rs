@@ -11,10 +11,9 @@ use proptest::prelude::*;
 use super::load_rows_reference;
 use crate::addr::{CellAddr, Range};
 use crate::error::EngineError;
-use crate::sheet::{Layout, Sheet};
+use crate::sheet::Sheet;
 use crate::{analyze, audit, recalc};
 
-const LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColumnMajor];
 const BUDGET: usize = 32 * 1024;
 
 /// Cell texts no column of one shape would hold: every classifier rule
@@ -110,13 +109,8 @@ fn document(nrows: u32, shapes: &[u8], salt: u64) -> Vec<Vec<String>> {
 }
 
 /// An empty, configured sheet loaded with `rows`, one way or the other.
-fn load(
-    rows: &[Vec<String>],
-    layout: Layout,
-    budget: Option<usize>,
-    reference: bool,
-) -> Result<Sheet, EngineError> {
-    let mut s = Sheet::with_layout(layout, 0, 0);
+fn load(rows: &[Vec<String>], budget: Option<usize>, reference: bool) -> Result<Sheet, EngineError> {
+    let mut s = Sheet::new();
     s.set_grid_budget(budget);
     s.define_name("Scores", Range::parse("A1:A5").unwrap()).unwrap();
     // Every column registered up front: the load must exclude the formula
@@ -182,11 +176,11 @@ fn compare(got: &Sheet, want: &Sheet, what: &str) -> Result<(), TestCaseError> {
 
 /// Loads `rows` both ways and compares the sheets as loaded and after the
 /// recalculation an open ends with.
-fn check(rows: &[Vec<String>], layout: Layout, capped: bool, what: &str) -> Result<(), TestCaseError> {
+fn check(rows: &[Vec<String>], capped: bool, what: &str) -> Result<(), TestCaseError> {
     let budget = capped.then_some(BUDGET);
-    let what = format!("{layout:?} capped={capped} {what}");
-    let got = load(rows, layout, budget, false);
-    let want = load(rows, layout, budget, true);
+    let what = format!("capped={capped} {what}");
+    let got = load(rows, budget, false);
+    let want = load(rows, budget, true);
     let (mut got, mut want) = match (got, want) {
         (Ok(got), Ok(want)) => (got, want),
         (got, want) => {
@@ -204,8 +198,7 @@ fn check(rows: &[Vec<String>], layout: Layout, capped: bool, what: &str) -> Resu
 
 proptest! {
     /// Random documents: a few rows or a few chunks of them, any mix of
-    /// column shapes, both layouts, unbounded and under a budget set
-    /// before the load; one document in eight holds a formula that does
+    /// column shapes, unbounded and under a budget set before the load; one document in eight holds a formula that does
     /// not parse, which both loads must report alike.
     #[test]
     fn bulk_load_matches_cell_at_a_time(
@@ -218,7 +211,6 @@ proptest! {
         ],
         shapes in prop::collection::vec(0..SHAPES, 1..8),
         salt in any::<u64>(),
-        column_major in any::<bool>(),
         capped in any::<bool>(),
         broken in 0u8..8,
     ) {
@@ -229,7 +221,7 @@ proptest! {
                 *cell = "=SUM(A1".to_owned();
             }
         }
-        check(&rows, LAYOUTS[usize::from(column_major)], capped, &what)?;
+        check(&rows, capped, &what)?;
     }
 }
 
@@ -238,13 +230,11 @@ proptest! {
 #[test]
 fn every_shape_across_chunk_boundaries() {
     let shapes: Vec<u8> = (0..SHAPES).collect();
-    for layout in LAYOUTS {
-        for capped in [false, true] {
-            for nrows in [1023, 1024, 1025, 2500] {
-                let rows = document(nrows, &shapes, 41);
-                if let Err(e) = check(&rows, layout, capped, &format!("{nrows} rows")) {
-                    panic!("{e:?}");
-                }
+    for capped in [false, true] {
+        for nrows in [1023, 1024, 1025, 2500] {
+            let rows = document(nrows, &shapes, 41);
+            if let Err(e) = check(&rows, capped, &format!("{nrows} rows")) {
+                panic!("{e:?}");
             }
         }
     }
@@ -257,7 +247,7 @@ fn fill_down_columns_parse_and_compile_once() {
     let rows = document(300, &[1, 1, 9, 12, 15], 0);
     let formulas = rows.iter().flatten().filter(|text| text.starts_with('=')).count();
     assert!(formulas > 700, "three columns of formulas, less the rows cut short");
-    let mut sheet = load(&rows, Layout::RowMajor, None, false).unwrap();
+    let mut sheet = load(&rows, None, false).unwrap();
     assert_eq!(sheet.formula_count(), formulas);
     let tally = |s: &Sheet| (s.program_cache().misses(), s.program_cache().hits());
     assert_eq!(tally(&sheet), (3, 0));

@@ -22,11 +22,9 @@ use crate::meter::Counts;
 use crate::ops::structure::differential::{compare, BUDGET};
 use crate::ops::{cond_format, filter, find_replace, pivot, Op, OpOutcome, PivotAgg};
 use crate::recalc;
-use crate::sheet::{Layout, Sheet};
+use crate::sheet::Sheet;
 use crate::style::{Color, Style};
 use crate::value::{Criterion, Value};
-
-const LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColumnMajor];
 
 /// Three whole chunks and an eighth of a fourth (enough rows for it to be
 /// promoted to typed storage).
@@ -52,8 +50,8 @@ fn green() -> Style {
     Style::plain().with_fill(Color::GREEN)
 }
 
-fn build(layout: Layout, capped: bool) -> Sheet {
-    let mut s = Sheet::with_layout(layout, 0, 0);
+fn build(capped: bool) -> Sheet {
+    let mut s = Sheet::new();
     s.set_grid_budget(capped.then_some(BUDGET));
     for r in 0..ROWS {
         let at = |col| CellAddr::new(r, col);
@@ -114,14 +112,14 @@ fn build(layout: Layout, capped: bool) -> Sheet {
 
 #[test]
 fn the_sheet_puts_every_chunk_kind_under_a_range() {
-    let s = build(Layout::RowMajor, false);
+    let s = build(false);
     let kinds = |col| s.grid_store().chunk_kinds(col);
     assert_eq!(kinds(NUM), ["num"; 4]);
     assert_eq!(kinds(TEXT), ["text"; 4]);
     assert_eq!(kinds(GENERAL), ["cells", "sparse", "sparse"]);
     assert_eq!(kinds(BY_CHUNK), ["num", "text", "cells", "num"]);
     assert_eq!(kinds(JUNK), ["cells", "cells", "cells", "sparse"]);
-    let capped = build(Layout::RowMajor, true);
+    let capped = build(true);
     assert!(capped.grid_store().chunk_kinds(TEXT).contains(&"spilled"));
 }
 
@@ -247,10 +245,10 @@ impl Case {
 /// Runs `cases` in order on a sheet and its twin, comparing all that is
 /// observable after each, and once more after the recalculation that
 /// follows (a replaced text is read by column C's formulas).
-fn check(layout: Layout, capped: bool, cases: &[Case]) -> Result<(), TestCaseError> {
-    let (mut got, mut want) = (build(layout, capped), build(layout, capped));
+fn check(capped: bool, cases: &[Case]) -> Result<(), TestCaseError> {
+    let (mut got, mut want) = (build(capped), build(capped));
     for case in cases {
-        let what = format!("{layout:?} capped={capped} {case:?}");
+        let what = format!("capped={capped} {case:?}");
         case.run(&mut got, &mut want, &what)?;
         compare(&got, &want, &what)?;
         prop_assert_eq!(index_answers(&got), scanned_answers(&got), "{}: index answers", what);
@@ -259,15 +257,14 @@ fn check(layout: Layout, capped: bool, cases: &[Case]) -> Result<(), TestCaseErr
     }
     recalc::recalc_all(&mut got);
     recalc::recalc_all(&mut want);
-    compare(&got, &want, &format!("{layout:?} capped={capped} {cases:?}, recalculated"))
+    compare(&got, &want, &format!("capped={capped} {cases:?}, recalculated"))
 }
 
-/// Each case on a fresh sheet, with and without the budget; the layouts
-/// take turns (neither the ops nor their references walk in layout order).
+/// Each case on a fresh sheet, with and without the budget.
 fn check_each(cases: &[Case]) {
-    for (i, case) in cases.iter().enumerate() {
+    for case in cases {
         for capped in [false, true] {
-            if let Err(e) = check(LAYOUTS[i % 2], capped, std::slice::from_ref(case)) {
+            if let Err(e) = check(capped, std::slice::from_ref(case)) {
                 panic!("{e:?}");
             }
         }
@@ -303,7 +300,7 @@ fn pivot_matches_the_row_at_a_time_scan() {
     }
     check_each(&cases);
     // The merged groups are there, under the key that came first.
-    let s = build(Layout::RowMajor, false);
+    let s = build(false);
     let table = pivot::pivot(&s, BY_CHUNK, NUM, PivotAgg::Count);
     let keys: Vec<&Value> = table.groups.iter().map(|(key, _, _)| key).collect();
     assert!(keys.contains(&&Value::Number(1.0)) && !keys.contains(&&Value::text("1")), "{keys:?}");
@@ -365,11 +362,9 @@ fn alternating_fills_restyle_on_every_pass() {
         pass("storm", Color::GREEN),
         pass(">99999", Color::GREEN),
     ];
-    for layout in LAYOUTS {
-        for capped in [false, true] {
-            if let Err(e) = check(layout, capped, &cases) {
-                panic!("{e:?}");
-            }
+    for capped in [false, true] {
+        if let Err(e) = check(capped, &cases) {
+            panic!("{e:?}");
         }
     }
 }
@@ -383,7 +378,7 @@ fn a_pass_that_matches_nothing_leaves_typed_chunks_typed() {
         let range = Range::parse(range).unwrap();
         s.apply(Op::CondFormat { range, criterion: criterion(c), fill: Color::GREEN }).unwrap()
     };
-    let mut s = build(Layout::RowMajor, false);
+    let mut s = build(false);
     assert_eq!(format(&mut s, "A1:B3200", ">99999"), OpOutcome::Formatted { cells: 0 });
     assert_eq!(s.grid_store().chunk_kinds(NUM), ["num"; 4]);
     assert_eq!(s.grid_store().chunk_kinds(TEXT), ["text"; 4]);
@@ -393,7 +388,7 @@ fn a_pass_that_matches_nothing_leaves_typed_chunks_typed() {
     assert_eq!(s.grid_store().chunk_kinds(NUM), ["num", "num", "cells", "cells"]);
     assert_eq!(s.grid_store().chunk_kinds(TEXT), ["text"; 4]);
 
-    let mut s = build(Layout::RowMajor, true);
+    let mut s = build(true);
     let before = (s.grid_store().chunk_kinds(NUM), s.grid_store().chunk_kinds(TEXT));
     let loads = s.grid_spill_stats().loads;
     format(&mut s, "A1:B3200", ">99999");
@@ -405,7 +400,7 @@ fn a_pass_that_matches_nothing_leaves_typed_chunks_typed() {
 /// never a page of numbers.
 #[test]
 fn replace_loads_only_the_pages_it_rewrites() {
-    let mut s = build(Layout::RowMajor, true);
+    let mut s = build(true);
     let loads = s.grid_spill_stats().loads;
     let whole = Range::parse("A1:F3200").unwrap();
     let replace = |needle: &str, replacement: &str| Op::FindReplace {
@@ -440,7 +435,6 @@ proptest! {
     /// meets the fills and the rewritten texts an earlier case left.
     #[test]
     fn sequences_of_scan_ops_match_their_references(
-        column_major in any::<bool>(),
         capped in any::<bool>(),
         picks in prop::collection::vec((0usize..5, 0usize..16, 0usize..7, 0usize..6), 1..5),
     ) {
@@ -464,6 +458,6 @@ proptest! {
                 _ => Case::Format(ranges[range], criterion(CRITERIA[a]), [Color::GREEN, Color::BLACK][b % 2]),
             })
             .collect();
-        check(LAYOUTS[usize::from(column_major)], capped, &cases)?;
+        check(capped, &cases)?;
     }
 }

@@ -102,9 +102,7 @@ pub enum OpOutcome {
 /// Cells of `range` inside the sheet's extent: what a scan of it reads, and
 /// what it charges the meter, in one `bump`.
 pub(crate) fn clipped_cells(sheet: &Sheet, range: Range) -> u64 {
-    sheet.grid_store().clip(range).map_or(0, |(r0, c0, r1, c1)| {
-        u64::from(r1 - r0 + 1) * u64::from(c1 - c0 + 1)
-    })
+    range.clip_to(sheet.nrows(), sheet.ncols()).map_or(0, |window| window.len())
 }
 
 impl Sheet {

@@ -11,7 +11,9 @@
 
 use std::collections::HashMap;
 
-use crate::addr::{CellAddr, Range};
+#[cfg(test)]
+use crate::addr::CellAddr;
+use crate::addr::Range;
 use crate::grid::{IdMemo, ScanSlice, CHUNK_ROWS};
 use crate::meter::Primitive;
 use crate::sheet::Sheet;
@@ -50,17 +52,6 @@ impl PivotTable {
     /// The aggregate for a given group key.
     pub fn value_for(&self, key: &Value) -> Option<f64> {
         self.groups.iter().find(|(k, _, _)| k.sheet_eq(key)).map(|(_, v, _)| *v)
-    }
-
-    /// Writes the table into `target` starting at `at`: key in the first
-    /// column, aggregate in the second — the "new worksheet" of the
-    /// experiment.
-    pub fn write_to(&self, target: &mut Sheet, at: CellAddr) {
-        for (i, (key, value, _)) in self.groups.iter().enumerate() {
-            target.meter().tick(Primitive::GroupWrite);
-            target.set_value(CellAddr::new(at.row + i as u32, at.col), key.clone());
-            target.set_value(CellAddr::new(at.row + i as u32, at.col + 1), *value);
-        }
     }
 }
 
@@ -293,17 +284,6 @@ mod tests {
         let p = pivot(&s, 1, 9, PivotAgg::Sum);
         assert_eq!(p.len(), 3);
         assert_eq!(p.value_for(&Value::text("SD")), Some(15.0));
-    }
-
-    #[test]
-    fn write_to_target_sheet() {
-        let p = pivot(&weather(), 1, 9, PivotAgg::Sum);
-        let mut out = Sheet::new();
-        p.write_to(&mut out, CellAddr::new(0, 0));
-        assert_eq!(out.value(CellAddr::new(0, 0)), Value::text("CA"));
-        assert_eq!(out.value(CellAddr::new(0, 1)), Value::Number(0.0));
-        assert_eq!(out.nrows(), 3);
-        assert_eq!(out.meter().snapshot().get(Primitive::GroupWrite), 3);
     }
 
     #[test]

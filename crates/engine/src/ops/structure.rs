@@ -500,14 +500,13 @@ mod tests {
     }
 
     #[test]
-    fn restructure_preserves_layout_and_options() {
+    fn restructure_preserves_options() {
         use crate::eval::LookupStrategy;
         use crate::recalc::RecalcOptions;
-        use crate::sheet::Layout;
 
-        let mut s = Sheet::with_layout(Layout::ColumnMajor, 0, 0);
+        let mut s = Sheet::new();
         let opts = RecalcOptions { parallelism: 3, threshold: 7 };
-        let lookup = LookupStrategy { early_exit_exact: true, binary_search_approx: true };
+        let lookup = LookupStrategy::StopEarly;
         s.set_recalc_options(opts);
         s.set_lookup_strategy(lookup);
         s.set_now_serial(44_000.5);
@@ -528,7 +527,6 @@ mod tests {
         .enumerate()
         {
             s.apply(edit).unwrap();
-            assert_eq!(s.layout(), Layout::ColumnMajor, "edit #{i} reset the layout");
             assert_eq!(s.recalc_options(), opts, "edit #{i} reset recalc options");
             assert_eq!(s.lookup_strategy(), lookup, "edit #{i} reset the lookup strategy");
             assert_eq!(s.now_serial(), 44_000.5, "edit #{i} reset the clock");

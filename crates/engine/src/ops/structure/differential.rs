@@ -11,7 +11,7 @@ use crate::cell::{Cell, CellContent};
 use crate::formula::ast::RangeRef;
 use crate::meter::Primitive;
 use crate::ops::{Op, SortKey};
-use crate::sheet::{Layout, Sheet};
+use crate::sheet::Sheet;
 use crate::style::{Color, Style};
 use crate::value::{Criterion, Value};
 use crate::{analyze, audit, recalc};
@@ -32,7 +32,7 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
         Axis::Row => (survivors(nrows), ncols),
         Axis::Col => (nrows, survivors(ncols)),
     };
-    let mut fresh = Sheet::with_layout(old.layout(), new_rows, new_cols);
+    let mut fresh = Sheet::with_size(new_rows, new_cols);
     fresh.ensure_size(new_rows.max(1), new_cols.max(1));
     fresh.set_lookup_strategy(old.lookup_strategy());
     fresh.set_recalc_options(old.recalc_options());
@@ -101,9 +101,9 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
 
 /// A sheet whose columns cover every segment kind over three chunks, with
 /// styled cells, an active filter, named ranges and a live auto-index.
-pub(crate) fn build(layout: Layout, budget: Option<usize>) -> Sheet {
+pub(crate) fn build(budget: Option<usize>) -> Sheet {
     const ROWS: u32 = 2600;
-    let mut s = Sheet::with_layout(layout, 0, 0);
+    let mut s = Sheet::new();
     s.set_grid_budget(budget);
     for r in 0..ROWS {
         if r % 97 != 13 {
@@ -212,13 +212,11 @@ proptest! {
     /// the extent; counts that carry slots zero, one and many chunks.
     #[test]
     fn in_place_edits_match_the_rebuild(
-        column_major in any::<bool>(),
         capped in any::<bool>(),
         sort_first in any::<bool>(),
         edits in prop::collection::vec((any::<bool>(), any::<bool>(), 0usize..7, 0usize..4), 1..4),
     ) {
-        let layout = if column_major { Layout::ColumnMajor } else { Layout::RowMajor };
-        let mut sheet = build(layout, capped.then_some(BUDGET));
+        let mut sheet = build(capped.then_some(BUDGET));
         if capped {
             prop_assert!(sheet.grid_spill_stats().spills > 0, "the capped sheet must spill");
         }
@@ -228,7 +226,7 @@ proptest! {
             sheet.apply(Op::Sort { keys: vec![SortKey::desc(0)] }).unwrap();
             prop_assert_eq!(sheet.input_text(CellAddr::new(0, 5)), "=#REF!+1");
             if let Err(e) = analyze::check_sheet(&sheet) {
-                return Err(TestCaseError::fail(format!("{layout:?} capped={capped} sort: {e}")));
+                return Err(TestCaseError::fail(format!("capped={capped} sort: {e}")));
             }
             recalc::recalc_all(&mut sheet);
         }
@@ -250,7 +248,7 @@ proptest! {
                 (Axis::Col, true) => Op::InsertCols { at, count },
                 (Axis::Col, false) => Op::DeleteCols { at, count },
             };
-            let what = format!("{layout:?} capped={capped} {op:?}");
+            let what = format!("capped={capped} {op:?}");
             let mut want = rebuilt(&sheet, axis, at, count, insert);
             sheet.apply(op).unwrap();
             compare(&sheet, &want, &what)?;

@@ -78,11 +78,6 @@ impl RecalcOptions {
     pub fn sequential() -> Self {
         RecalcOptions { parallelism: 1, threshold: usize::MAX }
     }
-
-    /// Default thresholds with an explicit worker count.
-    pub fn with_parallelism(parallelism: usize) -> Self {
-        RecalcOptions { parallelism: parallelism.max(1), ..RecalcOptions::default() }
-    }
 }
 
 /// Worker count used by `RecalcOptions::default()`: the

@@ -63,15 +63,15 @@ impl NameResolver for NameTable {
 }
 
 impl Sheet {
-    /// An empty row-major sheet.
+    /// An empty sheet.
     pub fn new() -> Self {
-        Sheet::with_layout(Layout::RowMajor, 0, 0)
+        Sheet::with_size(0, 0)
     }
 
-    /// An empty sheet with the given layout and initial extent.
-    pub fn with_layout(layout: Layout, rows: u32, cols: u32) -> Self {
+    /// An empty sheet with the given initial extent.
+    pub fn with_size(rows: u32, cols: u32) -> Self {
         Sheet {
-            grid: GridStore::new(layout, rows, cols),
+            grid: GridStore::new(rows, cols),
             deps: DepGraph::new(),
             meter: Meter::new(),
             hidden: Vec::new(),
@@ -111,12 +111,6 @@ impl Sheet {
     /// else on the sheet is keyed by a style).
     pub(crate) fn grid_store_mut(&mut self) -> &mut GridStore {
         &mut self.grid
-    }
-
-    /// The physical storage layout of the grid. Stable across every
-    /// operation.
-    pub fn layout(&self) -> Layout {
-        self.grid.layout()
     }
 
     /// The serial `NOW()` returns (see [`Sheet::set_now_serial`]).
@@ -331,8 +325,8 @@ impl Sheet {
         if nrows > 0 {
             let range = Range::new(CellAddr::new(0, col), CellAddr::new(nrows - 1, col));
             let meter = &self.meter;
-            self.grid.for_each_in_range(range, &mut |addr, cell| {
-                builder.add(meter, addr.row, cell.display_value(), cell.is_formula());
+            self.visit_range(range, &mut |addr, value, is_formula| {
+                builder.add(meter, addr.row, value, is_formula);
             });
         }
         match builder.finish() {
@@ -588,16 +582,6 @@ impl Sheet {
         &mut self.deps
     }
 
-    /// Replaces every formula by its cached value (derives the Value-only
-    /// dataset of §3.2).
-    pub fn freeze_all_formulas(&mut self) {
-        let addrs: Vec<CellAddr> = self.deps.formula_addrs().collect();
-        for addr in addrs {
-            self.grid.cell_mut(addr).expect("formula cell is within the grid").freeze();
-        }
-        self.deps.clear();
-    }
-
     /// Reorders rows (new row `i` = old row `perm[i]`), keeping filter
     /// state aligned and re-registering moved formulae.
     ///
@@ -795,45 +779,29 @@ impl CellSource for Sheet {
     }
 
     fn visit_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Value, bool)) {
-        // Single-column windows — the dominant aggregation shape — take
-        // the typed scan path: numeric chunks hand over `f64` runs and no
-        // temporary `Cell` is materialized per position. The visit order
-        // is identical to `for_each_in_range` (one column admits only
-        // one order), as are the values and formula flags fed to `f`.
-        if range.start.col == range.end.col {
-            use crate::grid::ScanSlice;
-            let c = range.start.col;
-            let mut r = range.start.row;
-            self.grid.scan_range(range, &mut |slice: ScanSlice<'_>| match slice {
-                ScanSlice::Nums(vals) => {
-                    for &n in vals {
-                        f(CellAddr::new(r, c), &Value::Number(n), false);
-                        r += 1;
-                    }
-                }
-                ScanSlice::Texts(ids, interner) => {
-                    for &id in ids {
-                        f(CellAddr::new(r, c), interner.value(id), false);
-                        r += 1;
-                    }
-                }
-                ScanSlice::Cells(cells) => {
-                    for cell in cells {
-                        f(CellAddr::new(r, c), cell.display_value(), cell.is_formula());
-                        r += 1;
-                    }
-                }
-                ScanSlice::Empty(n) => {
-                    for _ in 0..n {
-                        f(CellAddr::new(r, c), &Value::Empty, false);
-                        r += 1;
-                    }
-                }
-            });
-            return;
-        }
-        self.grid.for_each_in_range(range, &mut |addr, cell| {
-            f(addr, cell.display_value(), cell.is_formula());
+        use crate::grid::ScanSlice;
+        // The scan hands over the clipped window's cells in row-major
+        // order — one column as typed runs, several a cell at a time — so
+        // the address of each is a cursor stepped across the window.
+        let Some(window) = self.grid.clip(range) else { return };
+        let mut at = window.start;
+        let mut visit = |value: &Value, is_formula: bool| {
+            f(at, value, is_formula);
+            at = if at.col == window.end.col {
+                CellAddr::new(at.row + 1, window.start.col)
+            } else {
+                CellAddr::new(at.row, at.col + 1)
+            };
+        };
+        self.grid.scan_range(range, &mut |slice: ScanSlice<'_>| match slice {
+            ScanSlice::Nums(vals) => vals.iter().for_each(|&n| visit(&Value::Number(n), false)),
+            ScanSlice::Texts(ids, interner) => {
+                ids.iter().for_each(|&id| visit(interner.value(id), false))
+            }
+            ScanSlice::Cells(cells) => {
+                cells.iter().for_each(|c| visit(c.display_value(), c.is_formula()))
+            }
+            ScanSlice::Empty(n) => (0..n).for_each(|_| visit(&Value::Empty, false)),
         });
     }
 }
@@ -882,10 +850,58 @@ mod tests {
         }
     }
 
+    /// `visit_range` derives each address from its place in the scan, so
+    /// it is held to cell-at-a-time reads in row-major order: windows that
+    /// span the first chunk boundary, over every kind of chunk.
     #[test]
-    fn layout_accessor_reports_storage() {
-        assert_eq!(Sheet::new().layout(), Layout::RowMajor);
-        assert_eq!(Sheet::with_layout(Layout::ColumnMajor, 2, 2).layout(), Layout::ColumnMajor);
+    fn visit_range_addresses_a_2d_window_in_row_major_order() {
+        let mut s = Sheet::new();
+        for r in 0..1100u32 {
+            s.set_value(CellAddr::new(r, 0), f64::from(r) * 0.5); // A: numbers
+            s.set_value(CellAddr::new(r, 1), format!("t{}", r % 9)); // B: text
+            if r % 2 == 0 {
+                s.set_value(CellAddr::new(r, 2), r % 3 == 0); // C: bools and formulas
+            } else {
+                s.set_formula_str(CellAddr::new(r, 2), &format!("=A{}+1", r + 1)).unwrap();
+            }
+        }
+        for r in [3, 1020, 1023, 1024, 1030] {
+            s.set_value(CellAddr::new(r, 3), i64::from(r)); // D: a few cells; E: none
+        }
+        s.set_value(CellAddr::new(0, 5), "edge"); // F: the last column
+        recalc::recalc_all(&mut s);
+        let kinds = |s: &Sheet, col| s.grid_store().chunk_kinds(col);
+        assert_eq!(kinds(&s, 0), ["num", "num"]);
+        assert_eq!(kinds(&s, 1), ["text", "text"]);
+        assert_eq!(kinds(&s, 2), ["cells", "sparse"]);
+        assert_eq!(kinds(&s, 3), ["sparse", "sparse"]);
+        assert!(kinds(&s, 4).is_empty());
+
+        for capped in [false, true] {
+            if capped {
+                s.set_grid_budget(Some(8320));
+                assert!(kinds(&s, 0).contains(&"spilled") && kinds(&s, 1).contains(&"spilled"));
+            }
+            // Across the boundary, one row, one column, and past the
+            // extent below and to the right.
+            for window in ["A1000:F1050", "B1024:E1025", "C1024:F1024", "D900:D1100", "B1090:H1200"] {
+                let window = Range::parse(window).unwrap();
+                let mut visited = Vec::new();
+                s.visit_range(window, &mut |addr, value, is_formula| {
+                    visited.push((addr, value.clone(), is_formula));
+                });
+                let read: Vec<_> = window
+                    .clip_to(s.nrows(), s.ncols())
+                    .unwrap()
+                    .iter()
+                    .map(|addr| {
+                        let cell = s.cell(addr).unwrap();
+                        (addr, cell.display_value().clone(), cell.is_formula())
+                    })
+                    .collect();
+                assert_eq!(visited, read, "capped={capped} {window:?}");
+            }
+        }
     }
 
     #[test]
@@ -907,19 +923,6 @@ mod tests {
         }
         assert_eq!(s.eval_str("=SUM(A1:A10)").unwrap(), Value::Number(55.0));
         assert_eq!(s.eval_str("COUNTIF(A1:A10,\">5\")").unwrap(), Value::Number(5.0));
-    }
-
-    #[test]
-    fn freeze_all_converts() {
-        let mut s = Sheet::new();
-        s.set_value(a("A1"), 2);
-        s.set_formula_str(a("B1"), "=A1*10").unwrap();
-        recalc::recalc_all(&mut s);
-        assert_eq!(s.value(a("B1")), Value::Number(20.0));
-        s.freeze_all_formulas();
-        assert!(!s.is_formula(a("B1")));
-        assert_eq!(s.value(a("B1")), Value::Number(20.0));
-        assert_eq!(s.formula_count(), 0);
     }
 
     #[test]
@@ -1011,15 +1014,6 @@ mod tests {
         let mut s = Sheet::new();
         s.set_value(a("C3"), 1);
         assert_eq!(s.used_range().unwrap(), Range::parse("A1:C3").unwrap());
-    }
-
-    #[test]
-    fn column_major_layout_behaves_identically() {
-        let mut s = Sheet::with_layout(Layout::ColumnMajor, 0, 0);
-        s.set_value(a("A1"), 5);
-        s.set_formula_str(a("B1"), "=A1*3").unwrap();
-        recalc::recalc_all(&mut s);
-        assert_eq!(s.value(a("B1")), Value::Number(15.0));
     }
 }
 

@@ -209,7 +209,7 @@ impl Fnv {
 }
 
 /// FNV-1a over every non-empty stored value, bit-exact for numbers. Same
-/// shape as the oracle's digest; layout- and budget-independent.
+/// shape as the oracle's digest; budget-independent.
 fn digest(sheet: &Sheet) -> u64 {
     let mut h = Fnv::default();
     let Some(used) = sheet.used_range() else { return h.0 };

@@ -4,11 +4,12 @@
 //! *specified* to be configuration-independent, so any divergence the
 //! runner reports is a real bug and never generator noise:
 //!
-//! * range arguments of formulas are **single-column** — multi-column
-//!   aggregates would visit cells in storage order and sum floats in a
-//!   layout-dependent order (a find-and-replace range may span two
-//!   columns: it rewrites cell by cell, whatever the order). Within that,
-//!   the formula side covers every range kernel: the five plain aggregates
+//! * range arguments of formulas are **single-column** — a restriction
+//!   from when a multi-column aggregate summed floats in a
+//!   layout-dependent order; there is one order now, and widening the
+//!   grammar is ROADMAP item 3(e) (a find-and-replace range may already
+//!   span two columns). Within that, the formula side covers every range
+//!   kernel: the five plain aggregates
 //!   over value cells and over formula cells, `COUNTIF` with numeric, text,
 //!   `<>` and wildcard criteria, and `SUMIF`/`AVERAGEIF` with and without
 //!   a second range of the same rows;
@@ -22,7 +23,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ssbench_engine::addr::{col_to_letters, CellAddr};
-use ssbench_engine::sheet::{Layout, Sheet};
+use ssbench_engine::sheet::Sheet;
 
 use super::script::{Script, ScriptOp};
 
@@ -42,13 +43,13 @@ const COLS: u32 = 6;
 /// find-replace, filter, and pivot grouping).
 const LABELS: u64 = 12;
 
-/// Builds the initial workbook for `script` under the given layout. Pure
-/// function of `(script.seed, script.rows, layout)` — every configuration
-/// starts from cell-identical state.
-pub fn build_workbook(script: &Script, layout: Layout) -> Sheet {
+/// Builds the initial workbook for `script`. Pure function of
+/// `(script.seed, script.rows)` — every configuration starts from
+/// cell-identical state.
+pub fn build_workbook(script: &Script) -> Sheet {
     let rows = script.rows.max(8);
     let mut rng = SmallRng::seed_from_u64(script.seed ^ 0x5eed_b00c);
-    let mut sheet = Sheet::with_layout(layout, rows, COLS);
+    let mut sheet = Sheet::with_size(rows, COLS);
     for r in 0..rows {
         let a1 = r + 1; // A1-style row number for formula text
         sheet.set_value(CellAddr::new(r, 0), rng.random_range(1..=1000i64));
@@ -317,16 +318,6 @@ mod tests {
         assert_eq!(a, b);
         let c = generate(8, 32, 50);
         assert_ne!(a.ops, c.ops, "different seeds give different streams");
-    }
-
-    #[test]
-    fn workbooks_are_cell_identical_across_layouts() {
-        let script = generate(3, 24, 0);
-        let row = build_workbook(&script, Layout::RowMajor);
-        let col = build_workbook(&script, Layout::ColumnMajor);
-        assert_eq!(ssbench_engine::io::save(&row), ssbench_engine::io::save(&col));
-        assert_eq!(row.layout(), Layout::RowMajor);
-        assert_eq!(col.layout(), Layout::ColumnMajor);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The differential testing oracle (DESIGN.md §9).
 //!
 //! The paper's experiments only mean anything if the engine computes *the
-//! same answers* under every configuration the figures vary: physical
-//! layout (Fig 10), lookup strategy (§6), sequential vs parallel recalc
-//! (PR 1), and full vs incremental recalculation (Figs 13–14). The oracle
+//! same answers* under every configuration the figures vary: lookup
+//! strategy (§6), sequential vs parallel recalc (PR 1), and full vs
+//! incremental recalculation (Figs 13–14). The oracle
 //! enforces that by construction: it generates seeded random workbooks and
 //! op sequences ([`gen`]), replays each sequence under the whole
 //! configuration matrix and once on the reference evaluator ([`runner`]),

@@ -10,18 +10,18 @@
 //!   unnoticed;
 //! * the final workbook (input texts and bit-exact values);
 //! * the final workbook *reopened*: `io::open(&io::save(&sheet))` +
-//!   `open_recalc` under the configuration's layout and budget must save
+//!   `open_recalc` under the configuration's budget must save
 //!   to the same document and — unless a volatile formula is on the sheet
 //!   — hold bit-identical values, so every script also drives the bulk
 //!   load (DESIGN.md §17) and the save/open type round trip;
 //! * trace span-tree signatures, within groups that share the settings
 //!   which legitimately change the work done (lookup strategy changes
 //!   read counts, incremental recalc changes which formulas run) —
-//!   across layout and worker count the trees must be identical;
+//!   across worker counts and budgets the trees must be identical;
 //! * per-op structural invariants on every configuration: the dep-graph
 //!   audit and finite-grid check ([`ssbench_engine::audit`]), plus "the
-//!   sheet keeps its configured layout and `RecalcOptions`" — the two
-//!   regressions this oracle exists to catch (see `tests/corpus/`).
+//!   sheet keeps its configured `RecalcOptions`" — the two regressions
+//!   this oracle exists to catch (see `tests/corpus/`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -45,8 +45,6 @@ use super::script::{Script, ScriptOp};
 /// One cell of the configuration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleConfig {
-    /// Physical storage layout (Fig 10's variable).
-    pub layout: Layout,
     /// Worker threads for level-parallel recalc (1 = sequential path).
     pub parallelism: usize,
     /// Lookup/scan strategy (§6's variable).
@@ -70,16 +68,15 @@ pub struct OracleConfig {
 
 impl OracleConfig {
     /// Compact label for failure messages, e.g.
-    /// `row/par4/opt-lookup/inc/ix/cap32k`.
+    /// `par4/opt-lookup/inc/ix/cap32k`.
     pub fn label(&self) -> String {
         format!(
-            "{}/par{}/{}/{}/{}/{}",
-            match self.layout {
-                Layout::RowMajor => "row",
-                Layout::ColumnMajor => "col",
-            },
+            "par{}/{}/{}/{}/{}",
             self.parallelism,
-            if self.lookup == LookupStrategy::default() { "naive-lookup" } else { "opt-lookup" },
+            match self.lookup {
+                LookupStrategy::FullScan => "naive-lookup",
+                LookupStrategy::StopEarly => "opt-lookup",
+            },
             if self.incremental { "inc" } else { "full" },
             if self.indexed { "ix" } else { "noix" },
             if self.budget.is_some() { "cap32k" } else { "nocap" },
@@ -94,13 +91,8 @@ impl OracleConfig {
     /// deterministic. The grid budget is deliberately NOT part of the key:
     /// spilling and faulting never touch the meter, so a capped replay must
     /// produce the same span signatures as its unbounded twin.
-    fn signature_group(&self) -> (bool, bool, bool, bool) {
-        (
-            self.incremental,
-            self.lookup.early_exit_exact,
-            self.lookup.binary_search_approx,
-            self.indexed,
-        )
+    fn signature_group(&self) -> (bool, bool, bool) {
+        (self.incremental, self.lookup == LookupStrategy::StopEarly, self.indexed)
     }
 }
 
@@ -109,32 +101,22 @@ impl OracleConfig {
 /// tree-walking interpreter instead of the shipped compiled path.
 const REFERENCE_LABEL: &str = "reference";
 
-/// The configuration matrix of the shipped engine: 2 layouts × 2 lookup
-/// strategies × full/incremental × 1/2/4 workers × indexed or not ×
-/// unbounded/32 KB grid budget. The first entry is the plainest one; the
-/// reference replay runs on it too.
+/// The configuration matrix of the shipped engine: 2 lookup strategies ×
+/// full/incremental × 1/2/4 workers × indexed or not × unbounded/32 KB
+/// grid budget. The first entry is the plainest one; the reference replay
+/// runs on it too.
 pub fn matrix() -> Vec<OracleConfig> {
-    let optimized = LookupStrategy { early_exit_exact: true, binary_search_approx: true };
     // Small enough that even the oracle's little workbooks overflow it
     // (each typed chunk page is ~8 KB), so the capped half of the matrix
     // actually exercises spill/fault during the replay.
     let cap = Some(32 * 1024);
     let mut out = Vec::new();
-    for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-        for lookup in [LookupStrategy::default(), optimized] {
-            for incremental in [false, true] {
-                for parallelism in [1, 2, 4] {
-                    for indexed in [false, true] {
-                        for budget in [None, cap] {
-                            out.push(OracleConfig {
-                                layout,
-                                parallelism,
-                                lookup,
-                                incremental,
-                                indexed,
-                                budget,
-                            });
-                        }
+    for lookup in [LookupStrategy::FullScan, LookupStrategy::StopEarly] {
+        for incremental in [false, true] {
+            for parallelism in [1, 2, 4] {
+                for indexed in [false, true] {
+                    for budget in [None, cap] {
+                        out.push(OracleConfig { parallelism, lookup, incremental, indexed, budget });
                     }
                 }
             }
@@ -168,7 +150,7 @@ impl fmt::Display for Failure {
 struct Replay {
     /// Per-op `(outcome, grid digest)`.
     per_op: Vec<(String, u64)>,
-    /// Final workbook as input text (layout-independent serial form).
+    /// Final workbook as input text.
     final_inputs: Vec<Vec<String>>,
     /// Final bit-exact value digest.
     final_digest: u64,
@@ -241,7 +223,7 @@ pub fn check_script(script: &Script) -> Result<(), Failure> {
 
     // Span signatures: identical within each (recalc mode, lookup,
     // indexed) group of shipped replays.
-    let mut groups: HashMap<(bool, bool, bool, bool), (String, &str)> = HashMap::new();
+    let mut groups: HashMap<(bool, bool, bool), (String, &str)> = HashMap::new();
     for (config, run) in configs.iter().zip(&replays) {
         match groups.get(&config.signature_group()) {
             None => {
@@ -289,7 +271,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         // tuning is a performance knob, not a correctness one.
         threshold: if config.parallelism > 1 { 1 } else { RecalcOptions::default().threshold },
     };
-    let mut sheet = gen::build_workbook(script, config.layout);
+    let mut sheet = gen::build_workbook(script);
     sheet.set_grid_budget(config.budget);
     sheet.set_lookup_strategy(config.lookup);
     sheet.set_recalc_options(opts);
@@ -343,7 +325,7 @@ fn check_reopen(
     opts: RecalcOptions,
     reference: bool,
 ) -> Result<(), String> {
-    let mut reopened = io::open(saved, config.layout)
+    let mut reopened = io::open(saved, Layout::RowMajor)
         .map_err(|e| format!("reopen: the saved workbook does not open: {e}"))?;
     reopened.set_grid_budget(config.budget);
     reopened.set_lookup_strategy(config.lookup);
@@ -478,8 +460,8 @@ fn apply_script_op(sheet: &mut Sheet, op: &ScriptOp) -> Result<(String, Dirty), 
     }
 }
 
-/// Per-op invariants: the configured layout and recalc options must
-/// survive every op (the restructure-layout-reset bug class), the grid and
+/// Per-op invariants: the configured recalc options must survive every
+/// op (the restructure-options-reset bug class), the grid and
 /// dep graph must audit clean (the non-finite-coercion and stale-edge bug
 /// classes), and every formula template must pass the static analyzer —
 /// bytecode verification plus dep-graph read-set coverage
@@ -491,13 +473,6 @@ fn check_invariants(
     config: OracleConfig,
     opts: RecalcOptions,
 ) -> Result<Vec<TemplateReport>, String> {
-    if sheet.layout() != config.layout {
-        return Err(format!(
-            "sheet layout changed to {:?} (configured {:?})",
-            sheet.layout(),
-            config.layout
-        ));
-    }
     if sheet.recalc_options() != opts {
         return Err(format!(
             "recalc options changed to {:?} (configured {opts:?})",
@@ -550,7 +525,7 @@ pub fn verify_script(script: &Script) -> Result<Vec<TemplateReport>, Failure> {
         op_index,
         detail,
     };
-    let mut sheet = gen::build_workbook(script, config.layout);
+    let mut sheet = gen::build_workbook(script);
     recalc::recalc_all(&mut sheet);
     let mut reports =
         analyze::check_sheet(&sheet).map_err(|e| fail(None, e))?;
@@ -641,17 +616,16 @@ mod tests {
     #[test]
     fn matrix_covers_all_dimensions() {
         let m = matrix();
-        assert_eq!(m.len(), 2 * 2 * 2 * 3 * 2 * 2);
-        assert!(m.iter().any(|c| c.layout == Layout::ColumnMajor));
+        assert_eq!(m.len(), 48, "2 lookups × 2 recalc modes × 3 worker counts × 2 × 2");
         assert!(m.iter().any(|c| c.parallelism == 4));
-        assert!(m.iter().any(|c| c.lookup.early_exit_exact));
+        assert!(m.iter().any(|c| c.lookup == LookupStrategy::StopEarly));
         assert!(m.iter().any(|c| c.incremental));
         assert!(m.iter().any(|c| c.indexed));
         assert!(m.iter().any(|c| c.budget.is_some()));
         // The reference replay runs on the plainest configuration —
         // sequential, no indexes, unbounded grid memory — under a label no
         // shipped configuration carries.
-        assert_eq!(m[0].label(), "row/par1/naive-lookup/full/noix/nocap");
+        assert_eq!(m[0].label(), "par1/naive-lookup/full/noix/nocap");
         let labels: std::collections::HashSet<String> = m.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), m.len(), "configuration labels must be distinct");
         assert!(!labels.contains(REFERENCE_LABEL));
@@ -668,7 +642,7 @@ mod tests {
     #[test]
     fn digest_sees_value_changes_and_hidden_rows() {
         let script = gen::generate(5, 16, 0);
-        let mut sheet = gen::build_workbook(&script, Layout::RowMajor);
+        let mut sheet = gen::build_workbook(&script);
         recalc::recalc_all(&mut sheet);
         let before = grid_digest(&sheet);
         sheet.set_value(CellAddr::new(0, 0), 123_456i64);

@@ -105,7 +105,7 @@ pub fn excel() -> SystemProfile {
         policies: SystemPolicies {
             // §4.3.4: "Excel terminates execution after finding the value"
             // and optimizes sorted approximate match via binary search.
-            lookup: LookupStrategy { early_exit_exact: true, binary_search_approx: true },
+            lookup: LookupStrategy::StopEarly,
             recalc_on_sort: RecalcTrigger::Full,
             recalc_on_format: RecalcTrigger::None, // §4.2.2: "no such recomputation … in Excel"
             recalc_on_filter: RecalcTrigger::Superlinear, // §4.3.1
@@ -276,7 +276,7 @@ pub fn gsheets() -> SystemProfile {
             recalc_on_format: RecalcTrigger::Recheck,
             recalc_on_filter: RecalcTrigger::Recheck,
             recalc_on_pivot: RecalcTrigger::Recheck,
-            lookup: LookupStrategy { early_exit_exact: false, binary_search_approx: false },
+            lookup: LookupStrategy::FullScan,
             indexed: false,
             incremental_update: false,
             quotas: Quotas {
@@ -349,7 +349,7 @@ pub fn optimized() -> SystemProfile {
     SystemProfile {
         kind: SystemKind::Optimized,
         policies: SystemPolicies {
-            lookup: LookupStrategy { early_exit_exact: true, binary_search_approx: true },
+            lookup: LookupStrategy::StopEarly,
             // The engine's binding-retention proof (`windows_resolve_at`
             // in `engine::sheet`, `binding_survives_edit` in
             // `engine::ops::structure`: which formulas keep their compiled
@@ -448,8 +448,7 @@ mod tests {
 
     #[test]
     fn profiles_have_expected_policies() {
-        assert!(excel().policies.lookup.early_exit_exact);
-        assert!(excel().policies.lookup.binary_search_approx);
+        assert_eq!(excel().policies.lookup, LookupStrategy::StopEarly);
         assert_eq!(excel().policies.recalc_on_filter, RecalcTrigger::Superlinear);
         assert_eq!(calc().policies.recalc_on_pivot, RecalcTrigger::None);
         assert!(gsheets().policies.lazy_viewport_open);

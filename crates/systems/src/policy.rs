@@ -99,7 +99,7 @@ impl SystemPolicies {
             recalc_on_format: RecalcTrigger::None,
             recalc_on_filter: RecalcTrigger::None,
             recalc_on_pivot: RecalcTrigger::None,
-            lookup: LookupStrategy { early_exit_exact: false, binary_search_approx: false },
+            lookup: LookupStrategy::FullScan,
             indexed: false,
             incremental_update: false,
             quotas: Quotas {

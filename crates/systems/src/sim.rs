@@ -152,8 +152,7 @@ impl SimSystem {
             Span::open(Category::Measure, || format!("measure:open:{}", kind.name()));
         let p = &self.profile.policies;
         let mut sheet = if p.lazy_viewport_open {
-            io::open_window(doc, Layout::RowMajor, p.viewport_rows)
-                .expect("generated document parses")
+            io::open_window(doc, p.viewport_rows).expect("generated document parses")
         } else {
             io::open(doc, Layout::RowMajor).expect("generated document parses")
         };

@@ -38,7 +38,7 @@ pub fn build_sheet(rows: u32, variant: Variant) -> Sheet {
 
 /// [`build_sheet`] with an explicit seed.
 pub fn build_sheet_seeded(rows: u32, variant: Variant, seed: u64) -> Sheet {
-    let mut sheet = Sheet::with_layout(Layout::RowMajor, rows, NUM_COLS);
+    let mut sheet = Sheet::with_size(rows, NUM_COLS);
     for r in 0..rows {
         write_row(&mut sheet, seed, r, variant);
     }

@@ -76,13 +76,10 @@ fn main() {
     println!("grade lookup over {STUDENTS} scores, 9-row grade table\n");
 
     // 1. Calc / Google Sheets: every VLOOKUP scans the whole grade table.
-    let (scan_reads, _) = run("full scan (Calc, Sheets)", LookupStrategy::default());
+    let (scan_reads, _) = run("full scan (Calc, Sheets)", LookupStrategy::FullScan);
 
     // 2. Excel with Sorted=TRUE: binary search per lookup.
-    let (bin_reads, _) = run(
-        "binary search (Excel)",
-        LookupStrategy { early_exit_exact: true, binary_search_approx: true },
-    );
+    let (bin_reads, _) = run("binary search (Excel)", LookupStrategy::StopEarly);
 
     println!(
         "\nscan/binary read ratio: {:.0}x fewer reads with binary search",

@@ -18,6 +18,22 @@ cd "$(dirname "$0")/.."
 # fine, a tree this script dirtied is not (checked again at the bottom).
 tree_before="$(git status --porcelain)"
 
+# The option surface stays collapsed by a gate, not by memory (ROADMAP aim
+# 2): the engine reads exactly two environment variables, each by a
+# literal name, and the second visit order and per-cell range reader PR 21
+# deleted do not come back under their old names.
+echo "==> option surface: engine env vars, deleted knobs"
+env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
+if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDGET") ' ]; then
+  echo "the engine's environment reads changed (expected exactly" \
+    "RECALC_PARALLELISM and SSBENCH_GRID_BUDGET, by literal name): $env_reads" >&2
+  exit 1
+fi
+if grep -rn 'ColumnMajor\|for_each_in_range' crates src tests examples; then
+  echo "a deleted visit order or range reader is back (see above)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace --all-targets (warnings are errors)"
 # --workspace: the root manifest is a package, so a bare build would skip
 # the member crates' bin targets (bct, fuzz, spill) the later stages

@@ -3,7 +3,7 @@
 //! The abstract interpreter claims two over-approximations per template:
 //! the value kinds evaluation can produce (`Analysis::ty`) and the cells
 //! it can read (`Analysis::reads`). Both are checked here dynamically, on
-//! random expression trees and in both grid layouts, by evaluating through
+//! random expression trees, by evaluating through
 //! a [`RecordingSource`] that logs every cell actually read. The dep-graph
 //! coverage proof (`analyze::check_sheet`) is then run over whole random
 //! sheets built from the same trees.
@@ -112,8 +112,8 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 /// A mixed data fixture in the top-left corner: numbers, text, booleans,
 /// and formula cells (one of which evaluates to `#DIV/0!`). References
 /// outside it hit empty cells.
-fn fixture(layout: Layout, values: &[i64]) -> Sheet {
-    let mut s = Sheet::with_layout(layout, 0, 0);
+fn fixture(values: &[i64]) -> Sheet {
+    let mut s = Sheet::new();
     for (i, &v) in values.iter().enumerate() {
         let (r, c) = (i as u32 / 4, (i % 4) as u32);
         match i % 6 {
@@ -129,8 +129,6 @@ fn fixture(layout: Layout, values: &[i64]) -> Sheet {
     s
 }
 
-const LAYOUTS: [Layout; 2] = [Layout::RowMajor, Layout::ColumnMajor];
-
 proptest! {
     /// Dynamic reads are a subset of the static read-set, and the value
     /// produced is admitted by the inferred type set. The generated
@@ -141,38 +139,36 @@ proptest! {
         exprs in prop::collection::vec(arb_expr(), 1..5),
         values in prop::collection::vec(-50i64..50, 24),
     ) {
-        for layout in LAYOUTS {
-            let sheet = fixture(layout, &values);
-            for (i, expr) in exprs.iter().enumerate() {
-                let origin = CellAddr::new(i as u32, 30);
-                let an = analyze::analyze(expr, origin);
-                let rec = RecordingSource::new(&sheet);
-                let meter = Meter::new();
-                let got = evaluate(expr, &EvalCtx::new(&rec, &meter, origin));
+        let sheet = fixture(&values);
+        for (i, expr) in exprs.iter().enumerate() {
+            let origin = CellAddr::new(i as u32, 30);
+            let an = analyze::analyze(expr, origin);
+            let rec = RecordingSource::new(&sheet);
+            let meter = Meter::new();
+            let got = evaluate(expr, &EvalCtx::new(&rec, &meter, origin));
+            prop_assert!(
+                an.ty.admits(&got),
+                "value {got:?} outside inferred type {}",
+                an.ty
+            );
+            if let Some(c) = &an.const_value {
+                prop_assert_eq!(c, &got, "constant folding must match evaluation");
+            }
+            let ReadSet::Windows(ws) = &an.reads else {
+                continue; // unbounded: every read is trivially covered
+            };
+            let resolved: Vec<Range> = ws
+                .iter()
+                .filter_map(|w| {
+                    Some(Range::new(w.start.resolve(origin)?, w.end.resolve(origin)?))
+                })
+                .collect();
+            for read in rec.reads() {
                 prop_assert!(
-                    an.ty.admits(&got),
-                    "{layout:?}: value {got:?} outside inferred type {}",
-                    an.ty
+                    resolved.iter().any(|r| r.contains(read)),
+                    "read {} outside static windows {resolved:?}",
+                    read.to_a1()
                 );
-                if let Some(c) = &an.const_value {
-                    prop_assert_eq!(c, &got, "constant folding must match evaluation");
-                }
-                let ReadSet::Windows(ws) = &an.reads else {
-                    continue; // unbounded: every read is trivially covered
-                };
-                let resolved: Vec<Range> = ws
-                    .iter()
-                    .filter_map(|w| {
-                        Some(Range::new(w.start.resolve(origin)?, w.end.resolve(origin)?))
-                    })
-                    .collect();
-                for read in rec.reads() {
-                    prop_assert!(
-                        resolved.iter().any(|r| r.contains(read)),
-                        "{layout:?}: read {} outside static windows {resolved:?}",
-                        read.to_a1()
-                    );
-                }
             }
         }
     }
@@ -199,38 +195,33 @@ proptest! {
             }
         }
         let doc = SheetData { rows: texts.iter().map(|(text, _)| vec![format!("={text}")]).collect() };
-        for layout in LAYOUTS {
-            let sheet = io::open(&doc, layout).unwrap();
-            for (r, (text, parsed)) in texts.iter().enumerate() {
-                let got = sheet.formula_expr(CellAddr::new(r as u32, 0));
-                prop_assert_eq!(got, Some(parsed), "row {} holds {:?}", r + 1, text);
-            }
-            if let Err(e) = analyze::check_sheet(&sheet) {
-                prop_assert!(false, "{layout:?}: {e}");
-            }
+        let sheet = io::open(&doc, Layout::RowMajor).unwrap();
+        for (r, (text, parsed)) in texts.iter().enumerate() {
+            let got = sheet.formula_expr(CellAddr::new(r as u32, 0));
+            prop_assert_eq!(got, Some(parsed), "row {} holds {:?}", r + 1, text);
+        }
+        if let Err(e) = analyze::check_sheet(&sheet) {
+            prop_assert!(false, "{e}");
         }
     }
 
     /// Whole-sheet soundness: with the random trees installed as real
     /// formulas, `check_sheet` proves bytecode verification, fact
-    /// agreement, and dep-graph read-set coverage for every template —
-    /// in both layouts.
+    /// agreement, and dep-graph read-set coverage for every template.
     #[test]
     fn check_sheet_proves_random_sheets(
         exprs in prop::collection::vec(arb_expr(), 1..5),
         values in prop::collection::vec(-50i64..50, 24),
     ) {
-        for layout in LAYOUTS {
-            let mut sheet = fixture(layout, &values);
-            // Column AE is outside the reference window, so the DAG stays
-            // acyclic regardless of what the trees reference.
-            for (i, expr) in exprs.iter().enumerate() {
-                sheet.set_formula(CellAddr::new(i as u32, 30), expr.clone());
-            }
-            recalc::recalc_all(&mut sheet);
-            if let Err(e) = analyze::check_sheet(&sheet) {
-                prop_assert!(false, "{layout:?}: {e}");
-            }
+        let mut sheet = fixture(&values);
+        // Column AE is outside the reference window, so the DAG stays
+        // acyclic regardless of what the trees reference.
+        for (i, expr) in exprs.iter().enumerate() {
+            sheet.set_formula(CellAddr::new(i as u32, 30), expr.clone());
+        }
+        recalc::recalc_all(&mut sheet);
+        if let Err(e) = analyze::check_sheet(&sheet) {
+            prop_assert!(false, "{e}");
         }
     }
 }

@@ -463,40 +463,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Grid layout equivalence
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// Row-major and column-major sheets agree on every operation
-    /// outcome.
-    #[test]
-    fn layouts_agree(values in prop::collection::vec((0i64..100, 0i64..3), 5..40)) {
-        let build = |layout: Layout| {
-            let mut s = Sheet::with_layout(layout, 0, 0);
-            for (i, &(a, b)) in values.iter().enumerate() {
-                s.set_value(CellAddr::new(i as u32, 0), a);
-                s.set_value(CellAddr::new(i as u32, 1), b);
-            }
-            s.set_formula_str(
-                CellAddr::new(0, 2),
-                &format!("=SUMIF(B1:B{n},1,A1:A{n})", n = values.len()),
-            ).unwrap();
-            recalc::recalc_all(&mut s);
-            s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
-            s
-        };
-        let row = build(Layout::RowMajor);
-        let col = build(Layout::ColumnMajor);
-        for r in 0..values.len() as u32 {
-            for c in 0..3u32 {
-                let addr = CellAddr::new(r, c);
-                prop_assert_eq!(row.value(addr), col.value(addr), "cell {}", addr);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Structural edits
 // ---------------------------------------------------------------------
 
@@ -741,11 +707,11 @@ const AGG_FUNCS: [&str; 5] = ["SUM", "COUNT", "AVERAGE", "MIN", "MAX"];
 proptest! {
     /// The strided range kernels — with the delta cache (shipped) and
     /// without it (one-shot) — are observationally identical to the
-    /// reference interpreter on both grid layouts and both 1-D range
-    /// orientations (plus 2-D blocks): same value for every aggregate and
-    /// the same meter counts, tick for tick.
+    /// reference interpreter on both 1-D range orientations (plus 2-D
+    /// blocks): same value for every aggregate and the same meter counts,
+    /// tick for tick.
     #[test]
-    fn strided_kernels_match_interpreter_across_layouts(
+    fn strided_kernels_match_interpreter(
         cells in prop::collection::vec((0u8..9, -50i64..50), 36),
         func in 0usize..5,
         a in 0u32..6, b in 0u32..6, c in 0u32..6, d in 0u32..6,
@@ -753,8 +719,8 @@ proptest! {
         let name = AGG_FUNCS[func];
         let (r1, r2) = (a.min(b), a.max(b));
         let (c1, c2) = (c.min(d), c.max(d));
-        let build = |layout: Layout, leg: Leg| {
-            let mut s = Sheet::with_layout(layout, 0, 0);
+        let build = |leg: Leg| {
+            let mut s = Sheet::new();
             s.set_recalc_options(RecalcOptions::sequential());
             // A 6x6 mixed block; the aggregates live in column K, outside it.
             for (i, &(tag, v)) in cells.iter().enumerate() {
@@ -781,26 +747,23 @@ proptest! {
             recalc_leg(&mut s, leg);
             s
         };
-        for layout in [Layout::RowMajor, Layout::ColumnMajor] {
-            let reference = build(layout, Leg::Reference);
-            for leg in [Leg::OneShot, Leg::Shipped] {
-                let got = build(layout, leg);
-                for i in 0..3u32 {
-                    let addr = CellAddr::new(i, 10);
-                    assert_value_bits(
-                        &reference.value(addr),
-                        &got.value(addr),
-                        &format!("{layout:?} {leg:?} formula {i}"),
-                    )?;
-                }
-                prop_assert_eq!(
-                    reference.meter().snapshot(),
-                    got.meter().snapshot(),
-                    "{:?} {:?} meters",
-                    layout,
-                    leg
-                );
+        let reference = build(Leg::Reference);
+        for leg in [Leg::OneShot, Leg::Shipped] {
+            let got = build(leg);
+            for i in 0..3u32 {
+                let addr = CellAddr::new(i, 10);
+                assert_value_bits(
+                    &reference.value(addr),
+                    &got.value(addr),
+                    &format!("{leg:?} formula {i}"),
+                )?;
             }
+            prop_assert_eq!(
+                reference.meter().snapshot(),
+                got.meter().snapshot(),
+                "{:?} meters",
+                leg
+            );
         }
     }
 
@@ -867,7 +830,7 @@ proptest! {
         ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..60),
     ) {
         let n: u32 = 4 * 1024; // four full chunks in one column
-        let mut g = GridStore::new(Layout::RowMajor, 1, 1);
+        let mut g = GridStore::new(1, 1);
         let mut model: Vec<f64> = (0..n).map(f64::from).collect();
         for r in 0..n {
             g.set_value(CellAddr::new(r, 0), Value::Number(model[r as usize])).unwrap();

@@ -32,7 +32,7 @@ fn hundred_k_formula_dag_parallel_equals_sequential() {
     let mut seq = wide_dag_sheet(N, RecalcOptions::sequential());
     recalc::recalc_all(&mut seq);
 
-    let mut par = wide_dag_sheet(N, RecalcOptions::with_parallelism(4));
+    let mut par = wide_dag_sheet(N, RecalcOptions { parallelism: 4, ..RecalcOptions::default() });
     recalc::recalc_all(&mut par);
 
     // Every computed cell matches.
