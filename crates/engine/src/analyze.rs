@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::addr::{CellAddr, CellRef, Range};
-use crate::compile::lower::{Inst, Kernel, Program, BUILTINS};
+use crate::compile::lower::{func_id, FuncId, Inst, Kernel, Program};
 use crate::eval::{apply_binary, apply_unary, CellSource};
 use crate::formula::ast::{BinOp, Expr, RangeRef, UnaryOp};
 use crate::formula::r1c1::{self, RangeSpec, RefSpec};
@@ -183,7 +183,7 @@ pub fn verify(prog: &Program) -> Result<u32, VerifyError> {
                 Some(depth - 1)
             }
             Inst::Call { id, argc, kernel } => {
-                if id.0 as usize >= BUILTINS.len() {
+                if id.0 as usize >= functions::BUILTINS.len() {
                     return Err(VerifyError::FuncOutOfBounds { pc, id: id.0 });
                 }
                 if let Some(Kernel::If { literal: Some(index), .. }) = *kernel {
@@ -385,12 +385,6 @@ pub struct Analysis {
     pub reads: ReadSet,
 }
 
-/// Builtins whose result depends on evaluation time/randomness rather than
-/// cell state alone. RAND/RANDBETWEEN are not in `BUILTINS` today (they
-/// would break the deterministic oracle) but are listed defensively so
-/// adding them cannot silently produce cacheable-looking templates.
-const VOLATILE: &[&str] = &["NOW", "TODAY", "RAND", "RANDBETWEEN"];
-
 /// Builtins whose reads escape their syntactic argument windows for the
 /// given arity (see [`ReadSet::Unbounded`]). Every other builtin either
 /// reads only through its `Range`/`Ref` arguments or bounds-checks into
@@ -492,13 +486,14 @@ impl Analyzer {
             }
             Expr::Call(name, args) => {
                 let arg_tys: Vec<TySet> = args.iter().map(|a| self.go(a).ty()).collect();
-                if VOLATILE.contains(&name.as_str()) {
+                let builtin = func_id(name).map(FuncId::row);
+                if builtin.is_some_and(|b| b.volatile) {
                     self.volatile = true;
                 }
                 if dynamic_reads(name, args.len()) {
                     self.unbounded = true;
                 }
-                AbsVal::Ty(call_ty(name, &arg_tys))
+                AbsVal::Ty(call_ty(name, builtin, &arg_tys))
             }
         }
     }
@@ -515,45 +510,24 @@ fn binop_ty(op: BinOp) -> TySet {
     }
 }
 
-/// Return-kind table for calls. Coarse by design: every entry includes
-/// `ERR` (any builtin can fail on arity or coercion) and the fallback for
-/// a builtin without a sharper row is `ANY`. Unknown names evaluate to
-/// `#NAME?`, i.e. exactly `ERR`.
-fn call_ty(name: &str, arg_tys: &[TySet]) -> TySet {
-    let num_err = TySet::NUM.join(TySet::ERR);
-    let bool_err = TySet::BOOL.join(TySet::ERR);
-    let text_err = TySet::TEXT.join(TySet::ERR);
-    match name {
+/// Return kind of a call. Coarse by design: a builtin's kinds are its row
+/// of the builtin table, `ERR` included (any of them can fail on arity or
+/// coercion). Unknown names evaluate to `#NAME?`, i.e. exactly `ERR`.
+fn call_ty(name: &str, builtin: Option<&functions::Builtin>, arg_tys: &[TySet]) -> TySet {
+    match (name, builtin) {
         // Control flow: the result is one of the branches (IF's missing
         // else yields FALSE; a condition error propagates).
-        "IF" => match arg_tys.len() {
+        ("IF", _) => match arg_tys.len() {
             2 => arg_tys[1].join(TySet::BOOL).join(TySet::ERR),
             3 => arg_tys[1].join(arg_tys[2]).join(TySet::ERR),
             _ => TySet::ERR,
         },
-        "IFERROR" => match arg_tys.len() {
+        ("IFERROR", _) => match arg_tys.len() {
             2 => arg_tys[0].join(arg_tys[1]).join(TySet::ERR),
             _ => TySet::ERR,
         },
-        // Numeric results.
-        "SUM" | "AVERAGE" | "COUNT" | "COUNTA" | "COUNTBLANK" | "MIN" | "MAX" | "PRODUCT"
-        | "MEDIAN" | "STDEV" | "VAR" | "COUNTIF" | "SUMIF" | "AVERAGEIF" | "SUMIFS"
-        | "COUNTIFS" | "AVERAGEIFS" | "SUMPRODUCT" | "LARGE" | "SMALL" | "RANK" | "MODE"
-        | "ABS" | "SIGN" | "INT" | "ROUND" | "ROUNDUP" | "ROUNDDOWN" | "MOD" | "POWER"
-        | "SQRT" | "EXP" | "LN" | "LOG" | "LOG10" | "PI" | "LEN" | "FIND" | "VALUE" | "ROW"
-        | "COLUMN" | "MATCH" | "NOW" | "TODAY" | "DATE" | "YEAR" | "MONTH" | "DAY"
-        | "WEEKDAY" | "DAYS" | "EDATE" => num_err,
-        // Boolean results.
-        "AND" | "OR" | "NOT" | "XOR" | "TRUE" | "FALSE" | "EXACT" | "ISBLANK" | "ISNUMBER"
-        | "ISTEXT" | "ISLOGICAL" | "ISERROR" | "ISNA" => bool_err,
-        // Text results.
-        "CONCATENATE" | "LEFT" | "RIGHT" | "MID" | "UPPER" | "LOWER" | "TRIM" | "SUBSTITUTE"
-        | "REPT" | "TEXTJOIN" => text_err,
-        "NA" => TySet::ERR,
-        // Lookups and selectors hand back whatever the data holds.
-        _ if functions::is_builtin(name) => TySet::ANY,
-        // Unknown name: `#NAME?`.
-        _ => TySet::ERR,
+        (_, Some(b)) => b.ret,
+        (_, None) => TySet::ERR,
     }
 }
 

@@ -21,128 +21,68 @@
 use crate::addr::CellAddr;
 use crate::analyze::{self, ReadSet};
 use crate::error::CellError;
-use crate::eval::{apply_binary, apply_unary, EvalCtx};
+use crate::eval::{apply_binary, apply_unary};
 use crate::formula::ast::{BinOp, Expr, UnaryOp};
 use crate::formula::r1c1::{RangeSpec, RefSpec};
-use crate::functions::{self, Arg};
+use crate::functions;
 use crate::value::{Criterion, Matcher, Value};
 
-/// A dense builtin-function identifier: an index into [`BUILTINS`].
+/// A dense builtin-function identifier: an index into
+/// [`functions::BUILTINS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuncId(pub(crate) u16);
 
 impl FuncId {
+    /// The builtin's row of the table.
+    pub(crate) fn row(self) -> &'static functions::Builtin {
+        &functions::BUILTINS[self.0 as usize]
+    }
+
     /// The builtin's uppercase name.
     pub fn name(self) -> &'static str {
-        BUILTINS[self.0 as usize].0
+        self.row().name
     }
 }
 
-/// The signature every builtin shares (see `functions::call`).
-pub(crate) type BuiltinFn = fn(&EvalCtx<'_>, &[Arg]) -> Value;
-
-fn true_fn(_: &EvalCtx<'_>, _: &[Arg]) -> Value {
-    Value::Bool(true)
-}
-fn false_fn(_: &EvalCtx<'_>, _: &[Arg]) -> Value {
-    Value::Bool(false)
-}
-fn na_fn(_: &EvalCtx<'_>, _: &[Arg]) -> Value {
-    Value::Error(CellError::Na)
-}
-
-/// Every dispatchable builtin, mirroring `functions::call` exactly (minus
-/// `IF`/`IFERROR`, which are control flow, not calls). The paired test
-/// checks each entry against the string dispatcher.
-pub(crate) static BUILTINS: &[(&str, BuiltinFn)] = &[
-    ("SUM", functions::stats::sum),
-    ("AVERAGE", functions::stats::average),
-    ("COUNT", functions::stats::count),
-    ("COUNTA", functions::stats::counta),
-    ("COUNTBLANK", functions::stats::countblank),
-    ("MIN", functions::stats::min),
-    ("MAX", functions::stats::max),
-    ("PRODUCT", functions::stats::product),
-    ("MEDIAN", functions::stats::median),
-    ("STDEV", functions::stats::stdev),
-    ("VAR", functions::stats::var),
-    ("COUNTIF", functions::stats::countif),
-    ("SUMIF", functions::stats::sumif),
-    ("AVERAGEIF", functions::stats::averageif),
-    ("SUMIFS", functions::multi::sumifs),
-    ("COUNTIFS", functions::multi::countifs),
-    ("AVERAGEIFS", functions::multi::averageifs),
-    ("SUMPRODUCT", functions::multi::sumproduct),
-    ("LARGE", functions::multi::large),
-    ("SMALL", functions::multi::small),
-    ("RANK", functions::multi::rank),
-    ("MODE", functions::multi::mode),
-    ("ABS", functions::math::abs),
-    ("SIGN", functions::math::sign),
-    ("INT", functions::math::int),
-    ("ROUND", functions::math::round),
-    ("ROUNDUP", functions::math::roundup),
-    ("ROUNDDOWN", functions::math::rounddown),
-    ("MOD", functions::math::modulo),
-    ("POWER", functions::math::power),
-    ("SQRT", functions::math::sqrt),
-    ("EXP", functions::math::exp),
-    ("LN", functions::math::ln),
-    ("LOG", functions::math::log),
-    ("LOG10", functions::math::log10),
-    ("PI", functions::math::pi),
-    ("AND", functions::logical::and),
-    ("OR", functions::logical::or),
-    ("NOT", functions::logical::not),
-    ("XOR", functions::logical::xor),
-    ("TRUE", true_fn),
-    ("FALSE", false_fn),
-    ("CONCATENATE", functions::text::concatenate),
-    ("LEN", functions::text::len),
-    ("LEFT", functions::text::left),
-    ("RIGHT", functions::text::right),
-    ("MID", functions::text::mid),
-    ("UPPER", functions::text::upper),
-    ("LOWER", functions::text::lower),
-    ("TRIM", functions::text::trim),
-    ("FIND", functions::text::find),
-    ("SUBSTITUTE", functions::text::substitute),
-    ("REPT", functions::text::rept),
-    ("VALUE", functions::text::value),
-    ("EXACT", functions::text::exact),
-    ("TEXTJOIN", functions::text::textjoin),
-    ("VLOOKUP", functions::lookup::vlookup),
-    ("XLOOKUP", functions::lookup::xlookup),
-    ("OFFSET", functions::lookup::offset),
-    ("HLOOKUP", functions::lookup::hlookup),
-    ("INDEX", functions::lookup::index),
-    ("MATCH", functions::lookup::match_fn),
-    ("LOOKUP", functions::lookup::lookup),
-    ("CHOOSE", functions::lookup::choose),
-    ("ISBLANK", functions::info::isblank),
-    ("ISNUMBER", functions::info::isnumber),
-    ("ISTEXT", functions::info::istext),
-    ("ISLOGICAL", functions::info::islogical),
-    ("ISERROR", functions::info::iserror),
-    ("ISNA", functions::info::isna),
-    ("NA", na_fn),
-    ("ROW", functions::info::row),
-    ("COLUMN", functions::info::column),
-    ("NOW", functions::datetime::now),
-    ("TODAY", functions::datetime::today),
-    ("DATE", functions::datetime::date),
-    ("YEAR", functions::datetime::year),
-    ("MONTH", functions::datetime::month),
-    ("DAY", functions::datetime::day),
-    ("WEEKDAY", functions::datetime::weekday),
-    ("DAYS", functions::datetime::days),
-    ("EDATE", functions::datetime::edate),
-];
-
-/// Resolves an uppercase name to its dense ID.
+/// Resolves an uppercase name to its dense ID with one probe of a hash
+/// index over the table. Not a search of it: the interpreter's string
+/// dispatch (`functions::call`) resolves here too, on a path — a one-shot
+/// `COUNTIF` answered by a column index — that is 0.5 µs in all.
 pub fn func_id(name: &str) -> Option<FuncId> {
-    BUILTINS.iter().position(|(n, _)| *n == name).map(|i| FuncId(i as u16))
+    let mut slot = first_slot(name);
+    loop {
+        let id = FuncId(INDEX[slot].checked_sub(1)?);
+        if id.name() == name {
+            return Some(id);
+        }
+        slot = (slot + 1) % INDEX.len();
+    }
 }
+
+/// Where the probe for `name` starts: its length and its end bytes, cheap
+/// to read and spread well enough; a collision moves on to the next slot.
+const fn first_slot(name: &str) -> usize {
+    let b = name.as_bytes();
+    if b.is_empty() {
+        return 0;
+    }
+    (b.len() * 67 + b[0] as usize * 31 + b[b.len() - 1] as usize * 7) % INDEX.len()
+}
+
+/// `INDEX[slot]` is a table row + 1, or 0 where no name landed.
+static INDEX: [u16; 256] = {
+    let mut index = [0; 256];
+    let mut row = 0;
+    while row < functions::BUILTINS.len() {
+        let mut slot = first_slot(functions::BUILTINS[row].name);
+        while index[slot] != 0 {
+            slot = (slot + 1) % index.len();
+        }
+        row += 1;
+        index[slot] = row as u16;
+    }
+    index
+};
 
 /// A vectorized range-aggregate kernel the VM may dispatch to. Chosen at
 /// compile time from the function and the *shape* of its arguments; the VM
@@ -494,9 +434,7 @@ fn kernel_for(name: &str, shapes: &[Shape]) -> Option<Kernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::ValueMatrix;
     use crate::formula::parse;
-    use crate::meter::Meter;
 
     fn lower(src: &str) -> Program {
         compile(&parse(src).unwrap(), CellAddr::new(4, 3))
@@ -600,28 +538,22 @@ mod tests {
     }
 
     #[test]
-    fn dense_ids_match_string_dispatch() {
-        let m = ValueMatrix::default();
-        let meter = Meter::new();
-        let ctx = EvalCtx::new(&m, &meter, CellAddr::new(0, 0));
-        let samples: Vec<Vec<Arg>> = vec![
-            vec![],
-            vec![Arg::Value(Value::Number(2.0))],
-            vec![Arg::Value(Value::Number(2.0)), Arg::Value(Value::Number(7.0))],
-        ];
-        for (i, (name, f)) in BUILTINS.iter().enumerate() {
-            assert!(functions::is_builtin(name), "{name} not a builtin");
-            assert_eq!(func_id(name), Some(FuncId(i as u16)), "{name}");
-            for args in &samples {
-                assert_eq!(
-                    f(&ctx, args),
-                    functions::call(name, &ctx, args),
-                    "{name} diverges from string dispatch on {args:?}"
-                );
-            }
+    fn table_is_sorted_and_every_func_id_names_its_own_row() {
+        // Strictly ascending: sorted by name, and so duplicate-free.
+        for pair in functions::BUILTINS.windows(2) {
+            assert!(pair[0].name < pair[1].name, "{} before {}", pair[0].name, pair[1].name);
+        }
+        assert_eq!(functions::BUILTINS.len(), 82);
+        for (i, b) in functions::BUILTINS.iter().enumerate() {
+            assert_eq!(func_id(b.name), Some(FuncId(i as u16)), "{}", b.name);
+            assert_eq!(FuncId(i as u16).name(), b.name);
+            assert!(functions::is_builtin(b.name));
         }
         // IF/IFERROR are control flow, never table entries.
         assert_eq!(func_id("IF"), None);
         assert_eq!(func_id("IFERROR"), None);
+        let volatile: Vec<&str> =
+            functions::BUILTINS.iter().filter(|b| b.volatile).map(|b| b.name).collect();
+        assert_eq!(volatile, ["NOW", "TODAY"]);
     }
 }

@@ -24,7 +24,7 @@ use crate::index;
 use crate::meter::Primitive;
 use crate::value::{Criterion, Matcher, Value};
 
-use super::lower::{Agg, IfFold, Inst, Kernel, Program, BUILTINS};
+use super::lower::{Agg, IfFold, Inst, Kernel, Program};
 use crate::formula::r1c1::RangeSpec;
 
 /// Executes `prog` for the cell `ctx.current`. `grid` enables the
@@ -124,8 +124,8 @@ fn exec(
                 let args = &stack[base..];
                 let v = match (*kernel, grid) {
                     (Some(k), Some(g)) => run_kernel(k, prog, g, ctx, args, delta.as_deref_mut())
-                        .unwrap_or_else(|| (BUILTINS[id.0 as usize].1)(ctx, args)),
-                    _ => (BUILTINS[id.0 as usize].1)(ctx, args),
+                        .unwrap_or_else(|| (id.row().f)(ctx, args)),
+                    _ => (id.row().f)(ctx, args),
                 };
                 stack.truncate(base);
                 stack.push(Arg::Value(v));

@@ -16,6 +16,8 @@ pub mod stats;
 pub mod text;
 
 use crate::addr::Range;
+use crate::analyze::TySet;
+use crate::compile::lower::func_id;
 use crate::error::CellError;
 use crate::eval::EvalCtx;
 use crate::value::Value;
@@ -29,122 +31,130 @@ pub enum Arg {
     Range(Range),
 }
 
+/// The signature every builtin shares.
+pub(crate) type BuiltinFn = fn(&EvalCtx<'_>, &[Arg]) -> Value;
+
+/// One row of [`BUILTINS`]: the uppercase name (the sort key), the
+/// implementation, the kinds of value it can return, and whether the
+/// result depends on evaluation time rather than on cell state alone.
+pub(crate) struct Builtin {
+    pub(crate) name: &'static str,
+    pub(crate) f: BuiltinFn,
+    pub(crate) ret: TySet,
+    pub(crate) volatile: bool,
+}
+
+const fn b(name: &'static str, f: BuiltinFn, ret: TySet) -> Builtin {
+    Builtin { name, f, ret, volatile: false }
+}
+
+// Result kinds: every builtin can fail; a lookup hands back whatever it finds.
+const NUM: TySet = TySet::NUM.join(TySet::ERR);
+const BOOL: TySet = TySet::BOOL.join(TySet::ERR);
+const TEXT: TySet = TySet::TEXT.join(TySet::ERR);
+const ANY: TySet = TySet::ANY;
+const ERR: TySet = TySet::ERR;
+
+/// The one list of builtins, sorted by name; a row's position is its dense
+/// `FuncId`, and [`func_id`] is the one way from a name to its row.
+/// `IF`/`IFERROR` are absent: both evaluators treat them as control flow.
+pub(crate) static BUILTINS: &[Builtin] = &[
+    b("ABS", math::abs, NUM),
+    b("AND", logical::and, BOOL),
+    b("AVERAGE", stats::average, NUM),
+    b("AVERAGEIF", stats::averageif, NUM),
+    b("AVERAGEIFS", multi::averageifs, NUM),
+    b("CHOOSE", lookup::choose, ANY),
+    b("COLUMN", info::column, NUM),
+    b("CONCATENATE", text::concatenate, TEXT),
+    b("COUNT", stats::count, NUM),
+    b("COUNTA", stats::counta, NUM),
+    b("COUNTBLANK", stats::countblank, NUM),
+    b("COUNTIF", stats::countif, NUM),
+    b("COUNTIFS", multi::countifs, NUM),
+    b("DATE", datetime::date, NUM),
+    b("DAY", datetime::day, NUM),
+    b("DAYS", datetime::days, NUM),
+    b("EDATE", datetime::edate, NUM),
+    b("EXACT", text::exact, BOOL),
+    b("EXP", math::exp, NUM),
+    b("FALSE", |_, _| Value::Bool(false), BOOL),
+    b("FIND", text::find, NUM),
+    b("HLOOKUP", lookup::hlookup, ANY),
+    b("INDEX", lookup::index, ANY),
+    b("INT", math::int, NUM),
+    b("ISBLANK", info::isblank, BOOL),
+    b("ISERROR", info::iserror, BOOL),
+    b("ISLOGICAL", info::islogical, BOOL),
+    b("ISNA", info::isna, BOOL),
+    b("ISNUMBER", info::isnumber, BOOL),
+    b("ISTEXT", info::istext, BOOL),
+    b("LARGE", multi::large, NUM),
+    b("LEFT", text::left, TEXT),
+    b("LEN", text::len, NUM),
+    b("LN", math::ln, NUM),
+    b("LOG", math::log, NUM),
+    b("LOG10", math::log10, NUM),
+    b("LOOKUP", lookup::lookup, ANY),
+    b("LOWER", text::lower, TEXT),
+    b("MATCH", lookup::match_fn, NUM),
+    b("MAX", stats::max, NUM),
+    b("MEDIAN", stats::median, NUM),
+    b("MID", text::mid, TEXT),
+    b("MIN", stats::min, NUM),
+    b("MOD", math::modulo, NUM),
+    b("MODE", multi::mode, NUM),
+    b("MONTH", datetime::month, NUM),
+    b("NA", |_, _| Value::Error(CellError::Na), ERR),
+    b("NOT", logical::not, BOOL),
+    Builtin { volatile: true, ..b("NOW", datetime::now, NUM) },
+    b("OFFSET", lookup::offset, ANY),
+    b("OR", logical::or, BOOL),
+    b("PI", math::pi, NUM),
+    b("POWER", math::power, NUM),
+    b("PRODUCT", stats::product, NUM),
+    b("RANK", multi::rank, NUM),
+    b("REPT", text::rept, TEXT),
+    b("RIGHT", text::right, TEXT),
+    b("ROUND", math::round, NUM),
+    b("ROUNDDOWN", math::rounddown, NUM),
+    b("ROUNDUP", math::roundup, NUM),
+    b("ROW", info::row, NUM),
+    b("SIGN", math::sign, NUM),
+    b("SMALL", multi::small, NUM),
+    b("SQRT", math::sqrt, NUM),
+    b("STDEV", stats::stdev, NUM),
+    b("SUBSTITUTE", text::substitute, TEXT),
+    b("SUM", stats::sum, NUM),
+    b("SUMIF", stats::sumif, NUM),
+    b("SUMIFS", multi::sumifs, NUM),
+    b("SUMPRODUCT", multi::sumproduct, NUM),
+    b("TEXTJOIN", text::textjoin, TEXT),
+    Builtin { volatile: true, ..b("TODAY", datetime::today, NUM) },
+    b("TRIM", text::trim, TEXT),
+    b("TRUE", |_, _| Value::Bool(true), BOOL),
+    b("UPPER", text::upper, TEXT),
+    b("VALUE", text::value, NUM),
+    b("VAR", stats::var, NUM),
+    b("VLOOKUP", lookup::vlookup, ANY),
+    b("WEEKDAY", datetime::weekday, NUM),
+    b("XLOOKUP", lookup::xlookup, ANY),
+    b("XOR", logical::xor, BOOL),
+    b("YEAR", datetime::year, NUM),
+];
+
 /// Dispatches `name` (uppercase) to its implementation; unknown names
 /// produce `#NAME?`, as in the real systems.
 pub fn call(name: &str, ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
-    match name {
-        // --- statistics / aggregates ---
-        "SUM" => stats::sum(ctx, args),
-        "AVERAGE" => stats::average(ctx, args),
-        "COUNT" => stats::count(ctx, args),
-        "COUNTA" => stats::counta(ctx, args),
-        "COUNTBLANK" => stats::countblank(ctx, args),
-        "MIN" => stats::min(ctx, args),
-        "MAX" => stats::max(ctx, args),
-        "PRODUCT" => stats::product(ctx, args),
-        "MEDIAN" => stats::median(ctx, args),
-        "STDEV" => stats::stdev(ctx, args),
-        "VAR" => stats::var(ctx, args),
-        "COUNTIF" => stats::countif(ctx, args),
-        "SUMIFS" => multi::sumifs(ctx, args),
-        "COUNTIFS" => multi::countifs(ctx, args),
-        "AVERAGEIFS" => multi::averageifs(ctx, args),
-        "SUMPRODUCT" => multi::sumproduct(ctx, args),
-        "LARGE" => multi::large(ctx, args),
-        "SMALL" => multi::small(ctx, args),
-        "RANK" => multi::rank(ctx, args),
-        "MODE" => multi::mode(ctx, args),
-        "SUMIF" => stats::sumif(ctx, args),
-        "AVERAGEIF" => stats::averageif(ctx, args),
-        // --- math ---
-        "ABS" => math::abs(ctx, args),
-        "SIGN" => math::sign(ctx, args),
-        "INT" => math::int(ctx, args),
-        "ROUND" => math::round(ctx, args),
-        "ROUNDUP" => math::roundup(ctx, args),
-        "ROUNDDOWN" => math::rounddown(ctx, args),
-        "MOD" => math::modulo(ctx, args),
-        "POWER" => math::power(ctx, args),
-        "SQRT" => math::sqrt(ctx, args),
-        "EXP" => math::exp(ctx, args),
-        "LN" => math::ln(ctx, args),
-        "LOG" => math::log(ctx, args),
-        "LOG10" => math::log10(ctx, args),
-        "PI" => math::pi(ctx, args),
-        // --- logical (IF/IFERROR are short-circuited in the evaluator) ---
-        "AND" => logical::and(ctx, args),
-        "OR" => logical::or(ctx, args),
-        "NOT" => logical::not(ctx, args),
-        "XOR" => logical::xor(ctx, args),
-        "TRUE" => Value::Bool(true),
-        "FALSE" => Value::Bool(false),
-        // --- text ---
-        "CONCATENATE" => text::concatenate(ctx, args),
-        "LEN" => text::len(ctx, args),
-        "LEFT" => text::left(ctx, args),
-        "RIGHT" => text::right(ctx, args),
-        "MID" => text::mid(ctx, args),
-        "UPPER" => text::upper(ctx, args),
-        "LOWER" => text::lower(ctx, args),
-        "TRIM" => text::trim(ctx, args),
-        "FIND" => text::find(ctx, args),
-        "SUBSTITUTE" => text::substitute(ctx, args),
-        "REPT" => text::rept(ctx, args),
-        "VALUE" => text::value(ctx, args),
-        "EXACT" => text::exact(ctx, args),
-        "TEXTJOIN" => text::textjoin(ctx, args),
-        // --- lookup ---
-        "VLOOKUP" => lookup::vlookup(ctx, args),
-        "XLOOKUP" => lookup::xlookup(ctx, args),
-        "OFFSET" => lookup::offset(ctx, args),
-        "HLOOKUP" => lookup::hlookup(ctx, args),
-        "INDEX" => lookup::index(ctx, args),
-        "MATCH" => lookup::match_fn(ctx, args),
-        "LOOKUP" => lookup::lookup(ctx, args),
-        "CHOOSE" => lookup::choose(ctx, args),
-        // --- info ---
-        "ISBLANK" => info::isblank(ctx, args),
-        "ISNUMBER" => info::isnumber(ctx, args),
-        "ISTEXT" => info::istext(ctx, args),
-        "ISLOGICAL" => info::islogical(ctx, args),
-        "ISERROR" => info::iserror(ctx, args),
-        "ISNA" => info::isna(ctx, args),
-        "NA" => Value::Error(CellError::Na),
-        "ROW" => info::row(ctx, args),
-        "COLUMN" => info::column(ctx, args),
-        // --- date/time ---
-        "NOW" => datetime::now(ctx, args),
-        "TODAY" => datetime::today(ctx, args),
-        "DATE" => datetime::date(ctx, args),
-        "YEAR" => datetime::year(ctx, args),
-        "MONTH" => datetime::month(ctx, args),
-        "DAY" => datetime::day(ctx, args),
-        "WEEKDAY" => datetime::weekday(ctx, args),
-        "DAYS" => datetime::days(ctx, args),
-        "EDATE" => datetime::edate(ctx, args),
-        _ => Value::Error(CellError::Name),
+    match func_id(name) {
+        Some(id) => (id.row().f)(ctx, args),
+        None => Value::Error(CellError::Name),
     }
 }
 
-/// Whether `name` is a known builtin.
+/// Whether `name` is a known builtin (the control-flow forms included).
 pub fn is_builtin(name: &str) -> bool {
-    // Probe with zero args against a throwaway context-free check: dispatch
-    // is a match, so replicate the names here via a second match to avoid
-    // constructing a context.
-    matches!(
-        name,
-        "SUM" | "AVERAGE" | "COUNT" | "COUNTA" | "COUNTBLANK" | "MIN" | "MAX" | "PRODUCT"
-            | "MEDIAN" | "STDEV" | "VAR" | "COUNTIF" | "SUMIF" | "AVERAGEIF" | "ABS" | "SIGN"
-            | "INT" | "ROUND" | "ROUNDUP" | "ROUNDDOWN" | "MOD" | "POWER" | "SQRT" | "EXP"
-            | "LN" | "LOG" | "LOG10" | "PI" | "IF" | "IFERROR" | "AND" | "OR" | "NOT" | "XOR"
-            | "TRUE" | "FALSE" | "CONCATENATE" | "LEN" | "LEFT" | "RIGHT" | "MID" | "UPPER"
-            | "LOWER" | "TRIM" | "FIND" | "SUBSTITUTE" | "REPT" | "VALUE" | "EXACT"
-            | "TEXTJOIN" | "VLOOKUP" | "HLOOKUP" | "INDEX" | "MATCH" | "LOOKUP" | "CHOOSE"
-            | "ISBLANK" | "ISNUMBER" | "ISTEXT" | "ISLOGICAL" | "ISERROR" | "ISNA" | "NA"
-            | "ROW" | "COLUMN" | "NOW" | "TODAY" | "SUMIFS" | "COUNTIFS" | "AVERAGEIFS"
-            | "SUMPRODUCT" | "LARGE" | "SMALL" | "RANK" | "MODE" | "XLOOKUP" | "OFFSET"
-            | "DATE" | "YEAR" | "MONTH" | "DAY" | "WEEKDAY" | "DAYS" | "EDATE"
-    )
+    matches!(name, "IF" | "IFERROR") || func_id(name).is_some()
 }
 
 // ---------------------------------------------------------------------
@@ -297,6 +307,7 @@ mod tests {
     fn is_builtin_matches_dispatch() {
         assert!(is_builtin("SUM"));
         assert!(is_builtin("VLOOKUP"));
+        assert!(is_builtin("IF") && is_builtin("IFERROR"));
         assert!(!is_builtin("FROBNICATE"));
     }
 

@@ -3,12 +3,15 @@
 //! A from-scratch spreadsheet engine built as the substrate for reproducing
 //! *Benchmarking Spreadsheet Systems* (SIGMOD 2020). It provides:
 //!
-//! * a chunked columnar grid of cells, visited in row-major or
-//!   column-major order ([`grid`]);
-//! * a formula language (lexer, parser, canonical printer) with ~60
-//!   built-in functions ([`formula`], [`functions`]);
-//! * a cell-by-cell tree-walking evaluator whose every primitive operation
-//!   is tallied by a cost [`meter`];
+//! * a chunked columnar grid of cells with one scan order, row-major, read
+//!   a typed slice at a time ([`grid`]);
+//! * a formula language (lexer, parser, canonical printer) with 82
+//!   built-in functions, listed once in [`functions`] ([`formula`]);
+//! * two evaluators held bit-identical in values and in [`meter`] counts:
+//!   the tree-walking interpreter ([`eval`], the reference) and the
+//!   bytecode programs recalculation runs — compiled once per R1C1
+//!   template, with range kernels that fold the grid's typed slices
+//!   ([`compile`]);
 //! * a dependency graph and a recalculation engine that — like the
 //!   benchmarked systems — recomputes dirty formulae *from scratch*
 //!   ([`depgraph`], [`recalc`]);
@@ -17,13 +20,16 @@
 //!   pivot tables ([`ops`]);
 //! * document import/export ([`io`]).
 //!
-//! The engine is intentionally *naive* in exactly the ways the paper shows
-//! the commercial systems to be: no indexes, no columnar execution, no
-//! shared or incremental computation, full recalculation on structural
-//! operations. The database-style optimizations are opt-in ([`index`],
-//! the window-delta cache) or live with the per-system behavioural
-//! profiles (Excel / LibreOffice Calc / Google Sheets / Optimized) in
-//! `ssbench-systems`.
+//! What the engine *charges* is intentionally naive in exactly the ways
+//! the paper shows the commercial systems to be: the cost meter tallies a
+//! cell-by-cell execution with full rescans, no sharing and full
+//! recalculation on structural operations, and the simulated milliseconds
+//! are computed from those counts. How it *runs* is not: storage is
+//! columnar and typed, formulas are compiled, scans read slices. Column
+//! indexes and recalculating from an edit's dirty set alone are the
+//! caller's choice ([`index`], [`recalc::recalc_from`]); the per-system
+//! behavioural profiles (Excel / LibreOffice Calc / Google Sheets /
+//! Optimized) live in `ssbench-systems`.
 //!
 //! ## Quick start
 //!

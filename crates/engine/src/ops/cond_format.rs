@@ -17,7 +17,7 @@ use crate::meter::Primitive;
 use crate::ops::clipped_cells;
 use crate::sheet::Sheet;
 use crate::style::Color;
-use crate::value::{Criterion, Value};
+use crate::value::{Criterion, Matcher};
 
 /// Applies `fill` to every cell of `range` matching `criterion`; cells
 /// that no longer match lose the fill (re-evaluation semantics, as when a
@@ -29,11 +29,12 @@ pub(crate) fn conditional_format_impl(
     fill: Color,
 ) -> u32 {
     let cells = clipped_cells(sheet, range);
-    let empty_matches = criterion.matches(&Value::Empty);
+    let matcher = Matcher::new(criterion.clone());
+    let empty_matches = matcher.matches_empty();
     let mut memo = IdMemo::for_cells(cells);
     let (mut formatted, mut updates) = (0u32, 0u64);
     let mut restyle = |_row: u32, cell: &mut Cell| {
-        if criterion.matches(cell.display_value()) {
+        if matcher.matches(cell.display_value()) {
             if cell.style.fill != Some(fill) {
                 cell.style = cell.style.with_fill(fill);
                 updates += 1;
@@ -51,15 +52,13 @@ pub(crate) fn conditional_format_impl(
             chunk.scan(&mut |slice| {
                 hit = hit
                     || match slice {
-                        ScanSlice::Nums(vals) => {
-                            vals.iter().any(|&n| criterion.matches(&Value::Number(n)))
-                        }
+                        ScanSlice::Nums(vals) => vals.iter().any(|&n| matcher.matches_num(n)),
                         ScanSlice::Texts(ids, interner) => ids
                             .iter()
-                            .any(|&id| memo.get(id, || criterion.matches(interner.value(id)))),
+                            .any(|&id| memo.get(id, || matcher.matches(interner.value(id)))),
                         ScanSlice::Empty(_) => empty_matches,
                         ScanSlice::Cells(cells) => {
-                            cells.iter().any(|cell| criterion.matches(cell.display_value()))
+                            cells.iter().any(|cell| matcher.matches(cell.display_value()))
                         }
                     };
             });
@@ -124,6 +123,7 @@ mod tests {
     use super::*;
     use crate::addr::CellAddr;
     use crate::ops::{Op, OpOutcome};
+    use crate::value::Value;
 
     /// The paper's rule: fill K1:K6 green where the cell holds 1.
     fn green_ones() -> Op {

@@ -9,7 +9,7 @@ use crate::addr::Range;
 use crate::grid::{IdMemo, ScanSlice};
 use crate::meter::Primitive;
 use crate::sheet::Sheet;
-use crate::value::{Criterion, Value};
+use crate::value::{Criterion, Matcher};
 
 /// Applies a filter on `col`: rows whose cell does not match `criterion`
 /// are hidden. Returns the number of visible (matching) rows.
@@ -23,28 +23,29 @@ pub(crate) fn filter_rows_impl(sheet: &mut Sheet, col: u32, criterion: &Criterio
     if hidden.len() < m as usize {
         hidden.resize(m as usize, false);
     }
+    let matcher = Matcher::new(criterion.clone());
     // What the scan does not emit — a vacant run, a column past the
     // extent — reads as empty.
-    hidden[..m as usize].fill(!criterion.matches(&Value::Empty));
+    hidden[..m as usize].fill(!matcher.matches_empty());
     let mut memo = IdMemo::for_cells(u64::from(m));
     let mut row = 0usize;
     let column = Range::column_segment(col, 0, m - 1);
     sheet.grid_store().scan_range(column, &mut |slice| match slice {
         ScanSlice::Nums(vals) => {
             for (flag, &n) in hidden[row..].iter_mut().zip(vals) {
-                *flag = !criterion.matches(&Value::Number(n));
+                *flag = !matcher.matches_num(n);
             }
             row += vals.len();
         }
         ScanSlice::Texts(ids, interner) => {
             for (flag, &id) in hidden[row..].iter_mut().zip(ids) {
-                *flag = !memo.get(id, || criterion.matches(interner.value(id)));
+                *flag = !memo.get(id, || matcher.matches(interner.value(id)));
             }
             row += ids.len();
         }
         ScanSlice::Cells(cells) => {
             for (flag, cell) in hidden[row..].iter_mut().zip(cells) {
-                *flag = !criterion.matches(cell.display_value());
+                *flag = !matcher.matches(cell.display_value());
             }
             row += cells.len();
         }
@@ -91,6 +92,7 @@ mod tests {
     use super::*;
     use crate::addr::CellAddr;
     use crate::ops::{Op, OpOutcome};
+    use crate::value::Value;
 
     fn filter(col: u32, criterion: &str) -> Op {
         Op::Filter { col, criterion: Criterion::parse(&Value::text(criterion)) }

@@ -1,44 +1,138 @@
-//! Offline stand-in for `serde_json`, built on the shim `serde` crate's
-//! [`Json`] tree: `to_string` / `to_string_pretty` render it as JSON
-//! text, `from_str` parses JSON text back into it and hands it to
-//! `serde::Deserialize`. Output is valid JSON: non-finite floats render
-//! as `null`, strings are escaped per RFC 8259.
+//! JSON, as much of it as the harness needs: the [`Json`] value tree and
+//! its text codec — [`parse`], [`render`], [`render_pretty`]. Every
+//! document the workspace writes or reads (`results/figN.json`, the Chrome
+//! trace, the oracle's corpus scripts, `cargo metadata` in a test) goes
+//! through these three functions; each document type spells its own
+//! `to_json` / `from_json` by hand against the tree. There is no
+//! serialization framework here: no traits, no derive, std only.
+//!
+//! Output is valid JSON: non-finite floats render as `null`, strings are
+//! escaped per RFC 8259.
 
-use serde::{DeError, Deserialize, Json, Serialize};
+use std::fmt;
 use std::fmt::Write as _;
 
-/// Error type shared by serialization (infallible in practice) and
-/// deserialization.
-pub type Error = DeError;
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    /// An unsigned integer, kept exactly: [`parse`] yields it for every
+    /// literal of digits alone that fits a `u64`, so a 64-bit seed survives
+    /// the round trip an `f64` would round.
+    Int(u64),
+    /// Every other number.
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    /// Insertion-ordered object (field order = declaration order).
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object of `fields`, in the order given.
+    pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// A string value.
+    pub fn str(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+
+    /// Object field lookup.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The elements, when this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The string, when this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean, when this is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The integer, when this is an unsigned integer literal. A negative,
+    /// fractional, exponent-form or larger-than-`u64` number is `None`: a
+    /// reader of counts and indices rejects it instead of rounding it.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// A one-word description of the value's kind (for error messages).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Json::Null => "null",
+            Json::Bool(_) => "bool",
+            Json::Int(_) | Json::Num(_) => "number",
+            Json::Str(_) => "string",
+            Json::Arr(_) => "array",
+            Json::Obj(_) => "object",
+        }
+    }
+}
+
+/// Why a text is not JSON, or a tree is not the document a reader expected.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Error(pub String);
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for Error {}
+
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Renders `value` as compact JSON.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+/// Renders `json` as compact JSON.
+pub fn render(json: &Json) -> String {
     let mut out = String::new();
-    write_json(&value.to_json(), None, 0, &mut out);
-    Ok(out)
+    write_json(json, None, 0, &mut out);
+    out
 }
 
-/// Renders `value` as human-readable JSON (two-space indent).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+/// Renders `json` as human-readable JSON (two-space indent).
+pub fn render_pretty(json: &Json) -> String {
     let mut out = String::new();
-    write_json(&value.to_json(), Some(2), 0, &mut out);
-    Ok(out)
+    write_json(json, Some(2), 0, &mut out);
+    out
 }
 
-/// Parses JSON text and deserializes it into `T`.
-pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
+/// Parses one JSON document; anything but whitespace after it is an error.
+pub fn parse(text: &str) -> Result<Json> {
     let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
     parser.skip_ws();
     let json = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
-        return Err(DeError::new(format!(
-            "trailing characters at byte {}",
-            parser.pos
-        )));
+        return Err(Error(format!("trailing characters at byte {}", parser.pos)));
     }
-    T::from_json(&json)
+    Ok(json)
 }
 
 // --- rendering ----------------------------------------------------------
@@ -47,6 +141,9 @@ fn write_json(json: &Json, indent: Option<usize>, depth: usize, out: &mut String
     match json {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
         Json::Num(n) => write_number(*n, out),
         Json::Str(s) => write_string(s, out),
         Json::Arr(items) => {
@@ -102,8 +199,7 @@ fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 1e15 {
-        // Integral values render without a fractional part, matching
-        // serde_json's output for integer types.
+        // Integral values render without a fractional part.
         let _ = write!(out, "{}", n as i64);
     } else {
         // `{:?}` is Rust's shortest round-trip float formatting.
@@ -136,7 +232,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -156,10 +252,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(DeError::new(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
+            Err(Error(format!("expected `{}` at byte {}", b as char, self.pos)))
         }
     }
 
@@ -172,11 +265,10 @@ impl<'a> Parser<'a> {
             Some(b'[') => self.parse_array(),
             Some(b'{') => self.parse_object(),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(DeError::new(format!(
-                "unexpected character `{}` at byte {}",
-                b as char, self.pos
-            ))),
-            None => Err(DeError::new("unexpected end of input")),
+            Some(b) => {
+                Err(Error(format!("unexpected character `{}` at byte {}", b as char, self.pos)))
+            }
+            None => Err(Error("unexpected end of input".into())),
         }
     }
 
@@ -185,10 +277,7 @@ impl<'a> Parser<'a> {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(DeError::new(format!(
-                "invalid keyword at byte {}",
-                self.pos
-            )))
+            Err(Error(format!("invalid keyword at byte {}", self.pos)))
         }
     }
 
@@ -202,9 +291,13 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // Digits alone are an integer, exact while a `u64` holds them.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
-            .map_err(|_| DeError::new(format!("invalid number `{text}` at byte {start}")))
+            .map_err(|_| Error(format!("invalid number `{text}` at byte {start}")))
     }
 
     fn parse_string(&mut self) -> Result<String> {
@@ -232,16 +325,16 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| DeError::new("truncated \\u escape"))?;
+                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
                             let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| DeError::new("invalid \\u escape"))?;
+                                .map_err(|_| Error("invalid \\u escape".into()))?;
                             // Surrogate pairs are not produced by our own
                             // writer; map lone surrogates to U+FFFD.
                             s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                             self.pos += 4;
                         }
                         other => {
-                            return Err(DeError::new(format!("invalid escape {other:?}")));
+                            return Err(Error(format!("invalid escape {other:?}")));
                         }
                     }
                     self.pos += 1;
@@ -249,12 +342,12 @@ impl<'a> Parser<'a> {
                 Some(_) => {
                     // Consume one UTF-8 encoded char.
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| DeError::new("invalid UTF-8 in string"))?;
+                        .map_err(|_| Error("invalid UTF-8 in string".into()))?;
                     let c = rest.chars().next().unwrap();
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
-                None => return Err(DeError::new("unterminated string")),
+                None => return Err(Error("unterminated string".into())),
             }
         }
     }
@@ -277,7 +370,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                _ => return Err(DeError::new(format!("expected `,` or `]` at byte {}", self.pos))),
+                _ => return Err(Error(format!("expected `,` or `]` at byte {}", self.pos))),
             }
         }
     }
@@ -305,7 +398,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Json::Obj(fields));
                 }
-                _ => return Err(DeError::new(format!("expected `,` or `}}` at byte {}", self.pos))),
+                _ => return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos))),
             }
         }
     }
@@ -317,54 +410,58 @@ mod tests {
 
     #[test]
     fn renders_compact_and_pretty() {
-        let json = Json::Obj(vec![
-            ("name".to_string(), Json::Str("fig2".to_string())),
-            ("n".to_string(), Json::Num(100000.0)),
-            ("ms".to_string(), Json::Num(3.25)),
-            (
-                "tags".to_string(),
-                Json::Arr(vec![Json::Bool(true), Json::Null]),
-            ),
+        let json = Json::obj([
+            ("name", Json::str("fig2")),
+            ("n", Json::Num(100000.0)),
+            ("ms", Json::Num(3.25)),
+            ("tags", Json::Arr(vec![Json::Bool(true), Json::Null])),
         ]);
-        struct Raw(Json);
-        impl Serialize for Raw {
-            fn to_json(&self) -> Json {
-                self.0.clone()
-            }
-        }
-        let compact = to_string(&Raw(json.clone())).unwrap();
-        assert_eq!(
-            compact,
-            r#"{"name":"fig2","n":100000,"ms":3.25,"tags":[true,null]}"#
-        );
-        let pretty = to_string_pretty(&Raw(json)).unwrap();
-        assert!(pretty.contains("\n  \"name\": \"fig2\""));
+        assert_eq!(render(&json), r#"{"name":"fig2","n":100000,"ms":3.25,"tags":[true,null]}"#);
+        assert!(render_pretty(&json).contains("\n  \"name\": \"fig2\""));
     }
 
     #[test]
     fn parses_round_trip() {
         let text = r#" { "a" : [1, -2.5, "x\ny", {"b": false}], "c": null } "#;
-        let v: Vec<(String, String)> = from_str(r#"[["k","v"],["k2","v2"]]"#).unwrap();
-        assert_eq!(v[1].1, "v2");
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let json = p.parse_value().unwrap();
-        assert_eq!(json.get("a").unwrap().as_arr().unwrap()[2].as_str(), Some("x\ny"));
+        let json = parse(text).unwrap();
+        let a = json.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(a[0], Json::Int(1));
+        assert_eq!(a[1], Json::Num(-2.5));
+        assert_eq!(a[2].as_str(), Some("x\ny"));
+        assert_eq!(a[3].get("b").and_then(Json::as_bool), Some(false));
         assert_eq!(json.get("c"), Some(&Json::Null));
+        let pairs = parse(r#"[["k","v"],["k2","v2"]]"#).unwrap();
+        assert_eq!(pairs.as_arr().unwrap()[1].as_arr().unwrap()[1].as_str(), Some("v2"));
+        assert_eq!(parse(&render(&json)).unwrap(), json);
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_str::<Vec<f64>>("[1, 2").is_err());
-        assert!(from_str::<Vec<f64>>("[1] tail").is_err());
-        assert!(from_str::<f64>("nul").is_err());
+        assert!(parse("[1, 2").is_err());
+        assert!(parse("[1] tail").is_err());
+        assert!(parse("nul").is_err());
     }
 
     #[test]
     fn escapes_survive_round_trip() {
-        let original = "quote\" slash\\ nl\n tab\t ctl\u{1} unicode\u{1F600}".to_string();
-        let text = to_string(&original).unwrap();
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, original);
+        let original = "quote\" slash\\ nl\n tab\t ctl\u{1} unicode\u{1F600}";
+        let text = render(&Json::str(original));
+        assert_eq!(parse(&text).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn integer_literals_are_exact_and_nothing_else_is_an_integer() {
+        for n in [0, 42, (1 << 53) + 1, u64::MAX] {
+            let text = render(&Json::Int(n));
+            assert_eq!(text, n.to_string());
+            assert_eq!(parse(&text).unwrap().as_u64(), Some(n));
+        }
+        // One past `u64::MAX` is still a number, but not an integer.
+        assert_eq!(parse("18446744073709551616").unwrap(), Json::Num(18446744073709551616.0));
+        for text in ["-1", "1.5", "1e99", "2.0"] {
+            let json = parse(text).unwrap();
+            assert_eq!(json.kind(), "number", "{text}");
+            assert_eq!(json.as_u64(), None, "{text}");
+        }
     }
 }

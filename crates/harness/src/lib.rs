@@ -10,11 +10,14 @@
 //!   `SimSystem` under the Optimized profile;
 //! * [`table2`] — the interactivity summary (Table 2);
 //! * [`oracle`] — the differential testing oracle and its `fuzz` binary
-//!   (DESIGN.md §9): seeded op sequences replayed across the layout ×
-//!   lookup × recalc-mode × parallelism matrix;
+//!   (DESIGN.md §9): seeded op sequences replayed across the lookup ×
+//!   recalc-mode × parallelism × index × grid-budget matrix (48
+//!   configurations) and once on the reference evaluator;
 //! * [`taxonomy`] — the operation taxonomy (Table 1);
 //! * [`timing`] — the paper's trial protocol (§3.3);
-//! * [`report`] — text/CSV/JSON rendering; [`chart`] — ASCII line charts.
+//! * [`report`] — text/CSV/JSON rendering; [`chart`] — ASCII line charts;
+//! * [`json`] — the JSON value tree and text codec every document the
+//!   workspace writes or reads goes through (results, trace, corpus).
 //!
 //! Binaries: `bct`, `oot`, `table2`, and `all`, each accepting
 //! `--scale F`, `--trials N`, `--paper-protocol`, `--quick`, `--seed N`,
@@ -26,6 +29,7 @@ pub mod bct;
 pub mod chart;
 pub mod config;
 pub mod grow;
+pub mod json;
 pub mod oot;
 pub mod oracle;
 pub mod report;

@@ -8,10 +8,10 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use serde::Json;
 use ssbench_engine::trace::{self, Category, SpanNode};
 
 use crate::config::RunConfig;
+use crate::json::{self, Json};
 use crate::series::ExperimentResult;
 use crate::timing::Protocol;
 
@@ -104,8 +104,7 @@ pub fn write_outputs(cfg: &RunConfig, results: &[ExperimentResult]) -> std::io::
 
 fn write_one(dir: &Path, r: &ExperimentResult) -> std::io::Result<()> {
     fs::write(dir.join(format!("{}.csv", r.id)), to_csv(r))?;
-    let json = serde_json::to_string_pretty(r).expect("results serialize");
-    fs::write(dir.join(format!("{}.json", r.id)), json)?;
+    fs::write(dir.join(format!("{}.json", r.id)), json::render_pretty(&r.to_json()))?;
     Ok(())
 }
 
@@ -158,8 +157,7 @@ pub fn write_trace(
     }
     reconcile(&roots, results, protocol)?;
 
-    let json = serde_json::to_string(&chrome_trace(&roots))
-        .map_err(|e| format!("trace serialization failed: {e:?}"))?;
+    let json = json::render(&chrome_trace(&roots));
     let expected_events = roots.iter().map(SpanNode::span_count).sum::<usize>();
     validate_chrome_json(&json, expected_events)?;
 
@@ -217,23 +215,20 @@ fn chrome_trace(roots: &[SpanNode]) -> Json {
         if node.sim_ms > 0.0 {
             args.push(("sim_ms".to_owned(), Json::Num(node.sim_ms)));
         }
-        let counts: Vec<(String, Json)> = node
-            .counts
-            .nonzero()
-            .map(|(p, c)| (p.name().to_owned(), Json::Num(c as f64)))
-            .collect();
+        let counts: Vec<(String, Json)> =
+            node.counts.nonzero().map(|(p, c)| (p.name().to_owned(), Json::Int(c))).collect();
         if !counts.is_empty() {
             args.push(("counts".to_owned(), Json::Obj(counts)));
         }
-        out.push(Json::Obj(vec![
-            ("name".to_owned(), Json::Str(node.name.clone())),
-            ("cat".to_owned(), Json::Str(node.cat.name().to_owned())),
-            ("ph".to_owned(), Json::Str("X".to_owned())),
-            ("ts".to_owned(), Json::Num(node.start_us as f64)),
-            ("dur".to_owned(), Json::Num(node.dur_us as f64)),
-            ("pid".to_owned(), Json::Num(1.0)),
-            ("tid".to_owned(), Json::Num(1.0)),
-            ("args".to_owned(), Json::Obj(args)),
+        out.push(Json::obj([
+            ("name", Json::str(&node.name)),
+            ("cat", Json::str(node.cat.name())),
+            ("ph", Json::str("X")),
+            ("ts", Json::Int(node.start_us)),
+            ("dur", Json::Int(node.dur_us)),
+            ("pid", Json::Int(1)),
+            ("tid", Json::Int(1)),
+            ("args", Json::Obj(args)),
         ]));
         for c in &node.children {
             push_events(c, out);
@@ -249,8 +244,7 @@ fn chrome_trace(roots: &[SpanNode]) -> Json {
 /// Re-parses the exported document and checks its shape, so a traced run
 /// can fail loudly instead of emitting a file Chrome rejects.
 fn validate_chrome_json(json: &str, expected_events: usize) -> Result<(), String> {
-    let doc: Json = serde_json::from_str(json)
-        .map_err(|e| format!("exported trace JSON does not parse: {e:?}"))?;
+    let doc = json::parse(json).map_err(|e| format!("exported trace JSON does not parse: {e}"))?;
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -394,7 +388,7 @@ mod tests {
             3.0,
             vec![span("measure:sort:Excel", Category::Measure, 3.0, vec![])],
         );
-        let json = serde_json::to_string(&chrome_trace(&[root])).unwrap();
+        let json = json::render(&chrome_trace(&[root]));
         validate_chrome_json(&json, 2).unwrap();
         assert!(validate_chrome_json(&json, 3).is_err(), "event count is checked");
         assert!(validate_chrome_json("{}", 0).is_err(), "traceEvents array is required");

@@ -3,12 +3,12 @@
 //! given formula violates the interactivity bound of 500 ms and at what
 //! data size").
 
-use serde::Serialize;
-
 use ssbench_systems::{SystemKind, INTERACTIVITY_BOUND_MS};
 
+use crate::json::Json;
+
 /// One measured point of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Dataset row count (or, for the fig-14 sweep, formula-instance
     /// count).
@@ -17,19 +17,20 @@ pub struct Point {
     pub ms: f64,
 }
 
+impl Point {
+    fn to_json(&self) -> Json {
+        Json::obj([("x", Json::Int(self.x.into())), ("ms", Json::Num(self.ms))])
+    }
+}
+
 /// One line of a figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Chart label, e.g. `"Excel (F)"` or `"Sorted-TRUE"`.
     pub label: String,
-    /// The system measured.
-    #[serde(serialize_with = "ser_system")]
+    /// The system measured (written as its display name).
     pub system: SystemKind,
     pub points: Vec<Point>,
-}
-
-fn ser_system<S: serde::Serializer>(k: &SystemKind, s: S) -> Result<S::Ok, S::Error> {
-    s.serialize_str(k.name())
 }
 
 impl Series {
@@ -41,6 +42,14 @@ impl Series {
     /// Appends a point.
     pub fn push(&mut self, x: u32, ms: f64) {
         self.points.push(Point { x, ms });
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", Json::str(&self.label)),
+            ("system", Json::str(self.system.name())),
+            ("points", Json::Arr(self.points.iter().map(Point::to_json).collect())),
+        ])
     }
 
     /// The smallest x whose measured time violates the interactivity
@@ -78,7 +87,7 @@ impl Series {
 }
 
 /// The result of one experiment: a reproduced figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Paper artifact id, e.g. `"fig3"`.
     pub id: String,
@@ -98,6 +107,16 @@ impl ExperimentResult {
             x_unit: "rows".to_owned(),
             series: Vec::new(),
         }
+    }
+
+    /// The `results/{id}.json` document: fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("id", Json::str(&self.id)),
+            ("title", Json::str(&self.title)),
+            ("x_unit", Json::str(&self.x_unit)),
+            ("series", Json::Arr(self.series.iter().map(Series::to_json).collect())),
+        ])
     }
 
     /// Finds a series by label.
@@ -175,9 +194,9 @@ mod tests {
         let mut s = Series::new("Calc (F)", SystemKind::Calc);
         s.push(150, 2.5);
         r.series.push(s);
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"fig7\""));
-        assert!(json.contains("\"Calc (F)\""));
-        assert!(json.contains("\"Calc\""));
+        assert_eq!(
+            crate::json::render(&r.to_json()),
+            r#"{"id":"fig7","title":"COUNTIF","x_unit":"rows","series":[{"label":"Calc (F)","system":"Calc","points":[{"x":150,"ms":2.5}]}]}"#
+        );
     }
 }

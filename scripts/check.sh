@@ -20,9 +20,11 @@ tree_before="$(git status --porcelain)"
 
 # The option surface stays collapsed by a gate, not by memory (ROADMAP aim
 # 2): the engine reads exactly two environment variables, each by a
-# literal name, and the second visit order and per-cell range reader PR 21
-# deleted do not come back under their old names.
-echo "==> option surface: engine env vars, deleted knobs"
+# literal name, the second visit order and per-cell range reader PR 21
+# deleted do not come back under their old names, and neither do the three
+# serde stand-ins PR 22 replaced with `harness::json`: two shims, and no
+# manifest or source file that names a serde crate.
+echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDGET") ' ]; then
   echo "the engine's environment reads changed (expected exactly" \
@@ -31,6 +33,16 @@ if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDG
 fi
 if grep -rn 'ColumnMajor\|for_each_in_range' crates src tests examples; then
   echo "a deleted visit order or range reader is back (see above)" >&2
+  exit 1
+fi
+
+if [ "$(ls shims | tr '\n' ' ')" != 'proptest rand ' ]; then
+  echo "shims/ must hold exactly proptest and rand, found: $(ls shims | tr '\n' ' ')" >&2
+  exit 1
+fi
+if grep -rnw 'serde\|serde_json\|serde_derive' Cargo.toml Cargo.lock crates src tests examples \
+  --include='*.rs' --include='*.toml' --include='Cargo.lock'; then
+  echo "a serde crate is named again (see above); JSON goes through harness::json" >&2
   exit 1
 fi
 

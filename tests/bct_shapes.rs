@@ -5,6 +5,7 @@
 //! separately in `table2_reproduction.rs`.
 
 use ssbench::harness::bct;
+use ssbench::harness::json::{self, Json};
 use ssbench::harness::RunConfig;
 
 fn cfg(scale: f64) -> RunConfig {
@@ -106,6 +107,38 @@ fn countif_takeaway() {
         (time_ratio / size_ratio - 1.0).abs() < 0.25,
         "linear: ×{time_ratio:.2} vs ×{size_ratio:.2}"
     );
+}
+
+/// The shape of a document: keys in order and the kind of every value, an
+/// array standing for the distinct shapes of its elements.
+fn shape(json: &Json) -> String {
+    match json {
+        Json::Obj(fields) => {
+            let fields: Vec<String> =
+                fields.iter().map(|(k, v)| format!("{k}:{}", shape(v))).collect();
+            format!("{{{}}}", fields.join(","))
+        }
+        Json::Arr(items) => {
+            let mut shapes: Vec<String> = items.iter().map(shape).collect();
+            shapes.sort();
+            shapes.dedup();
+            format!("[{}]", shapes.join("|"))
+        }
+        leaf => leaf.kind().to_owned(),
+    }
+}
+
+/// A result written today has the key order and value types of the
+/// committed `results/fig7.json`, whatever its sizes and timings.
+#[test]
+fn results_document_keeps_the_committed_shape() {
+    let written = json::render_pretty(&bct::fig7_countif(&RunConfig::quick()).to_json());
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/results/fig7.json");
+    let committed = std::fs::read_to_string(committed).expect("results/fig7.json is committed");
+    let committed_doc = json::parse(&committed).unwrap();
+    assert_eq!(shape(&json::parse(&written).unwrap()), shape(&committed_doc));
+    // The committed file is this writer's output: it re-renders to itself.
+    assert_eq!(json::render_pretty(&committed_doc), committed);
 }
 
 /// §4.3.4 takeaway: Calc and Sheets scan everything regardless of the

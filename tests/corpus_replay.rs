@@ -52,13 +52,17 @@ fn known_failing_scripts_still_diverge() {
     }
 }
 
+/// The corpus format is the bytes on disk: a file re-renders through
+/// `Script` to itself (the two oldest files end in a newline the writer
+/// does not emit), so a reproducer `fuzz` saves today is the file it
+/// replays tomorrow.
 #[test]
 fn corpus_files_round_trip_through_the_script_codec() {
     let known_failing = Script::load_dir(&known_failing_dir()).expect("directory loads");
     let corpus = Script::load_dir(&corpus_dir()).expect("corpus directory loads");
     for (path, script) in corpus.into_iter().chain(known_failing) {
-        let back = Script::from_json(&script.to_json())
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(back, script, "{} round-trips", path.display());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let path = path.display();
+        assert_eq!(script.to_json(), text.trim_end(), "{path} re-renders to its own bytes");
     }
 }
