@@ -7,8 +7,9 @@
 //!
 //! The sheet puts every kind of chunk under a window: `Num` chunks with
 //! blanks, `Text` chunks (texts that read as numbers, case variants,
-//! wildcard hits), a dense `Cells` chunk with styled cells, formulas and a
-//! cached error, a `Sparse` chunk, a wholly vacant chunk, fractions and
+//! wildcard hits), a full `Cells` chunk with styled cells, formulas and a
+//! cached error, a `Cells` chunk of a few cells, a `Num` chunk of one, a
+//! wholly vacant chunk, fractions and
 //! magnitudes of 2^53 (outside the delta cache's exact-integer envelope),
 //! zeros of both signs, cached infinities and a NaN — and, under the 32 KB
 //! budget, `Spilled` pages. Windows start and end mid-chunk and on either
@@ -93,8 +94,8 @@ fn build(capped: bool) -> Sheet {
         }
     }
     s.set_formula_str(CellAddr::new(700, 2), "=1/0").unwrap();
-    // C, second chunk: a sparse overlay; the third stays vacant; the
-    // fourth holds one number.
+    // C, second chunk: a few general cells in an otherwise vacant chunk;
+    // the third stays vacant; the fourth holds one number.
     s.set_value(CellAddr::new(1027, 2), "storm");
     s.set_value(CellAddr::new(1064, 2), 7);
     s.set_style(CellAddr::new(1065, 2), green);
@@ -116,10 +117,10 @@ fn the_sheet_puts_every_chunk_kind_under_a_window() {
     let kinds = |col| s.grid_store().chunk_kinds(col);
     assert_eq!(kinds(0), ["num"; 4]);
     assert_eq!(kinds(1), ["text"; 4]);
-    assert_eq!(kinds(2), ["cells", "sparse", "sparse"]);
+    assert_eq!(kinds(2), ["cells", "cells", "num"]);
     assert_eq!(kinds(3), ["num"; 4]);
-    assert_eq!(kinds(5), ["cells", "cells", "cells", "sparse"]);
-    assert_eq!(kinds(6), ["cells", "cells", "cells", "sparse"]);
+    assert_eq!(kinds(5), ["cells"; 4]);
+    assert_eq!(kinds(6), ["cells"; 4]);
     assert_eq!(s.value(CellAddr::new(100, 6)), Value::Number(f64::NEG_INFINITY));
     assert!(matches!(s.value(CellAddr::new(200, 6)), Value::Number(n) if n.is_nan()));
     let capped = build(true);

@@ -4,66 +4,62 @@
 //! memory, which is what makes a write at row 1M allocate nothing in
 //! between (see the far-corner regression test).
 //!
-//! Segment representations, in the order writes migrate through them:
+//! A chunk is resident in one of three kinds, or on a page:
 //!
-//! * `Sparse` — a `BTreeMap<u16, Cell>` overlay. All chunks start here so
-//!   a handful of scattered cells never pays for a dense allocation; also
-//!   the home of styled and formula cells mixed into otherwise-typed data.
-//! * `Num` — a presence bitmap plus `[f64; CHUNK]`: plain numeric cells,
-//!   promoted from `Sparse` once a chunk accumulates enough uniform plain
-//!   numbers. Range aggregates scan these as contiguous `f64` slices.
-//! * `Text` — `[u32; CHUNK]` of interner ids (plain text cells), same
-//!   promotion rule; `u32::MAX` marks a vacant slot.
-//! * `Cells` — a dense `Vec<Cell>`: the fully-general fallback for chunks
+//! * `Num` — a presence bitmap plus `[f64; CHUNK]`: plain numeric cells.
+//!   Range aggregates scan these as contiguous `f64` slices.
+//! * `Text` — `[u32; CHUNK]` of interner ids (plain text cells);
+//!   `u32::MAX` marks a vacant slot.
+//! * `Cells` — a dense `Vec<Cell>`: the fully-general kind, for chunks
 //!   holding formulas, styles, bools, or errors. **Invariant: formula and
-//!   styled cells only ever live in `Cells` or `Sparse`**, so borrowing
-//!   reads of them (`CellGet::Borrowed`, `Sheet::formula_expr`) always
-//!   find real storage, never a reconstruction.
+//!   styled cells only ever live in `Cells`**, so borrowing reads of them
+//!   (`CellGet::Borrowed`, `Sheet::formula_expr`) always find real
+//!   storage, never a reconstruction.
 //! * `Spilled` — a page id in the buffer pool's page file. Only `Num` and
 //!   `Text` segments spill (they are plain data with a fixed codec);
-//!   `Cells`/`Sparse` segments are wired. Spilled chunks reload at `&mut`
-//!   access points and are served read-only through the pool's fault
-//!   cache from `&self`, so the grid stays `Sync` for parallel recalc.
+//!   `Cells` segments are wired. Spilled chunks reload at `&mut` access
+//!   points and are served read-only through the pool's fault cache from
+//!   `&self`, so the grid stays `Sync` for parallel recalc.
 //!
-//! Row and column inserts and deletes shift this storage in place
-//! (`GridStore::move_rows`, DESIGN.md §15): typed runs move as slices,
-//! general cells by value, and spilled chunks are loaded one at a time.
+//! One rule places a slot, whoever writes it (`SlotVal`, `put_cell`): a
+//! vacant chunk opens in the kind of the first thing written to it — a
+//! plain number opens `Num`, a plain text `Text`, anything else `Cells` —
+//! a write of its own kind keeps a typed chunk typed, and any other write
+//! turns it into `Cells`, once. Nothing turns a `Cells` chunk back.
 //!
-//! A row permutation — a sort — is a scatter over the same storage
+//! Four writers place slots through that rule. A point write
+//! (`GridStore::set`, `set_value`) places one slot in the column's chunk
+//! directory. Row and column inserts and deletes shift the storage in
+//! place (`GridStore::move_rows`, DESIGN.md §15): typed runs move as
+//! slices, general cells by value, and spilled chunks are loaded one at a
+//! time. A row permutation — a sort — is a scatter over the same storage
 //! (`GridStore::permute_rows`, DESIGN.md §14): a column's chunks are taken
 //! out in order, each spilled one loaded once for its own turn, and only
 //! their occupied slots are sent to their new rows — numbers as a value and
 //! a presence bit, text as the interner id it already is, general cells
-//! moved, formulas included, never cloned. Both moves assemble destination
-//! chunks off to the side and share one set of placement rules (`put_cell`,
-//! `finish_chunk`): a typed slot landing on a vacant or same-typed chunk
-//! stays typed, anything else resolves as a mismatched write would. The
-//! cell-at-a-time rebuild the scatter replaced survives as
-//! `permute_rows_reference`, under `#[cfg(test)]`, for the differential
-//! tests.
+//! moved, formulas included, never cloned. The cell-at-a-time rebuild the
+//! scatter replaced survives as `permute_rows_reference`, under
+//! `#[cfg(test)]`, for the differential tests. Opening a document
+//! (`GridStore::bulk_load`, DESIGN.md §17) fills one chunk per column for
+//! the 1 024-row band the load is in. The last three assemble destination
+//! chunks off to the side and install them with `finish_chunk`.
 //!
-//! Opening a document is the third client of those rules
-//! (`GridStore::bulk_load`, DESIGN.md §17): the load assembles one chunk
-//! per column for the 1 024-row band it is in — numbers and interned text
-//! written straight into a typed segment, everything else through
-//! `put_cell` — and installs the band with `finish_chunk` as it leaves it.
-//!
-//! The scan operations are a fourth client of the storage, and assemble
-//! nothing (DESIGN.md §18). Filter, pivot and find read columns as the
-//! slices the formula kernels read (`GridStore::scan_range`); find-and-
-//! replace and conditional formatting edit a range where it is stored, a
-//! chunk of a column at a time (`GridStore::for_each_chunk_mut`, which
-//! hands out a `ChunkMut`): a text chunk has interner ids exchanged for
-//! interner ids, a general chunk has its cells rewritten or restyled in
-//! place, and a typed chunk becomes general cells — once — only if a
-//! style has to land in it. A spilled chunk is read through the fault
-//! cache and loaded only when an edit lands in it, with the budget
-//! enforced after each load.
+//! The scan operations assemble nothing (DESIGN.md §18). Filter, pivot
+//! and find read columns as the slices the formula kernels read
+//! (`GridStore::scan_range`); find-and-replace and conditional formatting
+//! edit a range where it is stored, a chunk of a column at a time
+//! (`GridStore::for_each_chunk_mut`, which hands out a `ChunkMut`): a text
+//! chunk has interner ids exchanged for interner ids, a general chunk has
+//! its cells rewritten or restyled in place, and a typed chunk becomes
+//! general cells — once — only if a style has to land in it. A spilled
+//! chunk is read through the fault cache and loaded only when an edit
+//! lands in it, with the budget enforced after each load.
 //!
 //! Spill machinery never touches the op meter: a budgeted grid produces
 //! bit-identical values, meter counts, and trace signatures to an
 //! unbounded one (enforced by the §9 oracle's `budget` dimension).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -89,13 +85,6 @@ pub(crate) const CHUNK_ROWS: u32 = CHUNK as u32;
 
 /// Interner id marking a vacant text slot.
 const NO_TEXT: u32 = u32::MAX;
-
-/// `Sparse` chunks are probed for promotion to a typed segment every time
-/// their population crosses a multiple of this.
-const SPARSE_PROMOTE: usize = 64;
-
-/// A `Sparse` chunk this full converts to dense `Cells`.
-const SPARSE_TO_CELLS: usize = 512;
 
 static EMPTY_VALUE: Value = Value::Empty;
 
@@ -133,7 +122,7 @@ impl CellGet<'_> {
 /// their backing slices directly — this is what turns the §10 kernels into
 /// contiguous `f64` scans.
 pub(crate) enum ScanSlice<'a> {
-    /// General cells (dense chunk, or a single sparse/overlay cell).
+    /// General cells, vacant ones included.
     Cells(&'a [Cell]),
     /// A run of present plain numbers.
     Nums(&'a [f64]),
@@ -341,12 +330,6 @@ impl TextSeg {
     }
 }
 
-/// Sparse overlay for lightly-populated or mixed/styled chunks.
-#[derive(Debug, Default)]
-struct SparseSeg {
-    cells: BTreeMap<u16, Cell>,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Spilled {
     page: u32,
@@ -361,11 +344,27 @@ enum Segment {
     Num(Box<NumSeg>),
     Text(Box<TextSeg>),
     Cells(Vec<Cell>),
-    Sparse(SparseSeg),
     Spilled(Spilled),
 }
 
 impl Segment {
+    fn vacant_cells() -> Segment {
+        Segment::Cells(vec![Cell::empty(); CHUNK])
+    }
+
+    /// The chunk's general cells, a typed chunk turned into `Cells` first
+    /// (the caller gives up its resident bytes). Precondition: not
+    /// `Spilled`.
+    fn cells_mut(&mut self, it: &Interner) -> &mut Vec<Cell> {
+        if let Segment::Num(_) | Segment::Text(_) = self {
+            *self = Segment::Cells(seg_to_cells(self, it));
+        }
+        match self {
+            Segment::Cells(v) => v,
+            _ => unreachable!("callers load a spilled chunk before writing to it"),
+        }
+    }
+
     /// Spill accounting: resident bytes this segment charges against the
     /// grid budget. Only typed segments are evictable and only they count.
     fn spillable_bytes(&self) -> usize {
@@ -382,7 +381,6 @@ impl Segment {
             Segment::Num(s) => u64::from(s.count),
             Segment::Text(s) => u64::from(s.count),
             Segment::Cells(v) => v.iter().filter(|c| !c.is_vacant()).count() as u64,
-            Segment::Sparse(sp) => sp.cells.values().filter(|c| !c.is_vacant()).count() as u64,
             Segment::Spilled(sp) => u64::from(sp.count),
         }
     }
@@ -405,9 +403,6 @@ impl Segment {
                 ids: s.ids,
             })),
             Segment::Cells(v) => Segment::Cells(v.clone()),
-            Segment::Sparse(sp) => {
-                Segment::Sparse(SparseSeg { cells: sp.cells.clone() })
-            }
             Segment::Spilled(_) => unreachable!("clone materializes spilled segments first"),
         }
     }
@@ -439,12 +434,49 @@ fn segment_from_page(data: &PageData) -> Segment {
     }
 }
 
-/// A value on its way into a slot, already classified by representation.
+/// A value on its way into a slot, classified by the kind of chunk that
+/// holds it as it is: a plain number, a plain text (as its interner id),
+/// or anything else — a bool, an error, a formula, a styled cell — as the
+/// cell it is.
 enum SlotVal {
     Empty,
     Num(f64),
     TextId(u32),
     Full(Cell),
+}
+
+impl SlotVal {
+    /// Classifies `cell`, interning a plain text.
+    fn of(cell: Cell, it: &mut Interner) -> SlotVal {
+        if !cell.style.is_plain() {
+            return SlotVal::Full(cell);
+        }
+        match cell.content {
+            CellContent::Value(Value::Number(n)) => SlotVal::Num(n),
+            CellContent::Value(Value::Text(ref s)) => SlotVal::TextId(it.intern(s)),
+            CellContent::Value(Value::Empty) => SlotVal::Empty,
+            _ => SlotVal::Full(cell),
+        }
+    }
+
+    /// A vacant chunk of the kind this value, the first written to it,
+    /// opens. (No writer opens a chunk to clear a slot of it.)
+    fn opens(&self) -> Segment {
+        match self {
+            SlotVal::Num(_) => Segment::Num(Box::new(NumSeg::vacant())),
+            SlotVal::TextId(_) => Segment::Text(Box::new(TextSeg::vacant())),
+            SlotVal::Full(_) | SlotVal::Empty => Segment::vacant_cells(),
+        }
+    }
+
+    fn into_cell(self, it: &Interner) -> Cell {
+        match self {
+            SlotVal::Empty => Cell::empty(),
+            SlotVal::Num(n) => Cell::value(n),
+            SlotVal::TextId(id) => Cell::value(it.value(id).clone()),
+            SlotVal::Full(cell) => cell,
+        }
+    }
 }
 
 /// A chunk resolved for reading: either direct segment storage or a
@@ -455,6 +487,7 @@ enum ChunkRef<'a> {
     Page(Arc<PageData>),
 }
 
+/// The slots of a typed segment as general cells.
 fn seg_to_cells(seg: &Segment, it: &Interner) -> Vec<Cell> {
     match seg {
         Segment::Num(s) => (0..CHUNK)
@@ -463,23 +496,37 @@ fn seg_to_cells(seg: &Segment, it: &Interner) -> Vec<Cell> {
         Segment::Text(s) => s
             .ids
             .iter()
-            .map(|&id| {
-                if id == NO_TEXT {
-                    Cell::empty()
-                } else {
-                    Cell { content: CellContent::Value(it.value(id).clone()), style: Style::plain() }
-                }
+            .map(|&id| match id {
+                NO_TEXT => Cell::empty(),
+                id => Cell::value(it.value(id).clone()),
             })
             .collect(),
-        Segment::Sparse(sp) => {
-            let mut v = vec![Cell::empty(); CHUNK];
-            for (&k, c) in &sp.cells {
-                v[k as usize] = c.clone();
-            }
-            v
+        Segment::Cells(_) | Segment::Spilled(_) => {
+            unreachable!("only a resident typed segment is turned into general cells")
         }
-        Segment::Cells(v) => v.clone(),
-        Segment::Spilled(_) => unreachable!("spilled segments are materialized before conversion"),
+    }
+}
+
+/// The placement rule, for a slot of a resident chunk (a vacant one was
+/// opened by [`SlotVal::opens`]): a plain number or text landing in a
+/// chunk of its kind stays typed, and anything else lands in general
+/// cells, which a typed chunk is turned into to take it. `keep_style` is
+/// the `set_value` semantic: a styled slot keeps its style and only the
+/// content changes. `Empty` clears the slot.
+fn put_cell(seg: &mut Segment, off: usize, v: SlotVal, keep_style: bool, it: &Interner) {
+    match (&mut *seg, v) {
+        (Segment::Num(s), SlotVal::Num(n)) => s.set(off, n),
+        (Segment::Num(s), SlotVal::Empty) => s.clear(off),
+        (Segment::Text(s), SlotVal::TextId(id)) => s.set(off, id),
+        (Segment::Text(s), SlotVal::Empty) => s.clear(off),
+        (_, v) => {
+            let slot = &mut seg.cells_mut(it)[off];
+            let style = slot.style;
+            *slot = v.into_cell(it);
+            if keep_style {
+                slot.style = style;
+            }
+        }
     }
 }
 
@@ -489,286 +536,49 @@ struct Column {
     segs: BTreeMap<u32, Segment>,
 }
 
-enum Put {
-    Num(f64),
-    Text(u32),
-    Full(Cell),
-}
-
 impl Column {
-    /// Writes `v` at `row`. `keep_style` is the `set_value` semantic: an
-    /// existing styled slot keeps its style and only the content changes.
-    /// Precondition: the target chunk is not `Spilled` (callers load it
-    /// first via `GridStore::make_resident`).
+    /// Writes `v` at `row` ([`put_cell`]), adding to `resident` the typed
+    /// bytes the column gained or gave up. A typed chunk cleared of its
+    /// last slot is vacant again. Precondition: the target chunk is not
+    /// `Spilled` (callers load it first via `GridStore::make_resident`).
     fn write(
         &mut self,
         row: u32,
         v: SlotVal,
         keep_style: bool,
-        it: &mut Interner,
+        it: &Interner,
         resident: &mut isize,
     ) {
         let ci = row / CHUNK_ROWS;
         let off = (row % CHUNK_ROWS) as usize;
-        match v {
-            SlotVal::Empty => self.clear_slot(ci, off, keep_style, resident),
-            SlotVal::Num(n) => self.put(ci, off, Put::Num(n), keep_style, it, resident),
-            SlotVal::TextId(id) => self.put(ci, off, Put::Text(id), keep_style, it, resident),
-            SlotVal::Full(c) => self.put(ci, off, Put::Full(c), keep_style, it, resident),
-        }
-    }
-
-    fn put(
-        &mut self,
-        ci: u32,
-        off: usize,
-        p: Put,
-        keep_style: bool,
-        it: &mut Interner,
-        resident: &mut isize,
-    ) {
-        // Fast paths: a typed write into its matching typed segment.
-        match (self.segs.get_mut(&ci), &p) {
-            (Some(Segment::Num(s)), Put::Num(n)) => {
-                s.set(off, *n);
-                return;
-            }
-            (Some(Segment::Text(s)), Put::Text(id)) => {
-                s.set(off, *id);
-                return;
-            }
+        // The common write, a number or a text into a chunk of its kind,
+        // first and on one probe of the directory.
+        match (self.segs.get_mut(&ci), &v) {
+            (Some(Segment::Num(s)), SlotVal::Num(n)) => return s.set(off, *n),
+            (Some(Segment::Text(s)), SlotVal::TextId(id)) => return s.set(off, *id),
             _ => {}
         }
-        // Otherwise the slot needs general storage: vacant chunks open as
-        // Sparse, mismatched typed chunks degrade to Cells.
-        match self.segs.get(&ci) {
-            None => {
-                self.segs.insert(ci, Segment::Sparse(SparseSeg::default()));
+        let mut before = 0;
+        let seg = match self.segs.entry(ci) {
+            Entry::Occupied(e) => {
+                before = e.get().spillable_bytes();
+                e.into_mut()
             }
-            Some(seg @ (Segment::Num(_) | Segment::Text(_))) => {
-                let cells = seg_to_cells(seg, it);
-                *resident -= PAGE_BYTES as isize;
-                self.segs.insert(ci, Segment::Cells(cells));
-            }
-            Some(Segment::Cells(_) | Segment::Sparse(_)) => {}
-            Some(Segment::Spilled(_)) => {
-                unreachable!("caller must make chunk resident before writes")
-            }
-        }
-        let cell_new = match p {
-            Put::Num(n) => Cell::value(n),
-            Put::Text(id) => {
-                Cell { content: CellContent::Value(it.value(id).clone()), style: Style::plain() }
-            }
-            Put::Full(c) => c,
+            Entry::Vacant(_) if matches!(v, SlotVal::Empty) => return,
+            Entry::Vacant(e) => e.insert(v.opens()),
         };
-        let mut promote = false;
-        match self.segs.get_mut(&ci).expect("slot storage just ensured") {
-            Segment::Cells(v) => {
-                if keep_style {
-                    let st = v[off].style;
-                    v[off] = cell_new;
-                    v[off].style = st;
-                } else {
-                    v[off] = cell_new;
-                }
-            }
-            Segment::Sparse(sp) => {
-                let key = off as u16;
-                match sp.cells.get_mut(&key) {
-                    Some(existing) => {
-                        if keep_style {
-                            let st = existing.style;
-                            *existing = cell_new;
-                            existing.style = st;
-                        } else {
-                            *existing = cell_new;
-                        }
-                        if existing.is_vacant() {
-                            sp.cells.remove(&key);
-                        }
-                    }
-                    None => {
-                        sp.cells.insert(key, cell_new);
-                        promote = true;
-                    }
-                }
-            }
-            _ => unreachable!("slot storage just ensured"),
-        }
-        if promote {
-            self.maybe_promote(ci, it, resident);
-        }
-    }
-
-    /// Clears the slot; `keep_style` preserves a styled cell's style (the
-    /// `set_value(Empty)` semantic), plain clears drop the whole cell.
-    fn clear_slot(&mut self, ci: u32, off: usize, keep_style: bool, resident: &mut isize) {
-        let Some(seg) = self.segs.get_mut(&ci) else { return };
-        enum After {
-            Keep,
-            Remove,
-            RemoveTyped,
-        }
-        let after = match seg {
-            Segment::Num(s) => {
-                s.clear(off);
-                if s.count == 0 {
-                    After::RemoveTyped
-                } else {
-                    After::Keep
-                }
-            }
-            Segment::Text(s) => {
-                s.clear(off);
-                if s.count == 0 {
-                    After::RemoveTyped
-                } else {
-                    After::Keep
-                }
-            }
-            Segment::Cells(v) => {
-                if keep_style {
-                    v[off].content = CellContent::Value(Value::Empty);
-                } else {
-                    v[off] = Cell::empty();
-                }
-                After::Keep
-            }
-            Segment::Sparse(sp) => {
-                let key = off as u16;
-                if keep_style {
-                    if let Some(c) = sp.cells.get_mut(&key) {
-                        c.content = CellContent::Value(Value::Empty);
-                        if c.is_vacant() {
-                            sp.cells.remove(&key);
-                        }
-                    }
-                } else {
-                    sp.cells.remove(&key);
-                }
-                if sp.cells.is_empty() {
-                    After::Remove
-                } else {
-                    After::Keep
-                }
-            }
-            Segment::Spilled(_) => {
-                unreachable!("caller must make chunk resident before writes")
-            }
+        put_cell(seg, off, v, keep_style, it);
+        let mut after = seg.spillable_bytes();
+        let emptied = match seg {
+            Segment::Num(s) => s.count == 0,
+            Segment::Text(s) => s.count == 0,
+            _ => false,
         };
-        match after {
-            After::Keep => {}
-            After::Remove => {
-                self.segs.remove(&ci);
-            }
-            After::RemoveTyped => {
-                self.segs.remove(&ci);
-                *resident -= PAGE_BYTES as isize;
-            }
+        if emptied {
+            self.segs.remove(&ci);
+            after = 0;
         }
-    }
-
-    /// Promotes a `Sparse` chunk to a typed segment when its population is
-    /// uniform plain numbers/text, or to dense `Cells` once it is more
-    /// than half full. Checked only when the population crosses a
-    /// threshold multiple, so the uniformity scan amortizes to O(1).
-    fn maybe_promote(&mut self, ci: u32, it: &mut Interner, resident: &mut isize) {
-        let Some(Segment::Sparse(sp)) = self.segs.get(&ci) else { return };
-        let len = sp.cells.len();
-        if len >= SPARSE_TO_CELLS {
-            let seg = self.segs.get(&ci).expect("sparse seg present");
-            let cells = seg_to_cells(seg, it);
-            self.segs.insert(ci, Segment::Cells(cells));
-            return;
-        }
-        if len < SPARSE_PROMOTE || len % SPARSE_PROMOTE != 0 {
-            return;
-        }
-        #[derive(PartialEq)]
-        enum Uniform {
-            Nums,
-            Texts,
-            Mixed,
-        }
-        let mut uniform = None;
-        for c in sp.cells.values() {
-            let kind = if !c.style.is_plain() || c.is_formula() {
-                Uniform::Mixed
-            } else {
-                match &c.content {
-                    CellContent::Value(Value::Number(_)) => Uniform::Nums,
-                    CellContent::Value(Value::Text(_)) => Uniform::Texts,
-                    _ => Uniform::Mixed,
-                }
-            };
-            match (&mut uniform, kind) {
-                (u @ None, k) => *u = Some(k),
-                (Some(u), k) if *u == k => {}
-                _ => {
-                    uniform = Some(Uniform::Mixed);
-                    break;
-                }
-            }
-        }
-        match uniform {
-            Some(Uniform::Nums) => {
-                let Some(Segment::Sparse(sp)) = self.segs.get(&ci) else { unreachable!() };
-                let mut seg = Box::new(NumSeg::vacant());
-                for (&k, c) in &sp.cells {
-                    if let CellContent::Value(Value::Number(n)) = &c.content {
-                        seg.set(k as usize, *n);
-                    }
-                }
-                *resident += PAGE_BYTES as isize;
-                self.segs.insert(ci, Segment::Num(seg));
-            }
-            Some(Uniform::Texts) => {
-                // Intern first (needs `&mut it` while the sparse cells are
-                // read), then build the segment.
-                let Some(Segment::Sparse(sp)) = self.segs.get(&ci) else { unreachable!() };
-                let mut entries: Vec<(u16, u32)> = Vec::with_capacity(sp.cells.len());
-                for (&k, c) in &sp.cells {
-                    if let CellContent::Value(Value::Text(s)) = &c.content {
-                        entries.push((k, it.intern(s)));
-                    }
-                }
-                let mut seg = Box::new(TextSeg::vacant());
-                for (k, id) in entries {
-                    seg.set(k as usize, id);
-                }
-                *resident += PAGE_BYTES as isize;
-                self.segs.insert(ci, Segment::Text(seg));
-            }
-            _ => {}
-        }
-    }
-
-    /// Ensures the chunk can hand out `&mut Cell` for `off` (Cells or
-    /// Sparse representation). Precondition: not `Spilled`.
-    fn prepare_slot_mut(&mut self, ci: u32, it: &Interner, resident: &mut isize) {
-        match self.segs.get(&ci) {
-            None => {
-                self.segs.insert(ci, Segment::Sparse(SparseSeg::default()));
-            }
-            Some(seg @ (Segment::Num(_) | Segment::Text(_))) => {
-                let cells = seg_to_cells(seg, it);
-                *resident -= PAGE_BYTES as isize;
-                self.segs.insert(ci, Segment::Cells(cells));
-            }
-            Some(Segment::Cells(_) | Segment::Sparse(_)) => {}
-            Some(Segment::Spilled(_)) => {
-                unreachable!("caller must make chunk resident before cell_mut")
-            }
-        }
-    }
-
-    fn slot_mut(&mut self, ci: u32, off: usize) -> &mut Cell {
-        match self.segs.get_mut(&ci).expect("prepare_slot_mut ran") {
-            Segment::Cells(v) => &mut v[off],
-            Segment::Sparse(sp) => sp.cells.entry(off as u16).or_insert_with(Cell::empty),
-            _ => unreachable!("prepare_slot_mut ran"),
-        }
+        *resident += after as isize - before as isize;
     }
 }
 
@@ -778,9 +588,9 @@ fn population(cols: &[Column]) -> u64 {
 }
 
 /// Reads one slot out of a column for [`GridStore::permute_rows_reference`].
-/// Text ids move without re-interning; full cells clone.
+/// Text ids move without re-interning; general cells clone.
 #[cfg(test)]
-fn read_slot_for_move(col: &Column, pool: &Pool, row: u32) -> SlotVal {
+fn read_slot_for_move(col: &Column, pool: &Pool, it: &mut Interner, row: u32) -> SlotVal {
     let ci = row / CHUNK_ROWS;
     let off = (row % CHUNK_ROWS) as usize;
     match col.segs.get(&ci) {
@@ -790,17 +600,7 @@ fn read_slot_for_move(col: &Column, pool: &Pool, row: u32) -> SlotVal {
             NO_TEXT => SlotVal::Empty,
             id => SlotVal::TextId(id),
         },
-        Some(Segment::Cells(v)) => {
-            if v[off].is_vacant() {
-                SlotVal::Empty
-            } else {
-                SlotVal::Full(v[off].clone())
-            }
-        }
-        Some(Segment::Sparse(sp)) => match sp.cells.get(&(off as u16)) {
-            Some(c) if !c.is_vacant() => SlotVal::Full(c.clone()),
-            _ => SlotVal::Empty,
-        },
+        Some(Segment::Cells(v)) => SlotVal::of(v[off].clone(), it),
         Some(Segment::Spilled(sp)) => match &*pool.fault(sp.page, sp.kind) {
             PageData::Num(np) => {
                 if bit(&np.present, off) {
@@ -846,33 +646,6 @@ fn copy_bits(src: &[u64; WORDS], a: usize, dst: &mut [u64; WORDS], d: usize, len
     set
 }
 
-/// Places one non-vacant general cell into a destination chunk under
-/// assembly. General storage takes anything; a plain number or text
-/// landing on a matching typed chunk stays typed; any other cell opens a
-/// vacant chunk as general storage (`dense` picks `Cells` over `Sparse`)
-/// or turns a typed one into `Cells`, as a mismatched write would.
-fn put_cell(dst: &mut Option<Segment>, off: usize, cell: Cell, dense: bool, it: &mut Interner) {
-    let plain = cell.style.is_plain();
-    match (&mut *dst, &cell.content) {
-        (Some(Segment::Cells(v)), _) => v[off] = cell,
-        (Some(Segment::Sparse(sp)), _) => {
-            sp.cells.insert(off as u16, cell);
-        }
-        (Some(Segment::Num(t)), CellContent::Value(Value::Number(n))) if plain => t.set(off, *n),
-        (Some(Segment::Text(t)), CellContent::Value(Value::Text(s))) if plain => {
-            t.set(off, it.intern(s));
-        }
-        _ => {
-            *dst = Some(match dst.take() {
-                None if dense => Segment::Cells(vec![Cell::empty(); CHUNK]),
-                None => Segment::Sparse(SparseSeg::default()),
-                Some(typed) => Segment::Cells(seg_to_cells(&typed, it)),
-            });
-            put_cell(dst, off, cell, dense, it);
-        }
-    }
-}
-
 /// Moves slots `a..b` of the resident segment `src` to slots `d..` of the
 /// destination chunk under assembly (`None` = still vacant) and returns
 /// how many were occupied. Typed runs move as slices — values plus
@@ -905,10 +678,10 @@ fn move_slots(
                     t.vals[d..d + len].copy_from_slice(&s.vals[a..b]);
                     t.count += n as u16;
                 }
-                _ => {
+                other => {
                     for i in a..b {
                         if let Some(v) = s.get(i) {
-                            put_cell(dst, d + i - a, Cell::value(v), true, it);
+                            put_cell(other, d + i - a, SlotVal::Num(v), false, it);
                         }
                     }
                 }
@@ -925,15 +698,9 @@ fn move_slots(
                     t.ids[d..d + len].copy_from_slice(&s.ids[a..b]);
                     t.count += n as u16;
                 }
-                _ => {
-                    for i in a..b {
-                        if s.ids[i] != NO_TEXT {
-                            let cell = Cell {
-                                content: CellContent::Value(it.value(s.ids[i]).clone()),
-                                style: Style::plain(),
-                            };
-                            put_cell(dst, d + i - a, cell, true, it);
-                        }
+                other => {
+                    for i in (a..b).filter(|&i| s.ids[i] != NO_TEXT) {
+                        put_cell(other, d + i - a, SlotVal::TextId(s.ids[i]), false, it);
                     }
                 }
             }
@@ -943,20 +710,8 @@ fn move_slots(
             let mut n = 0;
             for (i, cell) in v[a..b].iter_mut().enumerate() {
                 if !cell.is_vacant() {
-                    put_cell(dst, d + i, std::mem::take(cell), true, it);
-                    n += 1;
-                }
-            }
-            n
-        }
-        Segment::Sparse(sp) => {
-            let mut run = sp.cells.split_off(&(a as u16));
-            let mut rest = run.split_off(&(b as u16));
-            sp.cells.append(&mut rest);
-            let mut n = 0;
-            for (k, cell) in run {
-                if !cell.is_vacant() {
-                    put_cell(dst, d + k as usize - a, cell, false, it);
+                    let v = SlotVal::of(std::mem::take(cell), it);
+                    put_cell(dst.get_or_insert_with(|| v.opens()), d + i, v, false, it);
                     n += 1;
                 }
             }
@@ -995,10 +750,10 @@ fn inverse_permutation(perm: &[u32], n: usize) -> Result<Vec<u32>, EngineError> 
 /// Scatters the occupied slots of the resident segment `src`, whose first
 /// slot is row `base`, to the rows `inv` sends them to, in the destination
 /// chunks under assembly (`dst[chunk]`, `None` = still vacant). A typed
-/// slot landing on a vacant or same-typed chunk stays typed — a number
-/// sets its value and presence bit, an interner id is stored as it is;
-/// general cells, and typed slots landing on anything else, are placed by
-/// [`put_cell`], by value.
+/// slot landing on a vacant or same-typed chunk is stored there and then —
+/// a number sets its value and presence bit, an interner id is stored as
+/// it is; general cells, and typed slots landing on anything else, are
+/// placed by [`put_cell`], by value.
 fn scatter_slots(
     dst: &mut [Option<Segment>],
     inv: &[u32],
@@ -1019,7 +774,7 @@ fn scatter_slots(
                     let (ci, d) = place(to[off]);
                     match dst[ci].get_or_insert_with(|| Segment::Num(Box::new(NumSeg::vacant()))) {
                         Segment::Num(t) => t.set(d, s.vals[off]),
-                        _ => put_cell(&mut dst[ci], d, Cell::value(s.vals[off]), true, it),
+                        other => put_cell(other, d, SlotVal::Num(s.vals[off]), false, it),
                     }
                 }
             }
@@ -1032,13 +787,7 @@ fn scatter_slots(
                 let (ci, d) = place(to[off]);
                 match dst[ci].get_or_insert_with(|| Segment::Text(Box::new(TextSeg::vacant()))) {
                     Segment::Text(t) => t.set(d, id),
-                    _ => {
-                        let cell = Cell {
-                            content: CellContent::Value(it.value(id).clone()),
-                            style: Style::plain(),
-                        };
-                        put_cell(&mut dst[ci], d, cell, true, it);
-                    }
+                    other => put_cell(other, d, SlotVal::TextId(id), false, it),
                 }
             }
         }
@@ -1046,15 +795,8 @@ fn scatter_slots(
             for (off, cell) in v.into_iter().enumerate() {
                 if !cell.is_vacant() {
                     let (ci, d) = place(to[off]);
-                    put_cell(&mut dst[ci], d, cell, true, it);
-                }
-            }
-        }
-        Segment::Sparse(sp) => {
-            for (off, cell) in sp.cells {
-                if !cell.is_vacant() {
-                    let (ci, d) = place(to[off as usize]);
-                    put_cell(&mut dst[ci], d, cell, false, it);
+                    let v = SlotVal::of(cell, it);
+                    put_cell(dst[ci].get_or_insert_with(|| v.opens()), d, v, false, it);
                 }
             }
         }
@@ -1062,25 +804,14 @@ fn scatter_slots(
     }
 }
 
-/// A bulk load's side of an empty grid (`Sheet::load_rows`): the third
-/// client of the placement rules, after the row shift and the scatter. One
+/// A bulk load's side of an empty grid (`Sheet::load_rows`). One
 /// destination chunk per column is assembled off to the side for the
 /// 1 024-row band the load is in; the load fills it in ascending row order,
-/// each slot once, and the band's chunks are installed ([`GridStore::
-/// finish_chunk`]) and the budget enforced when the load moves on to the
-/// next band — so a load holds at most one chunk per column above the
-/// budget.
-///
-/// A chunk ends up in the representation the write path would have left
-/// it in, had the same cells been written one `set_value` at a time: a
-/// number or a text opens a typed chunk and its like keep it typed (a text
-/// is interned from the `&str`, in first-seen order, wherever it lands);
-/// anything else — a bool, an error, a formula, the other type — goes
-/// through [`put_cell`], which turns a typed chunk into `Cells`, except
-/// that a typed chunk still under [`SPARSE_PROMOTE`] slots is first set
-/// back to the `Sparse` overlay the write path would not yet have promoted;
-/// a `Sparse` chunk becomes `Cells` at [`SPARSE_TO_CELLS`]; and a typed
-/// chunk that closes under `SPARSE_PROMOTE` slots is installed `Sparse`.
+/// each slot once and each by [`put_cell`]'s rule — so a chunk is what the
+/// same cells written one `set_value` at a time would have made it — and
+/// the band's chunks are installed ([`GridStore::finish_chunk`]) and the
+/// budget enforced when the load moves on to the next band: a load holds
+/// at most one chunk per column above the budget.
 pub(crate) struct ChunkLoader<'g> {
     grid: &'g mut GridStore,
     /// Per column, the chunk of band `band` under assembly (`None` = still
@@ -1106,38 +837,26 @@ impl ChunkLoader<'_> {
     pub(crate) fn number(&mut self, col: usize, n: f64) {
         match self.dst[col].get_or_insert_with(|| Segment::Num(Box::new(NumSeg::vacant()))) {
             Segment::Num(t) => t.set(self.off, n),
-            _ => self.cell(col, Cell::value(n)),
+            other => put_cell(other, self.off, SlotVal::Num(n), false, &self.grid.interner),
         }
     }
 
-    /// Places a plain text in column `col` of the current row.
+    /// Places a plain text in column `col` of the current row, interned
+    /// from the `&str` (so ids keep first-seen order wherever it lands).
     pub(crate) fn text(&mut self, col: usize, s: &str) {
         let id = self.grid.interner.intern_str(s);
         match self.dst[col].get_or_insert_with(|| Segment::Text(Box::new(TextSeg::vacant()))) {
             Segment::Text(t) => t.set(self.off, id),
-            _ => {
-                let content = CellContent::Value(self.grid.interner.value(id).clone());
-                self.cell(col, Cell { content, style: Style::plain() });
-            }
+            other => put_cell(other, self.off, SlotVal::TextId(id), false, &self.grid.interner),
         }
     }
 
-    /// Places any other non-vacant cell — or a number or text a typed
-    /// chunk of the other kind cannot hold — in column `col` of the
-    /// current row.
+    /// Places any other non-vacant cell in column `col` of the current
+    /// row.
     pub(crate) fn cell(&mut self, col: usize, cell: Cell) {
-        let it = &mut self.grid.interner;
-        let dst = &mut self.dst[col];
-        sparse_if_small(dst, it);
-        put_cell(dst, self.off, cell, false, it);
-        if matches!(dst, Some(Segment::Sparse(sp)) if sp.cells.len() >= SPARSE_TO_CELLS) {
-            let Some(Segment::Sparse(sp)) = dst.take() else { unreachable!("just matched") };
-            let mut cells = vec![Cell::empty(); CHUNK];
-            for (off, cell) in sp.cells {
-                cells[off as usize] = cell;
-            }
-            *dst = Some(Segment::Cells(cells));
-        }
+        let v = SlotVal::of(cell, &mut self.grid.interner);
+        let seg = self.dst[col].get_or_insert_with(|| v.opens());
+        put_cell(seg, self.off, v, false, &self.grid.interner);
     }
 
     /// Installs the last band's chunks. A load dropped without this has
@@ -1148,32 +867,10 @@ impl ChunkLoader<'_> {
 
     fn install_band(&mut self) {
         for (c, dst) in self.dst.iter_mut().enumerate() {
-            sparse_if_small(dst, &self.grid.interner);
             self.grid.finish_chunk(c, self.band, dst.take());
         }
         self.grid.enforce_budget();
     }
-}
-
-/// Sets a typed chunk under assembly that holds fewer than
-/// [`SPARSE_PROMOTE`] slots back to the `Sparse` overlay (see
-/// [`ChunkLoader`]).
-fn sparse_if_small(dst: &mut Option<Segment>, it: &Interner) {
-    let Some(seg) = dst else { return };
-    let cells = match seg {
-        Segment::Num(t) if usize::from(t.count) < SPARSE_PROMOTE => (0..CHUNK)
-            .filter_map(|off| t.get(off).map(|n| (off as u16, Cell::value(n))))
-            .collect(),
-        Segment::Text(t) if usize::from(t.count) < SPARSE_PROMOTE => (0..CHUNK)
-            .filter(|&off| t.ids[off] != NO_TEXT)
-            .map(|off| {
-                let content = CellContent::Value(it.value(t.ids[off]).clone());
-                (off as u16, Cell { content, style: Style::plain() })
-            })
-            .collect(),
-        _ => return,
-    };
-    *seg = Segment::Sparse(SparseSeg { cells });
 }
 
 /// Non-vacant cells a structural edit left in place (`kept`: lines before
@@ -1297,10 +994,6 @@ impl GridStore {
         Some(match self.chunk_ref(addr.col, ci) {
             ChunkRef::Vacant => CellGet::Borrowed(empty_cell()),
             ChunkRef::Seg(Segment::Cells(v)) => CellGet::Borrowed(&v[off]),
-            ChunkRef::Seg(Segment::Sparse(sp)) => match sp.cells.get(&(off as u16)) {
-                Some(c) => CellGet::Borrowed(c),
-                None => CellGet::Borrowed(empty_cell()),
-            },
             ChunkRef::Seg(Segment::Num(s)) => match s.get(off) {
                 Some(n) => CellGet::Owned(Cell::value(n)),
                 None => CellGet::Borrowed(empty_cell()),
@@ -1345,10 +1038,6 @@ impl GridStore {
             ChunkRef::Seg(Segment::Num(s)) => s.get(off).map_or(Value::Empty, Value::Number),
             ChunkRef::Seg(Segment::Text(s)) => self.interner.value(s.get(off)).clone(),
             ChunkRef::Seg(Segment::Cells(v)) => v[off].display_value().clone(),
-            ChunkRef::Seg(Segment::Sparse(sp)) => sp
-                .cells
-                .get(&(off as u16))
-                .map_or(Value::Empty, |c| c.display_value().clone()),
             ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
             ChunkRef::Page(page) => match &*page {
                 PageData::Num(np) => {
@@ -1363,96 +1052,52 @@ impl GridStore {
         }
     }
 
-    /// Mutable access to the cell at `addr`, growing the grid as needed.
+    /// Mutable access to the cell at `addr`, growing the grid as needed:
+    /// a vacant chunk opens as `Cells` and a typed one is turned into it.
     /// Errs only when `addr` lies beyond the engine's hard limits.
     pub fn cell_mut(&mut self, addr: CellAddr) -> Result<&mut Cell, EngineError> {
         self.grow_for(addr)?;
         let ci = addr.row / CHUNK_ROWS;
         let off = (addr.row % CHUNK_ROWS) as usize;
         self.make_resident(addr.col, ci);
-        let mut delta = 0isize;
-        {
-            let col = &mut self.cols[addr.col as usize];
-            col.prepare_slot_mut(ci, &self.interner, &mut delta);
-        }
-        self.apply_resident_delta(delta);
-        Ok(self.cols[addr.col as usize].slot_mut(ci, off))
+        let GridStore { cols, interner, pool, .. } = self;
+        let seg = cols[addr.col as usize].segs.entry(ci).or_insert_with(Segment::vacant_cells);
+        pool.sub_resident(seg.spillable_bytes());
+        Ok(&mut seg.cells_mut(interner)[off])
     }
 
     /// Full-cell overwrite (content *and* style), growing as needed.
     pub fn set(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
-        self.grow_for(addr)?;
-        let ci = addr.row / CHUNK_ROWS;
-        self.make_resident(addr.col, ci);
-        let v = if !cell.style.is_plain() || cell.is_formula() {
-            SlotVal::Full(cell)
-        } else {
-            match cell.content {
-                CellContent::Value(Value::Number(n)) => SlotVal::Num(n),
-                CellContent::Value(Value::Text(ref s)) => SlotVal::TextId(self.interner.intern(s)),
-                CellContent::Value(Value::Empty) => SlotVal::Empty,
-                _ => SlotVal::Full(cell),
-            }
-        };
-        let mut delta = 0isize;
-        {
-            let col = &mut self.cols[addr.col as usize];
-            col.write(addr.row, v, false, &mut self.interner, &mut delta);
-        }
-        self.apply_resident_delta(delta);
-        self.enforce_budget();
-        Ok(())
+        self.write(addr, cell, false)
     }
 
     /// Content-only write that preserves an existing style; the typed fast
     /// path for plain values (never degrades a typed chunk to `Cells`).
     pub fn set_value(&mut self, addr: CellAddr, v: Value) -> Result<(), EngineError> {
+        self.write(addr, Cell::value(v), true)
+    }
+
+    fn write(&mut self, addr: CellAddr, cell: Cell, keep_style: bool) -> Result<(), EngineError> {
         self.grow_for(addr)?;
-        let ci = addr.row / CHUNK_ROWS;
-        self.make_resident(addr.col, ci);
-        let sv = match v {
-            Value::Number(n) => SlotVal::Num(n),
-            Value::Text(ref s) => SlotVal::TextId(self.interner.intern(s)),
-            Value::Empty => SlotVal::Empty,
-            other => SlotVal::Full(Cell::value(other)),
-        };
+        self.make_resident(addr.col, addr.row / CHUNK_ROWS);
+        let v = SlotVal::of(cell, &mut self.interner);
         let mut delta = 0isize;
-        {
-            let col = &mut self.cols[addr.col as usize];
-            col.write(addr.row, sv, true, &mut self.interner, &mut delta);
-        }
+        self.cols[addr.col as usize].write(addr.row, v, keep_style, &self.interner, &mut delta);
         self.apply_resident_delta(delta);
         self.enforce_budget();
         Ok(())
     }
 
-    /// Style-only write. Plain-on-typed is a no-op (typed slots are plain
-    /// by construction), so conditional formatting that matches nothing
-    /// never degrades typed chunks.
+    /// Style-only write. Plain on a typed or vacant chunk is a no-op
+    /// (their slots are plain by construction), so conditional formatting
+    /// that matches nothing never degrades typed chunks.
     pub fn set_style(&mut self, addr: CellAddr, style: Style) -> Result<(), EngineError> {
         self.grow_for(addr)?;
-        let ci = addr.row / CHUNK_ROWS;
-        let off = (addr.row % CHUNK_ROWS) as usize;
-        let plain = style.is_plain();
-        match self.cols[addr.col as usize].segs.get(&ci) {
-            None if plain => return Ok(()),
-            Some(Segment::Num(_) | Segment::Text(_) | Segment::Spilled(_)) if plain => {
-                return Ok(());
-            }
-            _ => {}
+        let seg = self.cols[addr.col as usize].segs.get(&(addr.row / CHUNK_ROWS));
+        if style.is_plain() && !matches!(seg, Some(Segment::Cells(_))) {
+            return Ok(());
         }
-        let cell = self.cell_mut(addr)?;
-        cell.style = style;
-        // A now-vacant sparse entry can be dropped; harmless to leave in
-        // Cells chunks.
-        if cell.is_vacant() {
-            if let Some(Segment::Sparse(sp)) = self.cols[addr.col as usize].segs.get_mut(&ci) {
-                sp.cells.remove(&(off as u16));
-                if sp.cells.is_empty() {
-                    self.cols[addr.col as usize].segs.remove(&ci);
-                }
-            }
-        }
+        self.cell_mut(addr)?.style = style;
         Ok(())
     }
 
@@ -1508,10 +1153,8 @@ impl GridStore {
             let mut newc = Column::default();
             let mut delta = 0isize;
             for (dst, &src) in perm.iter().enumerate() {
-                let v = read_slot_for_move(&old, &self.pool, src);
-                if !matches!(v, SlotVal::Empty) {
-                    newc.write(dst as u32, v, false, &mut self.interner, &mut delta);
-                }
+                let v = read_slot_for_move(&old, &self.pool, &mut self.interner, src);
+                newc.write(dst as u32, v, false, &self.interner, &mut delta);
             }
             for seg in old.segs.values() {
                 if let Segment::Spilled(sp) = seg {
@@ -1678,42 +1321,23 @@ impl GridStore {
     /// loads a typed chunk.
     pub(crate) fn formula_mut(&mut self, addr: CellAddr) -> Option<&mut Formula> {
         let seg = self.cols.get_mut(addr.col as usize)?.segs.get_mut(&(addr.row / CHUNK_ROWS))?;
-        let off = (addr.row % CHUNK_ROWS) as usize;
-        let cell = match seg {
-            Segment::Cells(v) => &mut v[off],
-            Segment::Sparse(sp) => sp.cells.get_mut(&(off as u16))?,
-            _ => return None,
-        };
-        match &mut cell.content {
+        let Segment::Cells(v) = seg else { return None };
+        match &mut v[(addr.row % CHUNK_ROWS) as usize].content {
             CellContent::Formula(f) => Some(f),
             CellContent::Value(_) => None,
         }
     }
 
     /// Visits every formula, column by column and top to bottom. Only
-    /// general-storage chunks are walked: typed and spilled chunks cannot
-    /// hold one.
+    /// `Cells` chunks are walked: typed and spilled chunks cannot hold one.
     pub(crate) fn for_each_formula(&self, f: &mut dyn FnMut(CellAddr, &Formula)) {
-        let mut visit = |row: u32, col: usize, cell: &Cell| {
-            if let CellContent::Formula(formula) = &cell.content {
-                f(CellAddr::new(row, col as u32), formula);
-            }
-        };
         for (c, col) in self.cols.iter().enumerate() {
             for (&ci, seg) in &col.segs {
-                let base = ci * CHUNK_ROWS;
-                match seg {
-                    Segment::Cells(v) => {
-                        for (off, cell) in v.iter().enumerate() {
-                            visit(base + off as u32, c, cell);
-                        }
+                let Segment::Cells(v) = seg else { continue };
+                for (off, cell) in v.iter().enumerate() {
+                    if let CellContent::Formula(formula) = &cell.content {
+                        f(CellAddr::new(ci * CHUNK_ROWS + off as u32, c as u32), formula);
                     }
-                    Segment::Sparse(sp) => {
-                        for (&off, cell) in &sp.cells {
-                            visit(base + u32::from(off), c, cell);
-                        }
-                    }
-                    _ => {}
                 }
             }
         }
@@ -1723,26 +1347,13 @@ impl GridStore {
     /// the same order: how a sort rewrites the references of the formulas
     /// it moved without probing every row of every column.
     pub(crate) fn for_each_formula_mut(&mut self, f: &mut dyn FnMut(CellAddr, &mut Formula)) {
-        let mut visit = |row: u32, col: usize, cell: &mut Cell| {
-            if let CellContent::Formula(formula) = &mut cell.content {
-                f(CellAddr::new(row, col as u32), formula);
-            }
-        };
         for (c, col) in self.cols.iter_mut().enumerate() {
             for (&ci, seg) in &mut col.segs {
-                let base = ci * CHUNK_ROWS;
-                match seg {
-                    Segment::Cells(v) => {
-                        for (off, cell) in v.iter_mut().enumerate() {
-                            visit(base + off as u32, c, cell);
-                        }
+                let Segment::Cells(v) = seg else { continue };
+                for (off, cell) in v.iter_mut().enumerate() {
+                    if let CellContent::Formula(formula) = &mut cell.content {
+                        f(CellAddr::new(ci * CHUNK_ROWS + off as u32, c as u32), formula);
                     }
-                    Segment::Sparse(sp) => {
-                        for (&off, cell) in &mut sp.cells {
-                            visit(base + u32::from(off), c, cell);
-                        }
-                    }
-                    _ => {}
                 }
             }
         }
@@ -1764,7 +1375,7 @@ impl GridStore {
     }
 
     /// Bytes of typed chunk data currently resident (counted against the
-    /// budget; `Cells`/`Sparse` segments are wired and not counted).
+    /// budget; `Cells` segments are wired and not counted).
     pub fn resident_spill_bytes(&self) -> usize {
         self.pool.resident()
     }
@@ -1958,7 +1569,6 @@ impl GridStore {
         match cref {
             ChunkRef::Vacant => f(ScanSlice::Empty(b - a + 1)),
             ChunkRef::Seg(Segment::Cells(v)) => f(ScanSlice::Cells(&v[a..=b])),
-            ChunkRef::Seg(Segment::Sparse(sp)) => emit_sparse(sp, a, b, f),
             ChunkRef::Seg(Segment::Num(s)) => emit_num_runs(&s.present, &s.vals, a, b, f),
             ChunkRef::Seg(Segment::Text(s)) => f(ScanSlice::Texts(&s.ids[a..=b], &self.interner)),
             ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
@@ -2003,9 +1613,6 @@ impl GridStore {
                 total += match seg {
                     Segment::Num(_) | Segment::Text(_) => PAGE_BYTES,
                     Segment::Cells(v) => v.len() * std::mem::size_of::<Cell>(),
-                    Segment::Sparse(sp) => {
-                        sp.cells.len() * (std::mem::size_of::<Cell>() + 16)
-                    }
                     Segment::Spilled(_) => 0,
                 };
             }
@@ -2025,7 +1632,6 @@ impl GridStore {
                 Segment::Num(_) => "num",
                 Segment::Text(_) => "text",
                 Segment::Cells(_) => "cells",
-                Segment::Sparse(_) => "sparse",
                 Segment::Spilled(_) => "spilled",
             })
             .collect()
@@ -2057,7 +1663,6 @@ impl GridStore {
                     Segment::Cells(v) => {
                         assert_eq!(v.len(), CHUNK, "cells seg wrong length at col {c} chunk {ci}");
                     }
-                    Segment::Sparse(_) => {}
                     Segment::Spilled(sp) => {
                         assert!(
                             live_pages.insert(sp.page),
@@ -2209,67 +1814,38 @@ impl ChunkMut<'_> {
         }
     }
 
-    /// Hands `f` every cell of the share that general storage holds — all
-    /// of a `Cells` chunk's, a `Sparse` chunk's entries — with its row,
-    /// for a content or style edit where it lies; a typed or vacant chunk
-    /// has none. `f` must leave formulas as they are: nothing here keeps
-    /// the dependency graph in step.
+    /// Hands `f` every cell of the share if the chunk is `Cells`, vacant
+    /// ones included, with its row, for a content or style edit where it
+    /// lies; a typed or vacant chunk has none. `f` must leave formulas as
+    /// they are: nothing here keeps the dependency graph in step.
     pub(crate) fn stored_cells_mut(&mut self, f: &mut dyn FnMut(u32, &mut Cell)) {
-        let (base, a, b) = (self.base(), self.a, self.b);
-        let segs = &mut self.grid.cols[self.col as usize].segs;
-        match segs.get_mut(&self.ci) {
-            Some(Segment::Cells(v)) => {
-                for (off, cell) in v[a..=b].iter_mut().enumerate() {
-                    f(base + (a + off) as u32, cell);
-                }
-            }
-            Some(Segment::Sparse(sp)) => {
-                let mut vacated = Vec::new();
-                for (&off, cell) in sp.cells.range_mut(a as u16..=b as u16) {
-                    f(base + u32::from(off), cell);
-                    if cell.is_vacant() {
-                        vacated.push(off);
-                    }
-                }
-                for off in vacated {
-                    sp.cells.remove(&off);
-                }
-                if sp.cells.is_empty() {
-                    segs.remove(&self.ci);
-                }
-            }
-            _ => {}
+        let first = self.base() + self.a as u32;
+        if let Some(Segment::Cells(v)) = self.grid.cols[self.col as usize].segs.get_mut(&self.ci) {
+            v[self.a..=self.b].iter_mut().zip(first..).for_each(|(cell, row)| f(row, cell));
         }
     }
 
-    /// Hands `f` every slot of the share as a cell, vacant ones included:
-    /// the chunk is first given general storage for them. A typed chunk is
-    /// loaded if spilled and turned into `Cells`, once, as a styled write
-    /// into it would; a `Sparse` or vacant chunk gets an entry per slot,
-    /// or becomes `Cells` where that would fill it past
-    /// [`SPARSE_TO_CELLS`]. Slots `f` leaves vacant are given back.
+    /// Hands `f` every slot of the share as a cell, vacant ones included.
+    /// A typed chunk is loaded if spilled and turned into `Cells`, once, as
+    /// a styled write into it would; a vacant chunk is assembled as `Cells`
+    /// and installed only if `f` left a non-vacant cell in it.
     pub(crate) fn all_cells_mut(&mut self, f: &mut dyn FnMut(u32, &mut Cell)) {
         self.load();
+        let first = self.base() + self.a as u32;
         let GridStore { cols, interner, pool, .. } = &mut *self.grid;
-        let col = &mut cols[self.col as usize];
-        // General storage as a `&mut Cell` of any one slot would get it: a
-        // vacant chunk opens as `Sparse`, a typed one becomes `Cells`.
-        let mut resident = 0isize;
-        col.prepare_slot_mut(self.ci, interner, &mut resident);
-        pool.sub_resident(resident.unsigned_abs());
-        let slots = self.b - self.a + 1;
-        if let Some(Segment::Sparse(sp)) = col.segs.get(&self.ci) {
-            if sp.cells.len() + slots >= SPARSE_TO_CELLS {
-                let cells = seg_to_cells(&col.segs[&self.ci], interner);
-                col.segs.insert(self.ci, Segment::Cells(cells));
+        let segs = &mut cols[self.col as usize].segs;
+        let mut fresh = None;
+        let cells = match segs.get_mut(&self.ci) {
+            Some(seg) => {
+                pool.sub_resident(seg.spillable_bytes());
+                seg.cells_mut(interner)
             }
+            None => fresh.insert(vec![Cell::empty(); CHUNK]),
+        };
+        cells[self.a..=self.b].iter_mut().zip(first..).for_each(|(cell, row)| f(row, cell));
+        if let Some(cells) = fresh.filter(|cells| cells.iter().any(|cell| !cell.is_vacant())) {
+            segs.insert(self.ci, Segment::Cells(cells));
         }
-        if let Some(Segment::Sparse(sp)) = col.segs.get_mut(&self.ci) {
-            for off in self.a..=self.b {
-                sp.cells.entry(off as u16).or_insert_with(Cell::empty);
-            }
-        }
-        self.stored_cells_mut(f);
     }
 }
 
@@ -2281,21 +1857,6 @@ fn chunk_pieces(r0: u32, r1: u32) -> impl Iterator<Item = (u32, usize, usize)> {
         let hi = r1.min(ci * CHUNK_ROWS + (CHUNK_ROWS - 1));
         (ci, (lo % CHUNK_ROWS) as usize, (hi % CHUNK_ROWS) as usize)
     })
-}
-
-fn emit_sparse<F: FnMut(ScanSlice<'_>)>(sp: &SparseSeg, a: usize, b: usize, f: &mut F) {
-    let mut next = a;
-    for (&k, c) in sp.cells.range(a as u16..=b as u16) {
-        let k = k as usize;
-        if k > next {
-            f(ScanSlice::Empty(k - next));
-        }
-        f(ScanSlice::Cells(std::slice::from_ref(c)));
-        next = k + 1;
-    }
-    if next <= b {
-        f(ScanSlice::Empty(b - next + 1));
-    }
 }
 
 fn emit_num_runs<F: FnMut(ScanSlice<'_>)>(

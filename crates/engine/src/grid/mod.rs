@@ -169,7 +169,6 @@ mod tests {
     #[test]
     fn single_column_scan_emits_contiguous_nums() {
         let mut g = GridStore::new(1, 1);
-        // Enough uniform numbers to promote the chunk to a numeric segment.
         for r in 0..200 {
             g.set(CellAddr::new(r, 0), Cell::value(f64::from(r))).unwrap();
         }
@@ -192,18 +191,17 @@ mod tests {
     }
 
     #[test]
-    fn sparse_chunk_scan_covers_gaps() {
+    fn a_two_cell_chunk_scan_covers_the_gaps() {
         let mut g = GridStore::new(10, 1);
         g.set(CellAddr::new(2, 0), Cell::value(5)).unwrap();
         g.set(CellAddr::new(7, 0), Cell::value(9)).unwrap();
-        let (mut seen_cells, mut empties) = (0usize, 0usize);
+        let (mut nums, mut empties) = (Vec::new(), 0usize);
         g.scan_range(range("A1:A10"), &mut |s| match s {
-            ScanSlice::Cells(v) => seen_cells += v.len(),
+            ScanSlice::Nums(v) => nums.extend_from_slice(v),
             ScanSlice::Empty(n) => empties += n,
-            ScanSlice::Nums(v) => seen_cells += v.len(),
-            ScanSlice::Texts(ids, _) => seen_cells += ids.len(),
+            ScanSlice::Cells(_) | ScanSlice::Texts(..) => panic!("two numbers open a `Num` chunk"),
         });
-        assert_eq!(seen_cells, 2);
+        assert_eq!(nums, [5.0, 9.0]);
         assert_eq!(empties, 8);
     }
 
@@ -221,8 +219,8 @@ mod tests {
             g.set(CellAddr::new(r, 0), Cell::value(f64::from(r) + 0.25)).unwrap();
             g.set(CellAddr::new(r, 1), Cell::value(format!("t{r}"))).unwrap();
         }
-        // C: a dense chunk of formulas and bools (Cells), a sparse chunk
-        // with a handful of entries, and a fully vacant third chunk.
+        // C: a full chunk of formulas and bools (Cells), a chunk with a
+        // handful of numbers, and a fully vacant third chunk.
         for r in 0..CHUNK_ROWS {
             let cell = if r % 2 == 0 {
                 Cell::value(r % 3 == 0)
@@ -264,9 +262,9 @@ mod tests {
     }
 
     /// A 3000-row grid whose columns cover every segment kind: A numbers
-    /// with presence holes, B text, C a dense chunk of formulas and bools
-    /// then a sparse chunk with a styled cell, D a number chunk followed by
-    /// a text chunk followed by bools, E a lone far-down cell.
+    /// with presence holes, B text, C a full chunk of formulas and bools
+    /// then a chunk of five numbers and a styled cell, D a number chunk
+    /// followed by a text chunk followed by bools, E a lone far-down cell.
     fn mixed_grid() -> GridStore {
         use super::chunk::CHUNK_ROWS;
         let mut g = GridStore::new(1, 1);
@@ -462,12 +460,70 @@ mod tests {
         g.set(CellAddr::new(1_000_000, 3), Cell::value(2)).unwrap();
         assert_eq!(g.nrows(), 1_000_001);
         assert_eq!(g.value_at(CellAddr::new(1_000_000, 3)), Value::Number(2.0));
+        // Two lone numbers are two `Num` pages and the column directory.
         let bytes = g.approx_heap_bytes();
         assert!(
-            bytes < 8 * 1024,
-            "2-cell sheet at opposite corners should stay under a few KB, got {bytes}"
+            bytes < 3 * 8320,
+            "2-cell sheet at opposite corners should stay under three pages, got {bytes}"
         );
+        let chunks: Vec<usize> = (0..g.ncols()).map(|c| g.chunk_kinds(c).len()).collect();
+        assert_eq!(chunks, [1, 0, 0, 1], "one chunk per touched column, none in between");
         g.validate();
+    }
+
+    /// The one placement rule: a vacant chunk opens in the kind of the
+    /// first thing written to it, and a write of another kind turns a
+    /// typed chunk into `Cells`.
+    #[test]
+    fn a_vacant_chunk_opens_in_the_kind_of_its_first_write() {
+        let green = Style::plain().with_fill(crate::style::Color::GREEN);
+        let firsts = [
+            (Cell::value(1.5), "num"),
+            (Cell::value("one"), "text"),
+            (Cell::value(true), "cells"),
+            (Cell::value(crate::error::CellError::Div0), "cells"),
+            (Cell::formula(parse("A1+1").unwrap()), "cells"),
+            (Cell { style: green, ..Cell::value(2.5) }, "cells"),
+        ];
+        let mut g = GridStore::new(1, 1);
+        for (col, (first, kind)) in (0u32..).zip(&firsts) {
+            // A text is a mismatched write to every chunk but the text one.
+            let second = if *kind == "text" { Cell::value(7) } else { Cell::value("seven") };
+            for (row, cell, kind) in [(1500, first, *kind), (1501, &second, "cells")] {
+                g.set(CellAddr::new(row, col), cell.clone()).unwrap();
+                g.validate();
+                assert_eq!(g.chunk_kinds(col), [kind], "{cell:?}");
+            }
+            assert_eq!(&*g.get(CellAddr::new(1500, col)).unwrap(), first);
+            assert_eq!(&*g.get(CellAddr::new(1501, col)).unwrap(), &second);
+        }
+    }
+
+    /// A conditional format over positions that hold nothing leaves no
+    /// storage behind unless a fill landed on them.
+    #[test]
+    fn a_format_pass_over_a_vacant_column_leaves_no_chunk() {
+        use crate::{ops::Op, sheet::Sheet, style::Color, value::Criterion};
+        // A holds nothing, B one number in its second chunk.
+        let mut s = Sheet::with_size(2000, 2);
+        s.set_value(CellAddr::new(1100, 1), 3);
+        let format = |s: &mut Sheet, criterion: &str| {
+            let criterion = Criterion::parse(&Value::text(criterion));
+            let op = Op::CondFormat { range: range("A1:B2000"), criterion, fill: Color::GREEN };
+            s.apply(op).unwrap();
+            s.validate_grid();
+            let g = s.grid_store();
+            (g.chunk_kinds(0), g.chunk_kinds(1), g.approx_heap_bytes())
+        };
+        let before = s.grid_store().approx_heap_bytes();
+        assert_eq!(format(&mut s, ">5"), (vec![], vec!["num"], before));
+        // Empties match `<>x`: every position of the range takes the fill.
+        let (a, b, _) = format(&mut s, "<>x");
+        assert_eq!((a, b), (vec!["cells"; 2], vec!["cells"; 2]));
+        for at in [CellAddr::new(0, 0), CellAddr::new(1999, 0), CellAddr::new(1100, 1)] {
+            assert_eq!(s.cell(at).unwrap().style.fill, Some(Color::GREEN), "{at}");
+        }
+        assert_eq!(s.value(CellAddr::new(1100, 1)), Value::Number(3.0));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Invariants (checked by `GridStore::validate`):
 //!
 //! * `resident` equals `PAGE_BYTES` × the number of resident typed
-//!   segments — `Cells`/`Sparse` segments are wired (never spilled, never
+//!   segments — `Cells` segments are wired (never spilled, never
 //!   counted) and vacant chunks occupy nothing;
 //! * every `Spilled` segment names a live page slot, no two segments name
 //!   the same slot, and the free list is disjoint from live slots;

@@ -147,6 +147,14 @@ fn compare(got: &Sheet, want: &Sheet, what: &str) -> Result<(), TestCaseError> {
             );
         }
     }
+    // One rule places a slot for both loads, so chunk for chunk the kinds
+    // agree (under a budget each load spills at its own pace).
+    if got.grid_budget().is_none() {
+        for c in 0..got.ncols() {
+            let (g, w) = (got.grid_store().chunk_kinds(c), want.grid_store().chunk_kinds(c));
+            prop_assert_eq!(g, w, "{}: chunk kinds of column {}", what, c);
+        }
+    }
     prop_assert_eq!(got.formula_count(), want.formula_count(), "{}: formulas", what);
     prop_assert_eq!(got.meter().snapshot(), want.meter().snapshot(), "{}: meter", what);
     prop_assert_eq!(

@@ -9,10 +9,11 @@
 //! budget.
 //!
 //! The sheet puts every kind of chunk under a range: `Num` and `Text`
-//! chunks (with holes), a dense `Cells` chunk of formulas whose cached text
-//! holds the needles, bools, text values and styled cells, a `Sparse`
-//! chunk, a wholly vacant chunk, columns that change kind from chunk to
-//! chunk, and — under the 32 KB budget — `Spilled` pages.
+//! chunks (with holes), a full `Cells` chunk of formulas whose cached text
+//! holds the needles, bools, text values and styled cells, a `Cells` chunk
+//! of a few cells, a `Text` chunk of one, a wholly vacant chunk, columns
+//! that change kind from chunk to chunk, and — under the 32 KB budget —
+//! `Spilled` pages.
 
 use proptest::prelude::*;
 
@@ -26,8 +27,7 @@ use crate::sheet::Sheet;
 use crate::style::{Color, Style};
 use crate::value::{Criterion, Value};
 
-/// Three whole chunks and an eighth of a fourth (enough rows for it to be
-/// promoted to typed storage).
+/// Three whole chunks and an eighth of a fourth.
 const ROWS: u32 = 3200;
 
 /// Column B's texts: case variants of one pivot key, a needle inside its
@@ -40,7 +40,7 @@ const LABELS: [&str; 13] = [
 
 const NUM: u32 = 0; // A: numbers with holes — `Num` chunks
 const TEXT: u32 = 1; // B: `LABELS` with holes — `Text` chunks
-const GENERAL: u32 = 2; // C: a `Cells` chunk, a `Sparse` one, a vacant one, a short `Sparse` one
+const GENERAL: u32 = 2; // C: a full `Cells` chunk, one of a few cells, a vacant one, one text
 const BY_CHUNK: u32 = 3; // D: a `Num` chunk, a `Text` chunk, a `Cells` chunk of bools and errors
 const JUNK: u32 = 4; // E: numbers with fractions, texts and errors among them — `Cells`
 const KEYS: u32 = 5; // F: small whole numbers, `0.0` and `-0.0` — `Num` chunks
@@ -90,9 +90,10 @@ fn build(capped: bool) -> Sheet {
             s.set_style(at, green());
         }
     }
-    // C, second chunk: a sparse overlay, with a styled cell that has no
-    // content and a styled text on the chunk's last row. The third chunk
-    // stays vacant; the fourth holds one text.
+    // C, second chunk: a few general cells in an otherwise vacant chunk,
+    // with a styled cell that has no content and a styled text on the
+    // chunk's last row. The third chunk stays vacant; the fourth holds one
+    // text.
     s.set_value(CellAddr::new(1027, GENERAL), "storm");
     s.set_value(CellAddr::new(1064, GENERAL), 7);
     s.set_style(CellAddr::new(1065, GENERAL), green());
@@ -116,9 +117,9 @@ fn the_sheet_puts_every_chunk_kind_under_a_range() {
     let kinds = |col| s.grid_store().chunk_kinds(col);
     assert_eq!(kinds(NUM), ["num"; 4]);
     assert_eq!(kinds(TEXT), ["text"; 4]);
-    assert_eq!(kinds(GENERAL), ["cells", "sparse", "sparse"]);
+    assert_eq!(kinds(GENERAL), ["cells", "cells", "text"]);
     assert_eq!(kinds(BY_CHUNK), ["num", "text", "cells", "num"]);
-    assert_eq!(kinds(JUNK), ["cells", "cells", "cells", "sparse"]);
+    assert_eq!(kinds(JUNK), ["cells"; 4]);
     let capped = build(true);
     assert!(capped.grid_store().chunk_kinds(TEXT).contains(&"spilled"));
 }

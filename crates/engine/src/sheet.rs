@@ -668,11 +668,14 @@ impl Sheet {
 
     // --- filter state ----------------------------------------------------
 
-    /// Hides or unhides a row.
+    /// Hides or unhides a row. A row at or past the extent is vacant and
+    /// visible: it has no flag, and asking for one is a no-op.
     pub fn set_row_hidden(&mut self, row: u32, hidden: bool) {
+        if row >= self.nrows() {
+            return;
+        }
         if self.hidden.len() <= row as usize {
-            // usize arithmetic: `row + 1` in u32 would wrap at u32::MAX.
-            self.hidden.resize((self.nrows() as usize).max(row as usize + 1), false);
+            self.hidden.resize(self.nrows() as usize, false);
         }
         self.hidden[row as usize] = hidden;
     }
@@ -873,8 +876,8 @@ mod tests {
         let kinds = |s: &Sheet, col| s.grid_store().chunk_kinds(col);
         assert_eq!(kinds(&s, 0), ["num", "num"]);
         assert_eq!(kinds(&s, 1), ["text", "text"]);
-        assert_eq!(kinds(&s, 2), ["cells", "sparse"]);
-        assert_eq!(kinds(&s, 3), ["sparse", "sparse"]);
+        assert_eq!(kinds(&s, 2), ["cells", "cells"]);
+        assert_eq!(kinds(&s, 3), ["num", "num"]);
         assert!(kinds(&s, 4).is_empty());
 
         for capped in [false, true] {
@@ -1005,6 +1008,30 @@ mod tests {
         assert_eq!(s.visible_rows(), 3);
         s.unhide_all_rows();
         assert_eq!(s.visible_rows(), 5);
+    }
+
+    #[test]
+    fn a_row_past_the_extent_has_no_hidden_flag() {
+        use crate::ops::Op;
+        let mut s = Sheet::new();
+        for i in 0..5u32 {
+            s.set_value(CellAddr::new(i, 0), i);
+        }
+        s.set_row_hidden(5, true);
+        s.set_row_hidden(10, true);
+        // Returns at once: no flag vector of four billion entries.
+        s.set_row_hidden(u32::MAX, true);
+        assert!(!s.is_row_hidden(5) && !s.is_row_hidden(10) && !s.is_row_hidden(u32::MAX));
+        assert_eq!(s.visible_rows(), 5);
+        let before = s.meter().snapshot().get(Primitive::RowToggle);
+        s.apply(Op::ClearFilter).unwrap();
+        assert_eq!(s.meter().snapshot().get(Primitive::RowToggle), before);
+        // Inside the extent nothing changed.
+        s.set_row_hidden(4, true);
+        assert!(s.is_row_hidden(4));
+        assert_eq!(s.visible_rows(), 4);
+        s.apply(Op::ClearFilter).unwrap();
+        assert_eq!(s.meter().snapshot().get(Primitive::RowToggle), before + 1);
     }
 
     #[test]

@@ -21,7 +21,8 @@ tree_before="$(git status --porcelain)"
 # The option surface stays collapsed by a gate, not by memory (ROADMAP aim
 # 2): the engine reads exactly two environment variables, each by a
 # literal name, the second visit order and per-cell range reader PR 21
-# deleted do not come back under their old names, and neither do the three
+# deleted do not come back under their old names, nor the fourth resident
+# chunk kind and the two thresholds PR 23 deleted, and neither do the three
 # serde stand-ins PR 22 replaced with `harness::json`: two shims, and no
 # manifest or source file that names a serde crate.
 echo "==> option surface: engine env vars, deleted knobs, shims"
@@ -31,8 +32,9 @@ if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDG
     "RECALC_PARALLELISM and SSBENCH_GRID_BUDGET, by literal name): $env_reads" >&2
   exit 1
 fi
-if grep -rn 'ColumnMajor\|for_each_in_range' crates src tests examples; then
-  echo "a deleted visit order or range reader is back (see above)" >&2
+if grep -rn 'ColumnMajor\|for_each_in_range' crates src tests examples ||
+  grep -rn 'SparseSeg\|SPARSE_PROMOTE\|SPARSE_TO_CELLS\|sparse_if_small\|maybe_promote' crates src tests examples; then
+  echo "a deleted visit order, range reader or chunk kind is back (see above)" >&2
   exit 1
 fi
 
