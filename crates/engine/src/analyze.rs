@@ -532,7 +532,7 @@ fn call_ty(name: &str, builtin: Option<&functions::Builtin>, arg_tys: &[TySet]) 
 }
 
 // ---------------------------------------------------------------------
-// Read instrumentation (for the soundness proptest)
+// Read instrumentation (for the soundness property tests)
 // ---------------------------------------------------------------------
 
 /// A [`CellSource`] wrapper that records every cell address evaluation

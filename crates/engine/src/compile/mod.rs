@@ -41,7 +41,7 @@
 //! interpreter on every formula: scalar semantics are shared code
 //! (`apply_unary`/`apply_binary`, the function library), kernels replicate
 //! the grid scan's clipping and row-major order exactly, and the
-//! differential oracle and proptests in `tests/` prove it on random
+//! differential oracle and property tests in `tests/` prove it on random
 //! expression trees and full op sequences. Programs are pure functions of
 //! their cache key — a key encodes the whole template, and a volatile
 //! builtin reads the clock from the evaluation context at run time — so a
@@ -133,14 +133,6 @@ impl ProgramCache {
     /// True when no template has been compiled.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached program. Nothing in the engine calls this on a
-    /// sheet's cache: formulas already bound keep their (still correct)
-    /// programs, but later resolves of the same templates would compile
-    /// fresh copies the bound ones no longer share.
-    pub fn clear(&self) {
-        self.map.write().expect("program cache poisoned").clear();
     }
 
     /// Lookups answered from cache.
@@ -337,16 +329,5 @@ mod tests {
         recalc_all(&mut s);
         assert_eq!(s.value(at("B1")), Value::Number(201.0));
         assert_eq!((s.program_cache().misses(), s.program_cache().hits()), (1, 0));
-    }
-
-    #[test]
-    fn clear_empties_and_recompiles() {
-        let cache = ProgramCache::new();
-        cache.get_or_compile(&parse("A1*2").unwrap(), at("B1"));
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        cache.get_or_compile(&parse("A1*2").unwrap(), at("B1"));
-        assert_eq!(cache.misses(), 2);
     }
 }

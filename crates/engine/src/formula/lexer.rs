@@ -11,7 +11,7 @@
 
 use std::borrow::Cow;
 
-use crate::error::EngineError;
+use crate::error::{CellError, EngineError};
 
 /// A lexical token, borrowing from the formula text it was read from.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,10 +168,19 @@ fn lex_string(input: &str, start: usize) -> Result<(Cow<'_, str>, usize), Engine
     Err(EngineError::Parse("unterminated string literal".into()))
 }
 
-/// Lexes `#N/A`, `#DIV/0!`, `#REF!` and friends: `#` followed by letters,
-/// digits, `/`, `?`, `!`.
+/// Lexes `#N/A`, `#DIV/0!`, `#REF!` and friends: the error code the text
+/// starts with, in either case, so that an operator may follow (`#N/A/2`
+/// divides). Text that starts with no code is lexed as `#` followed by
+/// letters, digits, `/`, `?`, `!`, for the parser to report as unknown.
 fn lex_error_literal(input: &str, start: usize) -> (&str, usize) {
     let bytes = input.as_bytes();
+    let rest = &bytes[start..];
+    let code = CellError::ALL.iter().map(|e| e.code().as_bytes()).find(|code| {
+        rest.get(..code.len()).is_some_and(|head| head.eq_ignore_ascii_case(code))
+    });
+    if let Some(code) = code {
+        return (&input[start..start + code.len()], start + code.len());
+    }
     let mut i = start + 1;
     while i < bytes.len() {
         match bytes[i] {
@@ -328,6 +337,21 @@ mod tests {
         assert_eq!(t, vec![Token::ErrorLit("#N/A".into())]);
         let t = lex("#DIV/0!").unwrap();
         assert_eq!(t, vec![Token::ErrorLit("#DIV/0!".into())]);
+    }
+
+    /// An error literal ends where its code does: the printer writes
+    /// `#VALUE!/2` for a division, and it used to lex as one unknown
+    /// literal (found by `printed_trees_parse_back_unchanged_alone_and_in_a_document`).
+    #[test]
+    fn an_error_literal_ends_where_its_code_does() {
+        let t = lex("#VALUE!/2").unwrap();
+        assert_eq!(t, vec![Token::ErrorLit("#VALUE!"), Token::Slash, Token::Number(2.0)]);
+        let t = lex("#n/a/#DIV/0!").unwrap();
+        assert_eq!(t, vec![Token::ErrorLit("#n/a"), Token::Slash, Token::ErrorLit("#DIV/0!")]);
+        let t = lex("#NAME?&A1").unwrap();
+        assert_eq!(t, vec![Token::ErrorLit("#NAME?"), Token::Amp, Token::Ident("A1")]);
+        // No code at all: one literal, for the parser to reject.
+        assert_eq!(lex("#NOPE!/2").unwrap()[0], Token::ErrorLit("#NOPE!/2"));
     }
 
     #[test]

@@ -1638,7 +1638,7 @@ impl GridStore {
     }
 
     /// Checks every internal invariant; panics on violation. Test/debug
-    /// aid (the pin/evict proptest calls it after every step).
+    /// aid (the pin/evict property test calls it after every step).
     pub fn validate(&self) {
         let mut typed = 0usize;
         let mut live_pages = std::collections::HashSet::new();

@@ -226,11 +226,13 @@ mod differential;
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     use super::*;
     use crate::error::CellError;
     use crate::recalc;
+    use crate::testing::{cases, text};
 
     fn a(s: &str) -> CellAddr {
         CellAddr::parse(s).unwrap()
@@ -303,78 +305,74 @@ mod tests {
         assert_eq!(d.rows, vec![vec!["a".to_owned(), "b".to_owned()]]);
     }
 
-    proptest! {
-        /// `from_csv(to_csv(d))` keeps every row and every cell, whatever
-        /// mix of blank, plain and quoting-needed fields the rows hold —
-        /// including a one-column document with blank cells, whose rows
-        /// used to be written as bare newlines and skipped on the way in.
-        #[test]
-        fn csv_round_trip_preserves_every_cell(
-            ncols in 1usize..=4,
-            rows in prop::collection::vec(
-                prop::collection::vec(
-                    prop_oneof![
-                        Just(String::new()),
-                        "[a-z0-9 ]{1,6}",
-                        "[ab,\"\n\r]{1,5}",
-                    ],
-                    4,
-                ),
-                0..8,
-            ),
-        ) {
-            let rows = rows.into_iter().map(|r| r[..ncols].to_vec()).collect();
+    /// `from_csv(to_csv(d))` keeps every row and every cell, whatever mix
+    /// of blank, plain and quoting-needed fields the rows hold — including
+    /// a one-column document with blank cells, whose rows used to be
+    /// written as bare newlines and skipped on the way in.
+    #[test]
+    fn csv_round_trip_preserves_every_cell() {
+        cases(|rng| {
+            let ncols = rng.random_range(1..=4);
+            let field = |rng: &mut SmallRng| match rng.random_range(0..3) {
+                0 => String::new(),
+                1 => text(rng, "abcdefghijklmnopqrstuvwxyz0123456789 ", 1..=6),
+                _ => text(rng, "ab,\"\n\r", 1..=5),
+            };
+            let rows = (0..rng.random_range(0..8))
+                .map(|_| (0..ncols).map(|_| field(rng)).collect::<Vec<_>>())
+                .collect();
             let data = SheetData { rows };
             let back = from_csv(&to_csv(&data)).unwrap();
-            prop_assert_eq!(back, data);
-        }
+            assert_eq!(back, data);
+        });
     }
 
     /// A cell value of any type, text chosen to look like every other
     /// type: digits, `=`, `.`, `'`, `#`, and the letters of `TRUE`, `inf`
     /// and the error codes.
-    fn any_value() -> impl Strategy<Value = Value> {
-        prop_oneof![
-            Just(Value::Empty),
-            any::<i32>().prop_map(|n| Value::Number(f64::from(n))),
-            any::<i32>().prop_map(|n| Value::Number(f64::from(n) / 1024.0)),
-            Just(Value::Number(0.1 + 0.2)),
-            Just(Value::Number(1e15)),
-            Just(Value::Number(-1e-7)),
-            "[0-9=.'# A-Za-z]{0,6}".prop_map(Value::text),
-            prop_oneof![
-                Just("007"), Just("=A1"), Just("TRUE"), Just(" false "), Just("#DIV/0!"),
-                Just("#n/a"), Just("1e5"), Just("inf"), Just("'quoted"), Just("''"), Just(" 7 "),
-            ]
-            .prop_map(Value::text),
-            any::<bool>().prop_map(Value::Bool),
-            (0..CellError::ALL.len()).prop_map(|i| Value::Error(CellError::ALL[i])),
-        ]
+    fn any_value(rng: &mut SmallRng) -> Value {
+        const LOOKALIKES: [&str; 11] =
+            ["007", "=A1", "TRUE", " false ", "#DIV/0!", "#n/a", "1e5", "inf", "'quoted", "''", " 7 "];
+        match rng.random_range(0..10) {
+            0 => Value::Empty,
+            1 => Value::Number(f64::from(rng.random::<u32>() as i32)),
+            2 => Value::Number(f64::from(rng.random::<u32>() as i32) / 1024.0),
+            3 => Value::Number(0.1 + 0.2),
+            4 => Value::Number(1e15),
+            5 => Value::Number(-1e-7),
+            6 => Value::text(text(
+                rng,
+                "0123456789=.'# ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
+                0..=6,
+            )),
+            7 => Value::text(LOOKALIKES[rng.random_range(0..LOOKALIKES.len())]),
+            8 => Value::Bool(rng.random()),
+            _ => Value::Error(CellError::ALL[rng.random_range(0..CellError::ALL.len())]),
+        }
     }
 
-    proptest! {
-        /// Values keep their types through `save` → CSV → `open`: text
-        /// that reads as a number, a formula, a boolean or an error comes
-        /// back as that text (it is saved behind a `'`), and an error
-        /// value comes back as the error, not as text. (`-0.0` is not
-        /// generated: it saves as `0`.)
-        #[test]
-        fn save_open_round_trip_preserves_types(
-            values in prop::collection::vec(any_value(), 1..40),
-            ncols in 1u32..=4,
-        ) {
+    /// Values keep their types through `save` → CSV → `open`: text that
+    /// reads as a number, a formula, a boolean or an error comes back as
+    /// that text (it is saved behind a `'`), and an error value comes back
+    /// as the error, not as text. (`-0.0` is not generated: it saves as
+    /// `0`.)
+    #[test]
+    fn save_open_round_trip_preserves_types() {
+        cases(|rng| {
+            let values: Vec<Value> = (0..rng.random_range(1..40)).map(|_| any_value(rng)).collect();
+            let ncols = rng.random_range(1..=4u32);
             let mut s = Sheet::new();
             for (i, v) in values.iter().enumerate() {
                 s.set_value(CellAddr::new(i as u32 / ncols, i as u32 % ncols), v.clone());
             }
             let doc = from_csv(&to_csv(&save(&s))).unwrap();
             let back = open(&doc, Layout::RowMajor).unwrap();
-            prop_assert_eq!((back.nrows(), back.ncols()), (s.nrows(), s.ncols()));
-            prop_assert_eq!(back.formula_count(), 0);
+            assert_eq!((back.nrows(), back.ncols()), (s.nrows(), s.ncols()));
+            assert_eq!(back.formula_count(), 0);
             for addr in s.used_range().unwrap().iter() {
-                prop_assert_eq!(back.value(addr), s.value(addr), "{} of {:?}", addr, doc);
+                assert_eq!(back.value(addr), s.value(addr), "{addr} of {doc:?}");
             }
-        }
+        });
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! formula columns whose texts differ only in what the template key must
 //! and must not ignore — over enough rows to cross two chunk boundaries.
 
-use proptest::prelude::*;
+use rand::Rng;
 
 use super::load_rows_reference;
 use crate::addr::{CellAddr, Range};
 use crate::error::EngineError;
 use crate::sheet::Sheet;
+use crate::testing::cases;
 use crate::{analyze, audit, recalc};
 
 const BUDGET: usize = 32 * 1024;
@@ -127,18 +128,18 @@ fn load(rows: &[Vec<String>], budget: Option<usize>, reference: bool) -> Result<
 
 /// Everything observable about the two sheets must agree, and the sheet
 /// loaded in bulk must satisfy every invariant checker.
-fn compare(got: &Sheet, want: &Sheet, what: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()), "{}: extent", what);
-    prop_assert_eq!(super::save(got), super::save(want), "{}: saved document", what);
+fn compare(got: &Sheet, want: &Sheet, what: &str) {
+    assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()), "{}: extent", what);
+    assert_eq!(super::save(got), super::save(want), "{}: saved document", what);
     for r in 0..got.nrows() {
         for c in 0..got.ncols() {
             let addr = CellAddr::new(r, c);
             // Content covers the value, the formula and its cached result.
             let (g, w) = (got.cell(addr).unwrap(), want.cell(addr).unwrap());
-            prop_assert_eq!(&*g, &*w, "{}: cell {}", what, addr);
-            prop_assert_eq!(got.value(addr), want.value(addr), "{}: value {}", what, addr);
-            prop_assert_eq!(got.formula_expr(addr), want.formula_expr(addr), "{}: {}", what, addr);
-            prop_assert_eq!(
+            assert_eq!(&*g, &*w, "{}: cell {}", what, addr);
+            assert_eq!(got.value(addr), want.value(addr), "{}: value {}", what, addr);
+            assert_eq!(got.formula_expr(addr), want.formula_expr(addr), "{}: {}", what, addr);
+            assert_eq!(
                 got.deps().precedents_of(addr),
                 want.deps().precedents_of(addr),
                 "{}: precedents of {}",
@@ -152,18 +153,18 @@ fn compare(got: &Sheet, want: &Sheet, what: &str) -> Result<(), TestCaseError> {
     if got.grid_budget().is_none() {
         for c in 0..got.ncols() {
             let (g, w) = (got.grid_store().chunk_kinds(c), want.grid_store().chunk_kinds(c));
-            prop_assert_eq!(g, w, "{}: chunk kinds of column {}", what, c);
+            assert_eq!(g, w, "{}: chunk kinds of column {}", what, c);
         }
     }
-    prop_assert_eq!(got.formula_count(), want.formula_count(), "{}: formulas", what);
-    prop_assert_eq!(got.meter().snapshot(), want.meter().snapshot(), "{}: meter", what);
-    prop_assert_eq!(
+    assert_eq!(got.formula_count(), want.formula_count(), "{}: formulas", what);
+    assert_eq!(got.meter().snapshot(), want.meter().snapshot(), "{}: meter", what);
+    assert_eq!(
         got.index_store().pending_cols(),
         want.index_store().pending_cols(),
         "{}: columns left to index",
         what
     );
-    prop_assert_eq!(
+    assert_eq!(
         got.index_store().built_count(),
         want.index_store().built_count(),
         "{}: built indexes",
@@ -171,20 +172,19 @@ fn compare(got: &Sheet, want: &Sheet, what: &str) -> Result<(), TestCaseError> {
     );
     got.validate_grid();
     if let Some(budget) = got.grid_budget() {
-        prop_assert!(got.grid_resident_bytes() <= budget, "{}: resident over budget", what);
+        assert!(got.grid_resident_bytes() <= budget, "{}: resident over budget", what);
     }
     if let Err(e) = audit::check_all(got) {
-        return Err(TestCaseError::fail(format!("{what}: audit: {e}")));
+        panic!("{what}: audit: {e}");
     }
     if let Err(e) = analyze::check_sheet(got) {
-        return Err(TestCaseError::fail(format!("{what}: analyze: {e}")));
+        panic!("{what}: analyze: {e}");
     }
-    Ok(())
 }
 
 /// Loads `rows` both ways and compares the sheets as loaded and after the
 /// recalculation an open ends with.
-fn check(rows: &[Vec<String>], capped: bool, what: &str) -> Result<(), TestCaseError> {
+fn check(rows: &[Vec<String>], capped: bool, what: &str) {
     let budget = capped.then_some(BUDGET);
     let what = format!("capped={capped} {what}");
     let got = load(rows, budget, false);
@@ -192,45 +192,44 @@ fn check(rows: &[Vec<String>], capped: bool, what: &str) -> Result<(), TestCaseE
     let (mut got, mut want) = match (got, want) {
         (Ok(got), Ok(want)) => (got, want),
         (got, want) => {
-            prop_assert_eq!(got.err(), want.err(), "{}: load errors", what);
-            return Ok(());
+            assert_eq!(got.err(), want.err(), "{}: load errors", what);
+            return;
         }
     };
-    compare(&got, &want, &what)?;
+    compare(&got, &want, &what);
     for sheet in [&mut got, &mut want] {
         sheet.set_auto_index(true);
         recalc::open_recalc(sheet);
     }
-    compare(&got, &want, &format!("{what}, recalculated"))
+    compare(&got, &want, &format!("{what}, recalculated"));
 }
 
-proptest! {
-    /// Random documents: a few rows or a few chunks of them, any mix of
-    /// column shapes, unbounded and under a budget set before the load; one document in eight holds a formula that does
-    /// not parse, which both loads must report alike.
-    #[test]
-    fn bulk_load_matches_cell_at_a_time(
-        nrows in prop_oneof![
-            6 => 0u32..60,
-            1 => Just(1023u32),
-            1 => Just(1024u32),
-            1 => Just(1025u32),
-            1 => 1000u32..2500,
-        ],
-        shapes in prop::collection::vec(0..SHAPES, 1..8),
-        salt in any::<u64>(),
-        capped in any::<bool>(),
-        broken in 0u8..8,
-    ) {
+/// Random documents: a few rows or a few chunks of them, any mix of column
+/// shapes, unbounded and under a budget set before the load; one document
+/// in eight holds a formula that does not parse, which both loads must
+/// report alike.
+#[test]
+fn bulk_load_matches_cell_at_a_time() {
+    cases(|rng| {
+        let nrows = match rng.random_range(0..10) {
+            0..=5 => rng.random_range(0..60),
+            6 => 1023,
+            7 => 1024,
+            8 => 1025,
+            _ => rng.random_range(1000..2500),
+        };
+        let shapes: Vec<u8> =
+            (0..rng.random_range(1..8)).map(|_| rng.random_range(0..SHAPES)).collect();
+        let salt: u64 = rng.random();
         let mut rows = document(nrows, &shapes, salt);
         let what = format!("{nrows} rows of shapes {shapes:?}, salt {salt}");
-        if broken == 0 {
+        if rng.random_range(0..8) == 0 {
             if let Some(cell) = rows.last_mut().and_then(|row| row.last_mut()) {
                 *cell = "=SUM(A1".to_owned();
             }
         }
-        check(&rows, capped, &what)?;
-    }
+        check(&rows, rng.random(), &what);
+    });
 }
 
 /// Every column shape at once, at each row count around a chunk boundary
@@ -241,9 +240,7 @@ fn every_shape_across_chunk_boundaries() {
     for capped in [false, true] {
         for nrows in [1023, 1024, 1025, 2500] {
             let rows = document(nrows, &shapes, 41);
-            if let Err(e) = check(&rows, capped, &format!("{nrows} rows")) {
-                panic!("{e:?}");
-            }
+            check(&rows, capped, &format!("{nrows} rows"));
         }
     }
 }

@@ -64,6 +64,8 @@ pub mod ops;
 pub mod recalc;
 pub mod sheet;
 pub mod style;
+#[cfg(test)]
+mod testing;
 pub mod trace;
 pub mod value;
 

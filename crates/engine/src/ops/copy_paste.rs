@@ -4,15 +4,30 @@
 
 use crate::addr::{CellAddr, Range};
 use crate::cell::{Cell, CellContent};
+use crate::error::EngineError;
+use crate::grid::{MAX_COLS, MAX_ROWS};
 use crate::meter::Primitive;
 use crate::sheet::Sheet;
 
 /// Copies `src` to the block of the same shape starting at `dst_start`.
 /// Overlapping copy is supported (the source is snapshotted first, as real
-/// systems do via the clipboard). Returns the destination range.
-pub(crate) fn copy_paste_impl(sheet: &mut Sheet, src: Range, dst_start: CellAddr) -> Range {
+/// systems do via the clipboard). Returns the destination range, or
+/// [`EngineError::OutOfBounds`] — decided before anything is read or
+/// written — when the block would reach past the engine limits.
+pub(crate) fn copy_paste_impl(
+    sheet: &mut Sheet,
+    src: Range,
+    dst_start: CellAddr,
+) -> Result<Range, EngineError> {
     let rows = src.rows();
     let cols = src.cols();
+    // The extent the block needs, saturating so that no `dst_start` near
+    // `u32::MAX` wraps back inside the limits.
+    let (end_rows, end_cols) =
+        (dst_start.row.saturating_add(rows), dst_start.col.saturating_add(cols));
+    if end_rows > MAX_ROWS || end_cols > MAX_COLS {
+        return Err(EngineError::OutOfBounds { rows: end_rows, cols: end_cols });
+    }
     // Snapshot the source block ("clipboard").
     let mut clipboard: Vec<(CellAddr, Cell)> = Vec::with_capacity((rows * cols) as usize);
     for addr in src.iter() {
@@ -34,7 +49,7 @@ pub(crate) fn copy_paste_impl(sheet: &mut Sheet, src: Range, dst_start: CellAddr
         // the whole chunk into general cells, and a plain value needs none.
         sheet.set_style(dst, cell.style);
     }
-    Range::new(dst_start, CellAddr::new(dst_start.row + rows - 1, dst_start.col + cols - 1))
+    Ok(Range::new(dst_start, CellAddr::new(end_rows - 1, end_cols - 1)))
 }
 
 #[cfg(test)]
@@ -151,6 +166,33 @@ mod tests {
         let col: Vec<f64> =
             (0..5).map(|r| s.value(CellAddr::new(r, 0)).as_number().unwrap()).collect();
         assert_eq!(col, vec![0.0, 0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn a_paste_past_the_engine_limits_is_out_of_bounds() {
+        let mut s = Sheet::new();
+        s.set_value(a("A1"), 1);
+        s.set_value(a("A2"), 2);
+        s.set_formula_str(a("B1"), "=A1+A2").unwrap();
+        recalc::recalc_all(&mut s);
+        let (saved, meter) = (crate::io::save(&s), s.meter().snapshot());
+        for (src, dst) in [
+            ("A1:A2", CellAddr::new(MAX_ROWS - 1, 0)),
+            ("A1:A2", CellAddr::new(u32::MAX, 0)),
+            ("A1:B1", CellAddr::new(0, MAX_COLS - 1)),
+            ("A1:B1", CellAddr::new(0, u32::MAX)),
+        ] {
+            let err = s.apply(Op::CopyPaste { src: Range::parse(src).unwrap(), dst }).unwrap_err();
+            assert!(matches!(err, EngineError::OutOfBounds { .. }), "{src} at {dst:?}: {err:?}");
+            assert_eq!((s.nrows(), s.ncols()), (2, 2), "{src} at {dst:?}");
+            assert_eq!(crate::io::save(&s), saved, "{src} at {dst:?} touched the sheet");
+            assert_eq!(s.meter().snapshot(), meter, "{src} at {dst:?} charged the meter");
+        }
+        // The lowest paste that fits is fine.
+        let dst = CellAddr::new(MAX_ROWS - 2, 0);
+        s.apply(Op::CopyPaste { src: Range::parse("A1:A2").unwrap(), dst }).unwrap();
+        assert_eq!(s.nrows(), MAX_ROWS);
+        assert_eq!(s.value(CellAddr::new(MAX_ROWS - 1, 0)), Value::Number(2.0));
     }
 
     #[test]

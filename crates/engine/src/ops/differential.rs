@@ -15,7 +15,7 @@
 //! that change kind from chunk to chunk, and — under the 32 KB budget —
 //! `Spilled` pages.
 
-use proptest::prelude::*;
+use rand::Rng;
 
 use crate::addr::{CellAddr, Range};
 use crate::error::CellError;
@@ -25,6 +25,7 @@ use crate::ops::{cond_format, filter, find_replace, pivot, Op, OpOutcome, PivotA
 use crate::recalc;
 use crate::sheet::Sheet;
 use crate::style::{Color, Style};
+use crate::testing::cases;
 use crate::value::{Criterion, Value};
 
 /// Three whole chunks and an eighth of a fourth.
@@ -205,69 +206,66 @@ impl Case {
     /// Applies the case to `got` through `Sheet::apply` (or the public
     /// query) and to `want` through the reference; the two must report
     /// the same outcome and charge the same counts.
-    fn run(&self, got: &mut Sheet, want: &mut Sheet, what: &str) -> Result<(), TestCaseError> {
+    fn run(&self, got: &mut Sheet, want: &mut Sheet, what: &str) {
         let before = (got.meter().snapshot(), want.meter().snapshot());
         match self.clone() {
             Case::Filter(col, criterion) => {
                 let visible = filter::filter_rows_reference(want, col, &criterion);
                 let out = got.apply(Op::Filter { col, criterion });
-                prop_assert_eq!(out, Ok(OpOutcome::Filtered { visible }), "{}", what);
+                assert_eq!(out, Ok(OpOutcome::Filtered { visible }), "{}", what);
             }
             Case::Pivot(dim_col, measure_col, agg) => {
                 let table = pivot::pivot_reference(want, dim_col, measure_col, agg);
                 let out = got.apply(Op::Pivot { dim_col, measure_col, agg });
-                prop_assert_eq!(out, Ok(OpOutcome::Pivoted(table.clone())), "{}", what);
-                prop_assert_eq!(pivot::pivot(got, dim_col, measure_col, agg), table, "{}", what);
+                assert_eq!(out, Ok(OpOutcome::Pivoted(table.clone())), "{}", what);
+                assert_eq!(pivot::pivot(got, dim_col, measure_col, agg), table, "{}", what);
                 pivot::pivot_reference(want, dim_col, measure_col, agg);
             }
             Case::Find(range, needle) => {
                 let hits = find_replace::find_all_reference(want, range, needle);
-                prop_assert_eq!(find_replace::find_all(got, range, needle), hits, "{}", what);
+                assert_eq!(find_replace::find_all(got, range, needle), hits, "{}", what);
             }
             Case::Replace(range, needle, replacement) => {
                 let cells = find_replace::find_replace_reference(want, range, needle, replacement);
                 let (needle, replacement) = (needle.to_owned(), replacement.to_owned());
                 let out = got.apply(Op::FindReplace { range, needle, replacement });
-                prop_assert_eq!(out, Ok(OpOutcome::Replaced { cells }), "{}", what);
+                assert_eq!(out, Ok(OpOutcome::Replaced { cells }), "{}", what);
             }
             Case::Format(range, criterion, fill) => {
                 let cells =
                     cond_format::conditional_format_reference(want, range, &criterion, fill);
                 let out = got.apply(Op::CondFormat { range, criterion, fill });
-                prop_assert_eq!(out, Ok(OpOutcome::Formatted { cells }), "{}", what);
+                assert_eq!(out, Ok(OpOutcome::Formatted { cells }), "{}", what);
             }
         }
         let charged = |s: &Sheet, before: &Counts| s.meter().snapshot().since(before);
-        prop_assert_eq!(charged(got, &before.0), charged(want, &before.1), "{}: charges", what);
-        Ok(())
+        assert_eq!(charged(got, &before.0), charged(want, &before.1), "{}: charges", what);
     }
 }
 
 /// Runs `cases` in order on a sheet and its twin, comparing all that is
 /// observable after each, and once more after the recalculation that
 /// follows (a replaced text is read by column C's formulas).
-fn check(capped: bool, cases: &[Case]) -> Result<(), TestCaseError> {
+fn check(capped: bool, cases: &[Case]) {
     let (mut got, mut want) = (build(capped), build(capped));
     for case in cases {
         let what = format!("capped={capped} {case:?}");
-        case.run(&mut got, &mut want, &what)?;
-        compare(&got, &want, &what)?;
-        prop_assert_eq!(index_answers(&got), scanned_answers(&got), "{}: index answers", what);
+        case.run(&mut got, &mut want, &what);
+        compare(&got, &want, &what);
+        assert_eq!(index_answers(&got), scanned_answers(&got), "{}: index answers", what);
         // The probes above are charged to the meter; keep the twins even.
         index_answers(&want);
     }
     recalc::recalc_all(&mut got);
     recalc::recalc_all(&mut want);
-    compare(&got, &want, &format!("capped={capped} {cases:?}, recalculated"))
+    compare(&got, &want, &format!("capped={capped} {cases:?}, recalculated"));
 }
 
 /// Each case on a fresh sheet, with and without the budget.
 fn check_each(cases: &[Case]) {
     for case in cases {
         for capped in [false, true] {
-            if let Err(e) = check(capped, std::slice::from_ref(case)) {
-                panic!("{e:?}");
-            }
+            check(capped, std::slice::from_ref(case));
         }
     }
 }
@@ -364,9 +362,7 @@ fn alternating_fills_restyle_on_every_pass() {
         pass(">99999", Color::GREEN),
     ];
     for capped in [false, true] {
-        if let Err(e) = check(capped, &cases) {
-            panic!("{e:?}");
-        }
+        check(capped, &cases);
     }
 }
 
@@ -431,34 +427,37 @@ fn a_memo_never_holds_more_slots_than_the_op_reads_cells() {
     assert_eq!(asked, 4);
 }
 
-proptest! {
-    /// Random sequences of the four ops over random ranges: a replace
-    /// meets the fills and the rewritten texts an earlier case left.
-    #[test]
-    fn sequences_of_scan_ops_match_their_references(
-        capped in any::<bool>(),
-        picks in prop::collection::vec((0usize..5, 0usize..16, 0usize..7, 0usize..6), 1..5),
-    ) {
-        const NEEDLES: [(&str, &str); 6] = [
-            ("a", "aa"), ("storm", "STORM"), ("STORM", "x"), ("item1", ""), ("s", "S"), ("1", "one"),
-        ];
-        const CRITERIA: [&str; 7] = ["SD", "<>x", ">=600", "<3", "st*", "1", "<>"];
-        const COLS: [u32; 7] = [NUM, TEXT, GENERAL, BY_CHUNK, JUNK, KEYS, PAST];
-        const AGGS: [PivotAgg; 6] = [
-            PivotAgg::Sum, PivotAgg::Count, PivotAgg::Average, PivotAgg::Min, PivotAgg::Max,
-            PivotAgg::Sum,
-        ];
-        let ranges = ranges();
-        let cases: Vec<Case> = picks
-            .into_iter()
-            .map(|(op, range, a, b)| match op {
-                0 => Case::Filter(COLS[a], criterion(CRITERIA[b])),
-                1 => Case::Pivot(COLS[a], COLS[b], AGGS[b]),
-                2 => Case::Find(ranges[range], NEEDLES[b].0),
-                3 => Case::Replace(ranges[range], NEEDLES[b].0, NEEDLES[b].1),
-                _ => Case::Format(ranges[range], criterion(CRITERIA[a]), [Color::GREEN, Color::BLACK][b % 2]),
+/// Random sequences of the four ops over random ranges: a replace meets
+/// the fills and the rewritten texts an earlier case left.
+#[test]
+fn sequences_of_scan_ops_match_their_references() {
+    const NEEDLES: [(&str, &str); 6] = [
+        ("a", "aa"), ("storm", "STORM"), ("STORM", "x"), ("item1", ""), ("s", "S"), ("1", "one"),
+    ];
+    const CRITERIA: [&str; 7] = ["SD", "<>x", ">=600", "<3", "st*", "1", "<>"];
+    const COLS: [u32; 7] = [NUM, TEXT, GENERAL, BY_CHUNK, JUNK, KEYS, PAST];
+    const AGGS: [PivotAgg; 6] = [
+        PivotAgg::Sum, PivotAgg::Count, PivotAgg::Average, PivotAgg::Min, PivotAgg::Max,
+        PivotAgg::Sum,
+    ];
+    let ranges = ranges();
+    cases(|rng| {
+        let ops: Vec<Case> = (0..rng.random_range(1..5))
+            .map(|_| {
+                let range = ranges[rng.random_range(0..ranges.len())];
+                let (a, b) = (rng.random_range(0..7usize), rng.random_range(0..6usize));
+                match rng.random_range(0..5) {
+                    0 => Case::Filter(COLS[a], criterion(CRITERIA[b])),
+                    1 => Case::Pivot(COLS[a], COLS[b], AGGS[b]),
+                    2 => Case::Find(range, NEEDLES[b].0),
+                    3 => Case::Replace(range, NEEDLES[b].0, NEEDLES[b].1),
+                    _ => {
+                        let fill = [Color::GREEN, Color::BLACK][b % 2];
+                        Case::Format(range, criterion(CRITERIA[a]), fill)
+                    }
+                }
             })
             .collect();
-        check(capped, &cases)?;
-    }
+        check(rng.random(), &ops);
+    });
 }

@@ -114,10 +114,10 @@ impl Sheet {
     /// exceptions: `Sort` surfaces [`EngineError::BadPermutation`] if the
     /// grid rejects the computed row
     /// permutation (a bug in the sort itself, not bad user input), and
-    /// `InsertRows`/`InsertCols` return [`EngineError::OutOfBounds`], with
-    /// the sheet untouched, when the new extent would exceed the engine
-    /// limits. The span is finished either way, so an error still traces
-    /// as a complete op.
+    /// `InsertRows`/`InsertCols` and `CopyPaste` return
+    /// [`EngineError::OutOfBounds`], with the sheet untouched, when the new
+    /// extent would exceed the engine limits. The span is finished either
+    /// way, so an error still traces as a complete op.
     pub fn apply(&mut self, op: Op) -> Result<OpOutcome, EngineError> {
         let span =
             trace::Span::open_metered(trace::Category::Op, || format!("op:{}", op.name()), self.meter());
@@ -138,7 +138,7 @@ impl Sheet {
                 cells: find_replace::find_replace_impl(self, range, &needle, &replacement),
             }),
             Op::CopyPaste { src, dst } => {
-                Ok(OpOutcome::Pasted { dst: copy_paste::copy_paste_impl(self, src, dst) })
+                copy_paste::copy_paste_impl(self, src, dst).map(|dst| OpOutcome::Pasted { dst })
             }
             Op::Pivot { dim_col, measure_col, agg } => {
                 Ok(OpOutcome::Pivoted(pivot::pivot_impl(self, dim_col, measure_col, agg)))

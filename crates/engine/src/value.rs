@@ -494,7 +494,7 @@ pub fn wildcard_match(pattern: &str, text: &str) -> bool {
 
 /// The matcher [`wildcard_match`] replaced, which tries both readings of
 /// every `*` and so takes time exponential in their number. Kept as the
-/// specification the proptest holds the iterative one to.
+/// specification the property test holds the iterative one to.
 #[cfg(test)]
 fn wildcard_match_reference(pattern: &str, text: &str) -> bool {
     fn inner(p: &[char], t: &[char]) -> bool {
@@ -515,9 +515,8 @@ fn wildcard_match_reference(pattern: &str, text: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
-
     use super::*;
+    use crate::testing::{cases, text};
 
     #[test]
     fn classify_reads_each_type() {
@@ -541,14 +540,15 @@ mod tests {
         assert_eq!(classify("'"), Input::Text(""));
     }
 
-    proptest! {
-        /// Dispatching on the first character loses no number: a text
-        /// reads as a number exactly when `parse_number` accepts it.
-        #[test]
-        fn classify_finds_every_number(text in "[-+.0-9eEinfatyINFANTY _]{0,8}") {
+    /// Dispatching on the first character loses no number: a text reads as
+    /// a number exactly when `parse_number` accepts it.
+    #[test]
+    fn classify_finds_every_number() {
+        cases(|rng| {
+            let text = text(rng, "-+.0123456789eEinfatyINFANTY _", 0..=8);
             let want = parse_number(&text).map_or(Input::Text(&text), Input::Number);
-            prop_assert_eq!(classify(&text), want);
-        }
+            assert_eq!(classify(&text), want, "{text:?}");
+        });
     }
 
     #[test]
@@ -704,17 +704,16 @@ mod tests {
         assert!(wildcard_match("*a*a*a*a*a*a*a*", &text));
     }
 
-    proptest! {
-        #[test]
-        fn wildcard_match_agrees_with_the_recursive_matcher(
-            pattern in "[abAÉ*?]{0,6}",
-            text in "[abBAé]{0,8}",
-        ) {
-            prop_assert_eq!(
+    #[test]
+    fn wildcard_match_agrees_with_the_recursive_matcher() {
+        cases(|rng| {
+            let (pattern, text) = (text(rng, "abAÉ*?", 0..=6), text(rng, "abBAé", 0..=8));
+            assert_eq!(
                 wildcard_match(&pattern, &text),
-                wildcard_match_reference(&pattern, &text)
+                wildcard_match_reference(&pattern, &text),
+                "{pattern:?} against {text:?}"
             );
-        }
+        });
     }
 
     /// The compiled form decides every kind of value as the criterion it was

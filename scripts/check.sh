@@ -22,9 +22,10 @@ tree_before="$(git status --porcelain)"
 # 2): the engine reads exactly two environment variables, each by a
 # literal name, the second visit order and per-cell range reader PR 21
 # deleted do not come back under their old names, nor the fourth resident
-# chunk kind and the two thresholds PR 23 deleted, and neither do the three
-# serde stand-ins PR 22 replaced with `harness::json`: two shims, and no
-# manifest or source file that names a serde crate.
+# chunk kind and the two thresholds PR 23 deleted, nor the three serde
+# stand-ins PR 22 replaced with `harness::json`, nor the proptest stand-in
+# PR 25 replaced with seeded `SmallRng` loops: one shim, `rand`, and no
+# manifest or source file that names a serde crate or the proptest DSL.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDGET") ' ]; then
@@ -38,13 +39,19 @@ if grep -rn 'ColumnMajor\|for_each_in_range' crates src tests examples ||
   exit 1
 fi
 
-if [ "$(ls shims | tr '\n' ' ')" != 'proptest rand ' ]; then
-  echo "shims/ must hold exactly proptest and rand, found: $(ls shims | tr '\n' ' ')" >&2
+if [ "$(ls shims | tr '\n' ' ')" != 'rand ' ]; then
+  echo "shims/ must hold exactly rand, found: $(ls shims | tr '\n' ' ')" >&2
   exit 1
 fi
 if grep -rnw 'serde\|serde_json\|serde_derive' Cargo.toml Cargo.lock crates src tests examples \
   --include='*.rs' --include='*.toml' --include='Cargo.lock'; then
   echo "a serde crate is named again (see above); JSON goes through harness::json" >&2
+  exit 1
+fi
+if grep -rn --include='*.toml' --include='Cargo.lock' --exclude-dir=target --exclude-dir=.git \
+  'proptest' . ||
+  grep -rn 'proptest!\|prop_assert\|prop_oneof\|TestCaseError\|use proptest' crates src tests examples; then
+  echo "the proptest DSL is back (see above); a random test is a seeded SmallRng loop" >&2
   exit 1
 fi
 

@@ -8,101 +8,63 @@
 //! coverage proof (`analyze::check_sheet`) is then run over whole random
 //! sheets built from the same trees.
 
-use proptest::prelude::*;
+mod common;
 
+use rand::rngs::SmallRng;
+use rand::Rng;
+
+use common::{arb_binop, arb_cellref, arb_rangeref, cases, text};
 use ssbench::engine::analyze::RecordingSource;
 use ssbench::engine::eval::evaluate;
-use ssbench::engine::formula::{BinOp, Expr, RangeRef, UnaryOp};
+use ssbench::engine::formula::{Expr, UnaryOp};
 use ssbench::engine::prelude::*;
 
 // ---------------------------------------------------------------------
 // Expression generation
 // ---------------------------------------------------------------------
 
-fn arb_cellref() -> impl Strategy<Value = CellRef> {
-    (0u32..200, 0u32..26, any::<bool>(), any::<bool>()).prop_map(|(row, col, ar, ac)| CellRef {
-        addr: CellAddr::new(row, col),
-        abs_row: ar,
-        abs_col: ac,
-    })
-}
-
-fn arb_rangeref() -> impl Strategy<Value = RangeRef> {
-    (arb_cellref(), arb_cellref()).prop_map(|(a, b)| {
-        let (start, end) = if (a.addr.row, a.addr.col) <= (b.addr.row, b.addr.col) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        RangeRef { start, end }
-    })
-}
-
-fn arb_leaf() -> impl Strategy<Value = Expr> {
+fn arb_leaf(rng: &mut SmallRng) -> Expr {
     use ssbench::engine::error::CellError;
-    prop_oneof![
-        (-1.0e6f64..1.0e6).prop_map(Expr::Number),
-        "[a-z0-9 ]{0,8}".prop_map(|s| Expr::Text(s.into())),
-        any::<bool>().prop_map(Expr::Bool),
-        prop_oneof![Just(CellError::Div0), Just(CellError::Value), Just(CellError::Na)]
-            .prop_map(Expr::Error),
-        arb_cellref().prop_map(Expr::Ref),
-        arb_rangeref().prop_map(Expr::RangeRef),
-    ]
-}
-
-fn arb_binop() -> impl Strategy<Value = BinOp> {
-    prop_oneof![
-        Just(BinOp::Add),
-        Just(BinOp::Sub),
-        Just(BinOp::Mul),
-        Just(BinOp::Div),
-        Just(BinOp::Pow),
-        Just(BinOp::Concat),
-        Just(BinOp::Eq),
-        Just(BinOp::Ne),
-        Just(BinOp::Lt),
-        Just(BinOp::Le),
-        Just(BinOp::Gt),
-        Just(BinOp::Ge),
-    ]
+    const ERRORS: [CellError; 3] = [CellError::Div0, CellError::Value, CellError::Na];
+    match rng.random_range(0..6) {
+        0 => Expr::Number(rng.random_range(-1.0e6..1.0e6)),
+        1 => Expr::Text(text(rng, "abcdefghijklmnopqrstuvwxyz0123456789 ", 0..=8).into()),
+        2 => Expr::Bool(rng.random()),
+        3 => Expr::Error(ERRORS[rng.random_range(0..ERRORS.len())]),
+        4 => Expr::Ref(arb_cellref(rng)),
+        _ => Expr::RangeRef(arb_rangeref(rng)),
+    }
 }
 
 /// Random expressions biased toward the constructs the analyzer models
 /// specially: branches (whose type is the join of the arms), volatile NOW,
 /// the dynamic-read builtins (OFFSET, 3-argument SUMIF) that force an
 /// unbounded read-set, aggregates over ranges, and unknown names.
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    arb_leaf().prop_recursive(4, 48, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), arb_binop())
-                .prop_map(|(a, b, op)| Expr::Binary(op, Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|e| Expr::Unary(UnaryOp::Neg, Box::new(e))),
-            inner.clone().prop_map(|e| Expr::Unary(UnaryOp::Percent, Box::new(e))),
-            (inner.clone(), inner.clone(), inner.clone())
-                .prop_map(|(c, t, e)| Expr::Call("IF".into(), vec![c, t, e])),
-            (inner.clone(), inner.clone())
-                .prop_map(|(c, t)| Expr::Call("IF".into(), vec![c, t])),
-            (inner.clone(), inner.clone())
-                .prop_map(|(v, f)| Expr::Call("IFERROR".into(), vec![v, f])),
-            prop::collection::vec(inner.clone(), 0..4)
-                .prop_map(|args| Expr::Call("AND".into(), args)),
-            prop::collection::vec(inner.clone(), 1..4)
-                .prop_map(|args| Expr::Call("SUM".into(), args)),
-            (arb_rangeref(), inner.clone())
-                .prop_map(|(r, c)| Expr::Call("COUNTIF".into(), vec![Expr::RangeRef(r), c])),
-            (arb_rangeref(), inner.clone(), arb_rangeref()).prop_map(|(r, c, s)| Expr::Call(
-                "SUMIF".into(),
-                vec![Expr::RangeRef(r), c, Expr::RangeRef(s)]
-            )),
-            (arb_cellref(), inner.clone(), inner.clone()).prop_map(|(base, r, c)| Expr::Call(
-                "OFFSET".into(),
-                vec![Expr::Ref(base), r, c]
-            )),
-            Just(Expr::Call("NOW".into(), vec![])),
-            inner.prop_map(|e| Expr::Call("NOSUCHFN".into(), vec![e])),
-        ]
-    })
+fn arb_expr(rng: &mut SmallRng, depth: u32) -> Expr {
+    if depth == 0 || rng.random_range(0..3) == 0 {
+        return arb_leaf(rng);
+    }
+    let sub = |rng: &mut SmallRng| arb_expr(rng, depth - 1);
+    let args = |rng: &mut SmallRng, lens: std::ops::Range<usize>| -> Vec<Expr> {
+        (0..rng.random_range(lens)).map(|_| sub(rng)).collect()
+    };
+    let call = |name: &str, args: Vec<Expr>| Expr::Call(name.into(), args);
+    let range = |rng: &mut SmallRng| Expr::RangeRef(arb_rangeref(rng));
+    match rng.random_range(0..13) {
+        0 => Expr::Binary(arb_binop(rng), Box::new(sub(rng)), Box::new(sub(rng))),
+        1 => Expr::Unary(UnaryOp::Neg, Box::new(sub(rng))),
+        2 => Expr::Unary(UnaryOp::Percent, Box::new(sub(rng))),
+        3 => call("IF", args(rng, 3..4)),
+        4 => call("IF", args(rng, 2..3)),
+        5 => call("IFERROR", args(rng, 2..3)),
+        6 => call("AND", args(rng, 0..4)),
+        7 => call("SUM", args(rng, 1..4)),
+        8 => call("COUNTIF", vec![range(rng), sub(rng)]),
+        9 => call("SUMIF", vec![range(rng), sub(rng), range(rng)]),
+        10 => call("OFFSET", vec![Expr::Ref(arb_cellref(rng)), sub(rng), sub(rng)]),
+        11 => call("NOW", vec![]),
+        _ => call("NOSUCHFN", args(rng, 1..2)),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -120,100 +82,102 @@ fn fixture(values: &[i64]) -> Sheet {
             0..=2 => s.set_value(CellAddr::new(r, c), v),
             3 => s.set_value(CellAddr::new(r, c), format!("t{v}")),
             4 => s.set_value(CellAddr::new(r, c), v % 2 == 0),
-            _ => s
-                .set_formula_str(CellAddr::new(r, c), &format!("=1/{}", v.rem_euclid(3)))
-                .unwrap(),
+            _ => {
+                s.set_formula_str(CellAddr::new(r, c), &format!("=1/{}", v.rem_euclid(3))).unwrap()
+            }
         }
     }
     recalc::recalc_all(&mut s);
     s
 }
 
-proptest! {
-    /// Dynamic reads are a subset of the static read-set, and the value
-    /// produced is admitted by the inferred type set. The generated
-    /// formulas are anchored at column AE, outside the generator's
-    /// 26-column reference window, so every window resolves at the origin.
-    #[test]
-    fn recorded_reads_subset_of_static_read_set(
-        exprs in prop::collection::vec(arb_expr(), 1..5),
-        values in prop::collection::vec(-50i64..50, 24),
-    ) {
-        let sheet = fixture(&values);
+/// One to four random formulas.
+fn arb_exprs(rng: &mut SmallRng) -> Vec<Expr> {
+    (0..rng.random_range(1..5)).map(|_| arb_expr(rng, 4)).collect()
+}
+
+/// The 24 values of the fixture.
+fn arb_values(rng: &mut SmallRng) -> Vec<i64> {
+    (0..24).map(|_| rng.random_range(-50..50)).collect()
+}
+
+/// Dynamic reads are a subset of the static read-set, and the value
+/// produced is admitted by the inferred type set. The generated formulas
+/// are anchored at column AE, outside the generator's 26-column reference
+/// window, so every window resolves at the origin.
+#[test]
+fn recorded_reads_subset_of_static_read_set() {
+    cases(|rng| {
+        let (exprs, sheet) = (arb_exprs(rng), fixture(&arb_values(rng)));
         for (i, expr) in exprs.iter().enumerate() {
             let origin = CellAddr::new(i as u32, 30);
             let an = analyze::analyze(expr, origin);
             let rec = RecordingSource::new(&sheet);
             let meter = Meter::new();
             let got = evaluate(expr, &EvalCtx::new(&rec, &meter, origin));
-            prop_assert!(
-                an.ty.admits(&got),
-                "value {got:?} outside inferred type {}",
-                an.ty
-            );
+            assert!(an.ty.admits(&got), "value {got:?} outside inferred type {}", an.ty);
             if let Some(c) = &an.const_value {
-                prop_assert_eq!(c, &got, "constant folding must match evaluation");
+                assert_eq!(c, &got, "constant folding must match evaluation");
             }
             let ReadSet::Windows(ws) = &an.reads else {
                 continue; // unbounded: every read is trivially covered
             };
             let resolved: Vec<Range> = ws
                 .iter()
-                .filter_map(|w| {
-                    Some(Range::new(w.start.resolve(origin)?, w.end.resolve(origin)?))
-                })
+                .filter_map(|w| Some(Range::new(w.start.resolve(origin)?, w.end.resolve(origin)?)))
                 .collect();
             for read in rec.reads() {
-                prop_assert!(
+                assert!(
                     resolved.iter().any(|r| r.contains(read)),
                     "read {} outside static windows {resolved:?}",
                     read.to_a1()
                 );
             }
         }
-    }
+    });
+}
 
-    /// The parser reads back what the printer wrote — `print(parse(s))`
-    /// is `s` for every printed tree `s`, `print` being code the borrowing
-    /// lexer did not touch — and a document opened in bulk holds, for each
-    /// `=s`, the expression a plain parse of `s` builds: for the text the
-    /// template table parses, and for the fill-down copy below it that the
-    /// table instantiates instead.
-    #[test]
-    fn printed_trees_parse_back_unchanged_alone_and_in_a_document(
-        exprs in prop::collection::vec(arb_expr(), 1..5),
-    ) {
-        use ssbench::engine::formula::{parse, print};
-        use ssbench::engine::io::{self, SheetData};
+/// The parser reads back what the printer wrote — `print(parse(s))` is
+/// `s` for every printed tree `s`, `print` being code the borrowing lexer
+/// did not touch — and a document opened in bulk holds, for each `=s`, the
+/// expression a plain parse of `s` builds: for the text the template table
+/// parses, and for the fill-down copy below it that the table instantiates
+/// instead.
+#[test]
+fn printed_trees_parse_back_unchanged_alone_and_in_a_document() {
+    use ssbench::engine::io::{self, SheetData};
+    cases(|rng| {
+        let exprs = arb_exprs(rng);
         let mut texts = Vec::new();
         for (i, expr) in exprs.iter().enumerate() {
-            let (here, below) = (CellAddr::new(2 * i as u32, 0), CellAddr::new(2 * i as u32 + 1, 0));
+            let (here, below) =
+                (CellAddr::new(2 * i as u32, 0), CellAddr::new(2 * i as u32 + 1, 0));
             for text in [print(expr), print(&expr.adjusted(here, below))] {
                 let parsed = parse(&text).unwrap_or_else(|e| panic!("reparse {text:?}: {e}"));
-                prop_assert_eq!(print(&parsed), text.clone());
+                assert_eq!(print(&parsed), text.clone());
                 texts.push((text, parsed));
             }
         }
-        let doc = SheetData { rows: texts.iter().map(|(text, _)| vec![format!("={text}")]).collect() };
+        let doc =
+            SheetData { rows: texts.iter().map(|(text, _)| vec![format!("={text}")]).collect() };
         let sheet = io::open(&doc, Layout::RowMajor).unwrap();
         for (r, (text, parsed)) in texts.iter().enumerate() {
             let got = sheet.formula_expr(CellAddr::new(r as u32, 0));
-            prop_assert_eq!(got, Some(parsed), "row {} holds {:?}", r + 1, text);
+            assert_eq!(got, Some(parsed), "row {} holds {:?}", r + 1, text);
         }
         if let Err(e) = analyze::check_sheet(&sheet) {
-            prop_assert!(false, "{e}");
+            panic!("{e}");
         }
-    }
+    });
+}
 
-    /// Whole-sheet soundness: with the random trees installed as real
-    /// formulas, `check_sheet` proves bytecode verification, fact
-    /// agreement, and dep-graph read-set coverage for every template.
-    #[test]
-    fn check_sheet_proves_random_sheets(
-        exprs in prop::collection::vec(arb_expr(), 1..5),
-        values in prop::collection::vec(-50i64..50, 24),
-    ) {
-        let mut sheet = fixture(&values);
+/// Whole-sheet soundness: with the random trees installed as real formulas,
+/// `check_sheet` proves bytecode verification, fact agreement, and dep-graph
+/// read-set coverage for every template.
+#[test]
+fn check_sheet_proves_random_sheets() {
+    cases(|rng| {
+        let (exprs, mut sheet) = (arb_exprs(rng), fixture(&arb_values(rng)));
         // Column AE is outside the reference window, so the DAG stays
         // acyclic regardless of what the trees reference.
         for (i, expr) in exprs.iter().enumerate() {
@@ -221,7 +185,7 @@ proptest! {
         }
         recalc::recalc_all(&mut sheet);
         if let Err(e) = analyze::check_sheet(&sheet) {
-            prop_assert!(false, "{e}");
+            panic!("{e}");
         }
-    }
+    });
 }

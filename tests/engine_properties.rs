@@ -1,125 +1,95 @@
-//! Property-based tests over the engine's core invariants (proptest).
+//! Property-based tests over the engine's core invariants: seeded
+//! `SmallRng` loops through the case runner in `common`.
 
-use proptest::prelude::*;
+mod common;
 
-use ssbench::engine::formula::{BinOp, Expr, RangeRef, UnaryOp};
+use rand::rngs::SmallRng;
+use rand::Rng;
+
+use common::{arb_binop, arb_cellref, arb_rangeref, cases, text};
+use ssbench::engine::formula::{Expr, UnaryOp};
 use ssbench::engine::prelude::*;
 
 // ---------------------------------------------------------------------
 // Expression generation
 // ---------------------------------------------------------------------
 
-fn arb_cellref() -> impl Strategy<Value = CellRef> {
-    (0u32..200, 0u32..26, any::<bool>(), any::<bool>()).prop_map(|(row, col, ar, ac)| CellRef {
-        addr: CellAddr::new(row, col),
-        abs_row: ar,
-        abs_col: ac,
-    })
-}
-
-fn arb_leaf() -> impl Strategy<Value = Expr> {
-    prop_oneof![
+fn arb_leaf(rng: &mut SmallRng) -> Expr {
+    match rng.random_range(0..5) {
         // Finite, positive numbers: negative literals print as unary minus,
         // which still round-trips but changes the tree shape.
-        (0.0f64..1e9).prop_map(Expr::Number),
-        "[a-zA-Z0-9 _:;.!?-]{0,12}".prop_map(|s| Expr::Text(s.into())),
-        any::<bool>().prop_map(Expr::Bool),
-        arb_cellref().prop_map(Expr::Ref),
-        (arb_cellref(), arb_cellref()).prop_map(|(a, b)| {
-            // Normalize corners so the printed form re-parses to the same
-            // range reference.
-            let (start, end) = if (a.addr.row, a.addr.col) <= (b.addr.row, b.addr.col) {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            Expr::RangeRef(RangeRef { start, end })
-        }),
-    ]
-}
-
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    arb_leaf().prop_recursive(4, 64, 4, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), arb_binop()).prop_map(|(a, b, op)| Expr::Binary(
-                op,
-                Box::new(a),
-                Box::new(b)
-            )),
-            inner.clone().prop_map(|e| Expr::Unary(UnaryOp::Neg, Box::new(e))),
-            inner.clone().prop_map(|e| Expr::Unary(UnaryOp::Percent, Box::new(e))),
-            prop::collection::vec(inner, 0..4).prop_map(|args| Expr::Call("SUM".into(), args)),
-        ]
-    })
-}
-
-fn arb_binop() -> impl Strategy<Value = BinOp> {
-    prop_oneof![
-        Just(BinOp::Add),
-        Just(BinOp::Sub),
-        Just(BinOp::Mul),
-        Just(BinOp::Div),
-        Just(BinOp::Pow),
-        Just(BinOp::Concat),
-        Just(BinOp::Eq),
-        Just(BinOp::Ne),
-        Just(BinOp::Lt),
-        Just(BinOp::Le),
-        Just(BinOp::Gt),
-        Just(BinOp::Ge),
-    ]
-}
-
-proptest! {
-    /// print ∘ parse is the identity on printed forms (canonical
-    /// round-trip): parse(print(e)) prints identically.
-    #[test]
-    fn printer_parser_round_trip(expr in arb_expr()) {
-        let printed = print(&expr);
-        let reparsed = parse(&printed)
-            .unwrap_or_else(|err| panic!("reparse {printed:?}: {err}"));
-        prop_assert_eq!(print(&reparsed), printed);
-    }
-
-    /// Reference adjustment round-trips: shifting a formula from A to B
-    /// and back yields the original expression (when no shift falls off
-    /// the sheet).
-    #[test]
-    fn adjustment_round_trip(
-        expr in arb_expr(),
-        from_row in 50u32..100, from_col in 10u32..20,
-        to_row in 50u32..100, to_col in 10u32..20,
-    ) {
-        let from = CellAddr::new(from_row, from_col);
-        let to = CellAddr::new(to_row, to_col);
-        let there = expr.adjusted(from, to);
-        // Rows/cols < 200/26 and |delta| < 50/10, so nothing goes
-        // negative … unless the shift pushed a reference off-sheet,
-        // which materializes as an Error node; skip those cases.
-        fn has_ref_error(e: &Expr) -> bool {
-            match e {
-                Expr::Error(_) => true,
-                Expr::Unary(_, x) => has_ref_error(x),
-                Expr::Binary(_, a, b) => has_ref_error(a) || has_ref_error(b),
-                Expr::Call(_, args) => args.iter().any(has_ref_error),
-                _ => false,
-            }
+        0 => Expr::Number(rng.random_range(0.0..1e9)),
+        1 => {
+            let alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _:;.!?-";
+            Expr::Text(text(rng, alphabet, 0..=12).into())
         }
-        prop_assume!(!has_ref_error(&there));
-        let back = there.adjusted(to, from);
-        prop_assert_eq!(print(&back), print(&expr));
+        2 => Expr::Bool(rng.random()),
+        3 => Expr::Ref(arb_cellref(rng)),
+        _ => Expr::RangeRef(arb_rangeref(rng)),
     }
+}
+
+/// An expression at most `depth` operators deep; at each level a leaf
+/// one time in three.
+fn arb_expr(rng: &mut SmallRng, depth: u32) -> Expr {
+    if depth == 0 || rng.random_range(0..3) == 0 {
+        return arb_leaf(rng);
+    }
+    let sub = |rng: &mut SmallRng| Box::new(arb_expr(rng, depth - 1));
+    match rng.random_range(0..4) {
+        0 => Expr::Binary(arb_binop(rng), sub(rng), sub(rng)),
+        1 => Expr::Unary(UnaryOp::Neg, sub(rng)),
+        2 => Expr::Unary(UnaryOp::Percent, sub(rng)),
+        _ => Expr::Call("SUM".into(), (0..rng.random_range(0..4)).map(|_| *sub(rng)).collect()),
+    }
+}
+
+/// print ∘ parse is the identity on printed forms (canonical round-trip):
+/// parse(print(e)) prints identically.
+#[test]
+fn printer_parser_round_trip() {
+    cases(|rng| {
+        let printed = print(&arb_expr(rng, 4));
+        let reparsed = parse(&printed).unwrap_or_else(|err| panic!("reparse {printed:?}: {err}"));
+        assert_eq!(print(&reparsed), printed);
+    });
+}
+
+/// Reference adjustment round-trips: shifting a formula from A to B and
+/// back yields the original expression. The shift is drawn so that it
+/// carries no relative reference off the sheet.
+#[test]
+fn adjustment_round_trip() {
+    cases(|rng| {
+        let expr = arb_expr(rng, 4);
+        let (cells, ranges) = expr.refs();
+        let corners: Vec<CellRef> =
+            cells.into_iter().chain(ranges.iter().flat_map(|r| [r.start, r.end])).collect();
+        // The shift may take no relative row or column below 0.
+        let top = corners.iter().filter(|c| !c.abs_row).map(|c| c.addr.row).min();
+        let left = corners.iter().filter(|c| !c.abs_col).map(|c| c.addr.col).min();
+        let (top, left) = (top.unwrap_or(u32::MAX), left.unwrap_or(u32::MAX));
+        let from = CellAddr::new(rng.random_range(50..100), rng.random_range(10..20));
+        let to = CellAddr::new(
+            rng.random_range(from.row.saturating_sub(top).max(50)..100),
+            rng.random_range(from.col.saturating_sub(left).max(10)..20),
+        );
+        let back = expr.adjusted(from, to).adjusted(to, from);
+        assert_eq!(print(&back), print(&expr), "{from} -> {to}");
+    });
 }
 
 // ---------------------------------------------------------------------
 // Sorting
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Sort produces a permutation of the rows, ordered by the key, and
-    /// keeps row contents together.
-    #[test]
-    fn sort_is_an_ordered_permutation(keys in prop::collection::vec(-1000i64..1000, 1..60)) {
+/// Sort produces a permutation of the rows, ordered by the key, and keeps
+/// row contents together.
+#[test]
+fn sort_is_an_ordered_permutation() {
+    cases(|rng| {
+        let keys: Vec<i64> =
+            (0..rng.random_range(1..60)).map(|_| rng.random_range(-1000..1000)).collect();
         let mut sheet = Sheet::new();
         for (i, &k) in keys.iter().enumerate() {
             sheet.set_value(CellAddr::new(i as u32, 0), k);
@@ -130,22 +100,26 @@ proptest! {
         let sorted: Vec<f64> = (0..keys.len() as u32)
             .map(|r| sheet.value(CellAddr::new(r, 0)).as_number().unwrap())
             .collect();
-        prop_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
+        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
         // Permutation: same multiset of keys.
         let mut expect: Vec<f64> = keys.iter().map(|&k| k as f64).collect();
         expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(&sorted, &expect);
+        assert_eq!(&sorted, &expect);
         // Row integrity: each tag still sits next to its original key.
         for r in 0..keys.len() as u32 {
             let tag = sheet.value(CellAddr::new(r, 1)).display();
             let orig: usize = tag.strip_prefix("tag").unwrap().parse().unwrap();
-            prop_assert_eq!(sorted[r as usize], keys[orig] as f64);
+            assert_eq!(sorted[r as usize], keys[orig] as f64);
         }
-    }
+    });
+}
 
-    /// Sorting twice is idempotent.
-    #[test]
-    fn sort_idempotent(keys in prop::collection::vec(-100i64..100, 1..40)) {
+/// Sorting twice is idempotent.
+#[test]
+fn sort_idempotent() {
+    cases(|rng| {
+        let keys: Vec<i64> =
+            (0..rng.random_range(1..40)).map(|_| rng.random_range(-100..100)).collect();
         let mut sheet = Sheet::new();
         for (i, &k) in keys.iter().enumerate() {
             sheet.set_value(CellAddr::new(i as u32, 0), k);
@@ -156,22 +130,24 @@ proptest! {
         sheet.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         let twice: Vec<String> =
             (0..keys.len() as u32).map(|r| sheet.value(CellAddr::new(r, 0)).display()).collect();
-        prop_assert_eq!(once, twice);
-    }
+        assert_eq!(once, twice);
+    });
 }
 
 // ---------------------------------------------------------------------
 // Recalculation
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Dirty recalculation after random edits equals a full
-    /// recalculation from scratch.
-    #[test]
-    fn dirty_recalc_equals_full_recalc(
-        values in prop::collection::vec(-100i64..100, 10..30),
-        edits in prop::collection::vec((0usize..10, -100i64..100), 1..10),
-    ) {
+/// Dirty recalculation after random edits equals a full recalculation
+/// from scratch.
+#[test]
+fn dirty_recalc_equals_full_recalc() {
+    cases(|rng| {
+        let values: Vec<i64> =
+            (0..rng.random_range(10..30)).map(|_| rng.random_range(-100..100)).collect();
+        let edits: Vec<(usize, i64)> = (0..rng.random_range(1..10))
+            .map(|_| (rng.random_range(0..10), rng.random_range(-100..100)))
+            .collect();
         let n = values.len() as u32;
         let build = |values: &[i64]| {
             let mut s = Sheet::new();
@@ -181,10 +157,7 @@ proptest! {
             // A chain: B1 = SUM(A), Bi = B(i-1) + Ai
             s.set_formula_str(CellAddr::new(0, 1), &format!("=SUM(A1:A{n})")).unwrap();
             for i in 1..5u32.min(n) {
-                s.set_formula_str(
-                    CellAddr::new(i, 1),
-                    &format!("=B{}+A{}", i, i + 1),
-                ).unwrap();
+                s.set_formula_str(CellAddr::new(i, 1), &format!("=B{}+A{}", i, i + 1)).unwrap();
             }
             recalc::recalc_all(&mut s);
             s
@@ -200,21 +173,22 @@ proptest! {
         let fresh = build(&final_values);
         for i in 0..5u32.min(n) {
             let addr = CellAddr::new(i, 1);
-            prop_assert_eq!(incremental.value(addr), fresh.value(addr), "B{}", i + 1);
+            assert_eq!(incremental.value(addr), fresh.value(addr), "B{}", i + 1);
         }
-    }
+    });
 }
 
-proptest! {
-    /// Parallel level-scheduled recalculation is observationally identical
-    /// to the sequential path on random formula DAGs: every cell value and
-    /// every meter count matches bit-for-bit, both for a full recalc and
-    /// for a dirty recalc after an edit.
-    #[test]
-    fn parallel_recalc_is_deterministic(
-        spec in prop::collection::vec((0u32..64, -100i64..100, 0u8..3), 10..50),
-        edit in (0u32..64, -100i64..100),
-    ) {
+/// Parallel level-scheduled recalculation is observationally identical to
+/// the sequential path on random formula DAGs: every cell value and every
+/// meter count matches bit-for-bit, both for a full recalc and for a dirty
+/// recalc after an edit.
+#[test]
+fn parallel_recalc_is_deterministic() {
+    cases(|rng| {
+        let spec: Vec<(u32, i64, u8)> = (0..rng.random_range(10..50))
+            .map(|_| (rng.random_range(0..64), rng.random_range(-100..100), rng.random_range(0..3)))
+            .collect();
+        let edit: (u32, i64) = (rng.random_range(0..64), rng.random_range(-100..100));
         let n = spec.len();
         let build = |opts: RecalcOptions| {
             let mut s = Sheet::new();
@@ -248,10 +222,10 @@ proptest! {
         for i in 0..n as u32 {
             for c in 0..2u32 {
                 let addr = CellAddr::new(i, c);
-                prop_assert_eq!(seq.value(addr), par.value(addr), "cell {}", addr);
+                assert_eq!(seq.value(addr), par.value(addr), "cell {}", addr);
             }
         }
-        prop_assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
+        assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
 
         // A dirty recalc from one edited input must agree too.
         let addr = CellAddr::new(edit.0 % n as u32, 0);
@@ -261,30 +235,38 @@ proptest! {
         recalc::recalc_from(&mut par, &[addr]);
         for i in 0..n as u32 {
             let b = CellAddr::new(i, 1);
-            prop_assert_eq!(seq.value(b), par.value(b), "cell {}", b);
+            assert_eq!(seq.value(b), par.value(b), "cell {}", b);
         }
-        prop_assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
-    }
+        assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
+    });
 }
 
 // ---------------------------------------------------------------------
 // The Optimized profile's strategies vs the engine's plain paths
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Delta-maintained aggregates are invisible in values: after any edit
-    /// sequence through `SimSystem::update_cell`, every aggregate under the
-    /// Optimized profile is bit-identical to Excel's recompute — on
-    /// integers (inside the sum envelope, so the delta path runs) and on
-    /// tenths (outside it, so sums must fall back).
-    #[test]
-    fn incremental_aggregate_matches_recompute(
-        values in prop::collection::vec(0i64..40, 5..50),
-        edits in prop::collection::vec((0usize..50, 0i64..40), 1..12),
-        tenths in any::<bool>(),
-    ) {
-        use ssbench::systems::{SimSystem, SystemKind};
-        let draw = |v: i64| if tenths { v as f64 / 10.0 } else { (v % 4) as f64 };
+/// Delta-maintained aggregates are invisible in values: after any edit
+/// sequence through `SimSystem::update_cell`, every aggregate under the
+/// Optimized profile is bit-identical to Excel's recompute — on integers
+/// (inside the sum envelope, so the delta path runs) and on tenths
+/// (outside it, so sums must fall back).
+#[test]
+fn incremental_aggregate_matches_recompute() {
+    use ssbench::systems::{SimSystem, SystemKind};
+    cases(|rng| {
+        let values: Vec<i64> =
+            (0..rng.random_range(5..50)).map(|_| rng.random_range(0..40)).collect();
+        let edits: Vec<(usize, i64)> = (0..rng.random_range(1..12))
+            .map(|_| (rng.random_range(0..50), rng.random_range(0..40)))
+            .collect();
+        let tenths: bool = rng.random();
+        let draw = |v: i64| {
+            if tenths {
+                v as f64 / 10.0
+            } else {
+                (v % 4) as f64
+            }
+        };
         let n = values.len();
         let formulas = [
             format!("=COUNTIF(A1:A{n},1)"),
@@ -315,25 +297,28 @@ proptest! {
                 let (got, want) = (opt.value(at), excel.value(at));
                 match (&got, &want) {
                     (Value::Number(g), Value::Number(w)) => {
-                        prop_assert_eq!(g.to_bits(), w.to_bits(), "{}: {} vs {}", f, g, w)
+                        assert_eq!(g.to_bits(), w.to_bits(), "{}: {} vs {}", f, g, w)
                     }
-                    _ => prop_assert_eq!(&got, &want, "{}", f),
+                    _ => assert_eq!(&got, &want, "{}", f),
                 }
             }
         }
-    }
+    });
+}
 
-    /// Index-driven find-replace and `Op::FindReplace` leave identical
-    /// sheets and report the same changed count on whole-token, case-exact
-    /// ASCII needles — the only class Fig 9 plants. (Elsewhere they differ
-    /// by design: the op matches substrings case-sensitively, the index
-    /// whole tokens case-folded.)
-    #[test]
-    fn indexed_find_replace_matches_op_on_whole_tokens(
-        cells in prop::collection::vec(prop::collection::vec(0usize..5, 0..5), 3..30),
-        needle in 0usize..4,
-    ) {
-        use ssbench::systems::{SimSystem, SystemKind};
+/// Index-driven find-replace and `Op::FindReplace` leave identical sheets
+/// and report the same changed count on whole-token, case-exact ASCII
+/// needles — the only class Fig 9 plants. (Elsewhere they differ by
+/// design: the op matches substrings case-sensitively, the index whole
+/// tokens case-folded.)
+#[test]
+fn indexed_find_replace_matches_op_on_whole_tokens() {
+    use ssbench::systems::{SimSystem, SystemKind};
+    cases(|rng| {
+        let cells: Vec<Vec<usize>> = (0..rng.random_range(3..30))
+            .map(|_| (0..rng.random_range(0..5)).map(|_| rng.random_range(0..5)).collect())
+            .collect();
+        let needle = rng.random_range(0..4usize);
         // No word is a substring or a case variant of another, so every
         // substring hit is a whole-token, case-exact hit.
         const WORDS: [&str; 5] = ["storm", "HAIL", "Wind9", "calm", "x"];
@@ -352,20 +337,22 @@ proptest! {
         let mut index = sys.token_index(&indexed);
         let (by_index, _) =
             sys.find_replace_indexed(&mut indexed, &mut index, WORDS[needle], "FOUND");
-        prop_assert_eq!(by_op, by_index);
+        assert_eq!(by_op, by_index);
         for addr in scanned.used_range().unwrap().iter() {
-            prop_assert_eq!(scanned.value(addr), indexed.value(addr), "cell {}", addr);
+            assert_eq!(scanned.value(addr), indexed.value(addr), "cell {}", addr);
         }
         // The index followed the rewrite: the needle is gone from it too.
-        prop_assert_eq!(index.find_replace(&mut indexed, WORDS[needle], "again"), 0);
-    }
+        assert_eq!(index.find_replace(&mut indexed, WORDS[needle], "again"), 0);
+    });
+}
 
-    /// Find-and-replace equals the naive per-cell string pass.
-    #[test]
-    fn find_replace_matches_naive(
-        texts in prop::collection::vec("[a-c ]{0,8}", 3..30),
-        needle in "[a-c]{1,2}",
-    ) {
+/// Find-and-replace equals the naive per-cell string pass.
+#[test]
+fn find_replace_matches_naive() {
+    cases(|rng| {
+        let texts: Vec<String> =
+            (0..rng.random_range(3..30)).map(|_| text(rng, "abc ", 0..=8)).collect();
+        let needle = text(rng, "abc", 1..=2);
         let mut sheet = Sheet::new();
         for (i, t) in texts.iter().enumerate() {
             sheet.set_value(CellAddr::new(i as u32, 0), t.as_str());
@@ -379,30 +366,30 @@ proptest! {
             if &replaced != t {
                 expect_changed += 1;
             }
-            prop_assert_eq!(
-                sheet.value(CellAddr::new(i as u32, 0)).display(),
-                replaced
-            );
+            assert_eq!(sheet.value(CellAddr::new(i as u32, 0)).display(), replaced);
         }
-        prop_assert_eq!(outcome, Ok(OpOutcome::Replaced { cells: expect_changed }));
-    }
+        assert_eq!(outcome, Ok(OpOutcome::Replaced { cells: expect_changed }));
+    });
 }
 
 // ---------------------------------------------------------------------
 // Maintained column indexes (the fourth system's engine hook)
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// An auto-indexed sheet stays bit-identical to an unindexed one under
-    /// random edit/insert/delete/sort sequences: the maintained column
-    /// indexes may change *how* COUNTIF/VLOOKUP/MATCH are answered (probes
-    /// instead of scans), never *what* they answer, and they must ride
-    /// every structural edit without drifting from the grid.
-    #[test]
-    fn maintained_indexes_survive_structural_edits(
-        values in prop::collection::vec((0i64..6, -20i64..20), 6..30),
-        ops in prop::collection::vec((0u8..4, 0u32..30, 0i64..6), 1..10),
-    ) {
+/// An auto-indexed sheet stays bit-identical to an unindexed one under
+/// random edit/insert/delete/sort sequences: the maintained column indexes
+/// may change *how* COUNTIF/VLOOKUP/MATCH are answered (probes instead of
+/// scans), never *what* they answer, and they must ride every structural
+/// edit without drifting from the grid.
+#[test]
+fn maintained_indexes_survive_structural_edits() {
+    cases(|rng| {
+        let values: Vec<(i64, i64)> = (0..rng.random_range(6..30))
+            .map(|_| (rng.random_range(0..6), rng.random_range(-20..20)))
+            .collect();
+        let ops: Vec<(u8, u32, i64)> = (0..rng.random_range(1..10))
+            .map(|_| (rng.random_range(0..4), rng.random_range(0..30), rng.random_range(0..6)))
+            .collect();
         let build = |indexed: bool| {
             let mut s = Sheet::new();
             for (i, &(k, v)) in values.iter().enumerate() {
@@ -437,73 +424,65 @@ proptest! {
                 recalc::recalc_all(s);
             }
             let n = plain.nrows();
-            prop_assert_eq!(indexed.nrows(), n);
-            prop_assert!(n > 0);
+            assert_eq!(indexed.nrows(), n);
+            assert!(n > 0);
             for needle in 0..6i64 {
                 for q in [
                     format!("=COUNTIF(A1:A{n},{needle})"),
                     format!("=VLOOKUP({needle},A1:B{n},2,FALSE)"),
                     format!("=MATCH({needle},A1:A{n},0)"),
                 ] {
-                    prop_assert_eq!(
-                        plain.eval_str(&q).unwrap(),
-                        indexed.eval_str(&q).unwrap(),
-                        "{}", q
-                    );
+                    assert_eq!(plain.eval_str(&q).unwrap(), indexed.eval_str(&q).unwrap(), "{}", q);
                 }
             }
             for r in 0..n {
                 for c in 0..2u32 {
                     let addr = CellAddr::new(r, c);
-                    prop_assert_eq!(plain.value(addr), indexed.value(addr), "cell {}", addr);
+                    assert_eq!(plain.value(addr), indexed.value(addr), "cell {}", addr);
                 }
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
 // Structural edits
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Inserting rows and then deleting them at the same position is the
-    /// identity on the document (values, formulas, and references).
-    #[test]
-    fn insert_then_delete_rows_is_identity(
-        values in prop::collection::vec(-50i64..50, 4..20),
-        at in 0u32..10,
-        count in 1u32..4,
-    ) {
-        use ssbench::engine::io;
+/// Inserting rows and then deleting them at the same position is the
+/// identity on the document (values, formulas, and references).
+#[test]
+fn insert_then_delete_rows_is_identity() {
+    use ssbench::engine::io;
+    cases(|rng| {
+        let values: Vec<i64> =
+            (0..rng.random_range(4..20)).map(|_| rng.random_range(-50..50)).collect();
         let n = values.len() as u32;
-        prop_assume!(at <= n);
+        let (at, count) = (rng.random_range(0..=n.min(9)), rng.random_range(1..4));
         let mut sheet = Sheet::new();
         for (i, &v) in values.iter().enumerate() {
             sheet.set_value(CellAddr::new(i as u32, 0), v);
         }
         sheet.set_formula_str(CellAddr::new(0, 1), &format!("=SUM(A1:A{n})")).unwrap();
-        sheet
-            .set_formula_str(CellAddr::new(1, 1), &format!("=$A${n}*2"))
-            .unwrap();
+        sheet.set_formula_str(CellAddr::new(1, 1), &format!("=$A${n}*2")).unwrap();
         recalc::recalc_all(&mut sheet);
         let before = io::save(&sheet);
         sheet.apply(Op::InsertRows { at, count }).unwrap();
         sheet.apply(Op::DeleteRows { at, count }).unwrap();
         let after = io::save(&sheet);
-        prop_assert_eq!(before, after);
-    }
+        assert_eq!(before, after);
+    });
+}
 
-    /// After any row deletion, recalculated totals equal the sum of the
-    /// surviving values.
-    #[test]
-    fn delete_rows_keeps_sum_consistent(
-        values in prop::collection::vec(-50i64..50, 5..25),
-        at in 0u32..20,
-        count in 1u32..5,
-    ) {
+/// After any row deletion, recalculated totals equal the sum of the
+/// surviving values.
+#[test]
+fn delete_rows_keeps_sum_consistent() {
+    cases(|rng| {
+        let values: Vec<i64> =
+            (0..rng.random_range(5..25)).map(|_| rng.random_range(-50..50)).collect();
         let n = values.len() as u32;
-        prop_assume!(at < n);
+        let (at, count) = (rng.random_range(0..n.min(20)), rng.random_range(1..5));
         let mut sheet = Sheet::new();
         for (i, &v) in values.iter().enumerate() {
             sheet.set_value(CellAddr::new(i as u32, 0), v);
@@ -523,9 +502,9 @@ proptest! {
         // The formula survives unless its own row (row 0) was deleted.
         if at > 0 {
             let total = sheet.value(CellAddr::new(0, 2));
-            prop_assert_eq!(total, Value::Number(survivors as f64));
+            assert_eq!(total, Value::Number(survivors as f64));
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -536,63 +515,48 @@ proptest! {
 /// (including explicit error values), cell references, and range
 /// references (which exercise implicit intersection when they appear in
 /// scalar positions).
-fn arb_vm_leaf() -> impl Strategy<Value = Expr> {
+fn arb_vm_leaf(rng: &mut SmallRng) -> Expr {
     use ssbench::engine::error::CellError;
-    prop_oneof![
-        (-1.0e6f64..1.0e6).prop_map(Expr::Number),
-        "[a-z0-9 ]{0,8}".prop_map(|s| Expr::Text(s.into())),
-        any::<bool>().prop_map(Expr::Bool),
-        prop_oneof![
-            Just(CellError::Div0),
-            Just(CellError::Value),
-            Just(CellError::Ref),
-            Just(CellError::Na),
-            Just(CellError::Num),
-        ]
-        .prop_map(Expr::Error),
-        arb_cellref().prop_map(Expr::Ref),
-        (arb_cellref(), arb_cellref()).prop_map(|(a, b)| {
-            let (start, end) = if (a.addr.row, a.addr.col) <= (b.addr.row, b.addr.col) {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            Expr::RangeRef(RangeRef { start, end })
-        }),
-    ]
+    const ERRORS: [CellError; 5] =
+        [CellError::Div0, CellError::Value, CellError::Ref, CellError::Na, CellError::Num];
+    match rng.random_range(0..6) {
+        0 => Expr::Number(rng.random_range(-1.0e6..1.0e6)),
+        1 => Expr::Text(text(rng, "abcdefghijklmnopqrstuvwxyz0123456789 ", 0..=8).into()),
+        2 => Expr::Bool(rng.random()),
+        3 => Expr::Error(ERRORS[rng.random_range(0..ERRORS.len())]),
+        4 => Expr::Ref(arb_cellref(rng)),
+        _ => Expr::RangeRef(arb_rangeref(rng)),
+    }
 }
 
 /// Random expressions biased toward the constructs where the two
 /// backends could plausibly diverge: short-circuit IF / AND / OR,
 /// IFERROR's error-swallowing, aggregate calls over ranges (the
 /// vectorized-kernel path), the volatile NOW, and unknown names.
-fn arb_vm_expr() -> impl Strategy<Value = Expr> {
-    arb_vm_leaf().prop_recursive(4, 48, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), arb_binop())
-                .prop_map(|(a, b, op)| Expr::Binary(op, Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|e| Expr::Unary(UnaryOp::Neg, Box::new(e))),
-            inner.clone().prop_map(|e| Expr::Unary(UnaryOp::Percent, Box::new(e))),
-            (inner.clone(), inner.clone(), inner.clone())
-                .prop_map(|(c, t, e)| Expr::Call("IF".into(), vec![c, t, e])),
-            (inner.clone(), inner.clone())
-                .prop_map(|(c, t)| Expr::Call("IF".into(), vec![c, t])),
-            (inner.clone(), inner.clone())
-                .prop_map(|(v, f)| Expr::Call("IFERROR".into(), vec![v, f])),
-            prop::collection::vec(inner.clone(), 0..4)
-                .prop_map(|args| Expr::Call("AND".into(), args)),
-            prop::collection::vec(inner.clone(), 0..4)
-                .prop_map(|args| Expr::Call("OR".into(), args)),
-            prop::collection::vec(inner.clone(), 1..4)
-                .prop_map(|args| Expr::Call("SUM".into(), args)),
-            prop::collection::vec(inner.clone(), 1..3)
-                .prop_map(|args| Expr::Call("COUNT".into(), args)),
-            (inner.clone(), inner.clone())
-                .prop_map(|(r, c)| Expr::Call("COUNTIF".into(), vec![r, c])),
-            Just(Expr::Call("NOW".into(), vec![])),
-            inner.prop_map(|e| Expr::Call("NOSUCHFN".into(), vec![e])),
-        ]
-    })
+fn arb_vm_expr(rng: &mut SmallRng, depth: u32) -> Expr {
+    if depth == 0 || rng.random_range(0..3) == 0 {
+        return arb_vm_leaf(rng);
+    }
+    let sub = |rng: &mut SmallRng| arb_vm_expr(rng, depth - 1);
+    let args = |rng: &mut SmallRng, lens: std::ops::Range<usize>| -> Vec<Expr> {
+        (0..rng.random_range(lens)).map(|_| sub(rng)).collect()
+    };
+    let call = |name: &str, args: Vec<Expr>| Expr::Call(name.into(), args);
+    match rng.random_range(0..13) {
+        0 => Expr::Binary(arb_binop(rng), Box::new(sub(rng)), Box::new(sub(rng))),
+        1 => Expr::Unary(UnaryOp::Neg, Box::new(sub(rng))),
+        2 => Expr::Unary(UnaryOp::Percent, Box::new(sub(rng))),
+        3 => call("IF", args(rng, 3..4)),
+        4 => call("IF", args(rng, 2..3)),
+        5 => call("IFERROR", args(rng, 2..3)),
+        6 => call("AND", args(rng, 0..4)),
+        7 => call("OR", args(rng, 0..4)),
+        8 => call("SUM", args(rng, 1..4)),
+        9 => call("COUNT", args(rng, 1..3)),
+        10 => call("COUNTIF", args(rng, 2..3)),
+        11 => call("NOW", vec![]),
+        _ => call("NOSUCHFN", args(rng, 1..2)),
+    }
 }
 
 /// One leg of a reference-vs-shipped differential.
@@ -626,18 +590,16 @@ fn recalc_leg(s: &mut Sheet, leg: Leg) {
     }
 }
 
-proptest! {
-    /// The shipped recalc (bytecode VM) is observationally identical to
-    /// the reference (the tree-walking interpreter) on random expression
-    /// trees: same value for every
-    /// formula (including error propagation, implicit intersection,
-    /// short-circuit IF/AND/OR, and volatile NOW) and the same meter
-    /// counts, cell for cell and tick for tick.
-    #[test]
-    fn compiled_backend_matches_interpreter_on_random_exprs(
-        exprs in prop::collection::vec(arb_vm_expr(), 1..6),
-        values in prop::collection::vec(-50i64..50, 24),
-    ) {
+/// The shipped recalc (bytecode VM) is observationally identical to the
+/// reference (the tree-walking interpreter) on random expression trees:
+/// same value for every formula (including error propagation, implicit
+/// intersection, short-circuit IF/AND/OR, and volatile NOW) and the same
+/// meter counts, cell for cell and tick for tick.
+#[test]
+fn compiled_backend_matches_interpreter_on_random_exprs() {
+    cases(|rng| {
+        let exprs: Vec<Expr> = (0..rng.random_range(1..6)).map(|_| arb_vm_expr(rng, 4)).collect();
+        let values: Vec<i64> = (0..24).map(|_| rng.random_range(-50..50)).collect();
         let build = |leg: Leg| {
             let mut s = Sheet::new();
             s.set_recalc_options(RecalcOptions::sequential());
@@ -667,10 +629,14 @@ proptest! {
         let shipped = build(Leg::Shipped);
         for i in 0..exprs.len() as u32 {
             let addr = CellAddr::new(i, 30);
-            assert_value_bits(&reference.value(addr), &shipped.value(addr), &format!("formula {i}"))?;
+            assert_value_bits(
+                &reference.value(addr),
+                &shipped.value(addr),
+                &format!("formula {i}"),
+            );
         }
-        prop_assert_eq!(reference.meter().snapshot(), shipped.meter().snapshot());
-    }
+        assert_eq!(reference.meter().snapshot(), shipped.meter().snapshot());
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -694,29 +660,26 @@ fn fill_agg_cell(s: &mut Sheet, addr: CellAddr, tag: u8, v: i64) {
 
 /// Numbers must match bit for bit (the evaluators claim `-0.0` vs `0.0`
 /// agreement, which plain `PartialEq` on `Value` would not catch).
-fn assert_value_bits(a: &Value, b: &Value, what: &str) -> Result<(), TestCaseError> {
+fn assert_value_bits(a: &Value, b: &Value, what: &str) {
     if let (Value::Number(x), Value::Number(y)) = (a, b) {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "{} number bits", what);
+        assert_eq!(x.to_bits(), y.to_bits(), "{} number bits", what);
     }
-    prop_assert_eq!(a, b, "{}", what);
-    Ok(())
+    assert_eq!(a, b, "{}", what);
 }
 
 const AGG_FUNCS: [&str; 5] = ["SUM", "COUNT", "AVERAGE", "MIN", "MAX"];
 
-proptest! {
-    /// The strided range kernels — with the delta cache (shipped) and
-    /// without it (one-shot) — are observationally identical to the
-    /// reference interpreter on both 1-D range orientations (plus 2-D
-    /// blocks): same value for every aggregate and the same meter counts,
-    /// tick for tick.
-    #[test]
-    fn strided_kernels_match_interpreter(
-        cells in prop::collection::vec((0u8..9, -50i64..50), 36),
-        func in 0usize..5,
-        a in 0u32..6, b in 0u32..6, c in 0u32..6, d in 0u32..6,
-    ) {
-        let name = AGG_FUNCS[func];
+/// The strided range kernels — with the delta cache (shipped) and without
+/// it (one-shot) — are observationally identical to the reference
+/// interpreter on both 1-D range orientations (plus 2-D blocks): same value
+/// for every aggregate and the same meter counts, tick for tick.
+#[test]
+fn strided_kernels_match_interpreter() {
+    cases(|rng| {
+        let cells: Vec<(u8, i64)> =
+            (0..36).map(|_| (rng.random_range(0..9), rng.random_range(-50..50))).collect();
+        let name = AGG_FUNCS[rng.random_range(0..AGG_FUNCS.len())];
+        let [a, b, c, d]: [u32; 4] = std::array::from_fn(|_| rng.random_range(0..6));
         let (r1, r2) = (a.min(b), a.max(b));
         let (c1, c2) = (c.min(d), c.max(d));
         let build = |leg: Leg| {
@@ -756,30 +719,27 @@ proptest! {
                     &reference.value(addr),
                     &got.value(addr),
                     &format!("{leg:?} formula {i}"),
-                )?;
+                );
             }
-            prop_assert_eq!(
-                reference.meter().snapshot(),
-                got.meter().snapshot(),
-                "{:?} meters",
-                leg
-            );
+            assert_eq!(reference.meter().snapshot(), got.meter().snapshot(), "{:?} meters", leg);
         }
-    }
+    });
+}
 
-    /// Window-delta aggregation (the sliding cache behind fill-down
-    /// windows) is observationally identical to full rescans: the
-    /// reference interpreter, the kernels without the cache (one-shot),
-    /// and the shipped recalc that slides it agree on every value bit for bit
-    /// and on every meter count — including windows over text, booleans,
-    /// errors, empties, and numbers outside the exact-integer envelope.
-    #[test]
-    fn window_delta_matches_full_rescan(
-        cells in prop::collection::vec((0u8..9, -50i64..50), 20..60),
-        func in 0usize..5,
-        w in 1u32..8,
-    ) {
-        let name = AGG_FUNCS[func];
+/// Window-delta aggregation (the sliding cache behind fill-down windows) is
+/// observationally identical to full rescans: the reference interpreter,
+/// the kernels without the cache (one-shot), and the shipped recalc that
+/// slides it agree on every value bit for bit and on every meter count —
+/// including windows over text, booleans, errors, empties, and numbers
+/// outside the exact-integer envelope.
+#[test]
+fn window_delta_matches_full_rescan() {
+    cases(|rng| {
+        let cells: Vec<(u8, i64)> = (0..rng.random_range(20..60))
+            .map(|_| (rng.random_range(0..9), rng.random_range(-50..50)))
+            .collect();
+        let name = AGG_FUNCS[rng.random_range(0..AGG_FUNCS.len())];
+        let w = rng.random_range(1..8u32);
         let n = cells.len() as u32;
         let build = |leg: Leg| {
             let mut s = Sheet::new();
@@ -805,38 +765,36 @@ proptest! {
         for r in 0..n {
             let addr = CellAddr::new(r, 2);
             let want = interp.value(addr);
-            assert_value_bits(&want, &rescan.value(addr), &format!("row {r} rescan"))?;
-            assert_value_bits(&want, &delta.value(addr), &format!("row {r} delta"))?;
+            assert_value_bits(&want, &rescan.value(addr), &format!("row {r} rescan"));
+            assert_value_bits(&want, &delta.value(addr), &format!("row {r} delta"));
         }
-        prop_assert_eq!(interp.meter().snapshot(), rescan.meter().snapshot(), "rescan meters");
-        prop_assert_eq!(interp.meter().snapshot(), delta.meter().snapshot(), "delta meters");
-    }
+        assert_eq!(interp.meter().snapshot(), rescan.meter().snapshot(), "rescan meters");
+        assert_eq!(interp.meter().snapshot(), delta.meter().snapshot(), "delta meters");
+    });
 }
 
 // ---------------------------------------------------------------------
 // Buffer-pool interleavings (PR 8)
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Random interleavings of writes, pins, unpins, and budget changes
-    /// never lose or duplicate a chunk: every cell reads back exactly the
-    /// last value written, and the pool's internal invariants (pin
-    /// counts, residency accounting, page ownership) hold after every
-    /// step. Budgets small enough to force eviction mid-sequence are part
-    /// of the space, so spill→fault→re-spill cycles are exercised under
-    /// pins.
-    #[test]
-    fn pool_interleavings_never_lose_or_duplicate_chunks(
-        ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..60),
-    ) {
+/// Random interleavings of writes, pins, unpins, and budget changes never
+/// lose or duplicate a chunk: every cell reads back exactly the last value
+/// written, and the pool's internal invariants (pin counts, residency
+/// accounting, page ownership) hold after every step. Budgets small enough
+/// to force eviction mid-sequence are part of the space, so
+/// spill→fault→re-spill cycles are exercised under pins.
+#[test]
+fn pool_interleavings_never_lose_or_duplicate_chunks() {
+    cases(|rng| {
         let n: u32 = 4 * 1024; // four full chunks in one column
         let mut g = GridStore::new(1, 1);
         let mut model: Vec<f64> = (0..n).map(f64::from).collect();
         for r in 0..n {
             g.set_value(CellAddr::new(r, 0), Value::Number(model[r as usize])).unwrap();
         }
-        for &(kind, a, b) in &ops {
-            match kind {
+        for _ in 0..rng.random_range(1..60) {
+            let (a, b): (u32, u32) = (rng.random(), rng.random());
+            match rng.random_range(0..6) {
                 0 => {
                     let row = a % n;
                     let val = f64::from(b);
@@ -856,7 +814,7 @@ proptest! {
                 4 => g.set_budget(None),
                 _ => {
                     let row = a % n;
-                    prop_assert_eq!(
+                    assert_eq!(
                         g.value_at(CellAddr::new(row, 0)),
                         Value::Number(model[row as usize])
                     );
@@ -869,8 +827,8 @@ proptest! {
         g.unpin_all();
         g.set_budget(None);
         for r in 0..n {
-            prop_assert_eq!(g.value_at(CellAddr::new(r, 0)), Value::Number(model[r as usize]));
+            assert_eq!(g.value_at(CellAddr::new(r, 0)), Value::Number(model[r as usize]));
         }
         g.validate();
-    }
+    });
 }

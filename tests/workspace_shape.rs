@@ -1,7 +1,7 @@
 //! One instrument: speed is measured by `benchmark/` (BENCHMARK.json) and
 //! nowhere else. The workspace is the root package, four member crates and
-//! the two offline shims (path dependencies under the workspace root are
-//! members too), and declares no bench target, so a bench main cannot
+//! the one offline shim, `rand` (path dependencies under the workspace root
+//! are members too), and declares no bench target, so a bench main cannot
 //! quietly come back beside the benchmark. The engine depends on nothing,
 //! and nothing in the build is a proc-macro.
 
@@ -28,14 +28,14 @@ fn list<'a>(of: &'a Json, key: &str) -> &'a [Json] {
 }
 
 #[test]
-fn workspace_has_four_crates_two_shims_and_no_bench_or_proc_macro_target() {
+fn workspace_has_four_crates_one_shim_and_no_bench_or_proc_macro_target() {
     let packages = packages();
 
     let mut names: Vec<&str> = packages.iter().map(name).collect();
     names.sort_unstable();
     let want = [
-        // offline shims
-        "proptest", "rand",
+        // the offline shim
+        "rand",
         // root package + member crates
         "ssbench", "ssbench-engine", "ssbench-harness", "ssbench-systems", "ssbench-workload",
     ];
