@@ -16,17 +16,26 @@
 //! side of the first chunk boundary, with no delta cache, with a fresh
 //! one, and with one that has slid there.
 //!
+//! Exact `VLOOKUP`/`MATCH` have no kernel: the builtins call
+//! `CellSource::find_exact`, which both evaluators share, so `Sheet`'s slice
+//! scan is held instead to the trait's own row loop (`RowLoop`) on the same
+//! sheet, windows and a needle of every kind.
+//!
 //! Mutations these tests were seen to catch (each planted, seen to fail,
 //! and removed): the per-id memo keyed on `id >> 1`; the float fold of the
 //! full scan kept after a slide that evicted, and after one that only
 //! entered (a window growing at one end); a band of the three-argument
 //! `SUMIF` one row short, and its targets one row short; `matches_empty`
-//! ignored for vacant runs, by `COUNTIF` and by the column walk.
+//! ignored for vacant runs, by `COUNTIF` and by the column walk; the part of
+//! a `COUNTIF` window past the extent left uncounted; and in `find_exact`,
+//! a stop one row before the hit, a vacant run or the part past the extent
+//! never hitting, formulas counted past the hit, the text memo keyed on
+//! `id >> 1`.
 
-use crate::addr::CellAddr;
+use crate::addr::{CellAddr, Range};
 use crate::compile::compile;
 use crate::compile::vm::{run_with, DeltaCache};
-use crate::eval::evaluate;
+use crate::eval::{evaluate, CellSource};
 use crate::formula::parse;
 use crate::meter::Meter;
 use crate::ops::structure::differential::BUDGET;
@@ -299,6 +308,69 @@ fn criteria_kernels_match_the_interpreter_over_every_chunk_kind() {
                 for criterion in CRITERIA {
                     for func in ["COUNTIF", "SUMIF", "AVERAGEIF"] {
                         check_both(&s, &format!("{func}({window},{criterion})"), &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The sheet seen through the trait's own `find_exact` — the row loop — for
+/// `Sheet`'s slice scan to be held to. The oracle cannot do this: its
+/// reference replay calls the same builtins, which call the same override.
+struct RowLoop<'a>(&'a Sheet);
+
+impl CellSource for RowLoop<'_> {
+    fn value_at(&self, addr: CellAddr) -> Value {
+        self.0.value_at(addr)
+    }
+
+    fn is_formula_at(&self, addr: CellAddr) -> bool {
+        self.0.is_formula_at(addr)
+    }
+
+    fn bounds(&self) -> (u32, u32) {
+        self.0.bounds()
+    }
+
+    fn visit_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Value, bool)) {
+        self.0.visit_range(range, f)
+    }
+}
+
+/// Needles with a first hit in the first band, in a middle one, in the last
+/// one, in several columns at once, past the extent, and nowhere: numbers
+/// (the two zeros, ±2^53, a cached infinity, a NaN that equals nothing),
+/// texts in another case than the cells', the empty value, booleans and an
+/// error.
+fn needles() -> Vec<Value> {
+    let mut out: Vec<Value> = [-5.0, 17.0, 7.0, 2.0, -0.0, 0.0, 9_007_199_254_740_992.0]
+        .into_iter()
+        .chain([f64::from(1600) * 0.1 + 0.05, f64::from(3100) * 0.1 + 0.05])
+        .chain([f64::NEG_INFINITY, f64::NAN, 12345.5])
+        .map(Value::Number)
+        .collect();
+    out.extend(["sd", "storm", "ITEM10", "2", "nothing"].map(Value::text));
+    out.extend([Value::Empty, Value::Bool(true), Value::Bool(false)]);
+    out.push(Value::Error(crate::error::CellError::Div0));
+    out
+}
+
+#[test]
+fn find_exact_matches_the_row_loop_over_every_chunk_kind() {
+    for (what, s) in sheets() {
+        let rows = RowLoop(&s);
+        for (c, col) in (0u32..).zip(COLUMNS) {
+            for (lo, hi) in WINDOWS {
+                let window = Range::column_segment(c, lo - 1, hi - 1);
+                for needle in needles() {
+                    for stop_early in [false, true] {
+                        let got = s.find_exact(window, &needle, stop_early);
+                        let want = rows.find_exact(window, &needle, stop_early);
+                        assert_eq!(
+                            got, want,
+                            "{what}: {col}{lo}:{col}{hi} {needle:?} stop_early={stop_early}"
+                        );
                     }
                 }
             }

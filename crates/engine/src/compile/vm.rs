@@ -774,14 +774,15 @@ fn criteria_kernel(
 }
 
 /// How many cells of `range` match. A text chunk is decided once per
-/// distinct string; a vacant run all at once.
+/// distinct string; a vacant run all at once, and so is the part of the
+/// range past the materialized extent, which is not charged.
 fn count_matches(grid: &GridStore, ctx: &EvalCtx<'_>, range: Range, m: &Matcher) -> u64 {
     // A fill-down `COUNTIF(C2,"STORM")` is a one-cell range seven thousand
     // times a pass: one grid read, charged as a scan of the range would be
     // (nothing outside the materialized extent), not a scan set up for one
     // cell.
     if range.start == range.end {
-        let Some(cell) = grid.get(range.start) else { return 0 };
+        let Some(cell) = grid.get(range.start) else { return u64::from(m.matches_empty()) };
         charge(ctx, 1, u64::from(cell.is_formula()));
         return u64::from(m.matches(cell.display_value()));
     }
@@ -813,6 +814,9 @@ fn count_matches(grid: &GridStore, ctx: &EvalCtx<'_>, range: Range, m: &Matcher)
         }
     });
     charge(ctx, visited, formulas);
+    if m.matches_empty() {
+        count += range.len() - visited;
+    }
     count
 }
 
@@ -952,7 +956,7 @@ mod tests {
     use super::*;
     use crate::addr::CellAddr;
     use crate::compile::compile;
-    use crate::eval::evaluate;
+    use crate::eval::{evaluate, LookupStrategy};
     use crate::formula::parse;
     use crate::meter::Meter;
     use crate::recalc::recalc_all;
@@ -1068,6 +1072,35 @@ mod tests {
             "NOW()-TODAY()",
         ] {
             assert_identical(s, src);
+        }
+    }
+
+    /// Exact `VLOOKUP` and vertical `MATCH` charge their scan in bulk
+    /// (`CellSource::find_exact`); under either strategy a hit, a miss, a
+    /// formula key column and a window past the extent charge what a read
+    /// per row did.
+    #[test]
+    fn exact_lookups_match_under_both_strategies() {
+        let mut s = fixture();
+        for strategy in [LookupStrategy::FullScan, LookupStrategy::StopEarly] {
+            s.set_lookup_strategy(strategy);
+            for src in [
+                "VLOOKUP(2.5,A1:B10,2,FALSE)",
+                "VLOOKUP(9.5,A1:B12,2,FALSE)",
+                "VLOOKUP(99,A1:B12,2,FALSE)",
+                "VLOOKUP(42,B1:C40,1,FALSE)",
+                "VLOOKUP(\"TEXT\",B1:B12,1,FALSE)",
+                "VLOOKUP(A4,A1:A500,1,FALSE)",
+                "MATCH(7,B1:B10,0)",
+                "MATCH(A1+A2,B1:B8,0)",
+                "MATCH(TRUE,B1:B12,0)",
+                "MATCH(1/0,B1:B12,0)",
+                "MATCH(C1,B1:B12,0)",
+                "MATCH(3.5,A1:A500,0)",
+                "MATCH(7,A7:C7,0)",
+            ] {
+                assert_identical(&s, src);
+            }
         }
     }
 

@@ -24,6 +24,32 @@ pub trait CellSource {
     /// row-major order: `(addr, value, is_formula)`. The order is part of
     /// the contract — it is the order float sums accumulate in.
     fn visit_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Value, bool));
+
+    /// Exact match down one column: the first row of `window` (only its
+    /// first column is read) whose value `sheet_eq`s `needle`, read top to
+    /// bottom — under `stop_early` no further than that row — returned as
+    /// `(hit, visited, formulas)`, the rows read and the formula cells
+    /// among them: the `CellRead`/`FormulaRecheck` charge of exact
+    /// `VLOOKUP` and `MATCH`. A row past the extent reads as empty.
+    ///
+    /// This body reads a row at a time through `value_at` and
+    /// `is_formula_at`; it is the reference `Sheet`'s scan of its typed
+    /// slices is tested against.
+    fn find_exact(&self, window: Range, needle: &Value, stop_early: bool) -> (Option<u32>, u64, u64) {
+        let (mut hit, mut visited, mut formulas) = (None, 0u64, 0u64);
+        for row in window.start.row..=window.end.row {
+            let addr = CellAddr::new(row, window.start.col);
+            visited += 1;
+            formulas += u64::from(self.is_formula_at(addr));
+            if hit.is_none() && self.value_at(addr).sheet_eq(needle) {
+                hit = Some(row);
+                if stop_early {
+                    break;
+                }
+            }
+        }
+        (hit, visited, formulas)
+    }
 }
 
 /// How a lookup searches its data: the behavioural split §4.3.4 infers
@@ -95,6 +121,17 @@ impl<'a> EvalCtx<'a> {
             }
             f(addr, value);
         });
+    }
+
+    /// [`CellSource::find_exact`] under this context's lookup strategy,
+    /// charged in bulk: the same counts its row loop ticks a read at a
+    /// time.
+    pub fn find_exact(&self, window: Range, needle: &Value) -> Option<u32> {
+        let stop_early = self.lookup == LookupStrategy::StopEarly;
+        let (hit, visited, formulas) = self.cells.find_exact(window, needle, stop_early);
+        self.meter.bump(Primitive::CellRead, visited);
+        self.meter.bump(Primitive::FormulaRecheck, formulas);
+        hit
     }
 }
 

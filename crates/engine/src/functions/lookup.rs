@@ -23,20 +23,14 @@ fn range_arg(args: &[Arg], i: usize) -> Result<Range, CellError> {
     }
 }
 
-/// Linear exact-match scan down `col` of `range`; honors early exit.
-/// Returns the matching row (absolute).
-fn scan_exact(ctx: &EvalCtx<'_>, range: Range, col: u32, needle: &Value) -> Option<u32> {
-    let mut found: Option<u32> = None;
-    for row in range.start.row..=range.end.row {
-        let v = ctx.read(CellAddr::new(row, col));
-        if found.is_none() && v.sheet_eq(needle) {
-            found = Some(row);
-            if ctx.lookup == LookupStrategy::StopEarly {
-                break;
-            }
-        }
-    }
-    found
+/// Exact match down `col` over the rows of the (pre-clipped) `range`: the
+/// column index when one is built, else the cell source's
+/// [`find_exact`](crate::eval::CellSource::find_exact), which honors early
+/// exit. Returns the first matching row (absolute).
+fn exact_match(ctx: &EvalCtx<'_>, range: Range, col: u32, needle: &Value) -> Option<u32> {
+    index::lookup_probe(ctx, range, col, needle).unwrap_or_else(|| {
+        ctx.find_exact(Range::column_segment(col, range.start.row, range.end.row), needle)
+    })
 }
 
 /// Approximate match (largest value ≤ needle, data assumed sorted
@@ -111,12 +105,8 @@ pub fn vlookup(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     let key_col = range.start.col;
     let hit = if approx {
         scan_approx(ctx, range, key_col, &needle)
-    } else if let Some(hit) = index::lookup_probe(ctx, range, key_col, &needle) {
-        // Indexed exact match: same first-match-in-row-order result as the
-        // scan, answered in O(1) probes.
-        hit
     } else {
-        scan_exact(ctx, range, key_col, &needle)
+        exact_match(ctx, range, key_col, &needle)
     };
     match hit {
         Some(row) => ctx.read(CellAddr::new(row, range.start.col + col_index - 1)),
@@ -239,14 +229,10 @@ pub fn match_fn(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     };
     let vertical = range.cols() == 1;
     if vertical && match_type == 0.0 {
-        // Indexed exact MATCH down a column: the probe returns the first
-        // matching absolute row, exactly the scan's result.
-        if let Some(hit) = index::lookup_probe(ctx, range, range.start.col, &needle) {
-            return match hit {
-                Some(row) => Value::Number(f64::from(row - range.start.row + 1)),
-                None => Value::Error(CellError::Na),
-            };
-        }
+        return match exact_match(ctx, range, range.start.col, &needle) {
+            Some(row) => Value::Number(f64::from(row - range.start.row + 1)),
+            None => Value::Error(CellError::Na),
+        };
     }
     let len = if vertical { range.rows() } else { range.cols() };
     let read_at = |i: u32| {

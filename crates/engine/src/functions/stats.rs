@@ -185,7 +185,10 @@ pub fn stdev(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
 }
 
 /// `COUNTIF(range, criterion)` — the paper's representative conditional
-/// aggregate. Always a full scan of the (clipped) range.
+/// aggregate. Always a full scan of the (clipped) range; the cells of the
+/// range past the materialized grid are empty cells, as in `COUNTBLANK`,
+/// so a criterion that matches an empty cell counts them too — unread, so
+/// uncharged — and the count does not depend on how far the grid extends.
 pub fn countif(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     if let Err(e) = check_arity(args, 2, 2) {
         return Value::Error(e);
@@ -198,12 +201,18 @@ pub fn countif(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
             return Value::Number(count);
         }
     }
-    let mut n = 0u64;
+    let (mut n, mut visited) = (0u64, 0u64);
     for_each_value(ctx, &args[0], &mut |v| {
+        visited += 1;
         if criterion.matches(v) {
             n += 1;
         }
     });
+    if let Arg::Range(r) = &args[0] {
+        if criterion.matches(&Value::Empty) {
+            n += r.len() - visited;
+        }
+    }
     Value::Number(n as f64)
 }
 
@@ -374,6 +383,19 @@ mod tests {
             eval_on(grid(), "AVERAGEIF(B1:B6,\"TORNADO\",C1:C6)"),
             Value::Error(CellError::Div0)
         );
+    }
+
+    /// The cells of a window past the grid (six rows by three columns here)
+    /// are empty cells, to `COUNTIF` as to `COUNTIFS`.
+    #[test]
+    fn countif_counts_the_cells_past_the_grid_as_empty() {
+        assert_eq!(eval_on(grid(), "COUNTIF(A1:A10,\"<>3\")"), n(9.0));
+        assert_eq!(eval_on(grid(), "COUNTIF(C5:E8,\"<>x\")"), n(12.0));
+        assert_eq!(eval_on(grid(), "COUNTIF(A9,\"<>x\")"), n(1.0));
+        assert_eq!(eval_on(grid(), "COUNTIF(A1:A10,Y1)"), n(4.0)); // an empty criterion cell
+        assert_eq!(eval_on(grid(), "COUNTIF(A1:A10,\">0\")"), n(6.0));
+        assert_eq!(eval_on(grid(), "COUNTIF(A1:A10,\"\")"), n(0.0));
+        assert_eq!(eval_on(grid(), "COUNTIFS(A1:A10,\"<>3\",C1:C10,\"<>x\")"), n(9.0));
     }
 
     #[test]

@@ -385,7 +385,10 @@ pub(crate) fn countif_probe(
             ix.count_ordered(ctx.meter, criterion)?
         }
     };
-    Some(count as f64)
+    // The range past the extent holds empty cells, as the scan counts them.
+    let past_extent = range.len() - u64::from(hi - lo + 1);
+    let tail = if criterion.matches(&Value::Empty) { past_extent } else { 0 };
+    Some((count + tail) as f64)
 }
 
 /// Indexed `SUMIF`/`AVERAGEIF` fold: `(total, matched_number_count)` with
@@ -588,8 +591,10 @@ mod tests {
         // Ordered criteria only on whole-column windows.
         assert_eq!(countif_probe(&ctx, r("A1:A4"), &Criterion::Ge(2.0)), Some(2.0));
         assert_eq!(countif_probe(&ctx, r("A2:A4"), &Criterion::Ge(2.0)), None);
-        // Ne counts empties via the window size.
+        // Ne counts empties via the window size, past the extent too.
         assert_eq!(countif_probe(&ctx, r("A1:A4"), &Criterion::Ne(Value::Number(2.0))), Some(3.0));
+        assert_eq!(countif_probe(&ctx, r("A1:A9"), &Criterion::Ne(Value::Number(2.0))), Some(8.0));
+        assert_eq!(countif_probe(&ctx, r("A1:A9"), &eq2), Some(1.0));
         // Without a store the probe declines immediately.
         let bare = EvalCtx::new(&m, &meter, CellAddr::new(0, 1));
         assert_eq!(countif_probe(&bare, r("A1:A4"), &eq2), None);

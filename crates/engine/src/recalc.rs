@@ -15,9 +15,13 @@
 //!
 //! Both evaluate formulae one way — compiled R1C1-template programs on
 //! the VM, with range kernels and a sliding window-delta cache
-//! ([`crate::compile`]). [`recalc_reference`] walks the same plans with the
-//! tree-walking interpreter; it is what tests and the differential oracle
-//! compare the shipped passes against, not a mode of the engine.
+//! ([`crate::compile`]) — and so do one-shot queries
+//! ([`Sheet::eval_str`], [`Sheet::eval_expr`]; DESIGN.md §20).
+//! [`recalc_reference`] walks the same plans with the tree-walking
+//! interpreter; it is what tests and the differential oracle compare the
+//! shipped passes against, not a mode of the engine, and the interpreter's
+//! only caller outside tests and the interpreter itself (`scripts/check.sh`
+//! keeps it so).
 //!
 //! Both entry points run through a level-scheduled executor: the
 //! [`DirtyPlan`] stratifies formulae into topological levels, and when a

@@ -1,15 +1,18 @@
 //! The sheet: a grid of cells, its dependency graph, filter state, and the
 //! cost meter. This is the engine's main API surface.
 
+use std::collections::HashMap;
+use std::sync::{Arc, PoisonError, RwLock};
+
 use crate::addr::{CellAddr, CellRef, Range};
 use crate::cell::{Cell, CellContent, Formula};
-use crate::compile::{OpenTemplates, ProgramCache};
+use crate::compile::{compile, vm, OpenTemplates, Program, ProgramCache};
 use crate::depgraph::DepGraph;
 use crate::error::EngineError;
 use crate::eval::context::DEFAULT_NOW_SERIAL;
 use crate::eval::{CellSource, EvalCtx, LookupStrategy};
 use crate::formula::{Expr, NameResolver, RangeRef};
-use crate::grid::{CellGet, ChunkMut, GridStore};
+use crate::grid::{CellGet, ChunkMut, GridStore, IdMemo, ScanSlice, CHUNK_ROWS};
 use crate::index::{ColumnBuilder, IndexStore};
 use crate::meter::{Meter, Primitive};
 use crate::recalc::RecalcOptions;
@@ -49,18 +52,82 @@ pub struct Sheet {
 /// value cell it rewrote: address, old value, new value.
 pub(crate) type Wrote<'a> = dyn FnMut(CellAddr, &Value, &Value) + 'a;
 
-/// The sheet's named-range table; implements the parser's name resolver.
+/// The sheet's named ranges — the parser's name resolver — and the
+/// programs of the one-shot queries parsed against them. A query's program
+/// is a function of its text and of this table, so the memo lives here and
+/// every change to a range clears it; nothing else on the sheet can change
+/// what a query text means.
 #[derive(Debug, Default)]
-struct NameTable(std::collections::HashMap<String, Range>);
+struct NameTable {
+    /// Uppercased name → range.
+    ranges: HashMap<String, Range>,
+    /// Query body (no leading `=`) → its program, compiled at A1. Not the
+    /// template [`ProgramCache`]: its key is the R1C1 text of a parsed
+    /// formula, and an entry there is forever, which a name change would
+    /// make wrong here. The map is only inserted into, whole entries, and
+    /// cleared, so a lock poisoned by a panicking reader is recovered.
+    queries: RwLock<HashMap<String, Arc<Program>>>,
+}
 
 impl NameResolver for NameTable {
     fn resolve(&self, name: &str) -> Option<RangeRef> {
-        self.0.get(&name.to_ascii_uppercase()).map(|r| RangeRef {
+        self.ranges.get(&name.to_ascii_uppercase()).map(|r| RangeRef {
             start: CellRef::absolute(r.start),
             end: CellRef::absolute(r.end),
         })
     }
 }
+
+impl NameTable {
+    /// Defines or redefines `name` (uppercased).
+    fn define(&mut self, name: String, range: Range) {
+        self.ranges.insert(name, range);
+        self.forget_queries();
+    }
+
+    /// Removes `name` (uppercased); `true` when it existed.
+    fn remove(&mut self, name: &str) -> bool {
+        let existed = self.ranges.remove(name).is_some();
+        if existed {
+            self.forget_queries();
+        }
+        existed
+    }
+
+    /// Moves every range through `map`, dropping those it maps to `None`.
+    fn remap(&mut self, map: impl Fn(Range) -> Option<Range>) {
+        self.ranges.retain(|_, range| match map(*range) {
+            Some(moved) => {
+                *range = moved;
+                true
+            }
+            None => false,
+        });
+        self.forget_queries();
+    }
+
+    fn forget_queries(&mut self) {
+        self.queries.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+    }
+
+    /// The program of the query `body`: memoized by its text, or parsed
+    /// against these names and compiled at A1 — and memoized only then, so
+    /// a text that does not parse is parsed again each time it is asked.
+    fn query(&self, body: &str) -> Result<Arc<Program>, EngineError> {
+        let memo = self.queries.read().unwrap_or_else(PoisonError::into_inner).get(body).cloned();
+        if let Some(program) = memo {
+            return Ok(program);
+        }
+        let program = Arc::new(compile(&crate::formula::parse_with(body, self)?, QUERY_AT));
+        let mut memo = self.queries.write().unwrap_or_else(PoisonError::into_inner);
+        memo.insert(body.to_owned(), Arc::clone(&program));
+        Ok(program)
+    }
+}
+
+/// The cell a one-shot query is compiled at and evaluated as: compiled and
+/// run at the same address, every reference reads the cell it names.
+const QUERY_AT: CellAddr = CellAddr::new(0, 0);
 
 impl Sheet {
     /// An empty sheet.
@@ -399,23 +466,23 @@ impl Sheet {
         if !valid {
             return Err(EngineError::Invalid(format!("invalid range name {name:?}")));
         }
-        self.names.0.insert(name.to_ascii_uppercase(), range);
+        self.names.define(name.to_ascii_uppercase(), range);
         Ok(())
     }
 
     /// Looks up a named range.
     pub fn name_range(&self, name: &str) -> Option<Range> {
-        self.names.0.get(&name.to_ascii_uppercase()).copied()
+        self.names.ranges.get(&name.to_ascii_uppercase()).copied()
     }
 
     /// Removes a named range; `true` when it existed.
     pub fn remove_name(&mut self, name: &str) -> bool {
-        self.names.0.remove(&name.to_ascii_uppercase()).is_some()
+        self.names.remove(&name.to_ascii_uppercase())
     }
 
     /// Defined names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self.names.0.keys().map(String::as_str).collect();
+        let mut out: Vec<&str> = self.names.ranges.keys().map(String::as_str).collect();
         out.sort_unstable();
         out
     }
@@ -423,13 +490,7 @@ impl Sheet {
     /// Moves every named range with a structural edit; a name whose whole
     /// range was deleted (`None`) is removed.
     pub(crate) fn remap_names(&mut self, map: impl Fn(Range) -> Option<Range>) {
-        self.names.0.retain(|_, range| match map(*range) {
-            Some(moved) => {
-                *range = moved;
-                true
-            }
-            None => false,
-        });
+        self.names.remap(map);
     }
 
     /// Sets a cell from user input: `=...` becomes a formula, numeric text
@@ -724,17 +785,27 @@ impl Sheet {
         }
     }
 
-    /// Evaluates an expression against this sheet without installing it
-    /// (one-shot queries, used heavily by the benchmark harness).
+    /// Evaluates an expression against this sheet without installing it:
+    /// compiled at A1 and run on the VM, range kernels and all, with the
+    /// values and meter counts of the interpreter. Nothing is memoized —
+    /// [`Sheet::eval_str`] keeps the programs of the texts it is asked.
     pub fn eval_expr(&self, expr: &Expr) -> Value {
-        let ctx = self.eval_ctx(CellAddr::new(0, 0));
-        crate::eval::evaluate(expr, &ctx)
+        self.run_query(&compile(expr, QUERY_AT))
     }
 
-    /// Parses and evaluates a one-shot formula (named ranges resolve).
+    /// Evaluates a one-shot formula (with or without a leading `=`; named
+    /// ranges resolve) as [`Sheet::eval_expr`] does. The program is
+    /// memoized by the text: a text asked again is not parsed again, until
+    /// a named range is defined, removed or moved (DESIGN.md §20). A text
+    /// that does not parse is an `Err`, and is not memoized.
     pub fn eval_str(&self, src: &str) -> Result<Value, EngineError> {
         let body = src.strip_prefix('=').unwrap_or(src);
-        Ok(self.eval_expr(&crate::formula::parse_with(body, &self.names)?))
+        let program = self.names.query(body)?;
+        Ok(self.run_query(&program))
+    }
+
+    fn run_query(&self, program: &Program) -> Value {
+        vm::run(program, &self.eval_ctx(QUERY_AT), Some(&self.grid))
     }
 }
 
@@ -782,7 +853,6 @@ impl CellSource for Sheet {
     }
 
     fn visit_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &Value, bool)) {
-        use crate::grid::ScanSlice;
         // The scan hands over the clipped window's cells in row-major
         // order — one column as typed runs, several a cell at a time — so
         // the address of each is a cursor stepped across the window.
@@ -806,6 +876,100 @@ impl CellSource for Sheet {
             }
             ScanSlice::Empty(n) => (0..n).for_each(|_| visit(&Value::Empty, false)),
         });
+    }
+
+    /// The row loop of the trait's body, run over the typed slices a chunk
+    /// band at a time: a number run is searched by `f64 ==`, a text run by
+    /// one `sheet_eq` per interned id, a vacant run by one test, and under
+    /// `stop_early` no band past the hit's is scanned (or faulted in). The
+    /// counts are the row loop's.
+    fn find_exact(&self, window: Range, needle: &Value, stop_early: bool) -> (Option<u32>, u64, u64) {
+        let mut scan = ExactScan {
+            needle,
+            stop_early,
+            memo: IdMemo::for_cells(u64::from(window.rows())),
+            hit: None,
+            visited: 0,
+            formulas: 0,
+        };
+        let column = Range::column_segment(window.start.col, window.start.row, window.end.row);
+        let clipped = self.grid.clip(column);
+        if let Some(clipped) = clipped {
+            let mut top = clipped.start.row;
+            while !scan.done() {
+                let bottom = clipped.end.row.min(top / CHUNK_ROWS * CHUNK_ROWS + (CHUNK_ROWS - 1));
+                let mut at = top;
+                self.grid.scan_range(Range::column_segment(clipped.start.col, top, bottom), &mut |slice| {
+                    scan.take(at, &slice);
+                    at += slice.len() as u32;
+                });
+                if bottom == clipped.end.row {
+                    break;
+                }
+                top = bottom + 1;
+            }
+        }
+        // What lies past the extent is one vacant run the scan did not emit.
+        let tail = clipped.map_or(column.start.row, |c| c.end.row + 1);
+        if tail <= column.end.row {
+            scan.take(tail, &ScanSlice::Empty((column.end.row - tail) as usize + 1));
+        }
+        (scan.hit, scan.visited, scan.formulas)
+    }
+}
+
+/// The state of [`Sheet::find_exact`]'s scan.
+struct ExactScan<'a> {
+    needle: &'a Value,
+    stop_early: bool,
+    /// Whether each interned text met so far equals the needle.
+    memo: IdMemo<bool>,
+    hit: Option<u32>,
+    visited: u64,
+    formulas: u64,
+}
+
+impl ExactScan<'_> {
+    /// Whether the row loop would have stopped reading by now.
+    fn done(&self) -> bool {
+        self.stop_early && self.hit.is_some()
+    }
+
+    /// Takes in `slice`, whose first position is row `at`.
+    fn take(&mut self, at: u32, slice: &ScanSlice<'_>) {
+        if self.done() {
+            return;
+        }
+        let needle = self.needle;
+        let found = if self.hit.is_some() {
+            None
+        } else {
+            match slice {
+                ScanSlice::Nums(vals) => match needle {
+                    Value::Number(k) => vals.iter().position(|n| n == k),
+                    _ => None,
+                },
+                ScanSlice::Texts(ids, interner) => {
+                    let memo = &mut self.memo;
+                    ids.iter().position(|&id| memo.get(id, || interner.value(id).sheet_eq(needle)))
+                }
+                ScanSlice::Cells(cells) => cells.iter().position(|c| c.display_value().sheet_eq(needle)),
+                ScanSlice::Empty(_) => Value::Empty.sheet_eq(needle).then_some(0),
+            }
+        };
+        // The row loop reads through its hit under `stop_early`, and every
+        // row otherwise.
+        let read = match found {
+            Some(i) => {
+                self.hit = Some(at + i as u32);
+                if self.stop_early { i + 1 } else { slice.len() }
+            }
+            None => slice.len(),
+        };
+        self.visited += read as u64;
+        if let ScanSlice::Cells(cells) = slice {
+            self.formulas += cells[..read].iter().filter(|c| c.is_formula()).count() as u64;
+        }
     }
 }
 
@@ -926,6 +1090,48 @@ mod tests {
         }
         assert_eq!(s.eval_str("=SUM(A1:A10)").unwrap(), Value::Number(55.0));
         assert_eq!(s.eval_str("COUNTIF(A1:A10,\">5\")").unwrap(), Value::Number(5.0));
+    }
+
+    /// A `COUNTIF`/`COUNTIFS` window that reaches past the materialized
+    /// extent counts what lies there as empty cells, so growing the sheet
+    /// under it changes no count — scanned or answered by an index — and
+    /// the part past the extent is not read, so not charged.
+    #[test]
+    fn counts_over_a_window_past_the_extent_do_not_depend_on_it() {
+        let queries = [
+            ("=COUNTIF(A1:A20,\"<>x\")", 20.0),
+            ("=COUNTIF(A3:B20,\"<>2\")", 35.0),
+            ("=COUNTIF(A30,\"<>x\")", 1.0),
+            ("=COUNTIF(A1:A20,C1)", 15.0),
+            ("=COUNTIF(A1:A20,\">0\")", 4.0),
+            ("=COUNTIFS(A1:A20,\"<>x\")", 20.0),
+        ];
+        for indexed in [false, true] {
+            let mut s = Sheet::new();
+            s.set_auto_index(indexed);
+            for i in 0..5u32 {
+                s.set_value(CellAddr::new(i, 0), i); // A1:A5 = 0..4
+            }
+            recalc::recalc_all(&mut s);
+            let reads = |s: &Sheet, q: &str| {
+                let before = s.meter().snapshot().get(Primitive::CellRead);
+                s.eval_str(q).unwrap();
+                s.meter().snapshot().get(Primitive::CellRead) - before
+            };
+            if !indexed {
+                assert_eq!(reads(&s, queries[0].0), 5, "the five cells inside the extent");
+            }
+            for grown in [false, true] {
+                if grown {
+                    s.set_value(a("D40"), 1);
+                    recalc::recalc_all(&mut s);
+                }
+                for (q, want) in queries {
+                    let what = format!("indexed={indexed} grown={grown} {q}");
+                    assert_eq!(s.eval_str(q).unwrap(), Value::Number(want), "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1105,6 +1311,80 @@ mod name_tests {
         assert!(s.remove_name("Beta"));
         assert!(!s.remove_name("Beta"));
         assert_eq!(s.names(), ["ALPHA"]);
+    }
+
+    fn memoized(s: &Sheet) -> usize {
+        s.names.queries.read().unwrap().len()
+    }
+
+    /// A query text is parsed once and its program kept until the name
+    /// table changes; each of the three changes is seen by the very text
+    /// that was memoized before it.
+    #[test]
+    fn the_query_memo_forgets_what_a_name_change_changes() {
+        use crate::ops::Op;
+        let mut s = Sheet::new();
+        for i in 0..6u32 {
+            s.set_value(CellAddr::new(i, 0), i64::from(i + 1)); // A1:A6 = 1..6
+        }
+        let sum = |s: &Sheet| s.eval_str("=SUM(Data)");
+        s.define_name("Data", Range::parse("A1:A3").unwrap()).unwrap();
+        assert_eq!(sum(&s).unwrap(), Value::Number(6.0));
+        let first = s.names.query("SUM(Data)").unwrap();
+        assert!(Arc::ptr_eq(&first, &s.names.query("SUM(Data)").unwrap()), "a hit, not a parse");
+        assert_eq!(memoized(&s), 1);
+
+        // A redefinition.
+        s.define_name("data", Range::parse("A4:A6").unwrap()).unwrap();
+        assert_eq!(memoized(&s), 0);
+        assert_eq!(sum(&s).unwrap(), Value::Number(15.0));
+        // Removing another name changes nothing a query can mean.
+        assert!(!s.remove_name("Other"));
+        assert_eq!(memoized(&s), 1);
+
+        // Rows inserted above the range move it down with its cells.
+        s.apply(Op::InsertRows { at: 0, count: 2 }).unwrap();
+        assert_eq!(s.name_range("Data"), Some(Range::parse("A6:A8").unwrap()));
+        assert_eq!(sum(&s).unwrap(), Value::Number(15.0));
+        // Rows deleted from its top shrink it.
+        s.apply(Op::DeleteRows { at: 5, count: 1 }).unwrap();
+        assert_eq!(sum(&s).unwrap(), Value::Number(11.0));
+        // Deleting all of its rows deletes it.
+        s.apply(Op::DeleteRows { at: 5, count: 2 }).unwrap();
+        assert_eq!(s.name_range("Data"), None);
+        assert!(sum(&s).is_err());
+
+        // And a removal.
+        s.define_name("Data", Range::parse("A1:A2").unwrap()).unwrap();
+        assert_eq!(sum(&s).unwrap(), Value::Number(0.0));
+        assert!(s.remove_name("DATA"));
+        assert!(sum(&s).is_err());
+        assert_eq!(memoized(&s), 0);
+    }
+
+    /// A text that does not parse — bad syntax, an unknown name — is an
+    /// `Err` and leaves nothing behind; and one-shot queries never reach
+    /// the template cache the formula cells share.
+    #[test]
+    fn failed_parses_and_the_template_cache_are_left_alone() {
+        let mut s = Sheet::new();
+        s.set_value(a("A1"), 4);
+        for text in ["=SUM(", "=SUM(Later)", "=1+"] {
+            assert!(s.eval_str(text).is_err(), "{text}");
+        }
+        assert_eq!(memoized(&s), 0);
+        s.define_name("Later", Range::parse("A1").unwrap()).unwrap();
+        assert_eq!(s.eval_str("=SUM(Later)").unwrap(), Value::Number(4.0));
+
+        s.set_formula_str(a("B1"), "=A1*2").unwrap();
+        recalc::recalc_all(&mut s);
+        let programs = s.program_cache().len();
+        for i in 0..50 {
+            s.eval_str(&format!("=A1*{i}+COUNTIF(A1:A9,\">0\")")).unwrap();
+            s.eval_expr(&crate::formula::parse(&format!("A1-{i}")).unwrap());
+        }
+        assert_eq!(s.program_cache().len(), programs);
+        assert_eq!(memoized(&s), 51);
     }
 
     #[test]

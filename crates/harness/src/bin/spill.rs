@@ -1,7 +1,7 @@
 //! Memory-capped grid scenario: builds a tall numeric sheet, recalculates
 //! a set of whole-column aggregates, sorts it, inserts and deletes a row
-//! mid-sheet, filters it and pivots it, and digests the result of each
-//! phase.
+//! mid-sheet, filters it, pivots it and asks it two one-shot queries, and
+//! digests the result of each phase.
 //!
 //! ```text
 //! cargo run --release -p ssbench-harness --bin spill -- [--rows N]
@@ -16,7 +16,8 @@
 //!   (`VmHWM`); the run exits non-zero when exceeded.
 //!
 //! The digests printed are bit-exact FNV-1a — over every stored value, over
-//! the hidden rows a filter left, over a pivot table; a capped run must
+//! the hidden rows a filter left, over a pivot table, over the answers of
+//! the queries; a capped run must
 //! print the same digests as an unbounded one (`scripts/check.sh` compares
 //! them).
 
@@ -140,6 +141,26 @@ fn main() {
     println!("digest_pivot={:016x}", groups.0);
     println!("pivot_ms={:.1}", pivot.as_secs_f64() * 1e3);
     eprintln!("pivot: {} groups", table.len());
+
+    // Phase 6: two one-shot queries over the whole sheet — an exact
+    // VLOOKUP of the last row's key (after the sort, a scan down a column
+    // of mostly spilled chunks to its last one) and a COUNTIF. The wall
+    // time covers the two queries, not the digest.
+    let key = sheet.value(CellAddr::new(rows - 1, 0));
+    let started = std::time::Instant::now();
+    let found = sheet
+        .eval_str(&format!("=VLOOKUP({},$A$1:$D${rows},2,FALSE)", key.display()))
+        .expect("lookup parses");
+    let counted = sheet.eval_str(&format!("=COUNTIF($C$1:$C${rows},\"<500\")")).expect("count parses");
+    let query = started.elapsed();
+    report_phase(&sheet, "query");
+    let mut answers = Fnv::default();
+    for v in [&found, &counted] {
+        answers.eat(v.display().as_bytes());
+    }
+    println!("digest_query={:016x}", answers.0);
+    println!("query_ms={:.1}", query.as_secs_f64() * 1e3);
+    eprintln!("query: VLOOKUP {} = {found:?}, COUNTIF = {counted:?}", key.display());
 
     let stats = sheet.grid_spill_stats();
     println!(

@@ -55,6 +55,29 @@ if grep -rn --include='*.toml' --include='Cargo.lock' --exclude-dir=target --exc
   exit 1
 fi
 
+# One evaluator on the user path (DESIGN.md §20): formulas and one-shot
+# queries run on the VM, and the tree-walking interpreter is the reference
+# they are held to. Outside the interpreter itself (eval/, the lazy IF and
+# IFERROR of functions/logical.rs) and test code — a differential.rs
+# module, or whatever follows a file's first top-level #[cfg(test)] — the
+# one function that may call eval::evaluate is recalc_reference.
+echo "==> one evaluator: recalc_reference is the interpreter's only caller"
+interp_callers="$(find crates/engine/src -name '*.rs' ! -path '*/eval/*' \
+  ! -path '*/functions/logical.rs' ! -name differential.rs -print0 | sort -z |
+  xargs -0 awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    match($0, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/) {
+      name = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", name)
+    }
+    !test && $0 !~ /^[[:space:]]*\/\// && $0 ~ /(^|[^A-Za-z0-9_])evaluate\(/ {
+      print FILENAME ":" name
+    }' | sort -u | tr '\n' ' ')"
+if [ "$interp_callers" != 'crates/engine/src/recalc.rs:recalc_reference ' ]; then
+  echo "eval::evaluate is called outside recalc_reference: $interp_callers" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --workspace --all-targets (warnings are errors)"
 # --workspace: the root manifest is a package, so a bare build would skip
 # the member crates' bin targets (bct, fuzz, spill) the later stages
@@ -119,20 +142,22 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 # Memory-capped grid scenario (DESIGN.md §14): a 5M-row x 4-col numeric
 # sheet is built, recalculated through whole-column aggregates, sorted,
 # has one row inserted and deleted again mid-sheet (the in-place
-# structural edit shifting 2.5M rows of mostly spilled chunks), and is
+# structural edit shifting 2.5M rows of mostly spilled chunks), is
 # filtered and pivoted (the scan ops reading spilled chunks a slice at a
-# time, DESIGN.md §18), once unbounded and once under a 64 MB grid budget
-# with a hard 384 MB peak-RSS gate. The spill binary asserts resident <=
-# budget after every phase and that the budgeted run actually spilled;
-# this stage then requires the two runs' digests — values, hidden rows,
-# pivot table — to be bit-identical: spilling is memory placement, never
+# time, DESIGN.md §18), and answers an exact VLOOKUP of its last key and a
+# COUNTIF (the one-shot queries' slice scans, DESIGN.md §20), once
+# unbounded and once under a 64 MB grid budget with a hard 384 MB
+# peak-RSS gate. The spill binary asserts resident <= budget after every
+# phase and that the budgeted run actually spilled; this stage then
+# requires the two runs' digests — values, hidden rows, pivot table, query
+# answers — to be bit-identical: spilling is memory placement, never
 # semantics.
 echo "==> spill scenario: 5M rows under a 64 MB grid budget"
 nocap="$(./target/release/spill --rows 5000000 2> /dev/null)"
 cap="$(SSBENCH_GRID_BUDGET=64M SSBENCH_RSS_LIMIT_MB=384 \
   ./target/release/spill --rows 5000000 2> /dev/null)"
 for phase in digest_recalc digest_sorted digest_inserted digest_restructured \
-  digest_filtered digest_pivot; do
+  digest_filtered digest_pivot digest_query; do
   a="$(grep -o "${phase}=[0-9a-f]*" <<< "$nocap")"
   b="$(grep -o "${phase}=[0-9a-f]*" <<< "$cap")"
   test -n "$a" || { echo "spill: unbounded run printed no $phase" >&2; exit 1; }
