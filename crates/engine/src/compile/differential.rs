@@ -27,10 +27,11 @@
 //! entered (a window growing at one end); a band of the three-argument
 //! `SUMIF` one row short, and its targets one row short; `matches_empty`
 //! ignored for vacant runs, by `COUNTIF` and by the column walk; the part of
-//! a `COUNTIF` window past the extent left uncounted; and in `find_exact`,
-//! a stop one row before the hit, a vacant run or the part past the extent
-//! never hitting, formulas counted past the hit, the text memo keyed on
-//! `id >> 1`.
+//! a `COUNTIF` window past the extent left uncounted, and the targets of
+//! that part of a three-argument `SUMIF` window left unfolded; and in
+//! `find_exact`, a stop one row before the hit, a vacant run or the part
+//! past the extent never hitting, formulas counted past the hit, the text
+//! memo keyed on `id >> 1`.
 
 use crate::addr::{CellAddr, Range};
 use crate::compile::compile;
@@ -382,8 +383,10 @@ fn find_exact_matches_the_row_loop_over_every_chunk_kind() {
 /// (numbers, fractions, general cells, formulas — whose rechecks are
 /// charged — and a text column, which adds nothing), shifted against it so
 /// a band's targets straddle two chunks, hanging off the sheet, the
-/// criteria column itself; and the shapes left to the builtin — a shorter
-/// range, a longer one, a 2-D one on either side, a row against a column.
+/// criteria column itself, a criteria column running past the extent
+/// beside a sum column that does not; and the shapes left to the builtin —
+/// a shorter range, a longer one, a 2-D one on either side, a row against
+/// a column.
 #[test]
 fn aligned_sumif_matches_the_interpreter() {
     for (what, s) in sheets() {
@@ -403,6 +406,19 @@ fn aligned_sumif_matches_the_interpreter() {
                             }
                         }
                     }
+                }
+            }
+        }
+        // The criteria half past the extent — in part, in whole, and by
+        // column, as H holds nothing — while the sum half is not.
+        for func in ["SUMIF", "AVERAGEIF"] {
+            for criterion in CRITERIA {
+                for (crit, sum) in [
+                    ("B3001:B4000", "D1001:D2000"),
+                    ("B4001:B4500", "G1:G500"),
+                    ("H1:H500", "F2701:F3200"),
+                ] {
+                    check(&s, None, &format!("{func}({crit},{criterion},{sum})"), &what);
                 }
             }
         }

@@ -861,7 +861,9 @@ fn fold_matches(grid: &GridStore, ctx: &EvalCtx<'_>, range: Range, m: &Matcher) 
 /// rows only — so a spilled chunk faults once and matches add up in
 /// ascending row order, as the interpreter's row-at-a-time point reads do.
 /// Charged like them: a read per criteria cell, and one more (with a recheck
-/// on a formula) per matching row, whatever its target holds.
+/// on a formula) per matching row, whatever its target holds. The criteria
+/// rows past the extent are empty cells, unread; when they match, their
+/// targets are folded last, as the builtin does.
 fn fold_aligned(
     grid: &GridStore,
     ctx: &EvalCtx<'_>,
@@ -869,83 +871,108 @@ fn fold_aligned(
     sum: Range,
     m: &Matcher,
 ) -> (f64, u64) {
-    let Some(window) = grid.clip(criteria) else { return (0.0, 0) };
     let (crit_col, sum_col) = (criteria.start.col, sum.start.col);
     let (mut total, mut count) = (0.0f64, 0u64);
     let (mut reads, mut formulas) = (0u64, 0u64);
-    let mut memo = IdMemo::for_cells(window.len());
-    // Offsets into the band of the rows that match, ascending.
-    let mut hits = [0u16; CHUNK_ROWS as usize];
-    for chunk in window.start.row / CHUNK_ROWS..=window.end.row / CHUNK_ROWS {
-        let top = window.start.row.max(chunk * CHUNK_ROWS);
-        let bottom = window.end.row.min(chunk * CHUNK_ROWS + (CHUNK_ROWS - 1));
-        let (mut at, mut n_hits) = (0usize, 0usize);
-        let mut hit = |offset: usize| {
-            hits[n_hits] = offset as u16;
-            n_hits += 1;
-        };
-        grid.scan_range(Range::column_segment(crit_col, top, bottom), &mut |slice| match slice {
-            ScanSlice::Nums(vals) => {
-                for (i, &n) in vals.iter().enumerate() {
-                    if m.matches_num(n) {
-                        hit(at + i);
+    let window = grid.clip(criteria);
+    if let Some(window) = window {
+        let mut memo = IdMemo::for_cells(window.len());
+        // Offsets into the band of the rows that match, ascending.
+        let mut hits = [0u16; CHUNK_ROWS as usize];
+        for chunk in window.start.row / CHUNK_ROWS..=window.end.row / CHUNK_ROWS {
+            let top = window.start.row.max(chunk * CHUNK_ROWS);
+            let bottom = window.end.row.min(chunk * CHUNK_ROWS + (CHUNK_ROWS - 1));
+            let (mut at, mut n_hits) = (0usize, 0usize);
+            let mut hit = |offset: usize| {
+                hits[n_hits] = offset as u16;
+                n_hits += 1;
+            };
+            grid.scan_range(Range::column_segment(crit_col, top, bottom), &mut |slice| match slice {
+                ScanSlice::Nums(vals) => {
+                    for (i, &n) in vals.iter().enumerate() {
+                        if m.matches_num(n) {
+                            hit(at + i);
+                        }
+                    }
+                    at += vals.len();
+                }
+                ScanSlice::Texts(ids, interner) => {
+                    for (i, &id) in ids.iter().enumerate() {
+                        if memo.get(id, || m.matches(interner.value(id))) {
+                            hit(at + i);
+                        }
+                    }
+                    at += ids.len();
+                }
+                ScanSlice::Cells(cells) => {
+                    for (i, cell) in cells.iter().enumerate() {
+                        formulas += u64::from(cell.is_formula());
+                        if m.matches(cell.display_value()) {
+                            hit(at + i);
+                        }
+                    }
+                    at += cells.len();
+                }
+                ScanSlice::Empty(n) => {
+                    if m.matches_empty() {
+                        (at..at + n).for_each(&mut hit);
+                    }
+                    at += n;
+                }
+            });
+            reads += (at + n_hits) as u64;
+            if n_hits > 0 {
+                // The band's targets; what lies past the extent is not emitted,
+                // and holds no number.
+                let first = sum.start.row + (top - criteria.start.row);
+                let targets = Range::column_segment(sum_col, first, first + (bottom - top));
+                let mut hits = hits[..n_hits].iter().map(|&h| usize::from(h)).peekable();
+                let mut at = 0usize;
+                grid.scan_range(targets, &mut |slice| {
+                    let len = slice.len();
+                    while let Some(h) = hits.next_if(|&h| h < at + len) {
+                        let n = match &slice {
+                            ScanSlice::Nums(vals) => vals[h - at],
+                            ScanSlice::Cells(cells) => {
+                                let cell = &cells[h - at];
+                                formulas += u64::from(cell.is_formula());
+                                match cell.display_value() {
+                                    Value::Number(n) => *n,
+                                    _ => continue,
+                                }
+                            }
+                            ScanSlice::Texts(..) | ScanSlice::Empty(_) => continue,
+                        };
+                        total += n;
+                        count += 1;
+                    }
+                    at += len;
+                });
+            }
+        }
+    }
+    let past = window.map_or(criteria.start.row, |w| w.end.row + 1);
+    if m.matches_empty() && past <= criteria.end.row {
+        let first = sum.start.row + (past - criteria.start.row);
+        reads += u64::from(sum.end.row - first + 1);
+        grid.scan_range(Range::column_segment(sum_col, first, sum.end.row), &mut |slice| {
+            match slice {
+                ScanSlice::Nums(vals) => {
+                    total = vals.iter().fold(total, |t, &n| t + n);
+                    count += vals.len() as u64;
+                }
+                ScanSlice::Cells(cells) => {
+                    for cell in cells {
+                        formulas += u64::from(cell.is_formula());
+                        if let Value::Number(n) = cell.display_value() {
+                            total += n;
+                            count += 1;
+                        }
                     }
                 }
-                at += vals.len();
-            }
-            ScanSlice::Texts(ids, interner) => {
-                for (i, &id) in ids.iter().enumerate() {
-                    if memo.get(id, || m.matches(interner.value(id))) {
-                        hit(at + i);
-                    }
-                }
-                at += ids.len();
-            }
-            ScanSlice::Cells(cells) => {
-                for (i, cell) in cells.iter().enumerate() {
-                    formulas += u64::from(cell.is_formula());
-                    if m.matches(cell.display_value()) {
-                        hit(at + i);
-                    }
-                }
-                at += cells.len();
-            }
-            ScanSlice::Empty(n) => {
-                if m.matches_empty() {
-                    (at..at + n).for_each(&mut hit);
-                }
-                at += n;
+                ScanSlice::Texts(..) | ScanSlice::Empty(_) => {}
             }
         });
-        reads += (at + n_hits) as u64;
-        if n_hits > 0 {
-            // The band's targets; what lies past the extent is not emitted,
-            // and holds no number.
-            let first = sum.start.row + (top - criteria.start.row);
-            let targets = Range::column_segment(sum_col, first, first + (bottom - top));
-            let mut hits = hits[..n_hits].iter().map(|&h| usize::from(h)).peekable();
-            let mut at = 0usize;
-            grid.scan_range(targets, &mut |slice| {
-                let len = slice.len();
-                while let Some(h) = hits.next_if(|&h| h < at + len) {
-                    let n = match &slice {
-                        ScanSlice::Nums(vals) => vals[h - at],
-                        ScanSlice::Cells(cells) => {
-                            let cell = &cells[h - at];
-                            formulas += u64::from(cell.is_formula());
-                            match cell.display_value() {
-                                Value::Number(n) => *n,
-                                _ => continue,
-                            }
-                        }
-                        ScanSlice::Texts(..) | ScanSlice::Empty(_) => continue,
-                    };
-                    total += n;
-                    count += 1;
-                }
-                at += len;
-            });
-        }
     }
     charge(ctx, reads, formulas);
     (total, count)

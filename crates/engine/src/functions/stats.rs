@@ -4,6 +4,7 @@
 //! arguments cell-by-cell — full scans, no indexes and no incremental
 //! maintenance, per the paper's findings for all three systems.
 
+use crate::addr::CellAddr;
 use crate::error::CellError;
 use crate::eval::EvalCtx;
 use crate::index;
@@ -243,6 +244,8 @@ pub fn averageif(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
 
 /// Shared body for SUMIF/AVERAGEIF: sums the values (from `sum_range` when
 /// given, else the criteria range itself) of rows matching the criterion.
+/// A criteria cell past the extent is an empty cell, so its value does not
+/// depend on how far the grid extends.
 fn conditional_fold(
     ctx: &EvalCtx<'_>,
     args: &[Arg],
@@ -282,21 +285,32 @@ fn conditional_fold(
         Some(sr) => {
             // Row/col-aligned second range, as in the real systems: the
             // matched cell's offset indexes the sum range.
-            ctx.read_range(crit_range, &mut |addr, v| {
-                if criterion.matches(v) {
-                    let dr = addr.row - crit_range.start.row;
-                    let dc = addr.col - crit_range.start.col;
-                    if let Some(target) =
-                        sr.start.offset(i64::from(dr), i64::from(dc))
-                    {
-                        let sv = ctx.read(target);
-                        if let Value::Number(n) = sv {
-                            total += n;
-                            count += 1;
-                        }
+            let mut fold_target = |addr: CellAddr| {
+                let dr = addr.row - crit_range.start.row;
+                let dc = addr.col - crit_range.start.col;
+                if let Some(target) = sr.start.offset(i64::from(dr), i64::from(dc)) {
+                    if let Value::Number(n) = ctx.read(target) {
+                        total += n;
+                        count += 1;
                     }
                 }
+            };
+            ctx.read_range(crit_range, &mut |addr, v| {
+                if criterion.matches(v) {
+                    fold_target(addr);
+                }
             });
+            // The criteria cells past the extent are empty cells, unread, as
+            // in `COUNTIF`; when they match, their targets — which may lie
+            // inside the extent — are read and folded after the rest.
+            if criterion.matches(&Value::Empty) {
+                let (nrows, ncols) = ctx.cells.bounds();
+                for addr in crit_range.iter() {
+                    if addr.row >= nrows || addr.col >= ncols {
+                        fold_target(addr);
+                    }
+                }
+            }
         }
     }
     Ok((total, count))

@@ -10,8 +10,9 @@
 //! * [`recalc_from`] — dirty-set recalculation after specific cells
 //!   changed. Crucially, each dirty formula is recomputed **from
 //!   scratch** — a formula over an m-cell range costs O(m) even for a
-//!   single-cell edit. That is the paper's §5.5 finding; the incremental
-//!   alternative lives in `ssbench-systems` (`SimSystem::update_cell`).
+//!   single-cell edit. That is the paper's §5.5 finding. Every system's
+//!   `SimSystem::update_cell` is `set_value` plus this pass; with column
+//!   indexes on, a recomputed `COUNTIF` is a few probes instead of a scan.
 //!
 //! Both evaluate formulae one way — compiled R1C1-template programs on
 //! the VM, with range kernels and a sliding window-delta cache

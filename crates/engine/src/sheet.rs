@@ -1095,7 +1095,9 @@ mod tests {
     /// A `COUNTIF`/`COUNTIFS` window that reaches past the materialized
     /// extent counts what lies there as empty cells, so growing the sheet
     /// under it changes no count — scanned or answered by an index — and
-    /// the part past the extent is not read, so not charged.
+    /// the part past the extent is not read, so not charged. A three-argument
+    /// `SUMIF`/`AVERAGEIF` folds the targets of those empty cells, which lie
+    /// inside the extent when the sum window starts higher.
     #[test]
     fn counts_over_a_window_past_the_extent_do_not_depend_on_it() {
         let queries = [
@@ -1105,6 +1107,11 @@ mod tests {
             ("=COUNTIF(A1:A20,C1)", 15.0),
             ("=COUNTIF(A1:A20,\">0\")", 4.0),
             ("=COUNTIFS(A1:A20,\"<>x\")", 20.0),
+            ("=SUMIF(A3:A20,\"<>x\",A1:A18)", 10.0),
+            ("=AVERAGEIF(A3:A20,\"<>x\",A1:A18)", 2.0),
+            ("=SUMIF(A6:A20,\"<>x\",A1:A15)", 10.0),
+            ("=SUMIF(A3:B20,\"<>x\",A1:B18)", 10.0),
+            ("=SUMIF(C1:C5,\"<>x\",A1:A5)", 10.0),
         ];
         for indexed in [false, true] {
             let mut s = Sheet::new();

@@ -1,13 +1,12 @@
 //! Figure 12 — redundant computation (§5.4): five identical instances of
 //! `COUNTIF(J1:Jm,1)` cost ≈5× a single instance in every commercial
 //! system — no formula-equality detection. The fourth (Optimized) system
-//! appears twice: its indexed evaluation makes even five instances flat
-//! in m, and the extra "memoized" series answers them through the formula
-//! memo (one evaluation + four cache hits).
+//! has none either, so its five instances still cost five evaluations; its
+//! indexed evaluation makes each one flat in m.
 
 use ssbench_engine::meter::Primitive;
 use ssbench_engine::prelude::*;
-use ssbench_systems::{OpClass, SimSystem, SystemKind};
+use ssbench_systems::{OpClass, SimSystem};
 use ssbench_workload::schema::MEASURE_COL;
 use ssbench_workload::Variant;
 
@@ -60,24 +59,6 @@ pub fn fig12_redundant(cfg: &RunConfig) -> ExperimentResult {
         result.series.push(single);
         result.series.push(multiple);
     }
-    // The fourth system's redundancy *elimination*: the five instances
-    // answered through the formula memo (one evaluation + four hits),
-    // under the Optimized profile's own cost model.
-    if cfg.runs(SystemKind::Optimized) {
-        let kind = SystemKind::Optimized;
-        let sys = SimSystem::with_seed(kind, cfg.seed);
-        let sizes = cfg.sizes(None);
-        let mut grow = GrowingSheet::new(Variant::ValueOnly, cfg.seed);
-        let mut optimized = Series::new(format!("{} (memoized ×5)", kind.name()), kind);
-        for &rows in &sizes {
-            let sheet = grow.ensure(rows);
-            let exprs = vec![countif_expr(rows); INSTANCES];
-            let (evaluated, ms) = sys.eval_memoized(sheet, OpClass::Aggregate, &exprs);
-            assert_eq!(evaluated, 1, "one evaluation, {} memo hits", INSTANCES - 1);
-            optimized.push(rows, ms);
-        }
-        result.series.push(optimized);
-    }
     result
 }
 
@@ -100,11 +81,11 @@ mod tests {
                 "{kind}: 5 instances ≈ 5×, got ×{ratio:.2}"
             );
         }
-        // Memoized: close to a single instance, far below five.
+        // Indexed: five probed instances, far below five scans.
         let one = r.expect_series("Excel Single formula").expect_last();
         let five = r.expect_series("Excel Multiple formulae (5)").expect_last();
-        let opt = r.expect_series("Optimized (memoized ×5)").expect_last();
-        assert!(opt.ms < five.ms / 2.0, "memoized {} ≪ repeated {}", opt.ms, five.ms);
+        let opt = r.expect_series("Optimized Multiple formulae (5)").expect_last();
+        assert!(opt.ms < five.ms / 2.0, "indexed {} ≪ scanned {}", opt.ms, five.ms);
         assert!(opt.ms < one.ms * 2.0);
     }
 }

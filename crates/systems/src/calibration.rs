@@ -278,7 +278,6 @@ pub fn gsheets() -> SystemProfile {
             recalc_on_pivot: RecalcTrigger::Recheck,
             lookup: LookupStrategy::FullScan,
             indexed: false,
-            incremental_update: false,
             quotas: Quotas {
                 general_rows: Some(90_000),
                 sort_rows: Some(50_000),
@@ -297,8 +296,9 @@ pub fn gsheets() -> SystemProfile {
 
 /// The fourth system (§6): the ssbench engine with its database-style
 /// optimizations enabled — maintained column indexes consulted by
-/// COUNTIF/SUMIF/VLOOKUP/MATCH, delta-maintained aggregates on single-cell
-/// edits, and sort-safety analysis instead of full post-sort recalculation.
+/// COUNTIF/SUMIF/VLOOKUP/MATCH (so the recomputation after a single-cell
+/// edit probes instead of scanning), and sort-safety analysis instead of
+/// full post-sort recalculation.
 ///
 /// Unlike the three commercial profiles there is no product to calibrate
 /// against, so the constants are *engine-shaped* rather than fitted: they
@@ -361,7 +361,6 @@ pub fn optimized() -> SystemProfile {
             recalc_on_filter: RecalcTrigger::None,
             recalc_on_pivot: RecalcTrigger::None,
             indexed: true,
-            incremental_update: true,
             ..SystemPolicies::desktop()
         },
         costs,
@@ -494,7 +493,6 @@ mod tests {
     fn optimized_policies_enable_engine_optimizations() {
         let p = optimized().policies;
         assert!(p.indexed);
-        assert!(p.incremental_update);
         assert_eq!(p.recalc_on_sort, RecalcTrigger::Recheck);
         assert!(!p.remote);
         assert_eq!(p.noise_frac, 0.0);

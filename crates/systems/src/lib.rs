@@ -7,11 +7,11 @@
 //! paper's §6 "what if?" optimizations for real. Most of them live in the
 //! engine (maintained column indexes, typed columnar chunks, compiled
 //! templates, window deltas, program bindings that survive sorts) and are
-//! switched on by the profile's policies; the four with no engine twin live here as
-//! crate-private modules reached only through [`SimSystem`]: the token
-//! inverted index (`find_replace_indexed`, Fig 9), prefix-family sharing
-//! (`recalc_shared`, Fig 11), the formula-value memo (`eval_memoized`,
-//! Fig 12) and delta-maintained aggregates (`update_cell`, Figs 13/14).
+//! switched on by the profile's policies — so its Figs 12–14 run the same
+//! engine calls as every other system's. The two with no engine twin live
+//! here as crate-private modules reached only through [`SimSystem`]: the
+//! token inverted index (`find_replace_indexed`, Fig 9) and prefix-family
+//! sharing (`recalc_shared`, Fig 11).
 //!
 //! Profiles are resolved through an open registry
 //! ([`profile::registry`]/[`all_profiles`]): adding a system is one enum
@@ -34,11 +34,9 @@
 
 pub mod calibration;
 pub mod cost;
-mod incremental;
 mod index {
     pub(crate) mod inverted;
 }
-mod memo;
 pub mod op;
 pub mod policy;
 pub mod profile;

@@ -76,9 +76,6 @@ pub struct SystemPolicies {
     /// scanning (§5.1, §6). None of the three commercial systems does
     /// this; the Optimized profile turns it on.
     pub indexed: bool,
-    /// Single-cell edits maintain whole-column aggregates by applying the
-    /// delta of the edit (§5.5) instead of recomputing from scratch.
-    pub incremental_update: bool,
     /// Quota caps (§3.3).
     pub quotas: Quotas,
     /// Multiplicative noise applied to simulated times (± fraction),
@@ -101,7 +98,6 @@ impl SystemPolicies {
             recalc_on_pivot: RecalcTrigger::None,
             lookup: LookupStrategy::FullScan,
             indexed: false,
-            incremental_update: false,
             quotas: Quotas {
                 general_rows: None,
                 sort_rows: None,

@@ -22,7 +22,7 @@ pub enum SystemKind {
     GSheets,
     /// The fourth system (§6 "what if?"): the ssbench engine itself with
     /// its database-style optimizations switched on — maintained column
-    /// indexes, delta-maintained aggregates, sort-safety analysis.
+    /// indexes, sort-safety analysis.
     Optimized,
 }
 

@@ -7,15 +7,12 @@ use std::cell::RefCell;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ssbench_engine::formula::Expr;
 use ssbench_engine::io::{self, SheetData};
 use ssbench_engine::meter::Primitive;
 use ssbench_engine::prelude::*;
 use ssbench_engine::trace::{Category, Span};
 
-use crate::incremental::{AggKind, IncrementalAggregate, IncrementalRegistry};
 use crate::index::inverted::InvertedIndex;
-use crate::memo::FormulaMemo;
 use crate::op::OpClass;
 use crate::policy::RecalcTrigger;
 use crate::profile::{SystemKind, SystemProfile};
@@ -394,131 +391,18 @@ impl SimSystem {
         self.measure(sheet, OpClass::Shared, crate::shared::apply_shared_computation)
     }
 
-    /// Evaluates `exprs` as one scripted query of class `op` through a
-    /// formula-value memo (§5.4, Fig 12): formulae with the same canonical
-    /// text are evaluated once and answered from the memo afterwards.
-    /// Returns how many evaluations actually ran.
-    pub fn eval_memoized(&self, sheet: &mut Sheet, op: OpClass, exprs: &[Expr]) -> (u64, f64) {
-        self.measure(sheet, op, |s| {
-            let mut memo = FormulaMemo::new();
-            for expr in exprs {
-                s.meter().tick(Primitive::FormulaEval);
-                memo.eval(s, expr);
-            }
-            memo.stats().1
-        })
-    }
-
-    /// Edits one cell and recomputes its dependents (§5.5). The three
-    /// commercial systems recompute the affected aggregates from scratch;
-    /// a profile with `incremental_update` instead routes the edit through
-    /// delta-maintained views when the rewrite is provably equivalent,
-    /// making the measured update O(1) in the data size.
+    /// Edits one cell and recomputes its dependents (§5.5): `set_value`,
+    /// then `recalc_from` the edited cell, for every system. What the
+    /// recomputation costs is the profile's: the three commercial systems
+    /// rescan the affected aggregates, O(m); the Optimized profile's
+    /// maintained column index keeps up with the write and answers a
+    /// recomputed `COUNTIF` in probes, so its update is flat in m.
     pub fn update_cell(&self, sheet: &mut Sheet, addr: CellAddr, v: Value) -> f64 {
-        if self.profile.policies.incremental_update {
-            if let Some(mut reg) = self.incrementalize(sheet, addr, &v) {
-                let delta = v.clone();
-                let (_, ms) = self.measure(sheet, OpClass::Update, |s| {
-                    reg.edit(s, addr, delta);
-                });
-                return ms;
-            }
-        }
         let (_, ms) = self.measure(sheet, OpClass::Update, |s| {
             s.set_value(addr, v);
             recalc::recalc_from(s, &[addr]);
         });
         ms
-    }
-
-    /// Recognizes the sheet as a set of delta-maintainable aggregate views
-    /// (§5.5, §6). Succeeds only when replaying the edit through the views
-    /// is provably equivalent to a full recomputation: the edited cell is
-    /// a plain value, every formula in the sheet is a whole-range
-    /// aggregate with a literal criterion, no aggregate reads another
-    /// formula's output, and every running sum stays bit-identical to a
-    /// rescan once `new` is written ([`IncrementalAggregate::exact_with`]).
-    /// View construction happens *outside* the measured
-    /// region — like index maintenance, it is amortized across the edit
-    /// stream, so the measured update pays only the O(1) delta.
-    fn incrementalize(
-        &self,
-        sheet: &mut Sheet,
-        edited: CellAddr,
-        new: &Value,
-    ) -> Option<IncrementalRegistry> {
-        if sheet.is_formula(edited) || sheet.formula_count() == 0 {
-            return None;
-        }
-        let formulas: Vec<CellAddr> = sheet.deps().formula_addrs().collect();
-        let mut plan: Vec<(CellAddr, Range, AggKind)> = Vec::with_capacity(formulas.len());
-        for &f in &formulas {
-            let (range, kind) = agg_kind(sheet.formula_expr(f)?)?;
-            plan.push((f, range, kind));
-        }
-        // Aggregate inputs must be plain values: a formula inside a
-        // watched range would need its own recomputation before the
-        // delta is valid.
-        if formulas.iter().any(|&f| plan.iter().any(|(_, r, _)| r.contains(f))) {
-            return None;
-        }
-        // Duplicate formulas over the same (range, kind) share one O(m)
-        // build scan — the fig-14 workload registers thousands of copies
-        // of the same COUNTIF. Every view is built and vetted before any
-        // is registered, so a refusal leaves the sheet untouched for the
-        // recompute path.
-        let mut views: Vec<(Range, AggKind, IncrementalAggregate)> = Vec::new();
-        let mut bound: Vec<(CellAddr, usize)> = Vec::with_capacity(plan.len());
-        for (cell, range, kind) in plan {
-            let view = match views.iter().position(|(r, k, _)| *r == range && *k == kind) {
-                Some(i) => i,
-                None => {
-                    let agg = IncrementalAggregate::build(sheet, range, kind.clone());
-                    if !agg.exact_with(new) {
-                        return None;
-                    }
-                    views.push((range, kind, agg));
-                    views.len() - 1
-                }
-            };
-            bound.push((cell, view));
-        }
-        let mut reg = IncrementalRegistry::new();
-        for (cell, view) in bound {
-            reg.register_built(sheet, cell, views[view].2.clone());
-        }
-        Some(reg)
-    }
-}
-
-/// Recognizes `expr` as a whole-range aggregate that
-/// [`IncrementalAggregate`] can maintain.
-fn agg_kind(expr: &Expr) -> Option<(Range, AggKind)> {
-    let Expr::Call(name, args) = expr else { return None };
-    Some(match (name.as_str(), args.as_slice()) {
-        ("SUM", [Expr::RangeRef(r)]) => (r.range(), AggKind::Sum),
-        ("COUNT", [Expr::RangeRef(r)]) => (r.range(), AggKind::Count),
-        ("AVERAGE", [Expr::RangeRef(r)]) => (r.range(), AggKind::Average),
-        ("COUNTIF", [Expr::RangeRef(r), c]) => {
-            (r.range(), AggKind::CountIf(Criterion::parse(&literal(c)?)))
-        }
-        ("SUMIF", [Expr::RangeRef(r), c]) => {
-            (r.range(), AggKind::SumIf(Criterion::parse(&literal(c)?)))
-        }
-        ("AVERAGEIF", [Expr::RangeRef(r), c]) => {
-            (r.range(), AggKind::AverageIf(Criterion::parse(&literal(c)?)))
-        }
-        _ => return None,
-    })
-}
-
-/// A literal criterion argument, if the expression is one.
-fn literal(e: &Expr) -> Option<Value> {
-    match e {
-        Expr::Number(n) => Some(Value::Number(*n)),
-        Expr::Text(t) => Some(Value::Text(t.clone())),
-        Expr::Bool(b) => Some(Value::Bool(*b)),
-        _ => None,
     }
 }
 
@@ -675,101 +559,41 @@ mod tests {
         assert!(ms > 0.0);
     }
 
+    /// The Optimized profile updates like every system — `set_value`, then
+    /// `recalc_from` — and its edit costs no scan: the write keeps J's index
+    /// current (one probe) and each recomputed `COUNTIF` is three probes. N
+    /// copies of the formula cost 1 + 3N probes, and read what Excel reads.
     #[test]
-    fn optimized_update_applies_delta_instead_of_rescanning() {
-        let sys = SimSystem::new(SystemKind::Optimized);
-        let mut v = build_sheet(2000, Variant::ValueOnly);
-        v.set_formula_str(CellAddr::new(0, 20), "=COUNTIF(K1:K2000,1)").unwrap();
-        recalc::recalc_all(&mut v);
-        let count = v.value(CellAddr::new(0, 20)).as_number().unwrap();
-        let edited = CellAddr::new(0, 10); // K1
-        let old = v.value(edited).as_number().unwrap();
-        let ms = sys.update_cell(&mut v, edited, Value::Number(0.0));
-        // The view absorbed the delta: count drops iff K1 was a match.
-        let expected = count - if old == 1.0 { 1.0 } else { 0.0 };
-        assert_eq!(v.value(CellAddr::new(0, 20)), Value::Number(expected));
-        // …and the measured cost has no O(m) term: 0.5 ms base plus one
-        // cell write, far below Calc's 2000-read rescan.
-        assert!(ms < 5.0, "O(1) delta expected, got {ms} ms");
-        // Cross-check: a full recomputation lands on the same value.
-        recalc::recalc_all(&mut v);
-        assert_eq!(v.value(CellAddr::new(0, 20)), Value::Number(expected));
-    }
-
-    #[test]
-    fn optimized_update_falls_back_when_rewrite_is_unsafe() {
-        let sys = SimSystem::new(SystemKind::Optimized);
-        let mut v = build_sheet(500, Variant::ValueOnly);
-        // MAX is not delta-maintainable — deletes would need a rescan.
-        v.set_formula_str(CellAddr::new(0, 20), "=MAX(K1:K500)").unwrap();
-        recalc::recalc_all(&mut v);
-        let before = v.meter().snapshot();
-        sys.update_cell(&mut v, CellAddr::new(0, 10), Value::Number(99.0));
-        let d = v.meter().snapshot().since(&before);
-        // Fallback recomputes the dependent formula for real.
-        assert!(d.get(Primitive::CellRead) > 0, "expected a recompute");
-        assert_eq!(v.value(CellAddr::new(0, 20)), Value::Number(99.0));
-    }
-
-    #[test]
-    fn optimized_update_of_a_fractional_sum_matches_recompute() {
-        // `sum -= 0.1; sum += 0.7` lands on 1.2000000000000002 where a
-        // rescan of 0.7+0.2+0.3 gives 1.2: outside the integer envelope
-        // the Optimized profile must recompute like everyone else.
-        let build = || {
-            let mut s = Sheet::new();
-            for (i, v) in [0.1, 0.2, 0.3].into_iter().enumerate() {
-                s.set_value(CellAddr::new(i as u32, 0), v);
-            }
-            for (i, f) in ["=SUM(A1:A3)", "=AVERAGE(A1:A3)", "=COUNT(A1:A3)"].iter().enumerate() {
-                s.set_formula_str(CellAddr::new(i as u32, 2), f).unwrap();
-            }
-            recalc::recalc_all(&mut s);
-            s
-        };
-        let (mut opt, mut excel) = (build(), build());
-        let edited = CellAddr::new(0, 0);
-        SimSystem::new(SystemKind::Optimized).update_cell(&mut opt, edited, Value::Number(0.7));
-        SimSystem::new(SystemKind::Excel).update_cell(&mut excel, edited, Value::Number(0.7));
-        for row in 0..3 {
-            let at = CellAddr::new(row, 2);
-            let (got, want) = (opt.value(at), excel.value(at));
-            assert_eq!(
-                got.as_number().unwrap().to_bits(),
-                want.as_number().unwrap().to_bits(),
-                "{at}: optimized {got:?} vs recompute {want:?}"
-            );
+    fn optimized_update_recomputes_through_the_index() {
+        use ssbench_workload::schema::MEASURE_COL;
+        let edited = CellAddr::new(1, MEASURE_COL); // J2
+        for n in [1u32, 5] {
+            let run = |kind: SystemKind| {
+                let sys = SimSystem::new(kind);
+                let mut v = build_sheet(2000, Variant::ValueOnly);
+                for i in 0..n {
+                    v.set_formula_str(CellAddr::new(i, 20), "=COUNTIF(J1:J2000,1)").unwrap();
+                }
+                recalc::recalc_all(&mut v);
+                // The first edit builds the Optimized profile's indexes
+                // (outside its measured region); the second is the one
+                // counted.
+                let old = v.value(edited);
+                sys.update_cell(&mut v, edited, Value::Number(7.0));
+                let before = v.meter().snapshot();
+                sys.update_cell(&mut v, edited, old);
+                let d = v.meter().snapshot().since(&before);
+                let values: Vec<Value> = (0..n).map(|i| v.value(CellAddr::new(i, 20))).collect();
+                (d, values)
+            };
+            let (opt, opt_values) = run(SystemKind::Optimized);
+            let (_, excel_values) = run(SystemKind::Excel);
+            assert_eq!(opt.get(Primitive::CellWrite), 1, "N={n}");
+            assert_eq!(opt.get(Primitive::IndexProbe), 1 + 3 * u64::from(n), "N={n}");
+            assert_eq!(opt.get(Primitive::FormulaEval), u64::from(n), "N={n}");
+            assert_eq!(opt.get(Primitive::CellRead), 0, "N={n}: probes, not a scan");
+            assert_eq!(opt_values, excel_values, "N={n}");
         }
-        assert_eq!(excel.value(CellAddr::new(0, 2)), Value::Number(1.2));
-    }
-
-    #[test]
-    fn optimized_update_keeps_the_delta_path_for_integer_sums() {
-        let sys = SimSystem::new(SystemKind::Optimized);
-        let mut v = build_sheet(2000, Variant::ValueOnly);
-        v.set_formula_str(CellAddr::new(0, 20), "=SUM(K1:K2000)").unwrap();
-        recalc::recalc_all(&mut v);
-        let ms = sys.update_cell(&mut v, CellAddr::new(0, 10), Value::Number(5.0));
-        assert!(ms < 5.0, "integer column stays inside the envelope, got {ms} ms");
-        let delta = v.value(CellAddr::new(0, 20));
-        recalc::recalc_all(&mut v);
-        assert_eq!(v.value(CellAddr::new(0, 20)), delta);
-    }
-
-    #[test]
-    fn memoized_eval_runs_each_distinct_formula_once() {
-        // Excel's profile has no column index, so the scan is visible.
-        let sys = SimSystem::new(SystemKind::Excel);
-        let mut v = build_sheet(1000, Variant::ValueOnly);
-        let countif = parse("COUNTIF(K1:K1000,1)").unwrap();
-        let sum = parse("SUM(A1:A1000)").unwrap();
-        let exprs = [countif.clone(), sum, countif.clone(), countif];
-        let before = v.meter().snapshot();
-        let (evaluated, _) = sys.eval_memoized(&mut v, OpClass::Aggregate, &exprs);
-        let d = v.meter().snapshot().since(&before);
-        assert_eq!(evaluated, 2);
-        assert_eq!(d.get(Primitive::CellRead), 2000, "two scans for four formulae");
-        assert_eq!(d.get(Primitive::FormulaEval), 4, "every instance is still charged");
     }
 
     #[test]
@@ -808,8 +632,8 @@ mod tests {
             let mut sheet = build_sheet(rows, Variant::ValueOnly);
             let (_, countif) = sys.countif(&mut sheet, FORMULA_COL_START, rows, "1");
             let (_, vlookup) = sys.vlookup(&mut sheet, f64::from(rows - 7), rows, 1, false);
-            // The update rides the delta-maintained aggregate: install the
-            // COUNTIF Figure 13 edits under, then flip one measure cell.
+            // The update recomputes through the index: install the COUNTIF
+            // Figure 13 edits under, then flip one measure cell.
             let range = Range::column_segment(MEASURE_COL, 0, rows - 1);
             sheet
                 .set_formula_str(CellAddr::new(0, 20), &format!("=COUNTIF({},1)", range.to_a1()))

@@ -25,7 +25,9 @@ tree_before="$(git status --porcelain)"
 # chunk kind and the two thresholds PR 23 deleted, nor the three serde
 # stand-ins PR 22 replaced with `harness::json`, nor the proptest stand-in
 # PR 25 replaced with seeded `SmallRng` loops: one shim, `rand`, and no
-# manifest or source file that names a serde crate or the proptest DSL.
+# manifest or source file that names a serde crate or the proptest DSL;
+# nor the Optimized system's own delta views, formula memo and update
+# policy — its updates go through the engine like everyone else's.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDGET") ' ]; then
@@ -36,6 +38,12 @@ fi
 if grep -rn 'ColumnMajor\|for_each_in_range' crates src tests examples ||
   grep -rn 'SparseSeg\|SPARSE_PROMOTE\|SPARSE_TO_CELLS\|sparse_if_small\|maybe_promote' crates src tests examples; then
   echo "a deleted visit order, range reader or chunk kind is back (see above)" >&2
+  exit 1
+fi
+if grep -rnwE 'IncrementalAggregate|IncrementalRegistry|FormulaMemo|incremental_update|eval_memoized|incrementalize' \
+  crates src tests examples; then
+  echo "a deleted delta view, formula memo or update policy is back (see above);" \
+    "an update goes through set_value and recalc_from" >&2
   exit 1
 fi
 

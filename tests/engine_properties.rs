@@ -245,11 +245,10 @@ fn parallel_recalc_is_deterministic() {
 // The Optimized profile's strategies vs the engine's plain paths
 // ---------------------------------------------------------------------
 
-/// Delta-maintained aggregates are invisible in values: after any edit
-/// sequence through `SimSystem::update_cell`, every aggregate under the
-/// Optimized profile is bit-identical to Excel's recompute — on integers
-/// (inside the sum envelope, so the delta path runs) and on tenths
-/// (outside it, so sums must fall back).
+/// The indexed recompute is invisible in values: after any edit sequence
+/// through `SimSystem::update_cell`, every aggregate under the Optimized
+/// profile — whose `COUNTIF` the maintained column index answers — is
+/// bit-identical to Excel's scan, on integers and on tenths.
 #[test]
 fn incremental_aggregate_matches_recompute() {
     use ssbench::systems::{SimSystem, SystemKind};

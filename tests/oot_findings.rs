@@ -65,7 +65,7 @@ fn no_shared_computation_finding() {
 }
 
 /// §5.4 takeaway: identical formulae are recomputed — 5 instances ≈ 5×
-/// one instance; the memo answers them for ~1×.
+/// one instance.
 #[test]
 fn no_redundancy_elimination_finding() {
     let r = oot::fig12_redundant(&cfg(0.05));
@@ -110,12 +110,17 @@ fn optimized_series_always_win() {
 
     let r12 = oot::fig12_redundant(&cfg(scale));
     let naive = r12.series("Excel Multiple formulae (5)").unwrap().last().unwrap();
-    let opt = r12.series("Optimized (memoized ×5)").unwrap().last().unwrap();
+    let opt = r12.series("Optimized Multiple formulae (5)").unwrap().last().unwrap();
     assert!(opt.ms < naive.ms);
 
     let r13 = oot::fig13_incremental(&cfg(scale));
     let naive = r13.series("Excel").unwrap().last().unwrap();
     let opt = r13.series("Optimized").unwrap().last().unwrap();
+    assert!(opt.ms < naive.ms);
+
+    let r14 = oot::fig14_multi_instance(&cfg(scale));
+    let naive = r14.series("Excel").unwrap().last().unwrap();
+    let opt = r14.series("Optimized").unwrap().last().unwrap();
     assert!(opt.ms < naive.ms);
 }
 
