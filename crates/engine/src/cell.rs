@@ -1,11 +1,13 @@
 //! The cell model: a cell holds either a plain value or a formula (parsed
-//! expression + program binding + cached result), plus a style.
+//! expression + program binding + cached result), and nothing else. A
+//! cell's fill is no part of it: fills are row runs kept per column beside
+//! the values (`grid::fills`), so formatting a cell never touches its
+//! storage.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::compile::Program;
 use crate::formula::{self, Expr};
-use crate::style::Style;
 use crate::value::Value;
 
 /// A parsed formula living in a cell.
@@ -73,9 +75,9 @@ impl Formula {
     }
 }
 
-/// What a cell contains.
+/// One spreadsheet cell: what it contains.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CellContent {
+pub enum Cell {
     /// A literal value.
     Value(Value),
     /// A formula (boxed: formulae are the minority of cells and the box
@@ -83,55 +85,47 @@ pub enum CellContent {
     Formula(Box<Formula>),
 }
 
-/// One spreadsheet cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cell {
-    pub content: CellContent,
-    pub style: Style,
-}
-
 impl Cell {
-    /// An empty, unstyled cell.
+    /// An empty cell.
     pub fn empty() -> Self {
-        Cell { content: CellContent::Value(Value::Empty), style: Style::plain() }
+        Cell::Value(Value::Empty)
     }
 
     /// A value cell.
     pub fn value(v: impl Into<Value>) -> Self {
-        Cell { content: CellContent::Value(v.into()), style: Style::plain() }
+        Cell::Value(v.into())
     }
 
     /// A formula cell (uncomputed).
     pub fn formula(expr: Expr) -> Self {
-        Cell { content: CellContent::Formula(Box::new(Formula::new(expr))), style: Style::plain() }
+        Cell::Formula(Box::new(Formula::new(expr)))
     }
 
     /// True when the cell holds a formula.
     pub fn is_formula(&self) -> bool {
-        matches!(self.content, CellContent::Formula(_))
+        matches!(self, Cell::Formula(_))
     }
 
-    /// True when the cell is an empty value cell with no styling.
+    /// True when the cell is an empty value cell.
     pub fn is_vacant(&self) -> bool {
-        self.style.is_plain()
-            && matches!(&self.content, CellContent::Value(Value::Empty))
+        matches!(self, Cell::Value(Value::Empty))
     }
 
     /// The user-visible value: the literal for value cells, the cached
     /// result for formula cells.
     pub fn display_value(&self) -> &Value {
-        match &self.content {
-            CellContent::Value(v) => v,
-            CellContent::Formula(f) => &f.cached,
+        match self {
+            Cell::Value(v) => v,
+            Cell::Formula(f) => &f.cached,
         }
     }
 
     /// The text a user would see in the formula bar: `=SUM(A1:A3)` for
     /// formulae, the rendered value otherwise.
     pub fn input_text(&self) -> String {
-        match &self.content {
-            CellContent::Value(v) => v.display(),
-            CellContent::Formula(f) => f.source(),
+        match self {
+            Cell::Value(v) => v.display(),
+            Cell::Formula(f) => f.source(),
         }
     }
 }
@@ -167,8 +161,13 @@ mod tests {
     fn vacancy() {
         assert!(Cell::empty().is_vacant());
         assert!(!Cell::value(0).is_vacant());
-        let mut styled = Cell::empty();
-        styled.style = styled.style.with_fill(crate::style::Color::GREEN);
-        assert!(!styled.is_vacant());
+        assert!(!Cell::formula(parse("1").unwrap()).is_vacant());
+    }
+
+    /// A cell is its content: a value or a boxed formula, 24 bytes, so a
+    /// `Cells` chunk of 1 024 slots is 24 KB.
+    #[test]
+    fn a_cell_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 24);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! The sheet puts every kind of chunk under a window: `Num` chunks with
 //! blanks, `Text` chunks (texts that read as numbers, case variants,
-//! wildcard hits), a full `Cells` chunk with styled cells, formulas and a
+//! wildcard hits), a full `Cells` chunk with formulas and a
 //! cached error, a `Cells` chunk of a few cells, a `Num` chunk of one, a
 //! wholly vacant chunk, fractions and
 //! magnitudes of 2^53 (outside the delta cache's exact-integer envelope),
@@ -42,7 +42,6 @@ use crate::meter::Meter;
 use crate::ops::structure::differential::BUDGET;
 use crate::recalc::recalc_all;
 use crate::sheet::Sheet;
-use crate::style::{Color, Style};
 use crate::value::Value;
 
 /// Three whole chunks and an eighth of a fourth.
@@ -56,14 +55,13 @@ const LABELS: [&str; 12] =
 /// Every column as a letter: A whole numbers with blanks (`Num`), B
 /// `LABELS` with blanks (`Text`), C general storage, D fractions and ±2^53
 /// (`Num`), E zeros of both signs and a falling run (`Num`), F a formula
-/// per row (`Cells`), G styled numbers with cached infinities and a NaN
-/// (`Cells`), H nothing at all.
+/// per row (`Cells`), G numbers with cached infinities and a NaN (`Cells`
+/// where those formulas are, `Num` between), H nothing at all.
 const COLUMNS: [char; 8] = ['A', 'B', 'C', 'D', 'E', 'F', 'G', 'H'];
 
 fn build(capped: bool) -> Sheet {
     let mut s = Sheet::new();
     s.set_grid_budget(capped.then_some(BUDGET));
-    let green = Style::plain().with_fill(Color::GREEN);
     for r in 0..ROWS {
         let at = |col| CellAddr::new(r, col);
         if r % 97 != 13 {
@@ -83,14 +81,11 @@ fn build(capped: bool) -> Sheet {
         s.set_value(at(4), e);
         s.set_formula_str(at(5), &format!("=A{}*2", r + 1)).unwrap();
         s.set_value(at(6), f64::from(r % 9) - 4.0);
-        if r % 5 == 0 {
-            s.set_style(at(6), green);
-        }
     }
     s.set_value(CellAddr::new(1500, 3), 9_007_199_254_740_992.0);
     s.set_value(CellAddr::new(1501, 3), -9_007_199_254_740_992.0);
     // C, first chunk: dense general storage — formulas, bools, texts,
-    // numbers, a fill on some rows, and one formula that caches an error.
+    // numbers, and one formula that caches an error.
     for r in 0..1024 {
         let at = CellAddr::new(r, 2);
         match r % 4 {
@@ -99,16 +94,12 @@ fn build(capped: bool) -> Sheet {
             2 => s.set_value(at, LABELS[(r / 4 % 12) as usize]),
             _ => s.set_value(at, i64::from(r)),
         }
-        if r % 64 < 4 {
-            s.set_style(at, green);
-        }
     }
     s.set_formula_str(CellAddr::new(700, 2), "=1/0").unwrap();
     // C, second chunk: a few general cells in an otherwise vacant chunk;
     // the third stays vacant; the fourth holds one number.
     s.set_value(CellAddr::new(1027, 2), "storm");
     s.set_value(CellAddr::new(1064, 2), 7);
-    s.set_style(CellAddr::new(1065, 2), green);
     s.set_formula_str(CellAddr::new(1500, 2), "=A1+0.5").unwrap();
     s.set_value(CellAddr::new(2047, 2), 2);
     s.set_value(CellAddr::new(3080, 2), -3);
@@ -130,7 +121,7 @@ fn the_sheet_puts_every_chunk_kind_under_a_window() {
     assert_eq!(kinds(2), ["cells", "cells", "num"]);
     assert_eq!(kinds(3), ["num"; 4]);
     assert_eq!(kinds(5), ["cells"; 4]);
-    assert_eq!(kinds(6), ["cells"; 4]);
+    assert_eq!(kinds(6), ["cells", "num", "cells", "num"]);
     assert_eq!(s.value(CellAddr::new(100, 6)), Value::Number(f64::NEG_INFINITY));
     assert!(matches!(s.value(CellAddr::new(200, 6)), Value::Number(n) if n.is_nan()));
     let capped = build(true);

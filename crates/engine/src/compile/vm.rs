@@ -15,7 +15,7 @@
 //! to the interpreter over every kind of chunk (DESIGN.md §19).
 
 use crate::addr::{CellAddr, Range};
-use crate::cell::CellContent;
+use crate::cell::Cell;
 use crate::error::CellError;
 use crate::eval::{apply_binary, apply_unary, EvalCtx};
 use crate::functions::{scalar, Arg};
@@ -253,9 +253,9 @@ fn walk<F: FnMut(Run<'_>)>(grid: &GridStore, range: Range, f: &mut F) -> (u64, u
             visited += cells.len() as u64;
             let mut n = 0;
             for cell in cells {
-                let v = match &cell.content {
-                    CellContent::Value(v) => v,
-                    CellContent::Formula(fm) => {
+                let v = match cell {
+                    Cell::Value(v) => v,
+                    Cell::Formula(fm) => {
                         formulas += 1;
                         &fm.cached
                     }

@@ -11,8 +11,8 @@
 //! * `Text` — `[u32; CHUNK]` of interner ids (plain text cells);
 //!   `u32::MAX` marks a vacant slot.
 //! * `Cells` — a dense `Vec<Cell>`: the fully-general kind, for chunks
-//!   holding formulas, styles, bools, or errors. **Invariant: formula and
-//!   styled cells only ever live in `Cells`**, so borrowing reads of them
+//!   holding formulas, bools, or errors. **Invariant: formula cells only
+//!   ever live in `Cells`**, so borrowing reads of them
 //!   (`CellGet::Borrowed`, `Sheet::formula_expr`) always find real
 //!   storage, never a reconstruction.
 //! * `Spilled` — a page id in the buffer pool's page file. Only `Num` and
@@ -28,7 +28,7 @@
 //! turns it into `Cells`, once. Nothing turns a `Cells` chunk back.
 //!
 //! Four writers place slots through that rule. A point write
-//! (`GridStore::set`, `set_value`) places one slot in the column's chunk
+//! (`GridStore::set`) places one slot in the column's chunk
 //! directory. Row and column inserts and deletes shift the storage in
 //! place (`GridStore::move_rows`, DESIGN.md §15): typed runs move as
 //! slices, general cells by value, and spilled chunks are loaded one at a
@@ -47,13 +47,14 @@
 //! The scan operations assemble nothing (DESIGN.md §18). Filter, pivot
 //! and find read columns as the slices the formula kernels read
 //! (`GridStore::scan_range`); find-and-replace and conditional formatting
-//! edit a range where it is stored, a chunk of a column at a time
-//! (`GridStore::for_each_chunk_mut`, which hands out a `ChunkMut`): a text
-//! chunk has interner ids exchanged for interner ids, a general chunk has
-//! its cells rewritten or restyled in place, and a typed chunk becomes
-//! general cells — once — only if a style has to land in it. A spilled
-//! chunk is read through the fault cache and loaded only when an edit
-//! lands in it, with the budget enforced after each load.
+//! and find-and-replace edits a range where it is stored, a chunk of a
+//! column at a time (`GridStore::for_each_chunk_mut`, which hands out a
+//! `ChunkMut`): a text chunk has interner ids exchanged for interner ids
+//! and a general chunk has its cells rewritten in place. A spilled chunk
+//! is read through the fault cache and loaded only when an edit lands in
+//! it, with the budget enforced after each load. Conditional formatting
+//! writes no slot at all: fills are row runs kept per column beside the
+//! chunks (`super::fills`), moved by the same loops that move slots.
 //!
 //! Spill machinery never touches the op meter: a budgeted grid produces
 //! bit-identical values, meter counts, and trace signatures to an
@@ -66,12 +67,13 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::addr::{CellAddr, Range};
-use crate::cell::{Cell, CellContent, Formula};
+use crate::cell::{Cell, Formula};
 use crate::error::EngineError;
-use crate::style::Style;
+use crate::style::Color;
 use crate::value::Value;
 
 use super::empty_cell;
+use super::fills::Fills;
 use super::pool::{self, PageData, PageKind, Pool, SpillStats, CHUNK, PAGE_BYTES, WORDS};
 
 /// Hard engine limits. Addresses at or beyond these are rejected with
@@ -89,7 +91,7 @@ const NO_TEXT: u32 = u32::MAX;
 static EMPTY_VALUE: Value = Value::Empty;
 
 /// The result of a grid read: a borrow when the cell has real storage
-/// (always the case for formulas and styled cells), an owned
+/// (always the case for formulas), an owned
 /// reconstruction when the slot lives in a typed or spilled segment.
 /// Derefs to [`Cell`]; call [`CellGet::into_cell`] for an owned copy.
 #[derive(Debug)]
@@ -311,10 +313,6 @@ impl TextSeg {
         TextSeg { count: 0, pins: 0, hot: AtomicBool::new(true), ids: [NO_TEXT; CHUNK] }
     }
 
-    fn get(&self, off: usize) -> u32 {
-        self.ids[off]
-    }
-
     fn set(&mut self, off: usize, id: u32) {
         if self.ids[off] == NO_TEXT && id != NO_TEXT {
             self.count += 1;
@@ -435,9 +433,8 @@ fn segment_from_page(data: &PageData) -> Segment {
 }
 
 /// A value on its way into a slot, classified by the kind of chunk that
-/// holds it as it is: a plain number, a plain text (as its interner id),
-/// or anything else — a bool, an error, a formula, a styled cell — as the
-/// cell it is.
+/// holds it as it is: a number, a text (as its interner id), or anything
+/// else — a bool, an error, a formula — as the cell it is.
 enum SlotVal {
     Empty,
     Num(f64),
@@ -448,13 +445,10 @@ enum SlotVal {
 impl SlotVal {
     /// Classifies `cell`, interning a plain text.
     fn of(cell: Cell, it: &mut Interner) -> SlotVal {
-        if !cell.style.is_plain() {
-            return SlotVal::Full(cell);
-        }
-        match cell.content {
-            CellContent::Value(Value::Number(n)) => SlotVal::Num(n),
-            CellContent::Value(Value::Text(ref s)) => SlotVal::TextId(it.intern(s)),
-            CellContent::Value(Value::Empty) => SlotVal::Empty,
+        match cell {
+            Cell::Value(Value::Number(n)) => SlotVal::Num(n),
+            Cell::Value(Value::Text(ref s)) => SlotVal::TextId(it.intern(s)),
+            Cell::Value(Value::Empty) => SlotVal::Empty,
             _ => SlotVal::Full(cell),
         }
     }
@@ -487,53 +481,65 @@ enum ChunkRef<'a> {
     Page(Arc<PageData>),
 }
 
-/// The slots of a typed segment as general cells.
-fn seg_to_cells(seg: &Segment, it: &Interner) -> Vec<Cell> {
-    match seg {
-        Segment::Num(s) => (0..CHUNK)
-            .map(|i| if bit(&s.present, i) { Cell::value(s.vals[i]) } else { Cell::empty() })
-            .collect(),
-        Segment::Text(s) => s
-            .ids
-            .iter()
-            .map(|&id| match id {
-                NO_TEXT => Cell::empty(),
-                id => Cell::value(it.value(id).clone()),
-            })
-            .collect(),
-        Segment::Cells(_) | Segment::Spilled(_) => {
-            unreachable!("only a resident typed segment is turned into general cells")
+/// A resolved chunk's slots, the same whether resident or on a page.
+#[derive(Clone, Copy)]
+enum Slots<'a> {
+    Vacant,
+    Nums(&'a [u64; WORDS], &'a [f64; CHUNK]),
+    Texts(&'a [u32; CHUNK]),
+    Cells(&'a [Cell]),
+}
+
+impl ChunkRef<'_> {
+    fn slots(&self) -> Slots<'_> {
+        match self {
+            ChunkRef::Vacant => Slots::Vacant,
+            ChunkRef::Seg(Segment::Num(s)) => Slots::Nums(&s.present, &s.vals),
+            ChunkRef::Seg(Segment::Text(s)) => Slots::Texts(&s.ids),
+            ChunkRef::Seg(Segment::Cells(v)) => Slots::Cells(v),
+            ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
+            ChunkRef::Page(page) => match &**page {
+                PageData::Num(np) => Slots::Nums(&np.present, &np.vals),
+                PageData::Text(tp) => Slots::Texts(&tp.ids),
+            },
         }
     }
 }
 
+/// The slots of a resident typed segment as general cells.
+fn seg_to_cells(seg: &Segment, it: &Interner) -> Vec<Cell> {
+    let cref = ChunkRef::Seg(seg);
+    let slots = cref.slots();
+    (0..CHUNK)
+        .map(|off| match slots {
+            Slots::Nums(present, vals) if bit(present, off) => Cell::value(vals[off]),
+            Slots::Texts(ids) if ids[off] != NO_TEXT => Cell::value(it.value(ids[off]).clone()),
+            Slots::Cells(_) => unreachable!("only a typed segment is turned into general cells"),
+            _ => Cell::empty(),
+        })
+        .collect()
+}
+
 /// The placement rule, for a slot of a resident chunk (a vacant one was
-/// opened by [`SlotVal::opens`]): a plain number or text landing in a
-/// chunk of its kind stays typed, and anything else lands in general
-/// cells, which a typed chunk is turned into to take it. `keep_style` is
-/// the `set_value` semantic: a styled slot keeps its style and only the
-/// content changes. `Empty` clears the slot.
-fn put_cell(seg: &mut Segment, off: usize, v: SlotVal, keep_style: bool, it: &Interner) {
+/// opened by [`SlotVal::opens`]): a number or text landing in a chunk of
+/// its kind stays typed, and anything else lands in general cells, which a
+/// typed chunk is turned into to take it. `Empty` clears the slot.
+fn put_cell(seg: &mut Segment, off: usize, v: SlotVal, it: &Interner) {
     match (&mut *seg, v) {
         (Segment::Num(s), SlotVal::Num(n)) => s.set(off, n),
         (Segment::Num(s), SlotVal::Empty) => s.clear(off),
         (Segment::Text(s), SlotVal::TextId(id)) => s.set(off, id),
         (Segment::Text(s), SlotVal::Empty) => s.clear(off),
-        (_, v) => {
-            let slot = &mut seg.cells_mut(it)[off];
-            let style = slot.style;
-            *slot = v.into_cell(it);
-            if keep_style {
-                slot.style = style;
-            }
-        }
+        (_, v) => seg.cells_mut(it)[off] = v.into_cell(it),
     }
 }
 
-/// One column: chunk index → segment. Absent chunks are fully vacant.
+/// One column: chunk index → segment, absent chunks fully vacant; and the
+/// column's fills, beside the slots.
 #[derive(Debug, Default)]
 struct Column {
     segs: BTreeMap<u32, Segment>,
+    fills: Fills,
 }
 
 impl Column {
@@ -541,14 +547,7 @@ impl Column {
     /// bytes the column gained or gave up. A typed chunk cleared of its
     /// last slot is vacant again. Precondition: the target chunk is not
     /// `Spilled` (callers load it first via `GridStore::make_resident`).
-    fn write(
-        &mut self,
-        row: u32,
-        v: SlotVal,
-        keep_style: bool,
-        it: &Interner,
-        resident: &mut isize,
-    ) {
+    fn write(&mut self, row: u32, v: SlotVal, it: &Interner, resident: &mut isize) {
         let ci = row / CHUNK_ROWS;
         let off = (row % CHUNK_ROWS) as usize;
         // The common write, a number or a text into a chunk of its kind,
@@ -567,7 +566,7 @@ impl Column {
             Entry::Vacant(_) if matches!(v, SlotVal::Empty) => return,
             Entry::Vacant(e) => e.insert(v.opens()),
         };
-        put_cell(seg, off, v, keep_style, it);
+        put_cell(seg, off, v, it);
         let mut after = seg.spillable_bytes();
         let emptied = match seg {
             Segment::Num(s) => s.count == 0,
@@ -591,29 +590,17 @@ fn population(cols: &[Column]) -> u64 {
 /// Text ids move without re-interning; general cells clone.
 #[cfg(test)]
 fn read_slot_for_move(col: &Column, pool: &Pool, it: &mut Interner, row: u32) -> SlotVal {
-    let ci = row / CHUNK_ROWS;
     let off = (row % CHUNK_ROWS) as usize;
-    match col.segs.get(&ci) {
-        None => SlotVal::Empty,
-        Some(Segment::Num(s)) => s.get(off).map_or(SlotVal::Empty, SlotVal::Num),
-        Some(Segment::Text(s)) => match s.get(off) {
-            NO_TEXT => SlotVal::Empty,
-            id => SlotVal::TextId(id),
-        },
-        Some(Segment::Cells(v)) => SlotVal::of(v[off].clone(), it),
-        Some(Segment::Spilled(sp)) => match &*pool.fault(sp.page, sp.kind) {
-            PageData::Num(np) => {
-                if bit(&np.present, off) {
-                    SlotVal::Num(np.vals[off])
-                } else {
-                    SlotVal::Empty
-                }
-            }
-            PageData::Text(tp) => match tp.ids[off] {
-                NO_TEXT => SlotVal::Empty,
-                id => SlotVal::TextId(id),
-            },
-        },
+    let cref = match col.segs.get(&(row / CHUNK_ROWS)) {
+        None => ChunkRef::Vacant,
+        Some(Segment::Spilled(sp)) => ChunkRef::Page(pool.fault(sp.page, sp.kind)),
+        Some(seg) => ChunkRef::Seg(seg),
+    };
+    match cref.slots() {
+        Slots::Nums(present, vals) if bit(present, off) => SlotVal::Num(vals[off]),
+        Slots::Texts(ids) if ids[off] != NO_TEXT => SlotVal::TextId(ids[off]),
+        Slots::Cells(v) => SlotVal::of(v[off].clone(), it),
+        _ => SlotVal::Empty,
     }
 }
 
@@ -681,7 +668,7 @@ fn move_slots(
                 other => {
                     for i in a..b {
                         if let Some(v) = s.get(i) {
-                            put_cell(other, d + i - a, SlotVal::Num(v), false, it);
+                            put_cell(other, d + i - a, SlotVal::Num(v), it);
                         }
                     }
                 }
@@ -700,7 +687,7 @@ fn move_slots(
                 }
                 other => {
                     for i in (a..b).filter(|&i| s.ids[i] != NO_TEXT) {
-                        put_cell(other, d + i - a, SlotVal::TextId(s.ids[i]), false, it);
+                        put_cell(other, d + i - a, SlotVal::TextId(s.ids[i]), it);
                     }
                 }
             }
@@ -711,7 +698,7 @@ fn move_slots(
             for (i, cell) in v[a..b].iter_mut().enumerate() {
                 if !cell.is_vacant() {
                     let v = SlotVal::of(std::mem::take(cell), it);
-                    put_cell(dst.get_or_insert_with(|| v.opens()), d + i, v, false, it);
+                    put_cell(dst.get_or_insert_with(|| v.opens()), d + i, v, it);
                     n += 1;
                 }
             }
@@ -774,7 +761,7 @@ fn scatter_slots(
                     let (ci, d) = place(to[off]);
                     match dst[ci].get_or_insert_with(|| Segment::Num(Box::new(NumSeg::vacant()))) {
                         Segment::Num(t) => t.set(d, s.vals[off]),
-                        other => put_cell(other, d, SlotVal::Num(s.vals[off]), false, it),
+                        other => put_cell(other, d, SlotVal::Num(s.vals[off]), it),
                     }
                 }
             }
@@ -787,7 +774,7 @@ fn scatter_slots(
                 let (ci, d) = place(to[off]);
                 match dst[ci].get_or_insert_with(|| Segment::Text(Box::new(TextSeg::vacant()))) {
                     Segment::Text(t) => t.set(d, id),
-                    other => put_cell(other, d, SlotVal::TextId(id), false, it),
+                    other => put_cell(other, d, SlotVal::TextId(id), it),
                 }
             }
         }
@@ -796,7 +783,7 @@ fn scatter_slots(
                 if !cell.is_vacant() {
                     let (ci, d) = place(to[off]);
                     let v = SlotVal::of(cell, it);
-                    put_cell(dst[ci].get_or_insert_with(|| v.opens()), d, v, false, it);
+                    put_cell(dst[ci].get_or_insert_with(|| v.opens()), d, v, it);
                 }
             }
         }
@@ -837,7 +824,7 @@ impl ChunkLoader<'_> {
     pub(crate) fn number(&mut self, col: usize, n: f64) {
         match self.dst[col].get_or_insert_with(|| Segment::Num(Box::new(NumSeg::vacant()))) {
             Segment::Num(t) => t.set(self.off, n),
-            other => put_cell(other, self.off, SlotVal::Num(n), false, &self.grid.interner),
+            other => put_cell(other, self.off, SlotVal::Num(n), &self.grid.interner),
         }
     }
 
@@ -847,7 +834,7 @@ impl ChunkLoader<'_> {
         let id = self.grid.interner.intern_str(s);
         match self.dst[col].get_or_insert_with(|| Segment::Text(Box::new(TextSeg::vacant()))) {
             Segment::Text(t) => t.set(self.off, id),
-            other => put_cell(other, self.off, SlotVal::TextId(id), false, &self.grid.interner),
+            other => put_cell(other, self.off, SlotVal::TextId(id), &self.grid.interner),
         }
     }
 
@@ -856,7 +843,7 @@ impl ChunkLoader<'_> {
     pub(crate) fn cell(&mut self, col: usize, cell: Cell) {
         let v = SlotVal::of(cell, &mut self.grid.interner);
         let seg = self.dst[col].get_or_insert_with(|| v.opens());
-        put_cell(seg, self.off, v, false, &self.grid.interner);
+        put_cell(seg, self.off, v, &self.grid.interner);
     }
 
     /// Installs the last band's chunks. A load dropped without this has
@@ -989,39 +976,19 @@ impl GridStore {
         if !self.in_extent(addr) {
             return None;
         }
-        let ci = addr.row / CHUNK_ROWS;
         let off = (addr.row % CHUNK_ROWS) as usize;
-        Some(match self.chunk_ref(addr.col, ci) {
-            ChunkRef::Vacant => CellGet::Borrowed(empty_cell()),
-            ChunkRef::Seg(Segment::Cells(v)) => CellGet::Borrowed(&v[off]),
-            ChunkRef::Seg(Segment::Num(s)) => match s.get(off) {
-                Some(n) => CellGet::Owned(Cell::value(n)),
-                None => CellGet::Borrowed(empty_cell()),
-            },
-            ChunkRef::Seg(Segment::Text(s)) => match s.get(off) {
-                NO_TEXT => CellGet::Borrowed(empty_cell()),
-                id => CellGet::Owned(Cell {
-                    content: CellContent::Value(self.interner.value(id).clone()),
-                    style: Style::plain(),
-                }),
-            },
-            ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
-            ChunkRef::Page(page) => match &*page {
-                PageData::Num(np) => {
-                    if bit(&np.present, off) {
-                        CellGet::Owned(Cell::value(np.vals[off]))
-                    } else {
-                        CellGet::Borrowed(empty_cell())
-                    }
-                }
-                PageData::Text(tp) => match tp.ids[off] {
-                    NO_TEXT => CellGet::Borrowed(empty_cell()),
-                    id => CellGet::Owned(Cell {
-                        content: CellContent::Value(self.interner.value(id).clone()),
-                        style: Style::plain(),
-                    }),
-                },
-            },
+        let cref = self.chunk_ref(addr.col, addr.row / CHUNK_ROWS);
+        if let ChunkRef::Seg(Segment::Cells(v)) = cref {
+            return Some(CellGet::Borrowed(&v[off]));
+        }
+        Some(match cref.slots() {
+            Slots::Nums(present, vals) if bit(present, off) => {
+                CellGet::Owned(Cell::value(vals[off]))
+            }
+            Slots::Texts(ids) if ids[off] != NO_TEXT => {
+                CellGet::Owned(Cell::value(self.interner.value(ids[off]).clone()))
+            }
+            _ => CellGet::Borrowed(empty_cell()),
         })
     }
 
@@ -1031,74 +998,45 @@ impl GridStore {
         if !self.in_extent(addr) {
             return Value::Empty;
         }
-        let ci = addr.row / CHUNK_ROWS;
         let off = (addr.row % CHUNK_ROWS) as usize;
-        match self.chunk_ref(addr.col, ci) {
-            ChunkRef::Vacant => Value::Empty,
-            ChunkRef::Seg(Segment::Num(s)) => s.get(off).map_or(Value::Empty, Value::Number),
-            ChunkRef::Seg(Segment::Text(s)) => self.interner.value(s.get(off)).clone(),
-            ChunkRef::Seg(Segment::Cells(v)) => v[off].display_value().clone(),
-            ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
-            ChunkRef::Page(page) => match &*page {
-                PageData::Num(np) => {
-                    if bit(&np.present, off) {
-                        Value::Number(np.vals[off])
-                    } else {
-                        Value::Empty
-                    }
-                }
-                PageData::Text(tp) => self.interner.value(tp.ids[off]).clone(),
-            },
+        match self.chunk_ref(addr.col, addr.row / CHUNK_ROWS).slots() {
+            Slots::Nums(present, vals) if bit(present, off) => Value::Number(vals[off]),
+            Slots::Texts(ids) => self.interner.value(ids[off]).clone(),
+            Slots::Cells(v) => v[off].display_value().clone(),
+            _ => Value::Empty,
         }
     }
 
-    /// Mutable access to the cell at `addr`, growing the grid as needed:
-    /// a vacant chunk opens as `Cells` and a typed one is turned into it.
-    /// Errs only when `addr` lies beyond the engine's hard limits.
-    pub fn cell_mut(&mut self, addr: CellAddr) -> Result<&mut Cell, EngineError> {
-        self.grow_for(addr)?;
-        let ci = addr.row / CHUNK_ROWS;
-        let off = (addr.row % CHUNK_ROWS) as usize;
-        self.make_resident(addr.col, ci);
-        let GridStore { cols, interner, pool, .. } = self;
-        let seg = cols[addr.col as usize].segs.entry(ci).or_insert_with(Segment::vacant_cells);
-        pool.sub_resident(seg.spillable_bytes());
-        Ok(&mut seg.cells_mut(interner)[off])
-    }
-
-    /// Full-cell overwrite (content *and* style), growing as needed.
+    /// Writes `cell` at `addr`, growing the grid as needed, by the
+    /// placement rule; the fill at `addr` is not the cell's and stays.
     pub fn set(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
-        self.write(addr, cell, false)
-    }
-
-    /// Content-only write that preserves an existing style; the typed fast
-    /// path for plain values (never degrades a typed chunk to `Cells`).
-    pub fn set_value(&mut self, addr: CellAddr, v: Value) -> Result<(), EngineError> {
-        self.write(addr, Cell::value(v), true)
-    }
-
-    fn write(&mut self, addr: CellAddr, cell: Cell, keep_style: bool) -> Result<(), EngineError> {
         self.grow_for(addr)?;
         self.make_resident(addr.col, addr.row / CHUNK_ROWS);
         let v = SlotVal::of(cell, &mut self.interner);
         let mut delta = 0isize;
-        self.cols[addr.col as usize].write(addr.row, v, keep_style, &self.interner, &mut delta);
+        self.cols[addr.col as usize].write(addr.row, v, &self.interner, &mut delta);
         self.apply_resident_delta(delta);
         self.enforce_budget();
         Ok(())
     }
 
-    /// Style-only write. Plain on a typed or vacant chunk is a no-op
-    /// (their slots are plain by construction), so conditional formatting
-    /// that matches nothing never degrades typed chunks.
-    pub fn set_style(&mut self, addr: CellAddr, style: Style) -> Result<(), EngineError> {
-        self.grow_for(addr)?;
-        let seg = self.cols[addr.col as usize].segs.get(&(addr.row / CHUNK_ROWS));
-        if style.is_plain() && !matches!(seg, Some(Segment::Cells(_))) {
-            return Ok(());
-        }
-        self.cell_mut(addr)?.style = style;
-        Ok(())
+    /// The fill at `addr`.
+    pub fn fill(&self, addr: CellAddr) -> Option<Color> {
+        self.cols.get(addr.col as usize)?.fills.get(addr.row)
+    }
+
+    /// Asks `decide` the new fill of every row of `r0..=r1` of column `col`
+    /// (inside the extent), given its old one ([`Fills::restyle`]); returns
+    /// how many fills it changed. No slot is read or written.
+    pub(crate) fn restyle(
+        &mut self,
+        col: u32,
+        r0: u32,
+        r1: u32,
+        decide: impl FnMut(u32, Option<Color>) -> Option<Color>,
+    ) -> u64 {
+        debug_assert!(col < self.ncols && r1 < self.nrows, "restyle inside the extent");
+        self.cols[col as usize].fills.restyle(r0, r1, decide)
     }
 
     /// Reorders rows so that new row `i` is old row `perm[i]`. Errs with
@@ -1113,12 +1051,14 @@ impl GridStore {
     /// sends every source chunk to every destination chunk, so none of
     /// them can be finished (or spilled) early: the sort holds at most the
     /// column under assembly plus one source chunk above the budget, and
-    /// the budget is enforced after every column.
+    /// the budget is enforced after every column. The column's fills
+    /// are permuted with it (`Fills::permute`).
     pub fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError> {
         let inv = inverse_permutation(perm, self.nrows as usize)?;
         let mut dst: Vec<Option<Segment>> = Vec::new();
         dst.resize_with((self.nrows as usize).div_ceil(CHUNK), || None);
         for c in 0..self.cols.len() {
+            self.cols[c].fills.permute(perm);
             if self.cols[c].segs.is_empty() {
                 continue;
             }
@@ -1142,8 +1082,9 @@ impl GridStore {
 
     /// What [`Self::permute_rows`] did before it scattered chunks: every
     /// column rebuilt one cell at a time through the write path, spilled
-    /// chunks read through the fault cache. Kept as the reference the
-    /// differential tests compare the scatter against.
+    /// chunks read through the fault cache, and its fills copied row by
+    /// row by address. Kept as the reference the differential tests
+    /// compare the scatter against.
     #[cfg(test)]
     pub(crate) fn permute_rows_reference(&mut self, perm: &[u32]) -> Result<(), EngineError> {
         inverse_permutation(perm, self.nrows as usize)?;
@@ -1154,7 +1095,10 @@ impl GridStore {
             let mut delta = 0isize;
             for (dst, &src) in perm.iter().enumerate() {
                 let v = read_slot_for_move(&old, &self.pool, &mut self.interner, src);
-                newc.write(dst as u32, v, false, &self.interner, &mut delta);
+                newc.write(dst as u32, v, &self.interner, &mut delta);
+            }
+            if let Some(last) = perm.len().checked_sub(1) {
+                newc.fills.restyle(0, last as u32, |dst, _| old.fills.get(perm[dst as usize]));
             }
             for seg in old.segs.values() {
                 if let Segment::Spilled(sp) = seg {
@@ -1235,13 +1179,15 @@ impl GridStore {
     /// size) is re-keyed as it is — spilled ones without being read back.
     /// Any other spilled chunk is loaded for the duration of its own move,
     /// and the budget is enforced after every source chunk, so the shift
-    /// holds at most two chunks above the budget at any time.
+    /// holds at most two chunks above the budget at any time. The column's
+    /// fills shift with it ([`Fills::shift`]).
     fn move_rows(&mut self, at: u32, from: u32, to: u32) -> ShiftCounts {
         let mut counts = ShiftCounts::default();
         let first = at / CHUNK_ROWS;
         let rekey = from.abs_diff(to).is_multiple_of(CHUNK_ROWS);
         for c in 0..self.cols.len() {
             let col = &mut self.cols[c];
+            col.fills.shift(at, from.abs_diff(to), to > from);
             counts.kept += col.segs.range(..first).map(|(_, seg)| seg.population()).sum::<u64>();
             let old = col.segs.split_off(&first);
             let mut dst: Option<Segment> = None;
@@ -1322,9 +1268,9 @@ impl GridStore {
     pub(crate) fn formula_mut(&mut self, addr: CellAddr) -> Option<&mut Formula> {
         let seg = self.cols.get_mut(addr.col as usize)?.segs.get_mut(&(addr.row / CHUNK_ROWS))?;
         let Segment::Cells(v) = seg else { return None };
-        match &mut v[(addr.row % CHUNK_ROWS) as usize].content {
-            CellContent::Formula(f) => Some(f),
-            CellContent::Value(_) => None,
+        match &mut v[(addr.row % CHUNK_ROWS) as usize] {
+            Cell::Formula(f) => Some(f),
+            Cell::Value(_) => None,
         }
     }
 
@@ -1335,7 +1281,7 @@ impl GridStore {
             for (&ci, seg) in &col.segs {
                 let Segment::Cells(v) = seg else { continue };
                 for (off, cell) in v.iter().enumerate() {
-                    if let CellContent::Formula(formula) = &cell.content {
+                    if let Cell::Formula(formula) = cell {
                         f(CellAddr::new(ci * CHUNK_ROWS + off as u32, c as u32), formula);
                     }
                 }
@@ -1351,7 +1297,7 @@ impl GridStore {
             for (&ci, seg) in &mut col.segs {
                 let Segment::Cells(v) = seg else { continue };
                 for (off, cell) in v.iter_mut().enumerate() {
-                    if let CellContent::Formula(formula) = &mut cell.content {
+                    if let Cell::Formula(formula) = cell {
                         f(CellAddr::new(ci * CHUNK_ROWS + off as u32, c as u32), formula);
                     }
                 }
@@ -1566,22 +1512,17 @@ impl GridStore {
     /// Slots `a..=b` of one resolved chunk as the slices a scan emits for
     /// them.
     fn scan_ref<F: FnMut(ScanSlice<'_>)>(&self, cref: &ChunkRef<'_>, a: usize, b: usize, f: &mut F) {
-        match cref {
-            ChunkRef::Vacant => f(ScanSlice::Empty(b - a + 1)),
-            ChunkRef::Seg(Segment::Cells(v)) => f(ScanSlice::Cells(&v[a..=b])),
-            ChunkRef::Seg(Segment::Num(s)) => emit_num_runs(&s.present, &s.vals, a, b, f),
-            ChunkRef::Seg(Segment::Text(s)) => f(ScanSlice::Texts(&s.ids[a..=b], &self.interner)),
-            ChunkRef::Seg(Segment::Spilled(_)) => unreachable!("chunk_ref resolves spills"),
-            ChunkRef::Page(page) => match &**page {
-                PageData::Num(np) => emit_num_runs(&np.present, &np.vals, a, b, f),
-                PageData::Text(tp) => f(ScanSlice::Texts(&tp.ids[a..=b], &self.interner)),
-            },
+        match cref.slots() {
+            Slots::Vacant => f(ScanSlice::Empty(b - a + 1)),
+            Slots::Nums(present, vals) => emit_num_runs(present, vals, a, b, f),
+            Slots::Texts(ids) => f(ScanSlice::Texts(&ids[a..=b], &self.interner)),
+            Slots::Cells(v) => f(ScanSlice::Cells(&v[a..=b])),
         }
     }
 
-    /// The `&mut` counterpart of [`Self::scan_range`], for the operations
-    /// that rewrite a range where it is stored (find-and-replace,
-    /// conditional formatting): hands `f` each chunk's share of `range`
+    /// The `&mut` counterpart of [`Self::scan_range`], for an operation
+    /// that rewrites a range where it is stored (find-and-replace): hands
+    /// `f` each chunk's share of `range`
     /// (clipped to the materialized area) as a [`ChunkMut`], column by
     /// column and top to bottom — an edit pass has no visit order to
     /// keep. The budget is enforced once after every chunk
@@ -1643,6 +1584,7 @@ impl GridStore {
         let mut typed = 0usize;
         let mut live_pages = std::collections::HashSet::new();
         for (c, col) in self.cols.iter().enumerate() {
+            col.fills.validate(self.nrows, c);
             for (&ci, seg) in &col.segs {
                 match seg {
                     Segment::Num(s) => {
@@ -1701,7 +1643,7 @@ impl Clone for GridStore {
                 resident += cloned.spillable_bytes();
                 segs.insert(ci, cloned);
             }
-            cols.push(Column { segs });
+            cols.push(Column { segs, fills: col.fills.clone() });
         }
         let mut g = GridStore {
             cols,
@@ -1741,28 +1683,6 @@ impl ChunkMut<'_> {
         self.ci * CHUNK_ROWS
     }
 
-    fn seg(&self) -> Option<&Segment> {
-        self.grid.cols[self.col as usize].segs.get(&self.ci)
-    }
-
-    /// Whether the chunk is plain numbers or plain text, resident or
-    /// spilled: storage that holds no style and no formula.
-    pub(crate) fn is_typed(&self) -> bool {
-        matches!(self.seg(), Some(Segment::Num(_) | Segment::Text(_) | Segment::Spilled(_)))
-    }
-
-    /// The share as the slices [`GridStore::scan_range`] emits for it; a
-    /// spilled chunk is read through the fault cache and stays spilled.
-    pub(crate) fn scan<F: FnMut(ScanSlice<'_>)>(&self, f: &mut F) {
-        self.grid.scan_ref(&self.grid.chunk_ref(self.col, self.ci), self.a, self.b, f);
-    }
-
-    fn load(&mut self) {
-        if matches!(self.seg(), Some(Segment::Spilled(_))) {
-            self.grid.make_resident(self.col, self.ci);
-            self.loaded = true;
-        }
-    }
 
     /// Rewrites the texts of a text chunk as interner ids: `rewrite` is
     /// asked once per occupied slot what its text becomes (`None`: it
@@ -1777,7 +1697,7 @@ impl ChunkMut<'_> {
         changed: &mut dyn FnMut(u32, &Value, &Value),
     ) {
         let (a, b) = (self.a, self.b);
-        if let Some(&Segment::Spilled(sp)) = self.seg() {
+        if let Some(&Segment::Spilled(sp)) = self.grid.cols[self.col as usize].segs.get(&self.ci) {
             if sp.kind != PageKind::Text {
                 return;
             }
@@ -1792,7 +1712,8 @@ impl ChunkMut<'_> {
             if !hit {
                 return;
             }
-            self.load();
+            self.grid.make_resident(self.col, self.ci);
+            self.loaded = true;
         }
         let base = self.base();
         let GridStore { cols, interner, .. } = &mut *self.grid;
@@ -1815,36 +1736,13 @@ impl ChunkMut<'_> {
     }
 
     /// Hands `f` every cell of the share if the chunk is `Cells`, vacant
-    /// ones included, with its row, for a content or style edit where it
-    /// lies; a typed or vacant chunk has none. `f` must leave formulas as
+    /// ones included, with its row, for a content edit where it lies; a
+    /// typed or vacant chunk has none. `f` must leave formulas as
     /// they are: nothing here keeps the dependency graph in step.
     pub(crate) fn stored_cells_mut(&mut self, f: &mut dyn FnMut(u32, &mut Cell)) {
         let first = self.base() + self.a as u32;
         if let Some(Segment::Cells(v)) = self.grid.cols[self.col as usize].segs.get_mut(&self.ci) {
             v[self.a..=self.b].iter_mut().zip(first..).for_each(|(cell, row)| f(row, cell));
-        }
-    }
-
-    /// Hands `f` every slot of the share as a cell, vacant ones included.
-    /// A typed chunk is loaded if spilled and turned into `Cells`, once, as
-    /// a styled write into it would; a vacant chunk is assembled as `Cells`
-    /// and installed only if `f` left a non-vacant cell in it.
-    pub(crate) fn all_cells_mut(&mut self, f: &mut dyn FnMut(u32, &mut Cell)) {
-        self.load();
-        let first = self.base() + self.a as u32;
-        let GridStore { cols, interner, pool, .. } = &mut *self.grid;
-        let segs = &mut cols[self.col as usize].segs;
-        let mut fresh = None;
-        let cells = match segs.get_mut(&self.ci) {
-            Some(seg) => {
-                pool.sub_resident(seg.spillable_bytes());
-                seg.cells_mut(interner)
-            }
-            None => fresh.insert(vec![Cell::empty(); CHUNK]),
-        };
-        cells[self.a..=self.b].iter_mut().zip(first..).for_each(|(cell, row)| f(row, cell));
-        if let Some(cells) = fresh.filter(|cells| cells.iter().any(|cell| !cell.is_vacant())) {
-            segs.insert(self.ci, Segment::Cells(cells));
         }
     }
 }

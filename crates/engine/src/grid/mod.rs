@@ -1,6 +1,7 @@
 //! Grid storage: one store, [`GridStore`], a chunked columnar core
 //! (DESIGN.md §14) of typed fixed-size segments per column with a
-//! spill-to-disk buffer pool under `SSBENCH_GRID_BUDGET`.
+//! spill-to-disk buffer pool under `SSBENCH_GRID_BUDGET`, and beside each
+//! column's segments its fills, as row runs (`fills`).
 //!
 //! Range scans walk the store in row-major order — the order the
 //! benchmarked systems effectively use (the paper finds "none of the
@@ -15,6 +16,7 @@
 //! malformed permutations are `EngineError::BadPermutation`.
 
 mod chunk;
+mod fills;
 mod pool;
 
 pub use chunk::{CellGet, GridStore, MAX_COLS, MAX_ROWS};
@@ -37,9 +39,8 @@ pub enum Layout {
 
 /// The static empty cell returned for vacant positions.
 pub fn empty_cell() -> &'static Cell {
-    use std::sync::OnceLock;
-    static EMPTY: OnceLock<Cell> = OnceLock::new();
-    EMPTY.get_or_init(Cell::empty)
+    static EMPTY: Cell = Cell::Value(crate::value::Value::Empty);
+    &EMPTY
 }
 
 #[cfg(test)]
@@ -49,10 +50,10 @@ mod differential;
 mod tests {
     use super::*;
     use crate::addr::{CellAddr, Range};
-    use crate::cell::{CellContent, Formula};
+    use crate::cell::Formula;
     use crate::error::EngineError;
     use crate::formula::parse;
-    use crate::style::Style;
+    use crate::style::Color;
     use crate::value::Value;
 
     fn range(s: &str) -> Range {
@@ -227,7 +228,7 @@ mod tests {
             } else {
                 let mut formula = Formula::new(parse("1+1").unwrap());
                 formula.cached = f64::from(r).into();
-                Cell { content: CellContent::Formula(Box::new(formula)), style: Style::plain() }
+                Cell::Formula(Box::new(formula))
             };
             g.set(CellAddr::new(r, 2), cell).unwrap();
         }
@@ -251,20 +252,29 @@ mod tests {
         }
     }
 
-    /// Every cell of `g`, row by row.
-    fn snapshot(g: &GridStore) -> Vec<Vec<Cell>> {
-        let cell = |r, c| g.get(CellAddr::new(r, c)).unwrap().into_cell();
-        (0..g.nrows()).map(|r| (0..g.ncols()).map(|c| cell(r, c)).collect()).collect()
+    /// A slot as the tests see it: the cell and its fill.
+    type Slot = (Cell, Option<Color>);
+
+    /// Every cell of `g` with its fill, row by row.
+    fn snapshot(g: &GridStore) -> Vec<Vec<Slot>> {
+        let slot = |r, c| {
+            let at = CellAddr::new(r, c);
+            (g.get(at).unwrap().into_cell(), g.fill(at))
+        };
+        (0..g.nrows()).map(|r| (0..g.ncols()).map(|c| slot(r, c)).collect()).collect()
     }
 
-    fn occupied(rows: &[Vec<Cell>]) -> u64 {
-        rows.iter().flatten().filter(|c| !c.is_vacant()).count() as u64
+    /// Slots holding a cell: what a structural edit counts, a fill on an
+    /// empty cell not included.
+    fn occupied(rows: &[Vec<Slot>]) -> u64 {
+        rows.iter().flatten().filter(|(c, _)| !c.is_vacant()).count() as u64
     }
 
     /// A 3000-row grid whose columns cover every segment kind: A numbers
     /// with presence holes, B text, C a full chunk of formulas and bools
-    /// then a chunk of five numbers and a styled cell, D a number chunk
-    /// followed by a text chunk followed by bools, E a lone far-down cell.
+    /// then a chunk of five numbers, D a number chunk followed by a text
+    /// chunk followed by bools, E a lone far-down cell. Fills lie over
+    /// numbers, over a chunk boundary, and on an empty cell.
     fn mixed_grid() -> GridStore {
         use super::chunk::CHUNK_ROWS;
         let mut g = GridStore::new(1, 1);
@@ -288,16 +298,18 @@ mod tests {
             } else {
                 let mut formula = Formula::new(parse("A1+1").unwrap());
                 formula.cached = f64::from(r).into();
-                Cell { content: CellContent::Formula(Box::new(formula)), style: Style::plain() }
+                Cell::Formula(Box::new(formula))
             };
             g.set(CellAddr::new(r, 2), cell).unwrap();
         }
         for r in [0, 1, 500, 1022, 1023] {
             g.set(CellAddr::new(CHUNK_ROWS + r, 2), Cell::value(i64::from(r))).unwrap();
         }
-        let styled = Style::plain().with_fill(crate::style::Color::GREEN);
-        g.set_style(CellAddr::new(CHUNK_ROWS + 7, 2), styled).unwrap();
         g.set(CellAddr::new(2999, 4), Cell::value("end")).unwrap();
+        let green = Some(Color::GREEN);
+        g.restyle(2, CHUNK_ROWS + 7, CHUNK_ROWS + 7, |_, _| green);
+        g.restyle(0, 1000, 1100, |r, _| if r % 3 == 0 { None } else { green });
+        g.restyle(3, 1020, 2100, |r, _| [green, Some(Color::BLACK)][(r / 500 % 2) as usize]);
         g
     }
 
@@ -323,7 +335,7 @@ mod tests {
                 let ncols = g.ncols() as usize;
                 let lo = (at as usize).min(model.len());
                 let counts = if insert {
-                    let blank = vec![Cell::empty(); ncols];
+                    let blank = vec![(Cell::empty(), None); ncols];
                     // Past the extent nothing moves, but the extent grows.
                     model.splice(lo..lo, std::iter::repeat_n(blank, count as usize));
                     g.insert_rows(at, count)
@@ -368,7 +380,7 @@ mod tests {
                 let model = snapshot(&g);
                 g.permute_rows(perm).unwrap();
                 g.validate();
-                let want: Vec<Vec<Cell>> =
+                let want: Vec<Vec<Slot>> =
                     perm.iter().map(|&p| model[p as usize].clone()).collect();
                 assert_eq!(snapshot(&g), want, "{what} budget={budget:?}");
                 if let Some(b) = budget {
@@ -389,8 +401,9 @@ mod tests {
                 let width = model[0].len();
                 let lo = (at as usize).min(width);
                 let hi = (lo + count as usize).min(width);
-                let by_cols = |m: &[Vec<Cell>], a: usize, b: usize| -> u64 {
-                    m.iter().flat_map(|row| &row[a..b]).filter(|c| !c.is_vacant()).count() as u64
+                let by_cols = |m: &[Vec<Slot>], a: usize, b: usize| -> u64 {
+                    let slots = m.iter().flat_map(|row| &row[a..b]);
+                    slots.filter(|(c, _)| !c.is_vacant()).count() as u64
                 };
                 let (kept, moved) = (
                     by_cols(&model, 0, lo),
@@ -398,7 +411,8 @@ mod tests {
                 );
                 for row in &mut model {
                     if insert {
-                        row.splice(lo..lo, std::iter::repeat_n(Cell::empty(), count as usize));
+                        let blank = std::iter::repeat_n((Cell::empty(), None), count as usize);
+                        row.splice(lo..lo, blank);
                     } else {
                         row.drain(lo..hi);
                     }
@@ -426,7 +440,7 @@ mod tests {
             Err(EngineError::OutOfBounds { .. })
         ));
         assert!(matches!(
-            g.cell_mut(CellAddr::new(0, u32::MAX)),
+            g.set(CellAddr::new(0, u32::MAX), Cell::value(1)),
             Err(EngineError::OutOfBounds { .. })
         ));
         // Beyond the engine's hard limits.
@@ -476,14 +490,12 @@ mod tests {
     /// typed chunk into `Cells`.
     #[test]
     fn a_vacant_chunk_opens_in_the_kind_of_its_first_write() {
-        let green = Style::plain().with_fill(crate::style::Color::GREEN);
         let firsts = [
             (Cell::value(1.5), "num"),
             (Cell::value("one"), "text"),
             (Cell::value(true), "cells"),
             (Cell::value(crate::error::CellError::Div0), "cells"),
             (Cell::formula(parse("A1+1").unwrap()), "cells"),
-            (Cell { style: green, ..Cell::value(2.5) }, "cells"),
         ];
         let mut g = GridStore::new(1, 1);
         for (col, (first, kind)) in (0u32..).zip(&firsts) {
@@ -500,10 +512,11 @@ mod tests {
     }
 
     /// A conditional format over positions that hold nothing leaves no
-    /// storage behind unless a fill landed on them.
+    /// storage behind, even where a fill lands on them: the fills are runs
+    /// beside the chunks.
     #[test]
     fn a_format_pass_over_a_vacant_column_leaves_no_chunk() {
-        use crate::{ops::Op, sheet::Sheet, style::Color, value::Criterion};
+        use crate::{ops::Op, sheet::Sheet, value::Criterion};
         // A holds nothing, B one number in its second chunk.
         let mut s = Sheet::with_size(2000, 2);
         s.set_value(CellAddr::new(1100, 1), 3);
@@ -518,12 +531,123 @@ mod tests {
         let before = s.grid_store().approx_heap_bytes();
         assert_eq!(format(&mut s, ">5"), (vec![], vec!["num"], before));
         // Empties match `<>x`: every position of the range takes the fill.
-        let (a, b, _) = format(&mut s, "<>x");
-        assert_eq!((a, b), (vec!["cells"; 2], vec!["cells"; 2]));
+        assert_eq!(format(&mut s, "<>x"), (vec![], vec!["num"], before));
         for at in [CellAddr::new(0, 0), CellAddr::new(1999, 0), CellAddr::new(1100, 1)] {
-            assert_eq!(s.cell(at).unwrap().style.fill, Some(Color::GREEN), "{at}");
+            assert_eq!(s.fill(at), Some(Color::GREEN), "{at}");
         }
         assert_eq!(s.value(CellAddr::new(1100, 1)), Value::Number(3.0));
+    }
+
+    /// Fills ride every op that moves cells, and only a format pass changes
+    /// them: random conditional formats (criteria that match empty cells
+    /// among them), sorts, row and column inserts and deletes and
+    /// overlapping pastes on a small sheet, with and without a budget,
+    /// against a map of fills moved cell by cell. A format pass leaves every
+    /// column's chunks as they were.
+    #[test]
+    fn fills_follow_their_cells() {
+        use std::collections::HashMap;
+
+        use rand::Rng;
+
+        use crate::ops::structure::shift_coord as shifted;
+        use crate::ops::{Op, OpOutcome, SortKey};
+        use crate::sheet::Sheet;
+        use crate::value::Criterion;
+
+        type Model = HashMap<CellAddr, Color>;
+        /// Moves every fill of `m` to where `f` sends its cell, if anywhere.
+        fn moved(m: &mut Model, f: impl Fn(u32, u32) -> Option<(u32, u32)>) {
+            let to = |at: CellAddr| f(at.row, at.col).map(|(r, c)| CellAddr::new(r, c));
+            *m = m.drain().filter_map(|(at, fill)| Some((to(at)?, fill))).collect();
+        }
+        let kinds = |s: &Sheet| -> Vec<_> {
+            (0..s.ncols()).map(|c| s.grid_store().chunk_kinds(c)).collect()
+        };
+        crate::testing::cases(|rng| {
+            let mut s = Sheet::new();
+            s.set_grid_budget(rng.random::<bool>().then_some(32 * 1024));
+            for r in 0..2200u32 {
+                s.set_value(CellAddr::new(r, 0), f64::from(r % 1000));
+                s.set_value(CellAddr::new(r, 1), ["storm", "calm", "1"][(r % 3) as usize]);
+                if r % 7 == 0 {
+                    s.set_value(CellAddr::new(r, 2 + r % 2), r % 3 == 0);
+                }
+            }
+            let mut model = Model::new();
+            for _ in 0..6 {
+                let (nrows, ncols) = (s.nrows(), s.ncols());
+                let (row, col) = (rng.random_range(0..nrows + 3), rng.random_range(0..ncols + 2));
+                let (rows, cols) = (rng.random_range(0..1500u32), rng.random_range(0..3u32));
+                let (count, insert) = ([1, 3, 1024][rng.random_range(0..3usize)], rng.random());
+                let corner = |rows, cols| CellAddr::new(row + rows, col + cols);
+                let op = match rng.random_range(0..6) {
+                    0 | 1 => {
+                        let text = ["", ">600", "=1", "storm", "<>x", "<>"][rng.random_range(0..6usize)];
+                        let value = if text.is_empty() { Value::Empty } else { Value::text(text) };
+                        let criterion = Criterion::parse(&value);
+                        let fill = [Color::GREEN, Color::BLACK][rng.random_range(0..2usize)];
+                        let range = Range::new(corner(0, 0), corner(rows, cols));
+                        for at in range.clip_to(nrows, ncols).iter().flat_map(Range::iter) {
+                            if criterion.matches(&s.value(at)) {
+                                model.insert(at, fill);
+                            } else if model.get(&at) == Some(&fill) {
+                                model.remove(&at);
+                            }
+                        }
+                        Op::CondFormat { range, criterion, fill }
+                    }
+                    2 => Op::Sort { keys: vec![SortKey::asc(col % ncols)] },
+                    3 => {
+                        moved(&mut model, |r, c| Some((shifted(r, row, count, insert)?, c)));
+                        let at = row;
+                        match insert {
+                            true => Op::InsertRows { at, count },
+                            false => Op::DeleteRows { at, count },
+                        }
+                    }
+                    4 => {
+                        let (at, count) = (col, count.min(2));
+                        moved(&mut model, |r, c| Some((r, shifted(c, at, count, insert)?)));
+                        match insert {
+                            true => Op::InsertCols { at, count },
+                            false => Op::DeleteCols { at, count },
+                        }
+                    }
+                    _ => {
+                        // Near the source, so that the paste often overlaps it.
+                        let src = Range::new(corner(0, 0), corner(rows % 40, cols));
+                        let (dr, dc) = (row.saturating_sub(rows % 5), col.saturating_sub(cols % 2));
+                        let clipboard = src.iter().map(|a| (a, model.get(&a).copied()));
+                        for (a, fill) in clipboard.collect::<Vec<_>>() {
+                            let to = CellAddr::new(dr + a.row - row, dc + a.col - col);
+                            match fill {
+                                Some(fill) => model.insert(to, fill),
+                                None => model.remove(&to),
+                            };
+                        }
+                        let dst = CellAddr::new(dr, dc);
+                        Op::CopyPaste { src, dst }
+                    }
+                };
+                let (before, what) = (kinds(&s), format!("{op:?}"));
+                match s.apply(op).unwrap() {
+                    OpOutcome::Sorted { permutation } => {
+                        let mut to = vec![0; permutation.len()];
+                        (0u32..).zip(&permutation).for_each(|(new, &old)| to[old as usize] = new);
+                        moved(&mut model, |r, c| Some((to[r as usize], c)));
+                    }
+                    OpOutcome::Formatted { .. } => assert_eq!(kinds(&s), before, "{what}"),
+                    _ => {}
+                }
+                s.validate_grid();
+                for at in s.used_range().iter().flat_map(Range::iter) {
+                    assert_eq!(s.fill(at), model.get(&at).copied(), "{what}: fill at {at}");
+                }
+                let inside = |at: &CellAddr| at.row < s.nrows() && at.col < s.ncols();
+                assert!(model.keys().all(inside), "{what}: a fill past the extent");
+            }
+        });
     }
 
     #[test]

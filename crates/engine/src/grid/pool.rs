@@ -66,20 +66,43 @@ pub(crate) enum PageKind {
 }
 
 /// A decoded numeric page.
+#[derive(Clone)]
 pub(crate) struct NumPage {
     pub(crate) present: [u64; WORDS],
     pub(crate) vals: [f64; CHUNK],
 }
 
 /// A decoded text page (interner ids; `u32::MAX` marks a vacant slot).
+#[derive(Clone)]
 pub(crate) struct TextPage {
     pub(crate) ids: [u32; CHUNK],
 }
 
-/// A decoded page held by the fault cache.
+/// A decoded page held by the fault cache, boxed at its own size.
+#[derive(Clone)]
 pub(crate) enum PageData {
-    Num(NumPage),
-    Text(TextPage),
+    Num(Box<NumPage>),
+    Text(Box<TextPage>),
+}
+
+impl PageKind {
+    /// Bytes a page of this kind holds — a text page its interner ids, not
+    /// its whole slot: what a fault reads back and the fault cache counts.
+    fn bytes(self) -> usize {
+        match self {
+            PageKind::Num => PAGE_BYTES,
+            PageKind::Text => CHUNK * 4,
+        }
+    }
+}
+
+impl PageData {
+    fn kind(&self) -> PageKind {
+        match self {
+            PageData::Num(_) => PageKind::Num,
+            PageData::Text(_) => PageKind::Text,
+        }
+    }
 }
 
 /// Spill/reload counters, exposed for tests and the harness scenario.
@@ -115,7 +138,8 @@ pub(crate) fn encode_text(ids: &[u32; CHUNK]) -> Box<[u8; PAGE_BYTES]> {
     buf.try_into().expect("encoded page is PAGE_BYTES long")
 }
 
-fn decode(kind: PageKind, buf: &[u8; PAGE_BYTES]) -> PageData {
+/// Decodes the first `kind.bytes()` bytes of a slot.
+fn decode(kind: PageKind, buf: &[u8]) -> PageData {
     match kind {
         PageKind::Num => {
             let mut present = [0u64; WORDS];
@@ -128,14 +152,14 @@ fn decode(kind: PageKind, buf: &[u8; PAGE_BYTES]) -> PageData {
                 let raw = buf[base + i * 8..base + i * 8 + 8].try_into().expect("8 bytes");
                 *v = f64::from_bits(u64::from_le_bytes(raw));
             }
-            PageData::Num(NumPage { present, vals })
+            PageData::Num(Box::new(NumPage { present, vals }))
         }
         PageKind::Text => {
             let mut ids = [0u32; CHUNK];
             for (i, id) in ids.iter_mut().enumerate() {
                 *id = u32::from_le_bytes(buf[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
             }
-            PageData::Text(TextPage { ids })
+            PageData::Text(Box::new(TextPage { ids }))
         }
     }
 }
@@ -164,13 +188,18 @@ impl Pager {
         Ok(Pager { file, free: Vec::new(), next: 0 })
     }
 
-    fn read(&self, page: u32, buf: &mut [u8; PAGE_BYTES]) -> io::Result<()> {
+    /// Reads the page of `kind` in slot `page`.
+    fn read(&self, page: u32, kind: PageKind) -> io::Result<PageData> {
         use std::os::unix::fs::FileExt;
-        self.file.read_exact_at(&mut buf[..], u64::from(page) * PAGE_BYTES as u64)
+        let mut buf = [0u8; PAGE_BYTES];
+        let buf = &mut buf[..kind.bytes()];
+        self.file.read_exact_at(buf, u64::from(page) * PAGE_BYTES as u64)?;
+        Ok(decode(kind, buf))
     }
 }
 
-/// Read-through cache of decoded spilled pages, bounded to the grid budget.
+/// Read-through cache of decoded spilled pages, bounded to the grid budget
+/// in the bytes the pages hold (a text page is half a numeric one).
 /// FIFO replacement: correctness does not depend on the policy, and FIFO
 /// keeps the `&self` read path to one queue push per miss.
 struct FaultCache {
@@ -181,8 +210,8 @@ struct FaultCache {
 
 impl FaultCache {
     fn invalidate(&mut self, page: u32) {
-        if self.pages.remove(&page).is_some() {
-            self.bytes = self.bytes.saturating_sub(PAGE_BYTES);
+        if let Some(data) = self.pages.remove(&page) {
+            self.bytes = self.bytes.saturating_sub(data.kind().bytes());
             self.order.retain(|&p| p != page);
         }
     }
@@ -299,24 +328,13 @@ impl Pool {
             hit
         });
         let data = match cached {
-            Some(arc) => match Arc::try_unwrap(arc) {
-                Ok(d) => d,
-                Err(arc) => match (&*arc, kind) {
-                    (PageData::Num(np), _) => {
-                        PageData::Num(NumPage { present: np.present, vals: np.vals })
-                    }
-                    (PageData::Text(tp), _) => PageData::Text(TextPage { ids: tp.ids }),
-                },
-            },
-            None => {
-                let mut buf = Box::new([0u8; PAGE_BYTES]);
-                self.pager
-                    .as_ref()
-                    .expect("load of a page that was never stored")
-                    .read(page, &mut buf)
-                    .expect("page file read failed: spilled grid data is unrecoverable");
-                decode(kind, &buf)
-            }
+            Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
+            None => self
+                .pager
+                .as_ref()
+                .expect("load of a page that was never stored")
+                .read(page, kind)
+                .expect("page file read failed: spilled grid data is unrecoverable"),
         };
         self.free_page(page);
         self.loads += 1;
@@ -333,29 +351,26 @@ impl Pool {
         if let Some(p) = cache.pages.get(&page) {
             return p.clone();
         }
-        let mut buf = Box::new([0u8; PAGE_BYTES]);
-        self.pager
+        let data = self
+            .pager
             .as_ref()
             .expect("fault of a page that was never stored")
-            .read(page, &mut buf)
+            .read(page, kind)
             .expect("page file read failed: spilled grid data is unrecoverable");
         self.faults.fetch_add(1, Relaxed);
-        let data = Arc::new(decode(kind, &buf));
+        let data = Arc::new(data);
         // Cap the cache at the grid budget (a few pages minimum so tiny
         // budgets do not thrash the page just faulted in).
         let cap = self.budget.unwrap_or(usize::MAX).max(4 * PAGE_BYTES);
-        while cache.bytes + PAGE_BYTES > cap {
-            match cache.order.pop_front() {
-                Some(old) => {
-                    cache.pages.remove(&old);
-                    cache.bytes = cache.bytes.saturating_sub(PAGE_BYTES);
-                }
-                None => break,
+        while cache.bytes + kind.bytes() > cap {
+            let Some(old) = cache.order.pop_front() else { break };
+            if let Some(evicted) = cache.pages.remove(&old) {
+                cache.bytes = cache.bytes.saturating_sub(evicted.kind().bytes());
             }
         }
         cache.pages.insert(page, data.clone());
         cache.order.push_back(page);
-        cache.bytes += PAGE_BYTES;
+        cache.bytes += kind.bytes();
         data
     }
 
@@ -448,7 +463,7 @@ mod tests {
         vals[3] = f64::MIN_POSITIVE;
         vals[1023] = 12345.678;
         let buf = encode_num(&present, &vals);
-        match decode(PageKind::Num, &buf) {
+        match decode(PageKind::Num, &buf[..]) {
             PageData::Num(np) => {
                 assert_eq!(np.present, present);
                 // Bit-exact round trip, including -0.0.
@@ -467,7 +482,7 @@ mod tests {
         ids[7] = 42;
         ids[1023] = 7;
         let buf = encode_text(&ids);
-        match decode(PageKind::Text, &buf) {
+        match decode(PageKind::Text, &buf[..]) {
             PageData::Text(tp) => assert_eq!(tp.ids, ids),
             PageData::Num(_) => panic!("wrong kind"),
         }

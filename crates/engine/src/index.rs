@@ -19,9 +19,10 @@
 //!   could go stale invisibly. `build` refuses columns containing a
 //!   formula and `set_formula` drops a column's index permanently.
 //! * **Single write channel.** Every literal-content mutation in the
-//!   engine funnels through `Sheet::set_value`/`set_formula` (operations
-//!   use `cell_mut` only for styles), so `on_write` sees every edit of an
-//!   indexed column with the old value still in hand.
+//!   engine funnels through `Sheet::set_value`/`set_formula`, or is
+//!   reported by `Sheet::edit_chunks` (find-and-replace's in-place
+//!   rewrite), so `on_write` sees every edit of an indexed column with the
+//!   old value still in hand.
 //! * **Structural edits invalidate.** `Sheet::rebuild_deps` (sort,
 //!   insert/delete rows/cols) demotes every built index to pending; the
 //!   next `ensure_indexes` rebuilds from the grid. A pending or dropped

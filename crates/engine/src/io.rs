@@ -16,7 +16,7 @@
 //! leading `'` on any text the reading would take for something else.
 
 use crate::addr::CellAddr;
-use crate::cell::CellContent;
+use crate::cell::Cell;
 use crate::error::EngineError;
 #[cfg(test)]
 use crate::meter::Primitive;
@@ -57,8 +57,8 @@ pub fn save(sheet: &Sheet) -> SheetData {
         let mut row = Vec::with_capacity(sheet.ncols() as usize);
         for c in 0..sheet.ncols() {
             let cell = sheet.cell(CellAddr::new(r, c)).expect("inside the extent");
-            row.push(match &cell.content {
-                CellContent::Value(Value::Text(s)) if !reads_back_as_itself(s) => format!("'{s}"),
+            row.push(match &*cell {
+                Cell::Value(Value::Text(s)) if !reads_back_as_itself(s) => format!("'{s}"),
                 _ => cell.input_text(),
             });
         }

@@ -82,7 +82,7 @@ pub use crate::sheet::Sheet;
 pub mod prelude {
     pub use crate::addr::{CellAddr, CellRef, Range};
     pub use crate::analyze::{self, Analysis, ReadSet, TemplateReport, TySet};
-    pub use crate::cell::{Cell, CellContent, Formula};
+    pub use crate::cell::{Cell, Formula};
     pub use crate::error::{CellError, EngineError};
     pub use crate::eval::{CellSource, EvalCtx, LookupStrategy};
     pub use crate::formula::{parse, print, Expr};
@@ -97,6 +97,6 @@ pub mod prelude {
     pub use crate::recalc::{EvalSession, RecalcOptions};
     pub use crate::sheet::{Layout, Sheet};
     pub use crate::trace;
-    pub use crate::style::{Color, Style};
+    pub use crate::style::Color;
     pub use crate::value::{Criterion, Value};
 }

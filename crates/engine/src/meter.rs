@@ -46,7 +46,7 @@ pub enum Primitive {
     /// ("Excel first determines a calculation sequence of the embedded
     /// formulae", §4.1).
     DepBuild,
-    /// Updating one cell's style (conditional formatting).
+    /// Changing one cell's fill (conditional formatting).
     StyleUpdate,
     /// Hiding or unhiding one row (filter).
     RowToggle,

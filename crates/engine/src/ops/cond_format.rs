@@ -1,17 +1,16 @@
 //! Conditional formatting (§4.2.2): scans an input range and updates the
-//! style of the cells that satisfy a condition — the paper's experiment
+//! fill of the cells that satisfy a condition — the paper's experiment
 //! colors a cell green when it contains the value 1.
 //!
-//! The pass restyles chunks where they are stored (DESIGN.md §18). Typed
-//! chunks hold no styled cell, so one with no match in it has nothing to
-//! gain or to lose and is left as it is — typed, and on its page if
-//! spilled — after a read of its slices; one with a match is turned into
-//! general cells once and restyled as a `&mut [Cell]`. General chunks are
-//! restyled in place, and vacant positions are visited only under a
-//! criterion that an empty cell satisfies.
+//! The pass is a read of the values and a write of the fills, and the two
+//! never meet (DESIGN.md §18). Each column's share of the range is read as
+//! the slices the formula kernels read (`GridStore::scan_range`) — a typed
+//! chunk as its `f64`s or interner ids, a spilled one through the fault
+//! cache — and then the column's fill runs are restyled once over the
+//! share (`GridStore::restyle`). No slot is written, so a typed chunk stays
+//! typed and a spilled one stays on its page whatever the pass matches.
 
 use crate::addr::Range;
-use crate::cell::Cell;
 use crate::grid::{IdMemo, ScanSlice};
 use crate::meter::Primitive;
 use crate::ops::clipped_cells;
@@ -29,58 +28,47 @@ pub(crate) fn conditional_format_impl(
     fill: Color,
 ) -> u32 {
     let cells = clipped_cells(sheet, range);
+    sheet.meter().bump(Primitive::CellRead, cells);
+    let Some(window) = range.clip_to(sheet.nrows(), sheet.ncols()) else { return 0 };
+    let (r0, r1) = (window.start.row, window.end.row);
     let matcher = Matcher::new(criterion.clone());
     let empty_matches = matcher.matches_empty();
     let mut memo = IdMemo::for_cells(cells);
     let (mut formatted, mut updates) = (0u32, 0u64);
-    let mut restyle = |_row: u32, cell: &mut Cell| {
-        if matcher.matches(cell.display_value()) {
-            if cell.style.fill != Some(fill) {
-                cell.style = cell.style.with_fill(fill);
-                updates += 1;
+    // Whether each row of the column's share matches, top to bottom.
+    let mut hits: Vec<bool> = Vec::with_capacity(window.rows() as usize);
+    for col in window.start.col..=window.end.col {
+        hits.clear();
+        let share = Range::column_segment(col, r0, r1);
+        sheet.grid_store().scan_range(share, &mut |slice| match slice {
+            ScanSlice::Nums(vals) => hits.extend(vals.iter().map(|&n| matcher.matches_num(n))),
+            ScanSlice::Texts(ids, interner) => hits.extend(
+                ids.iter().map(|&id| memo.get(id, || matcher.matches(interner.value(id)))),
+            ),
+            ScanSlice::Cells(cells) => {
+                hits.extend(cells.iter().map(|cell| matcher.matches(cell.display_value())))
             }
-            formatted += 1;
-        } else if cell.style.fill == Some(fill) {
-            cell.style.fill = None;
-            updates += 1;
-        }
-    };
-    sheet.grid_store_mut().for_each_chunk_mut(range, &mut |chunk| {
-        let typed = chunk.is_typed();
-        if typed {
-            let mut hit = false;
-            chunk.scan(&mut |slice| {
-                hit = hit
-                    || match slice {
-                        ScanSlice::Nums(vals) => vals.iter().any(|&n| matcher.matches_num(n)),
-                        ScanSlice::Texts(ids, interner) => ids
-                            .iter()
-                            .any(|&id| memo.get(id, || matcher.matches(interner.value(id)))),
-                        ScanSlice::Empty(_) => empty_matches,
-                        ScanSlice::Cells(cells) => {
-                            cells.iter().any(|cell| matcher.matches(cell.display_value()))
-                        }
-                    };
-            });
-            if !hit {
-                return;
+            ScanSlice::Empty(n) => hits.extend(std::iter::repeat_n(empty_matches, n)),
+        });
+        formatted += hits.iter().filter(|&&hit| hit).count() as u32;
+        updates += sheet.grid_store_mut().restyle(col, r0, r1, |row, old| {
+            if hits[(row - r0) as usize] {
+                Some(fill)
+            } else if old == Some(fill) {
+                None
+            } else {
+                old
             }
-        }
-        if typed || empty_matches {
-            chunk.all_cells_mut(&mut restyle);
-        } else {
-            chunk.stored_cells_mut(&mut restyle);
-        }
-    });
-    sheet.meter().bump(Primitive::CellRead, cells);
+        });
+    }
     sheet.meter().bump(Primitive::StyleUpdate, updates);
     formatted
 }
 
-/// What [`conditional_format_impl`] did before it restyled chunks in
-/// place: a `Sheet::value`, a `Sheet::cell` and, on a change, a
-/// `Sheet::cell_mut` per position. Kept as the reference the differential
-/// test compares the chunk pass against.
+/// What [`conditional_format_impl`] did before it read slices and restyled
+/// runs: a `Sheet::value` and a `Sheet::fill` per position, and on a
+/// change a one-row restyle of that position's fill, by address. Kept as
+/// the reference the differential test compares the pass against.
 #[cfg(test)]
 pub(crate) fn conditional_format_reference(
     sheet: &mut Sheet,
@@ -101,16 +89,17 @@ pub(crate) fn conditional_format_reference(
             let addr = CellAddr::new(row, col);
             sheet.meter().tick(Primitive::CellRead);
             let matches = criterion.matches(&sheet.value(addr));
-            let fill_now = sheet.cell(addr).and_then(|c| c.style.fill);
-            if matches {
-                if fill_now != Some(fill) {
-                    let cell = sheet.cell_mut(addr);
-                    cell.style = cell.style.with_fill(fill);
-                    sheet.meter().tick(Primitive::StyleUpdate);
-                }
+            let fill_now = sheet.fill(addr);
+            let new = if matches {
                 formatted += 1;
+                Some(fill)
             } else if fill_now == Some(fill) {
-                sheet.cell_mut(addr).style.fill = None;
+                None
+            } else {
+                continue;
+            };
+            if new != fill_now {
+                sheet.grid_store_mut().restyle(col, row, row, |_, _| new);
                 sheet.meter().tick(Primitive::StyleUpdate);
             }
         }
@@ -146,8 +135,8 @@ mod tests {
     fn formats_matching_cells_green() {
         let mut s = ones_sheet();
         assert_eq!(s.apply(green_ones()), Ok(OpOutcome::Formatted { cells: 3 }));
-        assert_eq!(s.cell(CellAddr::new(1, 10)).unwrap().style.fill, Some(Color::GREEN));
-        assert_eq!(s.cell(CellAddr::new(0, 10)).unwrap().style.fill, None);
+        assert_eq!(s.fill(CellAddr::new(1, 10)), Some(Color::GREEN));
+        assert_eq!(s.fill(CellAddr::new(0, 10)), None);
     }
 
     #[test]
@@ -156,7 +145,7 @@ mod tests {
         s.apply(green_ones()).unwrap();
         s.set_value(CellAddr::new(1, 10), 0);
         s.apply(green_ones()).unwrap();
-        assert_eq!(s.cell(CellAddr::new(1, 10)).unwrap().style.fill, None);
+        assert_eq!(s.fill(CellAddr::new(1, 10)), None);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Copy-paste with reference adjustment: relative references shift by the
 //! paste delta, absolute references stay pinned (the semantics that make
-//! the §6 sort-recomputation analysis meaningful).
+//! the §6 sort-recomputation analysis meaningful). The fills go with the
+//! cells: each destination cell takes its source's fill, or loses its own.
 
 use crate::addr::{CellAddr, Range};
-use crate::cell::{Cell, CellContent};
+use crate::cell::Cell;
 use crate::error::EngineError;
 use crate::grid::{MAX_COLS, MAX_ROWS};
 use crate::meter::Primitive;
@@ -28,12 +29,14 @@ pub(crate) fn copy_paste_impl(
     if end_rows > MAX_ROWS || end_cols > MAX_COLS {
         return Err(EngineError::OutOfBounds { rows: end_rows, cols: end_cols });
     }
-    // Snapshot the source block ("clipboard").
+    // Snapshot the source block ("clipboard"), row by row, and its fills.
     let mut clipboard: Vec<(CellAddr, Cell)> = Vec::with_capacity((rows * cols) as usize);
+    let mut fills = Vec::with_capacity(clipboard.capacity());
     for addr in src.iter() {
         sheet.meter().tick(Primitive::CellRead);
         let cell = sheet.cell(addr).map(|c| c.into_cell()).unwrap_or_else(Cell::empty);
         clipboard.push((addr, cell));
+        fills.push(sheet.fill(addr));
     }
     // Paste with adjustment.
     for (src_addr, cell) in clipboard {
@@ -41,13 +44,16 @@ pub(crate) fn copy_paste_impl(
         let d_col = src_addr.col - src.start.col;
         let dst = CellAddr::new(dst_start.row + d_row, dst_start.col + d_col);
         sheet.meter().tick(Primitive::CellWrite);
-        match cell.content {
-            CellContent::Formula(f) => sheet.set_formula(dst, f.expr.adjusted(src_addr, dst)),
-            CellContent::Value(v) => sheet.set_value(dst, v),
+        match cell {
+            Cell::Formula(f) => sheet.set_formula(dst, f.expr.adjusted(src_addr, dst)),
+            Cell::Value(v) => sheet.set_value(dst, v),
         }
-        // Not through `&mut Cell`: handing one out of a typed chunk turns
-        // the whole chunk into general cells, and a plain value needs none.
-        sheet.set_style(dst, cell.style);
+    }
+    // Then the fills, one restyle per destination column.
+    let (r0, r1) = (dst_start.row, end_rows - 1);
+    for d_col in 0..cols {
+        let fill_of = |row: u32| fills[((row - r0) * cols + d_col) as usize];
+        sheet.grid_store_mut().restyle(dst_start.col + d_col, r0, r1, |row, _| fill_of(row));
     }
     Ok(Range::new(dst_start, CellAddr::new(end_rows - 1, end_cols - 1)))
 }
@@ -58,7 +64,8 @@ mod tests {
     use crate::error::CellError;
     use crate::ops::{Op, OpOutcome};
     use crate::recalc;
-    use crate::value::Value;
+    use crate::style::Color;
+    use crate::value::{Criterion, Value};
 
     fn a(s: &str) -> CellAddr {
         CellAddr::parse(s).unwrap()
@@ -68,15 +75,21 @@ mod tests {
         Op::CopyPaste { src: Range::parse(src).unwrap(), dst: a(dst) }
     }
 
+    /// Fills `range` green where its cells are not empty.
+    fn fill_green(s: &mut Sheet, range: &str) {
+        let range = Range::parse(range).unwrap();
+        let criterion = Criterion::parse(&Value::text("<>"));
+        s.apply(Op::CondFormat { range, criterion, fill: Color::GREEN }).unwrap();
+    }
+
     #[test]
-    fn copies_values_and_styles() {
+    fn copies_values_and_fills() {
         let mut s = Sheet::new();
         s.set_value(a("A1"), 7);
-        s.cell_mut(a("A1")).style =
-            crate::style::Style::plain().with_fill(crate::style::Color::GREEN);
+        fill_green(&mut s, "A1");
         s.apply(paste("A1", "C3")).unwrap();
         assert_eq!(s.value(a("C3")), Value::Number(7.0));
-        assert_eq!(s.cell(a("C3")).unwrap().style.fill, Some(crate::style::Color::GREEN));
+        assert_eq!(s.fill(a("C3")), Some(Color::GREEN));
     }
 
     /// A plain paste is a run of typed writes: the destination chunks stay
@@ -97,16 +110,18 @@ mod tests {
 
     #[test]
     fn plain_source_clears_the_fill_it_lands_on() {
-        let green = crate::style::Style::plain().with_fill(crate::style::Color::GREEN);
         let mut s = Sheet::new();
         s.set_value(a("A1"), 7);
         s.set_value(a("C3"), 1);
-        s.set_style(a("C3"), green);
-        // A styled cell with no content, too.
-        s.set_style(a("C4"), green);
+        fill_green(&mut s, "C3");
+        // A filled cell with no content, too.
+        s.ensure_size(4, 3);
+        let (range, criterion) = (Range::parse("C4").unwrap(), Criterion::parse(&Value::Empty));
+        s.apply(Op::CondFormat { range, criterion, fill: Color::GREEN }).unwrap();
+        assert_eq!(s.fill(a("C4")), Some(Color::GREEN));
         s.apply(paste("A1:A2", "C3")).unwrap();
         assert_eq!(s.value(a("C3")), Value::Number(7.0));
-        assert_eq!(s.cell(a("C3")).unwrap().style.fill, None);
+        assert_eq!((s.fill(a("C3")), s.fill(a("C4"))), (None, None));
         assert!(s.cell(a("C4")).unwrap().is_vacant());
     }
 

@@ -9,12 +9,12 @@
 //! and looked up per interner id. The replace rewrites where the cells are
 //! stored: a text chunk has the ids of its hits exchanged for the ids of
 //! their replacements (a spilled one is loaded only if it holds a hit),
-//! general cells have their content rewritten under their style, and each
+//! general cells have their content rewritten in place, and each
 //! rewritten cell is reported to the sheet, which keeps the column's index
 //! in step.
 
 use crate::addr::{CellAddr, Range};
-use crate::cell::CellContent;
+use crate::cell::Cell;
 use crate::grid::{IdMemo, ScanSlice};
 use crate::meter::Primitive;
 use crate::ops::clipped_cells;
@@ -113,14 +113,14 @@ pub(crate) fn find_replace_impl(
             },
         );
         chunk.stored_cells_mut(&mut |row, cell| {
-            let CellContent::Value(old @ Value::Text(s)) = &cell.content else { return };
+            let Cell::Value(old @ Value::Text(s)) = &*cell else { return };
             if !s.contains(needle) {
                 return;
             }
             let new = Value::text(s.replace(needle, replacement));
             changed += 1;
             wrote(CellAddr::new(row, col), old, &new);
-            cell.content = CellContent::Value(new);
+            *cell = Cell::Value(new);
         });
     });
     changed
@@ -173,8 +173,8 @@ pub(crate) fn find_replace_reference(
     for addr in hits {
         let new_text = {
             let Some(cell) = sheet.cell(addr) else { continue };
-            match &cell.content {
-                CellContent::Value(Value::Text(s)) => s.replace(needle, replacement),
+            match &*cell {
+                Cell::Value(Value::Text(s)) => s.replace(needle, replacement),
                 _ => continue, // formulas and non-text values are not rewritten
             }
         };

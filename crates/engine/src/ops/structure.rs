@@ -28,7 +28,7 @@ pub enum Axis {
 /// How one coordinate responds to an insertion/deletion at `at`. The
 /// arithmetic saturates: a reference may name a line far past the engine
 /// limits, and `count` is unchecked on deletes.
-fn shift_coord(coord: u32, at: u32, count: u32, insert: bool) -> Option<u32> {
+pub(crate) fn shift_coord(coord: u32, at: u32, count: u32, insert: bool) -> Option<u32> {
     if insert {
         Some(if coord >= at { coord.saturating_add(count) } else { coord })
     } else if coord < at {

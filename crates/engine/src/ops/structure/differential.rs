@@ -1,18 +1,18 @@
 //! Differential test of the in-place structural edit against the rebuild
 //! it replaced: read every cell out of the sheet, build a fresh sheet, and
-//! replay every cell through the public setters. The rebuild survives only
-//! here, as the reference.
+//! replay every cell through the public setters, and every fill by its
+//! address. The rebuild survives only here, as the reference.
 
 use rand::Rng;
 
 use super::{shift_coord, shift_expr, shift_range, Axis};
 use crate::addr::{CellAddr, CellRef, Range};
-use crate::cell::{Cell, CellContent};
+use crate::cell::Cell;
 use crate::formula::ast::RangeRef;
 use crate::meter::Primitive;
 use crate::ops::{Op, SortKey};
 use crate::sheet::Sheet;
-use crate::style::{Color, Style};
+use crate::style::Color;
 use crate::testing::cases;
 use crate::value::{Criterion, Value};
 use crate::{analyze, audit, recalc};
@@ -73,25 +73,23 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
         for c in 0..ncols {
             let (Some(nr), Some(nc)) = (shift_row(r), shift_col(c)) else { continue };
             let (from, to) = (CellAddr::new(r, c), CellAddr::new(nr, nc));
+            if let Some(fill) = old.fill(from) {
+                fresh.grid_store_mut().restyle(to.col, to.row, to.row, |_, _| Some(fill));
+            }
             let cell = old.cell(from).expect("inside the extent");
             if cell.is_vacant() && from == to {
                 continue;
             }
             fresh.meter().tick(Primitive::CellMove);
-            let Cell { content, style } = cell.into_cell();
-            match content {
-                CellContent::Formula(mut f) => {
+            match cell.into_cell() {
+                Cell::Formula(mut f) => {
                     shift_expr(&mut f.expr, axis, at, count, insert);
                     fresh.set_formula(to, f.expr);
-                    fresh.cell_mut(to).style = style;
                     fresh.store_formula_result(to, f.cached);
                 }
-                CellContent::Value(v) => {
-                    if !v.is_empty() || !style.is_plain() {
+                Cell::Value(v) => {
+                    if !v.is_empty() {
                         fresh.set_value(to, v);
-                        if !style.is_plain() {
-                            fresh.cell_mut(to).style = style;
-                        }
                     }
                 }
             }
@@ -101,7 +99,7 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
 }
 
 /// A sheet whose columns cover every segment kind over three chunks, with
-/// styled cells, an active filter, named ranges and a live auto-index.
+/// fills, an active filter, named ranges and a live auto-index.
 pub(crate) fn build(budget: Option<usize>) -> Sheet {
     const ROWS: u32 = 2600;
     let mut s = Sheet::new();
@@ -148,15 +146,15 @@ pub(crate) fn build(budget: Option<usize>) -> Sheet {
     ] {
         s.set_formula_str(CellAddr::new(row, 5), src).unwrap();
     }
-    // Styles: a fill over the tail of A (those slots leave typed storage)
-    // and one styled cell with no content.
+    // Fills: over the tail of A (its chunks stay typed) and on one cell
+    // with no content.
     s.apply(Op::CondFormat {
         range: Range::parse("A1:A2600").unwrap(),
         criterion: Criterion::parse(&Value::text(">1280")),
         fill: Color::GREEN,
     })
     .unwrap();
-    s.cell_mut(CellAddr::new(1500, 5)).style = Style::plain().with_fill(Color::GREEN);
+    s.grid_store_mut().restyle(5, 1500, 1500, |_, _| Some(Color::GREEN));
     s.apply(Op::Filter { col: 2, criterion: Criterion::parse(&Value::Number(3.0)) }).unwrap();
     s.set_auto_index(true);
     recalc::recalc_all(&mut s);
@@ -174,6 +172,7 @@ pub(crate) fn compare(got: &Sheet, want: &Sheet, what: &str) {
             let (g, w) = (got.cell(addr).unwrap(), want.cell(addr).unwrap());
             // Content covers the value, the formula and its cached result.
             assert_eq!(&*g, &*w, "{}: cell {}", what, addr);
+            assert_eq!(got.fill(addr), want.fill(addr), "{}: fill {}", what, addr);
             assert_eq!(got.value(addr), want.value(addr), "{}: value {}", what, addr);
             if g.is_formula() {
                 assert_eq!(got.input_text(addr), want.input_text(addr), "{}: {}", what, addr);

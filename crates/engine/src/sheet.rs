@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::addr::{CellAddr, CellRef, Range};
-use crate::cell::{Cell, CellContent, Formula};
+use crate::cell::{Cell, Formula};
 use crate::compile::{compile, vm, OpenTemplates, Program, ProgramCache};
 use crate::depgraph::DepGraph;
 use crate::error::EngineError;
@@ -16,7 +16,7 @@ use crate::grid::{CellGet, ChunkMut, GridStore, IdMemo, ScanSlice, CHUNK_ROWS};
 use crate::index::{ColumnBuilder, IndexStore};
 use crate::meter::{Meter, Primitive};
 use crate::recalc::RecalcOptions;
-use crate::style::Style;
+use crate::style::Color;
 use crate::value::{classify, Input, Value};
 
 pub use crate::grid::Layout;
@@ -174,8 +174,9 @@ impl Sheet {
     /// Mutable grid access for `ops::structure`, which shifts rows and
     /// columns in place and then repairs everything else the sheet keyed
     /// by coordinate (formulas, names, filter flags, indexes, deps), and
-    /// for `ops::cond_format`, which restyles chunks in place (nothing
-    /// else on the sheet is keyed by a style).
+    /// for `ops::cond_format` and `ops::copy_paste`, which restyle the
+    /// fills beside the cells (nothing else on the sheet is keyed by a
+    /// fill).
     pub(crate) fn grid_store_mut(&mut self) -> &mut GridStore {
         &mut self.grid
     }
@@ -209,10 +210,17 @@ impl Sheet {
 
     /// The cell at `addr`, when inside the materialized extent. Since the
     /// chunked grid (§14), typed slots reconstruct their `Cell` on read —
-    /// the result is a [`CellGet`] that derefs to [`Cell`] (formulas and
-    /// styled cells always borrow real storage).
+    /// the result is a [`CellGet`] that derefs to [`Cell`] (formulas
+    /// always borrow real storage).
     pub fn cell(&self, addr: CellAddr) -> Option<CellGet<'_>> {
         self.grid.get(addr)
+    }
+
+    /// The fill at `addr`: what conditional formatting (or a paste) left
+    /// there. A fill is kept beside the cell, not in it, so no content
+    /// write — a value, a formula, a clear — changes it.
+    pub fn fill(&self, addr: CellAddr) -> Option<Color> {
+        self.grid.fill(addr)
     }
 
     /// The displayed value at `addr` (empty outside the grid). Does not
@@ -248,7 +256,7 @@ impl Sheet {
         // Formulas always live in general storage, so the borrowed arm is
         // the only one that can hold one (typed slots are plain values).
         match self.grid.get(addr)? {
-            CellGet::Borrowed(Cell { content: CellContent::Formula(f), .. }) => Some(f),
+            CellGet::Borrowed(Cell::Formula(f)) => Some(f),
             _ => None,
         }
     }
@@ -423,10 +431,10 @@ impl Sheet {
             let old = self.grid.value_at(addr);
             self.indexes.on_write(&self.meter, addr, &old, &v);
         }
-        // Style-preserving typed write; beyond-limit addresses are a
-        // programmer error on this infallible path (user input funnels
-        // through `set_input`, which pre-validates).
-        self.grid.set_value(addr, v).expect("set_value: address beyond engine limits");
+        // A typed write; beyond-limit addresses are a programmer error on
+        // this infallible path (user input funnels through `set_input`,
+        // which pre-validates).
+        self.grid.set(addr, Cell::value(v)).expect("set_value: address beyond engine limits");
     }
 
     /// Installs a parsed formula (uncomputed until a recalculation runs).
@@ -550,8 +558,7 @@ impl Sheet {
                     Input::Formula(body) => {
                         let at = CellAddr::new(r as u32, c as u32);
                         let formula = templates.formula(body, at, &self.names, &self.programs)?;
-                        let content = CellContent::Formula(Box::new(formula));
-                        load.cell(c, Cell { content, style: crate::style::Style::plain() });
+                        load.cell(c, Cell::Formula(Box::new(formula)));
                         formula_cols[c] = true;
                         formulas += 1;
                     }
@@ -581,26 +588,13 @@ impl Sheet {
     }
 
     /// Stores an evaluated result into a formula cell's cache: recalc's
-    /// write path, and public so the strategies outside the engine
-    /// (`ssbench-systems`' shared and incremental computation) can
-    /// materialize results. A no-op on non-formula cells.
+    /// write path, and public so the strategy outside the engine
+    /// (`ssbench-systems`' shared computation) can materialize results. A
+    /// no-op on non-formula cells.
     pub fn store_formula_result(&mut self, addr: CellAddr, v: Value) {
-        // The formula check first keeps the no-op path allocation-free
-        // (cell_mut would materialize general storage for the slot).
-        if !self.is_formula(addr) {
-            return;
-        }
-        let cell = self.grid.cell_mut(addr).expect("formula cell is within the grid");
-        if let CellContent::Formula(f) = &mut cell.content {
+        if let Some(f) = self.grid.formula_mut(addr) {
             f.cached = v;
         }
-    }
-
-    /// Sets the style of the cell at `addr`, content untouched. A plain
-    /// style on a typed slot is a no-op (typed storage holds no style), so
-    /// pasting plain cells leaves a typed chunk typed.
-    pub(crate) fn set_style(&mut self, addr: CellAddr, style: Style) {
-        self.grid.set_style(addr, style).expect("set_style: address beyond engine limits");
     }
 
     /// Edits the cells of `range` where they are stored, one chunk of one
@@ -627,13 +621,6 @@ impl Sheet {
             });
         });
         meter.bump(Primitive::CellWrite, written);
-    }
-
-    /// Mutable cell access, for tests that style a cell or corrupt one on
-    /// purpose.
-    #[cfg(test)]
-    pub(crate) fn cell_mut(&mut self, addr: CellAddr) -> &mut Cell {
-        self.grid.cell_mut(addr).expect("cell_mut: address beyond engine limits")
     }
 
     /// Mutable dependency-graph access, for tests that corrupt the graph
@@ -990,6 +977,29 @@ mod tests {
         assert_eq!(s.value(a("Z9")), Value::Empty);
         assert_eq!(s.nrows(), 2);
         assert_eq!(s.ncols(), 2);
+    }
+
+    /// A fill lies beside its cell: a value, a formula and a clear written
+    /// over a filled cell each leave the fill where it was.
+    #[test]
+    fn content_writes_never_touch_a_fill() {
+        use crate::ops::Op;
+        use crate::value::Criterion;
+        let mut s = Sheet::new();
+        for r in 0..3 {
+            s.set_value(CellAddr::new(r, 0), 1);
+        }
+        let range = Range::parse("A1:A3").unwrap();
+        let criterion = Criterion::parse(&Value::Number(1.0));
+        s.apply(Op::CondFormat { range, criterion, fill: Color::GREEN }).unwrap();
+        s.set_input(a("A1"), "5").unwrap();
+        s.set_input(a("A2"), "=A1*2").unwrap();
+        s.set_value(a("A3"), Value::Empty);
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.value(a("A2")), Value::Number(10.0));
+        for at in ["A1", "A2", "A3"] {
+            assert_eq!(s.fill(a(at)), Some(Color::GREEN), "{at}");
+        }
     }
 
     #[test]

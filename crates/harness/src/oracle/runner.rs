@@ -315,7 +315,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
 /// configuration, and holds the reopened sheet to every per-op invariant,
 /// to saving as the same document (formula texts and value types made the
 /// trip), and to the values `sheet` holds. What a document does not carry
-/// is not compared: styles, filter flags, names (a formula has its names
+/// is not compared: fills, filter flags, names (a formula has its names
 /// resolved when it is entered). A sheet with a volatile formula is
 /// reopened and checked but its values are not compared.
 fn check_reopen(
@@ -565,7 +565,7 @@ fn grid_digest(sheet: &Sheet) -> u64 {
         }
     }
     for addr in sheet.used_range().iter().flat_map(Range::iter) {
-        if let Some(fill) = sheet.cell(addr).and_then(|cell| cell.style.fill) {
+        if let Some(fill) = sheet.fill(addr) {
             h.eat(&[6]);
             h.eat(&addr.row.to_le_bytes());
             h.eat(&addr.col.to_le_bytes());
@@ -576,7 +576,7 @@ fn grid_digest(sheet: &Sheet) -> u64 {
 }
 
 /// The values half of [`grid_digest`]: all of it that a saved document
-/// carries (filter flags and styles are not saved).
+/// carries (filter flags and fills are not saved).
 fn value_digest(sheet: &Sheet) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     if let Some(used) = sheet.used_range() {

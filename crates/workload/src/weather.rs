@@ -224,7 +224,7 @@ mod tests {
     /// make 6 993 hits.
     #[test]
     fn open_compiles_each_template_once_and_binds_every_formula() {
-        use ssbench_engine::cell::CellContent;
+        use ssbench_engine::cell::Cell;
         use ssbench_engine::io;
         let doc = crate::build_doc_seeded(1000, Variant::FormulaValue, DEFAULT_SEED);
         let mut sheet = io::open(&doc, Layout::RowMajor).unwrap();
@@ -232,7 +232,7 @@ mod tests {
         assert_eq!(tally(&sheet), (u64::from(NUM_FORMULA_COLS), 0));
         let mut bound = 0;
         for addr in sheet.used_range().unwrap().iter() {
-            if let CellContent::Formula(f) = &sheet.cell(addr).unwrap().content {
+            if let Cell::Formula(f) = &*sheet.cell(addr).unwrap() {
                 assert!(f.program().is_some(), "{addr} left the open unbound");
                 bound += 1;
             }

@@ -27,7 +27,9 @@ tree_before="$(git status --porcelain)"
 # PR 25 replaced with seeded `SmallRng` loops: one shim, `rand`, and no
 # manifest or source file that names a serde crate or the proptest DSL;
 # nor the Optimized system's own delta views, formula memo and update
-# policy — its updates go through the engine like everyone else's.
+# policy — its updates go through the engine like everyone else's; nor a
+# style inside the cell — fills are row runs kept per column beside the
+# values, and no write path carries a style.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDGET") ' ]; then
@@ -44,6 +46,11 @@ if grep -rnwE 'IncrementalAggregate|IncrementalRegistry|FormulaMemo|incremental_
   crates src tests examples; then
   echo "a deleted delta view, formula memo or update policy is back (see above);" \
     "an update goes through set_value and recalc_from" >&2
+  exit 1
+fi
+if grep -rnwE 'keep_style|set_style|CellContent|all_cells_mut|font_color' crates src tests examples; then
+  echo "a per-cell style is back (see above); a cell is its content, and a fill" \
+    "is a per-column row run beside the values (grid::fills)" >&2
   exit 1
 fi
 

@@ -789,7 +789,7 @@ fn pool_interleavings_never_lose_or_duplicate_chunks() {
         let mut g = GridStore::new(1, 1);
         let mut model: Vec<f64> = (0..n).map(f64::from).collect();
         for r in 0..n {
-            g.set_value(CellAddr::new(r, 0), Value::Number(model[r as usize])).unwrap();
+            g.set(CellAddr::new(r, 0), Cell::value(model[r as usize])).unwrap();
         }
         for _ in 0..rng.random_range(1..60) {
             let (a, b): (u32, u32) = (rng.random(), rng.random());
@@ -797,7 +797,7 @@ fn pool_interleavings_never_lose_or_duplicate_chunks() {
                 0 => {
                     let row = a % n;
                     let val = f64::from(b);
-                    g.set_value(CellAddr::new(row, 0), Value::Number(val)).unwrap();
+                    g.set(CellAddr::new(row, 0), Cell::value(val)).unwrap();
                     model[row as usize] = val;
                 }
                 1 => {

@@ -160,11 +160,7 @@ fn recalc_policies_change_work_not_values() {
         for c in 0..NUM_COLS {
             let addr = CellAddr::new(r, c);
             assert_eq!(excel_sheet.value(addr), calc_sheet.value(addr));
-            assert_eq!(
-                excel_sheet.cell(addr).map(|x| x.style),
-                calc_sheet.cell(addr).map(|x| x.style),
-                "style at {addr}"
-            );
+            assert_eq!(excel_sheet.fill(addr), calc_sheet.fill(addr), "fill at {addr}");
         }
     }
 }
