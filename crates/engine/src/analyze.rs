@@ -10,12 +10,10 @@
 //!    provably terminates with exactly one value on the stack. The proven
 //!    maximum stack depth is stored on the program so `compile::vm` can
 //!    pre-reserve its scratch stack.
-//! 2. **Abstract interpretation** ([`analyze`]) — evaluates the AST over a
-//!    small value-type lattice ([`TySet`]) with constant propagation
-//!    through the interpreter's own `apply_unary`/`apply_binary` (the same
-//!    folding the lowerer performs, so the two can never disagree), and
-//!    infers *volatility* (NOW/RAND-rooted templates) and the *static
-//!    read-set* as R1C1-relative windows ([`ReadSet`]).
+//! 2. **Read-set and volatility** ([`analyze`]) — a syntactic walk of the
+//!    AST that collects the *static read-set*, one R1C1-relative window
+//!    per reference ([`ReadSet`]), and *volatility* (NOW/RAND-rooted
+//!    templates): the two facts a [`Program`] carries and the engine reads.
 //! 3. **Dep-graph soundness** ([`check_sheet`]) — proves, per formula
 //!    instance, that every statically predicted read window is covered by
 //!    the precedents `rebuild_deps` registered. Where `audit::check_deps`
@@ -34,10 +32,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::addr::{CellAddr, CellRef, Range};
-use crate::compile::lower::{func_id, FuncId, Inst, Kernel, Program};
-use crate::eval::{apply_binary, apply_unary, CellSource};
-use crate::formula::ast::{BinOp, Expr, RangeRef, UnaryOp};
+use crate::addr::{CellAddr, Range};
+use crate::compile::lower::{func_id, Inst, Kernel, Program};
+use crate::eval::CellSource;
+use crate::formula::ast::Expr;
 use crate::formula::r1c1::{self, RangeSpec, RefSpec};
 use crate::functions;
 use crate::sheet::Sheet;
@@ -235,87 +233,8 @@ pub fn verify(prog: &Program) -> Result<u32, VerifyError> {
 }
 
 // ---------------------------------------------------------------------
-// Pass 2: abstract interpretation (type lattice, volatility, read-set)
+// Pass 2: the read-set and volatility walk
 // ---------------------------------------------------------------------
-
-/// A set of possible value kinds — the abstract domain. The lattice is the
-/// powerset of `{Num, Text, Bool, Err, Empty}` under union; `ANY` is top.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct TySet(u8);
-
-impl TySet {
-    pub const NUM: TySet = TySet(1);
-    pub const TEXT: TySet = TySet(1 << 1);
-    pub const BOOL: TySet = TySet(1 << 2);
-    pub const ERR: TySet = TySet(1 << 3);
-    pub const EMPTY: TySet = TySet(1 << 4);
-    /// Top: any value kind.
-    pub const ANY: TySet = TySet(0b1_1111);
-
-    /// Lattice join (set union).
-    pub const fn join(self, other: TySet) -> TySet {
-        TySet(self.0 | other.0)
-    }
-
-    /// Whether every kind in `other` is in `self`.
-    pub const fn contains(self, other: TySet) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// The singleton kind of a concrete value.
-    pub fn of(v: &Value) -> TySet {
-        match v {
-            Value::Empty => TySet::EMPTY,
-            Value::Number(_) => TySet::NUM,
-            Value::Text(_) => TySet::TEXT,
-            Value::Bool(_) => TySet::BOOL,
-            Value::Error(_) => TySet::ERR,
-        }
-    }
-
-    /// Soundness predicate: the concrete value is among the predicted kinds.
-    pub fn admits(self, v: &Value) -> bool {
-        self.contains(TySet::of(v))
-    }
-}
-
-fn fmt_tyset(t: TySet, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    if t == TySet::ANY {
-        return write!(f, "Any");
-    }
-    let mut first = true;
-    for (bit, name) in [
-        (TySet::NUM, "Num"),
-        (TySet::TEXT, "Text"),
-        (TySet::BOOL, "Bool"),
-        (TySet::ERR, "Err"),
-        (TySet::EMPTY, "Empty"),
-    ] {
-        if t.contains(bit) {
-            if !first {
-                write!(f, "|")?;
-            }
-            write!(f, "{name}")?;
-            first = false;
-        }
-    }
-    if first {
-        write!(f, "Never")?;
-    }
-    Ok(())
-}
-
-impl fmt::Debug for TySet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_tyset(*self, f)
-    }
-}
-
-impl fmt::Display for TySet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_tyset(*self, f)
-    }
-}
 
 /// The static read-set of a template, as R1C1-relative windows: resolving
 /// each window at an instance address yields the concrete ranges that
@@ -369,15 +288,11 @@ impl fmt::Display for ReadSet {
     }
 }
 
-/// Everything the abstract interpreter proves about one template.
+/// What the walk proves about one template: the two facts the engine reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
-    /// The set of value kinds evaluation can produce.
-    pub ty: TySet,
-    /// `Some` when the whole expression constant-folds (literal-pure tree).
-    pub const_value: Option<Value>,
-    /// Whether the template is rooted in a volatile builtin (NOW, TODAY,
-    /// RAND, RANDBETWEEN) anywhere in its tree. A fact for reports: the
+    /// Whether the template calls a volatile builtin (NOW, TODAY)
+    /// anywhere in its tree. A fact for reports: the
     /// program is still a pure function of its template (the builtins read
     /// the clock from the evaluation context at run time).
     pub volatile: bool,
@@ -398,136 +313,51 @@ fn dynamic_reads(name: &str, argc: usize) -> bool {
     }
 }
 
-/// Abstractly interprets `expr` anchored at `origin`.
+/// Walks `expr` anchored at `origin`. It is a walk of the expression, not
+/// of the bytecode: a wrong-arity `IF` lowers no code for its arguments,
+/// yet binding retention must see every reference in the text.
 pub fn analyze(expr: &Expr, origin: CellAddr) -> Analysis {
-    let mut a = Analyzer { origin, volatile: false, unbounded: false, windows: Vec::new() };
-    let v = a.go(expr);
-    let (ty, const_value) = match v {
-        AbsVal::Const(c) => (TySet::of(&c), Some(c)),
-        AbsVal::Ty(t) => (t, None),
-    };
-    let reads = if a.unbounded { ReadSet::Unbounded } else { ReadSet::Windows(a.windows) };
-    Analysis { ty, const_value, volatile: a.volatile, reads }
+    let mut w = Walk { origin, volatile: false, unbounded: false, windows: Vec::new() };
+    w.go(expr);
+    let reads = if w.unbounded { ReadSet::Unbounded } else { ReadSet::Windows(w.windows) };
+    Analysis { volatile: w.volatile, reads }
 }
 
-/// An abstract value: either a known constant (propagated through the
-/// interpreter's own scalar ops, exactly like the lowerer's fold) or a set
-/// of possible kinds.
-enum AbsVal {
-    Const(Value),
-    Ty(TySet),
-}
-
-impl AbsVal {
-    fn ty(&self) -> TySet {
-        match self {
-            AbsVal::Const(c) => TySet::of(c),
-            AbsVal::Ty(t) => *t,
-        }
-    }
-}
-
-struct Analyzer {
+struct Walk {
     origin: CellAddr,
     volatile: bool,
     unbounded: bool,
     windows: Vec<RangeSpec>,
 }
 
-impl Analyzer {
-    fn push_window(&mut self, w: RangeSpec) {
-        if !self.windows.contains(&w) {
-            self.windows.push(w);
-        }
-    }
-
-    fn window_ref(&mut self, r: CellRef) {
-        let spec = RefSpec::from_ref(r, self.origin);
-        self.push_window(RangeSpec { start: spec, end: spec });
-    }
-
-    fn window_range(&mut self, r: &RangeRef) {
-        self.push_window(RangeSpec::from_range(r, self.origin));
-    }
-
-    fn go(&mut self, e: &Expr) -> AbsVal {
-        match e {
-            Expr::Number(n) => AbsVal::Const(Value::Number(*n)),
-            Expr::Text(s) => AbsVal::Const(Value::Text(s.clone())),
-            Expr::Bool(b) => AbsVal::Const(Value::Bool(*b)),
-            Expr::Error(err) => AbsVal::Const(Value::Error(*err)),
-            // A cell can hold anything. (References in argument position
-            // that are never dereferenced — `ROW(C7)` — still contribute a
-            // window: the read-set is a superset of actual reads, matching
-            // the superset the dep graph registers.)
+impl Walk {
+    /// One window per reference, in syntactic order, deduplicated. (A
+    /// reference in argument position that is never dereferenced —
+    /// `ROW(C7)` — still contributes a window: the read-set is a superset
+    /// of actual reads, matching the superset the dep graph registers.)
+    fn go(&mut self, e: &Expr) {
+        let window = match e {
             Expr::Ref(r) => {
-                self.window_ref(*r);
-                AbsVal::Ty(TySet::ANY)
+                let spec = RefSpec::from_ref(*r, self.origin);
+                RangeSpec { start: spec, end: spec }
             }
-            Expr::RangeRef(r) => {
-                self.window_range(r);
-                AbsVal::Ty(TySet::ANY)
-            }
-            Expr::Unary(op, a) => match (op, self.go(a)) {
-                (_, AbsVal::Const(c)) => AbsVal::Const(apply_unary(*op, c)),
-                // `+x` is the identity on any value.
-                (UnaryOp::Pos, v) => v,
-                (UnaryOp::Neg | UnaryOp::Percent, _) => {
-                    AbsVal::Ty(TySet::NUM.join(TySet::ERR))
-                }
-            },
-            Expr::Binary(op, a, b) => {
-                let va = self.go(a);
-                let vb = self.go(b);
-                if let (AbsVal::Const(ca), AbsVal::Const(cb)) = (&va, &vb) {
-                    return AbsVal::Const(apply_binary(*op, ca.clone(), cb.clone()));
-                }
-                AbsVal::Ty(binop_ty(*op))
+            Expr::RangeRef(r) => RangeSpec::from_range(r, self.origin),
+            Expr::Unary(_, a) => return self.go(a),
+            Expr::Binary(_, a, b) => {
+                self.go(a);
+                return self.go(b);
             }
             Expr::Call(name, args) => {
-                let arg_tys: Vec<TySet> = args.iter().map(|a| self.go(a).ty()).collect();
-                let builtin = func_id(name).map(FuncId::row);
-                if builtin.is_some_and(|b| b.volatile) {
-                    self.volatile = true;
-                }
-                if dynamic_reads(name, args.len()) {
-                    self.unbounded = true;
-                }
-                AbsVal::Ty(call_ty(name, builtin, &arg_tys))
+                args.iter().for_each(|a| self.go(a));
+                self.volatile |= func_id(name).is_some_and(|id| id.row().volatile);
+                self.unbounded |= dynamic_reads(name, args.len());
+                return;
             }
+            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => return,
+        };
+        if !self.windows.contains(&window) {
+            self.windows.push(window);
         }
-    }
-}
-
-fn binop_ty(op: BinOp) -> TySet {
-    let num_err = TySet::NUM.join(TySet::ERR);
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Pow => num_err,
-        BinOp::Concat => TySet::TEXT.join(TySet::ERR),
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            TySet::BOOL.join(TySet::ERR)
-        }
-    }
-}
-
-/// Return kind of a call. Coarse by design: a builtin's kinds are its row
-/// of the builtin table, `ERR` included (any of them can fail on arity or
-/// coercion). Unknown names evaluate to `#NAME?`, i.e. exactly `ERR`.
-fn call_ty(name: &str, builtin: Option<&functions::Builtin>, arg_tys: &[TySet]) -> TySet {
-    match (name, builtin) {
-        // Control flow: the result is one of the branches (IF's missing
-        // else yields FALSE; a condition error propagates).
-        ("IF", _) => match arg_tys.len() {
-            2 => arg_tys[1].join(TySet::BOOL).join(TySet::ERR),
-            3 => arg_tys[1].join(arg_tys[2]).join(TySet::ERR),
-            _ => TySet::ERR,
-        },
-        ("IFERROR", _) => match arg_tys.len() {
-            2 => arg_tys[0].join(arg_tys[1]).join(TySet::ERR),
-            _ => TySet::ERR,
-        },
-        (_, Some(b)) => b.ret,
-        (_, None) => TySet::ERR,
     }
 }
 
@@ -595,8 +425,6 @@ pub struct TemplateReport {
     pub instances: usize,
     /// Verifier-proven maximum operand-stack depth.
     pub max_stack: u32,
-    /// Result-kind prediction.
-    pub ty: TySet,
     /// Whether the template is volatile.
     pub volatile: bool,
     /// The static read-set.
@@ -607,12 +435,11 @@ impl fmt::Display for TemplateReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:?} @{} x{}: stack={} ty={} {} reads={}",
+            "{:?} @{} x{}: stack={} {} reads={}",
             self.template,
             self.anchor.to_a1(),
             self.instances,
             self.max_stack,
-            self.ty,
             if self.volatile { "volatile" } else { "pure" },
             self.reads,
         )
@@ -679,7 +506,6 @@ pub fn check_sheet(sheet: &Sheet) -> Result<Vec<TemplateReport>, String> {
                     anchor: addr,
                     instances: 1,
                     max_stack,
-                    ty: analysis.ty,
                     volatile: analysis.volatile,
                     reads: analysis.reads.clone(),
                 },
@@ -716,8 +542,8 @@ pub fn check_sheet(sheet: &Sheet) -> Result<Vec<TemplateReport>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::lower::{compile, func_id, FuncId, IfFold};
-    use crate::error::CellError;
+    use crate::compile::lower::{compile, FuncId, IfFold};
+    use crate::formula::ast::BinOp;
     use crate::eval::{evaluate, EvalCtx};
     use crate::formula::parse;
     use crate::meter::Meter;
@@ -827,36 +653,7 @@ mod tests {
         assert_eq!(prog.max_stack(), 600);
     }
 
-    // -- abstract interpretation --------------------------------------
-
-    #[test]
-    fn constants_propagate_through_scalar_ops() {
-        let an = analyzed("1+2*3");
-        assert_eq!(an.const_value, Some(Value::Number(7.0)));
-        assert_eq!(an.ty, TySet::NUM);
-        assert_eq!(analyzed("1/0").const_value, Some(Value::Error(CellError::Div0)));
-        assert_eq!(analyzed("\"a\"&\"b\"").const_value, Some(Value::text("ab")));
-        // A ref blocks folding but the type stays precise.
-        let an = analyzed("A1+1");
-        assert_eq!(an.const_value, None);
-        assert_eq!(an.ty, TySet::NUM.join(TySet::ERR));
-    }
-
-    #[test]
-    fn type_lattice_tracks_operators_and_branches() {
-        assert_eq!(analyzed("A1>2").ty, TySet::BOOL.join(TySet::ERR));
-        assert_eq!(analyzed("A1&\"x\"").ty, TySet::TEXT.join(TySet::ERR));
-        assert_eq!(analyzed("+A1").ty, TySet::ANY); // `+` is the identity
-        assert_eq!(
-            analyzed("IF(A1,2,\"x\")").ty,
-            TySet::NUM.join(TySet::TEXT).join(TySet::ERR)
-        );
-        // Missing else can yield FALSE.
-        assert!(analyzed("IF(A1,2)").ty.contains(TySet::BOOL));
-        assert_eq!(analyzed("NOSUCHFN(A1)").ty, TySet::ERR);
-        assert_eq!(analyzed("SUM(A1:A9)").ty, TySet::NUM.join(TySet::ERR));
-        assert_eq!(analyzed("VLOOKUP(1,A1:B9,2)").ty, TySet::ANY);
-    }
+    // -- read-set and volatility walk ---------------------------------
 
     #[test]
     fn volatility_is_rooted_at_volatile_builtins() {
@@ -908,8 +705,7 @@ mod tests {
                 .collect();
             let rec = RecordingSource::new(&s);
             let meter = Meter::new();
-            let got = evaluate(&expr, &EvalCtx::new(&rec, &meter, origin));
-            assert!(an.ty.admits(&got), "{src}: {got:?} not in {}", an.ty);
+            evaluate(&expr, &EvalCtx::new(&rec, &meter, origin));
             for read in rec.reads() {
                 assert!(
                     resolved.iter().any(|r| r.contains(read)),

@@ -168,7 +168,7 @@ fn check(sheet: &Sheet, cache: Option<&mut DeltaCache>, src: &str, what: &str) {
     let want = evaluate(&expr, &sheet.eval_ctx_with(origin, &interp_meter));
     let vm_meter = Meter::new();
     let ctx = sheet.eval_ctx_with(origin, &vm_meter);
-    let got = run_with(&compile(&expr, origin), &ctx, Some(sheet.grid_store()), cache);
+    let got = run_with(&compile(&expr, origin), &ctx, sheet.grid_store(), cache);
     assert!(same(&got, &want), "{what}: {src}: got {got:?}, want {want:?}");
     assert_eq!(vm_meter.snapshot(), interp_meter.snapshot(), "{what}: {src}: meter");
 }

@@ -86,8 +86,9 @@ static INDEX: [u16; 256] = {
 
 /// A vectorized range-aggregate kernel the VM may dispatch to. Chosen at
 /// compile time from the function and the *shape* of its arguments; the VM
-/// still falls back to the generic builtin when no grid slices are
-/// available (non-`Sheet` cell sources).
+/// still falls back to the generic builtin when an evaluated argument turns
+/// out not to have the shape the kernel walks (an off-sheet `#REF!` where
+/// the range should be, a sum range that does not line up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// `SUM`, `AVERAGE`, `COUNT`, `MIN` or `MAX` of one range.

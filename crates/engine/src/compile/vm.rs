@@ -27,11 +27,9 @@ use crate::value::{Criterion, Matcher, Value};
 use super::lower::{Agg, IfFold, Inst, Kernel, Program};
 use crate::formula::r1c1::RangeSpec;
 
-/// Executes `prog` for the cell `ctx.current`. `grid` enables the
-/// vectorized kernels; pass `None` when evaluating against a non-grid
-/// [`CellSource`](crate::eval::CellSource) and every call takes the generic
-/// builtin path (still value- and meter-identical, just not vectorized).
-pub fn run(prog: &Program, ctx: &EvalCtx<'_>, grid: Option<&GridStore>) -> Value {
+/// Executes `prog` for the cell `ctx.current`; the range kernels fold
+/// `grid`'s typed slices.
+pub fn run(prog: &Program, ctx: &EvalCtx<'_>, grid: &GridStore) -> Value {
     run_with(prog, ctx, grid, None)
 }
 
@@ -46,7 +44,7 @@ pub fn run(prog: &Program, ctx: &EvalCtx<'_>, grid: Option<&GridStore>) -> Value
 pub fn run_with(
     prog: &Program,
     ctx: &EvalCtx<'_>,
-    grid: Option<&GridStore>,
+    grid: &GridStore,
     delta: Option<&mut DeltaCache>,
 ) -> Value {
     // One scratch stack per thread: a fill-down recalc runs millions of
@@ -76,7 +74,7 @@ pub fn run_with(
 fn exec(
     prog: &Program,
     ctx: &EvalCtx<'_>,
-    grid: Option<&GridStore>,
+    grid: &GridStore,
     mut delta: Option<&mut DeltaCache>,
     stack: &mut Vec<Arg>,
 ) -> Value {
@@ -122,11 +120,9 @@ fn exec(
             Inst::Call { id, argc, kernel } => {
                 let base = stack.len().saturating_sub(*argc as usize);
                 let args = &stack[base..];
-                let v = match (*kernel, grid) {
-                    (Some(k), Some(g)) => run_kernel(k, prog, g, ctx, args, delta.as_deref_mut())
-                        .unwrap_or_else(|| (id.row().f)(ctx, args)),
-                    _ => (id.row().f)(ctx, args),
-                };
+                let v = kernel
+                    .and_then(|k| run_kernel(k, prog, grid, ctx, args, delta.as_deref_mut()))
+                    .unwrap_or_else(|| (id.row().f)(ctx, args));
                 stack.truncate(base);
                 stack.push(Arg::Value(v));
             }
@@ -1021,7 +1017,7 @@ mod tests {
         let vm_meter = Meter::new();
         let vctx = sheet.eval_ctx_with(origin, &vm_meter);
         let prog = compile(&expr, origin);
-        let got = run(&prog, &vctx, Some(sheet.grid_store()));
+        let got = run(&prog, &vctx, sheet.grid_store());
 
         assert_eq!(got, want, "{src}: value diverged");
         assert_eq!(
@@ -1141,13 +1137,13 @@ mod tests {
         let meter = Meter::new();
         let ctx = s.eval_ctx_with(CellAddr::parse("A1").unwrap(), &meter);
         assert_eq!(
-            run(&prog, &ctx, Some(s.grid_store())),
+            run(&prog, &ctx, s.grid_store()),
             Value::Error(CellError::Ref)
         );
         // Same for a range corner.
         let prog = compile(&parse("SUM(A1:B2)").unwrap(), origin);
         assert_eq!(
-            run(&prog, &ctx, Some(s.grid_store())),
+            run(&prog, &ctx, s.grid_store()),
             Value::Error(CellError::Ref)
         );
     }
@@ -1166,7 +1162,7 @@ mod tests {
         let vm_meter = Meter::new();
         let vctx = sheet.eval_ctx_with(origin, &vm_meter);
         let prog = compile(&expr, origin);
-        let got = run_with(&prog, &vctx, Some(sheet.grid_store()), Some(cache));
+        let got = run_with(&prog, &vctx, sheet.grid_store(), Some(cache));
 
         assert_eq!(got, want, "{src}: value diverged under delta");
         if let (Value::Number(a), Value::Number(b)) = (&got, &want) {
@@ -1340,19 +1336,5 @@ mod tests {
         assert_eq!(cache.len(), 8);
         // The evicted lines still answer correctly when revisited.
         assert_delta_identical(&s, &mut cache, "SUM(A1:A4)");
-    }
-
-    #[test]
-    fn without_grid_slices_kernels_fall_back_generically() {
-        let s = &fixture();
-        let origin = CellAddr::parse("D1").unwrap();
-        let expr = parse("SUM(A1:A10)").unwrap();
-        let prog = compile(&expr, origin);
-        let m1 = Meter::new();
-        let with_grid = run(&prog, &s.eval_ctx_with(origin, &m1), Some(s.grid_store()));
-        let m2 = Meter::new();
-        let without = run(&prog, &s.eval_ctx_with(origin, &m2), None);
-        assert_eq!(with_grid, without);
-        assert_eq!(m1.snapshot(), m2.snapshot());
     }
 }

@@ -364,40 +364,128 @@ impl DepGraph {
             .iter()
             .filter_map(|(&a, &d)| if d == 0 { Some(a) } else { None })
             .collect();
-        // Deterministic order regardless of hash iteration.
-        frontier.sort_unstable();
         let mut order: Vec<CellAddr> = Vec::with_capacity(subset.len());
         let mut level_starts: Vec<usize> = Vec::new();
-        while !frontier.is_empty() {
-            level_starts.push(order.len());
-            let mut newly: Vec<CellAddr> = Vec::new();
-            for &f in &frontier {
-                order.push(f);
-                let Some(next) = edges.get(&f) else { continue };
-                for &n in next {
-                    let d = indeg.get_mut(&n).expect("node in subset");
-                    *d -= 1;
-                    if *d == 0 {
-                        newly.push(n);
-                    }
-                }
-            }
-            newly.sort_unstable();
-            frontier = newly;
+        waves(frontier, &edges, &mut indeg, &mut order, &mut level_starts);
+        if order.len() == subset.len() {
+            return DirtyPlan { order, level_starts, cyclic: Vec::new() };
         }
-        let mut cyclic: Vec<CellAddr> = if order.len() == subset.len() {
-            Vec::new()
-        } else {
-            let ordered: AddrSet = order.iter().copied().collect();
-            subset.iter().copied().filter(|a| !ordered.contains(a)).collect()
-        };
+        // Kahn stalled: what is left lies on a cycle or downstream of one.
+        // Only the cycle members are `#CIRC!`; the recalc stores them
+        // before its levels run, so the rest is ordered with their edges
+        // treated as satisfied and reads `#CIRC!` like any other error.
+        let ordered: AddrSet = order.iter().copied().collect();
+        let stalled: Vec<CellAddr> =
+            subset.iter().copied().filter(|a| !ordered.contains(a)).collect();
+        let mut cyclic = on_cycles(&stalled, &edges);
+        let on_cycle: AddrSet = cyclic.iter().copied().collect();
+        frontier = Vec::new();
+        for &n in cyclic.iter().filter_map(|c| edges.get(c)).flatten() {
+            if on_cycle.contains(&n) {
+                continue;
+            }
+            let d = indeg.get_mut(&n).expect("node in subset");
+            *d -= 1;
+            if *d == 0 {
+                frontier.push(n);
+            }
+        }
+        waves(frontier, &edges, &mut indeg, &mut order, &mut level_starts);
         cyclic.sort_unstable();
         DirtyPlan { order, level_starts, cyclic }
     }
 }
 
+/// Runs Kahn's waves from `frontier`, appending one level per wave.
+fn waves(
+    mut frontier: Vec<CellAddr>,
+    edges: &AddrMap<CellAddr, Vec<CellAddr>>,
+    indeg: &mut AddrMap<CellAddr, u32>,
+    order: &mut Vec<CellAddr>,
+    level_starts: &mut Vec<usize>,
+) {
+    // Deterministic order regardless of hash iteration.
+    frontier.sort_unstable();
+    while !frontier.is_empty() {
+        level_starts.push(order.len());
+        let mut newly: Vec<CellAddr> = Vec::new();
+        for &f in &frontier {
+            order.push(f);
+            let Some(next) = edges.get(&f) else { continue };
+            for &n in next {
+                let d = indeg.get_mut(&n).expect("node in subset");
+                *d -= 1;
+                if *d == 0 {
+                    newly.push(n);
+                }
+            }
+        }
+        newly.sort_unstable();
+        frontier = newly;
+    }
+}
+
+/// The formulae of `stalled` that lie on a cycle: the members of every
+/// strongly connected component of more than one formula or with an edge
+/// to itself (Tarjan's algorithm, iterative). Every successor of a stalled
+/// formula is stalled too, so the walk never leaves the set.
+fn on_cycles(stalled: &[CellAddr], edges: &AddrMap<CellAddr, Vec<CellAddr>>) -> Vec<CellAddr> {
+    let succ = |v: CellAddr| edges.get(&v).map_or(&[][..], Vec::as_slice);
+    // Per visited formula: its discovery index, the lowest index it
+    // reaches, and whether it is still on the component stack.
+    let mut index: AddrMap<CellAddr, (usize, usize, bool)> = AddrMap::default();
+    let (mut stack, mut out) = (Vec::new(), Vec::new());
+    let visit = |v: CellAddr, index: &mut AddrMap<_, _>, stack: &mut Vec<CellAddr>| {
+        let i = index.len();
+        index.insert(v, (i, i, true));
+        stack.push(v);
+    };
+    for &root in stalled {
+        if index.contains_key(&root) {
+            continue;
+        }
+        visit(root, &mut index, &mut stack);
+        let mut calls: Vec<(CellAddr, usize)> = vec![(root, 0)];
+        while let Some(&(v, i)) = calls.last() {
+            if let Some(&w) = succ(v).get(i) {
+                let top = calls.len() - 1;
+                calls[top].1 += 1;
+                match index.get(&w) {
+                    None => {
+                        visit(w, &mut index, &mut stack);
+                        calls.push((w, 0));
+                    }
+                    Some(&(wi, _, true)) => {
+                        let low = &mut index.get_mut(&v).expect("visited").1;
+                        *low = (*low).min(wi);
+                    }
+                    Some(_) => {}
+                }
+                continue;
+            }
+            calls.pop();
+            let (vi, vlow, _) = index[&v];
+            if let Some(&(u, _)) = calls.last() {
+                let low = &mut index.get_mut(&u).expect("visited").1;
+                *low = (*low).min(vlow);
+            }
+            if vi == vlow {
+                let start = stack.iter().rposition(|&w| w == v).expect("on the stack");
+                let component = stack.split_off(start);
+                for w in &component {
+                    index.get_mut(w).expect("visited").2 = false;
+                }
+                if component.len() > 1 || succ(v).contains(&v) {
+                    out.extend(component);
+                }
+            }
+        }
+    }
+    out
+}
+
 /// The result of dirty-set planning: formulae in evaluation order, plus any
-/// formulae stuck on dependency cycles.
+/// formulae on dependency cycles.
 ///
 /// The order is stratified into topological levels: `level_starts[k]` is
 /// the index in `order` where level `k` begins, and every formula in a
@@ -411,7 +499,12 @@ pub struct DirtyPlan {
     /// Start index in `order` of each topological level (first entry 0
     /// whenever `order` is non-empty).
     pub level_starts: Vec<usize>,
-    /// Formulae on cycles (to be marked `#CIRC!`).
+    /// Formulae on a cycle — every member of a strongly connected
+    /// component of more than one formula, or with an edge to itself — to
+    /// be marked `#CIRC!` before the levels run. A formula downstream of a
+    /// cycle is in `order`, after it. A dirty set is closed under
+    /// dependents, so it holds every cycle through its members whole: a
+    /// dirty plan marks and orders what the full plan does.
     pub cyclic: Vec<CellAddr>,
 }
 
@@ -590,8 +683,8 @@ mod tests {
 
     /// 2 000 formulas of every edge shape — a running-total chain, sliding
     /// windows over that chain (range edges onto formula cells), a fan-in
-    /// through an absolute cell, and a cycle with a dependent — registered
-    /// in `order`.
+    /// through an absolute cell, and a three-formula cycle (F1:F3) with a
+    /// chain of 497 dependents below it — registered in `order`.
     fn mixed_graph(order: impl Iterator<Item = u32>) -> DepGraph {
         let src = |i: u32| -> (CellAddr, String) {
             let (k, row) = (i / 4, i / 4 + 1);
@@ -627,9 +720,9 @@ mod tests {
         assert_eq!(scattered.len(), 2000);
         let full = forwards.full_order();
         assert_eq!(full, scattered.full_order());
-        // Column F hangs off its three-cell cycle; everything else orders.
-        assert_eq!(full.cyclic.len(), 500);
-        assert_eq!(full.order.len(), 1500);
+        // F1:F3 are the cycle; the rest of column F orders below it.
+        assert_eq!(full.cyclic, vec![a("F1"), a("F2"), a("F3")]);
+        assert_eq!(full.order.len(), 1997);
         assert!(full.level_count() >= 500, "the running total is a chain");
         for changed in [&[a("A1")][..], &[a("A250"), a("C10")], &[a("B400")], &[a("E3")]] {
             let plan = forwards.dirty_order(changed);

@@ -16,7 +16,6 @@ pub mod stats;
 pub mod text;
 
 use crate::addr::Range;
-use crate::analyze::TySet;
 use crate::compile::lower::func_id;
 use crate::error::CellError;
 use crate::eval::EvalCtx;
@@ -35,112 +34,104 @@ pub enum Arg {
 pub(crate) type BuiltinFn = fn(&EvalCtx<'_>, &[Arg]) -> Value;
 
 /// One row of [`BUILTINS`]: the uppercase name (the sort key), the
-/// implementation, the kinds of value it can return, and whether the
-/// result depends on evaluation time rather than on cell state alone.
+/// implementation, and whether the result depends on evaluation time
+/// rather than on cell state alone.
 pub(crate) struct Builtin {
     pub(crate) name: &'static str,
     pub(crate) f: BuiltinFn,
-    pub(crate) ret: TySet,
     pub(crate) volatile: bool,
 }
 
-const fn b(name: &'static str, f: BuiltinFn, ret: TySet) -> Builtin {
-    Builtin { name, f, ret, volatile: false }
+const fn b(name: &'static str, f: BuiltinFn) -> Builtin {
+    Builtin { name, f, volatile: false }
 }
-
-// Result kinds: every builtin can fail; a lookup hands back whatever it finds.
-const NUM: TySet = TySet::NUM.join(TySet::ERR);
-const BOOL: TySet = TySet::BOOL.join(TySet::ERR);
-const TEXT: TySet = TySet::TEXT.join(TySet::ERR);
-const ANY: TySet = TySet::ANY;
-const ERR: TySet = TySet::ERR;
 
 /// The one list of builtins, sorted by name; a row's position is its dense
 /// `FuncId`, and [`func_id`] is the one way from a name to its row.
 /// `IF`/`IFERROR` are absent: both evaluators treat them as control flow.
 pub(crate) static BUILTINS: &[Builtin] = &[
-    b("ABS", math::abs, NUM),
-    b("AND", logical::and, BOOL),
-    b("AVERAGE", stats::average, NUM),
-    b("AVERAGEIF", stats::averageif, NUM),
-    b("AVERAGEIFS", multi::averageifs, NUM),
-    b("CHOOSE", lookup::choose, ANY),
-    b("COLUMN", info::column, NUM),
-    b("CONCATENATE", text::concatenate, TEXT),
-    b("COUNT", stats::count, NUM),
-    b("COUNTA", stats::counta, NUM),
-    b("COUNTBLANK", stats::countblank, NUM),
-    b("COUNTIF", stats::countif, NUM),
-    b("COUNTIFS", multi::countifs, NUM),
-    b("DATE", datetime::date, NUM),
-    b("DAY", datetime::day, NUM),
-    b("DAYS", datetime::days, NUM),
-    b("EDATE", datetime::edate, NUM),
-    b("EXACT", text::exact, BOOL),
-    b("EXP", math::exp, NUM),
-    b("FALSE", |_, _| Value::Bool(false), BOOL),
-    b("FIND", text::find, NUM),
-    b("HLOOKUP", lookup::hlookup, ANY),
-    b("INDEX", lookup::index, ANY),
-    b("INT", math::int, NUM),
-    b("ISBLANK", info::isblank, BOOL),
-    b("ISERROR", info::iserror, BOOL),
-    b("ISLOGICAL", info::islogical, BOOL),
-    b("ISNA", info::isna, BOOL),
-    b("ISNUMBER", info::isnumber, BOOL),
-    b("ISTEXT", info::istext, BOOL),
-    b("LARGE", multi::large, NUM),
-    b("LEFT", text::left, TEXT),
-    b("LEN", text::len, NUM),
-    b("LN", math::ln, NUM),
-    b("LOG", math::log, NUM),
-    b("LOG10", math::log10, NUM),
-    b("LOOKUP", lookup::lookup, ANY),
-    b("LOWER", text::lower, TEXT),
-    b("MATCH", lookup::match_fn, NUM),
-    b("MAX", stats::max, NUM),
-    b("MEDIAN", stats::median, NUM),
-    b("MID", text::mid, TEXT),
-    b("MIN", stats::min, NUM),
-    b("MOD", math::modulo, NUM),
-    b("MODE", multi::mode, NUM),
-    b("MONTH", datetime::month, NUM),
-    b("NA", |_, _| Value::Error(CellError::Na), ERR),
-    b("NOT", logical::not, BOOL),
-    Builtin { volatile: true, ..b("NOW", datetime::now, NUM) },
-    b("OFFSET", lookup::offset, ANY),
-    b("OR", logical::or, BOOL),
-    b("PI", math::pi, NUM),
-    b("POWER", math::power, NUM),
-    b("PRODUCT", stats::product, NUM),
-    b("RANK", multi::rank, NUM),
-    b("REPT", text::rept, TEXT),
-    b("RIGHT", text::right, TEXT),
-    b("ROUND", math::round, NUM),
-    b("ROUNDDOWN", math::rounddown, NUM),
-    b("ROUNDUP", math::roundup, NUM),
-    b("ROW", info::row, NUM),
-    b("SIGN", math::sign, NUM),
-    b("SMALL", multi::small, NUM),
-    b("SQRT", math::sqrt, NUM),
-    b("STDEV", stats::stdev, NUM),
-    b("SUBSTITUTE", text::substitute, TEXT),
-    b("SUM", stats::sum, NUM),
-    b("SUMIF", stats::sumif, NUM),
-    b("SUMIFS", multi::sumifs, NUM),
-    b("SUMPRODUCT", multi::sumproduct, NUM),
-    b("TEXTJOIN", text::textjoin, TEXT),
-    Builtin { volatile: true, ..b("TODAY", datetime::today, NUM) },
-    b("TRIM", text::trim, TEXT),
-    b("TRUE", |_, _| Value::Bool(true), BOOL),
-    b("UPPER", text::upper, TEXT),
-    b("VALUE", text::value, NUM),
-    b("VAR", stats::var, NUM),
-    b("VLOOKUP", lookup::vlookup, ANY),
-    b("WEEKDAY", datetime::weekday, NUM),
-    b("XLOOKUP", lookup::xlookup, ANY),
-    b("XOR", logical::xor, BOOL),
-    b("YEAR", datetime::year, NUM),
+    b("ABS", math::abs),
+    b("AND", logical::and),
+    b("AVERAGE", stats::average),
+    b("AVERAGEIF", stats::averageif),
+    b("AVERAGEIFS", multi::averageifs),
+    b("CHOOSE", lookup::choose),
+    b("COLUMN", info::column),
+    b("CONCATENATE", text::concatenate),
+    b("COUNT", stats::count),
+    b("COUNTA", stats::counta),
+    b("COUNTBLANK", stats::countblank),
+    b("COUNTIF", stats::countif),
+    b("COUNTIFS", multi::countifs),
+    b("DATE", datetime::date),
+    b("DAY", datetime::day),
+    b("DAYS", datetime::days),
+    b("EDATE", datetime::edate),
+    b("EXACT", text::exact),
+    b("EXP", math::exp),
+    b("FALSE", |_, _| Value::Bool(false)),
+    b("FIND", text::find),
+    b("HLOOKUP", lookup::hlookup),
+    b("INDEX", lookup::index),
+    b("INT", math::int),
+    b("ISBLANK", info::isblank),
+    b("ISERROR", info::iserror),
+    b("ISLOGICAL", info::islogical),
+    b("ISNA", info::isna),
+    b("ISNUMBER", info::isnumber),
+    b("ISTEXT", info::istext),
+    b("LARGE", multi::large),
+    b("LEFT", text::left),
+    b("LEN", text::len),
+    b("LN", math::ln),
+    b("LOG", math::log),
+    b("LOG10", math::log10),
+    b("LOOKUP", lookup::lookup),
+    b("LOWER", text::lower),
+    b("MATCH", lookup::match_fn),
+    b("MAX", stats::max),
+    b("MEDIAN", stats::median),
+    b("MID", text::mid),
+    b("MIN", stats::min),
+    b("MOD", math::modulo),
+    b("MODE", multi::mode),
+    b("MONTH", datetime::month),
+    b("NA", |_, _| Value::Error(CellError::Na)),
+    b("NOT", logical::not),
+    Builtin { volatile: true, ..b("NOW", datetime::now) },
+    b("OFFSET", lookup::offset),
+    b("OR", logical::or),
+    b("PI", math::pi),
+    b("POWER", math::power),
+    b("PRODUCT", stats::product),
+    b("RANK", multi::rank),
+    b("REPT", text::rept),
+    b("RIGHT", text::right),
+    b("ROUND", math::round),
+    b("ROUNDDOWN", math::rounddown),
+    b("ROUNDUP", math::roundup),
+    b("ROW", info::row),
+    b("SIGN", math::sign),
+    b("SMALL", multi::small),
+    b("SQRT", math::sqrt),
+    b("STDEV", stats::stdev),
+    b("SUBSTITUTE", text::substitute),
+    b("SUM", stats::sum),
+    b("SUMIF", stats::sumif),
+    b("SUMIFS", multi::sumifs),
+    b("SUMPRODUCT", multi::sumproduct),
+    b("TEXTJOIN", text::textjoin),
+    Builtin { volatile: true, ..b("TODAY", datetime::today) },
+    b("TRIM", text::trim),
+    b("TRUE", |_, _| Value::Bool(true)),
+    b("UPPER", text::upper),
+    b("VALUE", text::value),
+    b("VAR", stats::var),
+    b("VLOOKUP", lookup::vlookup),
+    b("WEEKDAY", datetime::weekday),
+    b("XLOOKUP", lookup::xlookup),
+    b("XOR", logical::xor),
+    b("YEAR", datetime::year),
 ];
 
 /// Dispatches `name` (uppercase) to its implementation; unknown names

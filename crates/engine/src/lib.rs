@@ -81,7 +81,7 @@ pub use crate::sheet::Sheet;
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::addr::{CellAddr, CellRef, Range};
-    pub use crate::analyze::{self, Analysis, ReadSet, TemplateReport, TySet};
+    pub use crate::analyze::{self, Analysis, ReadSet, TemplateReport};
     pub use crate::cell::{Cell, Formula};
     pub use crate::error::{CellError, EngineError};
     pub use crate::eval::{CellSource, EvalCtx, LookupStrategy};

@@ -54,7 +54,8 @@ use crate::value::Value;
 pub struct RecalcStats {
     /// Formulae evaluated.
     pub evaluated: usize,
-    /// Formulae marked `#CIRC!` due to dependency cycles.
+    /// Formulae marked `#CIRC!`: the members of a dependency cycle (a
+    /// formula downstream of one is evaluated and counted in `evaluated`).
     pub cyclic: usize,
 }
 
@@ -120,7 +121,7 @@ fn eval_formula_with(
     let formula = sheet.formula_at(addr)?;
     let ctx = sheet.eval_ctx_with(addr, meter);
     meter.tick(Primitive::FormulaEval);
-    Some(vm::run_with(bound_program(sheet, formula, addr), &ctx, Some(sheet.grid_store()), delta))
+    Some(vm::run_with(bound_program(sheet, formula, addr), &ctx, sheet.grid_store(), delta))
 }
 
 /// The program the formula at `addr` runs: its binding, resolved through
@@ -162,8 +163,9 @@ impl<'a> EvalSession<'a> {
     }
 }
 
-/// Executes a plan: evaluates level by level (each level parallel when the
-/// plan is large enough and the sheet's options allow), then marks cycles.
+/// Executes a plan: marks its cycle members, then evaluates level by level
+/// (each level parallel when the plan is large enough and the sheet's
+/// options allow).
 ///
 /// Both executors walk the same per-level structure so the trace — one
 /// `recalc` span wrapping one `level` span per topological level — is
@@ -179,6 +181,7 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcSt
     );
     let workers = opts.parallelism.max(1);
     let parallel = workers > 1 && plan.order.len() >= opts.threshold;
+    mark_cycles(sheet, plan);
     if !plan.order.is_empty() {
         // Bind every formula of the plan up front, so the workers find
         // their programs in the cells and never touch the cache. One
@@ -247,11 +250,17 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcSt
             sheet.unpin_grid();
         }
     }
+    span.finish_metered(sheet.meter());
+    RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }
+}
+
+/// Stores `#CIRC!` in the plan's cycle members. Every pass does so before
+/// its levels run: a formula downstream of a cycle is in the order and
+/// reads the error like any other.
+fn mark_cycles(sheet: &mut Sheet, plan: &DirtyPlan) {
     for &addr in &plan.cyclic {
         sheet.store_formula_result(addr, Value::Error(CellError::Circular));
     }
-    span.finish_metered(sheet.meter());
-    RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }
 }
 
 /// Don't fan a level out to more workers than leaves at least this many
@@ -350,14 +359,12 @@ pub fn recalc_from(sheet: &mut Sheet, changed: &[CellAddr]) -> RecalcStats {
 /// the engine — nothing that ships calls it.
 pub fn recalc_reference(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> RecalcStats {
     let plan = plan(sheet, changed);
+    mark_cycles(sheet, &plan);
     for &addr in &plan.order {
         let Some(expr) = sheet.formula_expr(addr) else { continue };
         sheet.meter().tick(Primitive::FormulaEval);
         let v = evaluate(expr, &sheet.eval_ctx(addr));
         sheet.store_formula_result(addr, v);
-    }
-    for &addr in &plan.cyclic {
-        sheet.store_formula_result(addr, Value::Error(CellError::Circular));
     }
     RecalcStats { evaluated: plan.order.len(), cyclic: plan.cyclic.len() }
 }
@@ -465,6 +472,45 @@ mod tests {
             assert_eq!(stats.cyclic, 2);
             assert_eq!(s.value(a("A1")), Value::Error(CellError::Circular));
         }
+    }
+
+    /// `#CIRC!` marks the formulas on a cycle, not the ones that read one:
+    /// a formula downstream of a cycle is evaluated, and an edit that
+    /// dirties only it gives the value a full pass gives.
+    #[test]
+    fn downstream_of_a_cycle_is_the_same_after_either_pass() {
+        let downstream = |on: &str, window: &str| {
+            [
+                format!("=IFERROR({on},0)+C1"),
+                format!("={on}+C1"),
+                format!("=COUNT({window})+C1"),
+            ]
+        };
+        let mut s = Sheet::new();
+        s.set_value(a("C1"), 1);
+        s.set_formula_str(a("A1"), "=B1").unwrap();
+        s.set_formula_str(a("B1"), "=A1").unwrap();
+        s.set_formula_str(a("D1"), "=D1+1").unwrap();
+        let mut cells = Vec::new();
+        for (col, texts) in [(4, downstream("A1", "A1:B1")), (5, downstream("D1", "D1:D2"))] {
+            for (row, text) in texts.iter().enumerate() {
+                let addr = CellAddr::new(row as u32, col);
+                s.set_formula_str(addr, text).unwrap();
+                cells.push(addr);
+            }
+        }
+        assert_eq!(recalc_all(&mut s), RecalcStats { evaluated: 6, cyclic: 3 });
+        assert_eq!(s.value(a("E1")), Value::Number(1.0));
+        assert_eq!(s.value(a("E2")), Value::Error(CellError::Circular));
+        s.set_value(a("C1"), 5);
+        assert_eq!(recalc_from(&mut s, &[a("C1")]), RecalcStats { evaluated: 6, cyclic: 0 });
+        let after_edit: Vec<Value> = cells.iter().map(|&c| s.value(c)).collect();
+        recalc_all(&mut s);
+        for (&addr, kept) in cells.iter().zip(&after_edit) {
+            assert_eq!(*kept, s.value(addr), "{}", addr.to_a1());
+        }
+        assert_eq!(s.value(a("F1")), Value::Number(5.0));
+        assert_eq!(s.value(a("F3")), Value::Number(5.0));
     }
 
     #[test]
@@ -608,6 +654,7 @@ mod tests {
     /// window in full.
     fn recalc_one_shot(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> RecalcStats {
         let plan = plan(sheet, changed);
+        mark_cycles(sheet, &plan);
         for &addr in &plan.order {
             if let Some(v) = eval_formula_at(sheet, addr) {
                 sheet.store_formula_result(addr, v);

@@ -792,7 +792,7 @@ impl Sheet {
     }
 
     fn run_query(&self, program: &Program) -> Value {
-        vm::run(program, &self.eval_ctx(QUERY_AT), Some(&self.grid))
+        vm::run(program, &self.eval_ctx(QUERY_AT), &self.grid)
     }
 }
 

@@ -15,7 +15,7 @@
 //!   the static analyzer over the sheet after every op: bytecode
 //!   verification plus dep-graph read-set coverage for every template
 //!   (`engine::analyze::check_sheet`). `--analyze` additionally prints
-//!   the per-template facts (stack depth, type, volatility, read-set).
+//!   the per-template facts (stack depth, volatility, read-set).
 
 use std::path::{Path, PathBuf};
 

@@ -292,7 +292,12 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         match dirty {
             Dirty::None => {}
             Dirty::Full => recalc(&mut sheet, None),
-            Dirty::Cells(cells) => recalc(&mut sheet, Some(&cells)),
+            Dirty::Cells(cells) => {
+                recalc(&mut sheet, Some(&cells));
+                if config.incremental && !reference {
+                    check_full_recalc_agrees(&sheet, config).map_err(|e| fail(Some(i), e))?;
+                }
+            }
         }
         check_invariants(&sheet, config, opts).map_err(|e| fail(Some(i), e))?;
         per_op.push((outcome, grid_digest(&sheet)));
@@ -511,6 +516,45 @@ fn check_invariants(
     sheet.validate_grid();
     audit::check_all(sheet)?;
     analyze::check_sheet(sheet)
+}
+
+/// Incremental recalculation equals full recalculation: a copy of the
+/// sheet — every cell of its extent, values and formulas as stored —
+/// recalculated in full holds the same value in every formula as the sheet
+/// a dirty pass just left. Tracing is off while the copy recalculates, so
+/// the op's span tree is the one it would be without the check.
+fn check_full_recalc_agrees(sheet: &Sheet, config: OracleConfig) -> Result<(), String> {
+    let Some(used) = sheet.used_range() else { return Ok(()) };
+    let mut copy = Sheet::new();
+    copy.set_lookup_strategy(config.lookup);
+    copy.set_auto_index(config.indexed);
+    copy.set_now_serial(sheet.now_serial());
+    for addr in used.iter() {
+        match sheet.formula_expr(addr) {
+            Some(expr) => copy.set_formula(addr, expr.clone()),
+            None => copy.set_value(addr, sheet.value(addr)),
+        }
+    }
+    let tracing = trace::enabled();
+    trace::disable();
+    recalc::recalc_all(&mut copy);
+    if tracing {
+        trace::enable(trace::DEFAULT_CAPACITY);
+    }
+    for addr in used.iter().filter(|&a| sheet.formula_expr(a).is_some()) {
+        let (kept, full) = (sheet.value(addr), copy.value(addr));
+        let same = match (&kept, &full) {
+            (Value::Number(a), Value::Number(b)) => a.to_bits() == b.to_bits(),
+            _ => kept == full,
+        };
+        if !same {
+            return Err(format!(
+                "incremental recalc left {} = {kept:?}, a full recalc of a copy gives {full:?}",
+                addr.to_a1()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Replays `script` on the reference configuration and statically

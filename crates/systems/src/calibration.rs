@@ -267,11 +267,7 @@ pub fn gsheets() -> SystemProfile {
     SystemProfile {
         kind: SystemKind::GSheets,
         policies: SystemPolicies {
-            remote: true,
-            lazy_viewport_open: true,
-            viewport_rows: 50,
-            lazy_open_resolves_formulas: true, // §4.1
-            lazy_formatting: true,             // §4.2.2
+            remote: true, // §3.3, §4.1, §4.2.2
             recalc_on_sort: RecalcTrigger::Full,
             recalc_on_format: RecalcTrigger::Recheck,
             recalc_on_filter: RecalcTrigger::Recheck,
@@ -450,7 +446,8 @@ mod tests {
         assert_eq!(excel().policies.lookup, LookupStrategy::StopEarly);
         assert_eq!(excel().policies.recalc_on_filter, RecalcTrigger::Superlinear);
         assert_eq!(calc().policies.recalc_on_pivot, RecalcTrigger::None);
-        assert!(gsheets().policies.lazy_viewport_open);
+        assert!(gsheets().policies.remote);
+        assert!(!excel().policies.remote && !calc().policies.remote);
         assert_eq!(gsheets().policies.quotas.sort_rows, Some(50_000));
         assert!(gsheets().policies.noise_frac > 0.0);
     }

@@ -3,6 +3,10 @@
 
 use ssbench_engine::eval::LookupStrategy;
 
+/// Rows in the visible window a remote system opens and styles (§4.1,
+/// §4.2.2).
+pub(crate) const VIEWPORT_ROWS: u32 = 50;
+
 /// What a system recomputes after a structural operation touches a sheet
 /// with embedded formulae.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,24 +43,17 @@ pub struct Quotas {
 /// The behavioural profile of one system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemPolicies {
-    /// Web-based system: pays one network round trip per scripted
-    /// operation and exhibits server-load variance (§3.3).
+    /// Web-based system (Google Sheets). It pays one network round trip
+    /// per scripted operation and exhibits server-load variance (§3.3).
+    /// Open loads only the first [`VIEWPORT_ROWS`] rows, deferring the
+    /// rest, yet still resolves every formula's dependencies server-side
+    /// (§4.1: "Google Sheets appears to load the first m rows visible
+    /// within the screen, and then load the rest on-demand", while open
+    /// time "increases linearly with the size for the Formula-value
+    /// datasets"). Conditional formatting styles only the visible window
+    /// (§4.2.2: Sheets "takes almost the same time … irrespective of the
+    /// size").
     pub remote: bool,
-    /// Open loads only the visible window, deferring the rest (§4.1:
-    /// "Google Sheets appears to load the first m rows visible within the
-    /// screen, and then load the rest on-demand").
-    pub lazy_viewport_open: bool,
-    /// Rows in the visible window for lazy loading.
-    pub viewport_rows: u32,
-    /// Opening a Formula-value sheet still resolves every formula's
-    /// dependencies server-side before returning (§4.1: open time "increases
-    /// linearly with the size for the Formula-value datasets" despite lazy
-    /// loading).
-    pub lazy_open_resolves_formulas: bool,
-    /// Conditional formatting styles only the visible window, deferring
-    /// the rest (§4.2.2: Sheets "takes almost the same time … irrespective
-    /// of the size").
-    pub lazy_formatting: bool,
     /// Recalculation trigger after sort (§4.2.1: all three recompute).
     pub recalc_on_sort: RecalcTrigger,
     /// Recalculation trigger after conditional formatting (§4.2.2: Calc
@@ -84,14 +81,11 @@ pub struct SystemPolicies {
 }
 
 impl SystemPolicies {
-    /// Desktop defaults: no remote, no laziness, no noise, no quotas.
+    /// Desktop defaults: local (nothing loads or styles lazily), no noise,
+    /// no quotas.
     pub const fn desktop() -> Self {
         SystemPolicies {
             remote: false,
-            lazy_viewport_open: false,
-            viewport_rows: 50,
-            lazy_open_resolves_formulas: false,
-            lazy_formatting: false,
             recalc_on_sort: RecalcTrigger::Full,
             recalc_on_format: RecalcTrigger::None,
             recalc_on_filter: RecalcTrigger::None,

@@ -14,7 +14,7 @@ use ssbench_engine::trace::{Category, Span};
 
 use crate::index::inverted::InvertedIndex;
 use crate::op::OpClass;
-use crate::policy::RecalcTrigger;
+use crate::policy::{RecalcTrigger, VIEWPORT_ROWS};
 use crate::profile::{SystemKind, SystemProfile};
 
 /// A system under test: profile + deterministic noise source.
@@ -148,29 +148,24 @@ impl SimSystem {
         let span =
             Span::open(Category::Measure, || format!("measure:open:{}", kind.name()));
         let p = &self.profile.policies;
-        let mut sheet = if p.lazy_viewport_open {
-            io::open_window(doc, p.viewport_rows).expect("generated document parses")
-        } else {
-            io::open(doc, Layout::RowMajor).expect("generated document parses")
-        };
-        if p.remote {
+        let mut sheet = if p.remote {
+            // §4.1: only the visible window loads and renders client-side,
+            // after one round trip (§3.3), while the server resolves the
+            // dependencies of every formula in the file.
+            let sheet = io::open_window(doc, VIEWPORT_ROWS).expect("generated document parses");
             sheet.meter().tick(Primitive::NetworkRtt);
-        }
-        if p.lazy_viewport_open {
-            // Render the visible window client-side.
             let cells = u64::from(sheet.nrows()) * u64::from(sheet.ncols());
             sheet.meter().bump(Primitive::RenderCell, cells);
-            if p.lazy_open_resolves_formulas {
-                // Server-side dependency resolution over the whole file.
-                let formulas = doc
-                    .rows
-                    .iter()
-                    .flat_map(|r| r.iter())
-                    .filter(|t| t.starts_with('='))
-                    .count() as u64;
-                sheet.meter().bump(Primitive::DepBuild, formulas);
-            }
+            let formulas = doc
+                .rows
+                .iter()
+                .flat_map(|r| r.iter())
+                .filter(|t| t.starts_with('='))
+                .count() as u64;
+            sheet.meter().bump(Primitive::DepBuild, formulas);
+            sheet
         } else {
+            let mut sheet = io::open(doc, Layout::RowMajor).expect("generated document parses");
             if p.indexed {
                 // The indexed system builds its column indexes while
                 // loading, so `open` honestly pays one IndexProbe per
@@ -179,7 +174,8 @@ impl SimSystem {
                 sheet.ensure_indexes();
             }
             recalc::open_recalc(&mut sheet);
-        }
+            sheet
+        };
         sheet.set_lookup_strategy(p.lookup);
         let counts = sheet.meter().snapshot();
         let ms = self.profile.costs.time_ms(OpClass::Open, &counts);
@@ -207,11 +203,10 @@ impl SimSystem {
     pub fn conditional_format(&self, sheet: &mut Sheet, col: u32, criterion: &Criterion) -> f64 {
         let p = &self.profile.policies;
         let trigger = p.recalc_on_format;
-        let lazy = p.lazy_formatting;
-        let viewport = p.viewport_rows;
         let (_, ms) = self.measure(sheet, OpClass::CondFormat, |s| {
-            let last_row = if lazy {
-                viewport.min(s.nrows().saturating_sub(1))
+            // §4.2.2: a remote system styles only the visible window.
+            let last_row = if p.remote {
+                VIEWPORT_ROWS.min(s.nrows().saturating_sub(1))
             } else {
                 s.nrows().saturating_sub(1)
             };

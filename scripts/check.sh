@@ -29,7 +29,10 @@ tree_before="$(git status --porcelain)"
 # nor the Optimized system's own delta views, formula memo and update
 # policy — its updates go through the engine like everyone else's; nor a
 # style inside the cell — fills are row runs kept per column beside the
-# values, and no write path carries a style.
+# values, and no write path carries a style; nor the analyzer's type
+# lattice and constant folding — pass 2 proves the read-set and volatility,
+# the two facts the engine reads — nor the three laziness flags and the
+# window size that always equalled `remote` and 50.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDGET") ' ]; then
@@ -51,6 +54,13 @@ fi
 if grep -rnwE 'keep_style|set_style|CellContent|all_cells_mut|font_color' crates src tests examples; then
   echo "a per-cell style is back (see above); a cell is its content, and a fill" \
     "is a per-column row run beside the values (grid::fills)" >&2
+  exit 1
+fi
+if grep -rnwE 'TySet|AbsVal|const_value|binop_ty|call_ty' crates src tests examples ||
+  grep -rnwE 'lazy_viewport_open|lazy_open_resolves_formulas|lazy_formatting|viewport_rows' \
+    crates src tests examples; then
+  echo "a deleted analyzer type lattice or system laziness flag is back (see above);" \
+    "the analyzer walks read-sets and volatility, and laziness is the remote flag" >&2
   exit 1
 fi
 
@@ -131,8 +141,8 @@ test -s "$trace_dir/trace.txt" || { echo "missing trace.txt" >&2; exit 1; }
 # configuration matrix it replays (plus the reference-evaluator replay
 # every digest is compared against) and exits non-zero on any divergence
 # or invariant violation.
-echo "==> differential fuzz smoke (3 seeds x 200 ops)"
-for seed in 1 2 3; do
+echo "==> differential fuzz smoke (6 seeds x 200 ops)"
+for seed in 1 2 3 5 7 13; do
   ./target/release/fuzz --seed "$seed" --ops 200
 done
 

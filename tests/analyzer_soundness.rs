@@ -1,8 +1,7 @@
 //! Soundness properties of the static analyzer (DESIGN.md §11).
 //!
-//! The abstract interpreter claims two over-approximations per template:
-//! the value kinds evaluation can produce (`Analysis::ty`) and the cells
-//! it can read (`Analysis::reads`). Both are checked here dynamically, on
+//! The read-set walk claims one over-approximation per template: the cells
+//! it can read (`Analysis::reads`). It is checked here dynamically, on
 //! random expression trees, by evaluating through
 //! a [`RecordingSource`] that logs every cell actually read. The dep-graph
 //! coverage proof (`analyze::check_sheet`) is then run over whole random
@@ -37,7 +36,7 @@ fn arb_leaf(rng: &mut SmallRng) -> Expr {
 }
 
 /// Random expressions biased toward the constructs the analyzer models
-/// specially: branches (whose type is the join of the arms), volatile NOW,
+/// specially: branches, volatile NOW,
 /// the dynamic-read builtins (OFFSET, 3-argument SUMIF) that force an
 /// unbounded read-set, aggregates over ranges, and unknown names.
 fn arb_expr(rng: &mut SmallRng, depth: u32) -> Expr {
@@ -101,8 +100,7 @@ fn arb_values(rng: &mut SmallRng) -> Vec<i64> {
     (0..24).map(|_| rng.random_range(-50..50)).collect()
 }
 
-/// Dynamic reads are a subset of the static read-set, and the value
-/// produced is admitted by the inferred type set. The generated formulas
+/// Dynamic reads are a subset of the static read-set. The generated formulas
 /// are anchored at column AE, outside the generator's 26-column reference
 /// window, so every window resolves at the origin.
 #[test]
@@ -114,11 +112,7 @@ fn recorded_reads_subset_of_static_read_set() {
             let an = analyze::analyze(expr, origin);
             let rec = RecordingSource::new(&sheet);
             let meter = Meter::new();
-            let got = evaluate(expr, &EvalCtx::new(&rec, &meter, origin));
-            assert!(an.ty.admits(&got), "value {got:?} outside inferred type {}", an.ty);
-            if let Some(c) = &an.const_value {
-                assert_eq!(c, &got, "constant folding must match evaluation");
-            }
+            evaluate(expr, &EvalCtx::new(&rec, &meter, origin));
             let ReadSet::Windows(ws) = &an.reads else {
                 continue; // unbounded: every read is trivially covered
             };

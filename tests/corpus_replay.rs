@@ -10,13 +10,6 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
 }
 
-/// Shrunk scripts of divergences that are written up but not fixed (ROADMAP
-/// 1f, 1g; each file is named after its item). `Script::load_dir` does not
-/// descend, so the replay below and the ones in `scripts/check.sh` skip them.
-fn known_failing_dir() -> PathBuf {
-    corpus_dir().join("known-failing")
-}
-
 #[test]
 fn every_corpus_script_passes_the_oracle() {
     let scripts = Script::load_dir(&corpus_dir()).expect("corpus directory loads");
@@ -36,31 +29,14 @@ fn every_corpus_script_passes_the_oracle() {
     assert!(failures.is_empty(), "corpus regressions:\n{}", failures.join("\n"));
 }
 
-/// The anchor for the open bugs: each script must go on reproducing its
-/// divergence. The PR that fixes one moves its file up into `tests/corpus/`,
-/// where it becomes a regression like the rest.
-#[test]
-fn known_failing_scripts_still_diverge() {
-    let scripts = Script::load_dir(&known_failing_dir()).expect("directory loads");
-    for (path, script) in &scripts {
-        assert!(script.ops.len() <= 10, "{}: keep reproducers minimal", path.display());
-        assert!(
-            check_script(script).is_err(),
-            "{} passes the oracle: move it into tests/corpus/ and close its ROADMAP item",
-            path.display()
-        );
-    }
-}
-
 /// The corpus format is the bytes on disk: a file re-renders through
 /// `Script` to itself (the two oldest files end in a newline the writer
 /// does not emit), so a reproducer `fuzz` saves today is the file it
 /// replays tomorrow.
 #[test]
 fn corpus_files_round_trip_through_the_script_codec() {
-    let known_failing = Script::load_dir(&known_failing_dir()).expect("directory loads");
     let corpus = Script::load_dir(&corpus_dir()).expect("corpus directory loads");
-    for (path, script) in corpus.into_iter().chain(known_failing) {
+    for (path, script) in corpus {
         let text = std::fs::read_to_string(&path).unwrap();
         let path = path.display();
         assert_eq!(script.to_json(), text.trim_end(), "{path} re-renders to its own bytes");

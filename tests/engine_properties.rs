@@ -597,7 +597,13 @@ fn recalc_leg(s: &mut Sheet, leg: Leg) {
 #[test]
 fn compiled_backend_matches_interpreter_on_random_exprs() {
     cases(|rng| {
-        let exprs: Vec<Expr> = (0..rng.random_range(1..6)).map(|_| arb_vm_expr(rng, 4)).collect();
+        let mut exprs: Vec<Expr> =
+            (0..rng.random_range(1..6)).map(|_| arb_vm_expr(rng, 4)).collect();
+        // Literal-pure trees, which the lowerer folds at compile time: an
+        // error, a concatenation, a unary chain, and a fold beside a read.
+        for src in ["1/0", "\"a\"&\"b\"", "-3%", "A1+2^0.5*TRUE"] {
+            exprs.push(parse(src).unwrap());
+        }
         let values: Vec<i64> = (0..24).map(|_| rng.random_range(-50..50)).collect();
         let build = |leg: Leg| {
             let mut s = Sheet::new();
