@@ -4,7 +4,8 @@
 //! the values (`grid::fills`), so formatting a cell never touches its
 //! storage.
 
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 use crate::compile::Program;
 use crate::formula::{self, Expr};
@@ -22,14 +23,13 @@ pub struct Formula {
     /// The compiled program this formula runs: the sheet's template-map
     /// entry for `r1c1::normalize(expr, address)`, bound when a document
     /// is opened or else by the first evaluation, and read by every later
-    /// one. Set once through `&self`
-    /// (the parallel recalc workers bind through `&Sheet`), cleared only
-    /// through `&mut self`. It travels with the formula — a clone, a sort
-    /// or a structural shift carries it along — so whoever rewrites `expr`
-    /// or moves the formula to an address where `expr` normalizes
-    /// differently must [`unbind`](Formula::unbind) it. Derived state: not
-    /// part of equality.
-    program: OnceLock<Arc<Program>>,
+    /// one. Set once through `&self` (a recalculation binds through
+    /// `&Sheet`), cleared only through `&mut self`. It travels with the
+    /// formula — a clone, a sort or a structural shift carries it along —
+    /// so whoever rewrites `expr` or moves the formula to an address where
+    /// `expr` normalizes differently must [`unbind`](Formula::unbind) it.
+    /// Derived state: not part of equality.
+    program: OnceCell<Arc<Program>>,
 }
 
 impl PartialEq for Formula {
@@ -42,7 +42,7 @@ impl Formula {
     /// Wraps an expression with an uncomputed (`Empty`) cache and no
     /// program bound.
     pub fn new(expr: Expr) -> Self {
-        Formula { expr, cached: Value::Empty, program: OnceLock::new() }
+        Formula { expr, cached: Value::Empty, program: OnceCell::new() }
     }
 
     /// Wraps an expression with an uncomputed cache and `program` already
@@ -50,7 +50,7 @@ impl Formula {
     /// the formula is about to be stored at (the bulk load does, once per
     /// template — `compile::OpenTemplates`).
     pub(crate) fn bound(expr: Expr, program: Arc<Program>) -> Self {
-        Formula { expr, cached: Value::Empty, program: OnceLock::from(program) }
+        Formula { expr, cached: Value::Empty, program: OnceCell::from(program) }
     }
 
     /// The bound program, if the load or an evaluation has bound one.

@@ -103,10 +103,11 @@ fn build(capped: bool) -> Sheet {
     s.set_formula_str(CellAddr::new(1500, 2), "=A1+0.5").unwrap();
     s.set_value(CellAddr::new(2047, 2), 2);
     s.set_value(CellAddr::new(3080, 2), -3);
-    // G: what arithmetic leaves in a cache when it overflows.
-    s.set_formula_str(CellAddr::new(100, 6), "=-1E308*10").unwrap();
-    s.set_formula_str(CellAddr::new(200, 6), "=1E308*10-1E308*10").unwrap();
-    s.set_formula_str(CellAddr::new(2500, 6), "=1E308*10").unwrap();
+    // G: what a `SUM` fold leaves in a cache when it overflows (an
+    // overflowing operator stores `#NUM!`).
+    s.set_formula_str(CellAddr::new(100, 6), "=SUM(-1E308,-1E308)").unwrap();
+    s.set_formula_str(CellAddr::new(200, 6), "=SUM(SUM(1E308,1E308),SUM(-1E308,-1E308))").unwrap();
+    s.set_formula_str(CellAddr::new(2500, 6), "=SUM(1E308,1E308)").unwrap();
     recalc_all(&mut s);
     assert!(!capped || s.grid_spill_stats().spills > 0, "the capped sheet must spill");
     s

@@ -156,8 +156,7 @@ pub(crate) enum Inst {
 
 /// A compiled formula template: flat code plus its constant pool, tagged
 /// with the static facts `analyze` proved about it. Shared via `Arc` by
-/// every cell instantiating the template and by the parallel recalc
-/// workers.
+/// every cell instantiating the template.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub(crate) code: Vec<Inst>,

@@ -14,10 +14,9 @@
 //!    R1C1-relative form; the resulting string is the cache key. Fill
 //!    copies share a key; distinct formulas never collide.
 //! 2. **Cache** — [`ProgramCache`] (one per sheet) maps key →
-//!    [`Arc<Program>`] under an `RwLock`, so the PR-1 parallel recalc
-//!    workers share programs read-only. Hit/miss tallies live on the cache
-//!    itself (they are diagnostics, not simulated-cost primitives, so they
-//!    deliberately stay out of the [`crate::meter::Meter`]).
+//!    [`Arc<Program>`]. Hit/miss tallies live on the cache itself (they
+//!    are diagnostics, not simulated-cost primitives, so they deliberately
+//!    stay out of the [`crate::meter::Meter`]).
 //! 3. **Lower** — [`lower::compile`] flattens the AST to stack bytecode:
 //!    literal-pure subtrees constant-fold at compile time (via the exact
 //!    `apply_unary`/`apply_binary` the interpreter uses), literals land in
@@ -63,9 +62,9 @@ pub mod vm;
 
 pub use lower::{compile, Program};
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crate::addr::CellAddr;
 use crate::cell::Formula;
@@ -74,10 +73,8 @@ use crate::formula::ast::Expr;
 use crate::formula::{parse_with, r1c1, NameResolver};
 
 /// A per-sheet cache of compiled programs, keyed by the R1C1-normalized
-/// template string (fill copies share one entry). Shared read-mostly:
-/// parallel recalc workers hold `&Sheet` and take the read lock only on
-/// lookup; the precompile pass in `recalc::run_plan` binds every formula
-/// of the plan before any worker starts.
+/// template string (fill copies share one entry), filled through `&self`
+/// by the first evaluation of each unbound formula.
 ///
 /// Entries are pure functions of their key, so nothing here tracks sheet
 /// state and no edit invalidates anything. Which program a given cell runs
@@ -85,9 +82,9 @@ use crate::formula::{parse_with, r1c1, NameResolver};
 /// through this map happens once per formula per binding.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    map: RwLock<HashMap<String, Arc<Program>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    map: RefCell<HashMap<String, Arc<Program>>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl ProgramCache {
@@ -100,34 +97,19 @@ impl ProgramCache {
     /// of its template.
     pub fn get_or_compile(&self, expr: &Expr, at: CellAddr) -> Arc<Program> {
         let key = r1c1::normalize(expr, at);
-        // Clone out of the read guard before matching: the `None` arm
-        // takes the write lock on the same `RwLock`.
-        let cached = self.map.read().expect("program cache poisoned").get(&key).cloned();
-        match cached {
-            Some(p) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                p
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                // Compile outside the write lock; a racing compile of the
-                // same template is wasted work, not an error — first
-                // insert wins.
-                let compiled = Arc::new(lower::compile(expr, at));
-                Arc::clone(
-                    self.map
-                        .write()
-                        .expect("program cache poisoned")
-                        .entry(key)
-                        .or_insert(compiled),
-                )
-            }
+        if let Some(program) = self.map.borrow().get(&key) {
+            self.hits.set(self.hits.get() + 1);
+            return Arc::clone(program);
         }
+        self.misses.set(self.misses.get() + 1);
+        let program = Arc::new(lower::compile(expr, at));
+        self.map.borrow_mut().insert(key, Arc::clone(&program));
+        program
     }
 
     /// Number of cached programs (distinct templates seen).
     pub fn len(&self) -> usize {
-        self.map.read().expect("program cache poisoned").len()
+        self.map.borrow().len()
     }
 
     /// True when no template has been compiled.
@@ -137,12 +119,12 @@ impl ProgramCache {
 
     /// Lookups answered from cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookups that had to compile.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 }
 

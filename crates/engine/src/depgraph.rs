@@ -489,9 +489,10 @@ fn on_cycles(stalled: &[CellAddr], edges: &AddrMap<CellAddr, Vec<CellAddr>>) -> 
 ///
 /// The order is stratified into topological levels: `level_starts[k]` is
 /// the index in `order` where level `k` begins, and every formula in a
-/// level depends only on formulae in strictly earlier levels. A level is
-/// therefore safe to evaluate in parallel once the previous level's
-/// results are committed.
+/// level depends only on formulae in strictly earlier levels, so no
+/// formula's result can land inside the read window of another formula of
+/// its own level (which is what lets recalc slide one delta cache across a
+/// level).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DirtyPlan {
     /// Formulae to evaluate, precedents-first, grouped by level.
@@ -526,7 +527,8 @@ impl DirtyPlan {
         &self.order[start..end]
     }
 
-    /// Size of the widest level — an upper bound on useful parallelism.
+    /// Size of the widest level: how many formulas one delta cache and one
+    /// set of pinned windows serve.
     pub fn max_level_width(&self) -> usize {
         self.levels().map(<[CellAddr]>::len).max().unwrap_or(0)
     }

@@ -77,24 +77,12 @@ pub(crate) fn apply_binary(op: BinOp, va: Value, vb: Value) -> Value {
                 (Err(e), _) | (_, Err(e)) => return Value::Error(e),
             };
             match op {
-                BinOp::Add => Value::Number(x + y),
-                BinOp::Sub => Value::Number(x - y),
-                BinOp::Mul => Value::Number(x * y),
-                BinOp::Div => {
-                    if y == 0.0 {
-                        Value::Error(CellError::Div0)
-                    } else {
-                        Value::Number(x / y)
-                    }
-                }
-                BinOp::Pow => {
-                    let r = x.powf(y);
-                    if r.is_finite() {
-                        Value::Number(r)
-                    } else {
-                        Value::Error(CellError::Num)
-                    }
-                }
+                BinOp::Add => Value::num(x + y),
+                BinOp::Sub => Value::num(x - y),
+                BinOp::Mul => Value::num(x * y),
+                BinOp::Div if y == 0.0 => Value::Error(CellError::Div0),
+                BinOp::Div => Value::num(x / y),
+                BinOp::Pow => Value::num(x.powf(y)),
                 _ => unreachable!(),
             }
         }

@@ -8,11 +8,7 @@ use super::{check_arity, num, opt_num, Arg};
 
 /// Wraps a fallible numeric computation into a `Value`.
 fn num_result(r: Result<f64, CellError>) -> Value {
-    match r {
-        Ok(n) if n.is_finite() => Value::Number(n),
-        Ok(_) => Value::Error(CellError::Num),
-        Err(e) => Value::Error(e),
-    }
+    r.map_or_else(Value::Error, Value::num)
 }
 
 /// `ABS(x)`.

@@ -182,7 +182,7 @@ fn kth(ctx: &EvalCtx<'_>, args: &[Arg], largest: bool) -> Value {
     if k > xs.len() {
         return Value::Error(CellError::Num);
     }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("cell numbers are ordered"));
+    xs.sort_by(f64::total_cmp);
     let idx = if largest { xs.len() - k } else { k - 1 };
     Value::Number(xs[idx])
 }

@@ -148,7 +148,7 @@ pub fn median(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     if xs.is_empty() {
         return Value::Error(CellError::Num);
     }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN from cells"));
+    xs.sort_by(f64::total_cmp);
     let mid = xs.len() / 2;
     let m = if xs.len() % 2 == 1 { xs[mid] } else { (xs[mid - 1] + xs[mid]) / 2.0 };
     Value::Number(m)

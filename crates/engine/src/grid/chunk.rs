@@ -19,7 +19,7 @@
 //!   `Text` segments spill (they are plain data with a fixed codec);
 //!   `Cells` segments are wired. Spilled chunks reload at `&mut` access
 //!   points and are served read-only through the pool's fault cache from
-//!   `&self`, so the grid stays `Sync` for parallel recalc.
+//!   `&self`.
 //!
 //! One rule places a slot, whoever writes it (`SlotVal`, `put_cell`): a
 //! vacant chunk opens in the kind of the first thing written to it — a
@@ -63,7 +63,6 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::addr::{CellAddr, Range};
@@ -246,7 +245,7 @@ struct NumSeg {
     count: u16,
     pins: u16,
     /// Clock-evictor reference bit; settable from `&self` readers.
-    hot: AtomicBool,
+    hot: std::cell::Cell<bool>,
     vals: [f64; CHUNK],
 }
 
@@ -262,7 +261,7 @@ impl NumSeg {
             present: [0; WORDS],
             count: 0,
             pins: 0,
-            hot: AtomicBool::new(true),
+            hot: true.into(),
             vals: [0.0; CHUNK],
         }
     }
@@ -298,7 +297,7 @@ impl NumSeg {
 struct TextSeg {
     count: u16,
     pins: u16,
-    hot: AtomicBool,
+    hot: std::cell::Cell<bool>,
     ids: [u32; CHUNK],
 }
 
@@ -310,7 +309,7 @@ impl std::fmt::Debug for TextSeg {
 
 impl TextSeg {
     fn vacant() -> Self {
-        TextSeg { count: 0, pins: 0, hot: AtomicBool::new(true), ids: [NO_TEXT; CHUNK] }
+        TextSeg { count: 0, pins: 0, hot: true.into(), ids: [NO_TEXT; CHUNK] }
     }
 
     fn set(&mut self, off: usize, id: u32) {
@@ -391,13 +390,13 @@ impl Segment {
                 present: s.present,
                 count: s.count,
                 pins: 0,
-                hot: AtomicBool::new(true),
+                hot: true.into(),
                 vals: s.vals,
             })),
             Segment::Text(s) => Segment::Text(Box::new(TextSeg {
                 count: s.count,
                 pins: 0,
-                hot: AtomicBool::new(true),
+                hot: true.into(),
                 ids: s.ids,
             })),
             Segment::Cells(v) => Segment::Cells(v.clone()),
@@ -420,13 +419,13 @@ fn segment_from_page(data: &PageData) -> Segment {
             present: np.present,
             count: popcount(&np.present),
             pins: 0,
-            hot: AtomicBool::new(true),
+            hot: true.into(),
             vals: np.vals,
         })),
         PageData::Text(tp) => Segment::Text(Box::new(TextSeg {
             count: tp.ids.iter().filter(|&&id| id != NO_TEXT).count() as u16,
             pins: 0,
-            hot: AtomicBool::new(true),
+            hot: true.into(),
             ids: tp.ids,
         })),
     }
@@ -942,8 +941,8 @@ impl GridStore {
             Some(Segment::Spilled(sp)) => ChunkRef::Page(self.pool.fault(sp.page, sp.kind)),
             Some(seg) => {
                 match seg {
-                    Segment::Num(s) => s.hot.store(true, Relaxed),
-                    Segment::Text(s) => s.hot.store(true, Relaxed),
+                    Segment::Num(s) => s.hot.set(true),
+                    Segment::Text(s) => s.hot.set(true),
                     _ => {}
                 }
                 ChunkRef::Seg(seg)
@@ -1422,7 +1421,7 @@ impl GridStore {
                 if pins > 0 {
                     continue;
                 }
-                if hot.swap(false, Relaxed) {
+                if hot.replace(false) {
                     continue; // second chance
                 }
                 victim = Some(k);

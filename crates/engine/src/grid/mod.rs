@@ -39,8 +39,8 @@ pub enum Layout {
 
 /// The static empty cell returned for vacant positions.
 pub fn empty_cell() -> &'static Cell {
-    static EMPTY: Cell = Cell::Value(crate::value::Value::Empty);
-    &EMPTY
+    const EMPTY: &Cell = &Cell::Value(crate::value::Value::Empty);
+    EMPTY
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!   list), the resident-byte counter, the clock hand, the spill/load/fault
 //!   statistics, and a bounded FIFO fault cache that serves *read-only*
 //!   accesses to spilled pages from `&self` (residency never changes on the
-//!   read path, which is what keeps the grid `Sync` for parallel recalc);
+//!   read path, so a `&Sheet` evaluation can read spilled data);
 //! * the **chunk layer** decides *what* to evict (clock sweep over typed
 //!   segments, skipping pinned ones and granting hot ones a second chance)
 //!   and performs the actual segment ⇄ page conversions at `&mut` points.
@@ -39,12 +39,12 @@
 //!   `resident` does not know about, and `resident ≤ budget` is restored
 //!   before the operation returns.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One page slot: a `Num` segment's 128-byte presence bitmap plus 1024
 /// little-endian `f64` bit patterns. `Text` segments (4096 bytes of
@@ -173,7 +173,7 @@ struct Pager {
 
 impl Pager {
     fn open() -> io::Result<Self> {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
         static SEQ: AtomicU32 = AtomicU32::new(0);
         let path = std::env::temp_dir().join(format!(
             "ssbench-grid-{}-{}.pages",
@@ -225,10 +225,10 @@ pub(crate) struct Pool {
     /// Clock hand for the chunk layer's evictor: (column, next chunk key).
     hand: (u32, u32),
     pager: Option<Pager>,
-    cache: Mutex<FaultCache>,
+    cache: RefCell<FaultCache>,
     spills: u64,
     loads: u64,
-    faults: AtomicU64,
+    faults: Cell<u64>,
 }
 
 impl std::fmt::Debug for Pool {
@@ -248,14 +248,14 @@ impl Pool {
             resident: 0,
             hand: (0, 0),
             pager: None,
-            cache: Mutex::new(FaultCache {
+            cache: RefCell::new(FaultCache {
                 pages: HashMap::new(),
                 order: VecDeque::new(),
                 bytes: 0,
             }),
             spills: 0,
             loads: 0,
-            faults: AtomicU64::new(0),
+            faults: Cell::new(0),
         }
     }
 
@@ -289,7 +289,7 @@ impl Pool {
     }
 
     pub(crate) fn stats(&self) -> SpillStats {
-        SpillStats { spills: self.spills, loads: self.loads, faults: self.faults.load(Relaxed) }
+        SpillStats { spills: self.spills, loads: self.loads, faults: self.faults.get() }
     }
 
     /// Writes an encoded segment to a free page slot. On I/O failure the
@@ -322,11 +322,9 @@ impl Pool {
     pub(crate) fn load(&mut self, page: u32, kind: PageKind) -> PageData {
         // Serve from the fault cache when possible; the slot is freed
         // either way, so the cached copy must be dropped too.
-        let cached = self.cache.lock().map_or(None, |mut c| {
-            let hit = c.pages.get(&page).cloned();
-            c.invalidate(page);
-            hit
-        });
+        let cache = self.cache.get_mut();
+        let cached = cache.pages.get(&page).cloned();
+        cache.invalidate(page);
         let data = match cached {
             Some(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone()),
             None => self
@@ -344,10 +342,7 @@ impl Pool {
     /// Read-only access to a spilled page from `&self`, via the bounded
     /// fault cache. Used by scans, `get`, and `value_at`.
     pub(crate) fn fault(&self, page: u32, kind: PageKind) -> Arc<PageData> {
-        let mut cache = match self.cache.lock() {
-            Ok(c) => c,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut cache = self.cache.borrow_mut();
         if let Some(p) = cache.pages.get(&page) {
             return p.clone();
         }
@@ -357,7 +352,7 @@ impl Pool {
             .expect("fault of a page that was never stored")
             .read(page, kind)
             .expect("page file read failed: spilled grid data is unrecoverable");
-        self.faults.fetch_add(1, Relaxed);
+        self.faults.set(self.faults.get() + 1);
         let data = Arc::new(data);
         // Cap the cache at the grid budget (a few pages minimum so tiny
         // budgets do not thrash the page just faulted in).
@@ -376,9 +371,7 @@ impl Pool {
 
     /// Returns a slot to the free list (segment reloaded or discarded).
     pub(crate) fn free_page(&mut self, page: u32) {
-        if let Ok(mut c) = self.cache.lock() {
-            c.invalidate(page);
-        }
+        self.cache.get_mut().invalidate(page);
         if let Some(pager) = self.pager.as_mut() {
             debug_assert!(!pager.free.contains(&page), "double free of page {page}");
             pager.free.push(page);

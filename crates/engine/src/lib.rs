@@ -12,8 +12,8 @@
 //!   bytecode programs recalculation runs — compiled once per R1C1
 //!   template, with range kernels that fold the grid's typed slices
 //!   ([`compile`]);
-//! * a dependency graph and a recalculation engine that — like the
-//!   benchmarked systems — recomputes dirty formulae *from scratch*
+//! * a dependency graph and a sequential recalculation engine that — like
+//!   the benchmarked systems — recomputes dirty formulae *from scratch*
 //!   ([`depgraph`], [`recalc`]);
 //! * the update and query operations of the paper's taxonomy: sort,
 //!   filter, find-and-replace, copy-paste, conditional formatting, and
@@ -75,7 +75,7 @@ pub use crate::error::{CellError, EngineError};
 pub use crate::index::IndexStore;
 pub use crate::meter::{Counts, Meter, Primitive};
 pub use crate::ops::{Op, OpOutcome};
-pub use crate::recalc::{EvalSession, RecalcOptions};
+pub use crate::recalc::EvalSession;
 pub use crate::sheet::Sheet;
 
 /// Convenient re-exports for downstream crates and examples.
@@ -94,7 +94,7 @@ pub mod prelude {
         find_all, pivot, Op, OpOutcome, PivotAgg, PivotTable, SortKey, SortOrder,
     };
     pub use crate::recalc;
-    pub use crate::recalc::{EvalSession, RecalcOptions};
+    pub use crate::recalc::EvalSession;
     pub use crate::sheet::{Layout, Sheet};
     pub use crate::trace;
     pub use crate::style::Color;

@@ -9,18 +9,13 @@
 //! execution, every complexity shape in the reproduced figures is produced
 //! mechanically, not assumed.
 //!
-//! The meter uses interior mutability so that read-only evaluation paths
-//! can record costs without threading `&mut` everywhere. The counters are
-//! `AtomicU64` accessed with relaxed *load + store* (not `fetch_add`):
-//! each `Meter` instance is written by one logical owner at a time — the
-//! parallel recalc path gives every worker its own local meter and merges
-//! the per-worker `Counts` at level barriers — so the unsynchronized
-//! read-modify-write is safe, costs the same as the old `Cell<u64>` on
-//! the sequential hot path, and makes `Meter` (and thus `Sheet`) `Sync`
-//! for the read side.
+//! The meter uses interior mutability (`Cell<u64>` counters) so that
+//! read-only evaluation paths can record costs without threading `&mut`
+//! everywhere. That makes `Meter`, and the `Sheet` that owns one, `!Sync`:
+//! no two threads can ever tick the same meter.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The primitive operations the engine can perform. Each corresponds to a
 /// unit cost in a system profile's `CostTable`.
@@ -199,17 +194,9 @@ impl fmt::Display for Counts {
 
 /// A live counter of engine primitives. Cloning is not supported; share by
 /// reference.
-///
-/// Thread-safety contract: a `Meter` may be *read* (`snapshot`) from any
-/// thread, but at most one logical owner may record into it at a time.
-/// The counters use relaxed load + store rather than atomic RMW so the
-/// single-writer fast path compiles to the same plain add the paper's
-/// single-threaded cost model assumes; concurrent writers would lose
-/// ticks, which is why the parallel recalc path records into per-worker
-/// meters and merges them deterministically with [`Meter::absorb`].
 #[derive(Debug, Default)]
 pub struct Meter {
-    counts: [AtomicU64; ALL_PRIMITIVES.len()],
+    counts: [Cell<u64>; ALL_PRIMITIVES.len()],
 }
 
 impl Meter {
@@ -222,7 +209,7 @@ impl Meter {
     #[inline]
     pub fn bump(&self, p: Primitive, n: u64) {
         let c = &self.counts[p.index()];
-        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        c.set(c.get().wrapping_add(n));
     }
 
     /// Records one occurrence of primitive `p`.
@@ -235,7 +222,7 @@ impl Meter {
     pub fn snapshot(&self) -> Counts {
         let mut out = [0u64; ALL_PRIMITIVES.len()];
         for (i, o) in out.iter_mut().enumerate() {
-            *o = self.counts[i].load(Ordering::Relaxed);
+            *o = self.counts[i].get();
         }
         Counts(out)
     }
@@ -243,7 +230,7 @@ impl Meter {
     /// Resets every count to zero.
     pub fn reset(&self) {
         for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
+            c.set(0);
         }
     }
 
@@ -317,37 +304,6 @@ mod tests {
         // Absorbing zero counts is a no-op.
         a.absorb(&Counts::default());
         assert_eq!(a.snapshot(), s);
-    }
-
-    #[test]
-    fn meter_is_sync_for_parallel_read_side() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Meter>();
-        assert_send_sync::<Counts>();
-    }
-
-    #[test]
-    fn absorb_merge_is_order_independent() {
-        // Per-worker counts merge at level barriers; sums must not depend
-        // on merge order for the parallel path to be deterministic.
-        let workers: Vec<Counts> = (0..4)
-            .map(|i| {
-                let m = Meter::new();
-                m.bump(Primitive::CellRead, 10 + i);
-                m.bump(Primitive::FormulaEval, 2 * i);
-                m.snapshot()
-            })
-            .collect();
-        let forward = Meter::new();
-        let backward = Meter::new();
-        for c in &workers {
-            forward.absorb(c);
-        }
-        for c in workers.iter().rev() {
-            backward.absorb(c);
-        }
-        assert_eq!(forward.snapshot(), backward.snapshot());
-        assert_eq!(forward.snapshot().get(Primitive::CellRead), 4 * 10 + 6);
     }
 
     #[test]

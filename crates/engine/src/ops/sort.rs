@@ -287,8 +287,9 @@ mod tests {
         }
     }
 
-    /// Only `^` and the math functions map overflow to `#NUM!`: `=-1E308*10`
-    /// caches `-inf` and `=1E308*10-1E308*10` caches `NaN`. Standing
+    /// An overflowing operator stores `#NUM!`, but a `SUM` fold does not:
+    /// `=SUM(-1E308,-1E308)` caches `-inf` and the sum of that and `+inf`
+    /// caches `NaN`. Standing
     /// `NEG_INFINITY` in for blanks interleaved the former with them, and
     /// `partial_cmp(..).unwrap_or(Equal)` made the latter equal to
     /// everything — not a total order.
@@ -298,8 +299,8 @@ mod tests {
         for r in 0..200u32 {
             let at = CellAddr::new(r, 0);
             match r % 4 {
-                0 => s.set_formula_str(at, "=-1E308*10").unwrap(),
-                1 => s.set_formula_str(at, "=1E308*10-1E308*10").unwrap(),
+                0 => s.set_formula_str(at, "=SUM(-1E308,-1E308)").unwrap(),
+                1 => s.set_formula_str(at, "=SUM(SUM(1E308,1E308),SUM(-1E308,-1E308))").unwrap(),
                 2 => s.set_value(at, i64::from(r % 7) - 3),
                 _ => {}
             }

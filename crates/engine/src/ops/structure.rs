@@ -502,12 +502,9 @@ mod tests {
     #[test]
     fn restructure_preserves_options() {
         use crate::eval::LookupStrategy;
-        use crate::recalc::RecalcOptions;
 
         let mut s = Sheet::new();
-        let opts = RecalcOptions { parallelism: 3, threshold: 7 };
         let lookup = LookupStrategy::StopEarly;
-        s.set_recalc_options(opts);
         s.set_lookup_strategy(lookup);
         s.set_now_serial(44_000.5);
         for i in 0..4u32 {
@@ -527,7 +524,6 @@ mod tests {
         .enumerate()
         {
             s.apply(edit).unwrap();
-            assert_eq!(s.recalc_options(), opts, "edit #{i} reset recalc options");
             assert_eq!(s.lookup_strategy(), lookup, "edit #{i} reset the lookup strategy");
             assert_eq!(s.now_serial(), 44_000.5, "edit #{i} reset the clock");
             assert!(s.name_range("Data").is_some(), "edit #{i} dropped named ranges");

@@ -36,7 +36,6 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
     let mut fresh = Sheet::with_size(new_rows, new_cols);
     fresh.ensure_size(new_rows.max(1), new_cols.max(1));
     fresh.set_lookup_strategy(old.lookup_strategy());
-    fresh.set_recalc_options(old.recalc_options());
     fresh.set_now_serial(old.now_serial());
     fresh.set_grid_budget(old.grid_budget());
     fresh.set_auto_index(old.auto_index());

@@ -24,19 +24,11 @@
 //! only caller outside tests and the interpreter itself (`scripts/check.sh`
 //! keeps it so).
 //!
-//! Both entry points run through a level-scheduled executor: the
-//! [`DirtyPlan`] stratifies formulae into topological levels, and when a
-//! plan is large enough ([`RecalcOptions::threshold`]) each level is
-//! evaluated by scoped worker threads against an immutable sheet
-//! snapshot, committing values and merging per-worker meter counts at
-//! the level barrier. Values and meter counts are bit-identical to the
-//! sequential path regardless of thread count; see
-//! `run_level_parallel` for the argument. Simulated-system profiles
-//! keep charging single-threaded costs — the parallelism accelerates
-//! wall-clock benchmarking, it does not change the modeled systems.
-
-use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+//! Both entry points run the same sequential executor: the [`DirtyPlan`]
+//! stratifies formulae into topological levels, and each level is
+//! evaluated in plan order, one formula at a time, with the values it
+//! stores visible to the next level. The benchmarked systems recalculate
+//! on one thread, and so does this engine.
 
 use crate::addr::{CellAddr, Range};
 use crate::cell::Formula;
@@ -44,9 +36,9 @@ use crate::compile::{vm, Program};
 use crate::depgraph::DirtyPlan;
 use crate::error::CellError;
 use crate::eval::evaluate;
-use crate::meter::{Counts, Meter, Primitive};
+use crate::meter::Primitive;
 use crate::sheet::Sheet;
-use crate::trace::{self, Category, Span, SpanNode};
+use crate::trace::{Category, Span};
 use crate::value::Value;
 
 /// Summary of one recalculation pass.
@@ -59,68 +51,23 @@ pub struct RecalcStats {
     pub cyclic: usize,
 }
 
-/// Knobs for the recalculation executor. How a formula is evaluated is
-/// not one of them: every pass compiles each R1C1 template once and runs
-/// it on the VM with the range kernels and the window-delta cache (see
-/// [`crate::compile`]); [`recalc_reference`] is the tree-walking check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecalcOptions {
-    /// Maximum worker threads per level; `1` forces the sequential path.
-    pub parallelism: usize,
-    /// Minimum plan size (formulae in `order`) before the parallel path
-    /// engages. Small dirty sets — the single-cell-edit workloads of
-    /// §5.5 — must not pay thread-spawn overhead.
-    pub threshold: usize,
-}
-
-impl Default for RecalcOptions {
-    fn default() -> Self {
-        RecalcOptions { parallelism: default_parallelism(), threshold: 1024 }
-    }
-}
-
-impl RecalcOptions {
-    /// The classic single-threaded executor.
-    pub fn sequential() -> Self {
-        RecalcOptions { parallelism: 1, threshold: usize::MAX }
-    }
-}
-
-/// Worker count used by `RecalcOptions::default()`: the
-/// `RECALC_PARALLELISM` environment variable when set, otherwise the
-/// machine's available parallelism. Read once per process.
-fn default_parallelism() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("RECALC_PARALLELISM")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-            })
-    })
-}
-
 /// Evaluates the formula at `addr` against the sheet's current state and
 /// returns its value; `None` when the cell is not a formula. One-shot:
 /// every aggregate window is scanned in full (no delta cache to slide).
 pub fn eval_formula_at(sheet: &Sheet, addr: CellAddr) -> Option<Value> {
-    eval_formula_with(sheet, addr, sheet.meter(), None)
+    eval_formula_with(sheet, addr, None)
 }
 
-/// Like [`eval_formula_at`] but charging an arbitrary meter (the hook the
-/// parallel path uses to give each worker its own counter) and optionally
-/// sliding a delta cache across overlapping aggregate windows.
+/// Like [`eval_formula_at`], optionally sliding a delta cache across
+/// overlapping aggregate windows.
 fn eval_formula_with(
     sheet: &Sheet,
     addr: CellAddr,
-    meter: &Meter,
     delta: Option<&mut vm::DeltaCache>,
 ) -> Option<Value> {
     let formula = sheet.formula_at(addr)?;
-    let ctx = sheet.eval_ctx_with(addr, meter);
-    meter.tick(Primitive::FormulaEval);
+    let ctx = sheet.eval_ctx(addr);
+    sheet.meter().tick(Primitive::FormulaEval);
     Some(vm::run_with(bound_program(sheet, formula, addr), &ctx, sheet.grid_store(), delta))
 }
 
@@ -159,46 +106,21 @@ impl<'a> EvalSession<'a> {
     /// formula. Identical values and meter counts to
     /// [`eval_formula_at`], potentially much faster on sliding windows.
     pub fn eval(&mut self, addr: CellAddr) -> Option<Value> {
-        eval_formula_with(self.sheet, addr, self.sheet.meter(), Some(&mut self.delta))
+        eval_formula_with(self.sheet, addr, Some(&mut self.delta))
     }
 }
 
-/// Executes a plan: marks its cycle members, then evaluates level by level
-/// (each level parallel when the plan is large enough and the sheet's
-/// options allow).
-///
-/// Both executors walk the same per-level structure so the trace — one
-/// `recalc` span wrapping one `level` span per topological level — is
-/// bit-identical (names, counts, nesting) at any thread count; only wall
-/// times differ. Within a level the sequential path visits `plan.order`
-/// slices in order, i.e. exactly the pre-levels flat iteration order.
+/// Executes a plan: marks its cycle members, then evaluates level by
+/// level, each formula binding its program on first evaluation. The trace
+/// is one `recalc` span wrapping one `level` span per topological level;
+/// within a level the formulas are visited in `plan.order`.
 fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcStats {
-    let opts = sheet.recalc_options();
     let span = Span::open_metered(
         Category::Recalc,
         || format!("{pass} ({} formulas, {} levels)", plan.order.len(), plan.level_count()),
         sheet.meter(),
     );
-    let workers = opts.parallelism.max(1);
-    let parallel = workers > 1 && plan.order.len() >= opts.threshold;
     mark_cycles(sheet, plan);
-    if !plan.order.is_empty() {
-        // Bind every formula of the plan up front, so the workers find
-        // their programs in the cells and never touch the cache. One
-        // compile per distinct template; nothing at all for a formula
-        // that is already bound.
-        let cspan = Span::open_metered(
-            Category::Compile,
-            || format!("precompile ({} formulas)", plan.order.len()),
-            sheet.meter(),
-        );
-        for &addr in &plan.order {
-            if let Some(formula) = sheet.formula_at(addr) {
-                bound_program(sheet, formula, addr);
-            }
-        }
-        cspan.finish_metered(sheet.meter());
-    }
     let pin_budget = sheet.grid_budget();
     for k in 0..plan.level_count() {
         let level = plan.level(k);
@@ -230,20 +152,15 @@ fn run_plan(sheet: &mut Sheet, plan: &DirtyPlan, pass: &'static str) -> RecalcSt
             || format!("level {k} ({} formulas)", level.len()),
             sheet.meter(),
         );
-        let fanout = if parallel { workers.min(level.len() / MIN_CHUNK).max(1) } else { 1 };
-        // One delta cache per level (per chunk on the parallel path): a
-        // level's stores can never land inside a same-level formula's
-        // static window — the dependency edge would have stratified them
-        // apart — so within a level the cache never goes stale.
-        if fanout == 1 {
-            let mut cache = vm::DeltaCache::new();
-            for &addr in level {
-                if let Some(v) = eval_formula_with(sheet, addr, sheet.meter(), Some(&mut cache)) {
-                    sheet.store_formula_result(addr, v);
-                }
+        // One delta cache per level: a level's stores can never land
+        // inside a same-level formula's static window — the dependency
+        // edge would have stratified them apart — so within a level the
+        // cache never goes stale.
+        let mut cache = vm::DeltaCache::new();
+        for &addr in level {
+            if let Some(v) = eval_formula_with(sheet, addr, Some(&mut cache)) {
+                sheet.store_formula_result(addr, v);
             }
-        } else {
-            run_level_parallel(sheet, level, fanout);
         }
         lspan.finish_metered(sheet.meter());
         if pin_budget.is_some() {
@@ -263,65 +180,6 @@ fn mark_cycles(sheet: &mut Sheet, plan: &DirtyPlan) {
     }
 }
 
-/// Don't fan a level out to more workers than leaves at least this many
-/// formulae per worker — below that, spawn overhead dominates.
-const MIN_CHUNK: usize = 64;
-
-/// The parallel executor for one topological level: scoped worker threads
-/// evaluate chunks against the sheet as an immutable snapshot, then the
-/// results, per-worker meter counts, and per-worker trace buffers are
-/// committed at the level barrier before the next level starts.
-///
-/// Determinism: within a level no formula reads another (levels stratify
-/// the dependency graph), and every value a formula reads was committed
-/// at an earlier barrier — so each formula sees exactly the state the
-/// sequential executor would show it, and produces bit-identical values.
-/// Meter counts are recorded into per-worker meters and *summed* at the
-/// barrier; addition is commutative, so the totals are bit-identical to
-/// the sequential path regardless of thread count or scheduling. Worker
-/// trace buffers (empty today — formula evaluation opens no spans — but
-/// the contract holds for any future in-worker span) are adopted in chunk
-/// order, which is determined by the plan alone.
-fn run_level_parallel(sheet: &mut Sheet, level: &[CellAddr], fanout: usize) {
-    let chunk_len = level.len().div_ceil(fanout);
-    let shared: &Sheet = sheet;
-    let tracing = trace::enabled();
-    let outcomes: Vec<(Counts, Vec<(CellAddr, Value)>, Vec<SpanNode>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = level
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let local = Meter::new();
-                        // Per-chunk delta cache: the delta path is
-                        // value- and meter-identical to a full scan, so
-                        // chunk boundaries cost only warm-up, never
-                        // determinism.
-                        let mut cache = vm::DeltaCache::new();
-                        let results: Vec<(CellAddr, Value)> = chunk
-                            .iter()
-                            .filter_map(|&addr| {
-                                eval_formula_with(shared, addr, &local, Some(&mut cache))
-                                    .map(|v| (addr, v))
-                            })
-                            .collect();
-                        let events = if tracing { trace::drain() } else { Vec::new() };
-                        (local.snapshot(), results, events)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("recalc worker panicked")).collect()
-        });
-    // Barrier: merge counts and trace events, commit values — in chunk order.
-    for (counts, results, events) in outcomes {
-        sheet.meter().absorb(&counts);
-        trace::adopt(events);
-        for (addr, v) in results {
-            sheet.store_formula_result(addr, v);
-        }
-    }
-}
-
 /// The planning step every pass shares: bring maintained column indexes
 /// up to date (no-op unless the sheet opted in; the build charges
 /// `IndexProbe` ticks so the pass that pays for index construction is
@@ -335,16 +193,14 @@ fn plan(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> DirtyPlan {
     }
 }
 
-/// Fully recalculates every formula on the sheet, precedents first, using
-/// the sheet's configured [`RecalcOptions`].
+/// Fully recalculates every formula on the sheet, precedents first.
 pub fn recalc_all(sheet: &mut Sheet) -> RecalcStats {
     let plan = plan(sheet, None);
     run_plan(sheet, &plan, "recalc_all")
 }
 
 /// Recalculates the formulae transitively affected by changes to
-/// `changed`, precedents first, using the sheet's configured
-/// [`RecalcOptions`].
+/// `changed`, precedents first.
 pub fn recalc_from(sheet: &mut Sheet, changed: &[CellAddr]) -> RecalcStats {
     let plan = plan(sheet, Some(changed));
     run_plan(sheet, &plan, "recalc_from")
@@ -513,6 +369,34 @@ mod tests {
         assert_eq!(s.value(a("F3")), Value::Number(5.0));
     }
 
+    /// An overflowing `+ − × ÷` stores `#NUM!`, and a NaN a `SUM` fold can
+    /// still store does not abort `MEDIAN` or `LARGE`, in either evaluator.
+    #[test]
+    fn overflow_stores_num_and_nan_does_not_abort_order_statistics() {
+        let shipped: fn(&mut Sheet) -> RecalcStats = recalc_all;
+        for pass in [shipped, |s| recalc_reference(s, None)] {
+            let mut s = Sheet::new();
+            for (cell, text) in [
+                ("A1", "=1E308*10-1E308*10"),
+                ("B1", "=SUM(1E308,1E308)"),
+                ("B2", "=SUM(-1E308,-1E308)"),
+                ("B3", "=SUM(B1:B2)"),
+                ("C1", "=MEDIAN(B3,2)"),
+                ("C2", "=LARGE(B1:B3,1)"),
+            ] {
+                s.set_formula_str(a(cell), text).unwrap();
+            }
+            pass(&mut s);
+            assert_eq!(s.value(a("A1")), Value::Error(CellError::Num));
+            assert!(s.value(a("B3")).as_number().is_some_and(f64::is_nan));
+            for cell in ["C1", "C2"] {
+                assert!(s.value(a(cell)).as_number().is_some(), "{cell}");
+            }
+            assert!(s.eval_str("=MEDIAN(B3,2)").unwrap().as_number().is_some());
+            assert!(s.eval_str("=LARGE(B1:B3,1)").unwrap().as_number().is_some());
+        }
+    }
+
     #[test]
     fn open_recalc_charges_dep_build() {
         let mut s = Sheet::new();
@@ -529,9 +413,8 @@ mod tests {
     /// A sheet with a wide, multi-level formula DAG: `n` value rows in
     /// column A; column B squares them; column C sums a running window of
     /// B; one final SUM over all of C.
-    fn wide_dag_sheet(n: u32, opts: RecalcOptions) -> Sheet {
+    fn wide_dag_sheet(n: u32) -> Sheet {
         let mut s = Sheet::new();
-        s.set_recalc_options(opts);
         for i in 0..n {
             s.set_value(CellAddr::new(i, 0), i64::from(i % 97));
             s.set_formula_str(CellAddr::new(i, 1), &format!("=A{0}*A{0}", i + 1)).unwrap();
@@ -540,81 +423,6 @@ mod tests {
         }
         s.set_formula_str(CellAddr::new(0, 3), &format!("=SUM(C1:C{n})")).unwrap();
         s
-    }
-
-    #[test]
-    fn parallel_recalc_matches_sequential_values_and_counts() {
-        let n = 600;
-        let mut seq = wide_dag_sheet(n, RecalcOptions::sequential());
-        let mut par = wide_dag_sheet(n, RecalcOptions { parallelism: 4, threshold: 1 });
-        let seq_stats = recalc_all(&mut seq);
-        let par_stats = recalc_all(&mut par);
-        assert_eq!(seq_stats, par_stats);
-        for row in 0..n {
-            for col in 1..3 {
-                let addr = CellAddr::new(row, col);
-                assert_eq!(seq.value(addr), par.value(addr), "{addr:?}");
-            }
-        }
-        assert_eq!(seq.value(a("D1")), par.value(a("D1")));
-        // The tentpole guarantee: meter counts are bit-identical.
-        assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
-        // The precompile pass binds every formula, one compile per
-        // template; the workers never reach the cache.
-        assert_eq!(par.program_cache().len() as u64, par.program_cache().misses());
-    }
-
-    #[test]
-    fn parallel_dirty_recalc_matches_sequential() {
-        let n = 400;
-        let mut seq = wide_dag_sheet(n, RecalcOptions::sequential());
-        let mut par = wide_dag_sheet(n, RecalcOptions { parallelism: 3, threshold: 1 });
-        recalc_all(&mut seq);
-        recalc_all(&mut par);
-        for s in [&mut seq, &mut par] {
-            s.set_value(a("A5"), 1000);
-            s.set_value(CellAddr::new(250, 0), -3);
-        }
-        let changed = [a("A5"), CellAddr::new(250, 0)];
-        let seq_stats = recalc_from(&mut seq, &changed);
-        let par_stats = recalc_from(&mut par, &changed);
-        assert_eq!(seq_stats, par_stats);
-        for row in 0..n {
-            for col in 1..3 {
-                let addr = CellAddr::new(row, col);
-                assert_eq!(seq.value(addr), par.value(addr), "{addr:?}");
-            }
-        }
-        assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
-    }
-
-    #[test]
-    fn small_plans_stay_sequential_under_default_options() {
-        // Default threshold keeps single-edit dirty sets off the thread
-        // path entirely; stats and values must be unaffected either way.
-        let mut s = Sheet::new();
-        s.set_recalc_options(RecalcOptions::default());
-        s.set_value(a("A1"), 2);
-        s.set_formula_str(a("B1"), "=A1*10").unwrap();
-        let stats = recalc_all(&mut s);
-        assert_eq!(stats.evaluated, 1);
-        assert_eq!(s.value(a("B1")), Value::Number(20.0));
-    }
-
-    #[test]
-    fn parallel_path_marks_cycles_like_sequential() {
-        let mut s = Sheet::new();
-        s.set_recalc_options(RecalcOptions { parallelism: 4, threshold: 1 });
-        for i in 0..200u32 {
-            s.set_value(CellAddr::new(i, 0), 1);
-            s.set_formula_str(CellAddr::new(i, 1), &format!("=A{0}+1", i + 1)).unwrap();
-        }
-        s.set_formula_str(a("D1"), "=E1+1").unwrap();
-        s.set_formula_str(a("E1"), "=D1+1").unwrap();
-        let stats = recalc_all(&mut s);
-        assert_eq!(stats.cyclic, 2);
-        assert_eq!(s.value(a("D1")), Value::Error(CellError::Circular));
-        assert_eq!(s.value(CellAddr::new(199, 1)), Value::Number(2.0));
     }
 
     #[test]
@@ -666,9 +474,9 @@ mod tests {
     #[test]
     fn shipped_recalc_matches_reference_full_and_dirty() {
         let n = 400;
-        let mut reference = wide_dag_sheet(n, RecalcOptions::sequential());
-        let mut one_shot = wide_dag_sheet(n, RecalcOptions::sequential());
-        let mut shipped = wide_dag_sheet(n, RecalcOptions::sequential());
+        let mut reference = wide_dag_sheet(n);
+        let mut one_shot = wide_dag_sheet(n);
+        let mut shipped = wide_dag_sheet(n);
         let stats = recalc_reference(&mut reference, None);
         assert_eq!(stats, recalc_one_shot(&mut one_shot, None));
         assert_eq!(stats, recalc_all(&mut shipped));
@@ -760,7 +568,7 @@ mod tests {
     #[test]
     fn eval_session_matches_one_shot_eval() {
         let n = 300;
-        let mut s = wide_dag_sheet(n, RecalcOptions::sequential());
+        let mut s = wide_dag_sheet(n);
         recalc_all(&mut s);
         // A session carries the delta cache across calls; values and meter
         // charges must nonetheless match the one-shot path exactly.

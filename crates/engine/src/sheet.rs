@@ -1,8 +1,9 @@
 //! The sheet: a grid of cells, its dependency graph, filter state, and the
 //! cost meter. This is the engine's main API surface.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use crate::addr::{CellAddr, CellRef, Range};
 use crate::cell::{Cell, Formula};
@@ -15,7 +16,6 @@ use crate::formula::{Expr, NameResolver, RangeRef};
 use crate::grid::{CellGet, ChunkMut, GridStore, IdMemo, ScanSlice, CHUNK_ROWS};
 use crate::index::{ColumnBuilder, IndexStore};
 use crate::meter::{Meter, Primitive};
-use crate::recalc::RecalcOptions;
 use crate::style::Color;
 use crate::value::{classify, Input, Value};
 
@@ -33,8 +33,6 @@ pub struct Sheet {
     now_serial: f64,
     /// Named ranges (uppercased name → range).
     names: NameTable,
-    /// Executor knobs used by `recalc_all` / `recalc_from`.
-    recalc_opts: RecalcOptions,
     /// Compiled-backend program cache, keyed by R1C1 template. Programs
     /// are pure functions of their key, so no edit invalidates an entry;
     /// which program a cell runs is bound in the cell's own `Formula`.
@@ -64,9 +62,8 @@ struct NameTable {
     /// Query body (no leading `=`) → its program, compiled at A1. Not the
     /// template [`ProgramCache`]: its key is the R1C1 text of a parsed
     /// formula, and an entry there is forever, which a name change would
-    /// make wrong here. The map is only inserted into, whole entries, and
-    /// cleared, so a lock poisoned by a panicking reader is recovered.
-    queries: RwLock<HashMap<String, Arc<Program>>>,
+    /// make wrong here.
+    queries: RefCell<HashMap<String, Arc<Program>>>,
 }
 
 impl NameResolver for NameTable {
@@ -107,20 +104,18 @@ impl NameTable {
     }
 
     fn forget_queries(&mut self) {
-        self.queries.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+        self.queries.get_mut().clear();
     }
 
     /// The program of the query `body`: memoized by its text, or parsed
     /// against these names and compiled at A1 — and memoized only then, so
     /// a text that does not parse is parsed again each time it is asked.
     fn query(&self, body: &str) -> Result<Arc<Program>, EngineError> {
-        let memo = self.queries.read().unwrap_or_else(PoisonError::into_inner).get(body).cloned();
-        if let Some(program) = memo {
-            return Ok(program);
+        if let Some(program) = self.queries.borrow().get(body) {
+            return Ok(Arc::clone(program));
         }
         let program = Arc::new(compile(&crate::formula::parse_with(body, self)?, QUERY_AT));
-        let mut memo = self.queries.write().unwrap_or_else(PoisonError::into_inner);
-        memo.insert(body.to_owned(), Arc::clone(&program));
+        self.queries.borrow_mut().insert(body.to_owned(), Arc::clone(&program));
         Ok(program)
     }
 }
@@ -145,7 +140,6 @@ impl Sheet {
             lookup: LookupStrategy::default(),
             now_serial: DEFAULT_NOW_SERIAL,
             names: NameTable::default(),
-            recalc_opts: RecalcOptions::default(),
             programs: ProgramCache::new(),
             indexes: IndexStore::default(),
             auto_index: false,
@@ -281,17 +275,6 @@ impl Sheet {
     /// Sets the serial returned by `NOW()` (deterministic clock).
     pub fn set_now_serial(&mut self, serial: f64) {
         self.now_serial = serial;
-    }
-
-    /// Sets the recalculation executor knobs (parallel worker cap and the
-    /// plan-size threshold below which recalc stays sequential).
-    pub fn set_recalc_options(&mut self, opts: RecalcOptions) {
-        self.recalc_opts = opts;
-    }
-
-    /// The recalculation executor knobs.
-    pub fn recalc_options(&self) -> RecalcOptions {
-        self.recalc_opts
     }
 
     // --- grid memory ------------------------------------------------------
@@ -759,8 +742,8 @@ impl Sheet {
     }
 
     /// An evaluation context charging an explicit meter instead of the
-    /// sheet's own — the parallel recalc path hands each worker thread a
-    /// private meter here so the sheet's counter stays single-writer.
+    /// sheet's own — what the differential tests use to count one
+    /// evaluator's work apart from another's.
     pub fn eval_ctx_with<'a>(&'a self, current: CellAddr, meter: &'a Meter) -> EvalCtx<'a> {
         EvalCtx {
             cells: self,
@@ -1331,7 +1314,7 @@ mod name_tests {
     }
 
     fn memoized(s: &Sheet) -> usize {
-        s.names.queries.read().unwrap().len()
+        s.names.queries.borrow().len()
     }
 
     /// A query text is parsed once and its program kept until the name

@@ -16,14 +16,11 @@
 //!   allocation.
 //! * **Thread-local buffers.** Each thread owns a span stack plus a
 //!   bounded ring buffer of *completed root* span trees. Nothing is
-//!   shared, so recording never takes a lock.
-//! * **Deterministic under parallelism.** The parallel recalc executor's
-//!   worker threads record into their own thread-local buffers, which the
-//!   coordinator [`adopt`]s at each level barrier *in chunk order* —
-//!   exactly how per-worker meters are merged. Span structure, names, and
-//!   counts are therefore bit-identical at any thread count; only the
-//!   wall-clock fields differ, and [`SpanNode::signature`] excludes them
-//!   so determinism is testable.
+//!   shared, so recording never takes a lock. Only the on/off switch is
+//!   process-global.
+//! * **Deterministic.** Span structure, names, and counts repeat run to
+//!   run; only the wall-clock fields differ, and [`SpanNode::signature`]
+//!   excludes them so determinism is testable.
 //! * **Meters are borrowed transiently.** A span never stores `&Meter`
 //!   (that would freeze the `&mut Sheet` the traced operation needs);
 //!   [`Span::open_metered`] and [`Span::finish_metered`] each take the
@@ -53,19 +50,16 @@ pub enum Category {
     Recalc,
     /// One topological level of a recalculation pass.
     Level,
-    /// One formula-compilation pass (program-cache population).
-    Compile,
 }
 
 /// Every category, for iteration in reports.
-pub const ALL_CATEGORIES: [Category; 7] = [
+pub const ALL_CATEGORIES: [Category; 6] = [
     Category::Experiment,
     Category::Point,
     Category::Measure,
     Category::Op,
     Category::Recalc,
     Category::Level,
-    Category::Compile,
 ];
 
 impl Category {
@@ -78,7 +72,6 @@ impl Category {
             Category::Op => "op",
             Category::Recalc => "recalc",
             Category::Level => "level",
-            Category::Compile => "compile",
         }
     }
 }
@@ -118,7 +111,7 @@ impl SpanNode {
     /// The deterministic shape of the tree: names, categories, counts, and
     /// simulated times — everything *except* the wall-clock fields, which
     /// legitimately vary run to run. Two traces of the same workload must
-    /// produce identical signatures regardless of thread count.
+    /// produce identical signatures.
     pub fn signature(&self) -> String {
         let mut out = String::new();
         self.write_signature(&mut out);
@@ -230,9 +223,7 @@ thread_local! {
 }
 
 /// Takes this thread's completed root spans (in completion order). Open
-/// spans are unaffected. The parallel recalc workers call this at the end
-/// of their chunk so the coordinator can [`adopt`] their events at the
-/// level barrier.
+/// spans are unaffected.
 pub fn drain() -> Vec<SpanNode> {
     TLS.with(|t| t.borrow_mut().roots.drain(..).collect())
 }
@@ -240,28 +231,6 @@ pub fn drain() -> Vec<SpanNode> {
 /// Roots dropped on this thread because the ring buffer overflowed.
 pub fn dropped() -> u64 {
     TLS.with(|t| t.borrow().dropped)
-}
-
-/// Merges spans recorded on another thread into this thread's trace: as
-/// children of the currently open span when there is one (the level
-/// barrier case), otherwise as roots. Call in a deterministic order
-/// (chunk order at barriers) so merged traces are identical at any thread
-/// count — the same contract as `Meter::absorb`.
-pub fn adopt(nodes: Vec<SpanNode>) {
-    if nodes.is_empty() {
-        return;
-    }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        match t.stack.last_mut() {
-            Some(parent) => parent.children.extend(nodes),
-            None => {
-                for n in nodes {
-                    t.push_root(n);
-                }
-            }
-        }
-    });
 }
 
 /// Discards this thread's entire trace state (open spans included).
@@ -521,29 +490,6 @@ mod tests {
         assert_eq!(dropped(), 3);
         clear();
         disable();
-    }
-
-    #[test]
-    fn adopt_attaches_to_open_span() {
-        let _g = lock();
-        enable(64);
-        clear();
-        let level = Span::open(Category::Level, || "level 0".into());
-        let worker_nodes = std::thread::scope(|s| {
-            s.spawn(|| {
-                Span::open(Category::Op, || "worker-span".into()).finish();
-                drain()
-            })
-            .join()
-            .expect("worker")
-        });
-        adopt(worker_nodes);
-        level.finish();
-        let roots = drain();
-        disable();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].children.len(), 1);
-        assert_eq!(roots[0].children[0].name, "worker-span");
     }
 
     #[test]

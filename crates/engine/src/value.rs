@@ -32,6 +32,16 @@ impl Value {
         Value::Text(s.into())
     }
 
+    /// An arithmetic result: `Number(n)` when `n` is finite, `#NUM!` when
+    /// it overflowed to an infinity or is NaN — no cell stores either.
+    pub fn num(n: f64) -> Self {
+        if n.is_finite() {
+            Value::Number(n)
+        } else {
+            Value::Error(CellError::Num)
+        }
+    }
+
     /// True if the value is `Empty`.
     pub fn is_empty(&self) -> bool {
         matches!(self, Value::Empty)

@@ -11,8 +11,8 @@
 //! * [`table2`] — the interactivity summary (Table 2);
 //! * [`oracle`] — the differential testing oracle and its `fuzz` binary
 //!   (DESIGN.md §9): seeded op sequences replayed across the lookup ×
-//!   recalc-mode × parallelism × index × grid-budget matrix (48
-//!   configurations) and once on the reference evaluator;
+//!   recalc-mode × index × grid-budget matrix (16 configurations) and
+//!   once on the reference evaluator;
 //! * [`taxonomy`] — the operation taxonomy (Table 1);
 //! * [`timing`] — the paper's trial protocol (§3.3);
 //! * [`report`] — text/CSV/JSON rendering; [`chart`] — ASCII line charts;

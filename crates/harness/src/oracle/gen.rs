@@ -27,9 +27,10 @@ use ssbench_engine::sheet::Sheet;
 
 use super::script::{Script, ScriptOp};
 
-/// Default initial workbook height. Two formula columns of this many rows
-/// put > 128 formulas in each recalc level, which is what the parallel
-/// executor needs (`MIN_CHUNK = 64`) before it actually fans out.
+/// Default initial workbook height, the one `fuzz --seed N` generates at.
+/// It stays 200 so that a seed quoted anywhere (`scripts/check.sh`, the
+/// docs) still names the workbook it was checked on; a saved script
+/// records its own `rows`.
 pub const DEFAULT_ROWS: u32 = 200;
 
 /// Default generated op-sequence length.

@@ -2,8 +2,8 @@
 //!
 //! The paper's experiments only mean anything if the engine computes *the
 //! same answers* under every configuration the figures vary: lookup
-//! strategy (§6), sequential vs parallel recalc (PR 1), and full vs
-//! incremental recalculation (Figs 13–14). The oracle
+//! strategy (§6), full vs incremental recalculation (Figs 13–14), column
+//! indexes (the Optimized system) and the grid's memory budget. The oracle
 //! enforces that by construction: it generates seeded random workbooks and
 //! op sequences ([`gen`]), replays each sequence under the whole
 //! configuration matrix and once on the reference evaluator ([`runner`]),

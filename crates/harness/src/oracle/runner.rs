@@ -17,11 +17,12 @@
 //! * trace span-tree signatures, within groups that share the settings
 //!   which legitimately change the work done (lookup strategy changes
 //!   read counts, incremental recalc changes which formulas run) —
-//!   across worker counts and budgets the trees must be identical;
+//!   across budgets the trees must be identical;
 //! * per-op structural invariants on every configuration: the dep-graph
 //!   audit and finite-grid check ([`ssbench_engine::audit`]), plus "the
-//!   sheet keeps its configured `RecalcOptions`" — the two regressions
-//!   this oracle exists to catch (see `tests/corpus/`).
+//!   sheet keeps its configured lookup strategy, auto-index flag and grid
+//!   budget" — the two regressions this oracle exists to catch (see
+//!   `tests/corpus/`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,7 +34,7 @@ use ssbench_engine::audit;
 use ssbench_engine::eval::LookupStrategy;
 use ssbench_engine::io;
 use ssbench_engine::ops::{Op, PivotAgg, SortKey};
-use ssbench_engine::recalc::{self, RecalcOptions};
+use ssbench_engine::recalc;
 use ssbench_engine::sheet::{Layout, Sheet};
 use ssbench_engine::trace;
 use ssbench_engine::value::{Criterion, Value};
@@ -45,8 +46,6 @@ use super::script::{Script, ScriptOp};
 /// One cell of the configuration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleConfig {
-    /// Worker threads for level-parallel recalc (1 = sequential path).
-    pub parallelism: usize,
     /// Lookup/scan strategy (§6's variable).
     pub lookup: LookupStrategy,
     /// Recalculate incrementally from each edit's dirty set instead of
@@ -68,11 +67,10 @@ pub struct OracleConfig {
 
 impl OracleConfig {
     /// Compact label for failure messages, e.g.
-    /// `par4/opt-lookup/inc/ix/cap32k`.
+    /// `opt-lookup/inc/ix/cap32k`.
     pub fn label(&self) -> String {
         format!(
-            "par{}/{}/{}/{}/{}",
-            self.parallelism,
+            "{}/{}/{}/{}",
             match self.lookup {
                 LookupStrategy::FullScan => "naive-lookup",
                 LookupStrategy::StopEarly => "opt-lookup",
@@ -102,9 +100,8 @@ impl OracleConfig {
 const REFERENCE_LABEL: &str = "reference";
 
 /// The configuration matrix of the shipped engine: 2 lookup strategies ×
-/// full/incremental × 1/2/4 workers × indexed or not × unbounded/32 KB
-/// grid budget. The first entry is the plainest one; the reference replay
-/// runs on it too.
+/// full/incremental × indexed or not × unbounded/32 KB grid budget. The
+/// first entry is the plainest one; the reference replay runs on it too.
 pub fn matrix() -> Vec<OracleConfig> {
     // Small enough that even the oracle's little workbooks overflow it
     // (each typed chunk page is ~8 KB), so the capped half of the matrix
@@ -113,11 +110,9 @@ pub fn matrix() -> Vec<OracleConfig> {
     let mut out = Vec::new();
     for lookup in [LookupStrategy::FullScan, LookupStrategy::StopEarly] {
         for incremental in [false, true] {
-            for parallelism in [1, 2, 4] {
-                for indexed in [false, true] {
-                    for budget in [None, cap] {
-                        out.push(OracleConfig { parallelism, lookup, incremental, indexed, budget });
-                    }
+            for indexed in [false, true] {
+                for budget in [None, cap] {
+                    out.push(OracleConfig { lookup, incremental, indexed, budget });
                 }
             }
         }
@@ -265,16 +260,9 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         }
     };
 
-    let opts = RecalcOptions {
-        parallelism: config.parallelism,
-        // Force the parallel path even on small dirty sets; threshold
-        // tuning is a performance knob, not a correctness one.
-        threshold: if config.parallelism > 1 { 1 } else { RecalcOptions::default().threshold },
-    };
     let mut sheet = gen::build_workbook(script);
     sheet.set_grid_budget(config.budget);
     sheet.set_lookup_strategy(config.lookup);
-    sheet.set_recalc_options(opts);
     // Indexed configs auto-maintain column indexes from here on: every
     // recalc entry point re-registers and rebuilds as needed, and every
     // value write routes through the maintenance hook.
@@ -299,7 +287,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
                 }
             }
         }
-        check_invariants(&sheet, config, opts).map_err(|e| fail(Some(i), e))?;
+        check_invariants(&sheet, config).map_err(|e| fail(Some(i), e))?;
         per_op.push((outcome, grid_digest(&sheet)));
     }
     let signature: String =
@@ -307,7 +295,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
     trace::disable();
 
     let saved = io::save(&sheet);
-    check_reopen(&saved, &sheet, config, opts, reference).map_err(|e| fail(None, e))?;
+    check_reopen(&saved, &sheet, config, reference).map_err(|e| fail(None, e))?;
     Ok(Replay {
         per_op,
         final_inputs: saved.rows,
@@ -327,14 +315,12 @@ fn check_reopen(
     saved: &io::SheetData,
     sheet: &Sheet,
     config: OracleConfig,
-    opts: RecalcOptions,
     reference: bool,
 ) -> Result<(), String> {
     let mut reopened = io::open(saved, Layout::RowMajor)
         .map_err(|e| format!("reopen: the saved workbook does not open: {e}"))?;
     reopened.set_grid_budget(config.budget);
     reopened.set_lookup_strategy(config.lookup);
-    reopened.set_recalc_options(opts);
     reopened.set_auto_index(config.indexed);
     reopened.set_now_serial(sheet.now_serial());
     if reference {
@@ -343,7 +329,7 @@ fn check_reopen(
         recalc::open_recalc(&mut reopened);
     }
     let templates =
-        check_invariants(&reopened, config, opts).map_err(|e| format!("reopen: {e}"))?;
+        check_invariants(&reopened, config).map_err(|e| format!("reopen: {e}"))?;
     if io::save(&reopened) != *saved {
         return Err("reopen: the reopened workbook saves to a different document".to_owned());
     }
@@ -473,17 +459,7 @@ fn apply_script_op(sheet: &mut Sheet, op: &ScriptOp) -> Result<(String, Dirty), 
 /// ([`ssbench_engine::analyze::check_sheet`]). Running the static pass
 /// here means every template the matrix or a fuzz run ever
 /// compiles is proven, not just spot-checked.
-fn check_invariants(
-    sheet: &Sheet,
-    config: OracleConfig,
-    opts: RecalcOptions,
-) -> Result<Vec<TemplateReport>, String> {
-    if sheet.recalc_options() != opts {
-        return Err(format!(
-            "recalc options changed to {:?} (configured {opts:?})",
-            sheet.recalc_options()
-        ));
-    }
+fn check_invariants(sheet: &Sheet, config: OracleConfig) -> Result<Vec<TemplateReport>, String> {
     if sheet.lookup_strategy() != config.lookup {
         return Err(format!(
             "lookup strategy changed to {:?} (configured {:?})",
@@ -660,16 +636,15 @@ mod tests {
     #[test]
     fn matrix_covers_all_dimensions() {
         let m = matrix();
-        assert_eq!(m.len(), 48, "2 lookups × 2 recalc modes × 3 worker counts × 2 × 2");
-        assert!(m.iter().any(|c| c.parallelism == 4));
+        assert_eq!(m.len(), 16, "2 lookups × 2 recalc modes × 2 index modes × 2 budgets");
         assert!(m.iter().any(|c| c.lookup == LookupStrategy::StopEarly));
         assert!(m.iter().any(|c| c.incremental));
         assert!(m.iter().any(|c| c.indexed));
         assert!(m.iter().any(|c| c.budget.is_some()));
-        // The reference replay runs on the plainest configuration —
-        // sequential, no indexes, unbounded grid memory — under a label no
+        // The reference replay runs on the plainest configuration — full
+        // recalc, no indexes, unbounded grid memory — under a label no
         // shipped configuration carries.
-        assert_eq!(m[0].label(), "par1/naive-lookup/full/noix/nocap");
+        assert_eq!(m[0].label(), "naive-lookup/full/noix/nocap");
         let labels: std::collections::HashSet<String> = m.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), m.len(), "configuration labels must be distinct");
         assert!(!labels.contains(REFERENCE_LABEL));

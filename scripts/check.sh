@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Canonical verification for this repository: build everything, run the
-# full test suite, then re-run it in the two configurations most likely
-# to expose parallel-recalc bugs — a single test thread (serializes the
-# scoped-thread workers' scheduling environment) and a forced 4-worker
-# recalc default via RECALC_PARALLELISM. `cargo test` covers the root
-# package and every member crate (Cargo.toml's default-members). Every
-# stage must pass.
+# full test suite, then re-run it on one test thread. Tracing is switched
+# on and off process-wide, so a test that traces runs beside others in the
+# first pass and alone in the second; both must pass. `cargo test` covers
+# the root package and every member crate (Cargo.toml's default-members).
+# Every stage must pass.
 #
 # The bulk load behind `io::open` (DESIGN.md §17) has no stage of its own:
 # every oracle replay ends by reopening the workbook it saved and comparing
@@ -19,7 +18,7 @@ cd "$(dirname "$0")/.."
 tree_before="$(git status --porcelain)"
 
 # The option surface stays collapsed by a gate, not by memory (ROADMAP aim
-# 2): the engine reads exactly two environment variables, each by a
+# 2): the engine reads exactly one environment variable, by its
 # literal name, the second visit order and per-cell range reader PR 21
 # deleted do not come back under their old names, nor the fourth resident
 # chunk kind and the two thresholds PR 23 deleted, nor the three serde
@@ -32,12 +31,19 @@ tree_before="$(git status --porcelain)"
 # values, and no write path carries a style; nor the analyzer's type
 # lattice and constant folding — pass 2 proves the read-set and volatility,
 # the two facts the engine reads — nor the three laziness flags and the
-# window size that always equalled `remote` and 50.
+# window size that always equalled `remote` and 50, nor the level-parallel
+# recalc executor and its knobs: recalculation is sequential.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
-if [ "$env_reads" != 'env::var("RECALC_PARALLELISM") env::var("SSBENCH_GRID_BUDGET") ' ]; then
+if [ "$env_reads" != 'env::var("SSBENCH_GRID_BUDGET") ' ]; then
   echo "the engine's environment reads changed (expected exactly" \
-    "RECALC_PARALLELISM and SSBENCH_GRID_BUDGET, by literal name): $env_reads" >&2
+    "SSBENCH_GRID_BUDGET, by literal name): $env_reads" >&2
+  exit 1
+fi
+if grep -rnwE 'RecalcOptions|set_recalc_options|recalc_options|run_level_parallel|RECALC_PARALLELISM|MIN_CHUNK' \
+  crates src tests examples; then
+  echo "the deleted parallel executor or one of its knobs is back (see above);" \
+    "recalculation is sequential" >&2
   exit 1
 fi
 if grep -rn 'ColumnMajor\|for_each_in_range' crates src tests examples ||
@@ -121,9 +127,6 @@ cargo test -q
 
 echo "==> RUST_TEST_THREADS=1 cargo test -q"
 RUST_TEST_THREADS=1 cargo test -q
-
-echo "==> RECALC_PARALLELISM=4 cargo test -q"
-RECALC_PARALLELISM=4 cargo test -q
 
 # A traced BCT experiment end to end: the bct binary exits non-zero if the
 # trace JSON fails to re-parse or the measure spans don't sum to the

@@ -178,69 +178,6 @@ fn dirty_recalc_equals_full_recalc() {
     });
 }
 
-/// Parallel level-scheduled recalculation is observationally identical to
-/// the sequential path on random formula DAGs: every cell value and every
-/// meter count matches bit-for-bit, both for a full recalc and for a dirty
-/// recalc after an edit.
-#[test]
-fn parallel_recalc_is_deterministic() {
-    cases(|rng| {
-        let spec: Vec<(u32, i64, u8)> = (0..rng.random_range(10..50))
-            .map(|_| (rng.random_range(0..64), rng.random_range(-100..100), rng.random_range(0..3)))
-            .collect();
-        let edit: (u32, i64) = (rng.random_range(0..64), rng.random_range(-100..100));
-        let n = spec.len();
-        let build = |opts: RecalcOptions| {
-            let mut s = Sheet::new();
-            s.set_recalc_options(opts);
-            for (i, &(_, v, _)) in spec.iter().enumerate() {
-                s.set_value(CellAddr::new(i as u32, 0), v);
-            }
-            // Column B holds a random DAG: each formula depends only on
-            // column A and on strictly earlier rows of column B, so the
-            // graph is acyclic by construction but has random fan-in,
-            // including range precedents (exercising the range index).
-            for (i, &(pick, _, kind)) in spec.iter().enumerate() {
-                let row1 = i + 1; // 1-based for formula text
-                let src = if i == 0 || kind == 0 {
-                    format!("=A{row1}*2")
-                } else if kind == 1 {
-                    let j = (pick as usize % i) + 1;
-                    format!("=A{row1}+B{j}")
-                } else {
-                    let lo = (pick as usize % i) + 1;
-                    format!("=SUM(B{lo}:B{i})+A{row1}")
-                };
-                s.set_formula_str(CellAddr::new(i as u32, 1), &src).unwrap();
-            }
-            recalc::recalc_all(&mut s);
-            s
-        };
-        let par_opts = RecalcOptions { parallelism: 4, threshold: 1 };
-        let mut seq = build(RecalcOptions::sequential());
-        let mut par = build(par_opts);
-        for i in 0..n as u32 {
-            for c in 0..2u32 {
-                let addr = CellAddr::new(i, c);
-                assert_eq!(seq.value(addr), par.value(addr), "cell {}", addr);
-            }
-        }
-        assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
-
-        // A dirty recalc from one edited input must agree too.
-        let addr = CellAddr::new(edit.0 % n as u32, 0);
-        seq.set_value(addr, edit.1);
-        par.set_value(addr, edit.1);
-        recalc::recalc_from(&mut seq, &[addr]);
-        recalc::recalc_from(&mut par, &[addr]);
-        for i in 0..n as u32 {
-            let b = CellAddr::new(i, 1);
-            assert_eq!(seq.value(b), par.value(b), "cell {}", b);
-        }
-        assert_eq!(seq.meter().snapshot(), par.meter().snapshot());
-    });
-}
-
 // ---------------------------------------------------------------------
 // The Optimized profile's strategies vs the engine's plain paths
 // ---------------------------------------------------------------------
@@ -607,7 +544,6 @@ fn compiled_backend_matches_interpreter_on_random_exprs() {
         let values: Vec<i64> = (0..24).map(|_| rng.random_range(-50..50)).collect();
         let build = |leg: Leg| {
             let mut s = Sheet::new();
-            s.set_recalc_options(RecalcOptions::sequential());
             // A mixed fixture in the top-left corner: numbers, text,
             // booleans, and formula cells (one of which evaluates to an
             // error). References outside it hit empty cells.
@@ -689,7 +625,6 @@ fn strided_kernels_match_interpreter() {
         let (c1, c2) = (c.min(d), c.max(d));
         let build = |leg: Leg| {
             let mut s = Sheet::new();
-            s.set_recalc_options(RecalcOptions::sequential());
             // A 6x6 mixed block; the aggregates live in column K, outside it.
             for (i, &(tag, v)) in cells.iter().enumerate() {
                 fill_agg_cell(&mut s, CellAddr::new(i as u32 / 6, (i % 6) as u32), tag, v);
@@ -748,7 +683,6 @@ fn window_delta_matches_full_rescan() {
         let n = cells.len() as u32;
         let build = |leg: Leg| {
             let mut s = Sheet::new();
-            s.set_recalc_options(RecalcOptions::sequential());
             for (i, &(tag, v)) in cells.iter().enumerate() {
                 fill_agg_cell(&mut s, CellAddr::new(i as u32, 0), tag, v);
             }
