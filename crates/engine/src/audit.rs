@@ -40,7 +40,11 @@ pub fn check_finite_grid(sheet: &Sheet) -> Result<(), String> {
 /// 2. every registered address still holds a formula (no stale entries
 ///    surviving an overwrite, clear, or structural rebuild);
 /// 3. the inverted dependents index answers `dependents_of` for each cell
-///    and range precedent (probed at the range's corners).
+///    and range precedent (probed at the range's corners);
+/// 4. a calc chain the graph holds is the plan a fresh
+///    [`DepGraph::full_order`](crate::depgraph::DepGraph::full_order) gives
+///    — same `order`, `level_starts` and `cyclic` — so no change to the
+///    graph left a stale one behind.
 ///
 /// A violation means dirty propagation would skip or over-visit formulas —
 /// exactly the class of bug that produces stale values only under
@@ -125,6 +129,26 @@ pub fn check_deps(sheet: &Sheet) -> Result<(), String> {
         ));
     }
 
+    // Direction 4: calc chain -> graph.
+    if let Some(chain) = deps.chain() {
+        let fresh = deps.full_order();
+        if *chain != fresh {
+            let what = if chain.order != fresh.order {
+                "order"
+            } else if chain.level_starts != fresh.level_starts {
+                "level_starts"
+            } else {
+                "cyclic"
+            };
+            return Err(format!(
+                "stale calc chain: its {what} differs from a fresh full order's \
+                 ({} formulas held, {} registered)",
+                chain.order.len() + chain.cyclic.len(),
+                deps.len()
+            ));
+        }
+    }
+
     Ok(())
 }
 
@@ -170,6 +194,18 @@ mod tests {
         s.set_formula_str(a("B1"), "=A1+1").unwrap();
         s.set_value(a("B1"), 5i64); // plain value replaces the formula
         check_deps(&s).unwrap();
+    }
+
+    #[test]
+    fn stale_calc_chain_is_flagged() {
+        let mut s = Sheet::new();
+        s.set_formula_str(a("B1"), "=A1+1").unwrap();
+        s.set_formula_str(a("C1"), "=B1+1").unwrap();
+        recalc::recalc_all(&mut s);
+        check_deps(&s).unwrap();
+        s.deps_mut().keep_chain(crate::depgraph::DirtyPlan::default());
+        let err = check_deps(&s).unwrap_err();
+        assert!(err.contains("stale calc chain: its order"), "got: {err}");
     }
 
     #[test]

@@ -182,6 +182,11 @@ pub struct DepGraph {
     range_watchers: RangeIndex,
     /// formula → its precedents (for removal and ordering).
     precedents: AddrMap<CellAddr, Precedents>,
+    /// The calc chain: the full plan of the last full pass, kept until the
+    /// graph changes. `add`, `clear` and a `remove` that unregisters a
+    /// formula drop it; recalc lends it out for a pass and takes it back
+    /// (`take_chain`/`keep_chain`). An owned value, so `Sheet` stays `Send`.
+    chain: Option<DirtyPlan>,
 }
 
 impl DepGraph {
@@ -224,6 +229,7 @@ impl DepGraph {
     /// Registers (or re-registers) the formula at `addr`.
     pub fn add(&mut self, addr: CellAddr, expr: &Expr) {
         self.remove(addr);
+        self.chain = None;
         let prec = Precedents::of(expr);
         for &p in &prec.cells {
             self.dependents.entry(p).or_default().push(addr);
@@ -241,6 +247,7 @@ impl DepGraph {
         let Some(prec) = self.precedents.remove(&addr) else {
             return;
         };
+        self.chain = None;
         for p in &prec.cells {
             if let Some(deps) = self.dependents.get_mut(p) {
                 deps.retain(|&d| d != addr);
@@ -259,6 +266,24 @@ impl DepGraph {
         self.dependents.clear();
         self.range_watchers.clear();
         self.precedents.clear();
+        self.chain = None;
+    }
+
+    /// Lends out the calc chain, ordering every formula first when none is
+    /// held. [`DepGraph::keep_chain`] takes it back after the pass.
+    pub(crate) fn take_chain(&mut self) -> DirtyPlan {
+        self.chain.take().unwrap_or_else(|| self.full_order())
+    }
+
+    /// Holds `plan`, the full plan of the graph as it stands, as the calc
+    /// chain until the graph next changes.
+    pub(crate) fn keep_chain(&mut self, plan: DirtyPlan) {
+        self.chain = Some(plan);
+    }
+
+    /// The calc chain, when one is held.
+    pub(crate) fn chain(&self) -> Option<&DirtyPlan> {
+        self.chain.as_ref()
     }
 
     /// Appends the formulae that directly depend on `addr` to `out`.
@@ -301,56 +326,69 @@ impl DepGraph {
                 }
             }
         }
-        self.order_subset(&dirty)
+        self.order_subset(dirty.iter().copied(), |a| dirty.contains(a))
     }
 
-    /// Orders every registered formula (used for whole-sheet
-    /// recalculation on open).
+    /// Orders every registered formula: the plan of a full recalculation.
+    /// Recomputed on every call; the recalc keeps its result as the calc
+    /// chain until the graph changes.
     pub fn full_order(&self) -> DirtyPlan {
-        let all: AddrSet = self.precedents.keys().copied().collect();
-        self.order_subset(&all)
+        self.order_subset(self.precedents.keys().copied(), |a| self.precedents.contains_key(a))
     }
 
-    /// Kahn's algorithm over the sub-graph induced by `subset`.
-    fn order_subset(&self, subset: &AddrSet) -> DirtyPlan {
-        // Index dirty formula cells by column with sorted rows, so range
-        // precedents can locate contained dirty formulae by binary search
-        // instead of scanning the whole range or the whole dirty set.
+    /// Kahn's algorithm over the sub-graph induced by `subset`, whose
+    /// membership `in_subset` answers.
+    fn order_subset(
+        &self,
+        subset: impl ExactSizeIterator<Item = CellAddr> + Clone,
+        in_subset: impl Fn(&CellAddr) -> bool,
+    ) -> DirtyPlan {
+        let len = subset.len();
+        // Index subset formula cells by column with sorted rows, so range
+        // precedents can locate contained subset formulae by binary search
+        // instead of scanning the whole range or the whole subset.
         let mut by_col: AddrMap<u32, Vec<u32>> = AddrMap::default();
-        for &a in subset {
+        for a in subset.clone() {
             by_col.entry(a.col).or_default().push(a.row);
         }
         for rows in by_col.values_mut() {
             rows.sort_unstable();
         }
 
-        // in-degree and adjacency within the subset.
+        // In-degree and adjacency within the subset. A formula's in-degree
+        // is final once its own precedents are counted, so the ready
+        // frontier is seeded in the same walk.
         let mut indeg: AddrMap<CellAddr, u32> =
-            AddrMap::with_capacity_and_hasher(subset.len(), Default::default());
+            AddrMap::with_capacity_and_hasher(len, Default::default());
         let mut edges: AddrMap<CellAddr, Vec<CellAddr>> = AddrMap::default();
-        for &f in subset {
-            indeg.entry(f).or_insert(0);
-            let Some(prec) = self.precedents.get(&f) else { continue };
-            for &p in &prec.cells {
-                if subset.contains(&p) {
-                    // Self-references (p == f) register an in-degree that
-                    // is never released, correctly classifying the formula
-                    // as cyclic.
-                    edges.entry(p).or_default().push(f);
-                    *indeg.entry(f).or_insert(0) += 1;
-                }
-            }
-            for &r in &prec.ranges {
-                for c in r.start.col..=r.end.col {
-                    let Some(rows) = by_col.get(&c) else { continue };
-                    let lo = rows.partition_point(|&row| row < r.start.row);
-                    let hi = rows.partition_point(|&row| row <= r.end.row);
-                    for &row in &rows[lo..hi] {
-                        let p = CellAddr::new(row, c);
+        let mut frontier: Vec<CellAddr> = Vec::new();
+        for f in subset {
+            let mut d = 0;
+            if let Some(prec) = self.precedents.get(&f) {
+                for &p in &prec.cells {
+                    if in_subset(&p) {
+                        // Self-references (p == f) register an in-degree
+                        // that is never released, correctly classifying
+                        // the formula as cyclic.
                         edges.entry(p).or_default().push(f);
-                        *indeg.entry(f).or_insert(0) += 1;
+                        d += 1;
                     }
                 }
+                for &r in &prec.ranges {
+                    for c in r.start.col..=r.end.col {
+                        let Some(rows) = by_col.get(&c) else { continue };
+                        let lo = rows.partition_point(|&row| row < r.start.row);
+                        let hi = rows.partition_point(|&row| row <= r.end.row);
+                        for &row in &rows[lo..hi] {
+                            edges.entry(CellAddr::new(row, c)).or_default().push(f);
+                            d += 1;
+                        }
+                    }
+                }
+            }
+            indeg.insert(f, d);
+            if d == 0 {
+                frontier.push(f);
             }
         }
 
@@ -358,28 +396,25 @@ impl DepGraph {
         // topological *level* before admitting its successors. Level k
         // therefore holds exactly the formulae whose longest in-subset
         // precedent chain has length k — within a level no formula reads
-        // another, which is what lets the recalc engine evaluate a level's
-        // formulae concurrently against an immutable snapshot.
-        let mut frontier: Vec<CellAddr> = indeg
-            .iter()
-            .filter_map(|(&a, &d)| if d == 0 { Some(a) } else { None })
-            .collect();
-        let mut order: Vec<CellAddr> = Vec::with_capacity(subset.len());
+        // another, so no store of a level lands in a window another
+        // formula of that level reads, and the recalc slides one delta
+        // cache across each level.
+        let mut order: Vec<CellAddr> = Vec::with_capacity(len);
         let mut level_starts: Vec<usize> = Vec::new();
         waves(frontier, &edges, &mut indeg, &mut order, &mut level_starts);
-        if order.len() == subset.len() {
+        if order.len() == len {
             return DirtyPlan { order, level_starts, cyclic: Vec::new() };
         }
-        // Kahn stalled: what is left lies on a cycle or downstream of one.
-        // Only the cycle members are `#CIRC!`; the recalc stores them
-        // before its levels run, so the rest is ordered with their edges
-        // treated as satisfied and reads `#CIRC!` like any other error.
-        let ordered: AddrSet = order.iter().copied().collect();
+        // Kahn stalled: what is left lies on a cycle or downstream of one
+        // (exactly the formulas whose in-degree never reached zero). Only
+        // the cycle members are `#CIRC!`; the recalc stores them before its
+        // levels run, so the rest is ordered with their edges treated as
+        // satisfied and reads `#CIRC!` like any other error.
         let stalled: Vec<CellAddr> =
-            subset.iter().copied().filter(|a| !ordered.contains(a)).collect();
+            indeg.iter().filter(|&(_, &d)| d > 0).map(|(&a, _)| a).collect();
         let mut cyclic = on_cycles(&stalled, &edges);
         let on_cycle: AddrSet = cyclic.iter().copied().collect();
-        frontier = Vec::new();
+        let mut frontier = Vec::new();
         for &n in cyclic.iter().filter_map(|c| edges.get(c)).flatten() {
             if on_cycle.contains(&n) {
                 continue;
@@ -731,6 +766,49 @@ mod tests {
             assert_eq!(plan, scattered.dirty_order(changed), "{changed:?}");
             assert!(!plan.order.is_empty() || !plan.cyclic.is_empty(), "{changed:?}");
         }
+    }
+
+    /// The calc chain lives until the graph changes: re-adding a formula,
+    /// removing one and clearing drop it, removing an address that holds
+    /// no formula (what every `set_value` does) keeps it, and a chain the
+    /// graph holds is always the full order of the graph as it stands.
+    #[test]
+    fn the_calc_chain_is_dropped_by_exactly_the_changes_to_the_graph() {
+        fn pass(g: &mut DepGraph) {
+            let chain = g.take_chain();
+            assert_eq!(chain, g.full_order());
+            g.keep_chain(chain);
+        }
+        fn held(g: &DepGraph, step: &str) -> bool {
+            if let Some(chain) = g.chain() {
+                assert_eq!(*chain, g.full_order(), "{step}");
+            }
+            g.chain().is_some()
+        }
+        let mut g = mixed_graph(0..2000);
+        assert!(!held(&g, "registered"));
+        pass(&mut g);
+        assert!(held(&g, "after a pass"));
+        assert_eq!(g.chain().unwrap().cyclic, vec![a("F1"), a("F2"), a("F3")]);
+
+        g.add(a("C10"), &parse("A10+C9").unwrap());
+        assert!(!held(&g, "re-added"));
+        pass(&mut g);
+        assert!(held(&g, "re-added, then a pass"));
+
+        g.remove(a("F2"));
+        assert!(!held(&g, "removed a formula"));
+        pass(&mut g);
+        assert!(held(&g, "removed a formula, then a pass"));
+        assert!(g.chain().unwrap().cyclic.is_empty(), "removing F2 broke the cycle");
+
+        g.remove(a("A5"));
+        assert!(held(&g, "removed a value address"));
+
+        g.clear();
+        assert!(!held(&g, "cleared"));
+        pass(&mut g);
+        assert_eq!(g.chain(), Some(&DirtyPlan::default()));
     }
 
     /// hashbrown buckets on the low bits of the hash and tags with the top

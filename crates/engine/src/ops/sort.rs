@@ -67,8 +67,8 @@ enum KeyColumn {
     /// `partial_cmp` decides every pair exactly as `sheet_cmp` would.
     Nums(Vec<f64>),
     /// Anything else: text, booleans, errors — and the `±inf` and `NaN` a
-    /// formula can cache (`+ − × ÷` overflow is not `#NUM!` yet, ROADMAP
-    /// item 1), which only `sheet_cmp` orders totally.
+    /// `SUM` fold can still cache (ROADMAP item 12), which only
+    /// `sheet_cmp` orders totally.
     Values(Vec<Value>),
 }
 
@@ -127,8 +127,13 @@ impl KeyColumn {
     }
 }
 
+/// How rows `a` and `b` compare on a [`KeyColumn::Nums`] key. Its keys are
+/// finite or `BLANK`, never NaN, so `partial_cmp` decides every pair as
+/// `sheet_cmp` does and the `Equal` fallback is never taken; equal keys —
+/// `0` and `-0` among them — tie. (`total_cmp` would put `-0` first, and
+/// change what the stable sort does with them.)
 fn cmp_nums(keys: &[f64], a: u32, b: u32) -> Ordering {
-    keys[a as usize].partial_cmp(&keys[b as usize]).expect("numeric sort keys are never NaN")
+    keys[a as usize].partial_cmp(&keys[b as usize]).unwrap_or(Ordering::Equal)
 }
 
 /// Stable-sorts `perm` by `cmp` and returns the exact number of
@@ -323,6 +328,25 @@ mod tests {
         s.apply(Op::Sort { keys: vec![SortKey::desc(0)] }).unwrap();
         for (r, pair) in keys(&s).windows(2).enumerate() {
             assert!(pair[0].sheet_cmp(&pair[1]).is_ge(), "rows {r} and {}: {pair:?}", r + 1);
+        }
+    }
+
+    /// `0` and `-0` are equal keys: a column of them, interleaved, keeps
+    /// its input order under a stable ascending sort.
+    #[test]
+    fn signed_zero_keys_tie() {
+        let mut s = Sheet::new();
+        for r in 0..64u32 {
+            let zero = if r % 2 == 0 { 0.0 } else { -0.0 };
+            s.set_value(CellAddr::new(r, 0), Value::Number(zero));
+            s.set_value(CellAddr::new(r, 1), r);
+        }
+        assert!(matches!(s.value(CellAddr::new(1, 0)), Value::Number(z) if z.is_sign_negative()));
+        s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
+        for r in 0..64u32 {
+            assert_eq!(s.value(CellAddr::new(r, 1)), Value::Number(f64::from(r)), "row {r}");
+            let Value::Number(key) = s.value(CellAddr::new(r, 0)) else { panic!("row {r}") };
+            assert_eq!(key.is_sign_negative(), r % 2 == 1, "row {r}");
         }
     }
 

@@ -27,8 +27,18 @@
 //! Both entry points run the same sequential executor: the [`DirtyPlan`]
 //! stratifies formulae into topological levels, and each level is
 //! evaluated in plan order, one formula at a time, with the values it
-//! stores visible to the next level. The benchmarked systems recalculate
-//! on one thread, and so does this engine.
+//! stores visible to the next level. Within a level no formula reads
+//! another's result, which is what lets one window-delta cache slide
+//! across the whole level. The benchmarked systems recalculate on one
+//! thread, and so does this engine.
+//!
+//! Excel "first determines a calculation sequence" on open (§4.1) and
+//! keeps it, its calc chain, for later passes. So does this engine: the
+//! full plan is kept on the [`DepGraph`](crate::depgraph::DepGraph) as
+//! its *calc chain*, dropped by any change to the graph, and
+//! [`recalc_all`] lends it out instead of ordering every formula again. A
+//! dirty pass plans its dirty set afresh, and [`recalc_reference`] never
+//! reads or writes the chain.
 
 use crate::addr::{CellAddr, Range};
 use crate::cell::Formula;
@@ -184,7 +194,8 @@ fn mark_cycles(sheet: &mut Sheet, plan: &DirtyPlan) {
 /// up to date (no-op unless the sheet opted in; the build charges
 /// `IndexProbe` ticks so the pass that pays for index construction is
 /// visible in the meter), then order every formula (`None`) or the
-/// formulae transitively affected by `changed`, precedents first.
+/// formulae transitively affected by `changed`, precedents first. A full
+/// plan is ordered afresh here; [`recalc_all`] reuses the calc chain.
 fn plan(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> DirtyPlan {
     sheet.ensure_indexes();
     match changed {
@@ -193,10 +204,15 @@ fn plan(sheet: &mut Sheet, changed: Option<&[CellAddr]>) -> DirtyPlan {
     }
 }
 
-/// Fully recalculates every formula on the sheet, precedents first.
+/// Fully recalculates every formula on the sheet, precedents first. The
+/// order is the dependency graph's calc chain, computed only when the
+/// graph changed since the last full pass.
 pub fn recalc_all(sheet: &mut Sheet) -> RecalcStats {
-    let plan = plan(sheet, None);
-    run_plan(sheet, &plan, "recalc_all")
+    sheet.ensure_indexes();
+    let chain = sheet.deps_mut().take_chain();
+    let stats = run_plan(sheet, &chain, "recalc_all");
+    sheet.deps_mut().keep_chain(chain);
+    stats
 }
 
 /// Recalculates the formulae transitively affected by changes to
@@ -395,6 +411,42 @@ mod tests {
             assert!(s.eval_str("=MEDIAN(B3,2)").unwrap().as_number().is_some());
             assert!(s.eval_str("=LARGE(B1:B3,1)").unwrap().as_number().is_some());
         }
+    }
+
+    /// A full pass keeps its plan as the calc chain. A value edit keeps
+    /// it; a formula write, a value written over a formula, a sort and a
+    /// structural edit each change the graph and drop it.
+    #[test]
+    fn value_edits_keep_the_calc_chain_and_graph_changes_drop_it() {
+        use crate::ops::{Op, SortKey};
+        let mut s = Sheet::new();
+        for row in 0..20u32 {
+            s.set_value(CellAddr::new(row, 0), i64::from(20 - row));
+            s.set_formula_str(CellAddr::new(row, 1), &format!("=A{}*2", row + 1)).unwrap();
+        }
+        s.set_formula_str(a("C1"), "=SUM(B1:B20)").unwrap();
+        assert!(s.deps().chain().is_none(), "no full pass yet");
+        let drops: [(&str, fn(&mut Sheet)); 4] = [
+            ("set_formula_str", |s| s.set_formula_str(a("D1"), "=C1+1").unwrap()),
+            ("set_value over a formula", |s| s.set_value(a("D1"), 7)),
+            ("Sort", |s| drop(s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap())),
+            ("InsertRows", |s| drop(s.apply(Op::InsertRows { at: 5, count: 1 }).unwrap())),
+        ];
+        for (what, change) in drops {
+            recalc_all(&mut s);
+            assert_eq!(s.deps().chain(), Some(&s.deps().full_order()), "{what}");
+            s.set_value(a("A3"), 100);
+            recalc_from(&mut s, &[a("A3")]);
+            assert!(s.deps().chain().is_some(), "a value edit keeps the chain ({what})");
+            change(&mut s);
+            assert!(s.deps().chain().is_none(), "{what} drops the chain");
+            crate::audit::check_deps(&s).unwrap();
+        }
+        recalc_all(&mut s);
+        let used: Vec<CellAddr> = s.used_range().unwrap().iter().collect();
+        let shipped: Vec<Value> = used.iter().map(|&c| s.value(c)).collect();
+        recalc_reference(&mut s, None);
+        assert_eq!(shipped, used.iter().map(|&c| s.value(c)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -606,9 +606,8 @@ impl Sheet {
         meter.bump(Primitive::CellWrite, written);
     }
 
-    /// Mutable dependency-graph access, for tests that corrupt the graph
-    /// on purpose.
-    #[cfg(test)]
+    /// Mutable dependency-graph access: recalc lends out and takes back
+    /// its calc chain, and tests corrupt the graph on purpose.
     pub(crate) fn deps_mut(&mut self) -> &mut DepGraph {
         &mut self.deps
     }
@@ -950,6 +949,15 @@ mod tests {
 
     fn a(s: &str) -> CellAddr {
         CellAddr::parse(s).unwrap()
+    }
+
+    /// A `Sheet` moves between threads (DESIGN.md §7): everything it
+    /// shares through `&self` is `Cell`/`RefCell`/`OnceCell`, and the
+    /// dependency graph's calc chain is owned, not reference-counted.
+    #[test]
+    fn sheet_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Sheet>();
     }
 
     #[test]

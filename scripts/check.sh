@@ -144,8 +144,8 @@ test -s "$trace_dir/trace.txt" || { echo "missing trace.txt" >&2; exit 1; }
 # configuration matrix it replays (plus the reference-evaluator replay
 # every digest is compared against) and exits non-zero on any divergence
 # or invariant violation.
-echo "==> differential fuzz smoke (6 seeds x 200 ops)"
-for seed in 1 2 3 5 7 13; do
+echo "==> differential fuzz smoke (10 seeds x 200 ops)"
+for seed in 1 2 3 5 7 11 13 17 19 23; do
   ./target/release/fuzz --seed "$seed" --ops 200
 done
 
