@@ -182,8 +182,11 @@ mod tests {
 
     #[test]
     fn non_finite_stored_value_is_flagged() {
+        // `set_value` stores a non-finite number as `#NUM!`; a formula's
+        // cache is written as it comes.
         let mut s = Sheet::new();
-        s.set_value(a("A1"), Value::Number(f64::NAN));
+        s.set_formula_str(a("A1"), "=1").unwrap();
+        s.store_formula_result(a("A1"), Value::Number(f64::NAN));
         let err = check_finite_grid(&s).unwrap_err();
         assert!(err.contains("A1"), "got: {err}");
     }

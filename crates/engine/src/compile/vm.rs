@@ -20,7 +20,7 @@ use crate::error::CellError;
 use crate::eval::{apply_binary, apply_unary, EvalCtx};
 use crate::functions::{scalar, Arg};
 use crate::grid::{GridStore, IdMemo, ScanSlice, CHUNK_ROWS};
-use crate::index;
+use crate::index::{self, IndexStore};
 use crate::meter::Primitive;
 use crate::value::{Criterion, Matcher, Value};
 
@@ -37,10 +37,10 @@ pub fn run(prog: &Program, ctx: &EvalCtx<'_>, grid: &GridStore) -> Value {
 /// present, single-range SUM/AVERAGE/COUNT/MIN/MAX kernels over 1-D
 /// windows evaluate incrementally from a previously computed window where
 /// one forward-overlaps it (the fill-down shape), doing O(slide) physical
-/// work while still charging the meter the full-window counts the
-/// interpreter would — the meter models the naive system, the cache
-/// accelerates wall clock. Values stay bit-identical; see [`DeltaCache`]
-/// for the exactness gates and the staleness contract.
+/// work. The meter is charged the full-window counts the interpreter
+/// would, unless the sheet is auto-indexed: then a slid window charges the
+/// cells its slide walked (see [`DeltaCache`]). Values stay bit-identical;
+/// see [`DeltaCache`] for the exactness gates and the staleness contract.
 pub fn run_with(
     prog: &Program,
     ctx: &EvalCtx<'_>,
@@ -540,20 +540,26 @@ fn scan_state(grid: &GridStore, range: Range) -> WindowState {
 
 /// The aggregate over `state`'s window: read off the state, or — when a slid
 /// state cannot name it — off a full rescan, which also replaces the state.
-fn aggregate(agg: Agg, state: &mut WindowState, grid: &GridStore) -> Value {
+/// The flag says whether it rescanned.
+fn aggregate(agg: Agg, state: &mut WindowState, grid: &GridStore) -> (Value, bool) {
+    let mut rescanned = false;
     if state.fold.is_none() {
         if let Some(v) = state.by_summary(agg) {
-            return v;
+            return (v, false);
         }
         *state = scan_state(grid, state.range);
+        rescanned = true;
     }
     let fold = state.fold.expect("`scan_state` sets the fold");
-    state.by_fold(agg, fold)
+    (state.by_fold(agg, fold), rescanned)
 }
 
-/// One plain aggregate over `range`. The meter is charged the full window
-/// either way — it models the naive system, the cache only saves wall
-/// clock.
+/// One plain aggregate over `range`. A scan or a rescan charges the full
+/// window. A window the cache slid charges the full window too — the meter
+/// models the naive system — unless the sheet is auto-indexed (the
+/// Optimized system's `indexed` policy): then it charges the cells its
+/// slide walked, entered plus evicted, which is what §5.3's shared
+/// computation saves.
 fn plain_aggregate(
     agg: Agg,
     grid: &GridStore,
@@ -562,7 +568,7 @@ fn plain_aggregate(
     delta: Option<&mut DeltaCache>,
 ) -> Value {
     let mut scanned;
-    let state = match (delta, grid.clip(range)) {
+    let (state, walked) = match (delta, grid.clip(range)) {
         // A 1-D window can slide from the one before it on its line.
         (Some(cache), Some(window))
             if window.start.row == window.end.row || window.start.col == window.end.col =>
@@ -571,11 +577,16 @@ fn plain_aggregate(
         }
         _ => {
             scanned = scan_state(grid, range);
-            &mut scanned
+            (&mut scanned, None)
         }
     };
-    let value = aggregate(agg, state, grid);
-    charge(ctx, state.visited, state.formulas);
+    let (value, rescanned) = aggregate(agg, state, grid);
+    match walked {
+        Some((visited, formulas)) if !rescanned && ctx.indexes.is_some_and(IndexStore::auto) => {
+            charge(ctx, visited, formulas)
+        }
+        _ => charge(ctx, state.visited, state.formulas),
+    }
     value
 }
 
@@ -588,10 +599,12 @@ fn plain_aggregate(
 /// one advances it in O(slide) instead of rescanning. Every instance of a
 /// fill-down `=SUM(window)` column thereby shares one sliding entry per
 /// source line, and every whole-column aggregate of one column one scan.
-/// Values and meter counts stay bit-identical to a full scan: the
-/// exactness gates (integer-exact sums, extremum-eviction invalidation,
-/// error-order) force a rescan whenever the summary could not reproduce
-/// the fold, and every answer charges full-window counts.
+/// Values stay bit-identical to a full scan: the exactness gates
+/// (integer-exact sums, extremum-eviction invalidation, error-order) force
+/// a rescan whenever the summary could not reproduce the fold. Every
+/// answer charges full-window counts, as the interpreter does, except on
+/// an auto-indexed sheet, where a slid window charges only the cells its
+/// slide walked.
 ///
 /// ## Staleness contract
 ///
@@ -629,35 +642,40 @@ impl DeltaCache {
 
     /// The state of the clipped 1-D window `range`: the one cached for its
     /// line, slid forward when the windows overlap, else built by a full
-    /// scan.
-    fn window(&mut self, grid: &GridStore, range: Range) -> &mut WindowState {
+    /// scan. A slid state comes with the `(cells, formula cells)` its slide
+    /// walked.
+    fn window(
+        &mut self,
+        grid: &GridStore,
+        range: Range,
+    ) -> (&mut WindowState, Option<(u64, u64)>) {
         let (vert, line, lo, hi) = window_axis(range);
         let found = self.states.iter().position(|s| {
             let (sv, sl, _, _) = window_axis(s.range);
             sv == vert && sl == line
         });
-        let idx = match found {
+        let (idx, walked) = match found {
             Some(i) => {
                 let state = &mut self.states[i];
                 let (_, _, slo, shi) = window_axis(state.range);
                 if lo >= slo && hi >= shi && u64::from(lo) <= u64::from(shi) + 1 {
-                    advance(state, grid, range);
+                    (i, Some(advance(state, grid, range)))
                 } else {
                     // Same line, incompatible window (a restart or a
                     // backward jump): rebuild this entry in place.
                     *state = scan_state(grid, range);
+                    (i, None)
                 }
-                i
             }
             None => {
                 if self.states.len() == DELTA_CAP {
                     self.states.remove(0);
                 }
                 self.states.push(scan_state(grid, range));
-                self.states.len() - 1
+                (self.states.len() - 1, None)
             }
         };
-        &mut self.states[idx]
+        (&mut self.states[idx], walked)
     }
 }
 
@@ -673,9 +691,10 @@ fn window_axis(range: Range) -> (bool, u32, u32, u32) {
 
 /// Slides `state` forward along its line to the window `to`, which starts
 /// and ends no earlier, by walking only the evicted prefix and the entered
-/// suffix. These sub-walks never touch the meter — the caller charges the
-/// full new window, exactly what a fresh scan would have.
-fn advance(state: &mut WindowState, grid: &GridStore, to: Range) {
+/// suffix. These sub-walks never touch the meter; they return the
+/// `(cells, formula cells)` they walked, and the caller decides what to
+/// charge.
+fn advance(state: &mut WindowState, grid: &GridStore, to: Range) -> (u64, u64) {
     let (vert, line, slo, shi) = window_axis(state.range);
     let (_, _, lo, hi) = window_axis(to);
     let seg = |a: u32, b: u32| {
@@ -685,6 +704,7 @@ fn advance(state: &mut WindowState, grid: &GridStore, to: Range) {
             Range { start: CellAddr::new(line, a), end: CellAddr::new(line, b) }
         }
     };
+    let mut walked = (0, 0);
     if lo > slo {
         let (v, f) = walk(grid, seg(slo, lo - 1), &mut |run| match run {
             Run::Nums(vals) => state.evict_nums(vals),
@@ -693,6 +713,7 @@ fn advance(state: &mut WindowState, grid: &GridStore, to: Range) {
         state.visited -= v;
         state.formulas -= f;
         state.fold = None;
+        walked = (v, f);
     }
     if hi > shi {
         let (v, f) = walk(grid, seg(shi + 1, hi), &mut |run| match run {
@@ -704,8 +725,10 @@ fn advance(state: &mut WindowState, grid: &GridStore, to: Range) {
         state.visited += v;
         state.formulas += f;
         state.fold = None;
+        walked = (walked.0 + v, walked.1 + f);
     }
     state.range = to;
+    walked
 }
 
 // ---------------------------------------------------------------------
@@ -996,8 +1019,8 @@ mod tests {
         s.set_value(CellAddr::new(1, 1), "text");
         s.set_value(CellAddr::new(2, 1), true);
         s.set_value(CellAddr::new(3, 1), 42.0);
-        s.set_formula(CellAddr::new(4, 1), parse("1/0").unwrap());
-        s.set_formula(CellAddr::new(5, 1), parse("A1+A2").unwrap());
+        s.set_formula(CellAddr::new(4, 1), parse("1/0").unwrap()).unwrap();
+        s.set_formula(CellAddr::new(5, 1), parse("A1+A2").unwrap()).unwrap();
         s.set_value(CellAddr::new(6, 1), 7.0);
         recalc_all(&mut s);
         s.meter().reset();
@@ -1219,7 +1242,7 @@ mod tests {
         }
         s.set_value(CellAddr::new(10, 0), "text");
         s.set_value(CellAddr::new(11, 0), true);
-        s.set_formula(CellAddr::new(20, 0), parse("1/0").unwrap());
+        s.set_formula(CellAddr::new(20, 0), parse("1/0").unwrap()).unwrap();
         s.set_value(CellAddr::new(21, 0), Value::Empty);
         recalc_all(&mut s);
         s.meter().reset();

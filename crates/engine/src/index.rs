@@ -195,9 +195,22 @@ enum ColState {
 #[derive(Debug, Default)]
 pub struct IndexStore {
     cols: HashMap<u32, ColState>,
+    /// Auto-indexing (`Sheet::set_auto_index`): every formula-free column
+    /// is registered, and the engine charges what its own shortcuts save —
+    /// a slid aggregate window its slide, a find its distinct texts.
+    auto: bool,
 }
 
 impl IndexStore {
+    /// Whether auto-indexing is on.
+    pub(crate) fn auto(&self) -> bool {
+        self.auto
+    }
+
+    pub(crate) fn set_auto(&mut self, on: bool) {
+        self.auto = on;
+    }
+
     /// Registers a column for indexing; no-op if already registered or
     /// dropped. The index is built by the next `Sheet::ensure_indexes`.
     pub(crate) fn register(&mut self, col: u32) {

@@ -112,7 +112,7 @@ pub(crate) fn load_rows_reference(
     rows: &[Vec<String>],
 ) -> Result<(), EngineError> {
     let cols = rows.iter().map(Vec::len).max().unwrap_or(0) as u32;
-    sheet.ensure_size(rows.len() as u32, cols);
+    sheet.ensure_size(rows.len() as u32, cols)?;
     for (r, row) in rows.iter().enumerate() {
         for (c, text) in row.iter().enumerate() {
             sheet.meter().tick(Primitive::CellParse);

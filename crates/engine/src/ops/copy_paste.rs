@@ -45,7 +45,7 @@ pub(crate) fn copy_paste_impl(
         let dst = CellAddr::new(dst_start.row + d_row, dst_start.col + d_col);
         sheet.meter().tick(Primitive::CellWrite);
         match cell {
-            Cell::Formula(f) => sheet.set_formula(dst, f.expr.adjusted(src_addr, dst)),
+            Cell::Formula(f) => sheet.set_formula(dst, f.expr.adjusted(src_addr, dst))?,
             Cell::Value(v) => sheet.set_value(dst, v),
         }
     }
@@ -115,7 +115,7 @@ mod tests {
         s.set_value(a("C3"), 1);
         fill_green(&mut s, "C3");
         // A filled cell with no content, too.
-        s.ensure_size(4, 3);
+        s.ensure_size(4, 3).unwrap();
         let (range, criterion) = (Range::parse("C4").unwrap(), Criterion::parse(&Value::Empty));
         s.apply(Op::CondFormat { range, criterion, fill: Color::GREEN }).unwrap();
         assert_eq!(s.fill(a("C4")), Some(Color::GREEN));

@@ -227,7 +227,7 @@ pub(crate) fn restructure(
         (Axis::Col, false) => grid.delete_cols(at, count),
     };
     // Deleting every line still leaves a 1 × 1 sheet.
-    sheet.ensure_size(1, 1);
+    sheet.ensure_size(1, 1)?;
 
     // An active filter rides the edit like the cells do: row edits shift
     // the flags past the band (inserted rows are visible, deleted rows

@@ -34,7 +34,7 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
         Axis::Col => (nrows, survivors(ncols)),
     };
     let mut fresh = Sheet::with_size(new_rows, new_cols);
-    fresh.ensure_size(new_rows.max(1), new_cols.max(1));
+    fresh.ensure_size(new_rows.max(1), new_cols.max(1)).unwrap();
     fresh.set_lookup_strategy(old.lookup_strategy());
     fresh.set_now_serial(old.now_serial());
     fresh.set_grid_budget(old.grid_budget());
@@ -83,7 +83,7 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
             match cell.into_cell() {
                 Cell::Formula(mut f) => {
                     shift_expr(&mut f.expr, axis, at, count, insert);
-                    fresh.set_formula(to, f.expr);
+                    fresh.set_formula(to, f.expr).unwrap();
                     fresh.store_formula_result(to, f.cached);
                 }
                 Cell::Value(v) => {

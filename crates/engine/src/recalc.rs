@@ -113,8 +113,9 @@ impl<'a> EvalSession<'a> {
     }
 
     /// Evaluates the formula at `addr`; `None` when the cell is not a
-    /// formula. Identical values and meter counts to
-    /// [`eval_formula_at`], potentially much faster on sliding windows.
+    /// formula. Identical values to [`eval_formula_at`], potentially much
+    /// faster on sliding windows, and identical meter counts unless the
+    /// sheet is auto-indexed, where a slid window charges only its slide.
     pub fn eval(&mut self, addr: CellAddr) -> Option<Value> {
         eval_formula_with(self.sheet, addr, Some(&mut self.delta))
     }
@@ -304,6 +305,42 @@ mod tests {
         // Full range re-scan: 100 reads, not O(1).
         assert_eq!(delta.get(Primitive::CellRead), 100);
         assert_eq!(delta.get(Primitive::FormulaEval), 1);
+    }
+
+    /// §5.3's cumulative family `Bi = SUM(A$1:Ai)` over `A = 1..=1000`: the
+    /// delta cache slides each window from the one before it either way,
+    /// and on an auto-indexed sheet the meter is charged the slide — one
+    /// cell a formula — instead of the window, 1 + 2 + … + 1000. Over
+    /// fractions a slid float sum is not exact, so every window is
+    /// rescanned and charged in full, indexed or not.
+    #[test]
+    fn an_indexed_sheet_is_charged_the_slide_of_a_prefix_family() {
+        let run = |indexed: bool, step: f64| {
+            let mut s = Sheet::new();
+            s.set_auto_index(indexed);
+            for i in 0..1000u32 {
+                s.set_value(CellAddr::new(i, 0), f64::from(i + 1) * step);
+            }
+            for i in 0..1000u32 {
+                s.set_formula_str(CellAddr::new(i, 1), &format!("=SUM(A$1:A{})", i + 1)).unwrap();
+            }
+            let before = s.meter().snapshot();
+            recalc_all(&mut s);
+            let reads = s.meter().snapshot().since(&before).get(Primitive::CellRead);
+            let values: Vec<u64> = (0..1000u32)
+                .map(|i| s.value(CellAddr::new(i, 1)).as_number().unwrap().to_bits())
+                .collect();
+            (reads, values)
+        };
+        let (plain, plain_values) = run(false, 1.0);
+        let (indexed, indexed_values) = run(true, 1.0);
+        assert_eq!(plain, 500_500);
+        assert!(indexed <= 2_000, "indexed charge {indexed}");
+        assert_eq!(indexed_values, plain_values);
+        let (plain, plain_values) = run(false, 0.1);
+        let (indexed, indexed_values) = run(true, 0.1);
+        assert_eq!((plain, indexed), (500_500, 500_500));
+        assert_eq!(indexed_values, plain_values);
     }
 
     #[test]
@@ -533,7 +570,8 @@ mod tests {
         assert_eq!(stats, recalc_one_shot(&mut one_shot, None));
         assert_eq!(stats, recalc_all(&mut shipped));
         // The correctness bar: values bit-exact and meter counts identical.
-        // The sliding path charges full-window counts, so all three agree.
+        // The sheet is not indexed, so the sliding path charges full-window
+        // counts and all three agree.
         assert_same_state(&reference, &shipped, n, "full");
         assert_same_state(&one_shot, &shipped, n, "full, one-shot");
         // Template sharing: 2n+1 formulas collapse to a handful of

@@ -38,12 +38,9 @@ pub struct Sheet {
     /// which program a cell runs is bound in the cell's own `Formula`.
     programs: ProgramCache,
     /// Maintained column indexes (the optimized fourth system's lookup
-    /// path). Empty — and costing nothing — unless columns are registered
-    /// or [`Sheet::set_auto_index`] is on.
+    /// path) and the auto-index flag. Empty — and costing nothing — unless
+    /// columns are registered or [`Sheet::set_auto_index`] is on.
     indexes: IndexStore,
-    /// When set, `ensure_indexes` registers every formula-free column
-    /// automatically (and the recalc entry points call it).
-    auto_index: bool,
 }
 
 /// The hook [`Sheet::edit_chunks`] hands its visitor, to be told of each
@@ -142,7 +139,6 @@ impl Sheet {
             names: NameTable::default(),
             programs: ProgramCache::new(),
             indexes: IndexStore::default(),
-            auto_index: false,
         }
     }
 
@@ -335,13 +331,17 @@ impl Sheet {
 
     /// Enables automatic column indexing: every recalculation entry point
     /// first registers and builds an index over each formula-free column.
+    /// It also prices what the engine's own shortcuts save: a sum window
+    /// the delta cache slid charges the cells the slide walked, and a
+    /// find or replace charges one `IndexProbe` per distinct literal text
+    /// and a `CellRead` per formula cell and per hit (DESIGN.md §13).
     pub fn set_auto_index(&mut self, on: bool) {
-        self.auto_index = on;
+        self.indexes.set_auto(on);
     }
 
     /// Whether automatic column indexing is on.
     pub fn auto_index(&self) -> bool {
-        self.auto_index
+        self.indexes.auto()
     }
 
     /// The column-index store (probe state, for tests and reports).
@@ -352,7 +352,8 @@ impl Sheet {
     /// Registers one column for indexing (built by the next
     /// [`Sheet::ensure_indexes`]); no-op on a column that ever held a
     /// formula.
-    pub fn register_index(&mut self, col: u32) {
+    #[cfg(test)]
+    pub(crate) fn register_index(&mut self, col: u32) {
         self.indexes.register(col);
     }
 
@@ -361,7 +362,7 @@ impl Sheet {
     /// formulas are permanently excluded by the build). Rebuild cost is
     /// charged to the meter as one `IndexProbe` per indexed cell.
     pub fn ensure_indexes(&mut self) {
-        if self.auto_index {
+        if self.auto_index() {
             for col in 0..self.ncols() {
                 self.indexes.register(col);
             }
@@ -402,11 +403,16 @@ impl Sheet {
 
     // --- mutation --------------------------------------------------------
 
-    /// Writes a literal value, unregistering any formula that was there.
+    /// Writes a literal value, unregistering any formula that was there. A
+    /// number that is not finite is stored as `#NUM!`, as an arithmetic
+    /// result would be ([`Value::num`]).
     pub fn set_value(&mut self, addr: CellAddr, v: impl Into<Value>) {
         self.meter.tick(Primitive::CellWrite);
         self.deps.remove(addr);
-        let v = v.into();
+        let v = match v.into() {
+            Value::Number(n) => Value::num(n),
+            v => v,
+        };
         if self.indexes.has_built(addr.col) {
             // Maintain the column index incrementally: capture the old
             // value before the write (a built column never holds a
@@ -421,16 +427,18 @@ impl Sheet {
     }
 
     /// Installs a parsed formula (uncomputed until a recalculation runs).
-    pub fn set_formula(&mut self, addr: CellAddr, expr: Expr) {
+    /// An address past the engine limits is [`EngineError::OutOfBounds`],
+    /// and the sheet is left as it was.
+    pub fn set_formula(&mut self, addr: CellAddr, expr: Expr) -> Result<(), EngineError> {
+        check_addr(addr)?;
         self.meter.tick(Primitive::CellWrite);
         self.deps.add(addr, &expr);
-        self.grid
-            .set(addr, Cell::formula(expr))
-            .expect("set_formula: address beyond engine limits");
+        self.grid.set(addr, Cell::formula(expr))?;
         // A formula's displayed value changes during recalc without
         // passing through `set_value`, so its column can never be
         // indexed again (deterministic degradation to the scan path).
         self.indexes.drop_col(addr.col);
+        Ok(())
     }
 
     /// Parses and installs `src` (with or without a leading `=`),
@@ -439,8 +447,7 @@ impl Sheet {
         check_addr(addr)?;
         let body = src.strip_prefix('=').unwrap_or(src);
         let expr = crate::formula::parse_with(body, &self.names)?;
-        self.set_formula(addr, expr);
-        Ok(())
+        self.set_formula(addr, expr)
     }
 
     // --- named ranges ------------------------------------------------------
@@ -565,15 +572,15 @@ impl Sheet {
     }
 
     /// Pre-sizes the grid. Sizes beyond the engine's hard limits
-    /// (`grid::MAX_ROWS` × `grid::MAX_COLS`) are a programmer error.
-    pub fn ensure_size(&mut self, rows: u32, cols: u32) {
-        self.grid.ensure_size(rows, cols).expect("ensure_size: beyond engine limits");
+    /// (`grid::MAX_ROWS` × `grid::MAX_COLS`) are
+    /// [`EngineError::OutOfBounds`], and the sheet is left as it was.
+    pub fn ensure_size(&mut self, rows: u32, cols: u32) -> Result<(), EngineError> {
+        self.grid.ensure_size(rows, cols)
     }
 
     /// Stores an evaluated result into a formula cell's cache: recalc's
-    /// write path, and public so the strategy outside the engine
-    /// (`ssbench-systems`' shared computation) can materialize results. A
-    /// no-op on non-formula cells.
+    /// write path, public while callers outside the engine still store
+    /// results directly. A no-op on non-formula cells.
     pub fn store_formula_result(&mut self, addr: CellAddr, v: Value) {
         if let Some(f) = self.grid.formula_mut(addr) {
             f.cached = v;
@@ -700,7 +707,8 @@ impl Sheet {
 
     /// Hides or unhides a row. A row at or past the extent is vacant and
     /// visible: it has no flag, and asking for one is a no-op.
-    pub fn set_row_hidden(&mut self, row: u32, hidden: bool) {
+    #[cfg(test)]
+    pub(crate) fn set_row_hidden(&mut self, row: u32, hidden: bool) {
         if row >= self.nrows() {
             return;
         }
@@ -716,7 +724,7 @@ impl Sheet {
     }
 
     /// Unhides every row.
-    pub fn unhide_all_rows(&mut self) {
+    pub(crate) fn unhide_all_rows(&mut self) {
         self.hidden.clear();
     }
 
@@ -1016,6 +1024,36 @@ mod tests {
             s.set_input(addr, input).unwrap();
             assert_eq!(s.value(addr), Value::text(*input), "{input:?} must stay text");
         }
+    }
+
+    /// No cell stores a non-finite number: `set_value` takes one as
+    /// `#NUM!`, whether it arrives as an `f64` or as a `Value::Number`.
+    #[test]
+    fn set_value_stores_a_non_finite_number_as_num() {
+        use crate::error::CellError;
+        let mut s = Sheet::new();
+        s.set_value(a("A1"), f64::INFINITY);
+        s.set_value(a("A2"), Value::Number(f64::NAN));
+        s.set_value(a("A3"), f64::NEG_INFINITY);
+        for cell in ["A1", "A2", "A3"] {
+            assert_eq!(s.value(a(cell)), Value::Error(CellError::Num), "{cell}");
+        }
+        crate::audit::check_finite_grid(&s).unwrap();
+    }
+
+    /// The public setters that size the grid return `OutOfBounds` past the
+    /// engine limits instead of panicking, and leave the sheet as it was.
+    #[test]
+    fn setters_past_the_engine_limits_are_out_of_bounds() {
+        let mut s = Sheet::new();
+        s.set_value(a("A1"), 1);
+        let far = CellAddr::new(u32::MAX, u32::MAX);
+        let expr = crate::formula::parse("1+1").unwrap();
+        assert!(matches!(s.set_formula(far, expr), Err(EngineError::OutOfBounds { .. })));
+        assert!(matches!(s.ensure_size(u32::MAX, 1), Err(EngineError::OutOfBounds { .. })));
+        assert!(matches!(s.ensure_size(1, u32::MAX), Err(EngineError::OutOfBounds { .. })));
+        assert_eq!((s.nrows(), s.ncols(), s.formula_count()), (1, 1, 0));
+        assert_eq!(s.meter().snapshot().get(Primitive::CellWrite), 1);
     }
 
     /// `visit_range` derives each address from its place in the scan, so

@@ -178,9 +178,10 @@ impl fmt::Display for Value {
     }
 }
 
+/// Through [`Value::num`]: a non-finite `f64` becomes `#NUM!`.
 impl From<f64> for Value {
     fn from(n: f64) -> Self {
-        Value::Number(n)
+        Value::num(n)
     }
 }
 

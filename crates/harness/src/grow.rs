@@ -36,7 +36,7 @@ impl GrowingSheet {
     /// returns the sheet with a reset meter (growth is never measured).
     pub fn ensure(&mut self, rows: u32) -> &mut Sheet {
         if rows > self.rows {
-            self.sheet.ensure_size(rows, NUM_COLS);
+            self.sheet.ensure_size(rows, NUM_COLS).expect("a grown sheet is within the engine limits");
             for r in self.rows..rows {
                 write_row(&mut self.sheet, self.seed, r, self.variant);
             }

@@ -2,9 +2,11 @@
 //! ~1 % of the rows of one column (Present) and one that does not exist
 //! (Absent). Linear in both cases for all three commercial systems — "an
 //! expected trend in the absence of indexes". The fourth (Optimized)
-//! system maintains an inverted token index and rewrites only the
-//! postings, so its Present series is proportional to the hit count and
-//! its Absent series is a single probe.
+//! system runs the same find-and-replace under its `indexed` policy, where
+//! the engine decides each distinct text once (the column dictionary as
+//! §5.1.2's inverted index) and charges that instead of a read per cell:
+//! its Present series grows with the hit count only, and its Absent series
+//! is flat.
 
 use ssbench_engine::prelude::*;
 use ssbench_systems::{OpClass, SimSystem, SystemKind};
@@ -51,10 +53,6 @@ pub fn fig9_find_replace(cfg: &RunConfig) -> ExperimentResult {
     let mut result = ExperimentResult::new("fig9", "Find and replace (§5.1.2)");
     let protocol = cfg.protocol.capped(3);
     for kind in cfg.systems() {
-        if kind == SystemKind::Optimized {
-            // Handled below: the indexed path, not the linear scan.
-            continue;
-        }
         let sys = SimSystem::with_seed(kind, cfg.seed);
         let cap = row_cap(kind).min(sys.max_rows(OpClass::FindReplace).unwrap_or(u32::MAX));
         let sizes = cfg.sizes(Some(cap));
@@ -90,47 +88,6 @@ pub fn fig9_find_replace(cfg: &RunConfig) -> ExperimentResult {
         result.series.push(present);
         result.series.push(absent);
     }
-    // The fourth system (§6): find-and-replace through the maintained
-    // inverted token index. Present rewrites only the postings; Absent is
-    // one failed probe. Both run under the Optimized profile's own cost
-    // model — no counterfactual accounting.
-    if cfg.runs(SystemKind::Optimized) {
-        let kind = SystemKind::Optimized;
-        let sys = SimSystem::with_seed(kind, cfg.seed);
-        let sizes = cfg.sizes(Some(row_cap(kind)));
-        let mut grow = GrowingSheet::new(Variant::ValueOnly, cfg.seed);
-        let mut planted = 0u32;
-        let mut present = Series::new(format!("{} Present", kind.name()), kind);
-        let mut absent = Series::new(format!("{} Absent", kind.name()), kind);
-        for &rows in &sizes {
-            {
-                let sheet = grow.ensure(rows);
-                plant_needles(sheet, planted, rows);
-            }
-            planted = rows;
-            let sheet = grow.sheet_mut();
-            // Index maintenance is amortized across the edit stream, like
-            // the engine's column indexes: the build is not measured.
-            let mut index = sys.token_index(sheet);
-            let ms_present = protocol.measure(|| {
-                let (changed, ms) =
-                    sys.find_replace_indexed(sheet, &mut index, NEEDLE, REPLACEMENT);
-                assert!(changed > 0);
-                // Restore outside the measured region.
-                index.find_replace(sheet, REPLACEMENT, NEEDLE);
-                ms
-            });
-            let ms_absent = protocol.measure(|| {
-                let (changed, ms) = sys.find_replace_indexed(sheet, &mut index, ABSENT, "x");
-                assert_eq!(changed, 0);
-                ms
-            });
-            present.push(rows, ms_present);
-            absent.push(rows, ms_absent);
-        }
-        result.series.push(present);
-        result.series.push(absent);
-    }
     result
 }
 
@@ -155,9 +112,9 @@ mod tests {
         let gp = r.expect_series("Google Sheets Present").expect_last();
         let ga = r.expect_series("Google Sheets Absent").expect_last();
         assert!((gp.ms - ga.ms).abs() / ga.ms < 0.25);
-        // The indexed system touches only the postings: far cheaper than
-        // Excel's scan at Excel's top size, and its Absent series is a
-        // single probe — essentially flat.
+        // The indexed system reads only its hits: far cheaper than Excel's
+        // scan at Excel's top size, and its Absent series, a probe per
+        // distinct text, is essentially flat.
         let o = r.expect_series("Optimized Present");
         let excel_top = p.expect_last();
         let o_at = o

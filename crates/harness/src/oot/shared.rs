@@ -2,13 +2,14 @@
 //! ways. "Repeated" installs `Bi = SUM(A1:Ai)` for every row i — the
 //! systems evaluate each independently, O(m²) cell references in total.
 //! "Reusable" installs `C1 = A1; Ci = Ai + C(i−1)` — O(m). The fourth
-//! (Optimized) system answers the *repeated* family with one shared
-//! prefix pass (§6's shared-computation proposal), so it contributes a
-//! single series instead of a Repeated/Reusable pair.
+//! (Optimized) system recalculates both families like the others; under
+//! its `indexed` policy the engine's delta cache, which slides each window
+//! of the repeated family from the one before it, charges the slide (§6's
+//! shared-computation proposal), so its Repeated series is linear too.
 
 use ssbench_engine::formula::{BinOp, Expr, RangeRef};
 use ssbench_engine::prelude::*;
-use ssbench_systems::{OpClass, SimSystem, SystemKind};
+use ssbench_systems::{OpClass, SimSystem};
 
 use crate::config::RunConfig;
 use crate::series::{ExperimentResult, Series};
@@ -23,10 +24,13 @@ pub fn sizes_for(cfg: &RunConfig, cap: Option<u32>) -> Vec<u32> {
         .collect()
 }
 
+/// Every sheet of the figure is at most 100k × 3.
+const IN_LIMITS: &str = "Fig 11's sheets are within the engine limits";
+
 /// A sheet with column A = 1..=m (the summed values).
 fn base_sheet(m: u32) -> Sheet {
     let mut s = Sheet::new();
-    s.ensure_size(m, 3);
+    s.ensure_size(m, 3).expect(IN_LIMITS);
     for i in 0..m {
         s.set_value(CellAddr::new(i, 0), i64::from(i + 1));
     }
@@ -41,20 +45,21 @@ fn install_repeated(sheet: &mut Sheet, m: u32) {
             end: CellRef::relative(CellAddr::new(i, 0)),
         };
         let expr = Expr::Call("SUM".to_owned(), vec![Expr::RangeRef(range)]);
-        sheet.set_formula(CellAddr::new(i, 1), expr);
+        sheet.set_formula(CellAddr::new(i, 1), expr).expect(IN_LIMITS);
     }
 }
 
 /// Installs the reusable-computation family `C1 = A1; Ci = Ai + C(i−1)`.
 fn install_reusable(sheet: &mut Sheet, m: u32) {
-    sheet.set_formula(CellAddr::new(0, 2), Expr::Ref(CellRef::relative(CellAddr::new(0, 0))));
+    let first = Expr::Ref(CellRef::relative(CellAddr::new(0, 0)));
+    sheet.set_formula(CellAddr::new(0, 2), first).expect(IN_LIMITS);
     for i in 1..m {
         let expr = Expr::Binary(
             BinOp::Add,
             Box::new(Expr::Ref(CellRef::relative(CellAddr::new(i, 0)))),
             Box::new(Expr::Ref(CellRef::relative(CellAddr::new(i - 1, 2)))),
         );
-        sheet.set_formula(CellAddr::new(i, 2), expr);
+        sheet.set_formula(CellAddr::new(i, 2), expr).expect(IN_LIMITS);
     }
 }
 
@@ -66,12 +71,6 @@ pub fn fig11_shared(cfg: &RunConfig) -> ExperimentResult {
     // trial per size (deterministic for the desktop systems).
     let protocol = cfg.protocol.capped(1);
     for kind in cfg.systems() {
-        if kind == SystemKind::Optimized {
-            // The Optimized system never evaluates the quadratic family
-            // formula-by-formula — its single prefix-sharing series is
-            // produced below.
-            continue;
-        }
         let sys = SimSystem::with_seed(kind, cfg.seed);
         let sizes = sizes_for(cfg, sys.max_rows(OpClass::Shared));
         let mut repeated = Series::new(format!("{} Repeated", kind.name()), kind);
@@ -89,22 +88,6 @@ pub fn fig11_shared(cfg: &RunConfig) -> ExperimentResult {
         }
         result.series.push(repeated);
         result.series.push(reusable);
-    }
-    // The fourth system (§6): the same repeated family answered by one
-    // shared prefix pass under the Optimized profile's own cost model.
-    if cfg.runs(SystemKind::Optimized) {
-        let kind = SystemKind::Optimized;
-        let sys = SimSystem::with_seed(kind, cfg.seed);
-        let mut optimized = Series::new(format!("{} (prefix sharing)", kind.name()), kind);
-        for &m in &sizes_for(cfg, None) {
-            let mut sheet = base_sheet(m);
-            install_repeated(&mut sheet, m);
-            sheet.meter().reset();
-            let (answered, ms) = sys.recalc_shared(&mut sheet);
-            assert_eq!(answered as u32, m);
-            optimized.push(m, ms);
-        }
-        result.series.push(optimized);
     }
     result
 }
@@ -133,7 +116,7 @@ mod tests {
             "reusable ~linear: ×{reu_growth:.1} for size ×{size_ratio:.1}"
         );
         // Optimized ≤ reusable at the top size.
-        let opt = r.expect_series("Optimized (prefix sharing)").expect_last();
+        let opt = r.expect_series("Optimized Repeated").expect_last();
         assert!(opt.ms <= reu.expect_last().ms * 1.5);
         // Sheets capped at 30k (scaled to 600).
         let g = r.expect_series("Google Sheets Repeated");

@@ -507,7 +507,7 @@ fn check_full_recalc_agrees(sheet: &Sheet, config: OracleConfig) -> Result<(), S
     copy.set_now_serial(sheet.now_serial());
     for addr in used.iter() {
         match sheet.formula_expr(addr) {
-            Some(expr) => copy.set_formula(addr, expr.clone()),
+            Some(expr) => copy.set_formula(addr, expr.clone()).map_err(|e| e.to_string())?,
             None => copy.set_value(addr, sheet.value(addr)),
         }
     }
@@ -668,7 +668,10 @@ mod tests {
         recalc::recalc_all(&mut sheet);
         assert_ne!(before, grid_digest(&sheet));
         let unhidden = grid_digest(&sheet);
-        sheet.set_row_hidden(3, true);
+        // Only A1 holds 123456, so the filter hides every other row.
+        let criterion = Criterion::parse(&Value::Number(123_456.0));
+        sheet.apply(Op::Filter { col: 0, criterion }).expect("filter applies");
+        assert!(sheet.is_row_hidden(3));
         assert_ne!(unhidden, grid_digest(&sheet));
         // A fill shows in the grid digest, and which fill; it is no part
         // of the values a saved document carries.

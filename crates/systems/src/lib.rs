@@ -4,14 +4,14 @@
 //! three systems measured by *Benchmarking Spreadsheet Systems* (SIGMOD
 //! 2020) — Microsoft Excel 2016, LibreOffice Calc 6.0.3.2, Google Sheets
 //! — plus the engine-integrated *Optimized* fourth system, which runs the
-//! paper's §6 "what if?" optimizations for real. Most of them live in the
-//! engine (maintained column indexes, typed columnar chunks, compiled
-//! templates, window deltas, program bindings that survive sorts) and are
-//! switched on by the profile's policies — so its Figs 12–14 run the same
-//! engine calls as every other system's. The two with no engine twin live
-//! here as crate-private modules reached only through [`SimSystem`]: the
-//! token inverted index (`find_replace_indexed`, Fig 9) and prefix-family
-//! sharing (`recalc_shared`, Fig 11).
+//! paper's §6 "what if?" optimizations for real. All of them live in the
+//! engine (maintained column indexes, dictionary-encoded text columns,
+//! typed columnar chunks, compiled templates, window deltas, program
+//! bindings that survive sorts) and are switched on by the profile's
+//! policies, so every figure runs the same engine calls for every system.
+//! The `indexed` policy both turns the engine's indexes on and prices what
+//! its own shortcuts save: a find charges per distinct text (Fig 9) and a
+//! slid `SUM(A$1:Ai)` window per cell it slid (Fig 11).
 //!
 //! Profiles are resolved through an open registry
 //! ([`profile::registry`]/[`all_profiles`]): adding a system is one enum
@@ -34,17 +34,12 @@
 
 pub mod calibration;
 pub mod cost;
-mod index {
-    pub(crate) mod inverted;
-}
 pub mod op;
 pub mod policy;
 pub mod profile;
-mod shared;
 pub mod sim;
 
 pub use cost::{CostModel, CostTable};
-pub use index::inverted::InvertedIndex;
 pub use op::{OpClass, ALL_OPS};
 pub use policy::{Quotas, RecalcTrigger, SystemPolicies};
 pub use profile::{

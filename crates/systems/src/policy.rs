@@ -70,8 +70,12 @@ pub struct SystemPolicies {
     pub lookup: LookupStrategy,
     /// The engine maintains hash + sorted column indexes through every
     /// edit and consults them for COUNTIF/SUMIF/VLOOKUP/MATCH instead of
-    /// scanning (§5.1, §6). None of the three commercial systems does
-    /// this; the Optimized profile turns it on.
+    /// scanning (§5.1, §6), and charges what its dictionary-encoded texts
+    /// and sliding windows save: a find or replace one `IndexProbe` per
+    /// distinct text plus a read per formula cell and per hit (§5.1.2,
+    /// Fig 9), a slid `SUM(A$1:Ai)` window the cells its slide walked
+    /// (§5.3, Fig 11). It is the sheet's `auto_index`. None of the three
+    /// commercial systems does this; the Optimized profile turns it on.
     pub indexed: bool,
     /// Quota caps (§3.3).
     pub quotas: Quotas,

@@ -12,7 +12,6 @@ use ssbench_engine::meter::Primitive;
 use ssbench_engine::prelude::*;
 use ssbench_engine::trace::{Category, Span};
 
-use crate::index::inverted::InvertedIndex;
 use crate::op::OpClass;
 use crate::policy::{RecalcTrigger, VIEWPORT_ROWS};
 use crate::profile::{SystemKind, SystemProfile};
@@ -290,7 +289,9 @@ impl SimSystem {
     // OOT operations
     // ------------------------------------------------------------------
 
-    /// Find-and-replace over the whole sheet (§5.1.2).
+    /// Find-and-replace over the whole sheet (§5.1.2). Under the `indexed`
+    /// policy the engine charges the search per distinct text, not per
+    /// cell, so an absent needle costs the same at any size.
     pub fn find_replace(&self, sheet: &mut Sheet, needle: &str, replacement: &str) -> (u32, f64) {
         self.measure(sheet, OpClass::FindReplace, |s| match s.used_range() {
             Some(range) => {
@@ -306,29 +307,6 @@ impl SimSystem {
             }
             None => 0,
         })
-    }
-
-    /// Builds the inverted token index over `sheet`'s text cells (§5.1.2,
-    /// Fig 9). Like the engine's column indexes its construction is
-    /// amortized across the edit stream: call it outside any measured
-    /// region, once per sheet, and keep it in step by routing every text
-    /// rewrite through [`InvertedIndex::find_replace`].
-    pub fn token_index(&self, sheet: &Sheet) -> InvertedIndex {
-        InvertedIndex::build(sheet)
-    }
-
-    /// Find-and-replace through the token index: one probe, then a read
-    /// and a write per posting — nothing for an absent needle. Whole-token
-    /// and ASCII-case-folded, unlike [`SimSystem::find_replace`]'s
-    /// substring scan.
-    pub fn find_replace_indexed(
-        &self,
-        sheet: &mut Sheet,
-        index: &mut InvertedIndex,
-        needle: &str,
-        replacement: &str,
-    ) -> (u32, f64) {
-        self.measure(sheet, OpClass::FindReplace, |s| index.find_replace(s, needle, replacement))
     }
 
     /// Sequential scripted read of `rows` cells down one column (§5.2).
@@ -370,20 +348,14 @@ impl SimSystem {
 
     /// Full recalculation of all embedded formulae as one measured
     /// operation of class `Shared` (the §5.3/§5.4 bulk-computation
-    /// experiments).
+    /// experiments). Under the `indexed` policy a `SUM(A$1:Ai)` family
+    /// slid by the engine's delta cache is charged its slides, O(m), not
+    /// its windows, O(m²).
     pub fn recalc_embedded(&self, sheet: &mut Sheet) -> f64 {
         let (_, ms) = self.measure(sheet, OpClass::Shared, |s| {
             recalc::recalc_all(s);
         });
         ms
-    }
-
-    /// Recalculation with prefix-family sharing (§5.3, Fig 11): every
-    /// family of `SUM(A$1:Ai)` formulae over one anchor is answered from a
-    /// single running-prefix pass instead of formula by formula. Returns
-    /// how many formulae the shared passes answered.
-    pub fn recalc_shared(&self, sheet: &mut Sheet) -> (usize, f64) {
-        self.measure(sheet, OpClass::Shared, crate::shared::apply_shared_computation)
     }
 
     /// Edits one cell and recomputes its dependents (§5.5): `set_value`,

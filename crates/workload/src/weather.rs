@@ -97,7 +97,9 @@ pub fn write_row(sheet: &mut Sheet, seed: u64, row: u32, variant: Variant) {
                 sheet.set_value(addr, i64::from(data.formula_result(j)));
             }
             Variant::FormulaValue => {
-                sheet.set_formula(addr, countif_expr(row, j));
+                sheet
+                    .set_formula(addr, countif_expr(row, j))
+                    .expect("a generated row is within the engine limits");
             }
         }
     }

@@ -32,7 +32,9 @@ tree_before="$(git status --porcelain)"
 # lattice and constant folding — pass 2 proves the read-set and volatility,
 # the two facts the engine reads — nor the three laziness flags and the
 # window size that always equalled `remote` and 50, nor the level-parallel
-# recalc executor and its knobs: recalculation is sequential.
+# recalc executor and its knobs: recalculation is sequential; nor the
+# Optimized system's token index and prefix-family pass, which bypassed the
+# engine: Figs 9 and 11 run the engine under the `indexed` policy.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("SSBENCH_GRID_BUDGET") ' ]; then
@@ -69,6 +71,12 @@ if grep -rnwE 'TySet|AbsVal|const_value|binop_ty|call_ty' crates src tests examp
     "the analyzer walks read-sets and volatility, and laziness is the remote flag" >&2
   exit 1
 fi
+if grep -rnwE 'InvertedIndex|token_index|find_replace_indexed|recalc_shared|apply_shared_computation' \
+  crates src tests examples; then
+  echo "a deleted bypass of the engine is back (see above); the Optimized system" \
+    "finds and recalculates through the engine, priced by its indexed policy" >&2
+  exit 1
+fi
 
 if [ "$(ls shims | tr '\n' ' ')" != 'rand ' ]; then
   echo "shims/ must hold exactly rand, found: $(ls shims | tr '\n' ' ')" >&2
@@ -83,6 +91,30 @@ if grep -rn --include='*.toml' --include='Cargo.lock' --exclude-dir=target --exc
   'proptest' . ||
   grep -rn 'proptest!\|prop_assert\|prop_oneof\|TestCaseError\|use proptest' crates src tests examples; then
   echo "the proptest DSL is back (see above); a random test is a seeded SmallRng loop" >&2
+  exit 1
+fi
+
+# One way in (ROADMAP item 13): every public method of `Sheet` besides
+# `apply` is another door a mutation can take past the op log, the stats
+# and the error handling `apply` gives. The sorted list of `pub fn`s in
+# `impl Sheet` blocks is pinned here. A change that removes one shortens
+# the pin; one that adds a method has to argue for it in the same change.
+echo "==> Sheet's public methods: the pinned list"
+sheet_api="$(find crates/engine/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    /^impl Sheet \{/ { on = 1; next }
+    on && /^\}/ { on = 0 }
+    on && match($0, /^    pub fn [A-Za-z0-9_]+/) { print substr($0, RSTART + 11, RLENGTH - 11) }' |
+  sort | tr '\n' ' ')"
+pinned_api='apply auto_index cell define_name deps ensure_indexes ensure_size eval_ctx eval_ctx_with '
+pinned_api+='eval_expr eval_str fill formula_count formula_expr grid_budget grid_heap_bytes '
+pinned_api+='grid_resident_bytes grid_spill_stats index_store input_text is_formula is_row_hidden '
+pinned_api+='lookup_strategy meter name_range names ncols new now_serial nrows permute_rows '
+pinned_api+='program_cache rebuild_deps remove_name set_auto_index set_formula set_formula_str '
+pinned_api+='set_grid_budget set_input set_lookup_strategy set_now_serial set_value '
+pinned_api+='store_formula_result used_range validate_grid value visible_rows with_size '
+if [ "$sheet_api" != "$pinned_api" ]; then
+  echo "the public methods of Sheet changed (- pinned, + found):" >&2
+  diff <(tr ' ' '\n' <<< "$pinned_api") <(tr ' ' '\n' <<< "$sheet_api") >&2 || true
   exit 1
 fi
 

@@ -175,7 +175,7 @@ fn check_sheet_proves_random_sheets() {
         // Column AE is outside the reference window, so the DAG stays
         // acyclic regardless of what the trees reference.
         for (i, expr) in exprs.iter().enumerate() {
-            sheet.set_formula(CellAddr::new(i as u32, 30), expr.clone());
+            sheet.set_formula(CellAddr::new(i as u32, 30), expr.clone()).unwrap();
         }
         recalc::recalc_all(&mut sheet);
         if let Err(e) = analyze::check_sheet(&sheet) {
