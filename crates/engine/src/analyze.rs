@@ -12,8 +12,9 @@
 //!    pre-reserve its scratch stack.
 //! 2. **Read-set and volatility** ([`analyze`]) — a syntactic walk of the
 //!    AST that collects the *static read-set*, one R1C1-relative window
-//!    per reference ([`ReadSet`]), and *volatility* (NOW/RAND-rooted
-//!    templates): the two facts a [`Program`] carries and the engine reads.
+//!    per reference ([`ReadSet`]), and *volatility* (NOW/TODAY-rooted
+//!    templates): facts for pass 3 and its reports, which the engine never
+//!    reads.
 //! 3. **Dep-graph soundness** ([`check_sheet`]) — proves, per formula
 //!    instance, that every statically predicted read window is covered by
 //!    the precedents `rebuild_deps` registered. Where `audit::check_deps`
@@ -21,11 +22,12 @@
 //!    half of the loop: the registration covers everything evaluation can
 //!    *read*, so dirty propagation can never miss an edit.
 //!
-//! The inferred facts feed back into the engine: the static read-set
-//! stored on each program is what `Sheet::permute_rows` and
-//! `ops::structure` consult to decide whether a moved formula's program
-//! binding is still the right one, and [`check_sheet`] holds every binding
-//! to the template map.
+//! Of all this the engine reads only [`verify`]'s proven stack depth,
+//! which [`compile`](crate::compile::compile) stores on each program.
+//! Whether a moved formula's program binding is still the right one is
+//! decided by the reference rewriters themselves (`Expr::adjust`,
+//! `ops::structure`), and [`check_sheet`] holds every binding to the
+//! template map.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -258,16 +260,6 @@ impl ReadSet {
     pub fn is_bounded(&self) -> bool {
         matches!(self, ReadSet::Windows(_))
     }
-
-    /// The bounded windows, when there are any — the handle the
-    /// structural binding-retention paths use to prove an edit left a
-    /// template instance's precedents untouched.
-    pub fn windows(&self) -> Option<&[RangeSpec]> {
-        match self {
-            ReadSet::Windows(ws) => Some(ws),
-            ReadSet::Unbounded => None,
-        }
-    }
 }
 
 impl fmt::Display for ReadSet {
@@ -288,7 +280,8 @@ impl fmt::Display for ReadSet {
     }
 }
 
-/// What the walk proves about one template: the two facts the engine reads.
+/// What the walk proves about one template: the facts [`check_sheet`]
+/// checks the dependency graph against and reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// Whether the template calls a volatile builtin (NOW, TODAY)
@@ -315,7 +308,8 @@ fn dynamic_reads(name: &str, argc: usize) -> bool {
 
 /// Walks `expr` anchored at `origin`. It is a walk of the expression, not
 /// of the bytecode: a wrong-arity `IF` lowers no code for its arguments,
-/// yet binding retention must see every reference in the text.
+/// yet the dependency graph registers every reference in the text, and
+/// so the read-set names every one.
 pub fn analyze(expr: &Expr, origin: CellAddr) -> Analysis {
     let mut w = Walk { origin, volatile: false, unbounded: false, windows: Vec::new() };
     w.go(expr);
@@ -450,9 +444,6 @@ impl fmt::Display for TemplateReport {
 ///
 /// * each template's compiled bytecode passes [`verify`] strictly
 ///   (including the [`MAX_STACK_DEPTH`] bound);
-/// * the facts stored on the cached [`Program`] agree with a fresh
-///   [`analyze`] of the instance (they are template-invariant, so a cache
-///   hit from another anchor must carry identical facts);
 /// * a formula that has a program bound runs the template map's program
 ///   for its own `normalize(expr, address)` — the same `Arc`, not a
 ///   look-alike — so a binding that outlived a rewrite or a move it should
@@ -488,17 +479,6 @@ pub fn check_sheet(sheet: &Sheet) -> Result<Vec<TemplateReport>, String> {
             let max_stack = verify(&prog).map_err(|e| {
                 format!("template {key:?} at {}: bytecode verification failed: {e}", addr.to_a1())
             })?;
-            if prog.is_volatile() != analysis.volatile || *prog.reads() != analysis.reads {
-                return Err(format!(
-                    "template {key:?} at {}: cached program facts diverge from analysis \
-                     (program: volatile={} reads={}; analysis: volatile={} reads={})",
-                    addr.to_a1(),
-                    prog.is_volatile(),
-                    prog.reads(),
-                    analysis.volatile,
-                    analysis.reads,
-                ));
-            }
             reports.insert(
                 key.clone(),
                 TemplateReport {

@@ -19,7 +19,7 @@
 //!   per-program pool beside the constants, instead of once per evaluation.
 
 use crate::addr::CellAddr;
-use crate::analyze::{self, ReadSet};
+use crate::analyze;
 use crate::error::CellError;
 use crate::eval::{apply_binary, apply_unary};
 use crate::formula::ast::{BinOp, Expr, UnaryOp};
@@ -154,9 +154,9 @@ pub(crate) enum Inst {
     SkipIfNotError(u32),
 }
 
-/// A compiled formula template: flat code plus its constant pool, tagged
-/// with the static facts `analyze` proved about it. Shared via `Arc` by
-/// every cell instantiating the template.
+/// A compiled formula template: flat code plus its constant pool and the
+/// stack depth the verifier proved for it. Shared via `Arc` by every cell
+/// instantiating the template.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub(crate) code: Vec<Inst>,
@@ -167,13 +167,6 @@ pub struct Program {
     /// Verifier-proven maximum operand-stack depth (`analyze::verify`);
     /// the VM pre-reserves this many scratch slots before executing.
     pub(crate) max_stack: u32,
-    /// Whether the template is rooted in a volatile builtin. A reported
-    /// fact, not a caching rule: the builtin reads the clock from the
-    /// evaluation context at run time, so the program is as pure a
-    /// function of its key as any other.
-    pub(crate) volatile: bool,
-    /// The template's static read-set (`analyze::analyze`).
-    pub(crate) reads: ReadSet,
 }
 
 impl Program {
@@ -192,28 +185,11 @@ impl Program {
         self.max_stack
     }
 
-    /// Whether the template is rooted in a volatile builtin.
-    pub fn is_volatile(&self) -> bool {
-        self.volatile
-    }
-
-    /// The template's static read-set.
-    pub fn reads(&self) -> &ReadSet {
-        &self.reads
-    }
-
     /// Assembles a raw program for verifier tests — the only way to build
     /// one that did not come out of the lowerer.
     #[cfg(test)]
     pub(crate) fn for_tests(code: Vec<Inst>, consts: Vec<Value>) -> Program {
-        Program {
-            code,
-            consts,
-            criteria: Vec::new(),
-            max_stack: 0,
-            volatile: false,
-            reads: ReadSet::Windows(Vec::new()),
-        }
+        Program { code, consts, criteria: Vec::new(), max_stack: 0 }
     }
 }
 
@@ -225,15 +201,7 @@ impl Program {
 pub fn compile(expr: &Expr, origin: CellAddr) -> Program {
     let mut l = Lowerer { code: Vec::new(), consts: Vec::new(), criteria: Vec::new(), origin };
     l.lower_scalar(expr);
-    let facts = analyze::analyze(expr, origin);
-    let mut prog = Program {
-        code: l.code,
-        consts: l.consts,
-        criteria: l.criteria,
-        max_stack: 0,
-        volatile: facts.volatile,
-        reads: facts.reads,
-    };
+    let mut prog = Program { code: l.code, consts: l.consts, criteria: l.criteria, max_stack: 0 };
     prog.max_stack = match analyze::verify(&prog) {
         Ok(depth) => depth,
         // Well-formed but deeper than the strict limit (breadth: a call

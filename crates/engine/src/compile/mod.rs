@@ -26,9 +26,11 @@
 //!    ([`Formula::program`](crate::cell::Formula::program)), so steps 1–2
 //!    run once per formula, not once per evaluation: a recalculation pass
 //!    reads expression and program from the one grid lookup it does anyway.
-//!    A document's formulas are bound as it is opened, and there the steps
-//!    run once per *template*: `OpenTemplates` recognises a fill-down
-//!    copy by its token stream before it is ever parsed.
+//!    A sort or structural edit that moves the cell keeps the binding
+//!    unless its reference rewrite changed the template key. A document's
+//!    formulas are bound as it is opened, and there the steps run once per
+//!    *template*: `OpenTemplates` recognises a fill-down copy by its token
+//!    stream before it is ever parsed.
 //! 5. **Run** — [`vm::run`] executes the program against the same
 //!    [`EvalCtx`](crate::eval::EvalCtx) the interpreter uses. Aggregate
 //!    calls over ranges dispatch to vectorized kernels that walk the grid's
@@ -48,11 +50,12 @@
 //! go stale is a *binding*: it is right for as long as
 //! `normalize(expr, address)` is the key it was resolved under. A typed-in
 //! formula starts unbound (one loaded from a document arrives bound to its
-//! template's program), a sort or structural shift carries the binding
-//! along with the cell, and the two places that rewrite or relocate a
-//! stored expression (`Sheet::permute_rows`, `ops::structure`) clear the
-//! bindings whose key they cannot prove unchanged, using the static
-//! read-set [`crate::analyze`] stored on the program.
+//! template's program), and a sort or structural shift carries the binding
+//! along with the cell. The reference rewriters of the two places that
+//! relocate a stored expression report whether the key changed —
+//! [`Expr::adjust`] (for `Sheet::permute_rows`) when a reference fell off
+//! the sheet, `ops::structure`'s `shift_expr` when a reference died or
+//! changed its R1C1 spelling — and the binding is cleared exactly then.
 //! [`analyze::check_sheet`](crate::analyze::check_sheet) re-derives every
 //! bound formula's key and fails on a program that is not the template
 //! map's.
@@ -192,6 +195,7 @@ impl ProgramCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::{analyze, Analysis};
     use crate::formula::parse;
     use crate::recalc::recalc_all;
     use crate::sheet::Sheet;
@@ -203,6 +207,11 @@ mod tests {
 
     fn bound(sheet: &Sheet, addr: &str) -> Arc<Program> {
         Arc::clone(sheet.formula_at(at(addr)).unwrap().program().expect("evaluated, so bound"))
+    }
+
+    /// What the analyzer proves about the formula at `addr`.
+    fn facts(sheet: &Sheet, addr: &str) -> Analysis {
+        analyze(&sheet.formula_at(at(addr)).unwrap().expr, at(addr))
     }
 
     #[test]
@@ -285,8 +294,8 @@ mod tests {
         s.set_formula_str(at("D1"), "=OFFSET(A1,1,0)").unwrap();
         recalc_all(&mut s);
         assert_eq!(s.program_cache().len(), 3);
-        assert!(bound(&s, "C1").is_volatile());
-        assert!(!bound(&s, "D1").reads().is_bounded());
+        assert!(facts(&s, "C1").volatile);
+        assert!(!facts(&s, "D1").reads.is_bounded());
         let lookups = s.program_cache().lookups();
         s.rebuild_deps();
         // Pure, volatile, unbounded: programs are functions of their key,
@@ -304,7 +313,7 @@ mod tests {
         s.set_formula_str(at("B1"), "=NOW()+A1").unwrap();
         s.set_now_serial(100.0);
         recalc_all(&mut s);
-        assert!(bound(&s, "B1").is_volatile());
+        assert!(facts(&s, "B1").volatile);
         assert_eq!(s.value(at("B1")), Value::Number(101.0));
         // The clock is an input of the run, not of the program.
         s.set_now_serial(200.0);

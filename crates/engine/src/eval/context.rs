@@ -8,7 +8,8 @@ use crate::value::Value;
 
 /// Read access to cell values during evaluation. Implemented by `Sheet`;
 /// kept as a trait so the evaluator and function library can be tested with
-/// in-memory fixtures and reused by the optimized engine.
+/// in-memory fixtures, and so the analyzer can record the reads of an
+/// evaluation (`analyze::RecordingSource`).
 pub trait CellSource {
     /// The resolved (displayed) value at `addr`; `Empty` outside bounds.
     fn value_at(&self, addr: CellAddr) -> Value;

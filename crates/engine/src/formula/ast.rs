@@ -164,27 +164,37 @@ impl Expr {
 
     /// Rewrites every reference for a move from `from` to `to`, in place;
     /// references that would fall off the sheet become `#REF!` literals.
-    pub fn adjust(&mut self, from: CellAddr, to: CellAddr) {
+    ///
+    /// Returns whether one did. Every other reference keeps its R1C1
+    /// spelling — a relative axis its offset, an absolute one its
+    /// coordinate — so `false` means the expression at `to` normalizes to
+    /// the template key it had at `from`.
+    pub fn adjust(&mut self, from: CellAddr, to: CellAddr) -> bool {
         match self {
             Expr::Ref(r) => match r.adjusted(from, to) {
-                Some(adj) => *r = adj,
-                None => *self = Expr::Error(CellError::Ref),
+                Some(adj) => {
+                    *r = adj;
+                    false
+                }
+                None => {
+                    *self = Expr::Error(CellError::Ref);
+                    true
+                }
             },
             Expr::RangeRef(r) => match r.adjusted(from, to) {
-                Some(adj) => *r = adj,
-                None => *self = Expr::Error(CellError::Ref),
+                Some(adj) => {
+                    *r = adj;
+                    false
+                }
+                None => {
+                    *self = Expr::Error(CellError::Ref);
+                    true
+                }
             },
             Expr::Unary(_, e) => e.adjust(from, to),
-            Expr::Binary(_, a, b) => {
-                a.adjust(from, to);
-                b.adjust(from, to);
-            }
-            Expr::Call(_, args) => {
-                for arg in args {
-                    arg.adjust(from, to);
-                }
-            }
-            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => {}
+            Expr::Binary(_, a, b) => a.adjust(from, to) | b.adjust(from, to),
+            Expr::Call(_, args) => args.iter_mut().fold(false, |fell, arg| arg.adjust(from, to) | fell),
+            Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => false,
         }
     }
 

@@ -282,9 +282,11 @@ mod tests {
         }
         crate::recalc::recalc_all(&mut s);
         assert_eq!((s.program_cache().len(), s.program_cache().misses()), (2, 2));
+        let lookups = s.program_cache().lookups();
         s.apply(Op::Sort { keys: vec![SortKey::asc(0)] }).unwrap();
         crate::recalc::recalc_all(&mut s);
         assert_eq!(s.program_cache().misses(), 2, "the sort evicted a template");
+        assert_eq!(s.program_cache().lookups(), lookups, "the sort cleared a binding");
         for r in 0..3u32 {
             let n = f64::from(r + 1);
             assert_eq!(s.value(CellAddr::new(r, 2)), Value::Number(100.0 + n));

@@ -9,10 +9,9 @@
 //! the entire index."
 
 use crate::addr::{CellAddr, CellRef};
-use crate::compile::Program;
 use crate::error::{CellError, EngineError};
 use crate::formula::ast::{Expr, RangeRef};
-use crate::formula::r1c1::{Axis as RefAxis, RefSpec};
+use crate::formula::r1c1::{RangeSpec, RefSpec};
 use crate::grid::{MAX_COLS, MAX_ROWS};
 use crate::meter::Primitive;
 use crate::ops::OpOutcome;
@@ -81,80 +80,48 @@ fn shift_range(r: RangeRef, axis: Axis, at: u32, count: u32, insert: bool) -> Op
     }
 }
 
-/// Rewrites every reference of an expression for a structural edit, in
-/// place.
-fn shift_expr(expr: &mut Expr, axis: Axis, at: u32, count: u32, insert: bool) {
-    match expr {
-        Expr::Ref(r) => match shift_ref(*r, axis, at, count, insert) {
-            Some(adj) => *r = adj,
-            None => *expr = Expr::Error(CellError::Ref),
-        },
-        Expr::RangeRef(r) => match shift_range(*r, axis, at, count, insert) {
-            Some(adj) => *r = adj,
-            None => *expr = Expr::Error(CellError::Ref),
-        },
-        Expr::Unary(_, e) => shift_expr(e, axis, at, count, insert),
-        Expr::Binary(_, a, b) => {
-            shift_expr(a, axis, at, count, insert);
-            shift_expr(b, axis, at, count, insert);
-        }
-        Expr::Call(_, args) => {
-            for arg in args {
-                shift_expr(arg, axis, at, count, insert);
-            }
-        }
-        Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => {}
-    }
-}
-
-/// The structural binding-retention predicate: whether the program bound
-/// to the formula at `old` is still the right compilation after an
-/// insert/delete of `count` lines at `at` moves the formula to its new
-/// address. True when every static read window provably rides the edit
-/// without a rewrite that changes the R1C1 key:
-///
-/// * an **unmoved** formula keeps its key iff every window sits strictly
-///   before the edit point (`shift_expr` then touches none of its refs);
-/// * a **moved** formula keeps its key iff every window sits entirely at
-///   or past the band (so each ref shifts by exactly the formula's own
-///   delta) *and* its edit-axis corner specs are relative — an absolute
-///   coordinate gets renumbered by the shift, changing the key.
-///
-/// Windows that fail to resolve at `old`, and `Unbounded` read-sets,
-/// prove nothing and never retain.
-fn binding_survives_edit(
-    prog: &Program,
+/// Rewrites every reference of the formula at `old`, which the edit moves
+/// to `new`, in place. Returns whether the rewrite changed the formula's
+/// template key: a reference died, or its R1C1 spelling at `new` is not
+/// the one it had at `old`. A reference before `at` is left as it is.
+fn shift_expr(
+    expr: &mut Expr,
     old: CellAddr,
+    new: CellAddr,
     axis: Axis,
     at: u32,
     count: u32,
     insert: bool,
 ) -> bool {
-    let Some(windows) = prog.reads().windows() else { return false };
-    let fc = match axis {
-        Axis::Row => old.row,
-        Axis::Col => old.col,
-    };
-    let band_end = if insert { at } else { at.saturating_add(count) };
-    let moved = fc >= band_end;
-    let rel_on_axis = |spec: &RefSpec| match axis {
-        Axis::Row => matches!(spec.row, RefAxis::Rel(_)),
-        Axis::Col => matches!(spec.col, RefAxis::Rel(_)),
-    };
-    windows.iter().all(|w| {
-        let (Some(s), Some(e)) = (w.start.resolve(old), w.end.resolve(old)) else {
-            return false;
-        };
-        let (sc, ec) = match axis {
-            Axis::Row => (s.row, e.row),
-            Axis::Col => (s.col, e.col),
-        };
-        if moved {
-            sc.min(ec) >= band_end && rel_on_axis(&w.start) && rel_on_axis(&w.end)
-        } else {
-            sc.max(ec) < at
-        }
-    })
+    let shift = |e: &mut Expr| shift_expr(e, old, new, axis, at, count, insert);
+    match expr {
+        Expr::Ref(r) => match shift_ref(*r, axis, at, count, insert) {
+            Some(adj) => {
+                let changed = RefSpec::from_ref(*r, old) != RefSpec::from_ref(adj, new);
+                *r = adj;
+                changed
+            }
+            None => {
+                *expr = Expr::Error(CellError::Ref);
+                true
+            }
+        },
+        Expr::RangeRef(r) => match shift_range(*r, axis, at, count, insert) {
+            Some(adj) => {
+                let changed = RangeSpec::from_range(r, old) != RangeSpec::from_range(&adj, new);
+                *r = adj;
+                changed
+            }
+            None => {
+                *expr = Expr::Error(CellError::Ref);
+                true
+            }
+        },
+        Expr::Unary(_, e) => shift(e),
+        Expr::Binary(_, a, b) => shift(a) | shift(b),
+        Expr::Call(_, args) => args.iter_mut().fold(false, |changed, arg| shift(arg) | changed),
+        Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) | Expr::Error(_) => false,
+    }
 }
 
 /// Applies a structural edit to the whole sheet, in place: the grid shifts
@@ -190,32 +157,21 @@ pub(crate) fn restructure(
             return Err(EngineError::OutOfBounds { rows, cols });
         }
     }
-    let line = |addr: CellAddr| match axis {
-        Axis::Row => addr.row,
-        Axis::Col => addr.col,
-    };
 
-    // Formulas, still at their old addresses: clear the program binding
-    // unless it provably rides the edit, and rewrite the references whose
-    // coordinates the edit can change (those before `at` never do). The
-    // grid shift below then carries expression and binding to the new
-    // address together.
+    // Formulas, still at their old addresses: rewrite the references, and
+    // clear the program binding exactly when that changed the template
+    // key. The grid shift below then carries expression and binding to
+    // the new address together.
     let formulas: Vec<CellAddr> = sheet.deps().formula_addrs().collect();
     for old in formulas {
-        if shift_coord(line(old), at, count, insert).is_none() {
+        let Some(new) = shift_ref(CellRef::absolute(old), axis, at, count, insert).map(|r| r.addr)
+        else {
             continue; // deleted with its line
-        }
-        let prec = sheet.deps().precedents_of(old).expect("listed formula is registered");
-        let rewrite = prec.cells.iter().any(|&c| line(c) >= at)
-            || prec.ranges.iter().any(|r| line(r.end) >= at);
+        };
         let formula =
             sheet.grid_store_mut().formula_mut(old).expect("registered formula is in the grid");
-        let bound = formula.program();
-        if bound.is_some_and(|p| !binding_survives_edit(p, old, axis, at, count, insert)) {
+        if shift_expr(&mut formula.expr, old, new, axis, at, count, insert) {
             formula.unbind();
-        }
-        if rewrite {
-            shift_expr(&mut formula.expr, axis, at, count, insert);
         }
     }
 
@@ -773,6 +729,43 @@ mod tests {
         assert_eq!(s.program_cache().lookups(), lookups, "2 of 2 bindings ride the insert");
         assert_eq!(s.value(a("A3")), Value::Number(3.0));
         assert_eq!(s.value(a("E1")), Value::Number(10.0));
+    }
+
+    /// The rule is exact: a binding survives an edit that leaves its
+    /// template key as it was — an absolute reference before the edit
+    /// point, an `OFFSET` whose relative reference moved with it — and
+    /// only then.
+    #[test]
+    fn a_moved_formula_keeps_its_program_exactly_when_its_key_is_unchanged() {
+        // The edit, where B5, C5 and D5 land, and which of them rebind.
+        for (op, landed, rebinds) in [
+            (Op::InsertRows { at: 2, count: 2 }, ["B7", "C7", "D7"], [false, false, true]),
+            (Op::DeleteRows { at: 1, count: 2 }, ["B3", "C3", "D3"], [false, false, true]),
+            (Op::InsertCols { at: 0, count: 1 }, ["C5", "D5", "E5"], [true, false, false]),
+        ] {
+            let mut s = Sheet::new();
+            for r in 0..10u32 {
+                s.set_value(CellAddr::new(r, 0), i64::from(r + 1));
+            }
+            s.set_formula_str(a("B5"), "=$A$1*2").unwrap();
+            s.set_formula_str(a("C5"), "=OFFSET(A5,0,0)").unwrap();
+            s.set_formula_str(a("D5"), "=A1*2").unwrap();
+            recalc::recalc_all(&mut s);
+            let lookups = s.program_cache().lookups();
+
+            s.apply(op.clone()).unwrap();
+            for (cell, rebinds) in landed.into_iter().zip(rebinds) {
+                let bound = s.formula_at(a(cell)).unwrap().program().is_some();
+                assert_eq!(bound, !rebinds, "{op:?}: {cell}");
+            }
+            recalc::recalc_all(&mut s);
+            assert_eq!(s.program_cache().lookups(), lookups + 1, "{op:?}: one key changed");
+            if let Err(e) = crate::analyze::check_sheet(&s) {
+                panic!("{op:?}: {e}");
+            }
+            let values = landed.map(|cell| s.value(a(cell)));
+            assert_eq!(values, [2.0, 5.0, 2.0].map(Value::Number), "{op:?}");
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
             fresh.meter().tick(Primitive::CellMove);
             match cell.into_cell() {
                 Cell::Formula(mut f) => {
-                    shift_expr(&mut f.expr, axis, at, count, insert);
+                    shift_expr(&mut f.expr, from, to, axis, at, count, insert);
                     fresh.set_formula(to, f.expr).unwrap();
                     fresh.store_formula_result(to, f.cached);
                 }

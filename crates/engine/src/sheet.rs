@@ -633,21 +633,14 @@ impl Sheet {
         self.permute_hidden(perm);
         // Rewrite the relative references of every moved formula, in one
         // walk over the chunks that can hold one. Its program binding rode
-        // the permutation with it and stays right when every window of the
-        // program's static read-set resolves at the destination address —
-        // then `normalize(adjusted(e, old, new), new) == normalize(e, old)`,
-        // the R1C1 key is unchanged, and the compiled program (a pure
-        // function of that key) is still the right one; otherwise the
-        // binding is cleared.
+        // the permutation with it and stays right unless a reference fell
+        // off the sheet: otherwise the R1C1 key is unchanged, and the
+        // compiled program is a pure function of that key.
         self.grid.for_each_formula_mut(&mut |addr, f| {
             let old_row = perm[addr.row as usize];
-            if old_row == addr.row {
-                return;
-            }
-            if f.program().is_some_and(|prog| !windows_resolve_at(prog.reads(), addr)) {
+            if old_row != addr.row && f.expr.adjust(CellAddr::new(old_row, addr.col), addr) {
                 f.unbind();
             }
-            f.expr.adjust(CellAddr::new(old_row, addr.col), addr);
         });
         self.rebuild_deps();
         Ok(())
@@ -666,8 +659,8 @@ impl Sheet {
 
     /// What [`Sheet::permute_rows`] did before it moved chunks: the grid
     /// rebuilt cell by cell, then every row of every column probed for a
-    /// formula whose expression is replaced by an adjusted copy. Kept as
-    /// the reference the differential test compares the scatter against.
+    /// formula whose references are adjusted. Kept as the reference the
+    /// differential test compares the scatter against.
     #[cfg(test)]
     pub(crate) fn permute_rows_reference(&mut self, perm: &[u32]) -> Result<(), EngineError> {
         self.grid.permute_rows_reference(perm)?;
@@ -680,10 +673,9 @@ impl Sheet {
             for col in 0..self.ncols() {
                 let addr = CellAddr::new(new_row, col);
                 let Some(f) = self.grid.formula_mut(addr) else { continue };
-                if f.program().is_some_and(|prog| !windows_resolve_at(prog.reads(), addr)) {
+                if f.expr.adjust(CellAddr::new(old_row, col), addr) {
                     f.unbind();
                 }
-                f.expr = f.expr.adjusted(CellAddr::new(old_row, col), addr);
             }
         }
         self.rebuild_deps();
@@ -751,7 +743,7 @@ impl Sheet {
     /// An evaluation context charging an explicit meter instead of the
     /// sheet's own — what the differential tests use to count one
     /// evaluator's work apart from another's.
-    pub fn eval_ctx_with<'a>(&'a self, current: CellAddr, meter: &'a Meter) -> EvalCtx<'a> {
+    pub(crate) fn eval_ctx_with<'a>(&'a self, current: CellAddr, meter: &'a Meter) -> EvalCtx<'a> {
         EvalCtx {
             cells: self,
             meter,
@@ -799,21 +791,6 @@ fn check_addr(addr: CellAddr) -> Result<(), EngineError> {
         return Err(EngineError::OutOfBounds { rows: addr.row, cols: addr.col });
     }
     Ok(())
-}
-
-/// The binding-retention predicate for a moved formula: every window of a
-/// bounded read-set resolves at `at`. Read windows are derived
-/// one-per-reference, so resolution of every window corner is exactly the
-/// condition under which the adjusted expression keeps its R1C1
-/// normalization — and with it its compiled program. `Unbounded` proves
-/// nothing and never retains.
-pub(crate) fn windows_resolve_at(reads: &crate::analyze::ReadSet, at: CellAddr) -> bool {
-    match reads.windows() {
-        Some(ws) => {
-            ws.iter().all(|w| w.start.resolve(at).is_some() && w.end.resolve(at).is_some())
-        }
-        None => false,
-    }
 }
 
 impl CellSource for Sheet {

@@ -346,12 +346,11 @@ pub fn optimized() -> SystemProfile {
         kind: SystemKind::Optimized,
         policies: SystemPolicies {
             lookup: LookupStrategy::StopEarly,
-            // The engine's binding-retention proof (`windows_resolve_at`
-            // in `engine::sheet`, `binding_survives_edit` in
-            // `engine::ops::structure`: which formulas keep their compiled
-            // program through a move) shows which formulas ride a row
-            // permutation unchanged; the survivors get a cheap recheck
-            // instead of Excel/Calc's full recomputation.
+            // A row permutation leaves a moved formula's template key as
+            // it was unless a reference falls off the sheet (`Expr::adjust`
+            // reports which, and only those lose their compiled program);
+            // the survivors get a cheap recheck instead of Excel/Calc's
+            // full recomputation.
             recalc_on_sort: RecalcTrigger::Recheck,
             recalc_on_format: RecalcTrigger::None,
             recalc_on_filter: RecalcTrigger::None,

@@ -29,12 +29,14 @@ tree_before="$(git status --porcelain)"
 # policy — its updates go through the engine like everyone else's; nor a
 # style inside the cell — fills are row runs kept per column beside the
 # values, and no write path carries a style; nor the analyzer's type
-# lattice and constant folding — pass 2 proves the read-set and volatility,
-# the two facts the engine reads — nor the three laziness flags and the
+# lattice and constant folding — pass 2 proves the read-set and volatility
+# for the dependency-graph check — nor the three laziness flags and the
 # window size that always equalled `remote` and 50, nor the level-parallel
 # recalc executor and its knobs: recalculation is sequential; nor the
 # Optimized system's token index and prefix-family pass, which bypassed the
-# engine: Figs 9 and 11 run the engine under the `indexed` policy.
+# engine: Figs 9 and 11 run the engine under the `indexed` policy; nor the
+# two binding-retention predicates over a program's read-set: the reference
+# rewriters report whether a template key changed.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("SSBENCH_GRID_BUDGET") ' ]; then
@@ -77,6 +79,11 @@ if grep -rnwE 'InvertedIndex|token_index|find_replace_indexed|recalc_shared|appl
     "finds and recalculates through the engine, priced by its indexed policy" >&2
   exit 1
 fi
+if grep -rnwE 'windows_resolve_at|binding_survives_edit' crates src tests examples; then
+  echo "a deleted binding-retention predicate is back (see above); a moved formula" \
+    "is unbound when its reference rewrite changed its template key" >&2
+  exit 1
+fi
 
 if [ "$(ls shims | tr '\n' ' ')" != 'rand ' ]; then
   echo "shims/ must hold exactly rand, found: $(ls shims | tr '\n' ' ')" >&2
@@ -105,8 +112,8 @@ sheet_api="$(find crates/engine/src -name '*.rs' -print0 | sort -z | xargs -0 aw
     on && /^\}/ { on = 0 }
     on && match($0, /^    pub fn [A-Za-z0-9_]+/) { print substr($0, RSTART + 11, RLENGTH - 11) }' |
   sort | tr '\n' ' ')"
-pinned_api='apply auto_index cell define_name deps ensure_indexes ensure_size eval_ctx eval_ctx_with '
-pinned_api+='eval_expr eval_str fill formula_count formula_expr grid_budget grid_heap_bytes '
+pinned_api='apply auto_index cell define_name deps ensure_indexes ensure_size eval_ctx eval_expr '
+pinned_api+='eval_str fill formula_count formula_expr grid_budget grid_heap_bytes '
 pinned_api+='grid_resident_bytes grid_spill_stats index_store input_text is_formula is_row_hidden '
 pinned_api+='lookup_strategy meter name_range names ncols new now_serial nrows permute_rows '
 pinned_api+='program_cache rebuild_deps remove_name set_auto_index set_formula set_formula_str '
