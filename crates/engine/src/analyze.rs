@@ -35,7 +35,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::addr::{CellAddr, Range};
-use crate::compile::lower::{func_id, Inst, Kernel, Program};
+use crate::compile::lower::{compile, func_id, Inst, Kernel, Program};
 use crate::eval::CellSource;
 use crate::formula::ast::Expr;
 use crate::formula::r1c1::{self, RangeSpec, RefSpec};
@@ -446,12 +446,16 @@ impl fmt::Display for TemplateReport {
 ///   (including the [`MAX_STACK_DEPTH`] bound);
 /// * a formula that has a program bound runs the template map's program
 ///   for its own `normalize(expr, address)` — the same `Arc`, not a
-///   look-alike — so a binding that outlived a rewrite or a move it should
-///   not have is caught here, whatever the values happen to be;
+///   look-alike, and a program missing from the map is no exception — so
+///   a binding that outlived a rewrite or a move it should not have is
+///   caught here, whatever the values happen to be;
 /// * for every instance with a bounded read-set, each window that resolves
 ///   at the instance address is covered by the precedents the dep graph
 ///   registered for that instance (a window that does not resolve is never
 ///   read — evaluation yields `#REF!` there).
+///
+/// The check leaves the sheet's program cache as it found it: no lookup
+/// counted, no template inserted.
 ///
 /// Returns the per-template reports (sorted by template string), or the
 /// first violation, naming the template and — for coverage failures — the
@@ -465,8 +469,13 @@ pub fn check_sheet(sheet: &Sheet) -> Result<Vec<TemplateReport>, String> {
         let expr = &formula.expr;
         let key = r1c1::normalize(expr, addr);
         let analysis = analyze(expr, addr);
-        let prog = sheet.program_cache().get_or_compile(expr, addr);
-        if formula.program().is_some_and(|bound| !Arc::ptr_eq(bound, &prog)) {
+        // Read-only: the map is consulted without counting a lookup, and
+        // a template it lacks is compiled here, only to be verified.
+        let cached = sheet.program_cache().get(&key);
+        let stale = formula
+            .program()
+            .is_some_and(|bound| !cached.as_ref().is_some_and(|prog| Arc::ptr_eq(bound, prog)));
+        if stale {
             return Err(format!(
                 "template {key:?}: the program bound to the instance at {} is not the \
                  template map's (a stale binding survived an edit)",
@@ -476,6 +485,7 @@ pub fn check_sheet(sheet: &Sheet) -> Result<Vec<TemplateReport>, String> {
         if let Some(report) = reports.get_mut(&key) {
             report.instances += 1;
         } else {
+            let prog = cached.unwrap_or_else(|| Arc::new(compile(expr, addr)));
             let max_stack = verify(&prog).map_err(|e| {
                 format!("template {key:?} at {}: bytecode verification failed: {e}", addr.to_a1())
             })?;
@@ -758,6 +768,33 @@ mod tests {
         // Resolving the template's window at column A falls off the sheet.
         assert_eq!(ws[0].start.resolve(a("A1")), None);
         assert!(ws[0].start.resolve(origin).is_some());
+    }
+
+    /// The check reads the template map and never writes it: a bound
+    /// formula's lookup is not counted, and a template no recalculation
+    /// has compiled yet is verified without being inserted.
+    #[test]
+    fn checking_a_sheet_leaves_the_program_cache_alone() {
+        let mut s = demo_sheet();
+        s.set_formula_str(a("D1"), "=B1-A8").unwrap(); // a new template, not yet compiled
+        let (lookups, len) = (s.program_cache().lookups(), s.program_cache().len());
+        let reports = check_sheet(&s).unwrap();
+        assert_eq!(reports.len(), 4, "the uncompiled template is verified too");
+        assert_eq!(s.program_cache().lookups(), lookups, "check_sheet counted a lookup");
+        assert_eq!(s.program_cache().len(), len, "check_sheet inserted a template");
+    }
+
+    /// A bound program the template map does not hold is a stale binding
+    /// as surely as one the map holds another program for.
+    #[test]
+    fn a_binding_missing_from_the_template_map_is_stale() {
+        let mut s = demo_sheet();
+        let f = s.grid_store_mut().formula_mut(a("B1")).unwrap();
+        f.unbind();
+        let own = Arc::new(compile(&f.expr, a("B1")));
+        f.program_or_bind(|| own);
+        let err = check_sheet(&s).unwrap_err();
+        assert!(err.contains("stale binding"), "{err}");
     }
 
     #[test]

@@ -110,6 +110,13 @@ impl ProgramCache {
         program
     }
 
+    /// The program cached for the template `key`, if any, without
+    /// counting a lookup or compiling anything: the read-only access
+    /// `analyze::check_sheet` checks bindings through.
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<Program>> {
+        self.map.borrow().get(key).cloned()
+    }
+
     /// Number of cached programs (distinct templates seen).
     pub fn len(&self) -> usize {
         self.map.borrow().len()

@@ -150,18 +150,6 @@ impl Expr {
         (cells, ranges)
     }
 
-    /// True when the expression contains any absolute reference component.
-    /// Sorting whole rows never changes the value of formulae whose
-    /// references are all relative (§6, "Detecting what needs
-    /// recomputation").
-    pub fn has_absolute_refs(&self) -> bool {
-        let (cells, ranges) = self.refs();
-        cells.iter().any(|c| c.abs_row || c.abs_col)
-            || ranges
-                .iter()
-                .any(|r| r.start.abs_row || r.start.abs_col || r.end.abs_row || r.end.abs_col)
-    }
-
     /// Rewrites every reference for a move from `from` to `to`, in place;
     /// references that would fall off the sheet become `#REF!` literals.
     ///
@@ -246,20 +234,6 @@ mod tests {
         assert_eq!(ranges.len(), 1);
         assert_eq!(ranges[0].range(), Range::parse("A1:A3").unwrap());
         assert_eq!(e.node_count(), 7);
-    }
-
-    #[test]
-    fn absolute_ref_detection() {
-        let rel = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Ref(r("A1"))),
-            Box::new(Expr::Ref(r("B1"))),
-        );
-        assert!(!rel.has_absolute_refs());
-        let abs = Expr::Ref(r("$A$1"));
-        assert!(abs.has_absolute_refs());
-        let half = Expr::RangeRef(RangeRef { start: r("A1"), end: r("A$9") });
-        assert!(half.has_absolute_refs());
     }
 
     #[test]

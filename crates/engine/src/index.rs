@@ -23,11 +23,20 @@
 //!   reported by `Sheet::edit_chunks` (find-and-replace's in-place
 //!   rewrite), so `on_write` sees every edit of an indexed column with the
 //!   old value still in hand.
-//! * **Structural edits invalidate.** `Sheet::rebuild_deps` (sort,
-//!   insert/delete rows/cols) demotes every built index to pending; the
-//!   next `ensure_indexes` rebuilds from the grid. A pending or dropped
-//!   column simply falls back to the scan path, so correctness never
-//!   depends on a rebuild having happened.
+//! * **Structural edits move with their rows.** A built index follows
+//!   the cells it describes instead of being rebuilt from the grid (§6:
+//!   an index that "encodes the row or column number" must not be redone
+//!   wholesale for "a single change"): a sort maps every posting through
+//!   the permutation (`IndexStore::permute`), a row edit shifts the
+//!   postings past the band and drops the ones inside it
+//!   (`IndexStore::shift_rows`), a column edit re-keys the index with
+//!   its column (`IndexStore::remap_cols`). None of this is charged to
+//!   the meter: the edit's `CellMove`s already price the rows moving.
+//!   Only a bulk load (`Sheet::load_rows`) demotes built indexes to
+//!   pending for the next `ensure_indexes` to rebuild. A pending or
+//!   dropped column simply falls back to the scan path, and the oracle's
+//!   `audit::check_indexes` holds every built index to a fresh build
+//!   after every op.
 //!
 //! # Eligibility
 //!
@@ -103,6 +112,76 @@ impl ColumnIndex {
     /// Finalizes a bulk build.
     fn finish(&mut self) {
         self.sorted_nums.sort_unstable_by(f64::total_cmp);
+    }
+
+    /// Moves every posting with its row through a sort: new row `i` was
+    /// old row `perm[i]`. The result is each posting mapped through the
+    /// inverse permutation and its list re-sorted; it is assembled by one
+    /// walk down the new rows, which appends each to its list in ascending
+    /// order. The numbers and the entry count are the same multiset.
+    fn permute(&mut self, perm: &[u32]) {
+        let mut lists: Vec<&mut Vec<u32>> = self.hash.values_mut().collect();
+        // The list each old row posts to (`u32::MAX`: none).
+        let mut list_of = vec![u32::MAX; perm.len()];
+        for (k, rows) in lists.iter_mut().enumerate() {
+            for &row in rows.iter() {
+                list_of[row as usize] = k as u32;
+            }
+            rows.clear();
+        }
+        for (new, &old) in perm.iter().enumerate() {
+            if let Some(rows) = lists.get_mut(list_of[old as usize] as usize) {
+                rows.push(new as u32);
+            }
+        }
+    }
+
+    /// Opens `count` vacant rows before row `at`: later postings shift.
+    fn insert_rows(&mut self, at: u32, count: u32) {
+        for rows in self.hash.values_mut() {
+            let i = rows.partition_point(|&r| r < at);
+            rows[i..].iter_mut().for_each(|r| *r += count);
+        }
+    }
+
+    /// Removes rows `at..at + count`: their postings go (and a list they
+    /// empty with them), later ones shift up, and `band_nums` — the
+    /// numbers the band held, read from the grid, since a key has folded
+    /// `-0.0` into `0.0` — leave the sorted numbers.
+    fn delete_rows(&mut self, at: u32, count: u32, mut band_nums: Vec<f64>) {
+        let end = at.saturating_add(count);
+        let ColumnIndex { hash, sorted_nums, entries } = self;
+        hash.retain(|_, rows| {
+            let a = rows.partition_point(|&r| r < at);
+            let b = rows.partition_point(|&r| r < end);
+            rows.drain(a..b);
+            *entries -= b - a;
+            rows[a..].iter_mut().for_each(|r| *r -= count);
+            !rows.is_empty()
+        });
+        // Both sides ascending under `total_cmp`: one merge walk takes
+        // each deleted number out once.
+        band_nums.sort_unstable_by(f64::total_cmp);
+        let mut gone = band_nums.into_iter().peekable();
+        sorted_nums.retain(|x| {
+            while gone.next_if(|g| g.total_cmp(x).is_lt()).is_some() {}
+            gone.next_if(|g| g.total_cmp(x).is_eq()).is_none()
+        });
+    }
+
+    /// Where this index differs from `fresh`, a build of its column from
+    /// the grid: `None` when they agree bit for bit.
+    pub(crate) fn differs_from(&self, fresh: &ColumnIndex) -> Option<&'static str> {
+        let bits = |nums: &[f64]| nums.iter().map(|n| n.to_bits()).collect::<Vec<_>>();
+        if self.hash != fresh.hash {
+            Some("hash postings")
+        } else if bits(&self.sorted_nums) != bits(&fresh.sorted_nums) {
+            Some("sorted numbers")
+        } else if self.entries != fresh.entries {
+            Some("entry count")
+        } else {
+            None
+        }
     }
 
     /// Incremental insert (single-cell edit path).
@@ -185,7 +264,8 @@ impl ColumnIndex {
 enum ColState {
     /// Registered but not (re)built yet; probes fall back to scans.
     Pending,
-    /// Live index, maintained through every `set_value`.
+    /// Live index, maintained through every `set_value` and moved with
+    /// its rows and its column by every sort and structural edit.
     Built(ColumnIndex),
     /// Permanently excluded: a formula lives (or lived) in the column.
     Dropped,
@@ -224,8 +304,8 @@ impl IndexStore {
         }
     }
 
-    /// Demotes every built index to pending (structural edits reshuffled
-    /// rows wholesale; the next `ensure_indexes` rebuilds from the grid).
+    /// Demotes every built index to pending (a bulk load replaced the
+    /// grid wholesale; the next `ensure_indexes` rebuilds from it).
     pub(crate) fn invalidate_built(&mut self) {
         for state in self.cols.values_mut() {
             if matches!(state, ColState::Built(_)) {
@@ -246,8 +326,7 @@ impl IndexStore {
     }
 
     /// Installs a freshly built index.
-    pub(crate) fn install(&mut self, col: u32, mut ix: ColumnIndex) {
-        ix.finish();
+    pub(crate) fn install(&mut self, col: u32, ix: ColumnIndex) {
         self.cols.insert(col, ColState::Built(ix));
     }
 
@@ -257,6 +336,20 @@ impl IndexStore {
             Some(ColState::Built(ix)) => Some(ix),
             _ => None,
         }
+    }
+
+    /// Every live index with its column, ascending (the audit's walk).
+    pub(crate) fn built_cols(&self) -> Vec<(u32, &ColumnIndex)> {
+        let mut out: Vec<(u32, &ColumnIndex)> = self
+            .cols
+            .iter()
+            .filter_map(|(&c, s)| match s {
+                ColState::Built(ix) => Some((c, ix)),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable_by_key(|&(c, _)| c);
+        out
     }
 
     /// Whether `col` has a live index (the `set_value` fast-path check).
@@ -284,20 +377,46 @@ impl IndexStore {
         }
     }
 
-    /// Structural column edit: registrations move with their columns
-    /// (`None` = the column was deleted, and its registration with it).
-    /// Dropped columns stay dropped; everything else re-enters as pending,
-    /// as after any structural edit ([`Self::invalidate_built`]).
+    /// A sort: every built index moves its postings with their rows (new
+    /// row `i` was old row `perm[i]`, a bijection of the extent).
+    pub(crate) fn permute(&mut self, perm: &[u32]) {
+        for state in self.cols.values_mut() {
+            if let ColState::Built(ix) = state {
+                ix.permute(perm);
+            }
+        }
+    }
+
+    /// A row edit at `at` (`count` rows inserted or deleted): every built
+    /// index shifts its postings with the rows. A delete asks `band_nums`
+    /// for the numbers a column held in the deleted band, which the
+    /// caller reads from the grid before the rows go.
+    pub(crate) fn shift_rows(
+        &mut self,
+        at: u32,
+        count: u32,
+        insert: bool,
+        mut band_nums: impl FnMut(u32) -> Vec<f64>,
+    ) {
+        for (&col, state) in &mut self.cols {
+            if let ColState::Built(ix) = state {
+                if insert {
+                    ix.insert_rows(at, count);
+                } else {
+                    ix.delete_rows(at, count, band_nums(col));
+                }
+            }
+        }
+    }
+
+    /// Structural column edit: registrations and built indexes move with
+    /// their columns (`None` = the column was deleted, and its index with
+    /// it). A column's rows are untouched, so a built index stays built,
+    /// a pending one pending and a dropped one dropped.
     pub(crate) fn remap_cols(&mut self, map: impl Fn(u32) -> Option<u32>) {
         self.cols = std::mem::take(&mut self.cols)
             .into_iter()
-            .filter_map(|(col, state)| {
-                let state = match state {
-                    ColState::Dropped => ColState::Dropped,
-                    _ => ColState::Pending,
-                };
-                map(col).map(|col| (col, state))
-            })
+            .filter_map(|(col, state)| map(col).map(|col| (col, state)))
             .collect();
     }
 }
@@ -308,7 +427,8 @@ impl IndexStore {
 
 /// Accumulates one column's cells into a `ColumnIndex`; refuses the column
 /// when a formula is present. The meter is charged one `IndexProbe` per
-/// indexed cell so rebuilds (e.g. after a sort) are priced as real work.
+/// indexed cell so a build (at open, of a newly registered column, after a
+/// bulk load) is priced as real work.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnBuilder {
     ix: ColumnIndex,
@@ -331,10 +451,11 @@ impl ColumnBuilder {
     }
 
     /// `Ok(index)` when the column is formula-free, `Err(())` otherwise.
-    pub(crate) fn finish(self) -> Result<ColumnIndex, ()> {
+    pub(crate) fn finish(mut self) -> Result<ColumnIndex, ()> {
         if self.has_formula {
             Err(())
         } else {
+            self.ix.finish();
             Ok(self.ix)
         }
     }
@@ -488,9 +609,7 @@ mod tests {
         for (row, v) in values.iter().enumerate() {
             b.add(&meter, row as u32, v, false);
         }
-        let mut ix = b.finish().expect("no formulas");
-        ix.finish();
-        ix
+        b.finish().expect("no formulas")
     }
 
     fn nums(ns: &[f64]) -> Vec<Value> {
@@ -572,15 +691,95 @@ mod tests {
         // A dropped column cannot be re-registered.
         store.register(1);
         assert_eq!(store.pending_cols(), Vec::<u32>::new());
-        // A column remap carries the dropped bit, demotes live indexes and
-        // forgets deleted columns.
+        // A column remap carries the dropped bit, moves live indexes with
+        // their columns (still built) and forgets deleted columns.
         store.register(3);
         store.install(3, built(&nums(&[1.0])));
         store.register(4);
         store.remap_cols(|col| (col != 4).then_some(col + 2));
-        assert_eq!(store.pending_cols(), vec![5]);
+        assert_eq!(store.pending_cols(), Vec::<u32>::new());
+        assert!(store.has_built(5));
         assert!(matches!(store.cols.get(&3), Some(ColState::Dropped)));
         assert_eq!(store.cols.len(), 2);
+    }
+
+    /// A column of every kind an index meets: repeated numbers, text in
+    /// two cases (one key), `0.0` beside `-0.0` (one key, two sorted
+    /// numbers), a text that occurs once, and cells an index skips.
+    fn mixed() -> Vec<Value> {
+        let mut v: Vec<Value> = (0..48u32)
+            .map(|i| match i % 6 {
+                0 => Value::Number(f64::from(i % 5)),
+                1 => Value::text(if i % 4 == 1 { "Storm" } else { "STORM" }),
+                2 => Value::Empty,
+                3 => Value::Number(if i % 4 == 3 { -0.0 } else { 0.0 }),
+                4 => Value::text(format!("t{}", i % 3)),
+                _ => Value::Bool(true),
+            })
+            .collect();
+        v[20] = Value::text("solo");
+        v
+    }
+
+    fn assert_same(moved: &ColumnIndex, fresh: &ColumnIndex, what: &str) {
+        assert_eq!(moved.differs_from(fresh), None, "{what}");
+    }
+
+    #[test]
+    fn permute_equals_a_fresh_build_of_the_sorted_column() {
+        let v = mixed();
+        let n = v.len() as u32;
+        for perm in [
+            (0..n).rev().collect::<Vec<u32>>(),
+            (0..n).map(|i| (i * 7) % n).collect(),
+            (0..n).collect(),
+        ] {
+            let mut ix = built(&v);
+            ix.permute(&perm);
+            let sorted: Vec<Value> = perm.iter().map(|&old| v[old as usize].clone()).collect();
+            assert_same(&ix, &built(&sorted), &format!("{perm:?}"));
+        }
+    }
+
+    #[test]
+    fn inserted_rows_shift_later_postings() {
+        let v = mixed();
+        for (at, count) in [(0, 3), (17, 1), (30, 12), (48, 5)] {
+            let mut ix = built(&v);
+            ix.insert_rows(at, count);
+            let mut opened = v.clone();
+            let at = at as usize;
+            opened.splice(at..at, std::iter::repeat_n(Value::Empty, count as usize));
+            assert_same(&ix, &built(&opened), &format!("insert {count} at {at}"));
+        }
+    }
+
+    #[test]
+    fn deleted_rows_take_their_postings_and_numbers_with_them() {
+        let v = mixed();
+        let band_nums = |band: &[Value]| -> Vec<f64> {
+            band.iter().filter_map(|c| if let Value::Number(n) = c { Some(*n) } else { None }).collect()
+        };
+        // Rows 14..22 hold `-0.0` (row 15), `0.0` (21) and "solo" (20).
+        for (at, count) in [(14u32, 8u32), (0, 1), (40, 8), (0, 48), (30, 100)] {
+            let (lo, hi) = (at as usize, ((at + count) as usize).min(v.len()));
+            let mut ix = built(&v);
+            ix.delete_rows(at, count, band_nums(&v[lo..hi]));
+            let mut closed = v.clone();
+            closed.drain(lo..hi);
+            assert_same(&ix, &built(&closed), &format!("delete {count} at {at}"));
+        }
+        let mut ix = built(&v);
+        ix.delete_rows(14, 8, band_nums(&v[14..22]));
+        assert!(!ix.hash.contains_key(&IndexKey::of(&Value::text("solo")).unwrap()), "emptied list");
+        // The numbers a key stands for are not the ones the band held: a
+        // `-0.0` taken out as the `0.0` of its key leaves the wrong zero.
+        let mut from_keys = built(&v);
+        let folded = band_nums(&v[14..22]).iter().map(|&n| if n == 0.0 { 0.0 } else { n }).collect();
+        from_keys.delete_rows(14, 8, folded);
+        let mut closed = v.clone();
+        closed.drain(14..22);
+        assert_eq!(from_keys.differs_from(&built(&closed)), Some("sorted numbers"));
     }
 
     #[test]

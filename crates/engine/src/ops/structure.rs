@@ -127,7 +127,7 @@ fn shift_expr(
 /// Applies a structural edit to the whole sheet, in place: the grid shifts
 /// its typed chunks, and everything else the sheet keys by coordinate —
 /// formula references and program bindings, named ranges, filter flags,
-/// index registrations, the dependency graph — follows.
+/// column indexes, the dependency graph — follows.
 ///
 /// The meter is charged what moving the sheet cell by cell costs: one
 /// `CellMove` per relocated slot (occupied or not) and per occupied cell
@@ -175,6 +175,16 @@ pub(crate) fn restructure(
         }
     }
 
+    // Column indexes move with their lines instead of being rebuilt: a
+    // row edit shifts every built index's postings (a delete reads the
+    // numbers leaving each column from the band, so this runs before the
+    // grid drops it), a column edit re-keys the indexes with their
+    // columns. The cell moves charged below price the remap.
+    match axis {
+        Axis::Row => sheet.shift_index_rows(at, count, insert),
+        Axis::Col => sheet.remap_index_cols(|col| shift_coord(col, at, count, insert)),
+    }
+
     let grid = sheet.grid_store_mut();
     let counts = match (axis, insert) {
         (Axis::Row, true) => grid.insert_rows(at, count),
@@ -198,13 +208,6 @@ pub(crate) fn restructure(
         } else {
             hidden.drain(lo..lo.saturating_add(count as usize).min(hidden.len()));
         }
-    }
-    // Column indexes: a column edit moves registrations with their
-    // columns; either axis demotes every live index to pending (row edits
-    // through `rebuild_deps` below) and the next recalc rebuilds
-    // them, paying the §6 maintenance cost through `IndexProbe`.
-    if axis == Axis::Col {
-        sheet.remap_index_cols(|col| shift_coord(col, at, count, insert));
     }
     // Named ranges move like absolute references do: shifted, clipped, and
     // gone once their whole range is deleted.
@@ -758,11 +761,11 @@ mod tests {
                 let bound = s.formula_at(a(cell)).unwrap().program().is_some();
                 assert_eq!(bound, !rebinds, "{op:?}: {cell}");
             }
-            recalc::recalc_all(&mut s);
-            assert_eq!(s.program_cache().lookups(), lookups + 1, "{op:?}: one key changed");
             if let Err(e) = crate::analyze::check_sheet(&s) {
                 panic!("{op:?}: {e}");
             }
+            recalc::recalc_all(&mut s);
+            assert_eq!(s.program_cache().lookups(), lookups + 1, "{op:?}: one key changed");
             let values = landed.map(|cell| s.value(a(cell)));
             assert_eq!(values, [2.0, 5.0, 2.0].map(Value::Number), "{op:?}");
         }
@@ -780,24 +783,26 @@ mod tests {
         assert_eq!(s.value(a("D1")), Value::Number(5.0));
         assert!(s.index_store().has_built(1), "column B indexed after recalc");
 
-        // Insert a column before B: the registration shifts with the data
-        // and the next recalc rebuilds it at the new coordinate.
+        // Insert a column before B: the built index moves with the data
+        // and answers at the new coordinate at once.
         s.apply(Op::InsertCols { at: 0, count: 1 }).unwrap();
-        assert!(!s.index_store().has_built(2), "registration demoted to pending");
+        assert!(s.index_store().has_built(2), "the index moved with its column");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("E1")), Value::Number(5.0));
-        assert!(s.index_store().has_built(2), "index rebuilt on shifted column");
+        assert!(s.index_store().has_built(2), "index still built on the shifted column");
 
-        // Delete the indexed column: the registration dies with it (no
-        // stale index at the old coordinate), and the rewritten
+        // Delete the indexed column: its index dies with it, and the
+        // empty column that moves into its place brings its own empty
+        // index (no stale postings at the old coordinate); the rewritten
         // `COUNTIF(#REF!,2)` counts nothing — not the stale 5 a surviving
         // index would report.
         s.apply(Op::DeleteCols { at: 2, count: 1 }).unwrap();
-        assert!(!s.index_store().has_built(2), "deleted column's registration died");
+        let moved_in = s.index_store().built(2).expect("the next column's index moved in");
+        assert!(moved_in.is_empty(), "the deleted column's index died with it");
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("D1")), Value::Number(0.0));
 
-        // Row edits keep registrations in place (demoted, then rebuilt).
+        // Row edits keep the index in its column, postings shifted.
         let mut s = Sheet::new();
         s.set_auto_index(true);
         for i in 0..20u32 {
@@ -807,17 +812,60 @@ mod tests {
         recalc::recalc_all(&mut s);
         assert_eq!(s.value(a("C1")), Value::Number(5.0));
         s.apply(Op::InsertRows { at: 5, count: 2 }).unwrap();
+        assert!(s.index_store().has_built(0), "index kept built through the row insert");
         recalc::recalc_all(&mut s);
         // The range widened to A1:A22 over the same 20 values + 2 blanks.
         assert_eq!(s.value(a("C1")), Value::Number(5.0));
-        assert!(s.index_store().has_built(0), "index rebuilt after row insert");
+        crate::audit::check_indexes(&s).unwrap();
+    }
+
+    /// §6's hazard answered: a sort, a row edit and a column edit each
+    /// leave every built index built, moved with its rows, so the next
+    /// recalculation rebuilds nothing. With no formula on the sheet that
+    /// probes an index, that pass charges no `IndexProbe` at all (a
+    /// rebuild charges one per indexed cell).
+    #[test]
+    fn sorts_and_structural_edits_keep_every_index_built() {
+        let mut s = Sheet::new();
+        s.set_auto_index(true);
+        for r in 0..300u32 {
+            s.set_value(CellAddr::new(r, 0), f64::from((r * 37) % 101)); // A: numbers
+            s.set_value(CellAddr::new(r, 1), format!("k{}", r % 7)); // B: text
+            if r % 3 == 0 {
+                s.set_value(CellAddr::new(r, 2), -0.0); // C: signed zeros among numbers
+            } else {
+                s.set_value(CellAddr::new(r, 2), f64::from(r % 4));
+            }
+        }
+        s.set_formula_str(a("D1"), "=A1*2").unwrap(); // a formula that probes nothing
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.index_store().built_count(), 3, "A, B and C are indexed; D holds a formula");
+        for op in [
+            Op::Sort { keys: vec![crate::ops::SortKey::asc(0)] },
+            Op::InsertRows { at: 40, count: 25 },
+            Op::DeleteRows { at: 10, count: 60 },
+            Op::InsertCols { at: 1, count: 2 },
+            Op::Sort { keys: vec![crate::ops::SortKey::desc(3)] },
+        ] {
+            // The recalculation after an insert builds the new (empty)
+            // columns too, charging nothing for them.
+            let built = s.index_store().built_count();
+            s.apply(op.clone()).unwrap();
+            assert_eq!(s.index_store().built_count(), built, "{op:?}: an index was demoted");
+            crate::audit::check_indexes(&s).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+            let before = s.meter().snapshot().get(Primitive::IndexProbe);
+            recalc::recalc_all(&mut s);
+            let probes = s.meter().snapshot().get(Primitive::IndexProbe) - before;
+            assert_eq!(probes, 0, "{op:?}: the next recalc rebuilt an index");
+        }
     }
 
     #[test]
     fn hash_index_survives_via_rebuild_semantics() {
-        // Demonstrates the §6 hazard: a row insertion invalidates any
-        // index keyed by row number; the engine's grid stays consistent,
-        // so rebuilding after the edit is always correct.
+        // Demonstrates the §6 hazard: a row insertion renumbers every
+        // row past it, which an index keyed by row number must follow;
+        // the grid stays consistent, and a query after the edit counts
+        // the shifted column.
         let mut s = Sheet::new();
         for i in 0..10u32 {
             s.set_value(CellAddr::new(i, 0), i64::from(i % 3));

@@ -14,7 +14,7 @@ use crate::eval::context::DEFAULT_NOW_SERIAL;
 use crate::eval::{CellSource, EvalCtx, LookupStrategy};
 use crate::formula::{Expr, NameResolver, RangeRef};
 use crate::grid::{CellGet, ChunkMut, GridStore, IdMemo, ScanSlice, CHUNK_ROWS};
-use crate::index::{ColumnBuilder, IndexStore};
+use crate::index::{ColumnBuilder, ColumnIndex, IndexStore};
 use crate::meter::{Meter, Primitive};
 use crate::style::Color;
 use crate::value::{classify, Input, Value};
@@ -374,31 +374,64 @@ impl Sheet {
 
     /// Builds one pending column index from the grid.
     fn build_index(&mut self, col: u32) {
-        let nrows = self.nrows();
         if col >= self.ncols() {
             // Registered beyond the materialized extent: nothing to index
             // yet; stays pending until the column exists.
             return;
         }
-        let mut builder = ColumnBuilder::default();
-        if nrows > 0 {
-            let range = Range::new(CellAddr::new(0, col), CellAddr::new(nrows - 1, col));
-            let meter = &self.meter;
-            self.visit_range(range, &mut |addr, value, is_formula| {
-                builder.add(meter, addr.row, value, is_formula);
-            });
-        }
-        match builder.finish() {
+        match self.scan_index(col, &self.meter) {
             Ok(ix) => self.indexes.install(col, ix),
             Err(()) => self.indexes.drop_col(col),
         }
     }
 
-    /// Moves index registrations with their columns for a structural
-    /// column edit (`None` = the column was deleted); every live index
-    /// demotes to pending and rebuilds at the next `ensure_indexes`.
+    /// A fresh index of column `col` built from the grid, charged to
+    /// `meter`; `Err(())` when the column holds a formula. The build a
+    /// pending column gets, and the one `audit::check_indexes` holds every
+    /// built index to.
+    pub(crate) fn scan_index(&self, col: u32, meter: &Meter) -> Result<ColumnIndex, ()> {
+        let mut builder = ColumnBuilder::default();
+        if self.nrows() > 0 {
+            let range = Range::new(CellAddr::new(0, col), CellAddr::new(self.nrows() - 1, col));
+            self.visit_range(range, &mut |addr, value, is_formula| {
+                builder.add(meter, addr.row, value, is_formula);
+            });
+        }
+        builder.finish()
+    }
+
+    /// Builds and installs column `col`'s index without charging the
+    /// meter: how a test's reference sheet comes to hold the indexes an
+    /// edit kept built.
+    #[cfg(test)]
+    pub(crate) fn install_index_uncharged(&mut self, col: u32) {
+        let ix = self.scan_index(col, &Meter::new()).expect("a built column holds no formula");
+        self.indexes.install(col, ix);
+    }
+
+    /// Moves the column indexes with their columns for a structural
+    /// column edit (`None` = the column was deleted, and its index with
+    /// it); a built index stays built.
     pub(crate) fn remap_index_cols(&mut self, map: impl Fn(u32) -> Option<u32>) {
         self.indexes.remap_cols(map);
+    }
+
+    /// Moves the column indexes' postings with a row edit: `count` rows
+    /// inserted or deleted at `at`. Called before the grid moves, because
+    /// a delete reads the numbers leaving each indexed column from the
+    /// band itself (the index keys fold `-0.0` into `0.0`; its sorted
+    /// numbers keep the sign). Nothing is charged.
+    pub(crate) fn shift_index_rows(&mut self, at: u32, count: u32, insert: bool) {
+        let Sheet { grid, indexes, .. } = self;
+        let end = at.saturating_add(count).min(grid.nrows());
+        indexes.shift_rows(at, count, insert, |col| {
+            (at..end)
+                .filter_map(|row| match grid.value_at(CellAddr::new(row, col)) {
+                    Value::Number(n) => Some(n),
+                    _ => None,
+                })
+                .collect()
+        });
     }
 
     // --- mutation --------------------------------------------------------
@@ -631,6 +664,7 @@ impl Sheet {
     pub fn permute_rows(&mut self, perm: &[u32]) -> Result<(), EngineError> {
         self.grid.permute_rows(perm)?;
         self.permute_hidden(perm);
+        self.indexes.permute(perm);
         // Rewrite the relative references of every moved formula, in one
         // walk over the chunks that can hold one. Its program binding rode
         // the permutation with it and stays right unless a reference fell
@@ -665,6 +699,7 @@ impl Sheet {
     pub(crate) fn permute_rows_reference(&mut self, perm: &[u32]) -> Result<(), EngineError> {
         self.grid.permute_rows_reference(perm)?;
         self.permute_hidden(perm);
+        self.indexes.permute(perm);
         for (new_row, &old_row) in perm.iter().enumerate() {
             let new_row = new_row as u32;
             if new_row == old_row {
@@ -684,13 +719,10 @@ impl Sheet {
 
     /// Rebuilds the dependency graph by scanning the grid (used after bulk
     /// structural changes). Compiled programs and their bindings are not
-    /// its business: neither depends on the graph.
+    /// its business: neither depends on the graph. Nor are the column
+    /// indexes: the sort or edit that moved the rows moved their postings.
     pub fn rebuild_deps(&mut self) {
         self.deps.clear();
-        // Rows were reshuffled wholesale, so column indexes demote to
-        // pending: row postings no longer match the grid, and the next
-        // `ensure_indexes` rebuilds them.
-        self.indexes.invalidate_built();
         let deps = &mut self.deps;
         self.grid.for_each_formula(&mut |addr, formula| deps.add(addr, &formula.expr));
     }

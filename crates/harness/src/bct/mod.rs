@@ -25,20 +25,23 @@ use ssbench_workload::Variant;
 
 use crate::config::RunConfig;
 use crate::grow::GrowingSheet;
-use crate::run_experiment;
 use crate::series::{ExperimentResult, Series};
+use crate::{run_selected, Experiment};
+
+/// The seven BCT experiments by figure id, in presentation order.
+pub const EXPERIMENTS: [(&str, Experiment); 7] = [
+    ("fig2", fig2_open),
+    ("fig3", fig3_sort),
+    ("fig4", fig4_cond_format),
+    ("fig5", fig5_filter),
+    ("fig6", fig6_pivot),
+    ("fig7", fig7_countif),
+    ("fig8", fig8_vlookup),
+];
 
 /// Runs all seven BCT experiments.
 pub fn run_all(cfg: &RunConfig) -> Vec<ExperimentResult> {
-    vec![
-        run_experiment(cfg, fig2_open),
-        run_experiment(cfg, fig3_sort),
-        run_experiment(cfg, fig4_cond_format),
-        run_experiment(cfg, fig5_filter),
-        run_experiment(cfg, fig6_pivot),
-        run_experiment(cfg, fig7_countif),
-        run_experiment(cfg, fig8_vlookup),
-    ]
+    run_selected(cfg, &EXPERIMENTS, |_| true)
 }
 
 /// Series label in the paper's style: `"Excel (F)"`.
@@ -106,6 +109,7 @@ mod tests {
         assert_eq!(results.len(), 7);
         let ids: Vec<&str> = results.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"]);
+        assert_eq!(ids, EXPERIMENTS.map(|(id, _)| id), "each experiment is filed under its id");
         for r in &results {
             assert!(!r.series.is_empty(), "{} has series", r.id);
             for s in &r.series {
@@ -118,5 +122,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A selection runs what it names and nothing else: one figure's
+    /// experiment, whose span is the only one the trace records.
+    #[test]
+    fn a_selection_runs_one_experiment() {
+        let cfg = RunConfig::quick();
+        trace::clear();
+        trace::enable(trace::DEFAULT_CAPACITY);
+        let results = run_selected(&cfg, &EXPERIMENTS, |id| id == "fig5");
+        let experiments: Vec<String> = trace::drain()
+            .iter()
+            .map(|s| s.name.clone())
+            .filter(|name| name.starts_with("experiment:"))
+            .collect();
+        trace::disable();
+        let ids: Vec<&str> = results.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, ["fig5"]);
+        assert_eq!(experiments, ["experiment:fig5"]);
     }
 }

@@ -6,14 +6,12 @@
 //!     [--charts] [fig2 fig3 …]
 //! ```
 
-use ssbench_harness::{bct, report, CliArgs};
+use ssbench_harness::{bct, report, run_selected, CliArgs};
 
 fn main() {
     let cli = CliArgs::parse_or_exit("BCT benchmark");
-    let results = bct::run_all(&cli.cfg)
-        .into_iter()
-        .filter(|r| cli.wants(&r.id))
-        .collect::<Vec<_>>();
+    cli.check_selectors(&bct::EXPERIMENTS.map(|(id, _)| id));
+    let results = run_selected(&cli.cfg, &bct::EXPERIMENTS, |id| cli.wants(id));
     for r in &results {
         println!("{}", report::render(r));
         if cli.charts {

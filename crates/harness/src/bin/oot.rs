@@ -6,14 +6,16 @@
 //!     [--charts] [fig9 fig10 …]
 //! ```
 
-use ssbench_harness::{oot, report, CliArgs};
+use ssbench_harness::{config, oot, report, run_selected, CliArgs};
 
 fn main() {
     let cli = CliArgs::parse_or_exit("OOT benchmark");
-    let results = oot::run_all(&cli.cfg)
-        .into_iter()
-        .filter(|r| cli.wants(&r.id))
-        .collect::<Vec<_>>();
+    if cli.cfg.stop_after_violation.is_some() {
+        // Every OOT figure sweeps its whole grid; none reads the flag.
+        config::usage_error("--stop-after-violation: no OOT experiment stops a sweep early");
+    }
+    cli.check_selectors(&oot::EXPERIMENTS.map(|(id, _)| id));
+    let results = run_selected(&cli.cfg, &oot::EXPERIMENTS, |id| cli.wants(id));
     for r in &results {
         println!("{}", report::render(r));
         if cli.charts {

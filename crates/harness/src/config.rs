@@ -15,6 +15,7 @@ options:
   --paper-protocol          10 trials, trimmed mean of 8 (§3.3)
   --quick                   smoke run: --scale 0.01, single trials
   --stop-after-violation N  stop a sweep N sizes past the 500 ms violation
+                            (bct, table2, all: the BCT sweeps)
   --seed N                  dataset / noise seed
   --systems LIST            comma-separated systems to run (default: all
                             registered: excel,calc,gsheets,optimized)
@@ -31,7 +32,7 @@ fuzz only:
                             differential replay (bytecode verifier +
                             dep-graph soundness, engine::analyze)
   --analyze                 like --verify, also print per-template facts
-                            (stack depth, type, volatility, read-set)
+                            (stack depth, volatility, read-set)
   replay                    replay every corpus script instead of fuzzing";
 
 /// Configuration for a benchmark run.
@@ -183,6 +184,13 @@ impl Default for RunConfig {
     }
 }
 
+/// Prints `message` and [`USAGE`] and exits with status 2: a bad command
+/// line.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
 /// Fully parsed command line of a harness binary: the [`RunConfig`] plus
 /// the flags every binary shares (`--charts`, `--trace DIR`) and the
 /// positional figure selectors. One parser, four binaries.
@@ -282,10 +290,16 @@ impl CliArgs {
                 cli.init_trace();
                 cli
             }
-            Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
-                std::process::exit(2);
-            }
+            Err(e) => usage_error(&e),
+        }
+    }
+
+    /// Exits with a usage error unless every selector names one of
+    /// `ids`, the figures this binary runs: a misspelt figure would
+    /// otherwise run nothing and say nothing.
+    pub fn check_selectors(&self, ids: &[&str]) {
+        if let Some(bad) = self.selectors.iter().find(|s| !ids.contains(&s.as_str())) {
+            usage_error(&format!("unknown figure {bad} (this binary runs {})", ids.join(" ")));
         }
     }
 

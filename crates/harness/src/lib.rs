@@ -47,6 +47,19 @@ use ssbench_engine::trace;
 /// Runs one experiment inside an `experiment:<id>` trace span carrying the
 /// figure's total simulated time. Every `run_all` dispatches through this,
 /// so a traced run's root spans are the experiments themselves.
+/// One figure's experiment: a sweep under a run configuration.
+pub type Experiment = fn(&RunConfig) -> ExperimentResult;
+
+/// Runs the experiments of `table` whose figure id `wants` selects, in
+/// the table's order; the others are not run at all.
+pub fn run_selected(
+    cfg: &RunConfig,
+    table: &[(&str, Experiment)],
+    wants: impl Fn(&str) -> bool,
+) -> Vec<ExperimentResult> {
+    table.iter().filter(|(id, _)| wants(id)).map(|&(_, f)| run_experiment(cfg, f)).collect()
+}
+
 pub fn run_experiment(
     cfg: &RunConfig,
     f: impl FnOnce(&RunConfig) -> ExperimentResult,

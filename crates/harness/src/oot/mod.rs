@@ -19,19 +19,22 @@ pub use redundant::fig12_redundant;
 pub use shared::fig11_shared;
 
 use crate::config::RunConfig;
-use crate::run_experiment;
 use crate::series::ExperimentResult;
+use crate::{run_selected, Experiment};
+
+/// The six OOT experiments by figure id, in presentation order.
+pub const EXPERIMENTS: [(&str, Experiment); 6] = [
+    ("fig9", fig9_find_replace),
+    ("fig10", fig10_layout),
+    ("fig11", fig11_shared),
+    ("fig12", fig12_redundant),
+    ("fig13", fig13_incremental),
+    ("fig14", fig14_multi_instance),
+];
 
 /// Runs all six OOT experiments.
 pub fn run_all(cfg: &RunConfig) -> Vec<ExperimentResult> {
-    vec![
-        run_experiment(cfg, fig9_find_replace),
-        run_experiment(cfg, fig10_layout),
-        run_experiment(cfg, fig11_shared),
-        run_experiment(cfg, fig12_redundant),
-        run_experiment(cfg, fig13_incremental),
-        run_experiment(cfg, fig14_multi_instance),
-    ]
+    run_selected(cfg, &EXPERIMENTS, |_| true)
 }
 
 #[cfg(test)]
@@ -44,6 +47,7 @@ mod tests {
         let results = run_all(&cfg);
         let ids: Vec<&str> = results.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ids, ["fig9", "fig10", "fig11", "fig12", "fig13", "fig14"]);
+        assert_eq!(ids, EXPERIMENTS.map(|(id, _)| id), "each experiment is filed under its id");
         for r in &results {
             assert!(!r.series.is_empty(), "{} has series", r.id);
             for s in &r.series {

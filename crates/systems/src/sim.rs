@@ -86,8 +86,11 @@ impl SimSystem {
         if self.profile.policies.indexed {
             // Index construction is amortized across the edit stream (§6):
             // make sure the maintained indexes exist *before* the measured
-            // region so the operation pays only its probes. Ops that build
-            // from scratch (`open_doc`) charge the build instead.
+            // region so the operation pays only its probes. A sort or a
+            // structural edit moves built indexes with their rows, so this
+            // builds only what is new: the first measured op's columns, a
+            // column an insert opened. Ops that build from scratch
+            // (`open_doc`) charge the build instead.
             sheet.set_auto_index(true);
             sheet.ensure_indexes();
         }
