@@ -1,5 +1,5 @@
-//! Differential fuzzer (DESIGN.md §9) and static-verification driver
-//! (DESIGN.md §11).
+//! Differential fuzzer (DESIGN.md §9), which also runs the static
+//! verifier (DESIGN.md §11) after every op of every replay.
 //!
 //! Modes, one binary:
 //!
@@ -11,15 +11,14 @@
 //! * `fuzz replay [--corpus DIR]` — replay every `*.json` script in the
 //!   corpus; exit 1 if any fails. This is the regression mode
 //!   `scripts/check.sh` and the `corpus_replay` test run.
-//! * `fuzz [replay] --verify` — instead of the differential matrix, run
-//!   the static analyzer over the sheet after every op: bytecode
-//!   verification plus dep-graph read-set coverage for every template
-//!   (`engine::analyze::check_sheet`). `--analyze` additionally prints
-//!   the per-template facts (stack depth, volatility, read-set).
+//! * `--analyze` (either mode) — also print the per-template facts the
+//!   analyzer proved on each script's final sheet (stack depth,
+//!   volatility, read-set).
 
 use std::path::{Path, PathBuf};
 
-use ssbench_harness::oracle::{check_script, gen, matrix, shrink, verify_script, Script};
+use ssbench_engine::analyze::TemplateReport;
+use ssbench_harness::oracle::{check_script, gen, matrix, shrink, Script};
 use ssbench_harness::CliArgs;
 
 fn main() {
@@ -27,66 +26,23 @@ fn main() {
     let corpus: PathBuf =
         cli.corpus.clone().unwrap_or_else(|| PathBuf::from("tests/corpus"));
 
-    let replay_mode = cli.selectors.iter().any(|s| s == "replay");
-    let ok = match (replay_mode, cli.verify) {
-        (true, false) => replay_corpus(&corpus),
-        (true, true) => verify_corpus(&cli, &corpus),
-        (false, true) => {
-            let n_ops = cli.ops.unwrap_or(gen::DEFAULT_OPS);
-            let script = gen::generate(cli.cfg.seed, gen::DEFAULT_ROWS, n_ops);
-            verify_one(&cli, "generated", &script)
-        }
-        (false, false) => fuzz_once(&cli, &corpus),
+    let ok = if cli.selectors.iter().any(|s| s == "replay") {
+        replay_corpus(&cli, &corpus)
+    } else {
+        fuzz_once(&cli, &corpus)
     };
     if !ok {
         std::process::exit(1);
     }
 }
 
-/// Statically verifies one script; prints the template summary (and, with
-/// `--analyze`, every template's facts).
-fn verify_one(cli: &CliArgs, label: &str, script: &Script) -> bool {
-    match verify_script(script) {
-        Ok(reports) => {
-            let volatile = reports.iter().filter(|r| r.volatile).count();
-            let unbounded = reports.iter().filter(|r| !r.reads.is_bounded()).count();
-            eprintln!(
-                "fuzz: {label} verified — {} final template(s) ({volatile} volatile, \
-                 {unbounded} unbounded), every op-step proven",
-                reports.len(),
-            );
-            if cli.analyze {
-                for r in &reports {
-                    println!("{r}");
-                }
-            }
-            true
-        }
-        Err(f) => {
-            eprintln!("fuzz: {label} VERIFICATION FAILED: {f}");
-            false
+/// With `--analyze`, prints every template's proven facts to stdout.
+fn print_templates(cli: &CliArgs, templates: &[TemplateReport]) {
+    if cli.analyze {
+        for t in templates {
+            println!("{t}");
         }
     }
-}
-
-/// Runs the static verifier over every corpus script (the check.sh sweep).
-fn verify_corpus(cli: &CliArgs, corpus: &Path) -> bool {
-    let scripts = match Script::load_dir(corpus) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fuzz: cannot load corpus: {e}");
-            return false;
-        }
-    };
-    if scripts.is_empty() {
-        eprintln!("fuzz: corpus {} is empty", corpus.display());
-        return false;
-    }
-    let mut ok = true;
-    for (path, script) in &scripts {
-        ok &= verify_one(cli, &path.display().to_string(), script);
-    }
-    ok
 }
 
 /// Generates one scripted sequence from the CLI seed and oracles it.
@@ -96,13 +52,14 @@ fn fuzz_once(cli: &CliArgs, corpus: &Path) -> bool {
     eprintln!(
         "fuzz: seed {} — {} ops over a {}-row workbook, {} configurations + the reference",
         script.seed,
-        script.ops.len(),
+        script.steps().len(),
         script.rows,
         matrix().len()
     );
     match check_script(&script) {
-        Ok(()) => {
+        Ok(templates) => {
             eprintln!("fuzz: seed {} ok", script.seed);
+            print_templates(cli, &templates);
             true
         }
         Err(first) => {
@@ -110,7 +67,7 @@ fn fuzz_once(cli: &CliArgs, corpus: &Path) -> bool {
             let minimal = if cli.shrink {
                 eprintln!("fuzz: shrinking…");
                 let m = shrink::shrink(&script);
-                eprintln!("fuzz: shrunk {} ops -> {}", script.ops.len(), m.ops.len());
+                eprintln!("fuzz: shrunk {} ops -> {}", script.steps().len(), m.steps().len());
                 m
             } else {
                 script
@@ -127,7 +84,7 @@ fn write_reproducer(corpus: &Path, script: &Script) {
         eprintln!("fuzz: cannot create {}: {e}", corpus.display());
         return;
     }
-    let path = corpus.join(format!("seed{}-{}ops.json", script.seed, script.ops.len()));
+    let path = corpus.join(format!("seed{}-{}ops.json", script.seed, script.steps().len()));
     match std::fs::write(&path, script.to_json()) {
         Ok(()) => eprintln!("fuzz: reproducer written to {}", path.display()),
         Err(e) => eprintln!("fuzz: cannot write {}: {e}", path.display()),
@@ -135,7 +92,7 @@ fn write_reproducer(corpus: &Path, script: &Script) {
 }
 
 /// Replays the whole corpus; prints one line per script.
-fn replay_corpus(corpus: &Path) -> bool {
+fn replay_corpus(cli: &CliArgs, corpus: &Path) -> bool {
     let scripts = match Script::load_dir(corpus) {
         Ok(s) => s,
         Err(e) => {
@@ -150,7 +107,10 @@ fn replay_corpus(corpus: &Path) -> bool {
     let mut ok = true;
     for (path, script) in &scripts {
         match check_script(script) {
-            Ok(()) => eprintln!("fuzz: {} ok", path.display()),
+            Ok(templates) => {
+                eprintln!("fuzz: {} ok", path.display());
+                print_templates(cli, &templates);
+            }
             Err(f) => {
                 eprintln!("fuzz: {} FAILED: {f}", path.display());
                 ok = false;

@@ -28,11 +28,9 @@ fuzz only:
   --ops N                   ops per generated sequence (default 200)
   --shrink                  on failure, delta-debug to a minimal script
   --corpus DIR              corpus directory (default tests/corpus)
-  --verify                  statically verify every template instead of
-                            differential replay (bytecode verifier +
-                            dep-graph soundness, engine::analyze)
-  --analyze                 like --verify, also print per-template facts
-                            (stack depth, volatility, read-set)
+  --analyze                 also print the per-template facts the static
+                            verifier proved on the final sheet (stack
+                            depth, volatility, read-set)
   replay                    replay every corpus script instead of fuzzing";
 
 /// Configuration for a benchmark run.
@@ -209,12 +207,8 @@ pub struct CliArgs {
     pub shrink: bool,
     /// Corpus directory for fuzz reproducers (`--corpus`).
     pub corpus: Option<PathBuf>,
-    /// Static verification mode (`--verify`, fuzz binary only): run the
-    /// analyzer's bytecode + dep-graph proofs over every template instead
-    /// of the differential matrix.
-    pub verify: bool,
-    /// Like `verify`, but also print the per-template analysis facts
-    /// (`--analyze`).
+    /// Print the per-template analysis facts of each replayed script
+    /// (`--analyze`, fuzz binary only).
     pub analyze: bool,
     /// Positional figure ids (`fig3`, …); empty = everything.
     pub selectors: Vec<String>,
@@ -232,7 +226,6 @@ impl CliArgs {
             ops: None,
             shrink: false,
             corpus: None,
-            verify: false,
             analyze: false,
             selectors: Vec::new(),
         };
@@ -254,11 +247,7 @@ impl CliArgs {
                     );
                 }
                 "--shrink" => cli.shrink = true,
-                "--verify" => cli.verify = true,
-                "--analyze" => {
-                    cli.verify = true;
-                    cli.analyze = true;
-                }
+                "--analyze" => cli.analyze = true,
                 "--corpus" => {
                     let dir =
                         it.next().ok_or_else(|| "--corpus needs a directory".to_owned())?;
@@ -405,16 +394,16 @@ mod tests {
         assert!(cli.shrink);
         assert_eq!(cli.corpus.as_deref(), Some(std::path::Path::new("tests/corpus")));
         assert_eq!(cli.selectors, vec!["replay"]);
-        assert!(!cli.verify && !cli.analyze);
+        assert!(!cli.analyze);
     }
 
     #[test]
     fn cli_args_parse_verify_flags() {
-        let cli = CliArgs::parse(&argv(&["--verify"])).unwrap();
-        assert!(cli.verify && !cli.analyze);
-        // --analyze implies --verify.
+        // The static verifier runs inside every replay; there is no
+        // separate verification mode to select.
+        assert!(CliArgs::parse(&argv(&["--verify"])).is_err());
         let cli = CliArgs::parse(&argv(&["--analyze", "replay"])).unwrap();
-        assert!(cli.verify && cli.analyze);
+        assert!(cli.analyze);
         assert_eq!(cli.selectors, vec!["replay"]);
     }
 }

@@ -18,11 +18,13 @@
 //!   which legitimately change the work done (lookup strategy changes
 //!   read counts, incremental recalc changes which formulas run) —
 //!   across budgets the trees must be identical;
-//! * per-op structural invariants on every configuration: the dep-graph
-//!   audit and finite-grid check ([`ssbench_engine::audit`]), plus "the
-//!   sheet keeps its configured lookup strategy, auto-index flag and grid
-//!   budget" — the two regressions this oracle exists to catch (see
-//!   `tests/corpus/`).
+//! * structural invariants on every configuration, on the initial
+//!   workbook and after every op: the grid, dep-graph, index and
+//!   finite-grid audits ([`ssbench_engine::audit`]), the static analyzer's
+//!   proofs over every template ([`ssbench_engine::analyze::check_sheet`]),
+//!   plus "the sheet keeps its configured lookup strategy, auto-index flag
+//!   and grid budget" — the two regressions this oracle exists to catch
+//!   (see `tests/corpus/`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,15 +35,14 @@ use ssbench_engine::analyze::{self, TemplateReport};
 use ssbench_engine::audit;
 use ssbench_engine::eval::LookupStrategy;
 use ssbench_engine::io;
-use ssbench_engine::ops::{Op, PivotAgg, SortKey};
+use ssbench_engine::ops::{self, Op, OpOutcome};
 use ssbench_engine::recalc;
 use ssbench_engine::sheet::{Layout, Sheet};
 use ssbench_engine::trace;
-use ssbench_engine::value::{Criterion, Value};
-use ssbench_engine::style::Color;
+use ssbench_engine::value::Value;
 
 use super::gen;
-use super::script::{Script, ScriptOp};
+use super::script::{Script, Step};
 
 /// One cell of the configuration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +152,8 @@ struct Replay {
     final_digest: u64,
     /// Concatenated root-span signatures of the op replay.
     signature: String,
+    /// What the static analyzer proved of each template on the final sheet.
+    templates: Vec<TemplateReport>,
 }
 
 /// Which cells an op dirtied, for the incremental recalc policy.
@@ -170,8 +173,10 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Replays `script` on the reference evaluator and under every
 /// configuration in [`matrix`], and returns the first divergence or
-/// invariant violation, if any.
-pub fn check_script(script: &Script) -> Result<(), Failure> {
+/// invariant violation, if any. On success it returns what the static
+/// analyzer proved of each template on the final sheet of the plainest
+/// configuration (`matrix()[0]`): the facts `fuzz --analyze` prints.
+pub fn check_script(script: &Script) -> Result<Vec<TemplateReport>, Failure> {
     let guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let configs = matrix();
     let ref_run = replay(script, configs[0], true)?;
@@ -238,7 +243,7 @@ pub fn check_script(script: &Script) -> Result<(), Failure> {
             }
         }
     }
-    Ok(())
+    Ok(replays.swap_remove(0).templates)
 }
 
 /// Replays one configuration, enforcing per-op invariants as it goes. The
@@ -268,15 +273,15 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
     // value write routes through the maintenance hook.
     sheet.set_auto_index(config.indexed);
     recalc(&mut sheet, None);
+    let mut templates = check_invariants(&sheet, config).map_err(|e| fail(None, e))?;
 
     // Capture spans for the op replay only (workbook construction is
     // already covered by the digest of the state after op 0).
     trace::clear();
     trace::enable(trace::DEFAULT_CAPACITY);
-    let mut per_op = Vec::with_capacity(script.ops.len());
-    for (i, op) in script.ops.iter().enumerate() {
-        let (outcome, dirty) =
-            apply_script_op(&mut sheet, op).map_err(|e| fail(Some(i), e))?;
+    let mut per_op = Vec::with_capacity(script.steps().len());
+    for (i, step) in script.steps().iter().enumerate() {
+        let (outcome, dirty) = apply_step(&mut sheet, step).map_err(|e| fail(Some(i), e))?;
         match dirty {
             Dirty::None => {}
             Dirty::Full => recalc(&mut sheet, None),
@@ -287,7 +292,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
                 }
             }
         }
-        check_invariants(&sheet, config).map_err(|e| fail(Some(i), e))?;
+        templates = check_invariants(&sheet, config).map_err(|e| fail(Some(i), e))?;
         per_op.push((outcome, grid_digest(&sheet)));
     }
     let signature: String =
@@ -301,6 +306,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         final_inputs: saved.rows,
         final_digest: grid_digest(&sheet),
         signature,
+        templates,
     })
 }
 
@@ -342,113 +348,40 @@ fn check_reopen(
     Ok(())
 }
 
-/// Applies one [`ScriptOp`], returning its outcome descriptor and dirty
-/// set. Errors are corpus problems (unparsable ranges), not divergences.
-fn apply_script_op(sheet: &mut Sheet, op: &ScriptOp) -> Result<(String, Dirty), String> {
-    let parse_range = |s: &str| Range::parse(s).map_err(|e| format!("bad range {s:?}: {e}"));
-    let outcome = |o: ssbench_engine::ops::OpOutcome| format!("{o:?}");
-    match op {
-        ScriptOp::Set { row, col, text } => {
+/// Applies one [`Step`], returning its outcome descriptor and dirty set.
+/// An error is the engine refusing an op (say, past its limits), which
+/// every configuration must do alike.
+fn apply_step(sheet: &mut Sheet, step: &Step) -> Result<(String, Dirty), String> {
+    let op = match step {
+        Step::Set { row, col, text } => {
             let addr = CellAddr::new(*row, *col);
-            match sheet.set_input(addr, text) {
+            return match sheet.set_input(addr, text) {
                 Ok(()) => Ok((format!("set {}", addr.to_a1()), Dirty::Cells(vec![addr]))),
                 // A rejected formula edits nothing; record it as an
                 // outcome so all configurations must reject identically.
                 Err(e) => Ok((format!("set {} rejected: {e}", addr.to_a1()), Dirty::None)),
-            }
-        }
-        ScriptOp::Sort { col, asc } => {
-            let key = if *asc { SortKey::asc(*col) } else { SortKey::desc(*col) };
-            let o = sheet.apply(Op::Sort { keys: vec![key] }).map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::Full))
-        }
-        ScriptOp::Filter { col, criterion } => {
-            let crit = Criterion::parse(&Value::text(criterion.clone()));
-            let o = sheet
-                .apply(Op::Filter { col: *col, criterion: crit })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::None))
-        }
-        ScriptOp::ClearFilter => {
-            let o = sheet.apply(Op::ClearFilter).map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::None))
-        }
-        ScriptOp::CondFormat { range, criterion } => {
-            let crit = Criterion::parse(&Value::text(criterion.clone()));
-            let o = sheet
-                .apply(Op::CondFormat {
-                    range: parse_range(range)?,
-                    criterion: crit,
-                    fill: Color::GREEN,
-                })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::None))
-        }
-        ScriptOp::FindReplace { range, needle, replacement } => {
-            let range = parse_range(range)?;
-            // The hit list *is* the set of cells the replace will rewrite;
-            // computed up front so incremental configs know what dirtied.
-            let hits = ssbench_engine::ops::find_all(sheet, range, needle);
-            let o = sheet
-                .apply(Op::FindReplace {
-                    range,
-                    needle: needle.clone(),
-                    replacement: replacement.clone(),
-                })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::Cells(hits)))
-        }
-        ScriptOp::CopyPaste { src, dst } => {
-            let dst = CellAddr::parse(dst).map_err(|e| format!("bad dst {dst:?}: {e}"))?;
-            let o = sheet
-                .apply(Op::CopyPaste { src: parse_range(src)?, dst })
-                .map_err(|e| e.to_string())?;
-            let dirty = match &o {
-                ssbench_engine::ops::OpOutcome::Pasted { dst } => dst.iter().collect(),
-                _ => Vec::new(),
             };
-            Ok((outcome(o), Dirty::Cells(dirty)))
         }
-        ScriptOp::Pivot { dim_col, measure_col, agg } => {
-            let agg = match agg.as_str() {
-                "sum" => PivotAgg::Sum,
-                "count" => PivotAgg::Count,
-                "average" => PivotAgg::Average,
-                "min" => PivotAgg::Min,
-                "max" => PivotAgg::Max,
-                other => return Err(format!("bad pivot agg {other:?}")),
-            };
-            let o = sheet
-                .apply(Op::Pivot { dim_col: *dim_col, measure_col: *measure_col, agg })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::None))
-        }
-        ScriptOp::InsertRows { at, count } => {
-            let o = sheet
-                .apply(Op::InsertRows { at: *at, count: *count })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::Full))
-        }
-        ScriptOp::DeleteRows { at, count } => {
-            let o = sheet
-                .apply(Op::DeleteRows { at: *at, count: *count })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::Full))
-        }
-        ScriptOp::InsertCols { at, count } => {
-            let o = sheet
-                .apply(Op::InsertCols { at: *at, count: *count })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::Full))
-        }
-        ScriptOp::DeleteCols { at, count } => {
-            let o = sheet
-                .apply(Op::DeleteCols { at: *at, count: *count })
-                .map_err(|e| e.to_string())?;
-            Ok((outcome(o), Dirty::Full))
-        }
-        ScriptOp::Recalc => Ok(("recalc".to_owned(), Dirty::Full)),
-    }
+        Step::Recalc => return Ok(("recalc".to_owned(), Dirty::Full)),
+        Step::Apply(op) => op,
+    };
+    // The hit list *is* the set of cells a replace will rewrite; computed
+    // up front so incremental configs know what dirtied.
+    let hits = match op {
+        Op::FindReplace { range, needle, .. } => ops::find_all(sheet, *range, needle),
+        _ => Vec::new(),
+    };
+    let outcome = sheet.apply(op.clone()).map_err(|e| e.to_string())?;
+    let dirty = match &outcome {
+        OpOutcome::Replaced { .. } => Dirty::Cells(hits),
+        OpOutcome::Pasted { dst } => Dirty::Cells(dst.iter().collect()),
+        OpOutcome::Sorted { .. } | OpOutcome::Restructured => Dirty::Full,
+        OpOutcome::Filtered { .. }
+        | OpOutcome::FilterCleared
+        | OpOutcome::Formatted { .. }
+        | OpOutcome::Pivoted(_) => Dirty::None,
+    };
+    Ok((format!("{outcome:?}"), dirty))
 }
 
 /// Per-op invariants: the configured recalc options must survive every
@@ -533,32 +466,6 @@ fn check_full_recalc_agrees(sheet: &Sheet, config: OracleConfig) -> Result<(), S
     Ok(())
 }
 
-/// Replays `script` on the reference configuration and statically
-/// verifies the sheet after every op, collecting the per-template facts.
-/// This is the `fuzz --verify` / `--analyze` entry point: unlike
-/// [`check_script`], it runs one configuration and returns the final
-/// sheet's [`TemplateReport`]s for display.
-pub fn verify_script(script: &Script) -> Result<Vec<TemplateReport>, Failure> {
-    let config = matrix()[0];
-    let fail = |op_index: Option<usize>, detail: String| Failure {
-        config: config.label(),
-        op_index,
-        detail,
-    };
-    let mut sheet = gen::build_workbook(script);
-    recalc::recalc_all(&mut sheet);
-    let mut reports =
-        analyze::check_sheet(&sheet).map_err(|e| fail(None, e))?;
-    for (i, op) in script.ops.iter().enumerate() {
-        let (_, dirty) = apply_script_op(&mut sheet, op).map_err(|e| fail(Some(i), e))?;
-        if !matches!(dirty, Dirty::None) {
-            recalc::recalc_all(&mut sheet);
-        }
-        reports = analyze::check_sheet(&sheet).map_err(|e| fail(Some(i), e))?;
-    }
-    Ok(reports)
-}
-
 /// FNV-1a, fed a slice at a time.
 struct Fnv(u64);
 
@@ -632,6 +539,8 @@ fn value_digest(sheet: &Sheet) -> u64 {
 mod tests {
     use super::*;
     use crate::oracle::gen;
+    use ssbench_engine::style::Color;
+    use ssbench_engine::value::Criterion;
 
     #[test]
     fn matrix_covers_all_dimensions() {

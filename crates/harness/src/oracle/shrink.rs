@@ -29,13 +29,13 @@ pub fn shrink_with(script: &Script, mut fails: impl FnMut(&Script) -> bool) -> S
     let mut improved = true;
     while improved {
         improved = false;
-        let mut chunk = (best.ops.len() / 2).max(1);
+        let mut chunk = (best.steps.len() / 2).max(1);
         loop {
             let mut start = 0;
-            while start < best.ops.len() {
-                let end = (start + chunk).min(best.ops.len());
+            while start < best.steps.len() {
+                let end = (start + chunk).min(best.steps.len());
                 let mut candidate = best.clone();
-                candidate.ops.drain(start..end);
+                candidate.steps.drain(start..end);
                 if fails(&candidate) {
                     best = candidate;
                     improved = true;
@@ -67,20 +67,20 @@ pub fn shrink_with(script: &Script, mut fails: impl FnMut(&Script) -> bool) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::script::ScriptOp;
+    use crate::oracle::script::Step;
 
     fn script_of(n: usize) -> Script {
         Script {
             seed: 1,
             rows: 64,
-            ops: (0..n)
-                .map(|i| ScriptOp::Set { row: i as u32, col: 0, text: i.to_string() })
+            steps: (0..n)
+                .map(|i| Step::Set { row: i as u32, col: 0, text: i.to_string() })
                 .collect(),
         }
     }
 
     fn has_op(s: &Script, text: &str) -> bool {
-        s.ops.iter().any(|op| matches!(op, ScriptOp::Set { text: t, .. } if t == text))
+        s.steps.iter().any(|step| matches!(step, Step::Set { text: t, .. } if t == text))
     }
 
     #[test]
@@ -88,7 +88,7 @@ mod tests {
         let script = script_of(40);
         // "Fails" iff op #23 survives, regardless of anything else.
         let min = shrink_with(&script, |s| has_op(s, "23"));
-        assert_eq!(min.ops.len(), 1);
+        assert_eq!(min.steps.len(), 1);
         assert!(has_op(&min, "23"));
         assert_eq!(min.rows, 8, "rows shrink too");
     }
@@ -97,15 +97,15 @@ mod tests {
     fn shrinks_an_op_pair_that_must_cooccur() {
         let script = script_of(40);
         let min = shrink_with(&script, |s| has_op(s, "5") && has_op(s, "31"));
-        assert_eq!(min.ops.len(), 2);
+        assert_eq!(min.steps.len(), 2);
         assert!(has_op(&min, "5") && has_op(&min, "31"));
     }
 
     #[test]
     fn already_minimal_scripts_come_back_unchanged() {
         let script = script_of(1);
-        let min = shrink_with(&script, |s| !s.ops.is_empty());
-        assert_eq!(min.ops.len(), 1);
+        let min = shrink_with(&script, |s| !s.steps.is_empty());
+        assert_eq!(min.steps.len(), 1);
     }
 
     #[test]

@@ -17,10 +17,10 @@ fn every_corpus_script_passes_the_oracle() {
     let mut failures = Vec::new();
     for (path, script) in &scripts {
         assert!(
-            script.ops.len() <= 10,
+            script.steps().len() <= 10,
             "{}: corpus reproducers must stay minimal (≤ 10 ops), got {}",
             path.display(),
-            script.ops.len()
+            script.steps().len()
         );
         if let Err(f) = check_script(script) {
             failures.push(format!("{}: {f}", path.display()));
