@@ -49,8 +49,8 @@ impl SheetData {
 /// would read back as anything but that same text — `007`, `=A1`, `TRUE`,
 /// `#N/A`, the empty string, a text that itself starts with `'` — is
 /// written with a leading `'`, the formula-bar convention `value::classify`
-/// reads, so values keep their types across a save and an open. (One
-/// spelling is still lossy: `-0.0` displays, and so saves, as `0`.)
+/// reads, so values keep their types across a save and an open. A
+/// negative zero, which displays as `0`, is written `-0`.
 pub fn save(sheet: &Sheet) -> SheetData {
     let mut rows = Vec::with_capacity(sheet.nrows() as usize);
     for r in 0..sheet.nrows() {
@@ -59,6 +59,9 @@ pub fn save(sheet: &Sheet) -> SheetData {
             let cell = sheet.cell(CellAddr::new(r, c)).expect("inside the extent");
             row.push(match &*cell {
                 Cell::Value(Value::Text(s)) if !reads_back_as_itself(s) => format!("'{s}"),
+                Cell::Value(Value::Number(n)) if n.to_bits() == (-0.0f64).to_bits() => {
+                    "-0".to_owned()
+                }
                 _ => cell.input_text(),
             });
         }
@@ -354,8 +357,7 @@ mod tests {
     /// Values keep their types through `save` → CSV → `open`: text that
     /// reads as a number, a formula, a boolean or an error comes back as
     /// that text (it is saved behind a `'`), and an error value comes back
-    /// as the error, not as text. (`-0.0` is not generated: it saves as
-    /// `0`.)
+    /// as the error, not as text.
     #[test]
     fn save_open_round_trip_preserves_types() {
         cases(|rng| {
@@ -373,6 +375,25 @@ mod tests {
                 assert_eq!(back.value(addr), s.value(addr), "{addr} of {doc:?}");
             }
         });
+    }
+
+    /// A negative zero displays as `0`, and used to save as `0`: its sign
+    /// is kept through a save, the CSV text and an open.
+    #[test]
+    fn negative_zero_keeps_its_sign_through_save_and_open() {
+        let mut s = Sheet::new();
+        s.set_value(CellAddr::new(0, 0), -0.0);
+        s.set_value(CellAddr::new(0, 1), 0.0);
+        let doc = save(&s);
+        assert_eq!(doc.rows, vec![vec!["-0".to_owned(), "0".to_owned()]]);
+        let back = open(&from_csv(&to_csv(&doc)).unwrap(), Layout::RowMajor).unwrap();
+        for col in 0..2 {
+            let addr = CellAddr::new(0, col);
+            match (back.value(addr), s.value(addr)) {
+                (Value::Number(a), Value::Number(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                other => panic!("{addr}: {other:?}"),
+            }
+        }
     }
 
     #[test]
