@@ -212,14 +212,6 @@ impl Range {
             && addr.col <= self.end.col
     }
 
-    /// Whether this range and `other` share at least one cell.
-    pub fn intersects(&self, other: &Range) -> bool {
-        self.start.row <= other.end.row
-            && other.start.row <= self.end.row
-            && self.start.col <= other.end.col
-            && other.start.col <= self.end.col
-    }
-
     /// The part of this range inside an `nrows` × `ncols` extent; `None`
     /// when none of it is. Every range read — scans, lookups, index
     /// probes, the ops' meter charges — clips through here.
@@ -385,12 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn range_contains_and_intersects() {
+    fn range_contains() {
         let r = Range::parse("B2:D5").unwrap();
         assert!(r.contains(CellAddr::parse("C3").unwrap()));
         assert!(!r.contains(CellAddr::parse("A1").unwrap()));
-        assert!(r.intersects(&Range::parse("D5:F9").unwrap()));
-        assert!(!r.intersects(&Range::parse("E6:F9").unwrap()));
     }
 
     #[test]

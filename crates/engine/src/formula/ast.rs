@@ -194,9 +194,9 @@ impl Expr {
         copy
     }
 
-    /// Number of nodes in the expression tree (used for cost accounting and
-    /// tests).
-    pub fn node_count(&self) -> usize {
+    /// Number of nodes in the expression tree.
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         1 + match self {
             Expr::Unary(_, e) => e.node_count(),
             Expr::Binary(_, a, b) => a.node_count() + b.node_count(),

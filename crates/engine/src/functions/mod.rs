@@ -143,11 +143,6 @@ pub fn call(name: &str, ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     }
 }
 
-/// Whether `name` is a known builtin (the control-flow forms included).
-pub fn is_builtin(name: &str) -> bool {
-    matches!(name, "IF" | "IFERROR") || func_id(name).is_some()
-}
-
 // ---------------------------------------------------------------------
 // Argument helpers shared by the function modules.
 // ---------------------------------------------------------------------
@@ -292,14 +287,6 @@ mod tests {
     #[test]
     fn unknown_function_is_name_error() {
         assert_eq!(eval_empty("FROBNICATE(1)"), Value::Error(CellError::Name));
-    }
-
-    #[test]
-    fn is_builtin_matches_dispatch() {
-        assert!(is_builtin("SUM"));
-        assert!(is_builtin("VLOOKUP"));
-        assert!(is_builtin("IF") && is_builtin("IFERROR"));
-        assert!(!is_builtin("FROBNICATE"));
     }
 
     #[test]

@@ -234,9 +234,10 @@ impl Meter {
         }
     }
 
-    /// Adds a counts snapshot into this meter (used when an operation
-    /// rebuilds a sheet and must carry the accumulated work across).
-    pub fn absorb(&self, counts: &Counts) {
+    /// Adds a counts snapshot into this meter (a test that rebuilds a sheet
+    /// carries the accumulated work across with it).
+    #[cfg(test)]
+    pub(crate) fn absorb(&self, counts: &Counts) {
         for p in ALL_PRIMITIVES {
             let n = counts.get(p);
             if n > 0 {

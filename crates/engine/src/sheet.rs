@@ -79,15 +79,6 @@ impl NameTable {
         self.forget_queries();
     }
 
-    /// Removes `name` (uppercased); `true` when it existed.
-    fn remove(&mut self, name: &str) -> bool {
-        let existed = self.ranges.remove(name).is_some();
-        if existed {
-            self.forget_queries();
-        }
-        existed
-    }
-
     /// Moves every range through `map`, dropping those it maps to `None`.
     fn remap(&mut self, map: impl Fn(Range) -> Option<Range>) {
         self.ranges.retain(|_, range| match map(*range) {
@@ -502,13 +493,19 @@ impl Sheet {
     }
 
     /// Looks up a named range.
-    pub fn name_range(&self, name: &str) -> Option<Range> {
+    #[cfg(test)]
+    pub(crate) fn name_range(&self, name: &str) -> Option<Range> {
         self.names.ranges.get(&name.to_ascii_uppercase()).copied()
     }
 
     /// Removes a named range; `true` when it existed.
-    pub fn remove_name(&mut self, name: &str) -> bool {
-        self.names.remove(&name.to_ascii_uppercase())
+    #[cfg(test)]
+    pub(crate) fn remove_name(&mut self, name: &str) -> bool {
+        let existed = self.names.ranges.remove(&name.to_ascii_uppercase()).is_some();
+        if existed {
+            self.names.forget_queries();
+        }
+        existed
     }
 
     /// Defined names, sorted.

@@ -13,7 +13,6 @@ pub struct Color {
 }
 
 impl Color {
-    pub const WHITE: Color = Color { r: 255, g: 255, b: 255 };
     pub const BLACK: Color = Color { r: 0, g: 0, b: 0 };
     /// The green used by the paper's conditional-formatting experiment
     /// ("we color a cell green if it contains the value 1", §4.2.2).

@@ -52,16 +52,6 @@ pub enum Category {
     Level,
 }
 
-/// Every category, for iteration in reports.
-pub const ALL_CATEGORIES: [Category; 6] = [
-    Category::Experiment,
-    Category::Point,
-    Category::Measure,
-    Category::Op,
-    Category::Recalc,
-    Category::Level,
-];
-
 impl Category {
     /// Stable lowercase name (used in exports and signatures).
     pub const fn name(self) -> &'static str {

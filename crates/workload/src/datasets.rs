@@ -19,18 +19,6 @@ pub fn sample_sizes() -> Vec<u32> {
     sizes
 }
 
-/// Sizes clipped to a maximum (Google Sheets quota caps, §3.3) and scaled
-/// by `scale` (for smoke runs); always at least one size.
-pub fn sizes_up_to(max_rows: u32, scale: f64) -> Vec<u32> {
-    let mut out: Vec<u32> = sample_sizes()
-        .into_iter()
-        .filter(|&n| n <= max_rows)
-        .map(|n| ((f64::from(n) * scale).round() as u32).max(10))
-        .collect();
-    out.dedup();
-    out
-}
-
 /// Builds a materialized, recalculated sheet of `rows` weather rows.
 pub fn build_sheet(rows: u32, variant: Variant) -> Sheet {
     build_sheet_seeded(rows, variant, DEFAULT_SEED)
@@ -84,15 +72,6 @@ mod tests {
         assert_eq!(sizes[3], 20_000);
         assert_eq!(sizes[50], 490_000);
         assert_eq!(sizes[51], 500_000);
-    }
-
-    #[test]
-    fn sizes_up_to_clips_and_scales() {
-        let g = sizes_up_to(90_000, 1.0);
-        assert_eq!(*g.last().unwrap(), 90_000);
-        assert_eq!(g.len(), 11); // 150, 6k, 10k..90k
-        let small = sizes_up_to(500_000, 0.001);
-        assert!(small.iter().all(|&n| n >= 10));
     }
 
     #[test]

@@ -15,9 +15,7 @@ pub mod datasets;
 pub mod schema;
 pub mod weather;
 
-pub use datasets::{
-    build_doc, build_doc_seeded, build_sheet, build_sheet_seeded, sample_sizes, sizes_up_to,
-};
+pub use datasets::{build_doc, build_doc_seeded, build_sheet, build_sheet_seeded, sample_sizes};
 pub use weather::{
     cell_text, countif_expr, generate_row, write_row, Variant, WeatherRow, DEFAULT_SEED,
 };
