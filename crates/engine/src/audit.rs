@@ -153,14 +153,13 @@ pub fn check_deps(sheet: &Sheet) -> Result<(), String> {
     Ok(())
 }
 
-/// Every built column index must equal, bit for bit, a fresh build of its
-/// column from the grid: the same postings under the same keys, the same
-/// sorted numbers (`-0.0` apart from `0.0`), the same entry count. Sorts
-/// and structural edits move a built index with its rows instead of
-/// rebuilding it ([`crate::index`]), so a remap that lost, kept or
-/// misplaced a posting shows here at the op that did it, where a probe
-/// might not read the damage until much later. The fresh build ticks a
-/// throwaway meter: the audit leaves the sheet's counts alone.
+/// Every built column index must equal a fresh build of its column from
+/// the grid: the same postings under the same keys. Sorts and structural
+/// edits move a built index with its rows instead of rebuilding it
+/// ([`crate::index`]), so a remap that lost, kept or misplaced a posting
+/// shows here at the op that did it, where a probe might not read the
+/// damage until much later. The fresh build ticks a throwaway meter: the
+/// audit leaves the sheet's counts alone.
 pub fn check_indexes(sheet: &Sheet) -> Result<(), String> {
     let scratch = Meter::new();
     for (col, built) in sheet.index_store().built_cols() {
@@ -168,10 +167,10 @@ pub fn check_indexes(sheet: &Sheet) -> Result<(), String> {
         let fresh = sheet.scan_index(col, &scratch).map_err(|()| {
             format!("column {column} has a built index but holds a formula")
         })?;
-        if let Some(what) = built.differs_from(&fresh) {
+        if *built != fresh {
             return Err(format!(
-                "column {column}'s built index differs from a fresh build in its {what} \
-                 ({} entries built, {} fresh)",
+                "column {column}'s built index differs from a fresh build \
+                 ({} postings built, {} fresh)",
                 built.len(),
                 fresh.len()
             ));

@@ -1,23 +1,30 @@
 //! Maintained column indexes: the database-style optimization the paper
 //! finds missing from all three benchmarked systems (§OOT, Figs 9–14).
 //!
-//! An [`IndexStore`] lives on the `Sheet` and holds, per registered column,
-//! a hash index (value key → sorted row postings) plus a sorted array of
-//! the column's numbers. `COUNTIF`/`SUMIF`/`AVERAGEIF`/`VLOOKUP`/`MATCH`
-//! evaluation consults the store through [`crate::eval::EvalCtx::indexes`]
-//! and answers eligible queries with O(1)/O(log m) probes instead of the
-//! O(m) scans the real systems perform. Every probe charges
-//! [`Primitive::IndexProbe`] so the cost model prices indexed evaluation
-//! honestly; values are bit-identical to the scan path (proven by the §9
-//! oracle's `indexed` dimension and the equivalence tests).
+//! An [`IndexStore`] lives on the `Sheet` and holds, per built column, a
+//! hash index: value key → sorted row postings. `COUNTIF`/`SUMIF`/
+//! `AVERAGEIF`/`VLOOKUP`/`MATCH` evaluation consults the store through
+//! [`crate::eval::EvalCtx::indexes`] and answers eligible queries with
+//! O(1)/O(log m) probes instead of the O(m) scans the real systems
+//! perform. Every probe charges [`Primitive::IndexProbe`] so the cost
+//! model prices indexed evaluation honestly; values are bit-identical to
+//! the scan path (proven by the §9 oracle's `indexed` dimension and the
+//! equivalence tests).
 //!
-//! # Soundness invariants
+//! # Lifecycle
+//!
+//! Under auto-indexing (`Sheet::set_auto_index`) every recalculation entry
+//! point runs `Sheet::ensure_indexes`, which builds each materialized
+//! column that is neither built nor known to hold a formula. A build that
+//! meets a formula records the column as holding one instead.
 //!
 //! * **No formulas.** An indexed column contains only literal cells: a
 //!   formula's displayed value changes during recalculation without
 //!   passing through `Sheet::set_value`, so a column index over formulas
-//!   could go stale invisibly. `build` refuses columns containing a
-//!   formula and `set_formula` drops a column's index permanently.
+//!   could go stale invisibly. `set_formula` into a built column drops its
+//!   index and records the formula; `set_value` over a formula forgets the
+//!   record, so the next `ensure_indexes` retries the build, which records
+//!   the column again if another formula remains.
 //! * **Single write channel.** Every literal-content mutation in the
 //!   engine funnels through `Sheet::set_value`/`set_formula`, or is
 //!   reported by `Sheet::edit_chunks` (find-and-replace's in-place
@@ -29,31 +36,25 @@
 //!   wholesale for "a single change"): a sort maps every posting through
 //!   the permutation (`IndexStore::permute`), a row edit shifts the
 //!   postings past the band and drops the ones inside it
-//!   (`IndexStore::shift_rows`), a column edit re-keys the index with
-//!   its column (`IndexStore::remap_cols`). None of this is charged to
-//!   the meter: the edit's `CellMove`s already price the rows moving.
-//!   Only a bulk load (`Sheet::load_rows`) demotes built indexes to
-//!   pending for the next `ensure_indexes` to rebuild. A pending or
-//!   dropped column simply falls back to the scan path, and the oracle's
-//!   `audit::check_indexes` holds every built index to a fresh build
-//!   after every op.
+//!   (`IndexStore::shift_rows`), a column edit re-keys the built indexes
+//!   and the formula record with their columns (`IndexStore::remap_cols`).
+//!   None of this is charged to the meter: the edit's `CellMove`s already
+//!   price the rows moving. The oracle's `audit::check_indexes` holds
+//!   every built index to a fresh build after every op.
 //!
 //! # Eligibility
 //!
-//! Probes answer only what the index can answer with the scan path's
-//! exact semantics (`sheet_eq` / `sheet_cmp` / `Criterion::matches`):
-//!
-//! * Equality keys must be `Number` or `Text` without COUNTIF wildcards —
-//!   text keys are normalized with `to_ascii_lowercase`, the same
-//!   equivalence as `sheet_eq`'s `eq_ignore_ascii_case`; `-0.0`
-//!   normalizes to `0.0` because `sheet_eq` uses IEEE `==`.
-//! * Ordered criteria (`<`, `<=`, `>`, `>=`) use the sorted array, which
-//!   has no row structure, so they require the range to cover the whole
-//!   materialized column.
-//! * Everything else (wildcards, booleans, errors, multi-column ranges,
-//!   approximate lookups) returns `None` and the caller scans.
+//! Probes answer only what the postings can answer with the scan path's
+//! exact semantics (`sheet_eq` / `Criterion::matches`): an `Eq` or `Ne`
+//! criterion, or an exact lookup, over one column of a built index.
+//! Keys must be `Number` or `Text` without COUNTIF wildcards — text keys
+//! are normalized with `to_ascii_lowercase`, the same equivalence as
+//! `sheet_eq`'s `eq_ignore_ascii_case`; `-0.0` normalizes to `0.0`
+//! because `sheet_eq` uses IEEE `==`. Everything else (ordered criteria,
+//! wildcards, booleans, errors, multi-column ranges, approximate lookups)
+//! returns `None` and the caller scans.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::addr::{CellAddr, Range};
 use crate::eval::EvalCtx;
@@ -83,42 +84,19 @@ impl IndexKey {
     }
 }
 
-/// The per-column structure: hash postings and a sorted numeric array.
-#[derive(Debug, Default)]
+/// One column's index: value key → rows holding it, ascending. Every
+/// list is non-empty.
+#[derive(Debug, Default, PartialEq)]
 pub struct ColumnIndex {
-    /// Value key → rows holding it, ascending.
     hash: HashMap<IndexKey, Vec<u32>>,
-    /// Every `Number` in the column, sorted ascending (`total_cmp`, which
-    /// refines the IEEE order the ordered criteria compare with).
-    sorted_nums: Vec<f64>,
-    /// Number of indexed (non-empty, non-bool, non-error) cells.
-    entries: usize,
 }
 
 impl ColumnIndex {
-    /// Adds one cell during a bulk build; `finish` must be called before
-    /// the index is probed. Rows must arrive in ascending order (they do:
-    /// builds walk the column top to bottom).
-    fn push_build(&mut self, row: u32, v: &Value) {
-        if let Some(key) = IndexKey::of(v) {
-            self.hash.entry(key).or_default().push(row);
-            self.entries += 1;
-        }
-        if let Value::Number(n) = v {
-            self.sorted_nums.push(*n);
-        }
-    }
-
-    /// Finalizes a bulk build.
-    fn finish(&mut self) {
-        self.sorted_nums.sort_unstable_by(f64::total_cmp);
-    }
-
     /// Moves every posting with its row through a sort: new row `i` was
     /// old row `perm[i]`. The result is each posting mapped through the
     /// inverse permutation and its list re-sorted; it is assembled by one
     /// walk down the new rows, which appends each to its list in ascending
-    /// order. The numbers and the entry count are the same multiset.
+    /// order.
     fn permute(&mut self, perm: &[u32]) {
         let mut lists: Vec<&mut Vec<u32>> = self.hash.values_mut().collect();
         // The list each old row posts to (`u32::MAX`: none).
@@ -145,43 +123,16 @@ impl ColumnIndex {
     }
 
     /// Removes rows `at..at + count`: their postings go (and a list they
-    /// empty with them), later ones shift up, and `band_nums` — the
-    /// numbers the band held, read from the grid, since a key has folded
-    /// `-0.0` into `0.0` — leave the sorted numbers.
-    fn delete_rows(&mut self, at: u32, count: u32, mut band_nums: Vec<f64>) {
+    /// empty with them), later ones shift up.
+    fn delete_rows(&mut self, at: u32, count: u32) {
         let end = at.saturating_add(count);
-        let ColumnIndex { hash, sorted_nums, entries } = self;
-        hash.retain(|_, rows| {
+        self.hash.retain(|_, rows| {
             let a = rows.partition_point(|&r| r < at);
             let b = rows.partition_point(|&r| r < end);
             rows.drain(a..b);
-            *entries -= b - a;
             rows[a..].iter_mut().for_each(|r| *r -= count);
             !rows.is_empty()
         });
-        // Both sides ascending under `total_cmp`: one merge walk takes
-        // each deleted number out once.
-        band_nums.sort_unstable_by(f64::total_cmp);
-        let mut gone = band_nums.into_iter().peekable();
-        sorted_nums.retain(|x| {
-            while gone.next_if(|g| g.total_cmp(x).is_lt()).is_some() {}
-            gone.next_if(|g| g.total_cmp(x).is_eq()).is_none()
-        });
-    }
-
-    /// Where this index differs from `fresh`, a build of its column from
-    /// the grid: `None` when they agree bit for bit.
-    pub(crate) fn differs_from(&self, fresh: &ColumnIndex) -> Option<&'static str> {
-        let bits = |nums: &[f64]| nums.iter().map(|n| n.to_bits()).collect::<Vec<_>>();
-        if self.hash != fresh.hash {
-            Some("hash postings")
-        } else if bits(&self.sorted_nums) != bits(&fresh.sorted_nums) {
-            Some("sorted numbers")
-        } else if self.entries != fresh.entries {
-            Some("entry count")
-        } else {
-            None
-        }
     }
 
     /// Incremental insert (single-cell edit path).
@@ -190,45 +141,33 @@ impl ColumnIndex {
             let rows = self.hash.entry(key).or_default();
             let i = rows.partition_point(|&r| r < row);
             rows.insert(i, row);
-            self.entries += 1;
-        }
-        if let Value::Number(n) = v {
-            let i = self.sorted_nums.partition_point(|&x| x.total_cmp(n).is_lt());
-            self.sorted_nums.insert(i, *n);
         }
     }
 
     /// Incremental remove; `v` must be the value previously indexed at
     /// `row` (the caller reads it from the grid before overwriting).
     fn remove(&mut self, row: u32, v: &Value) {
-        if let Some(key) = IndexKey::of(v) {
-            if let Some(rows) = self.hash.get_mut(&key) {
-                let i = rows.partition_point(|&r| r < row);
-                if rows.get(i) == Some(&row) {
-                    rows.remove(i);
-                    self.entries -= 1;
-                }
-                if rows.is_empty() {
-                    self.hash.remove(&key);
-                }
+        let Some(key) = IndexKey::of(v) else { return };
+        if let Some(rows) = self.hash.get_mut(&key) {
+            let i = rows.partition_point(|&r| r < row);
+            if rows.get(i) == Some(&row) {
+                rows.remove(i);
             }
-        }
-        if let Value::Number(n) = v {
-            let i = self.sorted_nums.partition_point(|&x| x.total_cmp(n).is_lt());
-            if self.sorted_nums.get(i) == Some(n) {
-                self.sorted_nums.remove(i);
+            if rows.is_empty() {
+                self.hash.remove(&key);
             }
         }
     }
 
-    /// Number of indexed cells (tests and reports).
+    /// Number of indexed cells: the postings, summed.
     pub fn len(&self) -> usize {
-        self.entries
+        self.hash.values().map(Vec::len).sum()
     }
 
     /// True when no cell is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.hash.is_empty()
     }
 
     /// Rows in `[lo, hi]` whose value equals `key`; the slice is ascending.
@@ -242,41 +181,19 @@ impl ColumnIndex {
         let b = rows.partition_point(|&r| r <= hi);
         &rows[a..b]
     }
-
-    /// Count of numbers satisfying an ordered criterion, over the whole
-    /// column. One probe per partition point.
-    fn count_ordered(&self, meter: &Meter, criterion: &Criterion) -> Option<u64> {
-        let n = self.sorted_nums.len();
-        meter.tick(Primitive::IndexProbe);
-        let count = match *criterion {
-            Criterion::Lt(k) => self.sorted_nums.partition_point(|&x| x < k),
-            Criterion::Le(k) => self.sorted_nums.partition_point(|&x| x <= k),
-            Criterion::Gt(k) => n - self.sorted_nums.partition_point(|&x| x <= k),
-            Criterion::Ge(k) => n - self.sorted_nums.partition_point(|&x| x < k),
-            _ => return None,
-        };
-        Some(count as u64)
-    }
 }
 
-/// Lifecycle of one registered column.
-#[derive(Debug)]
-enum ColState {
-    /// Registered but not (re)built yet; probes fall back to scans.
-    Pending,
-    /// Live index, maintained through every `set_value` and moved with
-    /// its rows and its column by every sort and structural edit.
-    Built(ColumnIndex),
-    /// Permanently excluded: a formula lives (or lived) in the column.
-    Dropped,
-}
-
-/// The sheet's column-index registry.
+/// The sheet's column indexes.
 #[derive(Debug, Default)]
 pub struct IndexStore {
-    cols: HashMap<u32, ColState>,
+    /// Live indexes, maintained through every literal write and moved
+    /// with their rows and columns by every sort and structural edit.
+    built: HashMap<u32, ColumnIndex>,
+    /// Columns known to hold a formula: a build met one, or one was
+    /// written into a built column. `ensure_indexes` leaves them unbuilt.
+    formula_cols: HashSet<u32>,
     /// Auto-indexing (`Sheet::set_auto_index`): every formula-free column
-    /// is registered, and the engine charges what its own shortcuts save —
+    /// is built, and the engine charges what its own shortcuts save —
     /// a slid aggregate window its slide, a find its distinct texts.
     auto: bool,
 }
@@ -291,86 +208,78 @@ impl IndexStore {
         self.auto = on;
     }
 
-    /// Registers a column for indexing; no-op if already registered or
-    /// dropped. The index is built by the next `Sheet::ensure_indexes`.
-    pub(crate) fn register(&mut self, col: u32) {
-        self.cols.entry(col).or_insert(ColState::Pending);
+    /// Whether `ensure_indexes` should build `col`: it is neither built
+    /// nor known to hold a formula.
+    pub(crate) fn wants_build(&self, col: u32) -> bool {
+        !self.built.contains_key(&col) && !self.formula_cols.contains(&col)
     }
 
-    /// Permanently excludes a column (a formula was written into it).
-    pub(crate) fn drop_col(&mut self, col: u32) {
-        if self.cols.contains_key(&col) {
-            self.cols.insert(col, ColState::Dropped);
-        }
-    }
-
-    /// Demotes every built index to pending (a bulk load replaced the
-    /// grid wholesale; the next `ensure_indexes` rebuilds from it).
-    pub(crate) fn invalidate_built(&mut self) {
-        for state in self.cols.values_mut() {
-            if matches!(state, ColState::Built(_)) {
-                *state = ColState::Pending;
+    /// Records a build of `col`: its index, or (`Err`) the formula that
+    /// refused it.
+    pub(crate) fn install(&mut self, col: u32, build: Result<ColumnIndex, ()>) {
+        match build {
+            Ok(ix) => {
+                self.built.insert(col, ix);
+            }
+            Err(()) => {
+                self.formula_cols.insert(col);
             }
         }
     }
 
-    /// Columns awaiting a (re)build, ascending.
-    pub(crate) fn pending_cols(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .cols
-            .iter()
-            .filter_map(|(&c, s)| matches!(s, ColState::Pending).then_some(c))
-            .collect();
-        out.sort_unstable();
-        out
+    /// A formula was written into `col`: a built index of it goes, and
+    /// the column is recorded as holding a formula.
+    pub(crate) fn formula_written(&mut self, col: u32) {
+        if self.built.remove(&col).is_some() {
+            self.formula_cols.insert(col);
+        }
     }
 
-    /// Installs a freshly built index.
-    pub(crate) fn install(&mut self, col: u32, ix: ColumnIndex) {
-        self.cols.insert(col, ColState::Built(ix));
+    /// A formula in `col` was overwritten by a value: the record goes, and
+    /// the next build finds out whether another formula remains.
+    pub(crate) fn formula_overwritten(&mut self, col: u32) {
+        self.formula_cols.remove(&col);
+    }
+
+    /// Whether `col` is known to hold a formula.
+    pub(crate) fn holds_formula(&self, col: u32) -> bool {
+        self.formula_cols.contains(&col)
     }
 
     /// The live index for `col`, if built.
     pub fn built(&self, col: u32) -> Option<&ColumnIndex> {
-        match self.cols.get(&col) {
-            Some(ColState::Built(ix)) => Some(ix),
-            _ => None,
-        }
+        self.built.get(&col)
     }
 
     /// Every live index with its column, ascending (the audit's walk).
     pub(crate) fn built_cols(&self) -> Vec<(u32, &ColumnIndex)> {
-        let mut out: Vec<(u32, &ColumnIndex)> = self
-            .cols
-            .iter()
-            .filter_map(|(&c, s)| match s {
-                ColState::Built(ix) => Some((c, ix)),
-                _ => None,
-            })
-            .collect();
+        let mut out: Vec<(u32, &ColumnIndex)> = self.built.iter().map(|(&c, ix)| (c, ix)).collect();
         out.sort_unstable_by_key(|&(c, _)| c);
+        out
+    }
+
+    /// Columns known to hold a formula, ascending.
+    #[cfg(test)]
+    pub(crate) fn formula_cols(&self) -> Vec<u32> {
+        let mut out: Vec<u32> = self.formula_cols.iter().copied().collect();
+        out.sort_unstable();
         out
     }
 
     /// Whether `col` has a live index (the `set_value` fast-path check).
     pub(crate) fn has_built(&self, col: u32) -> bool {
-        matches!(self.cols.get(&col), Some(ColState::Built(_)))
-    }
-
-    /// True when nothing is registered at all.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
+        self.built.contains_key(&col)
     }
 
     /// Number of live (built) column indexes.
     pub fn built_count(&self) -> usize {
-        self.cols.values().filter(|s| matches!(s, ColState::Built(_))).count()
+        self.built.len()
     }
 
     /// Maintains a built column through one literal write. Charges one
     /// `IndexProbe` for the O(log m) posting update.
     pub(crate) fn on_write(&mut self, meter: &Meter, addr: CellAddr, old: &Value, new: &Value) {
-        if let Some(ColState::Built(ix)) = self.cols.get_mut(&addr.col) {
+        if let Some(ix) = self.built.get_mut(&addr.col) {
             meter.tick(Primitive::IndexProbe);
             ix.remove(addr.row, old);
             ix.insert(addr.row, new);
@@ -380,44 +289,32 @@ impl IndexStore {
     /// A sort: every built index moves its postings with their rows (new
     /// row `i` was old row `perm[i]`, a bijection of the extent).
     pub(crate) fn permute(&mut self, perm: &[u32]) {
-        for state in self.cols.values_mut() {
-            if let ColState::Built(ix) = state {
-                ix.permute(perm);
-            }
-        }
+        self.built.values_mut().for_each(|ix| ix.permute(perm));
     }
 
     /// A row edit at `at` (`count` rows inserted or deleted): every built
-    /// index shifts its postings with the rows. A delete asks `band_nums`
-    /// for the numbers a column held in the deleted band, which the
-    /// caller reads from the grid before the rows go.
-    pub(crate) fn shift_rows(
-        &mut self,
-        at: u32,
-        count: u32,
-        insert: bool,
-        mut band_nums: impl FnMut(u32) -> Vec<f64>,
-    ) {
-        for (&col, state) in &mut self.cols {
-            if let ColState::Built(ix) = state {
-                if insert {
-                    ix.insert_rows(at, count);
-                } else {
-                    ix.delete_rows(at, count, band_nums(col));
-                }
+    /// index shifts its postings with the rows.
+    pub(crate) fn shift_rows(&mut self, at: u32, count: u32, insert: bool) {
+        for ix in self.built.values_mut() {
+            if insert {
+                ix.insert_rows(at, count);
+            } else {
+                ix.delete_rows(at, count);
             }
         }
     }
 
-    /// Structural column edit: registrations and built indexes move with
-    /// their columns (`None` = the column was deleted, and its index with
-    /// it). A column's rows are untouched, so a built index stays built,
-    /// a pending one pending and a dropped one dropped.
+    /// Structural column edit: built indexes and the formula record move
+    /// with their columns (`None` = the column was deleted, and what the
+    /// store held of it with it). A column's rows are untouched, so a
+    /// built index stays built.
     pub(crate) fn remap_cols(&mut self, map: impl Fn(u32) -> Option<u32>) {
-        self.cols = std::mem::take(&mut self.cols)
+        self.built = std::mem::take(&mut self.built)
             .into_iter()
-            .filter_map(|(col, state)| map(col).map(|col| (col, state)))
+            .filter_map(|(col, ix)| map(col).map(|col| (col, ix)))
             .collect();
+        self.formula_cols =
+            std::mem::take(&mut self.formula_cols).into_iter().filter_map(map).collect();
     }
 }
 
@@ -426,9 +323,9 @@ impl IndexStore {
 // ---------------------------------------------------------------------
 
 /// Accumulates one column's cells into a `ColumnIndex`; refuses the column
-/// when a formula is present. The meter is charged one `IndexProbe` per
-/// indexed cell so a build (at open, of a newly registered column, after a
-/// bulk load) is priced as real work.
+/// when a formula is present. Rows must arrive in ascending order (they
+/// do: builds walk the column top to bottom). The meter is charged one
+/// `IndexProbe` per indexed cell so a build is priced as real work.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnBuilder {
     ix: ColumnIndex,
@@ -443,19 +340,16 @@ impl ColumnBuilder {
         if self.has_formula {
             return;
         }
-        if !matches!(v, Value::Number(_) | Value::Text(_)) {
-            return;
-        }
+        let Some(key) = IndexKey::of(v) else { return };
         meter.tick(Primitive::IndexProbe);
-        self.ix.push_build(row, v);
+        self.ix.hash.entry(key).or_default().push(row);
     }
 
     /// `Ok(index)` when the column is formula-free, `Err(())` otherwise.
-    pub(crate) fn finish(mut self) -> Result<ColumnIndex, ()> {
+    pub(crate) fn finish(self) -> Result<ColumnIndex, ()> {
         if self.has_formula {
             Err(())
         } else {
-            self.ix.finish();
             Ok(self.ix)
         }
     }
@@ -511,14 +405,7 @@ pub(crate) fn countif_probe(
             let eq = ix.eq_rows_in(ctx.meter, &key, lo, hi).len() as u64;
             u64::from(hi - lo + 1) - eq
         }
-        Criterion::Lt(_) | Criterion::Le(_) | Criterion::Gt(_) | Criterion::Ge(_) => {
-            // The sorted array has no row structure: whole-column only.
-            let (nrows, _) = ctx.cells.bounds();
-            if lo != 0 || hi != nrows - 1 {
-                return None;
-            }
-            ix.count_ordered(ctx.meter, criterion)?
-        }
+        _ => return None,
     };
     // The range past the extent holds empty cells, as the scan counts them.
     let past_extent = range.len() - u64::from(hi - lo + 1);
@@ -602,6 +489,8 @@ pub(crate) fn lookup_probe(
 mod tests {
     use super::*;
     use crate::eval::ValueMatrix;
+    use crate::recalc;
+    use crate::sheet::Sheet;
 
     fn built(values: &[Value]) -> ColumnIndex {
         let meter = Meter::new();
@@ -636,18 +525,29 @@ mod tests {
         assert!(meter.snapshot().get(Primitive::IndexProbe) > 0);
     }
 
+    /// An ordered criterion over a whole indexed column takes the scan
+    /// path: the same count as on an unindexed sheet, charged the same
+    /// `CellRead`s and no `IndexProbe`.
     #[test]
-    fn ordered_counts_match_scan_semantics() {
-        let vals =
-            vec![Value::Number(1.0), Value::text("9"), Value::Number(3.0), Value::Number(3.0)];
-        let ix = built(&vals);
-        let meter = Meter::new();
-        // Text "9" is not a number: ordered criteria skip it, like the scan.
-        assert_eq!(ix.count_ordered(&meter, &Criterion::Ge(3.0)), Some(2));
-        assert_eq!(ix.count_ordered(&meter, &Criterion::Gt(3.0)), Some(0));
-        assert_eq!(ix.count_ordered(&meter, &Criterion::Lt(3.0)), Some(1));
-        assert_eq!(ix.count_ordered(&meter, &Criterion::Le(3.0)), Some(3));
-        assert_eq!(ix.count_ordered(&meter, &Criterion::Eq(Value::Number(3.0))), None);
+    fn an_ordered_whole_column_countif_scans_an_indexed_column() {
+        let query = "=COUNTIF(A1:A6,\">=3\")";
+        let answer = |indexed: bool| {
+            let mut s = Sheet::new();
+            s.set_auto_index(indexed);
+            for (row, v) in [1.0, 3.0, 5.0, 2.0, 3.0].into_iter().enumerate() {
+                s.set_value(CellAddr::new(row as u32, 0), v);
+            }
+            s.set_value(CellAddr::new(5, 0), "9");
+            recalc::recalc_all(&mut s);
+            assert_eq!(s.index_store().built_count(), usize::from(indexed));
+            let before = s.meter().snapshot();
+            let got = s.eval_str(query).unwrap();
+            let after = s.meter().snapshot();
+            let charged = |p| after.get(p) - before.get(p);
+            (got, charged(Primitive::CellRead), charged(Primitive::IndexProbe))
+        };
+        assert_eq!(answer(false), (Value::Number(3.0), 6, 0));
+        assert_eq!(answer(true), answer(false));
     }
 
     #[test]
@@ -658,10 +558,11 @@ mod tests {
         ix.insert(1, &Value::text("mid"));
         let key = IndexKey::of(&Value::text("MID")).unwrap();
         assert_eq!(ix.eq_rows_in(&meter, &key, 0, 2), &[1]);
-        assert_eq!(ix.count_ordered(&meter, &Criterion::Ge(0.0)), Some(2));
+        let four = IndexKey::of(&Value::Number(4.0)).unwrap();
+        assert!(!ix.hash.contains_key(&four), "an emptied list goes");
         ix.remove(1, &Value::text("mid"));
         ix.insert(1, &Value::Number(4.0));
-        assert_eq!(ix.count_ordered(&meter, &Criterion::Ge(0.0)), Some(3));
+        assert_eq!(ix, built(&nums(&[2.0, 4.0, 6.0])));
         assert_eq!(ix.len(), 3);
     }
 
@@ -677,35 +578,59 @@ mod tests {
     #[test]
     fn store_lifecycle() {
         let mut store = IndexStore::default();
-        assert!(store.is_empty());
-        store.register(1);
-        assert_eq!(store.pending_cols(), vec![1]);
-        store.install(1, built(&nums(&[1.0])));
-        assert!(store.has_built(1));
+        assert!(store.wants_build(1));
+        store.install(1, Ok(built(&nums(&[1.0]))));
+        assert!(store.has_built(1) && !store.wants_build(1));
         assert_eq!(store.built_count(), 1);
-        store.invalidate_built();
-        assert!(!store.has_built(1));
-        assert_eq!(store.pending_cols(), vec![1]);
-        store.drop_col(1);
-        assert_eq!(store.pending_cols(), Vec::<u32>::new());
-        // A dropped column cannot be re-registered.
-        store.register(1);
-        assert_eq!(store.pending_cols(), Vec::<u32>::new());
-        // A column remap carries the dropped bit, moves live indexes with
-        // their columns (still built) and forgets deleted columns.
-        store.register(3);
-        store.install(3, built(&nums(&[1.0])));
-        store.register(4);
+        // A formula written into a built column drops its index and
+        // records the formula; overwriting it makes the column buildable.
+        store.formula_written(1);
+        assert!(!store.has_built(1) && !store.wants_build(1));
+        assert_eq!(store.formula_cols(), vec![1]);
+        store.formula_overwritten(1);
+        assert!(store.wants_build(1));
+        // A build that meets a formula records it.
+        store.install(1, Err(()));
+        assert!(store.holds_formula(1) && !store.wants_build(1));
+        // A formula written into a column never built records nothing:
+        // the next build finds it.
+        store.formula_written(2);
+        assert!(store.wants_build(2));
+        // A column remap carries the formula record, moves live indexes
+        // with their columns (still built) and forgets deleted columns.
+        store.install(3, Ok(built(&nums(&[1.0]))));
+        store.install(4, Ok(built(&nums(&[1.0]))));
         store.remap_cols(|col| (col != 4).then_some(col + 2));
-        assert_eq!(store.pending_cols(), Vec::<u32>::new());
+        assert_eq!(store.formula_cols(), vec![3]);
         assert!(store.has_built(5));
-        assert!(matches!(store.cols.get(&3), Some(ColState::Dropped)));
-        assert_eq!(store.cols.len(), 2);
+        assert_eq!(store.built_count(), 1);
+    }
+
+    /// A column that once held a formula is indexed again once its last
+    /// formula is overwritten by a value.
+    #[test]
+    fn a_column_whose_formula_is_overwritten_is_indexed_again() {
+        let mut s = Sheet::new();
+        s.set_auto_index(true);
+        for row in 0..10u32 {
+            s.set_value(CellAddr::new(row, 0), f64::from(row % 4));
+            s.set_value(CellAddr::new(row, 1), format!("t{row}"));
+        }
+        s.set_input(CellAddr::new(0, 2), "=COUNTIF(A1:A100,3)").unwrap();
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.index_store().built_count(), 2, "A and B");
+        s.set_input(CellAddr::new(5, 0), "=B1*0+3").unwrap();
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.index_store().built_count(), 1, "A holds a formula");
+        s.set_input(CellAddr::new(5, 0), "3").unwrap();
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.index_store().built_count(), 2, "A holds values only again");
+        crate::audit::check_indexes(&s).unwrap();
     }
 
     /// A column of every kind an index meets: repeated numbers, text in
-    /// two cases (one key), `0.0` beside `-0.0` (one key, two sorted
-    /// numbers), a text that occurs once, and cells an index skips.
+    /// two cases (one key), `0.0` beside `-0.0` (one key), a text that
+    /// occurs once, and cells an index skips.
     fn mixed() -> Vec<Value> {
         let mut v: Vec<Value> = (0..48u32)
             .map(|i| match i % 6 {
@@ -721,10 +646,6 @@ mod tests {
         v
     }
 
-    fn assert_same(moved: &ColumnIndex, fresh: &ColumnIndex, what: &str) {
-        assert_eq!(moved.differs_from(fresh), None, "{what}");
-    }
-
     #[test]
     fn permute_equals_a_fresh_build_of_the_sorted_column() {
         let v = mixed();
@@ -737,7 +658,7 @@ mod tests {
             let mut ix = built(&v);
             ix.permute(&perm);
             let sorted: Vec<Value> = perm.iter().map(|&old| v[old as usize].clone()).collect();
-            assert_same(&ix, &built(&sorted), &format!("{perm:?}"));
+            assert_eq!(ix, built(&sorted), "{perm:?}");
         }
     }
 
@@ -750,36 +671,25 @@ mod tests {
             let mut opened = v.clone();
             let at = at as usize;
             opened.splice(at..at, std::iter::repeat_n(Value::Empty, count as usize));
-            assert_same(&ix, &built(&opened), &format!("insert {count} at {at}"));
+            assert_eq!(ix, built(&opened), "insert {count} at {at}");
         }
     }
 
     #[test]
-    fn deleted_rows_take_their_postings_and_numbers_with_them() {
+    fn deleted_rows_take_their_postings_with_them() {
         let v = mixed();
-        let band_nums = |band: &[Value]| -> Vec<f64> {
-            band.iter().filter_map(|c| if let Value::Number(n) = c { Some(*n) } else { None }).collect()
-        };
         // Rows 14..22 hold `-0.0` (row 15), `0.0` (21) and "solo" (20).
         for (at, count) in [(14u32, 8u32), (0, 1), (40, 8), (0, 48), (30, 100)] {
             let (lo, hi) = (at as usize, ((at + count) as usize).min(v.len()));
             let mut ix = built(&v);
-            ix.delete_rows(at, count, band_nums(&v[lo..hi]));
+            ix.delete_rows(at, count);
             let mut closed = v.clone();
             closed.drain(lo..hi);
-            assert_same(&ix, &built(&closed), &format!("delete {count} at {at}"));
+            assert_eq!(ix, built(&closed), "delete {count} at {at}");
         }
         let mut ix = built(&v);
-        ix.delete_rows(14, 8, band_nums(&v[14..22]));
+        ix.delete_rows(14, 8);
         assert!(!ix.hash.contains_key(&IndexKey::of(&Value::text("solo")).unwrap()), "emptied list");
-        // The numbers a key stands for are not the ones the band held: a
-        // `-0.0` taken out as the `0.0` of its key leaves the wrong zero.
-        let mut from_keys = built(&v);
-        let folded = band_nums(&v[14..22]).iter().map(|&n| if n == 0.0 { 0.0 } else { n }).collect();
-        from_keys.delete_rows(14, 8, folded);
-        let mut closed = v.clone();
-        closed.drain(14..22);
-        assert_eq!(from_keys.differs_from(&built(&closed)), Some("sorted numbers"));
     }
 
     #[test]
@@ -790,8 +700,7 @@ mod tests {
         }
         let meter = Meter::new();
         let mut store = IndexStore::default();
-        store.register(0);
-        store.install(0, built(&nums(&[0.0, 1.0, 2.0, 3.0])));
+        store.install(0, Ok(built(&nums(&[0.0, 1.0, 2.0, 3.0]))));
         let mut ctx = EvalCtx::new(&m, &meter, CellAddr::new(0, 1));
         ctx.indexes = Some(&store);
         let r = |s: &str| Range::parse(s).unwrap();
@@ -801,9 +710,8 @@ mod tests {
         // Multi-column and un-indexed columns fall back.
         assert_eq!(countif_probe(&ctx, r("A1:B4"), &eq2), None);
         assert_eq!(countif_probe(&ctx, r("B1:B4"), &eq2), None);
-        // Ordered criteria only on whole-column windows.
-        assert_eq!(countif_probe(&ctx, r("A1:A4"), &Criterion::Ge(2.0)), Some(2.0));
-        assert_eq!(countif_probe(&ctx, r("A2:A4"), &Criterion::Ge(2.0)), None);
+        // Ordered criteria are the scan's, on any window.
+        assert_eq!(countif_probe(&ctx, r("A1:A4"), &Criterion::Ge(2.0)), None);
         // Ne counts empties via the window size, past the extent too.
         assert_eq!(countif_probe(&ctx, r("A1:A4"), &Criterion::Ne(Value::Number(2.0))), Some(3.0));
         assert_eq!(countif_probe(&ctx, r("A1:A9"), &Criterion::Ne(Value::Number(2.0))), Some(8.0));

@@ -55,8 +55,8 @@ pub enum Primitive {
     /// when filtering Formula-value sheets (§4.3.1; "why the trend is
     /// super-linear is a mystery to us").
     SuperlinearUnit,
-    /// One probe of a maintained column index (hash bucket or sorted-array
-    /// partition point) on the optimized fourth system's lookup path. Scans
+    /// One probe of a maintained column index (a hash bucket or a posting
+    /// list's partition point) on the optimized fourth system's lookup path. Scans
     /// charge `CellRead` per visited cell; indexed evaluation charges one
     /// `IndexProbe` per probe instead, so the cost model can price O(1)/
     /// O(log m) lookups honestly (§OOT).

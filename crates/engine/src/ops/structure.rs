@@ -176,10 +176,9 @@ pub(crate) fn restructure(
     }
 
     // Column indexes move with their lines instead of being rebuilt: a
-    // row edit shifts every built index's postings (a delete reads the
-    // numbers leaving each column from the band, so this runs before the
-    // grid drops it), a column edit re-keys the indexes with their
-    // columns. The cell moves charged below price the remap.
+    // row edit shifts every built index's postings, a column edit re-keys
+    // the indexes with their columns. The cell moves charged below price
+    // the remap.
     match axis {
         Axis::Row => sheet.shift_index_rows(at, count, insert),
         Axis::Col => sheet.remap_index_cols(|col| shift_coord(col, at, count, insert)),

@@ -47,11 +47,6 @@ fn rebuilt(old: &Sheet, axis: Axis, at: u32, count: u32, insert: bool) -> Sheet 
         Axis::Row => Some(c),
         Axis::Col => shift_coord(c, at, count, insert),
     };
-    // An auto-indexed sheet has every column registered once it has been
-    // recalculated; the replay below drops the formula columns again.
-    if old.auto_index() {
-        (0..ncols).filter_map(shift_col).for_each(|c| fresh.register_index(c));
-    }
     for r in (0..nrows).filter(|&r| old.is_row_hidden(r)) {
         if let Some(r) = shift_row(r) {
             fresh.set_row_hidden(r, true);

@@ -340,46 +340,26 @@ impl Sheet {
         &self.indexes
     }
 
-    /// Registers one column for indexing (built by the next
-    /// [`Sheet::ensure_indexes`]); no-op on a column that ever held a
-    /// formula.
-    #[cfg(test)]
-    pub(crate) fn register_index(&mut self, col: u32) {
-        self.indexes.register(col);
-    }
-
-    /// Builds every registered-but-pending column index; with auto-indexing
-    /// on, first registers every materialized column (columns holding
-    /// formulas are permanently excluded by the build). Rebuild cost is
-    /// charged to the meter as one `IndexProbe` per indexed cell.
+    /// With auto-indexing on, builds every materialized column that is
+    /// neither built nor known to hold a formula; a column holding one is
+    /// recorded as such instead. Build cost is charged to the meter as one
+    /// `IndexProbe` per indexed cell.
     pub fn ensure_indexes(&mut self) {
-        if self.auto_index() {
-            for col in 0..self.ncols() {
-                self.indexes.register(col);
-            }
-        }
-        for col in self.indexes.pending_cols() {
-            self.build_index(col);
-        }
-    }
-
-    /// Builds one pending column index from the grid.
-    fn build_index(&mut self, col: u32) {
-        if col >= self.ncols() {
-            // Registered beyond the materialized extent: nothing to index
-            // yet; stays pending until the column exists.
+        if !self.auto_index() {
             return;
         }
-        match self.scan_index(col, &self.meter) {
-            Ok(ix) => self.indexes.install(col, ix),
-            Err(()) => self.indexes.drop_col(col),
+        for col in 0..self.ncols() {
+            if self.indexes.wants_build(col) {
+                let build = self.scan_index(col, &self.meter);
+                self.indexes.install(col, build);
+            }
         }
     }
 
     /// A fresh index of column `col` built from the grid, charged to
-    /// `meter`; `Err(())` when the column holds a formula. The build a
-    /// pending column gets, and the one `audit::check_indexes` holds every
-    /// built index to.
+    /// `meter`; `Err(())` when the column holds a formula. The build
+    /// [`Sheet::ensure_indexes`] gives a column, and the one
+    /// `audit::check_indexes` holds every built index to.
     pub(crate) fn scan_index(&self, col: u32, meter: &Meter) -> Result<ColumnIndex, ()> {
         let mut builder = ColumnBuilder::default();
         if self.nrows() > 0 {
@@ -397,7 +377,7 @@ impl Sheet {
     #[cfg(test)]
     pub(crate) fn install_index_uncharged(&mut self, col: u32) {
         let ix = self.scan_index(col, &Meter::new()).expect("a built column holds no formula");
-        self.indexes.install(col, ix);
+        self.indexes.install(col, Ok(ix));
     }
 
     /// Moves the column indexes with their columns for a structural
@@ -408,21 +388,9 @@ impl Sheet {
     }
 
     /// Moves the column indexes' postings with a row edit: `count` rows
-    /// inserted or deleted at `at`. Called before the grid moves, because
-    /// a delete reads the numbers leaving each indexed column from the
-    /// band itself (the index keys fold `-0.0` into `0.0`; its sorted
-    /// numbers keep the sign). Nothing is charged.
+    /// inserted or deleted at `at`. Nothing is charged.
     pub(crate) fn shift_index_rows(&mut self, at: u32, count: u32, insert: bool) {
-        let Sheet { grid, indexes, .. } = self;
-        let end = at.saturating_add(count).min(grid.nrows());
-        indexes.shift_rows(at, count, insert, |col| {
-            (at..end)
-                .filter_map(|row| match grid.value_at(CellAddr::new(row, col)) {
-                    Value::Number(n) => Some(n),
-                    _ => None,
-                })
-                .collect()
-        });
+        self.indexes.shift_rows(at, count, insert);
     }
 
     // --- mutation --------------------------------------------------------
@@ -432,6 +400,11 @@ impl Sheet {
     /// result would be ([`Value::num`]).
     pub fn set_value(&mut self, addr: CellAddr, v: impl Into<Value>) {
         self.meter.tick(Primitive::CellWrite);
+        if self.indexes.holds_formula(addr.col) && self.deps.precedents_of(addr).is_some() {
+            // Perhaps the column's last formula: the next `ensure_indexes`
+            // finds out.
+            self.indexes.formula_overwritten(addr.col);
+        }
         self.deps.remove(addr);
         let v = match v.into() {
             Value::Number(n) => Value::num(n),
@@ -459,9 +432,9 @@ impl Sheet {
         self.deps.add(addr, &expr);
         self.grid.set(addr, Cell::formula(expr))?;
         // A formula's displayed value changes during recalc without
-        // passing through `set_value`, so its column can never be
-        // indexed again (deterministic degradation to the scan path).
-        self.indexes.drop_col(addr.col);
+        // passing through `set_value`, so its column cannot be indexed
+        // while it holds one (deterministic degradation to the scan path).
+        self.indexes.formula_written(addr.col);
         Ok(())
     }
 
@@ -555,12 +528,8 @@ impl Sheet {
         let extent = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         let ncols = rows.iter().map(Vec::len).max().unwrap_or(0);
         self.grid.ensure_size(extent(rows.len()), extent(ncols))?;
-        // Nothing to maintain cell by cell: a live index is rebuilt from
-        // the loaded grid by the next `ensure_indexes`.
-        self.indexes.invalidate_built();
         let mut load = self.grid.bulk_load();
         let mut templates = OpenTemplates::default();
-        let mut formula_cols = vec![false; ncols];
         let (mut cells, mut written, mut formulas) = (0u64, 0u64, 0usize);
         for (r, row) in rows.iter().enumerate() {
             load.at_row(r as u32);
@@ -579,7 +548,6 @@ impl Sheet {
                         let at = CellAddr::new(r as u32, c as u32);
                         let formula = templates.formula(body, at, &self.names, &self.programs)?;
                         load.cell(c, Cell::Formula(Box::new(formula)));
-                        formula_cols[c] = true;
                         formulas += 1;
                     }
                 }
@@ -595,9 +563,6 @@ impl Sheet {
         self.deps.reserve(formulas);
         let deps = &mut self.deps;
         self.grid.for_each_formula(&mut |addr, formula| deps.add(addr, &formula.expr));
-        for col in (0..ncols).filter(|&c| formula_cols[c]) {
-            self.indexes.drop_col(col as u32);
-        }
         Ok(())
     }
 

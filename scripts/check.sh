@@ -39,7 +39,9 @@ tree_before="$(git status --porcelain)"
 # rewriters report whether a template key changed; nor the oracle's
 # text-only mirror of the engine's `Op` and its static-only replay driver:
 # a script holds `Op`s, and every replay runs the static verifier after
-# every op.
+# every op; nor the column index's sorted-number array, its ordered probe
+# and its pending/dropped lifecycle: an index is its hash postings, and the
+# store is the built indexes plus the columns known to hold a formula.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
 if [ "$env_reads" != 'env::var("SSBENCH_GRID_BUDGET") ' ]; then
@@ -90,6 +92,12 @@ fi
 if grep -rnwE 'ScriptOp|apply_script_op|verify_script' crates src tests examples; then
   echo "the oracle's mirror op vocabulary or its second replay driver is back (see above);" \
     "a script holds the engine's Ops and check_script is the one replay" >&2
+  exit 1
+fi
+if grep -rnwE 'sorted_nums|count_ordered|ColState|pending_cols|invalidate_built|register_index' \
+  crates src tests examples; then
+  echo "a deleted column-index structure or lifecycle state is back (see above);" \
+    "an index is its hash postings, built by ensure_indexes under auto-indexing" >&2
   exit 1
 fi
 
