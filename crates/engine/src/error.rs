@@ -22,8 +22,6 @@ pub enum EngineError {
     NotFound(String),
     /// An operation was given inconsistent arguments.
     Invalid(String),
-    /// An I/O failure during import/export.
-    Io(String),
     /// A row permutation handed to sort/permute was not a bijection of
     /// `0..nrows` (wrong length, out-of-range index, or duplicate). The
     /// payload names the first offense.
@@ -42,7 +40,6 @@ impl fmt::Display for EngineError {
             EngineError::FormulaTooDeep => write!(f, "formula too deeply nested"),
             EngineError::NotFound(s) => write!(f, "not found: {s}"),
             EngineError::Invalid(s) => write!(f, "invalid operation: {s}"),
-            EngineError::Io(s) => write!(f, "io error: {s}"),
             EngineError::BadPermutation(s) => write!(f, "bad permutation: {s}"),
             EngineError::OutOfBounds { rows, cols } => {
                 write!(f, "grid size {rows}x{cols} exceeds engine limits")
@@ -52,12 +49,6 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<std::io::Error> for EngineError {
-    fn from(e: std::io::Error) -> Self {
-        EngineError::Io(e.to_string())
-    }
-}
 
 /// Spreadsheet cell-level errors, displayed in-grid with the conventional
 /// `#NAME?` spellings. These are *values*: they flow through formula

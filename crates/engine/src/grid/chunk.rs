@@ -879,7 +879,8 @@ pub struct GridStore {
 }
 
 impl GridStore {
-    /// A grid covering `rows` × `cols` (vacant cells allocate nothing).
+    /// A grid covering `rows` × `cols` (vacant cells allocate nothing),
+    /// with no budget until `set_budget` gives it one.
     pub fn new(rows: u32, cols: u32) -> Self {
         let rows = rows.min(MAX_ROWS);
         let cols = cols.min(MAX_COLS);
@@ -888,7 +889,7 @@ impl GridStore {
             nrows: rows,
             ncols: 0,
             interner: Interner::default(),
-            pool: Pool::new(pool::env_grid_budget()),
+            pool: Pool::new(None),
         };
         g.ensure_size(rows, cols).expect("constructor sizes are clamped to engine limits");
         g

@@ -1,6 +1,7 @@
 //! Grid storage: one store, [`GridStore`], a chunked columnar core
 //! (DESIGN.md §14) of typed fixed-size segments per column with a
-//! spill-to-disk buffer pool under `SSBENCH_GRID_BUDGET`, and beside each
+//! spill-to-disk buffer pool under a per-sheet budget
+//! (`Sheet::set_grid_budget`), and beside each
 //! column's segments its fills, as row runs (`fills`).
 //!
 //! Range scans walk the store in row-major order — the order the

@@ -404,46 +404,9 @@ impl Clone for Pool {
     }
 }
 
-/// Parses `SSBENCH_GRID_BUDGET`: plain integer bytes, or with a `K`/`M`/`G`
-/// suffix (case-insensitive, powers of 1024). Unset, empty, `0`, or
-/// unparseable means unbounded.
-pub(crate) fn env_grid_budget() -> Option<usize> {
-    let raw = std::env::var("SSBENCH_GRID_BUDGET").ok()?;
-    parse_budget(&raw)
-}
-
-pub(crate) fn parse_budget(raw: &str) -> Option<usize> {
-    let s = raw.trim();
-    if s.is_empty() {
-        return None;
-    }
-    let (digits, mult) = match s.as_bytes()[s.len() - 1].to_ascii_uppercase() {
-        b'K' => (&s[..s.len() - 1], 1usize << 10),
-        b'M' => (&s[..s.len() - 1], 1usize << 20),
-        b'G' => (&s[..s.len() - 1], 1usize << 30),
-        _ => (s, 1usize),
-    };
-    let n: usize = digits.trim().parse().ok()?;
-    if n == 0 {
-        return None;
-    }
-    n.checked_mul(mult)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_parsing() {
-        assert_eq!(parse_budget("65536"), Some(65536));
-        assert_eq!(parse_budget("64K"), Some(64 << 10));
-        assert_eq!(parse_budget("64M"), Some(64 << 20));
-        assert_eq!(parse_budget("2g"), Some(2 << 30));
-        assert_eq!(parse_budget(""), None);
-        assert_eq!(parse_budget("0"), None);
-        assert_eq!(parse_budget("garbage"), None);
-    }
 
     #[test]
     fn num_page_roundtrip() {

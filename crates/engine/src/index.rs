@@ -24,7 +24,9 @@
 //!   could go stale invisibly. `set_formula` into a built column drops its
 //!   index and records the formula; `set_value` over a formula forgets the
 //!   record, so the next `ensure_indexes` retries the build, which records
-//!   the column again if another formula remains.
+//!   the column again if another formula remains. A row or column delete
+//!   forgets every recorded column that the rebuilt dependency graph holds
+//!   no formula in.
 //! * **Single write channel.** Every literal-content mutation in the
 //!   engine funnels through `Sheet::set_value`/`set_formula`, or is
 //!   reported by `Sheet::edit_chunks` (find-and-replace's in-place
@@ -239,6 +241,21 @@ impl IndexStore {
     /// the next build finds out whether another formula remains.
     pub(crate) fn formula_overwritten(&mut self, col: u32) {
         self.formula_cols.remove(&col);
+    }
+
+    /// A delete may have taken a column's last formula: the record keeps
+    /// only the columns that still hold one (`holding` yields the column
+    /// of every formula in the rebuilt graph, and is walked until each
+    /// recorded column is found), so the next build indexes the others.
+    pub(crate) fn retain_formula_cols(&mut self, holding: impl Iterator<Item = u32>) {
+        let mut lost = self.formula_cols.clone();
+        for col in holding {
+            lost.remove(&col);
+            if lost.is_empty() {
+                return;
+            }
+        }
+        self.formula_cols.retain(|col| !lost.contains(col));
     }
 
     /// Whether `col` is known to hold a formula.
@@ -625,6 +642,32 @@ mod tests {
         s.set_input(CellAddr::new(5, 0), "3").unwrap();
         recalc::recalc_all(&mut s);
         assert_eq!(s.index_store().built_count(), 2, "A holds values only again");
+        crate::audit::check_indexes(&s).unwrap();
+    }
+
+    /// A column whose last formula goes with a deleted row is indexed
+    /// again at the next recalc, and a query over it probes the index.
+    #[test]
+    fn a_column_whose_last_formula_is_deleted_with_its_row_is_indexed_again() {
+        let mut s = Sheet::new();
+        s.set_auto_index(true);
+        for row in 0..10u32 {
+            s.set_value(CellAddr::new(row, 0), f64::from(row % 4));
+            s.set_value(CellAddr::new(row, 1), format!("t{row}"));
+        }
+        s.set_input(CellAddr::new(2, 1), "=A1").unwrap();
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.index_store().built_count(), 1, "B holds a formula");
+        s.apply(crate::ops::Op::DeleteRows { at: 2, count: 1 }).unwrap();
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.index_store().built_count(), 2, "B holds values only again");
+        let before = s.meter().snapshot();
+        let got = s.eval_str("=COUNTIF(B1:B9,\"t5\")").unwrap();
+        let after = s.meter().snapshot();
+        let charged = |p| after.get(p) - before.get(p);
+        assert_eq!(got, Value::Number(1.0));
+        assert_eq!(charged(Primitive::CellRead), 0, "the count probed B's index, reading no cell");
+        assert!(charged(Primitive::IndexProbe) > 0);
         crate::audit::check_indexes(&s).unwrap();
     }
 

@@ -212,18 +212,6 @@ pub fn from_csv(text: &str) -> Result<SheetData, EngineError> {
     Ok(SheetData { rows })
 }
 
-/// Writes a document to disk as CSV.
-pub fn write_csv_file(data: &SheetData, path: &std::path::Path) -> Result<(), EngineError> {
-    std::fs::write(path, to_csv(data))?;
-    Ok(())
-}
-
-/// Reads a CSV file from disk.
-pub fn read_csv_file(path: &std::path::Path) -> Result<SheetData, EngineError> {
-    let text = std::fs::read_to_string(path)?;
-    from_csv(&text)
-}
-
 #[cfg(test)]
 mod differential;
 
@@ -394,16 +382,5 @@ mod tests {
                 other => panic!("{addr}: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("ssbench_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        write_csv_file(&doc(), &path).unwrap();
-        let back = read_csv_file(&path).unwrap();
-        assert_eq!(back, doc());
-        std::fs::remove_file(path).ok();
     }
 }

@@ -196,7 +196,6 @@ mod tests {
 
     #[test]
     fn apply_traces_one_op_span_per_dispatch() {
-        let _g = trace::test_lock();
         let mut s = Sheet::new();
         s.set_value(CellAddr::new(0, 0), 5);
         trace::enable(64);

@@ -267,7 +267,7 @@ impl Sheet {
     // --- grid memory ------------------------------------------------------
 
     /// Sets (or clears) the grid's resident-byte budget; immediately
-    /// spills down to fit.
+    /// spills down to fit. A new sheet has none.
     pub fn set_grid_budget(&mut self, budget: Option<usize>) {
         self.grid.set_budget(budget);
     }
@@ -391,6 +391,15 @@ impl Sheet {
     /// inserted or deleted at `at`. Nothing is charged.
     pub(crate) fn shift_index_rows(&mut self, at: u32, count: u32, insert: bool) {
         self.indexes.shift_rows(at, count, insert);
+    }
+
+    /// Under auto-indexing, after a delete's `rebuild_deps`: forgets the
+    /// recorded formula columns that no longer hold a formula, so
+    /// `ensure_indexes` builds them again.
+    pub(crate) fn retain_index_formula_cols(&mut self) {
+        if self.auto_index() {
+            self.indexes.retain_formula_cols(self.deps.formula_addrs().map(|addr| addr.col));
+        }
     }
 
     // --- mutation --------------------------------------------------------

@@ -10,14 +10,15 @@
 //!
 //! ## Design
 //!
-//! * **Off by default, near-free when off.** A single relaxed
-//!   [`AtomicBool`] gates everything; span names are built lazily from
-//!   closures, so a disabled `Span::open` is one atomic load and no
-//!   allocation.
-//! * **Thread-local buffers.** Each thread owns a span stack plus a
-//!   bounded ring buffer of *completed root* span trees. Nothing is
-//!   shared, so recording never takes a lock. Only the on/off switch is
-//!   process-global.
+//! * **Off by default, near-free when off.** A thread-local `Cell<bool>`
+//!   gates everything; span names are built lazily from closures, so a
+//!   disabled `Span::open` is one thread-local load and no allocation.
+//! * **Per-thread state.** Each thread owns its on/off switch, a span
+//!   stack and a bounded ring buffer of *completed root* span trees.
+//!   Nothing is shared, so recording never takes a lock, and nothing is
+//!   process-global (threads share only the clock origin span times count
+//!   from): [`enable`] on one thread leaves every other thread's recording
+//!   as it was.
 //! * **Deterministic.** Span structure, names, and counts repeat run to
 //!   run; only the wall-clock fields differ, and [`SpanNode::signature`]
 //!   excludes them so determinism is testable.
@@ -26,10 +27,9 @@
 //!   [`Span::open_metered`] and [`Span::finish_metered`] each take the
 //!   meter for one snapshot only.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -123,31 +123,28 @@ impl SpanNode {
     }
 }
 
-// --- global switch ------------------------------------------------------
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
+// --- the switch ---------------------------------------------------------
 
 /// Default per-thread ring capacity (completed root trees).
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Turns tracing on process-wide with the given per-thread root-buffer
+/// Turns tracing on for the calling thread, with the given root-buffer
 /// capacity (oldest roots are dropped beyond it; see [`dropped`]).
 pub fn enable(capacity: usize) {
-    CAPACITY.store(capacity.max(1), Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+    TLS.with(|t| t.borrow_mut().capacity = capacity.max(1));
+    ENABLED.set(true);
 }
 
-/// Turns tracing off process-wide. Open spans finish silently; already
-/// completed roots stay buffered until drained.
+/// Turns tracing off for the calling thread. Open spans finish silently;
+/// already completed roots stay buffered until drained.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    ENABLED.set(false);
 }
 
-/// Whether tracing is currently on.
+/// Whether tracing is on for the calling thread.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get()
 }
 
 fn epoch() -> Instant {
@@ -190,17 +187,16 @@ impl PendingSpan {
     }
 }
 
-#[derive(Default)]
 struct ThreadTrace {
     stack: Vec<PendingSpan>,
     roots: VecDeque<SpanNode>,
     dropped: u64,
+    capacity: usize,
 }
 
 impl ThreadTrace {
     fn push_root(&mut self, node: SpanNode) {
-        let cap = CAPACITY.load(Ordering::Relaxed);
-        while self.roots.len() >= cap {
+        while self.roots.len() >= self.capacity {
             self.roots.pop_front();
             self.dropped += 1;
         }
@@ -209,7 +205,15 @@ impl ThreadTrace {
 }
 
 thread_local! {
-    static TLS: RefCell<ThreadTrace> = RefCell::new(ThreadTrace::default());
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static TLS: RefCell<ThreadTrace> = const {
+        RefCell::new(ThreadTrace {
+            stack: Vec::new(),
+            roots: VecDeque::new(),
+            dropped: 0,
+            capacity: DEFAULT_CAPACITY,
+        })
+    };
 }
 
 /// Takes this thread's completed root spans (in completion order). Open
@@ -398,26 +402,13 @@ pub fn totals(roots: &[SpanNode]) -> TraceTotals {
     t
 }
 
-/// Serializes tests that toggle the process-global trace switch (shared
-/// by every in-crate test module that enables tracing).
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::meter::Primitive;
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        test_lock()
-    }
-
     #[test]
     fn disabled_spans_are_inert() {
-        let _g = lock();
         disable();
         clear();
         let span = Span::open(Category::Op, || panic!("name must not be built when disabled"));
@@ -427,7 +418,6 @@ mod tests {
 
     #[test]
     fn spans_nest_and_capture_meter_deltas() {
-        let _g = lock();
         enable(64);
         clear();
         let m = Meter::new();
@@ -453,7 +443,6 @@ mod tests {
 
     #[test]
     fn dropping_a_span_closes_it() {
-        let _g = lock();
         enable(64);
         clear();
         {
@@ -467,7 +456,6 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest() {
-        let _g = lock();
         enable(2);
         clear();
         for i in 0..5 {
@@ -480,6 +468,31 @@ mod tests {
         assert_eq!(dropped(), 3);
         clear();
         disable();
+    }
+
+    #[test]
+    fn the_switch_belongs_to_the_thread() {
+        enable(64);
+        clear();
+        Span::open(Category::Op, || "mine".into()).finish();
+        let theirs = std::thread::spawn(|| {
+            assert!(!enabled(), "a new thread starts with tracing off");
+            enable(1);
+            Span::open(Category::Op, || "theirs".into()).finish();
+            let roots = drain();
+            disable();
+            roots
+        })
+        .join()
+        .expect("the tracing thread finishes");
+        let names = |roots: &[SpanNode]| roots.iter().map(|r| r.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&theirs), ["theirs"]);
+        assert!(enabled(), "another thread's disable switched this thread off");
+        Span::open(Category::Op, || "mine again".into()).finish();
+        let mine = drain();
+        disable();
+        assert_eq!(names(&mine), ["mine", "mine again"], "another thread's capacity applied here");
+        assert_eq!(dropped(), 0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Environment:
 //!
 //! * `SSBENCH_GRID_BUDGET` — resident-byte cap for typed grid chunks
-//!   (e.g. `64M`). Unset means unbounded. The run asserts the grid honors
-//!   the cap after every phase.
+//!   (e.g. `64M`), set on the run's sheet. Unset means unbounded. The run
+//!   asserts the grid honors the cap after every phase.
 //! * `SSBENCH_RSS_LIMIT_MB` — optional hard gate on the process peak RSS
 //!   (`VmHWM`); the run exits non-zero when exceeded.
 //!
@@ -29,10 +29,10 @@ use ssbench_engine::value::{Criterion, Value};
 
 fn main() {
     let rows = parse_rows().unwrap_or(5_000_000);
-    let budget = std::env::var("SSBENCH_GRID_BUDGET").ok();
+    let budget = std::env::var("SSBENCH_GRID_BUDGET").ok().and_then(|raw| parse_budget(&raw));
     eprintln!(
         "spill scenario: {rows} rows x 4 data cols, grid budget {}",
-        budget.as_deref().unwrap_or("unbounded"),
+        budget.map_or("unbounded".to_owned(), |b| format!("{b} B")),
     );
 
     // Phase 1: build. Column A holds a pseudo-random sort key, B the row
@@ -42,6 +42,7 @@ fn main() {
     // budget check per cell), not a bulk load's.
     let started = std::time::Instant::now();
     let mut sheet = Sheet::new();
+    sheet.set_grid_budget(budget);
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     for r in 0..rows {
         // xorshift64* keeps the key column deterministic but unsorted.
@@ -198,6 +199,21 @@ fn parse_rows() -> Option<u32> {
     None
 }
 
+/// Parses a grid budget: plain integer bytes, or with a `K`/`M`/`G` suffix
+/// (case-insensitive, powers of 1024). Empty, `0`, or unparseable means
+/// unbounded.
+fn parse_budget(raw: &str) -> Option<usize> {
+    let s = raw.trim();
+    let (digits, shift) = match s.as_bytes().last()?.to_ascii_uppercase() {
+        b'K' => (&s[..s.len() - 1], 10),
+        b'M' => (&s[..s.len() - 1], 20),
+        b'G' => (&s[..s.len() - 1], 30),
+        _ => (s, 0),
+    };
+    let n: usize = digits.trim().parse().ok().filter(|&n| n > 0)?;
+    n.checked_mul(1 << shift)
+}
+
 /// Asserts the per-phase budget invariant and validates the grid.
 fn report_phase(sheet: &Sheet, phase: &str) {
     sheet.validate_grid();
@@ -270,4 +286,20 @@ fn peak_rss_kb() -> u64 {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|kb| kb.parse().ok())
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn budget_parsing() {
+        assert_eq!(parse_budget("65536"), Some(65536));
+        assert_eq!(parse_budget("64K"), Some(64 << 10));
+        assert_eq!(parse_budget("64M"), Some(64 << 20));
+        assert_eq!(parse_budget("2g"), Some(2 << 30));
+        assert_eq!(parse_budget(""), None);
+        assert_eq!(parse_budget("0"), None);
+        assert_eq!(parse_budget("garbage"), None);
+    }
 }

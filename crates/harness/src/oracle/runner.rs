@@ -28,7 +28,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
 
 use ssbench_engine::addr::{CellAddr, Range};
 use ssbench_engine::analyze::{self, TemplateReport};
@@ -166,25 +165,18 @@ enum Dirty {
     Full,
 }
 
-/// Tracing is process-global state; oracle replays capture span trees, so
-/// two concurrent `check_script` calls (e.g. `cargo test` threads) must
-/// not interleave enable/disable.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
 /// Replays `script` on the reference evaluator and under every
 /// configuration in [`matrix`], and returns the first divergence or
 /// invariant violation, if any. On success it returns what the static
 /// analyzer proved of each template on the final sheet of the plainest
 /// configuration (`matrix()[0]`): the facts `fuzz --analyze` prints.
 pub fn check_script(script: &Script) -> Result<Vec<TemplateReport>, Failure> {
-    let guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let configs = matrix();
     let ref_run = replay(script, configs[0], true)?;
     let mut replays = Vec::with_capacity(configs.len());
     for config in &configs {
         replays.push(replay(script, *config, false)?);
     }
-    drop(guard);
 
     // Outcome + value digests: every shipped replay equals the reference.
     for (config, run) in configs.iter().zip(&replays) {

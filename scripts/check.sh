@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Canonical verification for this repository: build everything, run the
-# full test suite, then re-run it on one test thread. Tracing is switched
-# on and off process-wide, so a test that traces runs beside others in the
-# first pass and alone in the second; both must pass. `cargo test` covers
-# the root package and every member crate (Cargo.toml's default-members).
-# Every stage must pass.
+# Canonical verification for this repository: build everything and run
+# the full test suite once. `cargo test` covers the root package and every
+# member crate (Cargo.toml's default-members). The engine holds no
+# process-wide switch (tracing is turned on per thread, a grid budget per
+# sheet), so tests that trace run beside each other on the default test
+# threads. Every stage must pass.
 #
 # The bulk load behind `io::open` (DESIGN.md §17) has no stage of its own:
 # every oracle replay ends by reopening the workbook it saved and comparing
@@ -18,9 +18,13 @@ cd "$(dirname "$0")/.."
 tree_before="$(git status --porcelain)"
 
 # The option surface stays collapsed by a gate, not by memory (ROADMAP aim
-# 2): the engine reads exactly one environment variable, by its
-# literal name, the second visit order and per-cell range reader PR 21
-# deleted do not come back under their old names, nor the fourth resident
+# 2): the engine reads no environment variable and holds no process-wide
+# switch — its only process-wide statics are the trace clock origin and
+# the page-file name sequence, and the tracer's switch, ring capacity and
+# test lock, the environment's grid budget and the CSV file wrappers do
+# not come back under their old names; the second visit order and the
+# per-cell range reader that were deleted do not come back under their
+# old names, nor the fourth resident
 # chunk kind and the two thresholds PR 23 deleted, nor the three serde
 # stand-ins PR 22 replaced with `harness::json`, nor the proptest stand-in
 # PR 25 replaced with seeded `SmallRng` loops: one shim, `rand`, and no
@@ -43,10 +47,22 @@ tree_before="$(git status --porcelain)"
 # and its pending/dropped lifecycle: an index is its hash postings, and the
 # store is the built indexes plus the columns known to hold a formula.
 echo "==> option surface: engine env vars, deleted knobs, shims"
-env_reads="$({ grep -rhoE 'env::vars?(_os)?\([^)]*\)' crates/engine/src || true; } | sort -u | tr '\n' ' ')"
-if [ "$env_reads" != 'env::var("SSBENCH_GRID_BUDGET") ' ]; then
-  echo "the engine's environment reads changed (expected exactly" \
-    "SSBENCH_GRID_BUDGET, by literal name): $env_reads" >&2
+if grep -rnE 'env::vars?(_os)?\b' crates/engine/src; then
+  echo "the engine reads the environment (see above); a setting is a Sheet method" >&2
+  exit 1
+fi
+statics="$(grep -rhoE '^\s*static [A-Z0-9_]+: *[A-Za-z:]*(Atomic|Mutex|RwLock|OnceLock|LazyLock)' \
+  crates/engine/src | sed -E 's/^\s*static ([A-Z0-9_]+):.*/\1/' | sort | tr '\n' ' ')"
+if [ "$statics" != 'EPOCH SEQ ' ] ||
+  grep -nwE 'AtomicBool|AtomicUsize|Mutex' crates/engine/src/trace.rs; then
+  echo "the engine's process-wide state changed (expected only EPOCH, the trace" \
+    "clock origin, and SEQ, the page-file name sequence): $statics" >&2
+  exit 1
+fi
+if grep -rnwE 'env_grid_budget|test_lock|TRACE_LOCK|write_csv_file|read_csv_file' \
+  crates src tests examples; then
+  echo "a deleted process-wide switch, its lock or a dead CSV file wrapper is back" \
+    "(see above); tracing is per thread and a grid budget per sheet" >&2
   exit 1
 fi
 if grep -rnwE 'RecalcOptions|set_recalc_options|recalc_options|run_level_parallel|RECALC_PARALLELISM|MIN_CHUNK' \
@@ -179,9 +195,6 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> RUST_TEST_THREADS=1 cargo test -q"
-RUST_TEST_THREADS=1 cargo test -q
 
 # A traced BCT experiment end to end: the bct binary exits non-zero if the
 # trace JSON fails to re-parse or the measure spans don't sum to the
