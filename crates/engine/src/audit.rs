@@ -45,7 +45,12 @@ pub fn check_finite_grid(sheet: &Sheet) -> Result<(), String> {
 /// 4. a calc chain the graph holds is the plan a fresh
 ///    [`DepGraph::full_order`](crate::depgraph::DepGraph::full_order) gives
 ///    — same `order`, `level_starts` and `cyclic` — so no change to the
-///    graph left a stale one behind.
+///    graph left a stale one behind;
+/// 5. the graph says a column holds a formula
+///    ([`DepGraph::holds_formula_in`](crate::depgraph::DepGraph::holds_formula_in))
+///    exactly when the grid holds one there: the count decides which
+///    columns an index may cover, so a wrong one moves no value and only
+///    this direction sees it.
 ///
 /// A violation means dirty propagation would skip or over-visit formulas —
 /// exactly the class of bug that produces stale values only under
@@ -150,10 +155,23 @@ pub fn check_deps(sheet: &Sheet) -> Result<(), String> {
         }
     }
 
+    // Direction 5: per-column formula counts -> grid.
+    let holding: HashSet<u32> = formula_cells.iter().map(|addr| addr.col).collect();
+    let miscounted = |&col: &u32| deps.holds_formula_in(col) != holding.contains(&col);
+    if let Some(col) = (0..sheet.ncols()).find(miscounted) {
+        let held = if holding.contains(&col) { "holds a" } else { "holds no" };
+        return Err(format!(
+            "column {}: the grid {held} formula, the dep graph's count says otherwise",
+            col_to_letters(col)
+        ));
+    }
+
     Ok(())
 }
 
-/// Every built column index must equal a fresh build of its column from
+/// No built column index may cover a column that holds a formula (as the
+/// dependency graph counts them, which [`check_deps`] holds to the grid),
+/// and every built index must equal a fresh build of its column from
 /// the grid: the same postings under the same keys. Sorts and structural
 /// edits move a built index with its rows instead of rebuilding it
 /// ([`crate::index`]), so a remap that lost, kept or misplaced a posting
@@ -164,9 +182,10 @@ pub fn check_indexes(sheet: &Sheet) -> Result<(), String> {
     let scratch = Meter::new();
     for (col, built) in sheet.index_store().built_cols() {
         let column = col_to_letters(col);
-        let fresh = sheet.scan_index(col, &scratch).map_err(|()| {
-            format!("column {column} has a built index but holds a formula")
-        })?;
+        if sheet.deps().holds_formula_in(col) {
+            return Err(format!("column {column} has a built index but holds a formula"));
+        }
+        let fresh = sheet.scan_index(col, &scratch);
         if *built != fresh {
             return Err(format!(
                 "column {column}'s built index differs from a fresh build \
@@ -177,6 +196,24 @@ pub fn check_indexes(sheet: &Sheet) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Under auto-indexing, every materialized column that holds no formula is
+/// built. Only a recalculation runs `Sheet::ensure_indexes`, so this holds
+/// after one and not after every op: it is not part of [`check_all`].
+pub fn check_index_coverage(sheet: &Sheet) -> Result<(), String> {
+    if !sheet.auto_index() {
+        return Ok(());
+    }
+    match (0..sheet.ncols())
+        .find(|&col| !sheet.deps().holds_formula_in(col) && !sheet.index_store().has_built(col))
+    {
+        Some(col) => Err(format!(
+            "column {} holds no formula but has no index after a recalculation",
+            col_to_letters(col)
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Runs every audit; convenience for the oracle's per-op hook.
@@ -237,6 +274,42 @@ mod tests {
         s.deps_mut().keep_chain(crate::depgraph::DirtyPlan::default());
         let err = check_deps(&s).unwrap_err();
         assert!(err.contains("stale calc chain: its order"), "got: {err}");
+    }
+
+    /// A built index on a column that holds a formula is flagged: the
+    /// state a `set_formula` that kept its column's index would leave.
+    #[test]
+    fn a_built_index_on_a_formula_column_is_flagged() {
+        let mut s = Sheet::new();
+        s.set_auto_index(true);
+        s.set_value(a("A1"), 1i64);
+        s.set_formula_str(a("A2"), "=A1+1").unwrap();
+        recalc::recalc_all(&mut s);
+        check_indexes(&s).unwrap();
+        s.install_index_uncharged(0);
+        let err = check_indexes(&s).unwrap_err();
+        assert!(err.contains("column A has a built index but holds a formula"), "got: {err}");
+    }
+
+    /// Coverage holds after a recalculation, not after every op: a value
+    /// written into a new column leaves it unbuilt until the next pass.
+    #[test]
+    fn coverage_holds_after_a_recalculation() {
+        let mut s = Sheet::new();
+        s.set_value(a("A1"), 1i64);
+        s.set_formula_str(a("B1"), "=A1").unwrap();
+        recalc::recalc_all(&mut s);
+        check_index_coverage(&s).unwrap();
+        s.set_auto_index(true);
+        let err = check_index_coverage(&s).unwrap_err();
+        assert!(err.contains("column A holds no formula but has no index"), "got: {err}");
+        recalc::recalc_all(&mut s);
+        check_index_coverage(&s).unwrap();
+        s.set_value(a("C1"), 2i64);
+        assert!(check_index_coverage(&s).unwrap_err().contains("column C"));
+        recalc::recalc_all(&mut s);
+        check_index_coverage(&s).unwrap();
+        assert_eq!(s.index_store().built_count(), 2, "A and C; B holds a formula");
     }
 
     #[test]

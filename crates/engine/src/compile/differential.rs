@@ -103,14 +103,26 @@ fn build(capped: bool) -> Sheet {
     s.set_formula_str(CellAddr::new(1500, 2), "=A1+0.5").unwrap();
     s.set_value(CellAddr::new(2047, 2), 2);
     s.set_value(CellAddr::new(3080, 2), -3);
-    // G: what a `SUM` fold leaves in a cache when it overflows (an
-    // overflowing operator stores `#NUM!`).
-    s.set_formula_str(CellAddr::new(100, 6), "=SUM(-1E308,-1E308)").unwrap();
-    s.set_formula_str(CellAddr::new(200, 6), "=SUM(SUM(1E308,1E308),SUM(-1E308,-1E308))").unwrap();
-    s.set_formula_str(CellAddr::new(2500, 6), "=SUM(1E308,1E308)").unwrap();
+    for (row, _) in NON_FINITE {
+        s.set_formula_str(CellAddr::new(row, 6), "=0").unwrap();
+    }
     recalc_all(&mut s);
+    plant_non_finite(&mut s);
     assert!(!capped || s.grid_spill_stats().spills > 0, "the capped sheet must spill");
     s
+}
+
+/// G's formulas whose caches hold a non-finite number, by row.
+const NON_FINITE: [(u32, f64); 3] =
+    [(100, f64::NEG_INFINITY), (200, f64::NAN), (2500, f64::INFINITY)];
+
+/// Stores `NON_FINITE` into G's caches after a recalculation: what a path
+/// that leaked a non-finite number would leave there (an overflowing
+/// operator or fold stores `#NUM!`).
+fn plant_non_finite(s: &mut Sheet) {
+    for (row, n) in NON_FINITE {
+        s.store_formula_result(CellAddr::new(row, 6), Value::Number(n));
+    }
 }
 
 #[test]
@@ -284,6 +296,7 @@ fn criteria_kernels_match_the_interpreter_over_every_chunk_kind() {
             if indexed {
                 s.set_auto_index(true);
                 recalc_all(&mut s);
+                plant_non_finite(&mut s);
                 assert!(s.index_store().built(1).is_some(), "the text column is indexed");
             }
             let what = format!("{what} indexed={indexed}");

@@ -498,7 +498,7 @@ impl WindowState {
         match (agg, fold.first_err) {
             (Agg::Count, _) => Value::Number(self.nums as f64),
             (_, Some(e)) => Value::Error(e),
-            (Agg::Sum, None) => Value::Number(fold.total),
+            (Agg::Sum, None) => Value::num(fold.total),
             (Agg::Average, None) => self.average(fold.total),
             // A full scan evicts nothing: both extrema stand.
             (Agg::Min, None) => self.extremum(self.min),
@@ -511,7 +511,7 @@ impl WindowState {
     fn average(&self, total: f64) -> Value {
         match self.nums {
             0 => Value::Error(CellError::Div0),
-            n => Value::Number(total / n as f64),
+            n => Value::num(total / n as f64),
         }
     }
 
@@ -787,8 +787,8 @@ fn criteria_kernel(
     };
     Some(match fold {
         IfFold::Average if count == 0 => Value::Error(CellError::Div0),
-        IfFold::Average => Value::Number(total / count as f64),
-        _ => Value::Number(total),
+        IfFold::Average => Value::num(total / count as f64),
+        _ => Value::num(total),
     })
 }
 

@@ -187,6 +187,9 @@ pub struct DepGraph {
     /// formula drop it; recalc lends it out for a pass and takes it back
     /// (`take_chain`/`keep_chain`). An owned value, so `Sheet` stays `Send`.
     chain: Option<DirtyPlan>,
+    /// Registered formulae per column, indexed by column: what decides
+    /// whether a column may carry an index ([`crate::index`]).
+    per_col: Vec<u32>,
 }
 
 impl DepGraph {
@@ -220,6 +223,11 @@ impl DepGraph {
         self.precedents.get(&addr)
     }
 
+    /// Whether a formula is registered in column `col`.
+    pub(crate) fn holds_formula_in(&self, col: u32) -> bool {
+        self.per_col.get(col as usize).is_some_and(|&n| n > 0)
+    }
+
     /// Makes room for `formulas` more registrations, so a bulk load does
     /// not grow the map a doubling at a time.
     pub(crate) fn reserve(&mut self, formulas: usize) {
@@ -238,6 +246,11 @@ impl DepGraph {
             self.range_watchers.insert(r, addr);
         }
         self.precedents.insert(addr, prec);
+        let col = addr.col as usize;
+        if self.per_col.len() <= col {
+            self.per_col.resize(col + 1, 0);
+        }
+        self.per_col[col] += 1;
     }
 
     /// Unregisters the formula at `addr` (no-op when absent). Cost is
@@ -248,6 +261,7 @@ impl DepGraph {
             return;
         };
         self.chain = None;
+        self.per_col[addr.col as usize] -= 1;
         for p in &prec.cells {
             if let Some(deps) = self.dependents.get_mut(p) {
                 deps.retain(|&d| d != addr);
@@ -267,6 +281,7 @@ impl DepGraph {
         self.range_watchers.clear();
         self.precedents.clear();
         self.chain = None;
+        self.per_col.clear();
     }
 
     /// Lends out the calc chain, ordering every formula first when none is
@@ -672,6 +687,23 @@ mod tests {
         g.dependents_of(a("A2"), &mut deps);
         assert_eq!(deps, vec![a("B1")]);
         assert_eq!(g.len(), 1);
+
+        // Column B counts B1 once, however often it is registered, and
+        // only a remove that unregisters a formula uncounts it.
+        let holding = |g: &DepGraph| (0..4).filter(|&c| g.holds_formula_in(c)).collect::<Vec<_>>();
+        assert_eq!(holding(&g), vec![1]);
+        g.add(a("B2"), &parse("A1").unwrap());
+        g.add(a("D1"), &parse("A1").unwrap());
+        g.remove(a("B1"));
+        assert_eq!(holding(&g), vec![1, 3], "B2 remains");
+        g.remove(a("B1"));
+        g.remove(a("C1"));
+        assert_eq!(holding(&g), vec![1, 3], "removing an absent address counts nothing");
+        g.remove(a("B2"));
+        assert_eq!(holding(&g), vec![3]);
+        g.clear();
+        assert_eq!(holding(&g), Vec::<u32>::new());
+        assert!(!g.holds_formula_in(u32::MAX), "a column past every count holds none");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn sumifs(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
             total += n;
         }
     }) {
-        Ok(()) => Value::Number(total),
+        Ok(()) => Value::num(total),
         Err(e) => Value::Error(e),
     }
 }
@@ -102,7 +102,7 @@ pub fn averageifs(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
             count += 1;
         }
     }) {
-        Ok(()) if count > 0 => Value::Number(total / count as f64),
+        Ok(()) if count > 0 => Value::num(total / count as f64),
         Ok(()) => Value::Error(CellError::Div0),
         Err(e) => Value::Error(e),
     }
@@ -145,7 +145,7 @@ pub fn sumproduct(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
             total += product;
         }
     }
-    Value::Number(total)
+    Value::num(total)
 }
 
 /// Collects the numeric values of an argument.

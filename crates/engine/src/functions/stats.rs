@@ -19,7 +19,7 @@ pub fn sum(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     }
     let mut total = 0.0;
     match fold_numbers(ctx, args, |n| total += n) {
-        Ok(()) => Value::Number(total),
+        Ok(()) => Value::num(total),
         Err(e) => Value::Error(e),
     }
 }
@@ -35,7 +35,7 @@ pub fn average(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         total += n;
         count += 1;
     }) {
-        Ok(()) if count > 0 => Value::Number(total / count as f64),
+        Ok(()) if count > 0 => Value::num(total / count as f64),
         Ok(()) => Value::Error(CellError::Div0),
         Err(e) => Value::Error(e),
     }
@@ -134,7 +134,7 @@ pub fn product(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
         total *= n;
         any = true;
     }) {
-        Ok(()) => Value::Number(if any { total } else { 0.0 }),
+        Ok(()) => Value::num(if any { total } else { 0.0 }),
         Err(e) => Value::Error(e),
     }
 }
@@ -151,7 +151,7 @@ pub fn median(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     xs.sort_by(f64::total_cmp);
     let mid = xs.len() / 2;
     let m = if xs.len() % 2 == 1 { xs[mid] } else { (xs[mid - 1] + xs[mid]) / 2.0 };
-    Value::Number(m)
+    Value::num(m)
 }
 
 /// Sample variance helper returning `(n, mean, m2)` via Welford.
@@ -171,7 +171,7 @@ fn welford(ctx: &EvalCtx<'_>, args: &[Arg]) -> Result<(u64, f64, f64), CellError
 /// `VAR(args...)` — sample variance.
 pub fn var(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     match welford(ctx, args) {
-        Ok((n, _, m2)) if n >= 2 => Value::Number(m2 / (n - 1) as f64),
+        Ok((n, _, m2)) if n >= 2 => Value::num(m2 / (n - 1) as f64),
         Ok(_) => Value::Error(CellError::Div0),
         Err(e) => Value::Error(e),
     }
@@ -224,7 +224,7 @@ pub fn sumif(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     }
     let criterion = Criterion::parse(&scalar(ctx, &args[1]));
     match conditional_fold(ctx, args, &criterion) {
-        Ok((total, _)) => Value::Number(total),
+        Ok((total, _)) => Value::num(total),
         Err(e) => Value::Error(e),
     }
 }
@@ -237,7 +237,7 @@ pub fn averageif(ctx: &EvalCtx<'_>, args: &[Arg]) -> Value {
     let criterion = Criterion::parse(&scalar(ctx, &args[1]));
     match conditional_fold(ctx, args, &criterion) {
         Ok((_, 0)) => Value::Error(CellError::Div0),
-        Ok((total, n)) => Value::Number(total / n as f64),
+        Ok((total, n)) => Value::num(total / n as f64),
         Err(e) => Value::Error(e),
     }
 }

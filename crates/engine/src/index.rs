@@ -15,18 +15,19 @@
 //!
 //! Under auto-indexing (`Sheet::set_auto_index`) every recalculation entry
 //! point runs `Sheet::ensure_indexes`, which builds each materialized
-//! column that is neither built nor known to hold a formula. A build that
-//! meets a formula records the column as holding one instead.
+//! column that is not built and holds no formula.
 //!
 //! * **No formulas.** An indexed column contains only literal cells: a
 //!   formula's displayed value changes during recalculation without
 //!   passing through `Sheet::set_value`, so a column index over formulas
-//!   could go stale invisibly. `set_formula` into a built column drops its
-//!   index and records the formula; `set_value` over a formula forgets the
-//!   record, so the next `ensure_indexes` retries the build, which records
-//!   the column again if another formula remains. A row or column delete
-//!   forgets every recorded column that the rebuilt dependency graph holds
-//!   no formula in.
+//!   could go stale invisibly. Whether a column holds a formula is the
+//!   dependency graph's count of the formulas registered in it
+//!   (`DepGraph::holds_formula_in`), which every write, sort and
+//!   structural edit already keeps; the store keeps no record of its own.
+//!   `set_formula` into a built column drops its index at once, so no
+//!   probe reads the column before the formula is computed; once the
+//!   column's last formula is overwritten or deleted, the next
+//!   `ensure_indexes` builds it like any new column.
 //! * **Single write channel.** Every literal-content mutation in the
 //!   engine funnels through `Sheet::set_value`/`set_formula`, or is
 //!   reported by `Sheet::edit_chunks` (find-and-replace's in-place
@@ -39,7 +40,7 @@
 //!   the permutation (`IndexStore::permute`), a row edit shifts the
 //!   postings past the band and drops the ones inside it
 //!   (`IndexStore::shift_rows`), a column edit re-keys the built indexes
-//!   and the formula record with their columns (`IndexStore::remap_cols`).
+//!   with their columns (`IndexStore::remap_cols`).
 //!   None of this is charged to the meter: the edit's `CellMove`s already
 //!   price the rows moving. The oracle's `audit::check_indexes` holds
 //!   every built index to a fresh build after every op.
@@ -56,7 +57,7 @@
 //! wildcards, booleans, errors, multi-column ranges, approximate lookups)
 //! returns `None` and the caller scans.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::addr::{CellAddr, Range};
 use crate::eval::EvalCtx;
@@ -94,6 +95,16 @@ pub struct ColumnIndex {
 }
 
 impl ColumnIndex {
+    /// Appends one cell to a build (`Sheet::scan_index`), charging one
+    /// `IndexProbe` when it is indexed, so a build is priced as real work.
+    /// Rows must arrive in ascending order: builds walk the column top to
+    /// bottom.
+    pub(crate) fn push(&mut self, meter: &Meter, row: u32, v: &Value) {
+        let Some(key) = IndexKey::of(v) else { return };
+        meter.tick(Primitive::IndexProbe);
+        self.hash.entry(key).or_default().push(row);
+    }
+
     /// Moves every posting with its row through a sort: new row `i` was
     /// old row `perm[i]`. The result is each posting mapped through the
     /// inverse permutation and its list re-sorted; it is assembled by one
@@ -191,9 +202,6 @@ pub struct IndexStore {
     /// Live indexes, maintained through every literal write and moved
     /// with their rows and columns by every sort and structural edit.
     built: HashMap<u32, ColumnIndex>,
-    /// Columns known to hold a formula: a build met one, or one was
-    /// written into a built column. `ensure_indexes` leaves them unbuilt.
-    formula_cols: HashSet<u32>,
     /// Auto-indexing (`Sheet::set_auto_index`): every formula-free column
     /// is built, and the engine charges what its own shortcuts save —
     /// a slid aggregate window its slide, a find its distinct texts.
@@ -210,57 +218,14 @@ impl IndexStore {
         self.auto = on;
     }
 
-    /// Whether `ensure_indexes` should build `col`: it is neither built
-    /// nor known to hold a formula.
-    pub(crate) fn wants_build(&self, col: u32) -> bool {
-        !self.built.contains_key(&col) && !self.formula_cols.contains(&col)
+    /// Installs a build of `col`.
+    pub(crate) fn install(&mut self, col: u32, ix: ColumnIndex) {
+        self.built.insert(col, ix);
     }
 
-    /// Records a build of `col`: its index, or (`Err`) the formula that
-    /// refused it.
-    pub(crate) fn install(&mut self, col: u32, build: Result<ColumnIndex, ()>) {
-        match build {
-            Ok(ix) => {
-                self.built.insert(col, ix);
-            }
-            Err(()) => {
-                self.formula_cols.insert(col);
-            }
-        }
-    }
-
-    /// A formula was written into `col`: a built index of it goes, and
-    /// the column is recorded as holding a formula.
-    pub(crate) fn formula_written(&mut self, col: u32) {
-        if self.built.remove(&col).is_some() {
-            self.formula_cols.insert(col);
-        }
-    }
-
-    /// A formula in `col` was overwritten by a value: the record goes, and
-    /// the next build finds out whether another formula remains.
-    pub(crate) fn formula_overwritten(&mut self, col: u32) {
-        self.formula_cols.remove(&col);
-    }
-
-    /// A delete may have taken a column's last formula: the record keeps
-    /// only the columns that still hold one (`holding` yields the column
-    /// of every formula in the rebuilt graph, and is walked until each
-    /// recorded column is found), so the next build indexes the others.
-    pub(crate) fn retain_formula_cols(&mut self, holding: impl Iterator<Item = u32>) {
-        let mut lost = self.formula_cols.clone();
-        for col in holding {
-            lost.remove(&col);
-            if lost.is_empty() {
-                return;
-            }
-        }
-        self.formula_cols.retain(|col| !lost.contains(col));
-    }
-
-    /// Whether `col` is known to hold a formula.
-    pub(crate) fn holds_formula(&self, col: u32) -> bool {
-        self.formula_cols.contains(&col)
+    /// A formula was written into `col`: a built index of it goes.
+    pub(crate) fn drop_built(&mut self, col: u32) {
+        self.built.remove(&col);
     }
 
     /// The live index for `col`, if built.
@@ -272,14 +237,6 @@ impl IndexStore {
     pub(crate) fn built_cols(&self) -> Vec<(u32, &ColumnIndex)> {
         let mut out: Vec<(u32, &ColumnIndex)> = self.built.iter().map(|(&c, ix)| (c, ix)).collect();
         out.sort_unstable_by_key(|&(c, _)| c);
-        out
-    }
-
-    /// Columns known to hold a formula, ascending.
-    #[cfg(test)]
-    pub(crate) fn formula_cols(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self.formula_cols.iter().copied().collect();
-        out.sort_unstable();
         out
     }
 
@@ -321,54 +278,14 @@ impl IndexStore {
         }
     }
 
-    /// Structural column edit: built indexes and the formula record move
-    /// with their columns (`None` = the column was deleted, and what the
-    /// store held of it with it). A column's rows are untouched, so a
-    /// built index stays built.
+    /// Structural column edit: built indexes move with their columns
+    /// (`None` = the column was deleted, and its index with it). A
+    /// column's rows are untouched, so a built index stays built.
     pub(crate) fn remap_cols(&mut self, map: impl Fn(u32) -> Option<u32>) {
         self.built = std::mem::take(&mut self.built)
             .into_iter()
             .filter_map(|(col, ix)| map(col).map(|col| (col, ix)))
             .collect();
-        self.formula_cols =
-            std::mem::take(&mut self.formula_cols).into_iter().filter_map(map).collect();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Build support (driven by `Sheet::ensure_indexes`).
-// ---------------------------------------------------------------------
-
-/// Accumulates one column's cells into a `ColumnIndex`; refuses the column
-/// when a formula is present. Rows must arrive in ascending order (they
-/// do: builds walk the column top to bottom). The meter is charged one
-/// `IndexProbe` per indexed cell so a build is priced as real work.
-#[derive(Debug, Default)]
-pub(crate) struct ColumnBuilder {
-    ix: ColumnIndex,
-    has_formula: bool,
-}
-
-impl ColumnBuilder {
-    pub(crate) fn add(&mut self, meter: &Meter, row: u32, v: &Value, is_formula: bool) {
-        if is_formula {
-            self.has_formula = true;
-        }
-        if self.has_formula {
-            return;
-        }
-        let Some(key) = IndexKey::of(v) else { return };
-        meter.tick(Primitive::IndexProbe);
-        self.ix.hash.entry(key).or_default().push(row);
-    }
-
-    /// `Ok(index)` when the column is formula-free, `Err(())` otherwise.
-    pub(crate) fn finish(self) -> Result<ColumnIndex, ()> {
-        if self.has_formula {
-            Err(())
-        } else {
-            Ok(self.ix)
-        }
     }
 }
 
@@ -511,11 +428,11 @@ mod tests {
 
     fn built(values: &[Value]) -> ColumnIndex {
         let meter = Meter::new();
-        let mut b = ColumnBuilder::default();
+        let mut ix = ColumnIndex::default();
         for (row, v) in values.iter().enumerate() {
-            b.add(&meter, row as u32, v, false);
+            ix.push(&meter, row as u32, v);
         }
-        b.finish().expect("no formulas")
+        ix
     }
 
     fn nums(ns: &[f64]) -> Vec<Value> {
@@ -584,43 +501,48 @@ mod tests {
     }
 
     #[test]
-    fn builder_refuses_formula_columns() {
-        let meter = Meter::new();
-        let mut b = ColumnBuilder::default();
-        b.add(&meter, 0, &Value::Number(1.0), false);
-        b.add(&meter, 1, &Value::Number(2.0), true);
-        assert!(b.finish().is_err());
-    }
-
-    #[test]
     fn store_lifecycle() {
         let mut store = IndexStore::default();
-        assert!(store.wants_build(1));
-        store.install(1, Ok(built(&nums(&[1.0]))));
-        assert!(store.has_built(1) && !store.wants_build(1));
+        store.install(1, built(&nums(&[1.0])));
+        assert!(store.has_built(1));
         assert_eq!(store.built_count(), 1);
-        // A formula written into a built column drops its index and
-        // records the formula; overwriting it makes the column buildable.
-        store.formula_written(1);
-        assert!(!store.has_built(1) && !store.wants_build(1));
-        assert_eq!(store.formula_cols(), vec![1]);
-        store.formula_overwritten(1);
-        assert!(store.wants_build(1));
-        // A build that meets a formula records it.
-        store.install(1, Err(()));
-        assert!(store.holds_formula(1) && !store.wants_build(1));
-        // A formula written into a column never built records nothing:
-        // the next build finds it.
-        store.formula_written(2);
-        assert!(store.wants_build(2));
-        // A column remap carries the formula record, moves live indexes
-        // with their columns (still built) and forgets deleted columns.
-        store.install(3, Ok(built(&nums(&[1.0]))));
-        store.install(4, Ok(built(&nums(&[1.0]))));
+        // A formula written into a built column drops its index; into a
+        // column never built, it drops nothing.
+        store.drop_built(1);
+        store.drop_built(2);
+        assert!(!store.has_built(1) && store.built_count() == 0);
+        // A column remap moves live indexes with their columns (still
+        // built) and forgets deleted columns.
+        store.install(3, built(&nums(&[1.0])));
+        store.install(4, built(&nums(&[2.0])));
         store.remap_cols(|col| (col != 4).then_some(col + 2));
-        assert_eq!(store.formula_cols(), vec![3]);
-        assert!(store.has_built(5));
+        assert_eq!(store.built(5), Some(&built(&nums(&[1.0]))));
         assert_eq!(store.built_count(), 1);
+    }
+
+    /// Overwriting one of a column's two formulas leaves it holding the
+    /// other: the next recalculation builds nothing and charges no
+    /// `IndexProbe`. Overwriting the second makes the column indexable.
+    #[test]
+    fn overwriting_one_of_two_formulas_rebuilds_nothing() {
+        let mut s = Sheet::new();
+        s.set_auto_index(true);
+        s.set_value(CellAddr::new(0, 0), 5.0);
+        s.set_input(CellAddr::new(1, 0), "=B1").unwrap();
+        s.set_input(CellAddr::new(2, 0), "=B1").unwrap();
+        s.set_value(CellAddr::new(0, 1), 1.0);
+        recalc::recalc_all(&mut s);
+        assert!(!s.index_store().has_built(0) && s.index_store().has_built(1));
+        s.set_value(CellAddr::new(2, 0), 7.0);
+        let before = s.meter().snapshot().get(Primitive::IndexProbe);
+        recalc::recalc_all(&mut s);
+        assert_eq!(s.meter().snapshot().get(Primitive::IndexProbe) - before, 0);
+        assert!(!s.index_store().has_built(0), "A2 still holds a formula");
+        s.set_value(CellAddr::new(1, 0), 6.0);
+        recalc::recalc_all(&mut s);
+        assert!(s.index_store().has_built(0), "A holds values only");
+        crate::audit::check_indexes(&s).unwrap();
+        crate::audit::check_index_coverage(&s).unwrap();
     }
 
     /// A column that once held a formula is indexed again once its last
@@ -743,7 +665,7 @@ mod tests {
         }
         let meter = Meter::new();
         let mut store = IndexStore::default();
-        store.install(0, Ok(built(&nums(&[0.0, 1.0, 2.0, 3.0]))));
+        store.install(0, built(&nums(&[0.0, 1.0, 2.0, 3.0])));
         let mut ctx = EvalCtx::new(&m, &meter, CellAddr::new(0, 1));
         ctx.indexes = Some(&store);
         let r = |s: &str| Range::parse(s).unwrap();

@@ -218,11 +218,6 @@ pub(crate) fn restructure(
         shift_range(range, axis, at, count, insert).map(|r| r.range())
     });
     sheet.rebuild_deps();
-    // A delete may have taken a column's last formula; the next
-    // `ensure_indexes` then builds that column like any new one.
-    if !insert {
-        sheet.retain_index_formula_cols();
-    }
 
     let band_end = if insert { at } else { at.saturating_add(count) };
     let (lines, width) = match axis {

@@ -422,31 +422,46 @@ mod tests {
         assert_eq!(s.value(a("F3")), Value::Number(5.0));
     }
 
-    /// An overflowing `+ − × ÷` stores `#NUM!`, and a NaN a `SUM` fold can
-    /// still store does not abort `MEDIAN` or `LARGE`, in either evaluator.
+    /// An overflowing `+ − × ÷`, fold or statistic stores `#NUM!`, and
+    /// a NaN that reaches `MEDIAN` or `LARGE` (planted in a formula's
+    /// cache, as nothing computes one) does not abort them, in either
+    /// evaluator.
     #[test]
     fn overflow_stores_num_and_nan_does_not_abort_order_statistics() {
         let shipped: fn(&mut Sheet) -> RecalcStats = recalc_all;
+        let folds = [
+            ("B1", "=SUM(1E308,1E308)"),
+            ("B2", "=SUM(-1E308,-1E308)"),
+            ("E1", "=SUM(D1:D2)"),
+            ("E2", "=PRODUCT(D1,10)"),
+            ("E3", "=AVERAGE(D1:D2)"),
+            ("E4", "=SUMPRODUCT(D1:D2,D1:D2)"),
+            ("E5", "=SUMIF(D1:D2,\">0\")"),
+            ("E6", "=AVERAGEIF(D1:D2,\">0\")"),
+            ("E7", "=SUMIFS(D1:D2,D1:D2,\">0\")"),
+            ("E8", "=AVERAGEIFS(D1:D2,D1:D2,\">0\")"),
+            ("F1", "=MEDIAN(D1:D2)"),
+            ("F2", "=VAR(D1,D2,0)"),
+            ("F3", "=STDEV(D1,-1E308)"),
+        ];
         for pass in [shipped, |s| recalc_reference(s, None)] {
             let mut s = Sheet::new();
-            for (cell, text) in [
-                ("A1", "=1E308*10-1E308*10"),
-                ("B1", "=SUM(1E308,1E308)"),
-                ("B2", "=SUM(-1E308,-1E308)"),
-                ("B3", "=SUM(B1:B2)"),
-                ("C1", "=MEDIAN(B3,2)"),
-                ("C2", "=LARGE(B1:B3,1)"),
-            ] {
+            s.set_value(a("D1"), 1E308);
+            s.set_value(a("D2"), 1E308);
+            s.set_value(a("C3"), 2.0);
+            s.set_formula_str(a("A1"), "=1E308*10-1E308*10").unwrap();
+            s.set_formula_str(a("B3"), "=SUM(B1:B2)").unwrap();
+            for (cell, text) in folds {
                 s.set_formula_str(a(cell), text).unwrap();
             }
             pass(&mut s);
-            assert_eq!(s.value(a("A1")), Value::Error(CellError::Num));
-            assert!(s.value(a("B3")).as_number().is_some_and(f64::is_nan));
-            for cell in ["C1", "C2"] {
-                assert!(s.value(a(cell)).as_number().is_some(), "{cell}");
+            for cell in ["A1", "B3"].into_iter().chain(folds.iter().map(|&(cell, _)| cell)) {
+                assert_eq!(s.value(a(cell)), Value::Error(CellError::Num), "{cell}");
             }
-            assert!(s.eval_str("=MEDIAN(B3,2)").unwrap().as_number().is_some());
-            assert!(s.eval_str("=LARGE(B1:B3,1)").unwrap().as_number().is_some());
+            assert_eq!(s.eval_str("=SUM(D1:D2)").unwrap(), Value::Error(CellError::Num));
+            s.store_formula_result(a("B3"), Value::Number(f64::NAN));
+            assert_eq!(s.eval_str("=MEDIAN(B3,2,3)").unwrap(), Value::Number(3.0));
+            assert!(s.eval_str("=LARGE(B3:C3,1)").unwrap().as_number().is_some());
         }
     }
 

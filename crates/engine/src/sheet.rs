@@ -14,7 +14,7 @@ use crate::eval::context::DEFAULT_NOW_SERIAL;
 use crate::eval::{CellSource, EvalCtx, LookupStrategy};
 use crate::formula::{Expr, NameResolver, RangeRef};
 use crate::grid::{CellGet, ChunkMut, GridStore, IdMemo, ScanSlice, CHUNK_ROWS};
-use crate::index::{ColumnBuilder, ColumnIndex, IndexStore};
+use crate::index::{ColumnIndex, IndexStore};
 use crate::meter::{Meter, Primitive};
 use crate::style::Color;
 use crate::value::{classify, Input, Value};
@@ -341,34 +341,31 @@ impl Sheet {
     }
 
     /// With auto-indexing on, builds every materialized column that is
-    /// neither built nor known to hold a formula; a column holding one is
-    /// recorded as such instead. Build cost is charged to the meter as one
-    /// `IndexProbe` per indexed cell.
+    /// not built and in which the dependency graph registers no formula.
+    /// Build cost is charged to the meter as one `IndexProbe` per indexed
+    /// cell.
     pub fn ensure_indexes(&mut self) {
         if !self.auto_index() {
             return;
         }
         for col in 0..self.ncols() {
-            if self.indexes.wants_build(col) {
-                let build = self.scan_index(col, &self.meter);
-                self.indexes.install(col, build);
+            if !self.indexes.has_built(col) && !self.deps.holds_formula_in(col) {
+                let ix = self.scan_index(col, &self.meter);
+                self.indexes.install(col, ix);
             }
         }
     }
 
     /// A fresh index of column `col` built from the grid, charged to
-    /// `meter`; `Err(())` when the column holds a formula. The build
-    /// [`Sheet::ensure_indexes`] gives a column, and the one
-    /// `audit::check_indexes` holds every built index to.
-    pub(crate) fn scan_index(&self, col: u32, meter: &Meter) -> Result<ColumnIndex, ()> {
-        let mut builder = ColumnBuilder::default();
+    /// `meter`: the build [`Sheet::ensure_indexes`] gives a column, and the
+    /// one `audit::check_indexes` holds every built index to.
+    pub(crate) fn scan_index(&self, col: u32, meter: &Meter) -> ColumnIndex {
+        let mut ix = ColumnIndex::default();
         if self.nrows() > 0 {
             let range = Range::new(CellAddr::new(0, col), CellAddr::new(self.nrows() - 1, col));
-            self.visit_range(range, &mut |addr, value, is_formula| {
-                builder.add(meter, addr.row, value, is_formula);
-            });
+            self.visit_range(range, &mut |addr, value, _| ix.push(meter, addr.row, value));
         }
-        builder.finish()
+        ix
     }
 
     /// Builds and installs column `col`'s index without charging the
@@ -376,8 +373,8 @@ impl Sheet {
     /// edit kept built.
     #[cfg(test)]
     pub(crate) fn install_index_uncharged(&mut self, col: u32) {
-        let ix = self.scan_index(col, &Meter::new()).expect("a built column holds no formula");
-        self.indexes.install(col, Ok(ix));
+        let ix = self.scan_index(col, &Meter::new());
+        self.indexes.install(col, ix);
     }
 
     /// Moves the column indexes with their columns for a structural
@@ -393,15 +390,6 @@ impl Sheet {
         self.indexes.shift_rows(at, count, insert);
     }
 
-    /// Under auto-indexing, after a delete's `rebuild_deps`: forgets the
-    /// recorded formula columns that no longer hold a formula, so
-    /// `ensure_indexes` builds them again.
-    pub(crate) fn retain_index_formula_cols(&mut self) {
-        if self.auto_index() {
-            self.indexes.retain_formula_cols(self.deps.formula_addrs().map(|addr| addr.col));
-        }
-    }
-
     // --- mutation --------------------------------------------------------
 
     /// Writes a literal value, unregistering any formula that was there. A
@@ -409,11 +397,6 @@ impl Sheet {
     /// result would be ([`Value::num`]).
     pub fn set_value(&mut self, addr: CellAddr, v: impl Into<Value>) {
         self.meter.tick(Primitive::CellWrite);
-        if self.indexes.holds_formula(addr.col) && self.deps.precedents_of(addr).is_some() {
-            // Perhaps the column's last formula: the next `ensure_indexes`
-            // finds out.
-            self.indexes.formula_overwritten(addr.col);
-        }
         self.deps.remove(addr);
         let v = match v.into() {
             Value::Number(n) => Value::num(n),
@@ -442,8 +425,10 @@ impl Sheet {
         self.grid.set(addr, Cell::formula(expr))?;
         // A formula's displayed value changes during recalc without
         // passing through `set_value`, so its column cannot be indexed
-        // while it holds one (deterministic degradation to the scan path).
-        self.indexes.formula_written(addr.col);
+        // while it holds one (deterministic degradation to the scan path):
+        // its index goes now, before a probe could read the postings of a
+        // cell that shows the formula's value.
+        self.indexes.drop_built(addr.col);
         Ok(())
     }
 

@@ -24,7 +24,10 @@
 //!   proofs over every template ([`ssbench_engine::analyze::check_sheet`]),
 //!   plus "the sheet keeps its configured lookup strategy, auto-index flag
 //!   and grid budget" — the two regressions this oracle exists to catch
-//!   (see `tests/corpus/`).
+//!   (see `tests/corpus/`);
+//! * after every recalculation, index coverage: an indexed configuration
+//!   has built every column that holds no formula
+//!   ([`ssbench_engine::audit::check_index_coverage`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -247,6 +250,8 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         op_index,
         detail,
     };
+    // Every recalculation entry point runs `ensure_indexes`, so after one
+    // an indexed config has built every column that holds no formula.
     let recalc = |sheet: &mut Sheet, changed: Option<&[CellAddr]>| {
         if reference {
             recalc::recalc_reference(sheet, None);
@@ -255,6 +260,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         } else {
             recalc::recalc_all(sheet);
         }
+        audit::check_index_coverage(sheet)
     };
 
     let mut sheet = gen::build_workbook(script);
@@ -264,7 +270,7 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
     // recalc entry point re-registers and rebuilds as needed, and every
     // value write routes through the maintenance hook.
     sheet.set_auto_index(config.indexed);
-    recalc(&mut sheet, None);
+    recalc(&mut sheet, None).map_err(|e| fail(None, e))?;
     let mut templates = check_invariants(&sheet, config).map_err(|e| fail(None, e))?;
 
     // Capture spans for the op replay only (workbook construction is
@@ -276,9 +282,9 @@ fn replay(script: &Script, config: OracleConfig, reference: bool) -> Result<Repl
         let (outcome, dirty) = apply_step(&mut sheet, step).map_err(|e| fail(Some(i), e))?;
         match dirty {
             Dirty::None => {}
-            Dirty::Full => recalc(&mut sheet, None),
+            Dirty::Full => recalc(&mut sheet, None).map_err(|e| fail(Some(i), e))?,
             Dirty::Cells(cells) => {
-                recalc(&mut sheet, Some(&cells));
+                recalc(&mut sheet, Some(&cells)).map_err(|e| fail(Some(i), e))?;
                 if config.incremental && !reference {
                     check_full_recalc_agrees(&sheet, config).map_err(|e| fail(Some(i), e))?;
                 }

@@ -43,9 +43,10 @@ tree_before="$(git status --porcelain)"
 # rewriters report whether a template key changed; nor the oracle's
 # text-only mirror of the engine's `Op` and its static-only replay driver:
 # a script holds `Op`s, and every replay runs the static verifier after
-# every op; nor the column index's sorted-number array, its ordered probe
-# and its pending/dropped lifecycle: an index is its hash postings, and the
-# store is the built indexes plus the columns known to hold a formula.
+# every op; nor the column index's sorted-number array, its ordered probe,
+# its pending/dropped lifecycle and its own record of the columns that hold
+# a formula: an index is its hash postings, the store is the built indexes,
+# and the dependency graph counts the formulas in each column.
 echo "==> option surface: engine env vars, deleted knobs, shims"
 if grep -rnE 'env::vars?(_os)?\b' crates/engine/src; then
   echo "the engine reads the environment (see above); a setting is a Sheet method" >&2
@@ -110,10 +111,11 @@ if grep -rnwE 'ScriptOp|apply_script_op|verify_script' crates src tests examples
     "a script holds the engine's Ops and check_script is the one replay" >&2
   exit 1
 fi
-if grep -rnwE 'sorted_nums|count_ordered|ColState|pending_cols|invalidate_built|register_index' \
+if grep -rnwE 'sorted_nums|count_ordered|ColState|pending_cols|invalidate_built|register_index|formula_cols|formula_written|formula_overwritten|retain_formula_cols|retain_index_formula_cols|wants_build' \
   crates src tests examples; then
   echo "a deleted column-index structure or lifecycle state is back (see above);" \
-    "an index is its hash postings, built by ensure_indexes under auto-indexing" >&2
+    "an index is its hash postings, built by ensure_indexes under auto-indexing" \
+    "for each column the dependency graph holds no formula in" >&2
   exit 1
 fi
 
